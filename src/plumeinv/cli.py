@@ -18,20 +18,8 @@ from importlib import resources
 from . import pipeline
 from .config import ENV_THREADS, RunConfig, load_config
 from .errors import NumericalError, ValidationError
-from .io import load_measurements, load_sensors, load_wind_csv
-from .synthetic import SyntheticSpec, generate_synthetic
 
-__all__ = [
-    "main",
-    "build_parser",
-    "run_pipeline",
-    "RunConfig",
-    "SyntheticSpec",
-    "load_wind_csv",
-    "load_sensors",
-    "load_measurements",
-    "generate_synthetic",
-]
+__all__ = ["main", "build_parser"]
 
 logger = logging.getLogger(__name__)
 
@@ -42,11 +30,6 @@ _STAGE_BY_COMMAND = {
     "propagate": "propagate",
     "run": "propagate",
 }
-
-
-def run_pipeline(cfg: RunConfig, stage: str = "propagate", **options):
-    """Run a stage (with auto-chaining); see pipeline.run_stage."""
-    return pipeline.run_stage(cfg, stage, **options)
 
 
 def default_config_path() -> str:
@@ -173,7 +156,7 @@ def main(argv=None) -> int:
                 "drop_sensor": args.drop_sensor,
                 "noise_scale": args.noise_scale,
             }
-        run_pipeline(cfg, stage, **options)
+        pipeline.run_stage(cfg, stage, **options)
     except ValidationError as exc:
         logger.error("%s", exc)
         return 2

@@ -26,6 +26,7 @@ from .plume import (
     SourceSite,
     StabilityClass,
 )
+from .sampling import SamplerConfig
 from .synthetic import Harmonic, SourceSignal, SyntheticSpec, WindModel
 from .uqprop import GridSpec
 from .windprep import CV_MAX_POINTS_DEFAULT
@@ -67,6 +68,23 @@ class SamplerSettings:
     burn_in_fraction: float = 0.2
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        try:  # the chain's own range checks, run before any stage
+            SamplerConfig(
+                beta=self.beta,
+                n_steps=self.n_steps,
+                burn_in_fraction=self.burn_in_fraction,
+                seed=self.seed,
+            )
+        except ValueError as exc:
+            raise ValidationError(f"sampler: {exc}") from exc
+        # Same rounding as the chain's burn-in count.
+        if round(self.burn_in_fraction * self.n_steps) >= self.n_steps:
+            raise ValidationError(
+                f"sampler.burn_in_fraction={self.burn_in_fraction} discards all "
+                f"{self.n_steps} steps"
+            )
+
 
 @dataclass(frozen=True)
 class GridConfig:
@@ -86,6 +104,10 @@ class GridConfig:
 class PlumeSettings:
     x_cutoff_m: float = X_CUTOFF_DEFAULT
     calm_speed_mps: float = CALM_SPEED_DEFAULT
+
+    def __post_init__(self) -> None:
+        if not self.x_cutoff_m >= 0.0:
+            raise ValidationError(f"plume.x_cutoff_m must be non-negative, got {self.x_cutoff_m}")
 
 
 @dataclass(frozen=True)

@@ -299,7 +299,6 @@ class PositivePosterior:
     q_sp: np.ndarray  # clipped latent posterior mean, entrywise >= 0
     cov_sp: Optional[np.ndarray]  # chain average of (h(v)-q_sp)(h(v)-q_sp)^T
     v_mean: np.ndarray  # latent posterior mean
-    cov_v: Optional[np.ndarray]  # latent chain covariance
     acceptance_rate: float
     ess: float
     n_steps: int
@@ -317,7 +316,6 @@ def positive_posterior(
     q_s: np.ndarray,
     cfg: SamplerConfig,
     link: Callable[[np.ndarray], np.ndarray] = clip_positive,
-    dump_path=None,
 ) -> PositivePosterior:
     """Positivity stage: pCN on the latent v with data model F h(v).
 
@@ -331,9 +329,7 @@ def positive_posterior(
     d = np.asarray(d, dtype=float)
     prior_mean = link(np.asarray(q_s, dtype=float))
     potential = make_potential(f_matrix, d, noise_var, link)
-    summary: ChainSummary = pcn_chain(
-        potential, prior_mean, prior.sample, cfg, transform=link, dump_path=dump_path
-    )
+    summary: ChainSummary = pcn_chain(potential, prior_mean, prior.sample, cfg, transform=link)
     if not (0.1 <= summary.acceptance_rate <= 0.6):
         logger.warning(
             "acceptance rate %.3f outside [0.1, 0.6]; consider retuning beta",
@@ -344,15 +340,11 @@ def positive_posterior(
     if summary.transform_cov is not None:
         offset = summary.transform_mean - q_sp
         cov_sp = summary.transform_cov
-        if cov_sp.ndim == 2:
-            cov_sp += np.outer(offset, offset)
-        else:
-            cov_sp += offset**2
+        cov_sp += np.outer(offset, offset)
     return PositivePosterior(
         q_sp=q_sp,
         cov_sp=cov_sp,
         v_mean=summary.mean,
-        cov_v=summary.cov,
         acceptance_rate=summary.acceptance_rate,
         ess=summary.ess,
         n_steps=summary.n_steps,

@@ -449,7 +449,6 @@ def run_invert(
                 n_steps=cfg.sampler.n_steps,
                 burn_in_fraction=cfg.sampler.burn_in_fraction,
                 seed=cfg.sampler.seed,
-                cov_mode="full",
             )
             positive = positive_posterior(f_matrix, d, noise_var, prior, smooth.mean, sampler_cfg)
             std_sp = np.sqrt(np.maximum(np.diag(positive.cov_sp), 0.0))

@@ -20,11 +20,10 @@ be stored.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -40,6 +39,8 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
+BLOCK_SIZE = 256  # kept states buffered per moment update
+
 
 @dataclass(frozen=True)
 class SamplerConfig:
@@ -49,8 +50,7 @@ class SamplerConfig:
     n_steps: int
     burn_in_fraction: float = 0.2
     seed: int = 0
-    cov_mode: str = "full"  # "full", "diag", or "none"
-    block_size: int = 256
+    cov_mode: str = "full"  # "full" or "none"
 
     def __post_init__(self) -> None:
         if not (0.0 < self.beta <= 1.0):
@@ -59,10 +59,8 @@ class SamplerConfig:
             raise ValueError("n_steps must be at least 1")
         if not (0.0 <= self.burn_in_fraction < 1.0):
             raise ValueError("burn_in_fraction must be in [0, 1)")
-        if self.cov_mode not in ("full", "diag", "none"):
+        if self.cov_mode not in ("full", "none"):
             raise ValueError(f"unknown cov_mode {self.cov_mode!r}")
-        if self.block_size < 1:
-            raise ValueError("block_size must be positive")
 
 
 class OnlineMoments:
@@ -74,18 +72,12 @@ class OnlineMoments:
     """
 
     def __init__(self, dim: int, mode: str = "full"):
-        if mode not in ("full", "diag", "none"):
+        if mode not in ("full", "none"):
             raise ValueError(f"unknown moments mode {mode!r}")
         self.dim = dim
-        self.mode = mode
         self.count = 0
         self.mean = np.zeros(dim)
-        if mode == "full":
-            self.scatter = np.zeros((dim, dim))
-        elif mode == "diag":
-            self.scatter = np.zeros(dim)
-        else:
-            self.scatter = None
+        self.scatter = np.zeros((dim, dim)) if mode == "full" else None
 
     def update_block(self, block: np.ndarray) -> None:
         block = np.asarray(block)
@@ -95,13 +87,10 @@ class OnlineMoments:
         block_mean = block.mean(axis=0)
         delta = block_mean - self.mean
         n_new = self.count + b
-        if self.mode != "none":
+        if self.scatter is not None:
             centered = block - block_mean
             weight = self.count * b / n_new
-            if self.mode == "full":
-                self.scatter += centered.T @ centered + np.outer(delta, delta) * weight
-            else:
-                self.scatter += (centered**2).sum(axis=0) + delta**2 * weight
+            self.scatter += centered.T @ centered + np.outer(delta, delta) * weight
         self.mean = self.mean + delta * (b / n_new)
         self.count = n_new
 
@@ -116,7 +105,11 @@ class OnlineMoments:
 
 @dataclass(eq=False)
 class ChainSummary:
-    """First two chain moments plus diagnostics, burn-in already discarded."""
+    """First two chain moments plus diagnostics, burn-in already discarded.
+
+    ``cov`` is the covariance of v; it is None when a transform was given,
+    whose second moments are in ``transform_cov`` instead.
+    """
 
     mean: np.ndarray
     cov: Optional[np.ndarray]
@@ -160,9 +153,6 @@ def pcn_chain(
     prior_sample: Callable[[np.random.Generator], np.ndarray],
     cfg: SamplerConfig,
     transform: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    dump_path=None,
-    dump_stride: int = 100,
-    dump_coords: Optional[Sequence[int]] = None,
 ) -> ChainSummary:
     """Run one pCN chain and return its accumulated moments.
 
@@ -170,14 +160,12 @@ def pcn_chain(
         potential: phi(v); non-finite values auto-reject the proposal.
         prior_mean: m, the Gaussian prior mean.
         prior_sample: draws w ~ N(0, C) given a numpy Generator.
-        cfg: chain parameters; ``cov_mode`` controls which second moments
-            are accumulated.
-        transform: optional map g; when given, the moments of g(v) are
-            accumulated alongside those of v (same cov_mode).
-        dump_path: optional CSV path for a thinned trace of selected
-            coordinates (iteration, accepted flag, coordinates).
-        dump_stride: keep every ``dump_stride``-th step in the dump.
-        dump_coords: coordinate indices to dump (default: first three).
+        cfg: chain parameters; ``cov_mode`` controls whether second
+            moments are accumulated.
+        transform: optional map g; when given, second moments are
+            accumulated for g(v) instead of v (``transform_mean`` and
+            ``transform_cov``), and ``cov`` is None. The mean of v is
+            always kept.
 
     Returns:
         ChainSummary over the post-burn-in states.
@@ -194,19 +182,11 @@ def pcn_chain(
     if n_kept < 1:
         raise ValueError("burn-in leaves no samples")
 
-    moments_v = OnlineMoments(dim, cfg.cov_mode)
+    moments_v = OnlineMoments(dim, cfg.cov_mode if transform is None else "none")
     moments_g = OnlineMoments(dim, cfg.cov_mode) if transform is not None else None
-    buf_v = np.empty((min(cfg.block_size, n_kept), dim))
+    buf_v = np.empty((min(BLOCK_SIZE, n_kept), dim))
     buf_g = np.empty_like(buf_v) if transform is not None else None
     fill = 0
-
-    dump_writer = None
-    dump_file = None
-    if dump_path is not None:
-        coords = list(dump_coords) if dump_coords is not None else list(range(min(3, dim)))
-        dump_file = open(dump_path, "w", newline="")
-        dump_writer = csv.writer(dump_file)
-        dump_writer.writerow(["iteration", "accepted"] + [f"v_{c}" for c in coords])
 
     v = prior_mean.copy()
     phi_v = float(potential(v))
@@ -217,45 +197,37 @@ def pcn_chain(
     n_nonfinite = 0
     phi_trace = np.empty(n_kept)
 
-    try:
-        for step in range(cfg.n_steps):
-            w = prior_sample(rng_prop)
-            proposal = prior_mean + shrink * (v - prior_mean) + cfg.beta * w
-            phi_p = float(potential(proposal))
-            # log U = -Exp(1) exactly; one acceptance draw per step keeps the
-            # stream position a function of the step index alone.
-            log_u = -rng_acc.exponential()
-            if not math.isfinite(phi_p):
-                n_nonfinite += 1
-                accept = False
-            else:
-                accept = log_u <= phi_v - phi_p
-            if accept:
-                v = proposal
-                phi_v = phi_p
-                accepted += 1
-            if step >= burn:
-                buf_v[fill] = v
-                if buf_g is not None:
-                    buf_g[fill] = transform(v)
-                phi_trace[step - burn] = phi_v
-                fill += 1
-                if fill == buf_v.shape[0]:
-                    moments_v.update_block(buf_v[:fill])
-                    if moments_g is not None:
-                        moments_g.update_block(buf_g[:fill])
-                    fill = 0
-            if dump_writer is not None and step % dump_stride == 0:
-                dump_writer.writerow(
-                    [step, int(accept)] + [f"{v[c]:.10g}" for c in coords]
-                )
-        if fill:
-            moments_v.update_block(buf_v[:fill])
-            if moments_g is not None:
-                moments_g.update_block(buf_g[:fill])
-    finally:
-        if dump_file is not None:
-            dump_file.close()
+    for step in range(cfg.n_steps):
+        w = prior_sample(rng_prop)
+        proposal = prior_mean + shrink * (v - prior_mean) + cfg.beta * w
+        phi_p = float(potential(proposal))
+        # log U = -Exp(1) exactly; one acceptance draw per step keeps the
+        # stream position a function of the step index alone.
+        log_u = -rng_acc.exponential()
+        if not math.isfinite(phi_p):
+            n_nonfinite += 1
+            accept = False
+        else:
+            accept = log_u <= phi_v - phi_p
+        if accept:
+            v = proposal
+            phi_v = phi_p
+            accepted += 1
+        if step >= burn:
+            buf_v[fill] = v
+            if buf_g is not None:
+                buf_g[fill] = transform(v)
+            phi_trace[step - burn] = phi_v
+            fill += 1
+            if fill == buf_v.shape[0]:
+                moments_v.update_block(buf_v[:fill])
+                if moments_g is not None:
+                    moments_g.update_block(buf_g[:fill])
+                fill = 0
+    if fill:
+        moments_v.update_block(buf_v[:fill])
+        if moments_g is not None:
+            moments_g.update_block(buf_g[:fill])
 
     rate = accepted / cfg.n_steps
     if n_nonfinite:

@@ -261,6 +261,12 @@ class TestExitCodes:
         cfg_path, _ = write_case(tmp_path, mutate=lambda d: d.update(stability_class="G"))
         assert cli.main(["run", "--config", str(cfg_path)]) == 2
 
+    def test_out_of_range_beta_override_is_2(self, tmp_path):
+        # rejected while the config is built, before any stage runs
+        cfg_path, out = write_case(tmp_path)
+        assert cli.main(["invert", "--config", str(cfg_path), "--beta", "1.5"]) == 2
+        assert not list(out.rglob("*"))
+
     def test_unknown_drop_sensor_is_2(self, completed):
         cfg_path, _ = completed
         rc = cli.main(["invert", "--config", str(cfg_path), "--drop-sensor", "nope"])

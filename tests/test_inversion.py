@@ -309,7 +309,7 @@ class TestPositivePosterior:
         se_mean = exact.std * math.sqrt(tau / got.n_kept)
         assert np.max(np.abs(got.v_mean - exact.mean) / se_mean) < 3.0
         se_std = exact.std * 0.5 * math.sqrt(2.0 * tau / got.n_kept)
-        got_std = np.sqrt(np.diag(got.cov_v))
+        got_std = np.sqrt(np.diag(got.cov_sp))
         assert np.max(np.abs(got_std - exact.std) / se_std) < 3.0
 
     def test_clipping_keeps_summaries_nonnegative(self):

@@ -1,5 +1,6 @@
 """Tests for file formats and run configuration parsing/hashing."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -372,6 +373,52 @@ class TestLoadConfig:
         absolute["paths"]["wind_csv"] = "/data/wind.csv"
         cfg2 = load_config(write_config(tmp_path, absolute))
         assert cfg2.resolve_input("wind_csv") == Path("/data/wind.csv")
+
+
+class TestSettingsValidation:
+    @pytest.mark.parametrize(
+        "sampler, match",
+        [
+            ({"beta": 0.0}, "beta"),
+            ({"beta": 1.5}, "beta"),
+            ({"n_steps": 0}, "n_steps"),
+            ({"burn_in_fraction": -0.1}, "burn_in_fraction"),
+            ({"burn_in_fraction": 1.0}, "burn_in_fraction"),
+            ({"n_steps": 1, "burn_in_fraction": 0.6}, "discards all"),
+        ],
+        ids=["beta_zero", "beta_above_one", "no_steps", "negative_burn_in", "burn_in_one",
+             "burn_in_keeps_nothing"],
+    )
+    def test_bad_sampler_settings_raise(self, tmp_path, sampler, match):
+        data = base_config(tmp_path)
+        data["sampler"] = sampler
+        with pytest.raises(ValidationError, match=match):
+            load_config(write_config(tmp_path, data))
+
+    def test_sampler_edges_accepted(self, tmp_path):
+        data = base_config(tmp_path)
+        data["sampler"] = {"beta": 1.0, "n_steps": 1, "burn_in_fraction": 0.4}
+        cfg = load_config(write_config(tmp_path, data))
+        assert cfg.sampler.beta == 1.0 and cfg.sampler.n_steps == 1
+
+    def test_negative_cutoff_raises(self, tmp_path):
+        data = base_config(tmp_path)
+        data["plume"] = {"x_cutoff_m": -1.0}
+        with pytest.raises(ValidationError, match="x_cutoff_m"):
+            load_config(write_config(tmp_path, data))
+
+    def test_zero_cutoff_accepted(self, tmp_path):
+        data = base_config(tmp_path)
+        data["plume"] = {"x_cutoff_m": 0.0}
+        assert load_config(write_config(tmp_path, data)).plume.x_cutoff_m == 0.0
+
+    def test_replace_revalidates(self, tmp_path):
+        """CLI overrides go through dataclasses.replace, which reruns the checks."""
+        cfg = load_config(write_config(tmp_path, base_config(tmp_path)))
+        with pytest.raises(ValidationError, match="beta"):
+            replace(cfg.sampler, beta=1.5)
+        with pytest.raises(ValidationError, match="n_steps"):
+            replace(cfg.sampler, n_steps=0)
 
 
 class TestOverrides:

@@ -6,7 +6,6 @@ standard errors; the statistical checks below size their tolerances from
 that instead of guessing.
 """
 
-import csv
 import logging
 import math
 
@@ -46,8 +45,6 @@ class TestSamplerConfig:
             SamplerConfig(beta=0.5, n_steps=10, burn_in_fraction=1.0)
         with pytest.raises(ValueError):
             SamplerConfig(beta=0.5, n_steps=10, cov_mode="sparse")
-        with pytest.raises(ValueError):
-            SamplerConfig(beta=0.5, n_steps=10, block_size=0)
 
 
 class TestOnlineMoments:
@@ -64,14 +61,6 @@ class TestOnlineMoments:
         np.testing.assert_allclose(
             om.covariance(), np.cov(data.T, ddof=0), rtol=1e-9, atol=1e-12
         )
-
-    def test_diag_mode_matches_variances(self):
-        rng = np.random.default_rng(1)
-        data = rng.standard_normal((500, 4)) + 3.0
-        om = OnlineMoments(4, "diag")
-        om.update_block(data[:123])
-        om.update_block(data[123:])
-        np.testing.assert_allclose(om.covariance(), data.var(axis=0), rtol=1e-10)
 
     def test_none_mode_tracks_mean_only(self):
         om = OnlineMoments(3, "none")
@@ -213,36 +202,40 @@ class TestPcnChainMechanics:
         np.testing.assert_array_equal(a.cov, b.cov)
         assert a.acceptance_rate == b.acceptance_rate
 
-    def test_chains_share_prefix_across_lengths(self, tmp_path):
+    def test_chains_share_prefix_across_lengths(self):
         """Per-step randomness depends only on the step index, so a longer
-        chain revisits the shorter chain's states exactly."""
+        chain makes the shorter chain's proposals exactly, in order."""
+        proposals = {}
+        for n in (400, 1200):
+            seen = proposals[n] = []
+
+            def potential(v, seen=seen):
+                seen.append(v.copy())
+                return 0.5 * float(v @ v)
+
+            cfg = SamplerConfig(beta=0.6, n_steps=n, burn_in_fraction=0.0, seed=7)
+            pcn_chain(potential, np.zeros(2), iid_normal_sampler(2), cfg)
+        short, long = np.array(proposals[400]), np.array(proposals[1200])
+        # one call at the start state, then one per step
+        assert short.shape == (401, 2) and long.shape == (1201, 2)
+        np.testing.assert_array_equal(short, long[: len(short)])
+
+    def test_transform_replaces_latent_second_moments(self):
+        """With a transform, only its covariance is kept; the mean of v and
+        the moments of g(v) = v match the untransformed chain bit for bit."""
         def potential(v):
             return 0.5 * float(v @ v)
 
-        paths = [tmp_path / "short.csv", tmp_path / "long.csv"]
-        for path, n in zip(paths, (400, 1200)):
-            cfg = SamplerConfig(beta=0.6, n_steps=n, burn_in_fraction=0.0, seed=7)
-            pcn_chain(
-                potential, np.zeros(2), iid_normal_sampler(2), cfg,
-                dump_path=path, dump_stride=1, dump_coords=[0, 1],
-            )
-        with open(paths[0]) as fh:
-            short_rows = list(csv.reader(fh))
-        with open(paths[1]) as fh:
-            long_rows = list(csv.reader(fh))
-        assert short_rows == long_rows[: len(short_rows)]
-
-    def test_dump_respects_stride_and_coords(self, tmp_path):
-        path = tmp_path / "trace.csv"
-        cfg = SamplerConfig(beta=0.9, n_steps=100, burn_in_fraction=0.0, seed=0)
-        pcn_chain(
-            flat_potential, np.zeros(4), iid_normal_sampler(4), cfg,
-            dump_path=path, dump_stride=25, dump_coords=[2],
+        cfg = SamplerConfig(beta=0.6, n_steps=3000, seed=13)
+        plain = pcn_chain(potential, np.zeros(3), iid_normal_sampler(3), cfg)
+        mapped = pcn_chain(
+            potential, np.zeros(3), iid_normal_sampler(3), cfg, transform=lambda v: v.copy()
         )
-        with open(path) as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["iteration", "accepted", "v_2"]
-        assert [r[0] for r in rows[1:]] == ["0", "25", "50", "75"]
+        assert plain.cov is not None and plain.transform_cov is None
+        assert mapped.cov is None
+        np.testing.assert_array_equal(mapped.mean, plain.mean)
+        np.testing.assert_array_equal(mapped.transform_mean, plain.mean)
+        np.testing.assert_array_equal(mapped.transform_cov, plain.cov)
 
     def test_nonfinite_potential_auto_rejects(self, caplog):
         start = np.zeros(2)
