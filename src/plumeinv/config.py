@@ -96,6 +96,10 @@ class GridConfig:
     n_y: int = 40
     n_modes: int = 100
 
+    def __post_init__(self) -> None:
+        if self.n_modes < 1:
+            raise ValidationError(f"grid.n_modes must be at least 1, got {self.n_modes}")
+
     def spec(self) -> GridSpec:
         return GridSpec(self.x_min, self.x_max, self.y_min, self.y_max, self.n_x, self.n_y)
 
@@ -298,16 +302,16 @@ def _config_from_dict(data: dict) -> RunConfig:
         raise ValidationError(f"unknown stability class {stability_raw!r} (expected A..F)")
     sources = _build_sources(_require(data, "sources", ""))
     grid_raw = _section(data, "grid")
+    grid = GridConfig(
+        x_min=_number(grid_raw, "x_min_m", "grid"),
+        x_max=_number(grid_raw, "x_max_m", "grid"),
+        y_min=_number(grid_raw, "y_min_m", "grid"),
+        y_max=_number(grid_raw, "y_max_m", "grid"),
+        n_x=int(_number(grid_raw, "n_x", "grid", default=40)),
+        n_y=int(_number(grid_raw, "n_y", "grid", default=40)),
+        n_modes=int(_number(grid_raw, "n_modes", "grid", default=100)),
+    )
     try:
-        grid = GridConfig(
-            x_min=_number(grid_raw, "x_min_m", "grid"),
-            x_max=_number(grid_raw, "x_max_m", "grid"),
-            y_min=_number(grid_raw, "y_min_m", "grid"),
-            y_max=_number(grid_raw, "y_max_m", "grid"),
-            n_x=int(_number(grid_raw, "n_x", "grid", default=40)),
-            n_y=int(_number(grid_raw, "n_y", "grid", default=40)),
-            n_modes=int(_number(grid_raw, "n_modes", "grid", default=100)),
-        )
         grid.spec()
     except ValueError as exc:
         raise ValidationError(f"grid: {exc}") from exc

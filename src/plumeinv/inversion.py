@@ -22,6 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, cholesky_banded, cho_solve_banded
 from scipy.optimize import nnls as scipy_nnls
+from scipy.sparse import csr_array
 
 from .errors import NumericalError
 from .observation import TimeGrid
@@ -281,12 +282,18 @@ def make_potential(
     noise_var: np.ndarray,
     link: Callable[[np.ndarray], np.ndarray] = clip_positive,
 ) -> Callable[[np.ndarray], float]:
-    """Whitened data misfit phi(v) = 1/2 || Sigma^-1/2 (F link(v) - d) ||^2."""
-    d = np.asarray(d, dtype=float)
+    """Whitened data misfit phi(v) = 1/2 || Sigma^-1/2 (F link(v) - d) ||^2.
+
+    F and d are whitened once, and the whitened F is kept in CSR form: most
+    of its entries are zero (a sampler row covers only the time slots of its
+    window), so each call costs one sparse product and one dot product.
+    """
     inv_std = 1.0 / np.sqrt(np.asarray(noise_var, dtype=float))
+    f_white = csr_array(np.asarray(f_matrix, dtype=float) * inv_std[:, None])
+    d_white = np.asarray(d, dtype=float) * inv_std
 
     def potential(v: np.ndarray) -> float:
-        residual = (f_matrix @ link(v) - d) * inv_std
+        residual = f_white @ link(v) - d_white
         return 0.5 * float(residual @ residual)
 
     return potential

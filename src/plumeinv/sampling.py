@@ -15,7 +15,8 @@ the outcome, so chains of different lengths share their common prefix.
 
 Running moments use a blocked, numerically stable one-pass (Welford/Chan)
 update so chains of 1e5+ states in thousands of dimensions never need to
-be stored.
+be stored. The scatter matrix is symmetric, so only its upper triangle is
+accumulated, by one BLAS ``syrk`` per block; ``covariance()`` mirrors it.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.linalg.blas import dsyrk
 
 __all__ = [
     "SamplerConfig",
@@ -67,8 +69,12 @@ class OnlineMoments:
     """Blocked one-pass mean/covariance accumulator (population normalized).
 
     Merges per-block moments into the running (mean, scatter) pair via the
-    parallel-variance update, so accuracy does not degrade with chain
-    length and the per-sample cost is a rank-b BLAS update.
+    parallel-variance (Chan) update. The scatter is Fortran-ordered and only
+    its upper triangle is kept: each block adds the centered block and the
+    scaled mean shift, stacked as a (b + 1) x dim array A, through one
+    in-place rank-(b + 1) update ``scatter += A^T A`` (BLAS ``dsyrk``), so
+    accuracy does not degrade with chain length and no dense temporary is
+    built. The lower triangle stays zero until ``covariance()`` mirrors it.
     """
 
     def __init__(self, dim: int, mode: str = "full"):
@@ -77,7 +83,7 @@ class OnlineMoments:
         self.dim = dim
         self.count = 0
         self.mean = np.zeros(dim)
-        self.scatter = np.zeros((dim, dim)) if mode == "full" else None
+        self.scatter = np.zeros((dim, dim), order="F") if mode == "full" else None
 
     def update_block(self, block: np.ndarray) -> None:
         block = np.asarray(block)
@@ -88,19 +94,29 @@ class OnlineMoments:
         delta = block_mean - self.mean
         n_new = self.count + b
         if self.scatter is not None:
-            centered = block - block_mean
-            weight = self.count * b / n_new
-            self.scatter += centered.T @ centered + np.outer(delta, delta) * weight
+            # Rows 0..b-1: the centered block; row b: sqrt(count*b/n_new) * delta,
+            # whose outer product is the between-means term of the merge.
+            stacked = np.empty((b + 1, self.dim), order="F")
+            np.subtract(block, block_mean, out=stacked[:b])
+            np.multiply(delta, math.sqrt(self.count * b / n_new), out=stacked[b])
+            self.scatter = dsyrk(
+                1.0, stacked, beta=1.0, c=self.scatter, trans=1, lower=0, overwrite_c=1
+            )
         self.mean = self.mean + delta * (b / n_new)
         self.count = n_new
 
     def covariance(self) -> Optional[np.ndarray]:
-        """Population covariance (scatter / n); None in mode 'none'."""
+        """Population covariance (scatter / n), exactly symmetric; None in mode 'none'."""
         if self.scatter is None:
             return None
         if self.count == 0:
             raise ValueError("no samples accumulated")
-        return self.scatter / self.count
+        # The lower triangle is zero, so S + S^T mirrors the upper one and
+        # doubles the diagonal; halving it back is exact.
+        cov = self.scatter + self.scatter.T
+        cov[np.diag_indices(self.dim)] *= 0.5
+        cov /= self.count
+        return cov
 
 
 @dataclass(eq=False)

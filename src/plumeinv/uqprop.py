@@ -4,8 +4,8 @@ The forward-on-grid operator H maps the stacked emission vector to
 time-integrated ground-level deposition (kg m^-2 over the period) at every
 grid point, using the same left-endpoint quadrature as the observation
 map. Posterior covariance is pushed through H via a truncated symmetric
-eigendecomposition: per-cell variance needs only one forward application
-per retained mode.
+eigendecomposition (only the leading eigenpairs are computed): per-cell
+variance needs only one forward application per retained mode.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.linalg import eigh
 
 from .errors import CalmWindError
 from .observation import TimeGrid
@@ -142,9 +143,12 @@ def lowrank_truncate(cov: np.ndarray, n_modes: int, sym_tol: float = 1e-8) -> Lo
     asym = float(np.abs(cov - cov.T).max())
     if asym > sym_tol * scale:
         raise ValueError(f"covariance asymmetric beyond tolerance ({asym:.3e})")
-    eigvals, eigvecs = np.linalg.eigh(0.5 * (cov + cov.T))
-    order = np.argsort(eigvals)[::-1][:n_modes]
-    lam = eigvals[order]
+    # The symmetrized matrix equals its transpose exactly, and the transpose
+    # is Fortran-ordered, so LAPACK works on it without a copy. Only the
+    # leading modes are computed; they come back ascending.
+    sym = 0.5 * (cov + cov.T)
+    eigvals, eigvecs = eigh(sym.T, subset_by_index=[n - n_modes, n - 1], overwrite_a=True)
+    lam = eigvals[::-1]
     negative = lam < 0
     if negative.any():
         logger.info(
@@ -152,7 +156,7 @@ def lowrank_truncate(cov: np.ndarray, n_modes: int, sym_tol: float = 1e-8) -> Lo
             int(negative.sum()), float(lam.min()),
         )
         lam = np.maximum(lam, 0.0)
-    return LowRankFactors(eigenvalues=lam, vectors=eigvecs[:, order])
+    return LowRankFactors(eigenvalues=lam, vectors=eigvecs[:, ::-1])
 
 
 @dataclass(frozen=True, eq=False)

@@ -267,6 +267,11 @@ class TestExitCodes:
         assert cli.main(["invert", "--config", str(cfg_path), "--beta", "1.5"]) == 2
         assert not list(out.rglob("*"))
 
+    def test_zero_modes_override_is_2(self, tmp_path):
+        cfg_path, out = write_case(tmp_path)
+        assert cli.main(["run", "--config", str(cfg_path), "--modes", "0"]) == 2
+        assert not list(out.rglob("*"))
+
     def test_unknown_drop_sensor_is_2(self, completed):
         cfg_path, _ = completed
         rc = cli.main(["invert", "--config", str(cfg_path), "--drop-sensor", "nope"])

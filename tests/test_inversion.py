@@ -284,6 +284,21 @@ class TestClipAndPotential:
         v = np.array([2.0, 2.0])
         assert phi(2.0 * v) == pytest.approx(4.0 * phi(v), rel=1e-12)
 
+    @pytest.mark.parametrize("link", [clip_positive, lambda v: v], ids=["clip", "identity"])
+    def test_matches_dense_oracle_on_sparse_f(self, link):
+        """The pre-whitened sparse F gives the dense misfit, zero rows and columns included."""
+        rng = np.random.default_rng(11)
+        f = rng.uniform(0.0, 3.0, (40, 90)) * (rng.random((40, 90)) < 0.05)
+        f[[0, 7, 31]] = 0.0
+        f[:, [2, 45, 89]] = 0.0
+        d = rng.normal(0.0, 1.0, 40)
+        noise_var = rng.uniform(0.1, 4.0, 40)
+        phi = make_potential(f, d, noise_var, link=link)
+        for _ in range(5):
+            v = rng.normal(0.0, 1.0, 90)
+            residual = (f @ link(v) - d) / np.sqrt(noise_var)
+            assert phi(v) == pytest.approx(0.5 * float(residual @ residual), rel=1e-12)
+
 
 class TestPositivePosterior:
     def make_case(self, seed=0):

@@ -420,6 +420,18 @@ class TestSettingsValidation:
         with pytest.raises(ValidationError, match="n_steps"):
             replace(cfg.sampler, n_steps=0)
 
+    def test_zero_modes_raises(self, tmp_path):
+        data = base_config(tmp_path)
+        data["grid"]["n_modes"] = 0
+        with pytest.raises(ValidationError, match="n_modes"):
+            load_config(write_config(tmp_path, data))
+
+    def test_replace_revalidates_modes(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, base_config(tmp_path)))
+        with pytest.raises(ValidationError, match="n_modes"):
+            replace(cfg.grid, n_modes=0)
+        assert replace(cfg.grid, n_modes=1).n_modes == 1
+
 
 class TestOverrides:
     def test_seed_argument(self, tmp_path):

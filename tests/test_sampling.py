@@ -53,14 +53,24 @@ class TestOnlineMoments:
         data = rng.standard_normal((1000, 6)) * rng.uniform(0.5, 2.0, 6)
         om = OnlineMoments(6, "full")
         start = 0
-        for size in (1, 7, 250, 3, 739):
+        for size in (1, 7, 250, 0, 3, 739):
             om.update_block(data[start : start + size])
             start += size
         assert om.count == 1000
         np.testing.assert_allclose(om.mean, data.mean(axis=0), rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(
-            om.covariance(), np.cov(data.T, ddof=0), rtol=1e-9, atol=1e-12
-        )
+        cov = om.covariance()
+        np.testing.assert_allclose(cov, np.cov(data.T, ddof=0), rtol=1e-9, atol=1e-12)
+        assert np.array_equal(cov, cov.T)
+
+    def test_scatter_is_upper_triangle_updated_in_place(self):
+        rng = np.random.default_rng(1)
+        om = OnlineMoments(40, "full")
+        scatter = om.scatter
+        for size in (5, 256, 17):
+            om.update_block(rng.standard_normal((size, 40)))
+        assert np.shares_memory(om.scatter, scatter)
+        assert np.all(np.triu(scatter) == scatter)
+        assert np.all(np.diag(scatter) > 0)
 
     def test_none_mode_tracks_mean_only(self):
         om = OnlineMoments(3, "none")

@@ -104,6 +104,17 @@ class TestLowRankTruncate:
         gap = np.linalg.norm(cov - recon, ord=2)
         assert gap == pytest.approx(all_eigs[k], rel=1e-9)
 
+    @pytest.mark.parametrize("k", [1, 9, 25])
+    def test_eigenvalues_match_full_spectrum(self, k):
+        rng = np.random.default_rng(5)
+        cov = random_spd(rng, 25)
+        fac = lowrank_truncate(cov, k)
+        expected = np.linalg.eigvalsh(cov)[::-1][:k]
+        np.testing.assert_allclose(fac.eigenvalues, expected, rtol=1e-12)
+        np.testing.assert_allclose(
+            cov @ fac.vectors, fac.vectors * fac.eigenvalues, atol=1e-12
+        )
+
     def test_ordering_and_orthonormality(self):
         rng = np.random.default_rng(2)
         fac = lowrank_truncate(random_spd(rng, 15), 7)
