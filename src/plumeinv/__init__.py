@@ -8,122 +8,4 @@ Crank-Nicolson sampling) estimates the rates, and the posterior is
 propagated onto a ground deposition map through a low-rank factorization.
 """
 
-from .config import RunConfig, config_hash, load_config
-from .errors import (
-    CalmWindError,
-    ConfigurationError,
-    NumericalError,
-    ValidationError,
-)
-from .inversion import (
-    GaussianPosterior,
-    PositivePosterior,
-    PriorSpec,
-    build_prior,
-    clip_positive,
-    gaussian_posterior,
-    mle_constant,
-    positive_posterior,
-)
-from .observation import (
-    DustfallJar,
-    MeasurementSet,
-    RealTimeSampler,
-    TimeGrid,
-    assemble_F,
-    assemble_G,
-    assemble_M,
-    simulate_measurements,
-    window_weight,
-)
-from .pipeline import run_stage
-from .plume import (
-    LocalCoords,
-    ParticleProperties,
-    SourceSite,
-    StabilityClass,
-    briggs_sigma,
-    concentration_at,
-    eddy_diffusivity_z,
-    plume_kernel,
-    rotate_to_wind,
-    settling_velocity,
-)
-from .sampling import ChainSummary, SamplerConfig, pcn_chain, tune_beta
-from .uqprop import (
-    DepositionGrid,
-    GridSpec,
-    LowRankFactors,
-    annualize,
-    assemble_H,
-    deposition_stats,
-    lowrank_truncate,
-)
-from .windprep import (
-    GPConfig,
-    RawWindRecord,
-    WindSeries,
-    cross_validate,
-    gp_posterior_mean,
-    regularize_wind,
-    to_components,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "__version__",
-    "RunConfig",
-    "load_config",
-    "config_hash",
-    "run_stage",
-    "ValidationError",
-    "ConfigurationError",
-    "NumericalError",
-    "CalmWindError",
-    "ParticleProperties",
-    "StabilityClass",
-    "SourceSite",
-    "LocalCoords",
-    "settling_velocity",
-    "briggs_sigma",
-    "eddy_diffusivity_z",
-    "rotate_to_wind",
-    "plume_kernel",
-    "concentration_at",
-    "TimeGrid",
-    "DustfallJar",
-    "RealTimeSampler",
-    "MeasurementSet",
-    "window_weight",
-    "assemble_M",
-    "assemble_G",
-    "assemble_F",
-    "simulate_measurements",
-    "RawWindRecord",
-    "WindSeries",
-    "GPConfig",
-    "to_components",
-    "gp_posterior_mean",
-    "cross_validate",
-    "regularize_wind",
-    "PriorSpec",
-    "build_prior",
-    "mle_constant",
-    "gaussian_posterior",
-    "clip_positive",
-    "positive_posterior",
-    "GaussianPosterior",
-    "PositivePosterior",
-    "SamplerConfig",
-    "ChainSummary",
-    "pcn_chain",
-    "tune_beta",
-    "GridSpec",
-    "DepositionGrid",
-    "LowRankFactors",
-    "assemble_H",
-    "lowrank_truncate",
-    "deposition_stats",
-    "annualize",
-]

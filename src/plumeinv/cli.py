@@ -107,8 +107,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _apply_cli_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     from dataclasses import replace
 
-    # Overrides flow into the config (and thus its hash) so stale state
-    # from other settings is recomputed, not reused.
+    # Overrides flow into the config and so into the key of every stage
+    # whose slice reads them (pipeline.SLICES): --modes reruns propagate
+    # only, --n-steps and --beta rerun invert and propagate, and the stages
+    # before those are reused.
     if getattr(args, "modes", None) is not None:
         cfg = replace(cfg, grid=replace(cfg.grid, n_modes=args.modes))
     if getattr(args, "n_steps", None) is not None:

@@ -136,7 +136,6 @@ class RunConfig:
     sampler: SamplerSettings = field(default_factory=SamplerSettings)
     plume: PlumeSettings = field(default_factory=PlumeSettings)
     synthetic: Optional[SyntheticConfig] = None
-    deposition_unit: str = "mg_m2"
     noise_floor: float = 1e-12
     allow_same_dt: bool = False
     wind_cv_max_points: int = CV_MAX_POINTS_DEFAULT
@@ -144,8 +143,6 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.dt_inversion <= 0 or self.dt_generation <= 0:
             raise ValidationError("time step sizes must be positive")
-        if self.deposition_unit not in ("mg_m2", "kg_m2"):
-            raise ValidationError(f"unknown deposition unit {self.deposition_unit!r}")
         if not self.sources:
             raise ValidationError("at least one source is required")
         for dt, name in ((self.dt_inversion, "dt_inversion"), (self.dt_generation, "dt_generation")):
@@ -351,7 +348,6 @@ def _config_from_dict(data: dict) -> RunConfig:
             sampler=sampler,
             plume=plume,
             synthetic=synthetic,
-            deposition_unit=str(data.get("deposition_unit", "mg_m2")),
             noise_floor=_number(data, "noise_floor", "", default=1e-12),
             allow_same_dt=bool(data.get("allow_same_dt", False)),
             wind_cv_max_points=int(_number(data, "wind_cv_max_points", "", default=CV_MAX_POINTS_DEFAULT)),

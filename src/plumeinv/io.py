@@ -1,8 +1,9 @@
 """Readers and writers for all file formats the pipeline touches.
 
-CSV artifacts carry the run's config hash as a ``# config_hash=...``
-comment line above the header; loaders skip any leading ``#`` lines, and
-the header row itself is fixed byte-for-byte per format. Timestamps are
+CSV artifacts carry the key of the pipeline stage that wrote them as a
+``# stage_key=...`` comment line above the header (the sensors YAML as a
+``stage_key`` field); loaders skip any leading ``#`` lines, and the
+header row itself is fixed byte-for-byte per format. Timestamps are
 ISO-8601; naive values are treated as UTC.
 """
 
@@ -145,10 +146,10 @@ def load_wind_csv(path) -> list:
     return deduped
 
 
-def write_wind_csv(path, records: Sequence[RawWindRecord], cfg_hash: str) -> None:
+def write_wind_csv(path, records: Sequence[RawWindRecord], key: str) -> None:
     path = Path(path)
     with open(path, "w", newline="") as handle:
-        handle.write(f"# config_hash={cfg_hash}\n")
+        handle.write(f"# stage_key={key}\n")
         handle.write(WIND_HEADER + "\n")
         for rec in records:
             handle.write(
@@ -216,7 +217,7 @@ def load_sensors(path) -> list:
     return sensors
 
 
-def write_sensors(path, sensors: Sequence[Sensor], cfg_hash: str) -> None:
+def write_sensors(path, sensors: Sequence[Sensor], key: str) -> None:
     entries = []
     for sensor in sensors:
         entry = {
@@ -234,7 +235,7 @@ def write_sensors(path, sensors: Sequence[Sensor], cfg_hash: str) -> None:
             entry["window_s"] = float(sensor.window)
             entry["start_times"] = [format_timestamp(t) for t in sensor.start_times]
         entries.append(entry)
-    payload = {"config_hash": cfg_hash, "sensors": entries}
+    payload = {"stage_key": key, "sensors": entries}
     Path(path).write_text(yaml.safe_dump(payload, sort_keys=False))
 
 
@@ -313,9 +314,9 @@ def load_measurements(
     )
 
 
-def write_measurements(path, measurements: MeasurementSet, cfg_hash: str) -> None:
+def write_measurements(path, measurements: MeasurementSet, key: str) -> None:
     with open(Path(path), "w", newline="") as handle:
-        handle.write(f"# config_hash={cfg_hash}\n")
+        handle.write(f"# stage_key={key}\n")
         handle.write(MEASUREMENTS_HEADER + "\n")
         for sid, index, value, _unit in measurements.entries:
             handle.write(f"{sid},{index},{_fmt(value)}\n")
@@ -327,12 +328,12 @@ def write_emissions_csv(
     grid: TimeGrid,
     mean: np.ndarray,
     std: np.ndarray,
-    cfg_hash: str,
+    key: str,
 ) -> None:
     """Source-major emission estimates, one row per (source, slot time)."""
     times = [format_timestamp(t) for t in grid.times]
     with open(Path(path), "w", newline="") as handle:
-        handle.write(f"# config_hash={cfg_hash}\n")
+        handle.write(f"# stage_key={key}\n")
         handle.write(EMISSIONS_HEADER + "\n")
         for i, sid in enumerate(source_ids):
             base = i * grid.n_steps
@@ -343,11 +344,11 @@ def write_emissions_csv(
 
 
 def write_truth_csv(
-    path, source_ids: Sequence[str], grid: TimeGrid, q_true: np.ndarray, cfg_hash: str
+    path, source_ids: Sequence[str], grid: TimeGrid, q_true: np.ndarray, key: str
 ) -> None:
     times = [format_timestamp(t) for t in grid.times]
     with open(Path(path), "w", newline="") as handle:
-        handle.write(f"# config_hash={cfg_hash}\n")
+        handle.write(f"# stage_key={key}\n")
         handle.write(TRUTH_HEADER + "\n")
         for i, sid in enumerate(source_ids):
             base = i * grid.n_steps
@@ -355,11 +356,11 @@ def write_truth_csv(
                 handle.write(f"{sid},{stamp},{_fmt(q_true[base + j])}\n")
 
 
-def write_grid_csv(path, deposition: DepositionGrid, cfg_hash: str) -> None:
+def write_grid_csv(path, deposition: DepositionGrid, key: str) -> None:
     """Deposition map in display units (mg m^-2), row-major by y then x."""
     points = deposition.grid.points()
     with open(Path(path), "w", newline="") as handle:
-        handle.write(f"# config_hash={cfg_hash}\n")
+        handle.write(f"# stage_key={key}\n")
         handle.write(GRID_HEADER + "\n")
         for p in range(deposition.grid.n_cells):
             handle.write(
@@ -368,10 +369,8 @@ def write_grid_csv(path, deposition: DepositionGrid, cfg_hash: str) -> None:
             )
 
 
-def write_json(path, payload: dict, cfg_hash: str) -> None:
-    body = {"config_hash": cfg_hash}
-    body.update(payload)
-    Path(path).write_text(json.dumps(body, indent=2, sort_keys=True) + "\n")
+def write_json(path, payload: dict) -> None:
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def read_json(path) -> dict:

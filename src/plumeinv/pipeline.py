@@ -3,13 +3,22 @@
 Four stages: ``synth`` (bundled twin-case generator), ``wind_fit`` (GP
 regularization of the raw records), ``invert`` (constant, smooth, and
 positive estimates), ``propagate`` (low-rank deposition map). Each stage
-writes its artifacts plus a run-metadata entry; heavy intermediates live
-in ``state/*.npz`` stamped with the config hash, and a requested stage
-first runs any missing or stale predecessor.
+writes its artifacts, stamped with its key, plus a run-metadata entry;
+heavy intermediates live in ``state/*.npz``.
+
+The key of a stage is a sha256 over the config slice it reads
+(``SLICES``; paths never count), the keys of the stages that wrote the
+files it reads, and the sha256 of every file it reads that no stage
+writes (the wind, sensors and measurements files of a real-data case).
+``run_metadata.json`` keeps the key each stage last ran under; a stage is
+fresh when that key is its current key and the files it writes exist.
+A requested stage always runs, after every stale predecessor.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import logging
 import time
 from dataclasses import dataclass
@@ -19,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from . import io
-from .config import RunConfig, config_dict, config_hash
+from .config import RunConfig, config_dict
 from .errors import ConfigurationError, ValidationError
 from .inversion import (
     ConstantFit,
@@ -33,12 +42,13 @@ from .inversion import (
 )
 from .observation import MeasurementSet, TimeGrid, assemble_F
 from .sampling import SamplerConfig
-from .synthetic import emission_series, generate_synthetic, wind_records
-from .uqprop import LowRankFactors, annualize, assemble_H, deposition_stats, lowrank_truncate
-from .windprep import GPConfig, WindSeries, fit_wind, select_hyperparameters
+from .synthetic import generate_synthetic, wind_records
+from .uqprop import annualize, assemble_H, deposition_stats, lowrank_truncate
+from .windprep import WindSeries, fit_wind, select_hyperparameters
 
 __all__ = [
     "STAGES",
+    "SLICES",
     "inversion_grid",
     "generation_grid",
     "run_synth",
@@ -53,12 +63,28 @@ logger = logging.getLogger(__name__)
 
 STAGES = ("synth", "wind_fit", "invert", "propagate")
 
+# The config each stage reads, as dotted paths into config_dict(cfg).
+# sampler.seed is the run's one seed: it drives the synthetic noise, the
+# wind cross-validation shuffle and the chain. synth generates its data
+# from the wind it fits itself, so its slice holds the wind fit's.
+_WIND_FIT_SLICE = ("time", "dt_inversion", "dt_generation", "sampler.seed", "wind_cv_max_points")
+_MODEL_SLICE = ("time", "dt_inversion", "sources", "particle", "stability", "plume")
+SLICES = {
+    "synth": _WIND_FIT_SLICE + _MODEL_SLICE + ("synthetic", "noise_floor", "allow_same_dt"),
+    "wind_fit": _WIND_FIT_SLICE,
+    "invert": _MODEL_SLICE + ("noise_floor", "prior", "sampler"),
+    "propagate": _MODEL_SLICE + ("grid",),
+}
+
 TRUTH_FILE = "truth_rates.csv"
 WIND_FIT_CSV = "wind_fit.csv"
 WIND_FIT_JSON = "wind_fit.json"
 GRID_CSV = "deposition_grid.csv"
 GRID_JSON = "deposition_grid.json"
 METADATA_FILE = "run_metadata.json"
+WIND_STATE = "state/wind.npz"
+INVERSION_STATE = "state/inversion.npz"
+ESTIMATES = ("constant", "smooth", "positive")
 
 
 def inversion_grid(cfg: RunConfig) -> TimeGrid:
@@ -76,106 +102,112 @@ def _source_ids(cfg: RunConfig) -> list:
 
 
 # ---------------------------------------------------------------------------
-# state files and completion checks
+# stage keys and the manifest
 
 
-def _state_dir(cfg: RunConfig) -> Path:
-    path = cfg.resolve_out_dir() / "state"
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+def _stages(cfg: RunConfig) -> tuple:
+    return tuple(s for s in STAGES if cfg.synthetic is not None or s != "synth")
 
 
-def _save_state(path: Path, cfg_hash: str, **arrays) -> None:
-    np.savez(path, config_hash=np.array(cfg_hash), **arrays)
-
-
-def _load_state(path: Path, cfg_hash: str) -> Optional[dict]:
-    if not path.is_file():
-        return None
-    with np.load(path, allow_pickle=False) as data:
-        if str(data["config_hash"]) != cfg_hash:
-            logger.info("state file %s is stale (config changed); recomputing", path)
-            return None
-        return {k: data[k] for k in data.files if k != "config_hash"}
-
-
-def _csv_declared_hash(path: Path) -> Optional[str]:
-    if not path.is_file():
-        return None
-    with open(path) as handle:
-        first = handle.readline().strip()
-    prefix = "# config_hash="
-    return first[len(prefix):] if first.startswith(prefix) else None
-
-
-def _synth_complete(cfg: RunConfig, cfg_hash: str) -> bool:
+def _stage_files(cfg: RunConfig) -> dict:
+    """(files read, files written) of each stage."""
     out = cfg.resolve_out_dir()
-    csvs = [
-        cfg.resolve_input("wind_csv"),
-        cfg.resolve_input("measurements_csv"),
-        out / TRUTH_FILE,
-    ]
-    if any(_csv_declared_hash(p) != cfg_hash for p in csvs):
-        return False
-    sensors_path = cfg.resolve_input("sensors_file")
-    if not sensors_path.is_file():
-        return False
-    try:
-        import yaml
-
-        declared = yaml.safe_load(sensors_path.read_text()).get("config_hash")
-    except Exception:
-        return False
-    return declared == cfg_hash
+    wind_csv, sensors, measurements = (
+        cfg.resolve_input(name) for name in ("wind_csv", "sensors_file", "measurements_csv")
+    )
+    wind_state, inversion_state = out / WIND_STATE, out / INVERSION_STATE
+    return {
+        "synth": ((), (wind_csv, sensors, measurements, out / TRUTH_FILE)),
+        "wind_fit": ((wind_csv,), (wind_state, out / WIND_FIT_CSV, out / WIND_FIT_JSON)),
+        "invert": (
+            (sensors, measurements, wind_state),
+            (inversion_state, *(out / f"emissions_{name}.csv" for name in ESTIMATES)),
+        ),
+        "propagate": ((inversion_state, wind_state), (out / GRID_CSV, out / GRID_JSON)),
+    }
 
 
-def _wind_complete(cfg: RunConfig, cfg_hash: str) -> bool:
-    state = _load_state(_state_dir(cfg) / "wind.npz", cfg_hash)
-    if state is None:
-        return False
-    return cfg.synthetic is None or "u_x_gen" in state
+def _digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
 
 
-def _invert_complete(cfg: RunConfig, cfg_hash: str) -> bool:
-    return _load_state(_state_dir(cfg) / "inversion.npz", cfg_hash) is not None
+def _file_digest(path: Path) -> Optional[str]:
+    # A missing input gets no digest; the stage that reads it reports it.
+    return hashlib.sha256(path.read_bytes()).hexdigest() if path.is_file() else None
 
 
-def _propagate_complete(cfg: RunConfig, cfg_hash: str) -> bool:
-    out = cfg.resolve_out_dir()
-    if _csv_declared_hash(out / GRID_CSV) != cfg_hash:
-        return False
-    sidecar = out / GRID_JSON
-    try:
-        return io.read_json(sidecar).get("config_hash") == cfg_hash
-    except (OSError, ValueError):
-        return False
+def _pick(plain: dict, dotted: str):
+    for part in dotted.split("."):
+        plain = plain[part]
+    return plain
 
 
-_COMPLETE = {
-    "synth": _synth_complete,
-    "wind_fit": _wind_complete,
-    "invert": _invert_complete,
-    "propagate": _propagate_complete,
-}
+def _stage_keys(cfg: RunConfig) -> dict:
+    """The current key of every stage of this config."""
+    plain = config_dict(cfg)
+    files = _stage_files(cfg)
+    keys, written = {}, set()
+    for stage in _stages(cfg):
+        reads, writes = files[stage]
+        keys[stage] = _digest(
+            {
+                "config": {name: _pick(plain, name) for name in SLICES[stage]},
+                "upstream": {s: keys[s] for s in keys if set(files[s][1]) & set(reads)},
+                "inputs": [_file_digest(p) for p in reads if p not in written],
+            }
+        )
+        written.update(writes)
+    return keys
 
 
-def _update_metadata(cfg: RunConfig, cfg_hash: str, stage: str, payload: dict) -> None:
+def _read_metadata(cfg: RunConfig) -> dict:
     path = cfg.resolve_out_dir() / METADATA_FILE
-    data = {}
-    if path.is_file():
-        try:
-            data = io.read_json(path)
-        except ValueError:
-            logger.warning("unreadable %s; rewriting", path)
-    if data.get("config_hash") != cfg_hash:
-        data = {"stages": {}}
-    data.setdefault("stages", {})[stage] = payload
-    # Paths are dropped for the same reason config_hash ignores them: two
-    # runs of the same case in different directories must match byte for
-    # byte (timing_s aside).
+    if not path.is_file():
+        return {}
+    try:
+        return io.read_json(path)
+    except ValueError:
+        logger.warning("unreadable %s; every stage counts as stale", path)
+        return {}
+
+
+def _fresh(cfg: RunConfig, stage: str) -> bool:
+    recorded = _read_metadata(cfg).get("stage_keys", {})
+    _, writes = _stage_files(cfg)[stage]
+    return recorded.get(stage) == _stage_keys(cfg)[stage] and all(p.is_file() for p in writes)
+
+
+def _record(cfg: RunConfig, stage: str, key: str, payload: dict) -> None:
+    """Enter a finished stage in run_metadata.json; entries of stale stages go."""
+    keys = _stage_keys(cfg)
+    old = _read_metadata(cfg)
+    recorded, entries = old.get("stage_keys", {}), old.get("stages", {})
+    kept = [s for s in keys if s != stage and s in entries and recorded.get(s) == keys[s]]
+    # Paths stay out, as they stay out of every key: two runs of the same
+    # case in different directories must match byte for byte (timing_s aside).
     echo = config_dict(cfg)
     echo.pop("paths", None)
-    io.write_json(path, {"config": echo, "stages": data["stages"]}, cfg_hash)
+    io.write_json(
+        cfg.resolve_out_dir() / METADATA_FILE,
+        {
+            "config": echo,
+            "stage_keys": {**{s: keys[s] for s in kept}, stage: key},
+            "stages": {**{s: entries[s] for s in kept}, stage: payload},
+        },
+    )
+
+
+def _save_state(cfg: RunConfig, name: str, **arrays) -> None:
+    path = cfg.resolve_out_dir() / name
+    path.parent.mkdir(parents=True, exist_ok=True)
+    np.savez(path, **arrays)
+
+
+def _load_state(cfg: RunConfig, stage: str, name: str) -> dict:
+    if not _fresh(cfg, stage):
+        raise ConfigurationError(f"{name} missing or stale; run the {stage} stage")
+    with np.load(cfg.resolve_out_dir() / name, allow_pickle=False) as data:
+        return {k: data[k] for k in data.files}
 
 
 # ---------------------------------------------------------------------------
@@ -201,19 +233,19 @@ def run_synth(cfg: RunConfig) -> dict:
     tic = time.perf_counter()
     out = cfg.resolve_out_dir()
     out.mkdir(parents=True, exist_ok=True)
-    h = config_hash(cfg)
+    key = _stage_keys(cfg)["synth"]
     gen_grid = generation_grid(cfg)
     t0 = gen_grid.t0
 
     records = wind_records(
         cfg.synthetic.wind_model, t0, cfg.time.duration_s, cfg.synthetic.wind_cadence_s
     )
-    io.write_wind_csv(cfg.resolve_input("wind_csv"), records, h)
+    io.write_wind_csv(cfg.resolve_input("wind_csv"), records, key)
     # Fit from the file just written so later refits reproduce it exactly.
     wind = run_wind_fit(cfg)
 
     sensors = cfg.synthetic.sensors
-    io.write_sensors(cfg.resolve_input("sensors_file"), sensors, h)
+    io.write_sensors(cfg.resolve_input("sensors_file"), sensors, key)
 
     q_true, measurements = generate_synthetic(
         cfg.synthetic.spec,
@@ -228,13 +260,13 @@ def run_synth(cfg: RunConfig) -> dict:
         x_cutoff=cfg.plume.x_cutoff_m,
         calm_speed=cfg.plume.calm_speed_mps,
     )
-    io.write_measurements(cfg.resolve_input("measurements_csv"), measurements, h)
-    io.write_truth_csv(out / TRUTH_FILE, _source_ids(cfg), gen_grid, q_true, h)
+    io.write_measurements(cfg.resolve_input("measurements_csv"), measurements, key)
+    io.write_truth_csv(out / TRUTH_FILE, _source_ids(cfg), gen_grid, q_true, key)
 
-    _update_metadata(
+    _record(
         cfg,
-        h,
         "synth",
+        key,
         {
             "n_measurements": int(measurements.values.size),
             "n_sensors": len(sensors),
@@ -258,7 +290,7 @@ def run_wind_fit(cfg: RunConfig) -> dict:
     Returns {"inversion": WindSeries, "generation": WindSeries | None}.
     """
     tic = time.perf_counter()
-    h = config_hash(cfg)
+    key = _stage_keys(cfg)["wind_fit"]
     records = io.load_wind_csv(cfg.resolve_input("wind_csv"))
     inv_grid = inversion_grid(cfg)
     configs = select_hyperparameters(
@@ -276,12 +308,11 @@ def run_wind_fit(cfg: RunConfig) -> dict:
         series_gen = fit_wind(records, generation_grid(cfg), configs)
         arrays["u_x_gen"] = series_gen.u_x
         arrays["u_y_gen"] = series_gen.u_y
-    _save_state(_state_dir(cfg) / "wind.npz", h, **arrays)
+    _save_state(cfg, WIND_STATE, **arrays)
 
     out = cfg.resolve_out_dir()
-    out.mkdir(parents=True, exist_ok=True)
     with open(out / WIND_FIT_CSV, "w", newline="") as handle:
-        handle.write(f"# config_hash={h}\n")
+        handle.write(f"# stage_key={key}\n")
         handle.write("timestamp,u_x_mps,u_y_mps,speed_mps\n")
         speed = series_inv.speed
         for j, t in enumerate(inv_grid.times):
@@ -299,13 +330,12 @@ def run_wind_fit(cfg: RunConfig) -> dict:
     }
     io.write_json(
         out / WIND_FIT_JSON,
-        {"n_records": len(records), "hyperparameters": hyper},
-        h,
+        {"stage_key": key, "n_records": len(records), "hyperparameters": hyper},
     )
-    _update_metadata(
+    _record(
         cfg,
-        h,
         "wind_fit",
+        key,
         {
             "n_records": len(records),
             "hyperparameters": hyper,
@@ -317,10 +347,7 @@ def run_wind_fit(cfg: RunConfig) -> dict:
 
 def load_wind_series(cfg: RunConfig) -> dict:
     """Wind state from disk as {"inversion": ..., "generation": ...}."""
-    h = config_hash(cfg)
-    state = _load_state(_state_dir(cfg) / "wind.npz", h)
-    if state is None:
-        raise ConfigurationError("wind state missing or stale; run the wind_fit stage")
+    state = _load_state(cfg, "wind_fit", WIND_STATE)
     inv = WindSeries(inversion_grid(cfg), state["u_x_inv"], state["u_y_inv"])
     gen = None
     if "u_x_gen" in state:
@@ -379,7 +406,7 @@ def run_invert(
     if noise_scale <= 0:
         raise ValidationError("noise_scale must be positive")
     tic = time.perf_counter()
-    h = config_hash(cfg)
+    key = _stage_keys(cfg)["invert"]
     grid = inversion_grid(cfg)
     sensors = io.load_sensors(cfg.resolve_input("sensors_file"))
     measurements = io.load_measurements(
@@ -427,7 +454,7 @@ def run_invert(
         grid,
         constant.q,
         np.zeros_like(constant.q),
-        h,
+        key,
     )
 
     smooth = None
@@ -441,7 +468,7 @@ def run_invert(
             grid,
             smooth.mean,
             smooth.std,
-            h,
+            key,
         )
         if through == "positive":
             sampler_cfg = SamplerConfig(
@@ -458,13 +485,13 @@ def run_invert(
                 grid,
                 positive.q_sp,
                 std_sp,
-                h,
+                key,
             )
 
     if not side_experiment and through == "positive":
         _save_state(
-            _state_dir(cfg) / "inversion.npz",
-            h,
+            cfg,
+            INVERSION_STATE,
             rates_const=constant.rates,
             q_const=constant.q,
             q_smooth=smooth.mean,
@@ -484,10 +511,10 @@ def run_invert(
             sid: annualize(positive.q_sp[i * grid.n_steps : (i + 1) * grid.n_steps], grid)
             for i, sid in enumerate(_source_ids(cfg))
         }
-        _update_metadata(
+        _record(
             cfg,
-            h,
             "invert",
+            key,
             {
                 "constant_rates_kg_s": {
                     sid: float(r) for sid, r in zip(_source_ids(cfg), constant.rates)
@@ -523,10 +550,8 @@ def run_invert(
 def run_propagate(cfg: RunConfig) -> dict:
     """Low-rank deposition map from the stored positive posterior."""
     tic = time.perf_counter()
-    h = config_hash(cfg)
-    state = _load_state(_state_dir(cfg) / "inversion.npz", h)
-    if state is None:
-        raise ConfigurationError("inversion state missing or stale; run the invert stage")
+    state = _load_state(cfg, "invert", INVERSION_STATE)
+    key = _stage_keys(cfg)["propagate"]
     grid = inversion_grid(cfg)
     wind = load_wind_series(cfg)["inversion"]
     gspec = cfg.grid.spec()
@@ -546,11 +571,12 @@ def run_propagate(cfg: RunConfig) -> dict:
     deposition = deposition_stats(h_matrix, state["q_positive"], factors, gspec)
 
     out = cfg.resolve_out_dir()
-    io.write_grid_csv(out / GRID_CSV, deposition, h)
+    io.write_grid_csv(out / GRID_CSV, deposition, key)
     eigenvalues = [float(v) for v in factors.eigenvalues]
     io.write_json(
         out / GRID_JSON,
         {
+            "stage_key": key,
             "grid": {
                 "x_min_m": gspec.x_min,
                 "x_max_m": gspec.x_max,
@@ -563,13 +589,12 @@ def run_propagate(cfg: RunConfig) -> dict:
             "eigenvalues": eigenvalues,
             "unit": "mg_m2",
         },
-        h,
     )
     lam1 = eigenvalues[0] if eigenvalues and eigenvalues[0] > 0 else float("nan")
-    _update_metadata(
+    _record(
         cfg,
-        h,
         "propagate",
+        key,
         {
             "n_modes": factors.n_modes,
             "eigenvalue_ratio_last_to_first": (
@@ -595,35 +620,14 @@ _RUNNERS = {
 }
 
 
-def _predecessors(cfg: RunConfig, stage: str) -> list:
-    chain = []
-    order = [s for s in STAGES if cfg.synthetic is not None or s != "synth"]
-    for s in order:
-        if s == stage:
-            break
-        chain.append(s)
-    return chain
-
-
 def run_stage(cfg: RunConfig, stage: str, **invert_options) -> object:
-    """Run one stage, first filling in missing or stale predecessors."""
+    """Run one stage, first running every predecessor that is not fresh."""
     if stage not in STAGES:
         raise ValidationError(f"unknown stage {stage!r} (expected one of {STAGES})")
-    if stage == "synth" and cfg.synthetic is None:
-        raise ConfigurationError("config has no synthetic section; cannot run synth")
-    h = config_hash(cfg)
-    for previous in _predecessors(cfg, stage):
-        if previous == "synth" and stage == "wind_fit":
-            # wind_fit only needs the raw wind CSV; a real-data run provides it.
-            if cfg.synthetic is None:
-                continue
-        if not _COMPLETE[previous](cfg, h):
-            logger.info("stage %s incomplete; running it first", previous)
+    for previous in _stages(cfg):
+        if STAGES.index(previous) >= STAGES.index(stage):
+            break
+        if not _fresh(cfg, previous):
+            logger.info("stage %s is missing or stale; running it first", previous)
             _RUNNERS[previous](cfg)
-    if cfg.synthetic is None and not cfg.resolve_input("wind_csv").is_file():
-        raise ValidationError(
-            f"wind file not found: {cfg.resolve_input('wind_csv')} (no synthetic section to generate it)"
-        )
-    if stage == "invert":
-        return run_invert(cfg, **invert_options)
-    return _RUNNERS[stage](cfg)
+    return _RUNNERS[stage](cfg, **invert_options)

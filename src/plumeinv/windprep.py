@@ -29,7 +29,6 @@ __all__ = [
     "cross_validate",
     "select_hyperparameters",
     "fit_wind",
-    "regularize_wind",
 ]
 
 logger = logging.getLogger(__name__)
@@ -196,18 +195,6 @@ def cross_validate(
     return candidates[best]
 
 
-def _dedupe_sorted(records: Sequence[RawWindRecord]) -> list:
-    """Sort by timestamp; on duplicates the last occurrence wins."""
-    indexed = sorted(enumerate(records), key=lambda ir: (ir[1].timestamp, ir[0]))
-    out = []
-    for _, rec in indexed:
-        if out and out[-1].timestamp == rec.timestamp:
-            out[-1] = rec
-        else:
-            out.append(rec)
-    return out
-
-
 def _cv_subsample(n: int, cap: int) -> np.ndarray:
     if n <= cap:
         return np.arange(n)
@@ -215,11 +202,13 @@ def _cv_subsample(n: int, cap: int) -> np.ndarray:
 
 
 def _component_arrays(records: Sequence[RawWindRecord]):
-    recs = _dedupe_sorted(records)
-    if len(recs) < 2:
+    if len(records) < 2:
         raise ValueError("need at least two wind records")
-    t = np.array([r.timestamp for r in recs])
-    comps = np.array([to_components(r) for r in recs])
+    t = np.array([r.timestamp for r in records])
+    if np.any(np.diff(t) <= 0.0):
+        # io.load_wind_csv sorts the records and keeps the last of duplicates.
+        raise ValueError("wind record timestamps must strictly increase")
+    comps = np.array([to_components(r) for r in records])
     return t, comps
 
 
@@ -263,30 +252,3 @@ def fit_wind(
     u_x = gp_posterior_mean(t, comps[:, 0], configs[0], query)
     u_y = gp_posterior_mean(t, comps[:, 1], configs[1], query)
     return WindSeries(grid=grid, u_x=u_x, u_y=u_y)
-
-
-def regularize_wind(
-    records: Sequence[RawWindRecord],
-    grid: TimeGrid,
-    candidates: Sequence[GPConfig] = None,
-    seed: int = 0,
-    cv_max_points: int = CV_MAX_POINTS_DEFAULT,
-) -> WindSeries:
-    """Smooth raw records onto the grid, one GP fit per component.
-
-    Args:
-        records: raw wind data in any order (sorted here; duplicate
-            timestamps keep the last record).
-        grid: target inversion/generation grid.
-        candidates: hyperparameter grid; default scales from the data.
-        seed: cross-validation shuffle seed.
-        cv_max_points: cross-validation cost cap; hyperparameters are
-            selected on a subsample, the final fit uses all records.
-
-    Returns:
-        WindSeries on ``grid``.
-    """
-    configs = select_hyperparameters(
-        records, candidates=candidates, seed=seed, cv_max_points=cv_max_points
-    )
-    return fit_wind(records, grid, configs)

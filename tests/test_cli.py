@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 import yaml
 
-from plumeinv import cli
+from plumeinv import cli, pipeline
+from plumeinv.config import config_dict, load_config
 
 ARTIFACTS = [
     "wind.csv",
@@ -29,6 +30,19 @@ ARTIFACTS = [
     "deposition_grid.json",
     "run_metadata.json",
 ]
+WRITTEN_BY = {
+    "wind.csv": "synth",
+    "sensors.yaml": "synth",
+    "measurements.csv": "synth",
+    "truth_rates.csv": "synth",
+    "wind_fit.csv": "wind_fit",
+    "wind_fit.json": "wind_fit",
+    "emissions_constant.csv": "invert",
+    "emissions_smooth.csv": "invert",
+    "emissions_positive.csv": "invert",
+    "deposition_grid.csv": "propagate",
+    "deposition_grid.json": "propagate",
+}
 
 
 def tiny_case(out_dir) -> dict:
@@ -111,6 +125,14 @@ def strip_timing(metadata: dict) -> dict:
     return {**metadata, "stages": stages}
 
 
+def stage_keys(out: Path) -> dict:
+    return json.loads((out / "run_metadata.json").read_text())["stage_keys"]
+
+
+def mtimes(out: Path, names) -> dict:
+    return {name: (out / name).stat().st_mtime_ns for name in names}
+
+
 @pytest.fixture(scope="module")
 def completed(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
@@ -127,21 +149,22 @@ class TestRun:
         assert (out / "state" / "wind.npz").is_file()
         assert (out / "state" / "inversion.npz").is_file()
 
-    def test_artifacts_share_one_config_hash(self, completed):
+    def test_artifacts_carry_their_stage_key(self, completed):
         _, out = completed
-        hashes = set()
-        for name in ARTIFACTS:
+        keys = stage_keys(out)
+        assert set(keys) == set(pipeline.STAGES)
+        assert len(set(keys.values())) == len(keys)
+        assert all(len(k) == 64 and int(k, 16) >= 0 for k in keys.values())
+        for name, stage in WRITTEN_BY.items():
             text = (out / name).read_text()
             if name.endswith(".json"):
-                hashes.add(json.loads(text)["config_hash"])
+                stamp = json.loads(text)["stage_key"]
             elif name.endswith(".yaml"):
-                hashes.add(yaml.safe_load(text)["config_hash"])
+                stamp = yaml.safe_load(text)["stage_key"]
             else:
-                assert text.startswith("# config_hash=")
-                hashes.add(text.splitlines()[0].split("=", 1)[1])
-        assert len(hashes) == 1
-        (h,) = hashes
-        assert len(h) == 12 and int(h, 16) >= 0
+                assert text.startswith("# stage_key=")
+                stamp = text.splitlines()[0].split("=", 1)[1]
+            assert stamp == keys[stage], name
 
     def test_metadata_reports_all_stages(self, completed):
         _, out = completed
@@ -216,16 +239,89 @@ class TestStageCommands:
         assert rc == 0
         assert (out / "emissions_constant_noise-0.5.csv").is_file()
 
-    def test_override_invalidates_state(self, tmp_path):
+    def test_modes_reruns_only_propagate(self, tmp_path):
         cfg_path, out = write_case(tmp_path)
         assert cli.main(["run", "--config", str(cfg_path)]) == 0
-        old_hash = (out / "measurements.csv").read_text().splitlines()[0]
+        kept = ["measurements.csv", "state/wind.npz", "state/inversion.npz"]
+        before, keys = mtimes(out, kept + ["deposition_grid.csv"]), stage_keys(out)
+        assert cli.main(["run", "--config", str(cfg_path), "--modes", "5"]) == 0
+        after = mtimes(out, kept + ["deposition_grid.csv"])
+        for name in kept:
+            assert after[name] == before[name], name
+        assert after["deposition_grid.csv"] > before["deposition_grid.csv"]
+        new_keys = stage_keys(out)
+        assert [s for s in keys if new_keys[s] != keys[s]] == ["propagate"]
+        meta = json.loads((out / "run_metadata.json").read_text())
+        assert set(meta["stages"]) == set(pipeline.STAGES)
+        assert meta["stages"]["propagate"]["n_modes"] == 5
+
+    def test_n_steps_keeps_synth_and_wind_fit(self, tmp_path):
+        cfg_path, out = write_case(tmp_path)
+        assert cli.main(["run", "--config", str(cfg_path)]) == 0
+        kept = ["measurements.csv", "state/wind.npz"]
+        before = mtimes(out, kept + ["state/inversion.npz"])
         assert cli.main(["invert", "--config", str(cfg_path), "--n-steps", "2500"]) == 0
+        after = mtimes(out, kept + ["state/inversion.npz"])
+        for name in kept:
+            assert after[name] == before[name], name
+        assert after["state/inversion.npz"] > before["state/inversion.npz"]
         meta = json.loads((out / "run_metadata.json").read_text())
         assert meta["config"]["sampler"]["n_steps"] == 2500
-        # synth reran under the new hash, so the data files were rewritten
-        assert (out / "measurements.csv").read_text().splitlines()[0] != old_hash
+        assert meta["stages"]["invert"]["n_steps"] == 2500
+        # the map was made from the old chain, so its entry is gone
         assert set(meta["stages"]) == {"synth", "wind_fit", "invert"}
+
+    def test_upstream_edit_reruns_every_stage(self, tmp_path):
+        def shift_start(data):  # the sampler schedule moves with the horizon
+            data["time"]["start"] = "2024-06-02T00:00:00Z"
+            data["synthetic"]["sensors"][0]["schedule"]["start"] = "2024-06-02T00:00:00Z"
+
+        cfg_path, out = write_case(tmp_path)
+        shifted, _ = write_case(tmp_path, name="shifted.yaml", mutate=shift_start)
+        first = ["wind.csv", "state/wind.npz", "state/inversion.npz", "deposition_grid.csv"]
+        assert cli.main(["run", "--config", str(cfg_path)]) == 0
+        # a --seed edit, then a time.start edit
+        for case in (cfg_path, shifted):
+            before, keys = mtimes(out, first), stage_keys(out)
+            assert cli.main(["run", "--config", str(case), "--seed", "1"]) == 0
+            after, new_keys = mtimes(out, first), stage_keys(out)
+            for name in first:
+                assert after[name] > before[name], (case, name)
+            for stage in pipeline.STAGES:
+                assert new_keys[stage] != keys[stage], (case, stage)
+
+    def test_deleted_measurements_rerun_synth(self, tmp_path):
+        cfg_path, out = write_case(tmp_path)
+        argv = ["invert", "--config", str(cfg_path), "--through", "constant"]
+        assert cli.main(argv) == 0
+        data = (out / "measurements.csv").read_bytes()
+        before = mtimes(out, ["wind.csv"])
+        (out / "measurements.csv").unlink()
+        assert cli.main(argv) == 0
+        assert (out / "measurements.csv").read_bytes() == data
+        assert mtimes(out, ["wind.csv"])["wind.csv"] > before["wind.csv"]
+
+    def test_every_config_leaf_is_in_a_slice(self, tmp_path):
+        cfg_path, _ = write_case(tmp_path)
+        plain = config_dict(load_config(cfg_path))
+        plain.pop("paths")
+
+        def leaves(node, prefix=()):
+            if isinstance(node, dict):
+                for key, value in node.items():
+                    yield from leaves(value, prefix + (key,))
+            elif isinstance(node, list):
+                for i, value in enumerate(node):
+                    yield from leaves(value, prefix + (i,))
+            else:
+                yield prefix
+
+        sliced = [tuple(name.split(".")) for names in pipeline.SLICES.values() for name in names]
+        orphans = [
+            leaf for leaf in leaves(plain)
+            if not any(leaf[: len(name)] == name for name in sliced)
+        ]
+        assert orphans == []
 
 
 def real_data_case(root: Path, jar_x: float) -> tuple:
@@ -285,6 +381,19 @@ class TestExitCodes:
     def test_synth_without_synthetic_section_is_2(self, tmp_path):
         cfg_path, _ = real_data_case(tmp_path, jar_x=100.0)
         assert cli.main(["synth", "--config", str(cfg_path)]) == 2
+
+    def test_wind_file_edit_reruns_wind_fit(self, tmp_path):
+        cfg_path, out = real_data_case(tmp_path, jar_x=100.0)
+        argv = ["invert", "--config", str(cfg_path), "--through", "constant"]
+        assert cli.main(argv) == 0
+        fitted = (out / "wind_fit.csv").read_text()
+        wind = out / "wind.csv"
+        wind.write_text(wind.read_text().replace(",0.5,270", ",0.5,90"))
+        assert cli.main(argv) == 0
+        refitted = (out / "wind_fit.csv").read_text()
+        assert refitted != fitted
+        u_x = [float(line.split(",")[1]) for line in refitted.splitlines()[2:]]
+        assert max(u_x) < 0.0
 
     def test_real_data_invert_succeeds_nearby(self, tmp_path):
         cfg_path, out = real_data_case(tmp_path, jar_x=100.0)

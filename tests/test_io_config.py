@@ -70,7 +70,7 @@ class TestWindCsv:
         write_wind_csv(path, self.make_records(), "deadbeef0000")
         loaded = load_wind_csv(path)
         assert loaded == self.make_records()
-        assert path.read_text().startswith("# config_hash=deadbeef0000\n")
+        assert path.read_text().startswith("# stage_key=deadbeef0000\n")
 
     def test_unordered_rows_sorted(self, tmp_path):
         path = tmp_path / "wind.csv"
@@ -249,7 +249,7 @@ class TestArtifactWriters:
         grid = TimeGrid(t0=0.0, dt=3600.0, n_steps=2)
         write_truth_csv(path, ["s1"], grid, np.array([1.5, 2.5]), "feed00000000")
         assert path.read_text() == (
-            "# config_hash=feed00000000\n"
+            "# stage_key=feed00000000\n"
             "source_id,time,rate_kg_s\n"
             "s1,1970-01-01T01:00:00Z,1.5\n"
             "s1,1970-01-01T02:00:00Z,2.5\n"
@@ -271,9 +271,9 @@ class TestArtifactWriters:
 
     def test_json_round_trip(self, tmp_path):
         path = tmp_path / "meta.json"
-        write_json(path, {"stages": {"a": 1}}, "beef00000000")
+        write_json(path, {"stage_key": "beef00000000", "stages": {"a": 1}})
         back = read_json(path)
-        assert back["config_hash"] == "beef00000000"
+        assert back["stage_key"] == "beef00000000"
         assert back["stages"] == {"a": 1}
 
 

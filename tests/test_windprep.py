@@ -15,7 +15,6 @@ from plumeinv.windprep import (
     default_candidates,
     fit_wind,
     gp_posterior_mean,
-    regularize_wind,
     select_hyperparameters,
     to_components,
 )
@@ -199,25 +198,27 @@ class TestFitWind:
     def test_tracks_clean_components(self):
         records, t, speed, direction = synthetic_records()
         grid = TimeGrid(t0=0.0, dt=3600.0, n_steps=32)
-        series = regularize_wind(records, grid, seed=0)
+        series = fit_wind(records, grid, select_hyperparameters(records, seed=0))
         theta = np.radians(np.interp(grid.times, t, direction))
         clean_ux = -np.interp(grid.times, t, speed) * np.sin(theta)
         clean_uy = -np.interp(grid.times, t, speed) * np.cos(theta)
         assert np.max(np.abs(series.u_x - clean_ux)) < 0.35
         assert np.max(np.abs(series.u_y - clean_uy)) < 0.35
 
-    def test_duplicate_timestamps_keep_last(self):
-        base = [
+    def test_duplicate_timestamps_raise(self):
+        # io.load_wind_csv dedupes (last row wins); the fit refuses duplicates
+        records = [
             RawWindRecord(0.0, 2.0, 270.0),
             RawWindRecord(600.0, 3.0, 270.0),
+            RawWindRecord(600.0, 9.0, 90.0),
             RawWindRecord(1200.0, 2.5, 270.0),
         ]
-        shadowed = [RawWindRecord(600.0, 9.0, 90.0)] + base
         grid = TimeGrid(t0=0.0, dt=300.0, n_steps=4)
         cfg = (GPConfig(1.0, 400.0, 0.01), GPConfig(1.0, 400.0, 0.01))
-        np.testing.assert_array_equal(
-            fit_wind(shadowed, grid, cfg).u_x, fit_wind(base, grid, cfg).u_x
-        )
+        with pytest.raises(ValueError, match="strictly increase"):
+            fit_wind(records, grid, cfg)
+        with pytest.raises(ValueError, match="strictly increase"):
+            fit_wind(records[::-1], grid, cfg)
 
     def test_extrapolation_warns(self, caplog):
         records = [RawWindRecord(0.0, 2.0, 270.0), RawWindRecord(600.0, 2.0, 270.0)]
@@ -237,15 +238,16 @@ class TestRegularizeWind:
     def test_deterministic(self):
         records, *_ = synthetic_records(n=80)
         grid = TimeGrid(t0=0.0, dt=3600.0, n_steps=12)
-        a = regularize_wind(records, grid, seed=4)
-        b = regularize_wind(records, grid, seed=4)
+        a = fit_wind(records, grid, select_hyperparameters(records, seed=4))
+        b = fit_wind(records, grid, select_hyperparameters(records, seed=4))
         np.testing.assert_array_equal(a.u_x, b.u_x)
         np.testing.assert_array_equal(a.u_y, b.u_y)
 
     def test_cv_subsample_cap_still_fits_all_records(self):
         records, t, speed, direction = synthetic_records(n=150)
         grid = TimeGrid(t0=0.0, dt=3600.0, n_steps=24)
-        capped = regularize_wind(records, grid, seed=0, cv_max_points=40)
+        configs = select_hyperparameters(records, seed=0, cv_max_points=40)
+        capped = fit_wind(records, grid, configs)
         assert np.all(np.isfinite(capped.u_x))
         # selection differs at most; the fit must still track the data
         theta = np.radians(np.interp(grid.times, t, direction))
