@@ -149,6 +149,10 @@ class RunConfig:
             steps = self.time.duration_s / dt
             if abs(steps - round(steps)) > 1e-9:
                 raise ValidationError(f"{name}={dt} does not divide the duration evenly")
+        # Fewer than three points leaves no cross-validation fold two to train on.
+        cap = self.wind_cv_max_points
+        if isinstance(cap, bool) or not isinstance(cap, int) or cap < 3:
+            raise ValidationError(f"wind_cv_max_points must be an integer >= 3, got {cap!r}")
 
     def resolve_out_dir(self) -> Path:
         return Path(self.paths.out_dir)
@@ -350,7 +354,7 @@ def _config_from_dict(data: dict) -> RunConfig:
             synthetic=synthetic,
             noise_floor=_number(data, "noise_floor", "", default=1e-12),
             allow_same_dt=bool(data.get("allow_same_dt", False)),
-            wind_cv_max_points=int(_number(data, "wind_cv_max_points", "", default=CV_MAX_POINTS_DEFAULT)),
+            wind_cv_max_points=data.get("wind_cv_max_points", CV_MAX_POINTS_DEFAULT),
         )
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc

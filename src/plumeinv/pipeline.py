@@ -218,8 +218,9 @@ def run_synth(cfg: RunConfig) -> dict:
     """Generate the synthetic case artifacts into the run directory.
 
     Writes the raw wind CSV, the sensor registry, the noisy measurement
-    CSV, and the truth rates, then fits the wind (the fit is shared with
-    the wind_fit stage). Measurement generation runs on the finer
+    CSV, and the truth rates. The data come from the wind_fit stage's
+    generation-grid series, read back when that stage is fresh and
+    fitted otherwise. Measurement generation runs on the finer
     generation grid; reusing the inversion step size is refused unless
     the config opts in.
     """
@@ -241,8 +242,9 @@ def run_synth(cfg: RunConfig) -> dict:
         cfg.synthetic.wind_model, t0, cfg.time.duration_s, cfg.synthetic.wind_cadence_s
     )
     io.write_wind_csv(cfg.resolve_input("wind_csv"), records, key)
-    # Fit from the file just written so later refits reproduce it exactly.
-    wind = run_wind_fit(cfg)
+    # The wind-fit key covers the file just written, so a fresh fit is
+    # reused; otherwise fit from that file so later refits reproduce it.
+    wind = load_wind_series(cfg) if _fresh(cfg, "wind_fit") else run_wind_fit(cfg)
 
     sensors = cfg.synthetic.sensors
     io.write_sensors(cfg.resolve_input("sensors_file"), sensors, key)
@@ -284,9 +286,9 @@ def run_synth(cfg: RunConfig) -> dict:
 def run_wind_fit(cfg: RunConfig) -> dict:
     """Regularize the raw wind records onto the inversion grid.
 
-    One cross-validation per component selects the kernel; the same
-    kernels are then evaluated on the generation grid too when the config
-    has a synthetic section (the synth stage consumes that series).
+    One cross-validation per component selects the kernel; one fit then
+    serves the inversion grid and, when the config has a synthetic
+    section, the generation grid too (the synth stage consumes that series).
     Returns {"inversion": WindSeries, "generation": WindSeries | None}.
     """
     tic = time.perf_counter()
@@ -296,16 +298,17 @@ def run_wind_fit(cfg: RunConfig) -> dict:
     configs = select_hyperparameters(
         records, seed=cfg.sampler.seed, cv_max_points=cfg.wind_cv_max_points
     )
-    series_inv = fit_wind(records, inv_grid, configs)
-    series_gen = None
+    grids = [inv_grid] if cfg.synthetic is None else [inv_grid, generation_grid(cfg)]
+    series = fit_wind(records, grids, configs)
+    series_inv = series[0]
+    series_gen = series[1] if cfg.synthetic is not None else None
     arrays = {
         "u_x_inv": series_inv.u_x,
         "u_y_inv": series_inv.u_y,
         "hyper_x": np.array([configs[0].signal_var, configs[0].length_scale, configs[0].noise_var]),
         "hyper_y": np.array([configs[1].signal_var, configs[1].length_scale, configs[1].noise_var]),
     }
-    if cfg.synthetic is not None:
-        series_gen = fit_wind(records, generation_grid(cfg), configs)
+    if series_gen is not None:
         arrays["u_x_gen"] = series_gen.u_x
         arrays["u_y_gen"] = series_gen.u_y
     _save_state(cfg, WIND_STATE, **arrays)
@@ -342,7 +345,7 @@ def run_wind_fit(cfg: RunConfig) -> dict:
             "timing_s": time.perf_counter() - tic,
         },
     )
-    return {"inversion": series_inv, "generation": series_gen, "configs": configs}
+    return {"inversion": series_inv, "generation": series_gen}
 
 
 def load_wind_series(cfg: RunConfig) -> dict:

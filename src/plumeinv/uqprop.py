@@ -34,6 +34,7 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 SECONDS_PER_YEAR = 31_536_000.0
+_TILE = 256  # tile edge of the asymmetry check in lowrank_truncate
 
 
 @dataclass(frozen=True)
@@ -139,14 +140,22 @@ def lowrank_truncate(cov: np.ndarray, n_modes: int, sym_tol: float = 1e-8) -> Lo
         raise ValueError("covariance must be square")
     if not 1 <= n_modes <= n:
         raise ValueError(f"n_modes must be in [1, {n}], got {n_modes}")
-    scale = max(1.0, float(np.abs(cov).max()))
-    asym = float(np.abs(cov - cov.T).max())
+    # max |cov| and max |cov - cov.T| without full-size temporaries: the
+    # asymmetry compares each tile on or above the diagonal with its mirror.
+    scale = max(1.0, float(cov.max()), -float(cov.min()))
+    b = _TILE
+    asym = max(
+        float(np.abs(cov[i : i + b, j : j + b] - cov[j : j + b, i : i + b].T).max())
+        for i in range(0, n, b)
+        for j in range(i, n, b)
+    )
     if asym > sym_tol * scale:
         raise ValueError(f"covariance asymmetric beyond tolerance ({asym:.3e})")
     # The symmetrized matrix equals its transpose exactly, and the transpose
     # is Fortran-ordered, so LAPACK works on it without a copy. Only the
     # leading modes are computed; they come back ascending.
-    sym = 0.5 * (cov + cov.T)
+    sym = cov + cov.T
+    sym *= 0.5
     eigvals, eigvecs = eigh(sym.T, subset_by_index=[n - n_modes, n - 1], overwrite_a=True)
     lam = eigvals[::-1]
     negative = lam < 0

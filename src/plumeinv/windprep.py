@@ -101,6 +101,30 @@ def _se_kernel(t_a: np.ndarray, t_b: np.ndarray, cfg: GPConfig) -> np.ndarray:
     return cfg.signal_var * np.exp(-(d**2) / (2.0 * cfg.length_scale**2))
 
 
+def _gp_weights(gram: np.ndarray, values: np.ndarray, cfg: GPConfig) -> np.ndarray:
+    """(K + noise I)^-1 values for a Gram matrix that already holds the noise.
+
+    An ill-conditioned matrix gets a jitter of 1e-10 * signal_var added to
+    its diagonal (in place) once, logged.
+    """
+    try:
+        factor = cho_factor(gram, lower=True)
+    except np.linalg.LinAlgError:
+        jitter = 1e-10 * cfg.signal_var
+        logger.warning("kernel matrix not positive definite; adding jitter %.3g", jitter)
+        gram[np.diag_indices_from(gram)] += jitter
+        factor = cho_factor(gram, lower=True)
+    return cho_solve(factor, values)
+
+
+def _fit_weights(times: np.ndarray, values: np.ndarray, cfg: GPConfig) -> np.ndarray:
+    if times.size < 2:
+        raise ValueError("need at least two training points")
+    gram = _se_kernel(times, times, cfg)
+    gram[np.diag_indices_from(gram)] += cfg.noise_var
+    return _gp_weights(gram, values, cfg)
+
+
 def gp_posterior_mean(
     times: np.ndarray,
     values: np.ndarray,
@@ -120,21 +144,8 @@ def gp_posterior_mean(
         jitter of 1e-10 * signal_var added once, logged.
     """
     times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    query_times = np.asarray(query_times, dtype=float)
-    if times.size < 2:
-        raise ValueError("need at least two training points")
-    gram = _se_kernel(times, times, cfg)
-    gram[np.diag_indices_from(gram)] += cfg.noise_var
-    try:
-        factor = cho_factor(gram, lower=True)
-    except np.linalg.LinAlgError:
-        jitter = 1e-10 * cfg.signal_var
-        logger.warning("kernel matrix not positive definite; adding jitter %.3g", jitter)
-        gram[np.diag_indices_from(gram)] += jitter
-        factor = cho_factor(gram, lower=True)
-    alpha = cho_solve(factor, values)
-    return _se_kernel(query_times, times, cfg) @ alpha
+    alpha = _fit_weights(times, np.asarray(values, dtype=float), cfg)
+    return _se_kernel(np.asarray(query_times, dtype=float), times, cfg) @ alpha
 
 
 def default_candidates(times: np.ndarray, values: np.ndarray) -> list:
@@ -152,6 +163,51 @@ def default_candidates(times: np.ndarray, values: np.ndarray) -> list:
     return candidates
 
 
+def _cv_scores(
+    times: np.ndarray,
+    values: np.ndarray,
+    candidates: Sequence[GPConfig],
+    seed: int,
+    n_folds: int,
+) -> np.ndarray:
+    """Mean held-out squared error of each candidate (see cross_validate)."""
+    n = times.size
+    if n < n_folds:
+        logger.info("only %d points; falling back to leave-one-out", n)
+        n_folds = n
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(n)
+    folds = np.array_split(perm, n_folds)
+
+    # The split and the squared distances are per fold, the unit-variance
+    # kernel per (fold, length scale); each candidate scales it, adds its
+    # noise and solves. Every step is the elementwise arithmetic of
+    # _se_kernel, so the scores equal per-candidate gp_posterior_mean calls.
+    scales = {}
+    for ci, cfg in enumerate(candidates):
+        scales.setdefault(cfg.length_scale, []).append(ci)
+    errs = [[] for _ in candidates]
+    for fold in folds:
+        train = np.setdiff1d(perm, fold, assume_unique=True)
+        if train.size < 2:
+            continue
+        t_train, y_train, y_held = times[train], values[train], values[fold]
+        d2_train = (t_train[:, None] - t_train[None, :]) ** 2
+        d2_held = (times[fold][:, None] - t_train[None, :]) ** 2
+        for length_scale, members in scales.items():
+            e_train = np.exp(-d2_train / (2.0 * length_scale**2))
+            e_held = np.exp(-d2_held / (2.0 * length_scale**2))
+            for ci in members:
+                cfg = candidates[ci]
+                gram = cfg.signal_var * e_train
+                gram[np.diag_indices_from(gram)] += cfg.noise_var
+                pred = (cfg.signal_var * e_held) @ _gp_weights(gram, y_train, cfg)
+                errs[ci].append(float(np.mean((pred - y_held) ** 2)))
+    if not errs[0]:
+        raise ValueError(f"no cross-validation fold has two training points ({n} points)")
+    return np.array([float(np.mean(e)) for e in errs])
+
+
 def cross_validate(
     times: np.ndarray,
     values: np.ndarray,
@@ -163,30 +219,14 @@ def cross_validate(
 
     Folds are contiguous chunks of a seeded shuffle of the indices. With
     fewer than ``n_folds`` points the split degrades to leave-one-out
-    (logged). Ties break to the smallest length scale, then first listed.
+    (logged); ValueError when no fold leaves two points to train on. Ties
+    break to the smallest length scale, then first listed.
     """
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
     if not candidates:
         raise ValueError("need at least one candidate configuration")
-    n = times.size
-    if n < n_folds:
-        logger.info("only %d points; falling back to leave-one-out", n)
-        n_folds = n
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
-    folds = np.array_split(perm, n_folds)
-
-    scores = np.empty(len(candidates))
-    for ci, cfg in enumerate(candidates):
-        errs = []
-        for fold in folds:
-            train = np.setdiff1d(perm, fold, assume_unique=True)
-            if train.size < 2:
-                continue
-            pred = gp_posterior_mean(times[train], values[train], cfg, times[fold])
-            errs.append(float(np.mean((pred - values[fold]) ** 2)))
-        scores[ci] = float(np.mean(errs)) if errs else np.inf
+    scores = _cv_scores(
+        np.asarray(times, dtype=float), np.asarray(values, dtype=float), candidates, seed, n_folds
+    )
     best = min(
         range(len(candidates)),
         key=lambda ci: (scores[ci], candidates[ci].length_scale, ci),
@@ -234,21 +274,26 @@ def select_hyperparameters(
 
 def fit_wind(
     records: Sequence[RawWindRecord],
-    grid: TimeGrid,
+    grids: Sequence[TimeGrid],
     configs,
-) -> WindSeries:
-    """GP posterior mean of both components on all records at the grid times.
+) -> list:
+    """GP posterior mean of both components on all records at each grid's times.
 
-    Grid times outside the record span are still evaluated (GP
-    extrapolation) with a warning.
+    Each component's Gram matrix is factored once and its weights serve
+    every grid; returns one WindSeries per grid, in order. Grid times
+    outside the record span are still evaluated (GP extrapolation) with a
+    warning.
     """
     t, comps = _component_arrays(records)
-    query = grid.times
-    if query[0] < t[0] or query[-1] > t[-1]:
-        logger.warning(
-            "grid [%s, %s] extends beyond the wind records [%s, %s]; extrapolating",
-            query[0], query[-1], t[0], t[-1],
-        )
-    u_x = gp_posterior_mean(t, comps[:, 0], configs[0], query)
-    u_y = gp_posterior_mean(t, comps[:, 1], configs[1], query)
-    return WindSeries(grid=grid, u_x=u_x, u_y=u_y)
+    for grid in grids:
+        query = grid.times
+        if query[0] < t[0] or query[-1] > t[-1]:
+            logger.warning(
+                "grid [%s, %s] extends beyond the wind records [%s, %s]; extrapolating",
+                query[0], query[-1], t[0], t[-1],
+            )
+    alphas = [_fit_weights(t, comps[:, k], configs[k]) for k in range(2)]
+    return [
+        WindSeries(grid, *(_se_kernel(grid.times, t, cfg) @ a for cfg, a in zip(configs, alphas)))
+        for grid in grids
+    ]

@@ -295,11 +295,14 @@ class TestStageCommands:
         argv = ["invert", "--config", str(cfg_path), "--through", "constant"]
         assert cli.main(argv) == 0
         data = (out / "measurements.csv").read_bytes()
-        before = mtimes(out, ["wind.csv"])
+        before = mtimes(out, ["wind.csv", "state/wind.npz"])
         (out / "measurements.csv").unlink()
         assert cli.main(argv) == 0
         assert (out / "measurements.csv").read_bytes() == data
-        assert mtimes(out, ["wind.csv"])["wind.csv"] > before["wind.csv"]
+        after = mtimes(out, ["wind.csv", "state/wind.npz"])
+        assert after["wind.csv"] > before["wind.csv"]
+        # synth reads the still-fresh wind fit back instead of refitting
+        assert after["state/wind.npz"] == before["state/wind.npz"]
 
     def test_every_config_leaf_is_in_a_slice(self, tmp_path):
         cfg_path, _ = write_case(tmp_path)
@@ -366,6 +369,11 @@ class TestExitCodes:
     def test_zero_modes_override_is_2(self, tmp_path):
         cfg_path, out = write_case(tmp_path)
         assert cli.main(["run", "--config", str(cfg_path), "--modes", "0"]) == 2
+        assert not list(out.rglob("*"))
+
+    def test_cv_cap_below_three_is_2(self, tmp_path):
+        cfg_path, out = write_case(tmp_path, mutate=lambda d: d.update(wind_cv_max_points=0))
+        assert cli.main(["run", "--config", str(cfg_path)]) == 2
         assert not list(out.rglob("*"))
 
     def test_unknown_drop_sensor_is_2(self, completed):

@@ -401,6 +401,18 @@ class TestSettingsValidation:
         cfg = load_config(write_config(tmp_path, data))
         assert cfg.sampler.beta == 1.0 and cfg.sampler.n_steps == 1
 
+    @pytest.mark.parametrize("cap", [0, 1, 2, 3.5, "400", True])
+    def test_bad_cv_cap_raises(self, tmp_path, cap):
+        data = base_config(tmp_path)
+        data["wind_cv_max_points"] = cap
+        with pytest.raises(ValidationError, match="wind_cv_max_points"):
+            load_config(write_config(tmp_path, data))
+
+    def test_smallest_cv_cap_accepted(self, tmp_path):
+        data = base_config(tmp_path)
+        data["wind_cv_max_points"] = 3
+        assert load_config(write_config(tmp_path, data)).wind_cv_max_points == 3
+
     def test_negative_cutoff_raises(self, tmp_path):
         data = base_config(tmp_path)
         data["plume"] = {"x_cutoff_m": -1.0}

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
 from plumeinv.observation import DustfallJar, TimeGrid, assemble_F
 from plumeinv.plume import ParticleProperties, SourceSite, StabilityClass
@@ -131,6 +132,27 @@ class TestLowRankTruncate:
         bad = np.array([[1.0, 0.5], [0.0, 1.0]])
         with pytest.raises(ValueError):
             lowrank_truncate(bad, 1)
+
+    def test_tiled_checks_match_full_matrix_formula(self):
+        # n spans several asymmetry tiles plus a ragged last one; entries
+        # of -1000 set the scale, so 1e-6 asymmetry is inside the tolerance
+        rng = np.random.default_rng(8)
+        n, k = 601, 12
+        cov = random_spd(rng, n)
+        cov[5, 590] = cov[590, 5] = -1000.0
+        cov[600, 1] += 1e-6
+        before = cov.copy()
+        fac = lowrank_truncate(cov, k)
+        np.testing.assert_array_equal(cov, before)
+        lam, vec = eigh((0.5 * (cov + cov.T)).T, subset_by_index=[n - k, n - 1], overwrite_a=True)
+        np.testing.assert_array_equal(fac.eigenvalues, np.maximum(lam[::-1], 0.0))
+        np.testing.assert_array_equal(fac.vectors, vec[:, ::-1])
+
+        cov[600, 1] += 1e-4  # now beyond 1e-8 of the largest entry
+        before = cov.copy()
+        with pytest.raises(ValueError, match="asymmetric"):
+            lowrank_truncate(cov, k)
+        np.testing.assert_array_equal(cov, before)
 
     def test_bad_mode_count_raises(self):
         cov = np.eye(4)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from plumeinv import windprep
 from plumeinv.observation import TimeGrid
 from plumeinv.windprep import (
     GPConfig,
@@ -178,6 +179,48 @@ class TestCrossValidate:
         with pytest.raises(ValueError):
             cross_validate(self.times, self.values, [])
 
+    def test_scores_equal_per_candidate_oracle(self):
+        rng = np.random.default_rng(17)
+        times = np.sort(rng.uniform(0.0, 50000.0, 97))
+        values = np.cos(times / 3000.0) + 0.2 * rng.standard_normal(97)
+        cands = default_candidates(times, values)
+        got = windprep._cv_scores(times, values, cands, 3, 10)
+        np.testing.assert_array_equal(got, oracle_cv_scores(times, values, cands, 3, 10))
+
+    def test_no_trainable_fold_raises(self):
+        cfg = GPConfig(signal_var=1.0, length_scale=500.0, noise_var=0.1)
+        with pytest.raises(ValueError, match="two training points"):
+            cross_validate(self.times[:2], self.values[:2], [cfg])
+
+    def test_singular_gram_reaches_jitter(self, caplog):
+        # a length scale far beyond the span makes the noiseless Gram matrix
+        # numerically rank-deficient; CV must still score it via the jitter
+        times = np.linspace(0.0, 10.0, 30)
+        values = np.sin(times)
+        flat = GPConfig(signal_var=1.0, length_scale=1e6, noise_var=1e-300)
+        fine = GPConfig(signal_var=1.0, length_scale=2.0, noise_var=0.01)
+        with caplog.at_level(logging.WARNING, logger="plumeinv.windprep"):
+            scores = windprep._cv_scores(times, values, [flat, fine], 0, 10)
+        assert any("adding jitter" in r.message for r in caplog.records)
+        assert np.all(np.isfinite(scores))
+        np.testing.assert_array_equal(scores, oracle_cv_scores(times, values, [flat, fine], 0, 10))
+
+
+def oracle_cv_scores(times, values, candidates, seed, n_folds):
+    """Mean held-out error from one gp_posterior_mean call per (candidate, fold)."""
+    n = times.size
+    perm = np.random.default_rng(seed).permutation(n)
+    folds = np.array_split(perm, min(n_folds, n))
+    scores = []
+    for cfg in candidates:
+        errs = []
+        for fold in folds:
+            train = np.setdiff1d(perm, fold, assume_unique=True)
+            pred = gp_posterior_mean(times[train], values[train], cfg, times[fold])
+            errs.append(float(np.mean((pred - values[fold]) ** 2)))
+        scores.append(float(np.mean(errs)))
+    return np.array(scores)
+
 
 def synthetic_records(n=200, cadence=600.0, seed=2):
     """Slowly rotating wind with noise; returns records and the clean truth."""
@@ -198,7 +241,7 @@ class TestFitWind:
     def test_tracks_clean_components(self):
         records, t, speed, direction = synthetic_records()
         grid = TimeGrid(t0=0.0, dt=3600.0, n_steps=32)
-        series = fit_wind(records, grid, select_hyperparameters(records, seed=0))
+        (series,) = fit_wind(records, [grid], select_hyperparameters(records, seed=0))
         theta = np.radians(np.interp(grid.times, t, direction))
         clean_ux = -np.interp(grid.times, t, speed) * np.sin(theta)
         clean_uy = -np.interp(grid.times, t, speed) * np.cos(theta)
@@ -216,30 +259,51 @@ class TestFitWind:
         grid = TimeGrid(t0=0.0, dt=300.0, n_steps=4)
         cfg = (GPConfig(1.0, 400.0, 0.01), GPConfig(1.0, 400.0, 0.01))
         with pytest.raises(ValueError, match="strictly increase"):
-            fit_wind(records, grid, cfg)
+            fit_wind(records, [grid], cfg)
         with pytest.raises(ValueError, match="strictly increase"):
-            fit_wind(records[::-1], grid, cfg)
+            fit_wind(records[::-1], [grid], cfg)
 
     def test_extrapolation_warns(self, caplog):
         records = [RawWindRecord(0.0, 2.0, 270.0), RawWindRecord(600.0, 2.0, 270.0)]
         grid = TimeGrid(t0=0.0, dt=600.0, n_steps=3)  # last time 1800 > records
         cfg = (GPConfig(1.0, 400.0, 0.01), GPConfig(1.0, 400.0, 0.01))
         with caplog.at_level(logging.WARNING, logger="plumeinv.windprep"):
-            fit_wind(records, grid, cfg)
+            fit_wind(records, [grid], cfg)
         assert any("extrapolating" in r.message for r in caplog.records)
+
+    def test_grids_share_one_factorization(self, monkeypatch):
+        records, *_ = synthetic_records(n=120)
+        configs = select_hyperparameters(records, seed=1)
+        coarse = TimeGrid(t0=0.0, dt=3600.0, n_steps=19)
+        fine = TimeGrid(t0=600.0, dt=1200.0, n_steps=55)
+        t = np.array([r.timestamp for r in records])
+        comps = np.array([to_components(r) for r in records])
+        factor_calls = []
+        original = windprep.cho_factor
+        monkeypatch.setattr(
+            windprep, "cho_factor", lambda *a, **k: factor_calls.append(1) or original(*a, **k)
+        )
+        both = fit_wind(records, [coarse, fine], configs)
+        assert len(factor_calls) == 2  # one per component, not per grid
+        for series, grid in zip(both, (coarse, fine)):
+            assert series.grid is grid
+            for k, u in enumerate((series.u_x, series.u_y)):
+                np.testing.assert_array_equal(
+                    u, gp_posterior_mean(t, comps[:, k], configs[k], grid.times)
+                )
 
     def test_too_few_records_raise(self):
         grid = TimeGrid(t0=0.0, dt=600.0, n_steps=3)
         with pytest.raises(ValueError):
-            fit_wind([RawWindRecord(0.0, 2.0, 270.0)], grid, None)
+            fit_wind([RawWindRecord(0.0, 2.0, 270.0)], [grid], None)
 
 
 class TestRegularizeWind:
     def test_deterministic(self):
         records, *_ = synthetic_records(n=80)
         grid = TimeGrid(t0=0.0, dt=3600.0, n_steps=12)
-        a = fit_wind(records, grid, select_hyperparameters(records, seed=4))
-        b = fit_wind(records, grid, select_hyperparameters(records, seed=4))
+        (a,) = fit_wind(records, [grid], select_hyperparameters(records, seed=4))
+        (b,) = fit_wind(records, [grid], select_hyperparameters(records, seed=4))
         np.testing.assert_array_equal(a.u_x, b.u_x)
         np.testing.assert_array_equal(a.u_y, b.u_y)
 
@@ -247,7 +311,7 @@ class TestRegularizeWind:
         records, t, speed, direction = synthetic_records(n=150)
         grid = TimeGrid(t0=0.0, dt=3600.0, n_steps=24)
         configs = select_hyperparameters(records, seed=0, cv_max_points=40)
-        capped = fit_wind(records, grid, configs)
+        (capped,) = fit_wind(records, [grid], configs)
         assert np.all(np.isfinite(capped.u_x))
         # selection differs at most; the fit must still track the data
         theta = np.radians(np.interp(grid.times, t, direction))
