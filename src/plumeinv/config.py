@@ -1,4 +1,4 @@
-"""Run configuration: YAML parsing, validation, hashing, env overrides.
+"""Run configuration: YAML parsing, validation, env overrides.
 
 The config file is nested key/value YAML. Relative input paths resolve
 against the output directory (all artifacts of a run live together);
@@ -8,8 +8,6 @@ overrides the sampler seed.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 import os
 from dataclasses import dataclass, field
@@ -29,9 +27,9 @@ from .plume import (
 from .sampling import SamplerConfig
 from .synthetic import Harmonic, SourceSignal, SyntheticSpec, WindModel
 from .uqprop import GridSpec
-from .windprep import CV_MAX_POINTS_DEFAULT
+from .windprep import CV_MAX_POINTS_DEFAULT, CV_MIN_POINTS
 
-__all__ = ["RunConfig", "load_config", "config_hash", "ENV_SEED", "ENV_THREADS"]
+__all__ = ["RunConfig", "load_config", "ENV_SEED", "ENV_THREADS"]
 
 ENV_SEED = "PLUME_SEED"
 ENV_THREADS = "PLUME_THREADS"
@@ -59,6 +57,12 @@ class TimeConfig:
 class PriorConfig:
     alpha: float = 1.0
     gamma: float = 5e-3
+
+    def __post_init__(self) -> None:
+        if not (self.alpha > 0 and self.gamma > 0):
+            raise ValidationError(
+                f"prior.alpha and prior.gamma must be positive, got {self.alpha} and {self.gamma}"
+            )
 
 
 @dataclass(frozen=True)
@@ -149,10 +153,11 @@ class RunConfig:
             steps = self.time.duration_s / dt
             if abs(steps - round(steps)) > 1e-9:
                 raise ValidationError(f"{name}={dt} does not divide the duration evenly")
-        # Fewer than three points leaves no cross-validation fold two to train on.
         cap = self.wind_cv_max_points
-        if isinstance(cap, bool) or not isinstance(cap, int) or cap < 3:
-            raise ValidationError(f"wind_cv_max_points must be an integer >= 3, got {cap!r}")
+        if isinstance(cap, bool) or not isinstance(cap, int) or cap < CV_MIN_POINTS:
+            raise ValidationError(
+                f"wind_cv_max_points must be an integer >= {CV_MIN_POINTS}, got {cap!r}"
+            )
 
     def resolve_out_dir(self) -> Path:
         return Path(self.paths.out_dir)
@@ -407,15 +412,3 @@ def _as_plain(obj):
 def config_dict(cfg: RunConfig) -> dict:
     return _as_plain(cfg)
 
-
-def config_hash(cfg: RunConfig) -> str:
-    """12-hex-char digest of the resolved configuration.
-
-    File locations are excluded: the hash identifies the scientific
-    content of a run, so the same case written to two directories yields
-    identical artifacts.
-    """
-    plain = config_dict(cfg)
-    plain.pop("paths", None)
-    canon = json.dumps(plain, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()[:12]

@@ -16,11 +16,11 @@ inverted.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cholesky_banded, cho_solve_banded
+from scipy.linalg import cho_factor, cho_solve, cholesky_banded, cho_solve_banded, solve_triangular
 from scipy.optimize import nnls as scipy_nnls
 from scipy.sparse import csr_array
 
@@ -220,20 +220,31 @@ def mle_constant(
 
 @dataclass(frozen=True, eq=False)
 class GaussianPosterior:
-    """Closed-form smooth-stage posterior N(mean, cov)."""
+    """Closed-form smooth-stage posterior N(mean, C - W^T W).
+
+    ``w`` is L_S^-1 F C, with L_S the lower Cholesky factor of the
+    innovation matrix S = Sigma + F C F^T, so W^T W is the variance the data
+    remove from the prior C. The pointwise std is formed from the prior
+    variances and the column sums of W * W; the dense covariance is built
+    only when ``cov`` is read.
+    """
 
     mean: np.ndarray
-    cov: np.ndarray
+    prior: SmoothnessPrior
+    w: np.ndarray  # (n_meas, n)
+    std: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        asym = float(np.abs(self.cov - self.cov.T).max())
-        scale = max(1.0, float(np.abs(self.cov).max()))
-        if asym > 1e-10 * scale:
-            raise ValueError(f"posterior covariance asymmetric ({asym:.3e})")
+        var = np.tile(self.prior.marginal_var(), self.prior.spec.n_sources)
+        var -= np.einsum("ij,ij->j", self.w, self.w)
+        object.__setattr__(self, "std", np.sqrt(np.maximum(var, 0.0)))
 
     @property
-    def std(self) -> np.ndarray:
-        return np.sqrt(np.maximum(np.diag(self.cov), 0.0))
+    def cov(self) -> np.ndarray:
+        """Dense n x n posterior covariance, for small-instance checks."""
+        cov = self.prior.dense_cov()
+        cov -= self.w.T @ self.w
+        return cov
 
 
 def gaussian_posterior(
@@ -246,10 +257,10 @@ def gaussian_posterior(
     """Gaussian update of the smoothness prior with the linear data model.
 
         mean = m + C F^T (Sigma + F C F^T)^-1 (d - F m)
-        cov  = C - C F^T (Sigma + F C F^T)^-1 F C
+        cov  = C - C F^T (Sigma + F C F^T)^-1 F C = C - W^T W
 
-    solved through a Cholesky factorization of the (n_meas x n_meas)
-    innovation matrix.
+    solved through a Cholesky factorization L_S L_S^T of the
+    (n_meas x n_meas) innovation matrix, with W = L_S^-1 F C.
     """
     d = np.asarray(d, dtype=float)
     prior_mean = np.asarray(prior_mean, dtype=float)
@@ -265,10 +276,8 @@ def gaussian_posterior(
             f"innovation matrix factorization failed (condition number {cond:.3e})"
         ) from exc
     mean = prior_mean + cf_t @ cho_solve(factor, d - f_matrix @ prior_mean)
-    cov = prior.dense_cov()
-    cov -= cf_t @ cho_solve(factor, cf_t.T)
-    cov = 0.5 * (cov + cov.T)
-    return GaussianPosterior(mean=mean, cov=cov)
+    w = solve_triangular(factor[0], cf_t.T, lower=True)
+    return GaussianPosterior(mean=mean, prior=prior, w=w)
 
 
 def clip_positive(v: np.ndarray) -> np.ndarray:

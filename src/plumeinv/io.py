@@ -14,7 +14,7 @@ import json
 import logging
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 import yaml
@@ -30,7 +30,7 @@ from .observation import (
     signal_variances,
 )
 from .uqprop import DepositionGrid
-from .windprep import RawWindRecord
+from .windprep import CV_MIN_POINTS, RawWindRecord
 
 __all__ = [
     "WIND_HEADER",
@@ -108,7 +108,11 @@ def _check_header(path: Path, line: str, expected: str) -> None:
 
 
 def load_wind_csv(path) -> list:
-    """Wind records from CSV; rows may be unordered, duplicates keep last."""
+    """Wind records from CSV; rows may be unordered, duplicates keep last.
+
+    At least ``CV_MIN_POINTS`` distinct timestamps must remain, so that the
+    wind fit's cross-validation has two points to train on in every fold.
+    """
     path = Path(path)
     if not path.is_file():
         raise ValidationError(f"wind file not found: {path}")
@@ -143,6 +147,11 @@ def load_wind_csv(path) -> list:
             deduped[-1] = rec
         else:
             deduped.append(rec)
+    if len(deduped) < CV_MIN_POINTS:
+        raise ValidationError(
+            f"{path}: {len(deduped)} distinct wind records; the wind fit needs at least "
+            f"{CV_MIN_POINTS}"
+        )
     return deduped
 
 
@@ -240,18 +249,14 @@ def write_sensors(path, sensors: Sequence[Sensor], key: str) -> None:
 
 
 def load_measurements(
-    path,
-    sensors: Sequence[Sensor],
-    noise_floor: float = 1e-12,
-    noise_var: Optional[np.ndarray] = None,
+    path, sensors: Sequence[Sensor], noise_floor: float = 1e-12
 ) -> MeasurementSet:
     """Measured values stacked in sensor declaration order.
 
     Every declared measurement slot must appear exactly once. Noise
-    variances default to the measured-value variance over each sensor's
-    entries (pooled across the jar network for single-reading jars)
-    divided by the sensor's SNR, the only observable proxy in real-data
-    mode; pass ``noise_var`` to override with known values.
+    variances are the measured-value variance over each sensor's entries
+    (pooled across the jar network for single-reading jars) divided by the
+    sensor's SNR, the only observable proxy in real-data mode.
     """
     path = Path(path)
     if not path.is_file():
@@ -301,15 +306,11 @@ def load_measurements(
             values.append(seen[(sensor.id, ell)])
             units.append("kg" if isinstance(sensor, DustfallJar) else "kg_m3")
     values = np.array(values)
-    if noise_var is None:
-        noise_var = signal_variances(values, sensors, noise_floor)
-    else:
-        noise_var = np.asarray(noise_var, dtype=float)
     return MeasurementSet(
         sensor_ids=tuple(ids),
         indices=np.array(indices, dtype=int),
         values=values,
-        noise_var=noise_var,
+        noise_var=signal_variances(values, sensors, noise_floor),
         units=tuple(units),
     )
 

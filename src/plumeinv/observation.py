@@ -25,7 +25,14 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import CalmWindError, ConfigurationError
-from .plume import ParticleProperties, SourceSite, StabilityClass, kernel_profile
+from .plume import (
+    CALM_SPEED_DEFAULT,
+    X_CUTOFF_DEFAULT,
+    ParticleProperties,
+    SourceSite,
+    StabilityClass,
+    kernel_profile,
+)
 
 __all__ = [
     "TimeGrid",
@@ -34,7 +41,6 @@ __all__ = [
     "Sensor",
     "MeasurementSet",
     "measurement_count",
-    "measurement_layout",
     "window_weight",
     "assemble_M",
     "assemble_G",
@@ -133,15 +139,6 @@ def measurement_count(sensor: Sensor) -> int:
     return len(sensor.start_times)
 
 
-def measurement_layout(sensors: Sequence[Sensor]) -> list:
-    """Stacking order of the measurement vector: (sensor id, index) pairs."""
-    layout = []
-    for sensor in sensors:
-        for ell in range(measurement_count(sensor)):
-            layout.append((sensor.id, ell))
-    return layout
-
-
 def window_weight(sensor: Sensor, ell: int, t: float, grid: TimeGrid, w_dep: float) -> float:
     """Time-window weight of measurement ``ell`` at time ``t``.
 
@@ -193,8 +190,8 @@ def assemble_G(
     grid: TimeGrid,
     particle: ParticleProperties,
     sc: StabilityClass,
-    x_cutoff: float = None,
-    calm_speed: float = None,
+    x_cutoff: float = X_CUTOFF_DEFAULT,
+    calm_speed: float = CALM_SPEED_DEFAULT,
 ) -> list:
     """Unit-emission kernel tables, one (n_steps, n_sources) array per sensor.
 
@@ -202,11 +199,6 @@ def assemble_G(
     (a WindSeries, or a plain namespace in tests). Calm steps contribute
     zero rows and are logged once.
     """
-    kwargs = {}
-    if x_cutoff is not None:
-        kwargs["x_cutoff"] = x_cutoff
-    if calm_speed is not None:
-        kwargs["calm_speed"] = calm_speed
     points = np.array([s.location for s in sensors], dtype=float).reshape(len(sensors), 3)
     n_t, n_p, n_s = grid.n_steps, len(sensors), len(sites)
     table = np.zeros((n_t, n_p, n_s))
@@ -216,7 +208,9 @@ def assemble_G(
     calm = 0
     for j in range(n_t):
         try:
-            table[j] = kernel_profile(points, sites, (u_x[j], u_y[j]), particle, sc, **kwargs)
+            table[j] = kernel_profile(
+                points, sites, (u_x[j], u_y[j]), particle, sc, x_cutoff, calm_speed
+            )
         except CalmWindError:
             calm += 1
     if calm:
@@ -231,8 +225,8 @@ def assemble_F(
     grid: TimeGrid,
     particle: ParticleProperties,
     sc: StabilityClass,
-    x_cutoff: float = None,
-    calm_speed: float = None,
+    x_cutoff: float = X_CUTOFF_DEFAULT,
+    calm_speed: float = CALM_SPEED_DEFAULT,
 ) -> np.ndarray:
     """Observation map F = M G, shape (total measurements, n_sources*n_steps)."""
     g_tables = assemble_G(sensors, sites, wind, grid, particle, sc, x_cutoff, calm_speed)

@@ -4,7 +4,8 @@ Four stages: ``synth`` (bundled twin-case generator), ``wind_fit`` (GP
 regularization of the raw records), ``invert`` (constant, smooth, and
 positive estimates), ``propagate`` (low-rank deposition map). Each stage
 writes its artifacts, stamped with its key, plus a run-metadata entry;
-heavy intermediates live in ``state/*.npz``.
+the arrays a later stage loads (the fitted wind, the positive-stage mean
+and covariance) live in ``state/*.npz``, and nothing else does.
 
 The key of a stage is a sha256 over the config slice it reads
 (``SLICES``; paths never count), the keys of the stages that wrote the
@@ -302,12 +303,7 @@ def run_wind_fit(cfg: RunConfig) -> dict:
     series = fit_wind(records, grids, configs)
     series_inv = series[0]
     series_gen = series[1] if cfg.synthetic is not None else None
-    arrays = {
-        "u_x_inv": series_inv.u_x,
-        "u_y_inv": series_inv.u_y,
-        "hyper_x": np.array([configs[0].signal_var, configs[0].length_scale, configs[0].noise_var]),
-        "hyper_y": np.array([configs[1].signal_var, configs[1].length_scale, configs[1].noise_var]),
-    }
+    arrays = {"u_x_inv": series_inv.u_x, "u_y_inv": series_inv.u_y}
     if series_gen is not None:
         arrays["u_x_gen"] = series_gen.u_x
         arrays["u_y_gen"] = series_gen.u_y
@@ -492,19 +488,7 @@ def run_invert(
             )
 
     if not side_experiment and through == "positive":
-        _save_state(
-            cfg,
-            INVERSION_STATE,
-            rates_const=constant.rates,
-            q_const=constant.q,
-            q_smooth=smooth.mean,
-            std_smooth=smooth.std,
-            q_positive=positive.q_sp,
-            cov_positive=positive.cov_sp,
-            v_mean=positive.v_mean,
-            acceptance_rate=np.array(positive.acceptance_rate),
-            ess=np.array(positive.ess),
-        )
+        _save_state(cfg, INVERSION_STATE, q_positive=positive.q_sp, cov_positive=positive.cov_sp)
         annual = {
             "constant": annualize(constant.q, grid),
             "smooth": annualize(smooth.mean, grid),

@@ -39,11 +39,9 @@ __all__ = [
     "LocalCoords",
     "settling_velocity",
     "briggs_sigma",
-    "eddy_diffusivity_z",
     "rotate_to_wind",
     "plume_kernel",
     "kernel_profile",
-    "concentration_at",
 ]
 
 MU_AIR = 1.8e-5  # dynamic viscosity of air, kg m^-1 s^-1
@@ -154,27 +152,6 @@ def _briggs_fit(sc: StabilityClass, axis: str, x):
     """Unvalidated Briggs width on a float or an array (see _ermak)."""
     a, b, c = BRIGGS_COEFFICIENTS[(sc, axis)]
     return a * x * np.power(1.0 + b * x, -c)
-
-
-def eddy_diffusivity_z(sc: StabilityClass, x, speed):
-    """Vertical eddy diffusivity K = U sigma_z(x)^2 / (2 x).
-
-    Args:
-        sc: stability class.
-        x: downwind distance(s), m; must be > 0.
-        speed: wind speed U, m s^-1; must be > 0.
-
-    Returns:
-        Diffusivity in m^2 s^-1.
-    """
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr <= 0):
-        raise ValueError("downwind distance must be positive")
-    if speed <= 0:
-        raise ValueError("wind speed must be positive")
-    sz = _briggs_fit(sc, "vertical", x_arr)
-    out = speed * (sz * sz) / (2.0 * x_arr)
-    return float(out) if np.isscalar(x) else out
 
 
 @dataclass(frozen=True)
@@ -383,40 +360,3 @@ def kernel_profile(
     z_rel = points[:, 2:3] - sz[None, :]
     return _kernel_values(downwind, crosswind, z_rel, speed, sz[None, :], particle, sc, x_cutoff)
 
-
-def concentration_at(
-    point: Sequence[float],
-    j: int,
-    sites: Sequence[SourceSite],
-    rates: np.ndarray,
-    u_x: np.ndarray,
-    u_y: np.ndarray,
-    particle: ParticleProperties,
-    sc: StabilityClass,
-    x_cutoff: float = X_CUTOFF_DEFAULT,
-    calm_speed: float = CALM_SPEED_DEFAULT,
-) -> float:
-    """Total concentration at one receptor and time step, kg m^-3.
-
-    Args:
-        point: receptor (x, y, z).
-        j: 0-based index into the wind series.
-        sites: sources (length S).
-        rates: per-source emission rates at step j, kg s^-1.
-        u_x, u_y: wind component series.
-
-    Calm wind at step j contributes zero (the plume model is undefined
-    there); callers see it as a zero concentration.
-    """
-    rates = np.asarray(rates, dtype=float)
-    if rates.shape != (len(sites),):
-        raise ValueError(f"expected {len(sites)} rates, got shape {rates.shape}")
-    if not np.all(np.isfinite(rates)):
-        raise ValueError("emission rates must be finite")
-    try:
-        kernels = kernel_profile(
-            point, sites, (u_x[j], u_y[j]), particle, sc, x_cutoff, calm_speed
-        )
-    except CalmWindError:
-        return 0.0
-    return float(kernels[0] @ rates)

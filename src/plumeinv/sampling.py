@@ -42,6 +42,7 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 BLOCK_SIZE = 256  # kept states buffered per moment update
+TUNE_MAX_ITER = 12  # bisections tune_beta tries before settling for the closest beta
 
 
 @dataclass(frozen=True)
@@ -61,6 +62,8 @@ class SamplerConfig:
             raise ValueError("n_steps must be at least 1")
         if not (0.0 <= self.burn_in_fraction < 1.0):
             raise ValueError("burn_in_fraction must be in [0, 1)")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.cov_mode not in ("full", "none"):
             raise ValueError(f"unknown cov_mode {self.cov_mode!r}")
 
@@ -278,14 +281,13 @@ def tune_beta(
     target=(0.25, 0.35),
     pilot_steps: int = 2000,
     seed: int = 0,
-    max_iter: int = 12,
 ) -> TuneResult:
     """Bisect beta until the pilot acceptance rate lands in ``target``.
 
     Acceptance is non-increasing in beta for pCN, so plain bisection on
     (0, 1] applies: start from beta = 1 and halve toward 0 while the rate
     is below the band. If the band is unreachable (e.g. a flat potential
-    accepts everything even at beta = 1) or not hit within ``max_iter``
+    accepts everything even at beta = 1) or not hit within ``TUNE_MAX_ITER``
     bisections, the closest evaluated beta is returned with a warning.
     """
     if pilot_steps < 1000:
@@ -312,7 +314,7 @@ def tune_beta(
         return TuneResult(1.0, r_top, False)
 
     lo, hi = 0.0, 1.0  # acceptance at lo -> 1, at hi below the band
-    for _ in range(max_iter):
+    for _ in range(TUNE_MAX_ITER):
         mid = 0.5 * (lo + hi)
         r_mid = rate(mid)
         evaluations.append((mid, r_mid))
@@ -326,6 +328,6 @@ def tune_beta(
     beta_best, rate_best = min(evaluations, key=lambda br: abs(br[1] - center))
     logger.warning(
         "step-size search did not reach %s in %d bisections; returning beta=%.4g (rate %.3f)",
-        target, max_iter, beta_best, rate_best,
+        target, TUNE_MAX_ITER, beta_best, rate_best,
     )
     return TuneResult(beta_best, rate_best, False)

@@ -17,7 +17,13 @@ import numpy as np
 from .errors import ValidationError
 from .observation import MeasurementSet, Sensor, TimeGrid, assemble_F, simulate_measurements
 from .observation import NOISE_FLOOR_DEFAULT
-from .plume import ParticleProperties, SourceSite, StabilityClass
+from .plume import (
+    CALM_SPEED_DEFAULT,
+    X_CUTOFF_DEFAULT,
+    ParticleProperties,
+    SourceSite,
+    StabilityClass,
+)
 from .windprep import RawWindRecord
 
 __all__ = [
@@ -146,8 +152,8 @@ def generate_synthetic(
     sc: StabilityClass,
     seed: int,
     noise_floor: float = NOISE_FLOOR_DEFAULT,
-    x_cutoff: float = None,
-    calm_speed: float = None,
+    x_cutoff: float = X_CUTOFF_DEFAULT,
+    calm_speed: float = CALM_SPEED_DEFAULT,
 ):
     """Forward-simulate noisy measurements from the truth signals.
 

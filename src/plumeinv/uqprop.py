@@ -19,7 +19,14 @@ from scipy.linalg import eigh
 
 from .errors import CalmWindError
 from .observation import TimeGrid
-from .plume import ParticleProperties, SourceSite, StabilityClass, kernel_profile
+from .plume import (
+    CALM_SPEED_DEFAULT,
+    X_CUTOFF_DEFAULT,
+    ParticleProperties,
+    SourceSite,
+    StabilityClass,
+    kernel_profile,
+)
 
 __all__ = [
     "GridSpec",
@@ -34,6 +41,7 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 SECONDS_PER_YEAR = 31_536_000.0
+SYM_TOL = 1e-8  # largest asymmetry lowrank_truncate accepts, relative to the largest entry
 _TILE = 256  # tile edge of the asymmetry check in lowrank_truncate
 
 
@@ -73,8 +81,8 @@ def assemble_H(
     timegrid: TimeGrid,
     particle: ParticleProperties,
     sc: StabilityClass,
-    x_cutoff: float = None,
-    calm_speed: float = None,
+    x_cutoff: float = X_CUTOFF_DEFAULT,
+    calm_speed: float = CALM_SPEED_DEFAULT,
 ) -> np.ndarray:
     """Deposition operator, shape (n_cells, n_sources * n_steps).
 
@@ -82,11 +90,6 @@ def assemble_H(
     source-major column order; H q is then the per-cell deposition
     accumulated over the period at ground level (z = 0).
     """
-    kwargs = {}
-    if x_cutoff is not None:
-        kwargs["x_cutoff"] = x_cutoff
-    if calm_speed is not None:
-        kwargs["calm_speed"] = calm_speed
     pts = grid.points()
     points3 = np.column_stack([pts, np.zeros(len(pts))])
     n_t, n_s = timegrid.n_steps, len(sites)
@@ -99,7 +102,9 @@ def assemble_H(
     calm = 0
     for j in range(n_t):
         try:
-            kernels = kernel_profile(points3, sites, (u_x[j], u_y[j]), particle, sc, **kwargs)
+            kernels = kernel_profile(
+                points3, sites, (u_x[j], u_y[j]), particle, sc, x_cutoff, calm_speed
+            )
         except CalmWindError:
             calm += 1
             continue
@@ -127,11 +132,11 @@ class LowRankFactors:
         return len(self.eigenvalues)
 
 
-def lowrank_truncate(cov: np.ndarray, n_modes: int, sym_tol: float = 1e-8) -> LowRankFactors:
+def lowrank_truncate(cov: np.ndarray, n_modes: int) -> LowRankFactors:
     """Leading ``n_modes`` eigenpairs of a symmetric covariance.
 
     Negative trailing eigenvalues (roundoff) are clamped to zero with a
-    log message; asymmetry beyond ``sym_tol`` (relative to the largest
+    log message; asymmetry beyond ``SYM_TOL`` (relative to the largest
     entry) is an error.
     """
     cov = np.asarray(cov, dtype=float)
@@ -149,7 +154,7 @@ def lowrank_truncate(cov: np.ndarray, n_modes: int, sym_tol: float = 1e-8) -> Lo
         for i in range(0, n, b)
         for j in range(i, n, b)
     )
-    if asym > sym_tol * scale:
+    if asym > SYM_TOL * scale:
         raise ValueError(f"covariance asymmetric beyond tolerance ({asym:.3e})")
     # The symmetrized matrix equals its transpose exactly, and the transpose
     # is Fortran-ordered, so LAPACK works on it without a copy. Only the

@@ -34,6 +34,7 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 CV_MAX_POINTS_DEFAULT = 400  # cross-validation subsample cap (cost control)
+CV_MIN_POINTS = 3  # fewer points leave some cross-validation fold under two to train on
 
 
 @dataclass(frozen=True)

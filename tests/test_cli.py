@@ -10,11 +10,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
 from plumeinv import cli, pipeline
 from plumeinv.config import config_dict, load_config
+from plumeinv.inversion import SmoothnessPrior
 
 ARTIFACTS = [
     "wind.csv",
@@ -327,6 +329,46 @@ class TestStageCommands:
         assert orphans == []
 
 
+class TestLeanState:
+    def test_positive_stage_forms_no_dense_prior(self, tmp_path, monkeypatch):
+        cfg_path, _ = write_case(tmp_path)
+        cfg = load_config(cfg_path)
+        pipeline.run_stage(cfg, "wind_fit")
+
+        def refuse(self):
+            raise AssertionError("dense n x n prior covariance formed")
+
+        monkeypatch.setattr(SmoothnessPrior, "dense_cov", refuse)
+        result = pipeline.run_invert(cfg, through="positive")
+        assert np.all(np.isfinite(result.smooth.std)) and np.all(result.smooth.std > 0)
+        assert (tmp_path / "out" / "emissions_smooth.csv").is_file()
+
+    def test_state_files_hold_only_what_is_loaded(self, tmp_path, monkeypatch):
+        cfg_path, out = write_case(tmp_path)
+        assert cli.main(["run", "--config", str(cfg_path)]) == 0
+        loaded = {}
+        load_state = pipeline._load_state
+
+        class Recording(dict):
+            def __getitem__(self, key):
+                loaded[self.name].add(key)
+                return super().__getitem__(key)
+
+        def recording_load_state(cfg, stage, name):
+            state = Recording(load_state(cfg, stage, name))
+            state.name = name
+            loaded.setdefault(name, set())
+            return state
+
+        monkeypatch.setattr(pipeline, "_load_state", recording_load_state)
+        # propagate reads both state files; the requested stage always runs
+        assert cli.main(["propagate", "--config", str(cfg_path)]) == 0
+        assert loaded[pipeline.INVERSION_STATE] == {"q_positive", "cov_positive"}
+        for name in (pipeline.WIND_STATE, pipeline.INVERSION_STATE):
+            with np.load(out / name) as data:
+                assert set(data.files) == loaded[name], name
+
+
 def real_data_case(root: Path, jar_x: float) -> tuple:
     """A non-synthetic config with its wind and measurement files on disk."""
     out = root / "out"
@@ -376,6 +418,16 @@ class TestExitCodes:
         assert cli.main(["run", "--config", str(cfg_path)]) == 2
         assert not list(out.rglob("*"))
 
+    def test_nonpositive_prior_is_2(self, tmp_path):
+        cfg_path, out = write_case(tmp_path, mutate=lambda d: d["prior"].update(alpha=-1.0))
+        assert cli.main(["run", "--config", str(cfg_path)]) == 2
+        assert not list(out.rglob("*"))
+
+    def test_negative_seed_is_2(self, tmp_path):
+        cfg_path, out = write_case(tmp_path)
+        assert cli.main(["run", "--config", str(cfg_path), "--seed", "-1"]) == 2
+        assert not list(out.rglob("*"))
+
     def test_unknown_drop_sensor_is_2(self, completed):
         cfg_path, _ = completed
         rc = cli.main(["invert", "--config", str(cfg_path), "--drop-sensor", "nope"])
@@ -389,6 +441,13 @@ class TestExitCodes:
     def test_synth_without_synthetic_section_is_2(self, tmp_path):
         cfg_path, _ = real_data_case(tmp_path, jar_x=100.0)
         assert cli.main(["synth", "--config", str(cfg_path)]) == 2
+
+    def test_two_record_wind_is_2(self, tmp_path):
+        cfg_path, out = real_data_case(tmp_path, jar_x=100.0)
+        wind = out / "wind.csv"
+        wind.write_text("".join(wind.read_text().splitlines(keepends=True)[:3]))
+        assert cli.main(["wind-fit", "--config", str(cfg_path)]) == 2
+        assert not (out / "state" / "wind.npz").exists()
 
     def test_wind_file_edit_reruns_wind_fit(self, tmp_path):
         cfg_path, out = real_data_case(tmp_path, jar_x=100.0)

@@ -153,6 +153,9 @@ class TestGaussianPosterior:
             want_mean, want_cov = information_form(prior, f, noise_var, d, m)
             np.testing.assert_allclose(got.mean, want_mean, rtol=1e-8, atol=1e-10)
             np.testing.assert_allclose(got.cov, want_cov, rtol=1e-8, atol=1e-10)
+            np.testing.assert_allclose(
+                got.std, np.sqrt(np.diag(want_cov)), rtol=1e-8, atol=1e-10
+            )
 
     def test_scalar_conjugate_update(self):
         """Observing one coordinate reduces to the textbook scalar update."""
@@ -200,14 +203,18 @@ class TestGaussianPosterior:
         with pytest.raises(NumericalError):
             gaussian_posterior(f, np.array([1.0, 1.0]), np.zeros(2), prior, np.zeros(4))
 
-    def test_asymmetric_cov_rejected(self):
-        bad = np.array([[1.0, 0.5], [0.2, 1.0]])
-        with pytest.raises(ValueError):
-            GaussianPosterior(mean=np.zeros(2), cov=bad)
-
     def test_std_clips_roundoff_negatives(self):
-        post = GaussianPosterior(mean=np.zeros(2), cov=np.diag([4.0, -1e-18]))
-        np.testing.assert_allclose(post.std, [2.0, 0.0])
+        # W removes all of the prior variance of slot 1 plus one roundoff
+        # step, and half of the variance of slot 2
+        prior = make_prior(n_steps=3)
+        var = prior.marginal_var()
+        w = np.zeros((2, 3))
+        w[0, 1] = np.sqrt(var[1]) * (1.0 + 1e-15)
+        w[1, 2] = np.sqrt(0.5 * var[2])
+        post = GaussianPosterior(mean=np.zeros(3), prior=prior, w=w)
+        assert var[1] - w[0, 1] ** 2 < 0.0
+        np.testing.assert_allclose(post.std, np.sqrt([var[0], 0.0, 0.5 * var[2]]), rtol=1e-12)
+        assert post.std[1] == 0.0
 
 
 def constant_design(f, n_sources):

@@ -1,4 +1,4 @@
-"""Tests for file formats and run configuration parsing/hashing."""
+"""Tests for file formats and run configuration parsing."""
 
 from dataclasses import replace
 from pathlib import Path
@@ -8,7 +8,7 @@ import pytest
 import yaml
 
 import plumeinv
-from plumeinv.config import ENV_SEED, config_dict, config_hash, load_config
+from plumeinv.config import ENV_SEED, config_dict, load_config
 from plumeinv.errors import ValidationError
 from plumeinv.io import (
     format_timestamp,
@@ -84,9 +84,10 @@ class TestWindCsv:
             "1970-01-01T00:00:00Z,1,300\n"
             "1970-01-01T00:00:00Z,9,200\n"
             "1970-01-01T00:10:00Z,2,300\n"
+            "1970-01-01T00:20:00Z,4,310\n"
         )
         loaded = load_wind_csv(path)
-        assert len(loaded) == 2
+        assert len(loaded) == 3
         assert loaded[0].speed == 9.0
 
     def test_bad_row_reports_line_number(self, tmp_path):
@@ -115,6 +116,20 @@ class TestWindCsv:
         path.write_text("timestamp,speed_mps,direction_deg_from\n")
         with pytest.raises(ValidationError, match="no wind records"):
             load_wind_csv(path)
+
+    def test_fewer_than_three_distinct_records_raise(self, tmp_path):
+        # cross-validation needs two training points in every fold
+        path = tmp_path / "wind.csv"
+        path.write_text(
+            "timestamp,speed_mps,direction_deg_from\n"
+            "1970-01-01T00:00:00Z,1,300\n"
+            "1970-01-01T00:10:00Z,2,300\n"
+            "1970-01-01T00:10:00Z,3,300\n"
+        )
+        with pytest.raises(ValidationError, match="2 distinct wind records"):
+            load_wind_csv(path)
+        write_wind_csv(path, self.make_records(), "x")
+        assert len(load_wind_csv(path)) == 3
 
 
 SENSORS = [
@@ -234,13 +249,6 @@ class TestMeasurementsCsv:
         path.write_text("sensor_id,index,value\njar1,1,1.0\n")
         with pytest.raises(ValidationError, match="single value per period"):
             load_measurements(path, SENSORS)
-
-    def test_noise_var_override(self, tmp_path):
-        path = tmp_path / "meas.csv"
-        write_measurements(path, self.make_set(), "x")
-        override = np.array([1.0, 2.0, 3.0, 4.0])
-        loaded = load_measurements(path, SENSORS, noise_var=override)
-        np.testing.assert_array_equal(loaded.noise_var, override)
 
 
 class TestArtifactWriters:
@@ -366,6 +374,12 @@ class TestLoadConfig:
         with pytest.raises(ValidationError, match="one entry per source"):
             load_config(write_config(tmp_path, data))
 
+    def test_config_dict_is_plain(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, base_config(tmp_path)))
+        plain = config_dict(cfg)
+        assert plain["stability"] == "D"
+        assert isinstance(plain["sources"], list)
+
     def test_resolve_input_relative_to_out_dir(self, tmp_path):
         cfg = load_config(write_config(tmp_path, base_config(tmp_path)))
         assert cfg.resolve_input("wind_csv") == Path(cfg.paths.out_dir) / "wind.csv"
@@ -432,6 +446,26 @@ class TestSettingsValidation:
         with pytest.raises(ValidationError, match="n_steps"):
             replace(cfg.sampler, n_steps=0)
 
+    @pytest.mark.parametrize(
+        "prior", [{"alpha": -1.0}, {"alpha": 0.0}, {"gamma": -1e-3}, {"gamma": 0.0}]
+    )
+    def test_nonpositive_prior_raises(self, tmp_path, prior):
+        data = base_config(tmp_path)
+        data["prior"] = prior
+        with pytest.raises(ValidationError, match="prior"):
+            load_config(write_config(tmp_path, data))
+
+    def test_negative_seed_raises(self, tmp_path):
+        data = base_config(tmp_path)
+        data["sampler"] = {"seed": -1}
+        with pytest.raises(ValidationError, match="seed"):
+            load_config(write_config(tmp_path, data))
+        data["sampler"] = {"seed": 0}
+        path = write_config(tmp_path, data)
+        assert load_config(path).sampler.seed == 0
+        with pytest.raises(ValidationError, match="seed"):
+            load_config(path, seed=-1)
+
     def test_zero_modes_raises(self, tmp_path):
         data = base_config(tmp_path)
         data["grid"]["n_modes"] = 0
@@ -470,27 +504,6 @@ class TestOverrides:
         path = write_config(tmp_path, base_config(tmp_path))
         cfg = load_config(path, out_dir=tmp_path / "elsewhere")
         assert cfg.paths.out_dir == str(tmp_path / "elsewhere")
-
-
-class TestConfigHash:
-    def test_ignores_paths(self, tmp_path):
-        a = load_config(write_config(tmp_path, base_config(tmp_path)))
-        b = load_config(write_config(tmp_path, base_config(tmp_path)), out_dir=tmp_path / "b")
-        assert config_hash(a) == config_hash(b)
-        assert len(config_hash(a)) == 12
-
-    def test_sensitive_to_content(self, tmp_path):
-        data = base_config(tmp_path)
-        a = load_config(write_config(tmp_path, data))
-        data["prior"] = {"alpha": 2.0}
-        b = load_config(write_config(tmp_path, data))
-        assert config_hash(a) != config_hash(b)
-
-    def test_config_dict_is_plain(self, tmp_path):
-        cfg = load_config(write_config(tmp_path, base_config(tmp_path)))
-        plain = config_dict(cfg)
-        assert plain["stability"] == "D"
-        assert isinstance(plain["sources"], list)
 
 
 class TestBundledCase:

@@ -22,7 +22,6 @@ from plumeinv.observation import (
     assemble_G,
     assemble_M,
     measurement_count,
-    measurement_layout,
     signal_variances,
     simulate_measurements,
     window_weight,
@@ -103,12 +102,6 @@ class TestSensorTypes:
         assert measurement_count(JAR) == 1
         assert measurement_count(SAMPLER_1) == 5
         assert measurement_count(SAMPLER_2) == 2
-
-    def test_layout_order(self):
-        layout = measurement_layout(SENSORS)
-        assert layout[0] == ("jar_x", 0)
-        assert layout[1:6] == [("rt_1", k) for k in range(5)]
-        assert layout[6:] == [("rt_2", 0), ("rt_2", 1)]
 
 
 class TestWindowWeight:

@@ -20,8 +20,6 @@ from plumeinv.plume import (
     SourceSite,
     StabilityClass,
     briggs_sigma,
-    concentration_at,
-    eddy_diffusivity_z,
     kernel_profile,
     plume_kernel,
     rotate_to_wind,
@@ -152,27 +150,6 @@ class TestBriggsSigma:
             briggs_sigma(StabilityClass.D, "diagonal", 10.0)
         with pytest.raises(ValueError):
             briggs_sigma(StabilityClass.D, "crosswind", -1.0)
-
-
-class TestEddyDiffusivity:
-    def test_frozen_value(self):
-        # U sigma_z^2 / (2x) at (D, 100 m, 2 m/s) is exactly 36/115
-        assert eddy_diffusivity_z(StabilityClass.D, 100.0, 2.0) == pytest.approx(
-            36.0 / 115.0, rel=1e-14
-        )
-
-    def test_consistent_with_sigma(self):
-        xs = np.array([10.0, 210.0, 4000.0])
-        sz = briggs_sigma(StabilityClass.C, "vertical", xs)
-        np.testing.assert_allclose(
-            eddy_diffusivity_z(StabilityClass.C, xs, 1.7), 1.7 * sz**2 / (2 * xs), rtol=1e-15
-        )
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            eddy_diffusivity_z(StabilityClass.D, 0.0, 2.0)
-        with pytest.raises(ValueError):
-            eddy_diffusivity_z(StabilityClass.D, 10.0, 0.0)
 
 
 class TestRotateToWind:
@@ -361,33 +338,3 @@ class TestKernelProfile:
         prof = kernel_profile(np.zeros((2, 3)), [], (2.0, 0.0), PARTICLE, StabilityClass.D)
         assert prof.shape == (2, 0)
 
-
-class TestConcentrationAt:
-    def test_linear_in_rates(self):
-        sites = TestKernelProfile.SITES
-        u_x = np.array([2.0, 0.0])
-        u_y = np.array([0.5, 0.02])
-        point = (500.0, 100.0, 2.0)
-        kernels = kernel_profile(
-            np.array([point]), sites, (u_x[0], u_y[0]), PARTICLE, StabilityClass.D
-        )[0]
-        rates = np.array([0.9, 0.1, 0.4])
-        got = concentration_at(point, 0, sites, rates, u_x, u_y, PARTICLE, StabilityClass.D)
-        assert got == pytest.approx(float(kernels @ rates), rel=1e-14)
-
-    def test_calm_step_contributes_zero(self):
-        sites = TestKernelProfile.SITES
-        u_x = np.array([2.0, 0.0])
-        u_y = np.array([0.5, 0.02])
-        got = concentration_at(
-            (500.0, 100.0, 2.0), 1, sites, np.ones(3), u_x, u_y, PARTICLE, StabilityClass.D
-        )
-        assert got == 0.0
-
-    def test_rate_shape_checked(self):
-        sites = TestKernelProfile.SITES
-        with pytest.raises(ValueError):
-            concentration_at(
-                (0, 0, 0), 0, sites, np.ones(2), np.array([2.0]), np.array([0.0]),
-                PARTICLE, StabilityClass.D,
-            )
