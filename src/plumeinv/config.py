@@ -66,31 +66,6 @@ class PriorConfig:
 
 
 @dataclass(frozen=True)
-class SamplerSettings:
-    beta: float = 0.6
-    n_steps: int = 100_000
-    burn_in_fraction: float = 0.2
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        try:  # the chain's own range checks, run before any stage
-            SamplerConfig(
-                beta=self.beta,
-                n_steps=self.n_steps,
-                burn_in_fraction=self.burn_in_fraction,
-                seed=self.seed,
-            )
-        except ValueError as exc:
-            raise ValidationError(f"sampler: {exc}") from exc
-        # Same rounding as the chain's burn-in count.
-        if round(self.burn_in_fraction * self.n_steps) >= self.n_steps:
-            raise ValidationError(
-                f"sampler.burn_in_fraction={self.burn_in_fraction} discards all "
-                f"{self.n_steps} steps"
-            )
-
-
-@dataclass(frozen=True)
 class GridConfig:
     x_min: float
     x_max: float
@@ -137,7 +112,7 @@ class RunConfig:
     dt_inversion: float = 3600.0
     dt_generation: float = 1800.0
     prior: PriorConfig = field(default_factory=PriorConfig)
-    sampler: SamplerSettings = field(default_factory=SamplerSettings)
+    sampler: SamplerConfig = field(default_factory=SamplerConfig)
     plume: PlumeSettings = field(default_factory=PlumeSettings)
     synthetic: Optional[SyntheticConfig] = None
     noise_floor: float = 1e-12
@@ -328,7 +303,7 @@ def _config_from_dict(data: dict) -> RunConfig:
         gamma=_number(prior_raw, "gamma", "prior", default=5e-3),
     )
     sampler_raw = data.get("sampler", {})
-    sampler = SamplerSettings(
+    sampler = SamplerConfig(
         beta=_number(sampler_raw, "beta", "sampler", default=0.6),
         n_steps=int(_number(sampler_raw, "n_steps", "sampler", default=100_000)),
         burn_in_fraction=_number(sampler_raw, "burn_in_fraction", "sampler", default=0.2),

@@ -313,7 +313,7 @@ class PositivePosterior:
     """Positivity-stage posterior summaries and chain diagnostics."""
 
     q_sp: np.ndarray  # clipped latent posterior mean, entrywise >= 0
-    cov_sp: Optional[np.ndarray]  # chain average of (h(v)-q_sp)(h(v)-q_sp)^T
+    cov_sp: np.ndarray  # chain average of (h(v)-q_sp)(h(v)-q_sp)^T
     v_mean: np.ndarray  # latent posterior mean
     acceptance_rate: float
     ess: float
@@ -339,8 +339,9 @@ def positive_posterior(
     phi(v) = 1/2 || Sigma^-1/2 (F h(v) - d) ||^2 and h = ``link``
     (entrywise clipping by default; tests may pass the identity to recover
     the linear-Gaussian stage). Means and covariances are chain averages
-    after burn-in; cov_sp is centered at q_sp = h(v_mean), not at the
-    chain mean of h(v).
+    after burn-in; cov_sp is the chain's second moment of h(v) about
+    q_sp = h(v_mean), not about the chain mean of h(v), and it is formed in
+    the chain's own scatter array.
     """
     d = np.asarray(d, dtype=float)
     prior_mean = link(np.asarray(q_s, dtype=float))
@@ -351,15 +352,9 @@ def positive_posterior(
             "acceptance rate %.3f outside [0.1, 0.6]; consider retuning beta",
             summary.acceptance_rate,
         )
-    q_sp = link(summary.mean)
-    cov_sp = None
-    if summary.transform_cov is not None:
-        offset = summary.transform_mean - q_sp
-        cov_sp = summary.transform_cov
-        cov_sp += np.outer(offset, offset)
     return PositivePosterior(
-        q_sp=q_sp,
-        cov_sp=cov_sp,
+        q_sp=link(summary.mean),
+        cov_sp=summary.cov,
         v_mean=summary.mean,
         acceptance_rate=summary.acceptance_rate,
         ess=summary.ess,

@@ -26,6 +26,7 @@ from .observation import (
     RealTimeSampler,
     Sensor,
     TimeGrid,
+    entry_labels,
     measurement_count,
     signal_variances,
 )
@@ -294,24 +295,19 @@ def load_measurements(
     if not header_seen:
         raise ValidationError(f"{path}: empty measurements file")
 
-    ids, indices, values, units = [], [], [], []
-    for sensor in sensors:
-        for ell in range(measurement_count(sensor)):
-            if (sensor.id, ell) not in seen:
-                raise ValidationError(
-                    f"{path}: missing measurement ({sensor.id!r}, {ell})"
-                )
-            ids.append(sensor.id)
-            indices.append(ell)
-            values.append(seen[(sensor.id, ell)])
-            units.append("kg" if isinstance(sensor, DustfallJar) else "kg_m3")
+    ids, indices, units = entry_labels(sensors)
+    values = []
+    for sid, ell in zip(ids, indices.tolist()):
+        if (sid, ell) not in seen:
+            raise ValidationError(f"{path}: missing measurement ({sid!r}, {ell})")
+        values.append(seen[(sid, ell)])
     values = np.array(values)
     return MeasurementSet(
-        sensor_ids=tuple(ids),
-        indices=np.array(indices, dtype=int),
+        sensor_ids=ids,
+        indices=indices,
         values=values,
         noise_var=signal_variances(values, sensors, noise_floor),
-        units=tuple(units),
+        units=units,
     )
 
 

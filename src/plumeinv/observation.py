@@ -40,6 +40,7 @@ __all__ = [
     "RealTimeSampler",
     "Sensor",
     "MeasurementSet",
+    "entry_labels",
     "measurement_count",
     "window_weight",
     "assemble_M",
@@ -279,8 +280,18 @@ def _sensor_slices(sensors: Sequence[Sensor]) -> list:
     return slices
 
 
-def _unit_of(sensor: Sensor) -> str:
-    return "kg" if isinstance(sensor, DustfallJar) else "kg_m3"
+def entry_labels(sensors: Sequence[Sensor]) -> tuple:
+    """Per-entry sensor ids, per-sensor indices and units, in stacking order.
+
+    A jar's entry is a mass in "kg"; a sampler's is a concentration in "kg_m3".
+    """
+    ids, indices, units = [], [], []
+    for sensor in sensors:
+        m = measurement_count(sensor)
+        ids.extend([sensor.id] * m)
+        indices.extend(range(m))
+        units.extend(["kg" if isinstance(sensor, DustfallJar) else "kg_m3"] * m)
+    return tuple(ids), np.array(indices, dtype=int), tuple(units)
 
 
 def signal_variances(
@@ -337,16 +348,7 @@ def simulate_measurements(
     noise_var = signal_variances(clean, sensors, noise_floor)
     rng = np.random.default_rng(seed)
     values = clean + rng.normal(0.0, np.sqrt(noise_var))
-    ids, indices, units = [], [], []
-    for sensor, rows in _sensor_slices(sensors):
-        m = rows.stop - rows.start
-        ids.extend([sensor.id] * m)
-        indices.extend(range(m))
-        units.extend([_unit_of(sensor)] * m)
+    ids, indices, units = entry_labels(sensors)
     return MeasurementSet(
-        sensor_ids=tuple(ids),
-        indices=np.array(indices, dtype=int),
-        values=values,
-        noise_var=noise_var,
-        units=tuple(units),
+        sensor_ids=ids, indices=indices, values=values, noise_var=noise_var, units=units
     )

@@ -42,7 +42,6 @@ from .inversion import (
     positive_posterior,
 )
 from .observation import MeasurementSet, TimeGrid, assemble_F
-from .sampling import SamplerConfig
 from .synthetic import generate_synthetic, wind_records
 from .uqprop import annualize, assemble_H, deposition_stats, lowrank_truncate
 from .windprep import WindSeries, fit_wind, select_hyperparameters
@@ -470,13 +469,7 @@ def run_invert(
             key,
         )
         if through == "positive":
-            sampler_cfg = SamplerConfig(
-                beta=cfg.sampler.beta,
-                n_steps=cfg.sampler.n_steps,
-                burn_in_fraction=cfg.sampler.burn_in_fraction,
-                seed=cfg.sampler.seed,
-            )
-            positive = positive_posterior(f_matrix, d, noise_var, prior, smooth.mean, sampler_cfg)
+            positive = positive_posterior(f_matrix, d, noise_var, prior, smooth.mean, cfg.sampler)
             std_sp = np.sqrt(np.maximum(np.diag(positive.cov_sp), 0.0))
             io.write_emissions_csv(
                 out / f"emissions_positive{suffix}.csv",

@@ -16,7 +16,8 @@ the outcome, so chains of different lengths share their common prefix.
 Running moments use a blocked, numerically stable one-pass (Welford/Chan)
 update so chains of 1e5+ states in thousands of dimensions never need to
 be stored. The scatter matrix is symmetric, so only its upper triangle is
-accumulated, by one BLAS ``syrk`` per block; ``covariance()`` mirrors it.
+accumulated, by one BLAS ``syrk`` per block; ``second_moment`` turns it
+into the second moment about a given point and mirrors it, in place.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg.blas import dsyrk
+
+from .errors import ValidationError
 
 __all__ = [
     "SamplerConfig",
@@ -43,33 +46,47 @@ logger = logging.getLogger(__name__)
 
 BLOCK_SIZE = 256  # kept states buffered per moment update
 TUNE_MAX_ITER = 12  # bisections tune_beta tries before settling for the closest beta
+_TILE = 256  # tile edge of the in-place finish in OnlineMoments.second_moment
 
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Chain parameters: step size beta in (0, 1], length, burn-in, seed."""
+    """Chain parameters: step size beta in (0, 1], length, burn-in, seed.
 
-    beta: float
-    n_steps: int
+    This is also the ``sampler`` section of a run config, so out-of-range
+    values raise ``ValidationError`` before any stage runs.
+    """
+
+    beta: float = 0.6
+    n_steps: int = 100_000
     burn_in_fraction: float = 0.2
     seed: int = 0
-    cov_mode: str = "full"  # "full" or "none"
 
     def __post_init__(self) -> None:
         if not (0.0 < self.beta <= 1.0):
-            raise ValueError(f"beta must be in (0, 1], got {self.beta}")
+            raise ValidationError(f"sampler.beta must be in (0, 1], got {self.beta}")
         if self.n_steps < 1:
-            raise ValueError("n_steps must be at least 1")
+            raise ValidationError(f"sampler.n_steps must be at least 1, got {self.n_steps}")
         if not (0.0 <= self.burn_in_fraction < 1.0):
-            raise ValueError("burn_in_fraction must be in [0, 1)")
+            raise ValidationError(
+                f"sampler.burn_in_fraction must be in [0, 1), got {self.burn_in_fraction}"
+            )
         if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if self.cov_mode not in ("full", "none"):
-            raise ValueError(f"unknown cov_mode {self.cov_mode!r}")
+            raise ValidationError(f"sampler.seed must be nonnegative, got {self.seed}")
+        if self.n_burn >= self.n_steps:
+            raise ValidationError(
+                f"sampler.burn_in_fraction={self.burn_in_fraction} discards all "
+                f"{self.n_steps} steps"
+            )
+
+    @property
+    def n_burn(self) -> int:
+        """Steps discarded as burn-in."""
+        return int(round(self.burn_in_fraction * self.n_steps))
 
 
 class OnlineMoments:
-    """Blocked one-pass mean/covariance accumulator (population normalized).
+    """Blocked one-pass mean and scatter accumulator.
 
     Merges per-block moments into the running (mean, scatter) pair via the
     parallel-variance (Chan) update. The scatter is Fortran-ordered and only
@@ -77,16 +94,14 @@ class OnlineMoments:
     scaled mean shift, stacked as a (b + 1) x dim array A, through one
     in-place rank-(b + 1) update ``scatter += A^T A`` (BLAS ``dsyrk``), so
     accuracy does not degrade with chain length and no dense temporary is
-    built. The lower triangle stays zero until ``covariance()`` mirrors it.
+    built. The lower triangle stays zero until ``second_moment`` fills it.
     """
 
-    def __init__(self, dim: int, mode: str = "full"):
-        if mode not in ("full", "none"):
-            raise ValueError(f"unknown moments mode {mode!r}")
+    def __init__(self, dim: int):
         self.dim = dim
         self.count = 0
         self.mean = np.zeros(dim)
-        self.scatter = np.zeros((dim, dim), order="F") if mode == "full" else None
+        self.scatter = np.zeros((dim, dim), order="F")
 
     def update_block(self, block: np.ndarray) -> None:
         block = np.asarray(block)
@@ -96,50 +111,64 @@ class OnlineMoments:
         block_mean = block.mean(axis=0)
         delta = block_mean - self.mean
         n_new = self.count + b
-        if self.scatter is not None:
-            # Rows 0..b-1: the centered block; row b: sqrt(count*b/n_new) * delta,
-            # whose outer product is the between-means term of the merge.
-            stacked = np.empty((b + 1, self.dim), order="F")
-            np.subtract(block, block_mean, out=stacked[:b])
-            np.multiply(delta, math.sqrt(self.count * b / n_new), out=stacked[b])
-            self.scatter = dsyrk(
-                1.0, stacked, beta=1.0, c=self.scatter, trans=1, lower=0, overwrite_c=1
-            )
+        # Rows 0..b-1: the centered block; row b: sqrt(count*b/n_new) * delta,
+        # whose outer product is the between-means term of the merge.
+        stacked = np.empty((b + 1, self.dim), order="F")
+        np.subtract(block, block_mean, out=stacked[:b])
+        np.multiply(delta, math.sqrt(self.count * b / n_new), out=stacked[b])
+        self.scatter = dsyrk(
+            1.0, stacked, beta=1.0, c=self.scatter, trans=1, lower=0, overwrite_c=1
+        )
         self.mean = self.mean + delta * (b / n_new)
         self.count = n_new
 
-    def covariance(self) -> Optional[np.ndarray]:
-        """Population covariance (scatter / n), exactly symmetric; None in mode 'none'."""
-        if self.scatter is None:
-            return None
+    def second_moment(self, point: np.ndarray) -> np.ndarray:
+        """Second moment about ``point``, formed in the scatter's own memory.
+
+        Returns sum_k (x_k - point)(x_k - point)^T / count, which is
+        scatter / count + (mean - point)(mean - point)^T, exactly symmetric.
+        Each tile on or above the diagonal is divided by the count, gets
+        its block of the rank-1 term and is then mirrored below the
+        diagonal, so no second dim x dim array is built. The array is
+        handed over: the accumulator keeps no scatter afterwards.
+        """
         if self.count == 0:
             raise ValueError("no samples accumulated")
-        # The lower triangle is zero, so S + S^T mirrors the upper one and
-        # doubles the diagonal; halving it back is exact.
-        cov = self.scatter + self.scatter.T
-        cov[np.diag_indices(self.dim)] *= 0.5
-        cov /= self.count
-        return cov
+        out, self.scatter = self.scatter, None
+        offset = self.mean - np.asarray(point, dtype=float)
+        for i in range(0, self.dim, _TILE):
+            rows = slice(i, i + _TILE)
+            for j in range(i, self.dim, _TILE):
+                cols = slice(j, j + _TILE)
+                tile = out[rows, cols]
+                tile /= self.count
+                tile += np.outer(offset[rows], offset[cols])
+                if j > i:
+                    out[cols, rows] = tile.T
+            # The diagonal tile's lower triangle holds only the rank-1 term.
+            diag = out[rows, rows]
+            lower = np.tril_indices(diag.shape[0], -1)
+            diag[lower] = diag.T[lower]
+        return out.T  # C-ordered, and equal to ``out`` by symmetry
 
 
 @dataclass(eq=False)
 class ChainSummary:
     """First two chain moments plus diagnostics, burn-in already discarded.
 
-    ``cov`` is the covariance of v; it is None when a transform was given,
-    whose second moments are in ``transform_cov`` instead.
+    ``mean`` is the chain mean of v. ``cov`` is the chain second moment of
+    g(v) about g(mean), with g the chain's transform; without one, g is the
+    identity and ``cov`` is the covariance of v.
     """
 
     mean: np.ndarray
-    cov: Optional[np.ndarray]
+    cov: np.ndarray
     acceptance_rate: float
     ess: float
     n_steps: int
     n_kept: int
     beta: float
     n_nonfinite: int = 0
-    transform_mean: Optional[np.ndarray] = None
-    transform_cov: Optional[np.ndarray] = None
 
 
 def effective_sample_size(trace: np.ndarray) -> float:
@@ -166,6 +195,43 @@ def effective_sample_size(trace: np.ndarray) -> float:
     return float(n / tau)
 
 
+def _pcn_steps(
+    potential: Callable[[np.ndarray], float],
+    prior_mean: np.ndarray,
+    prior_sample: Callable[[np.random.Generator], np.ndarray],
+    cfg: SamplerConfig,
+):
+    """Run ``cfg.n_steps`` pCN steps, yielding (v, phi(v), accepted, finite) after each.
+
+    ``finite`` is False when the proposal's potential was non-finite; such
+    a proposal is rejected.
+    """
+    prior_mean = np.asarray(prior_mean, dtype=float)
+    root = np.random.SeedSequence(cfg.seed)
+    seq_prop, seq_acc = root.spawn(2)
+    rng_prop = np.random.Generator(np.random.Philox(seq_prop))
+    rng_acc = np.random.Generator(np.random.Philox(seq_acc))
+
+    v = prior_mean.copy()
+    phi_v = float(potential(v))
+    if not math.isfinite(phi_v):
+        raise ValueError("potential is non-finite at the prior mean")
+    shrink = math.sqrt(max(0.0, 1.0 - cfg.beta**2))
+    for _ in range(cfg.n_steps):
+        w = prior_sample(rng_prop)
+        proposal = prior_mean + shrink * (v - prior_mean) + cfg.beta * w
+        phi_p = float(potential(proposal))
+        # log U = -Exp(1) exactly; one acceptance draw per step keeps the
+        # stream position a function of the step index alone.
+        log_u = -rng_acc.exponential()
+        finite = math.isfinite(phi_p)
+        accept = finite and log_u <= phi_v - phi_p
+        if accept:
+            v = proposal
+            phi_v = phi_p
+        yield v, phi_v, accept, finite
+
+
 def pcn_chain(
     potential: Callable[[np.ndarray], float],
     prior_mean: np.ndarray,
@@ -179,89 +245,56 @@ def pcn_chain(
         potential: phi(v); non-finite values auto-reject the proposal.
         prior_mean: m, the Gaussian prior mean.
         prior_sample: draws w ~ N(0, C) given a numpy Generator.
-        cfg: chain parameters; ``cov_mode`` controls whether second
-            moments are accumulated.
-        transform: optional map g; when given, second moments are
-            accumulated for g(v) instead of v (``transform_mean`` and
-            ``transform_cov``), and ``cov`` is None. The mean of v is
-            always kept.
+        cfg: chain parameters.
+        transform: optional map g, the identity when omitted; second
+            moments are accumulated for g(v), about g of the chain mean of v.
 
     Returns:
         ChainSummary over the post-burn-in states.
     """
-    prior_mean = np.asarray(prior_mean, dtype=float)
-    dim = prior_mean.size
-    root = np.random.SeedSequence(cfg.seed)
-    seq_prop, seq_acc = root.spawn(2)
-    rng_prop = np.random.Generator(np.random.Philox(seq_prop))
-    rng_acc = np.random.Generator(np.random.Philox(seq_acc))
-
-    burn = int(round(cfg.burn_in_fraction * cfg.n_steps))
+    burn = cfg.n_burn
     n_kept = cfg.n_steps - burn
-    if n_kept < 1:
-        raise ValueError("burn-in leaves no samples")
-
-    moments_v = OnlineMoments(dim, cfg.cov_mode if transform is None else "none")
-    moments_g = OnlineMoments(dim, cfg.cov_mode) if transform is not None else None
+    dim = np.size(prior_mean)
+    moments = OnlineMoments(dim)
     buf_v = np.empty((min(BLOCK_SIZE, n_kept), dim))
-    buf_g = np.empty_like(buf_v) if transform is not None else None
+    buf_g = buf_v if transform is None else np.empty_like(buf_v)
+    mean_v = np.zeros(dim)
     fill = 0
-
-    v = prior_mean.copy()
-    phi_v = float(potential(v))
-    if not math.isfinite(phi_v):
-        raise ValueError("potential is non-finite at the prior mean")
-    shrink = math.sqrt(max(0.0, 1.0 - cfg.beta**2))
     accepted = 0
     n_nonfinite = 0
     phi_trace = np.empty(n_kept)
 
-    for step in range(cfg.n_steps):
-        w = prior_sample(rng_prop)
-        proposal = prior_mean + shrink * (v - prior_mean) + cfg.beta * w
-        phi_p = float(potential(proposal))
-        # log U = -Exp(1) exactly; one acceptance draw per step keeps the
-        # stream position a function of the step index alone.
-        log_u = -rng_acc.exponential()
-        if not math.isfinite(phi_p):
-            n_nonfinite += 1
-            accept = False
-        else:
-            accept = log_u <= phi_v - phi_p
-        if accept:
-            v = proposal
-            phi_v = phi_p
-            accepted += 1
-        if step >= burn:
-            buf_v[fill] = v
-            if buf_g is not None:
-                buf_g[fill] = transform(v)
-            phi_trace[step - burn] = phi_v
-            fill += 1
-            if fill == buf_v.shape[0]:
-                moments_v.update_block(buf_v[:fill])
-                if moments_g is not None:
-                    moments_g.update_block(buf_g[:fill])
-                fill = 0
-    if fill:
-        moments_v.update_block(buf_v[:fill])
-        if moments_g is not None:
-            moments_g.update_block(buf_g[:fill])
+    steps = _pcn_steps(potential, prior_mean, prior_sample, cfg)
+    for step, (v, phi_v, accept, finite) in enumerate(steps):
+        accepted += accept
+        n_nonfinite += not finite
+        if step < burn:
+            continue
+        phi_trace[step - burn] = phi_v
+        buf_v[fill] = v
+        if transform is not None:
+            buf_g[fill] = transform(v)
+        fill += 1
+        if fill == buf_v.shape[0] or step == cfg.n_steps - 1:
+            # The mean update of OnlineMoments.update_block, so without a
+            # transform mean_v equals moments.mean bit for bit.
+            block_mean = buf_v[:fill].mean(axis=0)
+            mean_v = mean_v + (block_mean - mean_v) * (fill / (moments.count + fill))
+            moments.update_block(buf_g[:fill])
+            fill = 0
 
-    rate = accepted / cfg.n_steps
     if n_nonfinite:
         logger.warning("%d proposals rejected for non-finite potential", n_nonfinite)
+    point = mean_v if transform is None else transform(mean_v)
     return ChainSummary(
-        mean=moments_v.mean,
-        cov=moments_v.covariance(),
-        acceptance_rate=rate,
+        mean=mean_v,
+        cov=moments.second_moment(point),
+        acceptance_rate=accepted / cfg.n_steps,
         ess=effective_sample_size(phi_trace),
         n_steps=cfg.n_steps,
         n_kept=n_kept,
         beta=cfg.beta,
         n_nonfinite=n_nonfinite,
-        transform_mean=None if moments_g is None else moments_g.mean,
-        transform_cov=None if moments_g is None else moments_g.covariance(),
     )
 
 
@@ -297,10 +330,9 @@ def tune_beta(
         raise ValueError(f"invalid target band {target}")
 
     def rate(beta: float) -> float:
-        cfg = SamplerConfig(
-            beta=beta, n_steps=pilot_steps, burn_in_fraction=0.0, seed=seed, cov_mode="none"
-        )
-        return pcn_chain(potential, prior_mean, prior_sample, cfg).acceptance_rate
+        cfg = SamplerConfig(beta=beta, n_steps=pilot_steps, burn_in_fraction=0.0, seed=seed)
+        steps = _pcn_steps(potential, prior_mean, prior_sample, cfg)
+        return sum(accept for _, _, accept, _ in steps) / pilot_steps
 
     evaluations = []
     r_top = rate(1.0)

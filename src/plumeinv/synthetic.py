@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .observation import MeasurementSet, Sensor, TimeGrid, assemble_F, simulate_measurements
+from .observation import Sensor, TimeGrid, assemble_F, simulate_measurements
 from .observation import NOISE_FLOOR_DEFAULT
 from .plume import (
     CALM_SPEED_DEFAULT,

@@ -8,16 +8,15 @@ KKT conditions and re-solving the discovered active set by least squares.
 
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from plumeinv.errors import NumericalError
 from plumeinv.inversion import (
-    ConstantFit,
     GaussianPosterior,
     PriorSpec,
-    SmoothnessPrior,
     build_prior,
     clip_positive,
     gaussian_posterior,
@@ -356,10 +355,27 @@ class TestPositivePosterior:
         centered = np.diag(got.cov_sp)
         assert np.all(centered >= -1e-15)
 
+    def test_cov_formed_without_a_second_dense_array(self):
+        """The chain's scatter becomes cov_sp in place: the stage never holds
+        two n x n arrays at once (n = 2 sources x 1000 slots)."""
+        rng = np.random.default_rng(8)
+        prior = make_prior(n_sources=2, n_steps=1000, alpha=1.2, gamma=0.02)
+        f = rng.uniform(0.0, 0.5, (8, prior.n))
+        d = f @ np.ones(prior.n)
+        cfg = SamplerConfig(beta=0.5, n_steps=100, seed=1)
+        tracemalloc.start()
+        try:
+            got = positive_posterior(f, d, np.ones(8), prior, np.ones(prior.n), cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got.cov_sp.shape == (prior.n, prior.n)
+        assert peak < 1.5 * prior.n**2 * 8
+
     def test_poor_acceptance_warns(self, caplog):
         prior, f, _, d, q_s = self.make_case(seed=6)
         tiny_noise = np.full(len(d), 1e-8)
-        cfg = SamplerConfig(beta=1.0, n_steps=2000, seed=7, cov_mode="none")
+        cfg = SamplerConfig(beta=1.0, n_steps=2000, seed=7)
         with caplog.at_level(logging.WARNING, logger="plumeinv.inversion"):
             positive_posterior(f, d, tiny_noise, prior, q_s, cfg)
         assert any("acceptance rate" in r.message for r in caplog.records)

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from plumeinv.errors import ValidationError
 from plumeinv.sampling import (
     OnlineMoments,
     SamplerConfig,
@@ -43,28 +44,48 @@ class TestSamplerConfig:
             SamplerConfig(beta=0.5, n_steps=0)
         with pytest.raises(ValueError):
             SamplerConfig(beta=0.5, n_steps=10, burn_in_fraction=1.0)
-        with pytest.raises(ValueError):
-            SamplerConfig(beta=0.5, n_steps=10, cov_mode="sparse")
+        with pytest.raises(ValidationError, match="discards all"):
+            SamplerConfig(beta=0.5, n_steps=1, burn_in_fraction=0.6)
 
 
 class TestOnlineMoments:
     def test_matches_numpy_over_uneven_blocks(self):
         rng = np.random.default_rng(0)
         data = rng.standard_normal((1000, 6)) * rng.uniform(0.5, 2.0, 6)
-        om = OnlineMoments(6, "full")
+        om = OnlineMoments(6)
         start = 0
         for size in (1, 7, 250, 0, 3, 739):
             om.update_block(data[start : start + size])
             start += size
         assert om.count == 1000
         np.testing.assert_allclose(om.mean, data.mean(axis=0), rtol=1e-10, atol=1e-12)
-        cov = om.covariance()
+        cov = om.second_moment(om.mean)
         np.testing.assert_allclose(cov, np.cov(data.T, ddof=0), rtol=1e-9, atol=1e-12)
         assert np.array_equal(cov, cov.T)
 
+    def test_second_moment_about_a_point_over_tiles(self):
+        """n = 800 (2 sources x 400 slots) spans several tiles and a ragged one."""
+        rng = np.random.default_rng(4)
+        n = 800
+        data = rng.standard_normal((600, n)) * rng.uniform(0.5, 2.0, n) + rng.uniform(-1, 1, n)
+        point = rng.uniform(-1.0, 1.0, n)
+        om = OnlineMoments(n)
+        scatter = om.scatter
+        start = 0
+        for size in (1, 255, 0, 300, 44):
+            om.update_block(data[start : start + size])
+            start += size
+        got = om.second_moment(point)
+        centered = data - point
+        want = centered.T @ centered / len(data)
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12 * np.abs(want).max())
+        assert np.array_equal(got, got.T)
+        assert got.flags.c_contiguous
+        assert np.shares_memory(got, scatter) and om.scatter is None
+
     def test_scatter_is_upper_triangle_updated_in_place(self):
         rng = np.random.default_rng(1)
-        om = OnlineMoments(40, "full")
+        om = OnlineMoments(40)
         scatter = om.scatter
         for size in (5, 256, 17):
             om.update_block(rng.standard_normal((size, 40)))
@@ -72,25 +93,15 @@ class TestOnlineMoments:
         assert np.all(np.triu(scatter) == scatter)
         assert np.all(np.diag(scatter) > 0)
 
-    def test_none_mode_tracks_mean_only(self):
-        om = OnlineMoments(3, "none")
-        om.update_block(np.ones((10, 3)))
-        assert om.covariance() is None
-        np.testing.assert_allclose(om.mean, 1.0)
-
     def test_empty_block_is_noop(self):
-        om = OnlineMoments(2, "full")
+        om = OnlineMoments(2)
         om.update_block(np.ones((4, 2)))
         om.update_block(np.empty((0, 2)))
         assert om.count == 4
 
     def test_covariance_without_samples_raises(self):
         with pytest.raises(ValueError):
-            OnlineMoments(2, "full").covariance()
-
-    def test_bad_mode_raises(self):
-        with pytest.raises(ValueError):
-            OnlineMoments(2, "band")
+            OnlineMoments(2).second_moment(np.zeros(2))
 
 
 class TestEffectiveSampleSize:
@@ -153,17 +164,25 @@ class TestPcnChainFlatPotential:
         np.testing.assert_allclose(out.mean, mean, atol=4.0 * math.sqrt(tau / out.n_kept))
 
     def test_transform_moments(self):
-        """Moments of |v| under a standard normal: mean sqrt(2/pi)."""
+        """cov is the second moment of |v| about |mean of v|; here E|v|^2 = 1."""
+        seen = []
+
+        def recording_abs(v):
+            seen.append(v.copy())
+            return np.abs(v)
+
         cfg = SamplerConfig(beta=1.0, n_steps=40000, burn_in_fraction=0.0, seed=3)
         out = pcn_chain(
-            flat_potential, np.zeros(3), iid_normal_sampler(3), cfg, transform=np.abs
+            flat_potential, np.zeros(3), iid_normal_sampler(3), cfg, transform=recording_abs
         )
-        want = math.sqrt(2.0 / math.pi)
-        se = math.sqrt((1.0 - 2.0 / math.pi) / out.n_kept)
-        np.testing.assert_allclose(out.transform_mean, want, atol=4.0 * se)
-        np.testing.assert_allclose(
-            np.diag(out.transform_cov), 1.0 - 2.0 / math.pi, atol=5.0 * se
-        )
+        # one call per kept state, then one at the chain mean of v
+        assert len(seen) == out.n_kept + 1
+        np.testing.assert_array_equal(seen[-1], out.mean)
+        shifted = np.abs(np.array(seen[:-1])) - np.abs(out.mean)
+        want = shifted.T @ shifted / out.n_kept
+        np.testing.assert_allclose(out.cov, want, rtol=1e-10, atol=1e-14)
+        se = math.sqrt(2.0 / out.n_kept)
+        np.testing.assert_allclose(np.diag(out.cov), 1.0, atol=5.0 * se)
 
 
 class TestPcnChainConjugateTarget:
@@ -231,8 +250,8 @@ class TestPcnChainMechanics:
         np.testing.assert_array_equal(short, long[: len(short)])
 
     def test_transform_replaces_latent_second_moments(self):
-        """With a transform, only its covariance is kept; the mean of v and
-        the moments of g(v) = v match the untransformed chain bit for bit."""
+        """The identity transform gives the untransformed chain's mean and
+        cov bit for bit."""
         def potential(v):
             return 0.5 * float(v @ v)
 
@@ -241,11 +260,8 @@ class TestPcnChainMechanics:
         mapped = pcn_chain(
             potential, np.zeros(3), iid_normal_sampler(3), cfg, transform=lambda v: v.copy()
         )
-        assert plain.cov is not None and plain.transform_cov is None
-        assert mapped.cov is None
         np.testing.assert_array_equal(mapped.mean, plain.mean)
-        np.testing.assert_array_equal(mapped.transform_mean, plain.mean)
-        np.testing.assert_array_equal(mapped.transform_cov, plain.cov)
+        np.testing.assert_array_equal(mapped.cov, plain.cov)
 
     def test_nonfinite_potential_auto_rejects(self, caplog):
         start = np.zeros(2)
@@ -267,9 +283,8 @@ class TestPcnChainMechanics:
             pcn_chain(lambda v: float("nan"), np.zeros(2), iid_normal_sampler(2), cfg)
 
     def test_all_burn_in_raises(self):
-        cfg = SamplerConfig(beta=0.5, n_steps=1, burn_in_fraction=0.6)
         with pytest.raises(ValueError):
-            pcn_chain(flat_potential, np.zeros(2), iid_normal_sampler(2), cfg)
+            SamplerConfig(beta=0.5, n_steps=1, burn_in_fraction=0.6)
 
 
 class TestTuneBeta:
@@ -291,6 +306,17 @@ class TestTuneBeta:
         assert out.in_band
         assert 0.25 <= out.acceptance_rate <= 0.35
         assert 0.0 < out.beta < 1.0
+
+    def test_accumulates_no_moments(self, monkeypatch):
+        def refuse(self, block):
+            raise AssertionError("tune_beta updated chain moments")
+
+        monkeypatch.setattr(OnlineMoments, "update_block", refuse)
+        out = tune_beta(
+            self.concentrated_potential(), np.zeros(6), iid_normal_sampler(6), seed=0
+        )
+        assert out.in_band
+        assert 0.25 <= out.acceptance_rate <= 0.35
 
     def test_flat_potential_band_unreachable(self, caplog):
         with caplog.at_level(logging.WARNING, logger="plumeinv.sampling"):
