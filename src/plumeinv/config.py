@@ -157,6 +157,20 @@ def _number(section: dict, key: str, where: str, default=None) -> float:
     return float(value)
 
 
+def _given(section: dict, where: str, **fields) -> dict:
+    """The numbers ``section`` sets, keyed by field name.
+
+    ``fields`` maps each field to its config key and its type (float or
+    int). A key the section leaves out is not passed on, so the defaults
+    on the config dataclasses are the only ones.
+    """
+    return {
+        name: cast(_number(section, key, where))
+        for name, (key, cast) in fields.items()
+        if key in section
+    }
+
+
 def _section(data: dict, key: str) -> dict:
     value = _require(data, key, "")
     if not isinstance(value, dict):
@@ -208,7 +222,7 @@ def _build_synthetic(data: dict, n_sources: int) -> SyntheticConfig:
         direction_harmonics=_build_harmonics(
             wm.get("direction_harmonics"), "synthetic.wind_model.direction_harmonics"
         ),
-        min_speed=_number(wm, "min_speed_mps", "synthetic.wind_model", default=0.3),
+        **_given(wm, "synthetic.wind_model", min_speed=("min_speed_mps", float)),
     )
     raw_signals = _require(data, "signals", "synthetic")
     if not isinstance(raw_signals, list) or len(raw_signals) != n_sources:
@@ -229,7 +243,8 @@ def _build_synthetic(data: dict, n_sources: int) -> SyntheticConfig:
             )
         except ValueError as exc:
             raise ValidationError(f"synthetic.signals[{i}]: {exc}") from exc
-    spec = SyntheticSpec(signals=tuple(signals), clip=bool(data.get("clip", True)))
+    clip = {"clip": bool(data["clip"])} if "clip" in data else {}
+    spec = SyntheticSpec(signals=tuple(signals), **clip)
 
     from .io import _sensor_from_entry  # no import cycle: io does not import config
 
@@ -247,7 +262,7 @@ def _build_synthetic(data: dict, n_sources: int) -> SyntheticConfig:
         spec=spec,
         wind_model=model,
         sensors=sensors,
-        wind_cadence_s=_number(data, "wind_cadence_s", "synthetic", default=600.0),
+        **_given(data, "synthetic", wind_cadence_s=("wind_cadence_s", float)),
     )
 
 
@@ -288,36 +303,49 @@ def _config_from_dict(data: dict) -> RunConfig:
         x_max=_number(grid_raw, "x_max_m", "grid"),
         y_min=_number(grid_raw, "y_min_m", "grid"),
         y_max=_number(grid_raw, "y_max_m", "grid"),
-        n_x=int(_number(grid_raw, "n_x", "grid", default=40)),
-        n_y=int(_number(grid_raw, "n_y", "grid", default=40)),
-        n_modes=int(_number(grid_raw, "n_modes", "grid", default=100)),
+        **_given(grid_raw, "grid", n_x=("n_x", int), n_y=("n_y", int), n_modes=("n_modes", int)),
     )
     try:
         grid.spec()
     except ValueError as exc:
         raise ValidationError(f"grid: {exc}") from exc
 
-    prior_raw = data.get("prior", {})
     prior = PriorConfig(
-        alpha=_number(prior_raw, "alpha", "prior", default=1.0),
-        gamma=_number(prior_raw, "gamma", "prior", default=5e-3),
+        **_given(data.get("prior", {}), "prior", alpha=("alpha", float), gamma=("gamma", float))
     )
-    sampler_raw = data.get("sampler", {})
     sampler = SamplerConfig(
-        beta=_number(sampler_raw, "beta", "sampler", default=0.6),
-        n_steps=int(_number(sampler_raw, "n_steps", "sampler", default=100_000)),
-        burn_in_fraction=_number(sampler_raw, "burn_in_fraction", "sampler", default=0.2),
-        seed=int(_number(sampler_raw, "seed", "sampler", default=0)),
+        **_given(
+            data.get("sampler", {}),
+            "sampler",
+            beta=("beta", float),
+            n_steps=("n_steps", int),
+            burn_in_fraction=("burn_in_fraction", float),
+            seed=("seed", int),
+        )
     )
-    plume_raw = data.get("plume", {})
     plume = PlumeSettings(
-        x_cutoff_m=_number(plume_raw, "x_cutoff_m", "plume", default=X_CUTOFF_DEFAULT),
-        calm_speed_mps=_number(plume_raw, "calm_speed_mps", "plume", default=CALM_SPEED_DEFAULT),
+        **_given(
+            data.get("plume", {}),
+            "plume",
+            x_cutoff_m=("x_cutoff_m", float),
+            calm_speed_mps=("calm_speed_mps", float),
+        )
     )
     synthetic = None
     if "synthetic" in data:
         synthetic = _build_synthetic(_section(data, "synthetic"), len(sources))
 
+    extra = _given(
+        data,
+        "",
+        dt_inversion=("dt_inversion_s", float),
+        dt_generation=("dt_generation_s", float),
+        noise_floor=("noise_floor", float),
+    )
+    if "allow_same_dt" in data:
+        extra["allow_same_dt"] = bool(data["allow_same_dt"])
+    if "wind_cv_max_points" in data:
+        extra["wind_cv_max_points"] = data["wind_cv_max_points"]
     try:
         return RunConfig(
             paths=paths,
@@ -326,15 +354,11 @@ def _config_from_dict(data: dict) -> RunConfig:
             stability=stability,
             sources=sources,
             grid=grid,
-            dt_inversion=_number(data, "dt_inversion_s", "", default=3600.0),
-            dt_generation=_number(data, "dt_generation_s", "", default=1800.0),
             prior=prior,
             sampler=sampler,
             plume=plume,
             synthetic=synthetic,
-            noise_floor=_number(data, "noise_floor", "", default=1e-12),
-            allow_same_dt=bool(data.get("allow_same_dt", False)),
-            wind_cv_max_points=data.get("wind_cv_max_points", CV_MAX_POINTS_DEFAULT),
+            **extra,
         )
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc

@@ -546,8 +546,9 @@ def run_propagate(cfg: RunConfig) -> dict:
         x_cutoff=cfg.plume.x_cutoff_m,
         calm_speed=cfg.plume.calm_speed_mps,
     )
-    n_modes = min(cfg.grid.n_modes, state["cov_positive"].shape[0])
-    factors = lowrank_truncate(state["cov_positive"], n_modes)
+    cov = state["cov_positive"]
+    n_modes = min(cfg.grid.n_modes, cov.shape[0])
+    factors = lowrank_truncate(cov, n_modes)
     deposition = deposition_stats(h_matrix, state["q_positive"], factors, gspec)
 
     out = cfg.resolve_out_dir()
@@ -580,6 +581,12 @@ def run_propagate(cfg: RunConfig) -> dict:
             "eigenvalue_ratio_last_to_first": (
                 eigenvalues[-1] / lam1 if eigenvalues else float("nan")
             ),
+            "eigensolve": {
+                "method": factors.method,
+                "iterations": factors.iterations,
+                "max_relative_residual": factors.max_relative_residual,
+            },
+            "kept_variance_share": float(factors.eigenvalues.sum() / np.trace(cov)),
             "max_mean_mg_m2": float(deposition.mean.max() * io.KG_TO_MG),
             "annual_total_tonne_yr": annualize(state["q_positive"], grid),
             "timing_s": time.perf_counter() - tic,

@@ -1,6 +1,6 @@
 """Tests for file formats and run configuration parsing."""
 
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +8,15 @@ import pytest
 import yaml
 
 import plumeinv
-from plumeinv.config import ENV_SEED, config_dict, load_config
+from plumeinv.config import (
+    ENV_SEED,
+    GridConfig,
+    PlumeSettings,
+    PriorConfig,
+    RunConfig,
+    config_dict,
+    load_config,
+)
 from plumeinv.errors import ValidationError
 from plumeinv.io import (
     format_timestamp,
@@ -31,6 +39,7 @@ from plumeinv.observation import (
     TimeGrid,
     signal_variances,
 )
+from plumeinv.sampling import SamplerConfig
 from plumeinv.uqprop import DepositionGrid, GridSpec
 from plumeinv.windprep import RawWindRecord
 
@@ -324,6 +333,21 @@ class TestLoadConfig:
         assert cfg.grid.n_x == 40 and cfg.grid.n_modes == 100
         assert cfg.synthetic is None
         assert cfg.dt_inversion == 3600.0
+
+    def test_omitted_keys_take_the_dataclass_defaults(self, tmp_path):
+        data = base_config(tmp_path)
+        for key in ("dt_inversion_s", "dt_generation_s"):
+            del data[key]
+        data["time"]["duration_s"] = 7200.0
+        cfg = load_config(write_config(tmp_path, data))
+        # repr also tells 40 from 40.0
+        assert repr(cfg.prior) == repr(PriorConfig())
+        assert repr(cfg.sampler) == repr(SamplerConfig())
+        assert repr(cfg.plume) == repr(PlumeSettings())
+        grid = GridConfig(x_min=-100.0, x_max=100.0, y_min=-100.0, y_max=100.0)
+        assert repr(cfg.grid) == repr(grid)
+        top = {f.name: f.default for f in fields(RunConfig) if f.default is not MISSING}
+        assert repr({name: getattr(cfg, name) for name in top}) == repr(top)
 
     def test_missing_section_raises(self, tmp_path):
         data = base_config(tmp_path)

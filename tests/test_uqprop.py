@@ -1,14 +1,18 @@
 """Tests for deposition-map propagation: operator, low-rank UQ, totals."""
 
+import logging
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.linalg import eigh
 
+from plumeinv import uqprop
 from plumeinv.observation import DustfallJar, TimeGrid, assemble_F
 from plumeinv.plume import ParticleProperties, SourceSite, StabilityClass
 from plumeinv.uqprop import (
+    CERT_TOL,
+    SUBSPACE_MAX_ITER,
     DepositionGrid,
     GridSpec,
     LowRankFactors,
@@ -86,6 +90,84 @@ def random_spd(rng, n):
     return (q * w) @ q.T
 
 
+def spd_with_spectrum(rng, eigenvalues):
+    """Exactly symmetric covariance with the given eigenvalues."""
+    q, _ = np.linalg.qr(rng.standard_normal((len(eigenvalues), len(eigenvalues))))
+    cov = (q * eigenvalues) @ q.T
+    return 0.5 * (cov + cov.T)
+
+
+def no_dense_eigh(*args, **kwargs):
+    raise AssertionError("dense eigh called")
+
+
+class TestSubspaceIteration:
+    def test_decaying_spectrum_certifies_without_dense_eigh(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        n, k = 600, 20
+        cov = spd_with_spectrum(rng, 10.0 ** (-np.arange(n) / 40.0))
+        monkeypatch.setattr(uqprop, "eigh", no_dense_eigh)
+        fac = lowrank_truncate(cov, k)
+        assert fac.method == "subspace"
+        assert 1 <= fac.iterations < SUBSPACE_MAX_ITER
+        assert fac.max_relative_residual <= CERT_TOL
+        ref_lam, ref_vec = np.linalg.eigh(cov)
+        ref_lam, ref_vec = ref_lam[::-1][:k], ref_vec[:, ::-1][:, :k]
+        np.testing.assert_allclose(fac.eigenvalues, ref_lam, rtol=0.0, atol=1e-10 * ref_lam[0])
+        np.testing.assert_allclose(fac.vectors.T @ fac.vectors, np.eye(k), atol=1e-12)
+
+        grid = GridSpec(x_min=0.0, x_max=1.0, y_min=0.0, y_max=1.0, n_x=6, n_y=5)
+        h = rng.standard_normal((grid.n_cells, n))
+        q = rng.uniform(0.0, 1.0, n)
+        got = deposition_stats(h, q, fac, grid)
+        dense_var = np.diag(h @ ((ref_vec * ref_lam) @ ref_vec.T) @ h.T)
+        np.testing.assert_allclose(got.std, np.sqrt(dense_var), rtol=1e-9)
+
+    def test_flat_spectrum_falls_back_to_dense_eigh(self, caplog):
+        rng = np.random.default_rng(12)
+        n, k = 300, 10
+        cov = spd_with_spectrum(rng, rng.uniform(1.0, 1.001, n))
+        with caplog.at_level(logging.WARNING, logger="plumeinv.uqprop"):
+            fac = lowrank_truncate(cov, k)
+        assert "falling back" in caplog.text
+        assert fac.method == "dense_fallback"
+        assert fac.iterations == SUBSPACE_MAX_ITER
+        lam, vec = eigh((0.5 * (cov + cov.T)).T, subset_by_index=[n - k, n - 1], overwrite_a=True)
+        np.testing.assert_array_equal(fac.eigenvalues, np.maximum(lam[::-1], 0.0))
+        np.testing.assert_array_equal(fac.vectors, vec[:, ::-1])
+
+    def test_reruns_are_bit_identical_and_leave_the_input(self):
+        rng = np.random.default_rng(13)
+        cov = spd_with_spectrum(rng, 0.8 ** np.arange(200))
+        before = cov.copy()
+        first, second = lowrank_truncate(cov, 15), lowrank_truncate(cov, 15)
+        np.testing.assert_array_equal(cov, before)
+        np.testing.assert_array_equal(first.eigenvalues, second.eigenvalues)
+        np.testing.assert_array_equal(first.vectors, second.vectors)
+        assert (first.method, first.iterations, first.max_relative_residual) == (
+            second.method, second.iterations, second.max_relative_residual
+        )
+
+    @pytest.mark.parametrize("skew", [0.0, 5e-9])
+    def test_pairs_of_the_symmetric_part(self, skew, monkeypatch):
+        # skew = 0 keeps the input exactly symmetric; 5e-9 of the largest
+        # entry is inside SYM_TOL but far above the certificate, so pairs
+        # of cov itself rather than of its symmetric part would fail it
+        rng = np.random.default_rng(14)
+        n, k = 400, 12
+        sym = spd_with_spectrum(rng, 10.0 ** (-np.arange(n) / 30.0))
+        noise = rng.uniform(-1.0, 1.0, (n, n))
+        cov = sym + skew * np.abs(sym).max() * (noise - noise.T)
+        assert np.array_equal(cov, cov.T) == (skew == 0.0)
+        monkeypatch.setattr(uqprop, "eigh", no_dense_eigh)
+        fac = lowrank_truncate(cov, k)
+        assert fac.method == "subspace"
+        residual = np.linalg.norm(sym @ fac.vectors - fac.vectors * fac.eigenvalues, axis=0)
+        assert residual.max() <= CERT_TOL * fac.eigenvalues[0]
+        expected = np.linalg.eigvalsh(sym)[::-1][:k]
+        np.testing.assert_allclose(fac.eigenvalues, expected, rtol=0.0, atol=1e-10 * expected[0])
+
+
 class TestLowRankTruncate:
     def test_full_rank_reconstruction(self):
         rng = np.random.default_rng(0)
@@ -144,6 +226,7 @@ class TestLowRankTruncate:
         before = cov.copy()
         fac = lowrank_truncate(cov, k)
         np.testing.assert_array_equal(cov, before)
+        assert fac.method == "dense_fallback"  # the flat spectrum does not certify
         lam, vec = eigh((0.5 * (cov + cov.T)).T, subset_by_index=[n - k, n - 1], overwrite_a=True)
         np.testing.assert_array_equal(fac.eigenvalues, np.maximum(lam[::-1], 0.0))
         np.testing.assert_array_equal(fac.vectors, vec[:, ::-1])
