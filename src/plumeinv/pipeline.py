@@ -295,11 +295,11 @@ def run_wind_fit(cfg: RunConfig) -> dict:
     key = _stage_keys(cfg)["wind_fit"]
     records = io.load_wind_csv(cfg.resolve_input("wind_csv"))
     inv_grid = inversion_grid(cfg)
-    configs = select_hyperparameters(
+    choices = select_hyperparameters(
         records, seed=cfg.sampler.seed, cv_max_points=cfg.wind_cv_max_points
     )
     grids = [inv_grid] if cfg.synthetic is None else [inv_grid, generation_grid(cfg)]
-    series = fit_wind(records, grids, configs)
+    series = fit_wind(records, grids, [choice.config for choice in choices])
     series_inv = series[0]
     series_gen = series[1] if cfg.synthetic is not None else None
     arrays = {"u_x_inv": series_inv.u_x, "u_y_inv": series_inv.u_y}
@@ -320,11 +320,13 @@ def run_wind_fit(cfg: RunConfig) -> dict:
             )
     hyper = {
         name: {
-            "signal_var": configs[k].signal_var,
-            "length_scale_s": configs[k].length_scale,
-            "noise_var": configs[k].noise_var,
+            "signal_var": choice.config.signal_var,
+            "length_scale_s": choice.config.length_scale,
+            "noise_var": choice.config.noise_var,
+            "cv_score": choice.score,
+            "cv_runner_up_gap": choice.runner_up_gap,
         }
-        for k, name in enumerate(("u_x", "u_y"))
+        for name, choice in zip(("u_x", "u_y"), choices)
     }
     io.write_json(
         out / WIND_FIT_JSON,

@@ -5,6 +5,15 @@ are converted to Cartesian components and each component is smoothed
 independently by zero-mean GP regression with a squared-exponential
 kernel. Hyperparameters come from k-fold cross-validation over a small
 logarithmic candidate grid.
+
+The kernel falls below 2^-60 of its signal variance beyond
+sqrt(120 ln 2) = 9.12 length scales. Entries past that cutoff are dropped,
+so the Gram matrix is banded: its half-width is the most records any
+record has within the cutoff after it, found with ``searchsorted`` on the
+sorted times, so gaps in the records are handled exactly. The band is
+factored with a banded Cholesky, and each query sums over the records
+within its window. Time and memory grow as records x band, not as
+records squared.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .observation import TimeGrid
 
@@ -23,6 +32,7 @@ __all__ = [
     "RawWindRecord",
     "WindSeries",
     "GPConfig",
+    "CVChoice",
     "to_components",
     "gp_posterior_mean",
     "default_candidates",
@@ -35,6 +45,11 @@ logger = logging.getLogger(__name__)
 
 CV_MAX_POINTS_DEFAULT = 400  # cross-validation subsample cap (cost control)
 CV_MIN_POINTS = 3  # fewer points leave some cross-validation fold under two to train on
+# Kernel values below 2^-KERNEL_TOL_LOG2 of the signal variance are dropped:
+# exp(-d^2 / (2 l^2)) < 2^-60 beyond d = sqrt(120 ln 2) l, about 9.12 l.
+KERNEL_TOL_LOG2 = 60
+_CUTOFF_PER_SCALE = math.sqrt(2.0 * KERNEL_TOL_LOG2 * math.log(2.0))
+_QUERY_BLOCK_ENTRIES = 1 << 16  # query kernel entries per block: bounds its temporaries
 
 
 @dataclass(frozen=True)
@@ -90,6 +105,15 @@ class GPConfig:
             raise ValueError("GP hyperparameters must be positive")
 
 
+@dataclass(frozen=True)
+class CVChoice:
+    """A cross-validated kernel and how clearly it won."""
+
+    config: GPConfig
+    score: float  # mean held-out squared error
+    runner_up_gap: float | None  # (second-best score - score) / score; None when undefined
+
+
 def to_components(record: RawWindRecord):
     """Cartesian (u_x, u_y) with y north: a wind *from* theta blows along
     (-sin theta, -cos theta)."""
@@ -97,33 +121,45 @@ def to_components(record: RawWindRecord):
     return (-record.speed * math.sin(theta), -record.speed * math.cos(theta))
 
 
-def _se_kernel(t_a: np.ndarray, t_b: np.ndarray, cfg: GPConfig) -> np.ndarray:
-    d = t_a[:, None] - t_b[None, :]
+def _kernel(d: np.ndarray, cfg: GPConfig) -> np.ndarray:
     return cfg.signal_var * np.exp(-(d**2) / (2.0 * cfg.length_scale**2))
 
 
-def _gp_weights(gram: np.ndarray, values: np.ndarray, cfg: GPConfig) -> np.ndarray:
-    """(K + noise I)^-1 values for a Gram matrix that already holds the noise.
+def _band(times: np.ndarray, length_scale: float):
+    """Kernel support on sorted training times: (cutoff, half_width, window).
 
-    An ill-conditioned matrix gets a jitter of 1e-10 * signal_var added to
-    its diagonal (in place) once, logged.
+    ``half_width`` is the most records any record has after it within the
+    cutoff, so every Gram entry above 2^-KERNEL_TOL_LOG2 of the signal
+    variance lies in the band. ``window`` is the most records in any interval
+    of length 2 * cutoff, so it depends on the training times alone and each
+    query's window of records does not depend on the other queries.
     """
+    cutoff = _CUTOFF_PER_SCALE * length_scale
+    rank = np.arange(times.size)
+    half_width = int(np.max(np.searchsorted(times, times + cutoff, side="right") - rank)) - 1
+    window = int(np.max(np.searchsorted(times, times + 2.0 * cutoff, side="right") - rank))
+    return cutoff, half_width, window
+
+
+def _weights(times: np.ndarray, values: np.ndarray, cfg: GPConfig, half_width: int) -> np.ndarray:
+    """(K + noise I)^-1 values with K held in LAPACK upper band storage.
+
+    Row ``half_width - k`` of the band holds the k-th superdiagonal; the
+    entries left of each superdiagonal's start are never read. A matrix
+    that is not numerically positive definite gets a jitter of
+    1e-10 * signal_var on its diagonal once, logged.
+    """
+    offset = np.arange(half_width, -1, -1)[:, None]
+    band = _kernel(times - times[np.maximum(np.arange(times.size) - offset, 0)], cfg)
+    band[-1] += cfg.noise_var
     try:
-        factor = cho_factor(gram, lower=True)
+        factor = cholesky_banded(band)
     except np.linalg.LinAlgError:
         jitter = 1e-10 * cfg.signal_var
         logger.warning("kernel matrix not positive definite; adding jitter %.3g", jitter)
-        gram[np.diag_indices_from(gram)] += jitter
-        factor = cho_factor(gram, lower=True)
-    return cho_solve(factor, values)
-
-
-def _fit_weights(times: np.ndarray, values: np.ndarray, cfg: GPConfig) -> np.ndarray:
-    if times.size < 2:
-        raise ValueError("need at least two training points")
-    gram = _se_kernel(times, times, cfg)
-    gram[np.diag_indices_from(gram)] += cfg.noise_var
-    return _gp_weights(gram, values, cfg)
+        band[-1] += jitter
+        factor = cholesky_banded(band)
+    return cho_solve_banded((factor, False), values)
 
 
 def gp_posterior_mean(
@@ -134,6 +170,11 @@ def gp_posterior_mean(
 ) -> np.ndarray:
     """Zero-mean GP regression mean at the query times.
 
+    Kernel values below 2^-KERNEL_TOL_LOG2 of the signal variance are
+    dropped, so the Gram matrix is banded and each query sums over its
+    window of nearby records (see _band). Training points may come in any
+    order; they are sorted first.
+
     Args:
         times: (n,) training epochs.
         values: (n,) training values.
@@ -141,12 +182,25 @@ def gp_posterior_mean(
         query_times: (m,) evaluation epochs.
 
     Returns:
-        (m,) posterior mean. An ill-conditioned kernel matrix gets a
-        jitter of 1e-10 * signal_var added once, logged.
+        (m,) posterior mean. A kernel matrix that is not numerically positive
+        definite gets a jitter of 1e-10 * signal_var added once, logged.
     """
     times = np.asarray(times, dtype=float)
-    alpha = _fit_weights(times, np.asarray(values, dtype=float), cfg)
-    return _se_kernel(np.asarray(query_times, dtype=float), times, cfg) @ alpha
+    if times.size < 2:
+        raise ValueError("need at least two training points")
+    order = np.argsort(times, kind="stable")
+    times = times[order]
+    cutoff, half_width, window = _band(times, cfg.length_scale)
+    alpha = _weights(times, np.asarray(values, dtype=float)[order], cfg, half_width)
+    query = np.asarray(query_times, dtype=float)
+    start = np.clip(np.searchsorted(times, query - cutoff), 0, times.size - window)
+    mean = np.empty(query.size)
+    rows = max(1, _QUERY_BLOCK_ENTRIES // window)
+    for lo in range(0, query.size, rows):
+        near = start[lo : lo + rows, None] + np.arange(window)
+        kern = _kernel(query[lo : lo + rows, None] - times[near], cfg)
+        mean[lo : lo + rows] = np.sum(kern * alpha[near], axis=1)
+    return mean
 
 
 def default_candidates(times: np.ndarray, values: np.ndarray) -> list:
@@ -179,31 +233,15 @@ def _cv_scores(
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     folds = np.array_split(perm, n_folds)
-
-    # The split and the squared distances are per fold, the unit-variance
-    # kernel per (fold, length scale); each candidate scales it, adds its
-    # noise and solves. Every step is the elementwise arithmetic of
-    # _se_kernel, so the scores equal per-candidate gp_posterior_mean calls.
-    scales = {}
-    for ci, cfg in enumerate(candidates):
-        scales.setdefault(cfg.length_scale, []).append(ci)
     errs = [[] for _ in candidates]
     for fold in folds:
         train = np.setdiff1d(perm, fold, assume_unique=True)
         if train.size < 2:
             continue
-        t_train, y_train, y_held = times[train], values[train], values[fold]
-        d2_train = (t_train[:, None] - t_train[None, :]) ** 2
-        d2_held = (times[fold][:, None] - t_train[None, :]) ** 2
-        for length_scale, members in scales.items():
-            e_train = np.exp(-d2_train / (2.0 * length_scale**2))
-            e_held = np.exp(-d2_held / (2.0 * length_scale**2))
-            for ci in members:
-                cfg = candidates[ci]
-                gram = cfg.signal_var * e_train
-                gram[np.diag_indices_from(gram)] += cfg.noise_var
-                pred = (cfg.signal_var * e_held) @ _gp_weights(gram, y_train, cfg)
-                errs[ci].append(float(np.mean((pred - y_held) ** 2)))
+        t_train, y_train, t_held, y_held = times[train], values[train], times[fold], values[fold]
+        for ci, cfg in enumerate(candidates):
+            pred = gp_posterior_mean(t_train, y_train, cfg, t_held)
+            errs[ci].append(float(np.mean((pred - y_held) ** 2)))
     if not errs[0]:
         raise ValueError(f"no cross-validation fold has two training points ({n} points)")
     return np.array([float(np.mean(e)) for e in errs])
@@ -215,7 +253,7 @@ def cross_validate(
     candidates: Sequence[GPConfig],
     seed: int = 0,
     n_folds: int = 10,
-) -> GPConfig:
+) -> CVChoice:
     """Pick the candidate with the lowest mean held-out squared error.
 
     Folds are contiguous chunks of a seeded shuffle of the indices. With
@@ -228,12 +266,16 @@ def cross_validate(
     scores = _cv_scores(
         np.asarray(times, dtype=float), np.asarray(values, dtype=float), candidates, seed, n_folds
     )
-    best = min(
+    ranked = sorted(
         range(len(candidates)),
         key=lambda ci: (scores[ci], candidates[ci].length_scale, ci),
     )
-    logger.debug("cross-validation scores: %s; chose %s", scores, candidates[best])
-    return candidates[best]
+    best = float(scores[ranked[0]])
+    gap = None  # one candidate, or a component that is zero throughout (a steady wind along y)
+    if len(ranked) > 1 and best > 0.0:
+        gap = (float(scores[ranked[1]]) - best) / best
+    logger.debug("cross-validation scores: %s; chose %s", scores, candidates[ranked[0]])
+    return CVChoice(candidates[ranked[0]], best, gap)
 
 
 def _cv_subsample(n: int, cap: int) -> np.ndarray:
@@ -262,7 +304,8 @@ def select_hyperparameters(
     """Cross-validated kernel choice for each wind component.
 
     Selection runs on an evenly-strided subsample of at most
-    ``cv_max_points`` records (cost cap); returns (cfg_x, cfg_y).
+    ``cv_max_points`` records (cost cap); returns (choice_x, choice_y),
+    each a CVChoice.
     """
     t, comps = _component_arrays(records)
     sub = _cv_subsample(t.size, cv_max_points)
@@ -276,14 +319,14 @@ def select_hyperparameters(
 def fit_wind(
     records: Sequence[RawWindRecord],
     grids: Sequence[TimeGrid],
-    configs,
+    configs: Sequence[GPConfig],
 ) -> list:
     """GP posterior mean of both components on all records at each grid's times.
 
-    Each component's Gram matrix is factored once and its weights serve
-    every grid; returns one WindSeries per grid, in order. Grid times
-    outside the record span are still evaluated (GP extrapolation) with a
-    warning.
+    One gp_posterior_mean call per component evaluates every grid, so each
+    component's Gram matrix is factored once; returns one WindSeries per
+    grid, in order. Grid times outside the record span are still evaluated
+    (GP extrapolation) with a warning.
     """
     t, comps = _component_arrays(records)
     for grid in grids:
@@ -293,8 +336,9 @@ def fit_wind(
                 "grid [%s, %s] extends beyond the wind records [%s, %s]; extrapolating",
                 query[0], query[-1], t[0], t[-1],
             )
-    alphas = [_fit_weights(t, comps[:, k], configs[k]) for k in range(2)]
-    return [
-        WindSeries(grid, *(_se_kernel(grid.times, t, cfg) @ a for cfg, a in zip(configs, alphas)))
-        for grid in grids
-    ]
+    query = np.concatenate([grid.times for grid in grids])
+    splits = np.cumsum([grid.n_steps for grid in grids])[:-1]
+    u_x, u_y = (
+        np.split(gp_posterior_mean(t, comps[:, k], configs[k], query), splits) for k in range(2)
+    )
+    return [WindSeries(grid, ux, uy) for grid, ux, uy in zip(grids, u_x, u_y)]

@@ -181,6 +181,14 @@ class TestRun:
         assert meta["config"]["sampler"]["n_steps"] == 4000
         assert "paths" not in meta["config"]
 
+    def test_wind_fit_reports_cv_choice(self, completed):
+        _, out = completed
+        hyper = json.loads((out / "wind_fit.json").read_text())["hyperparameters"]
+        meta = json.loads((out / "run_metadata.json").read_text())
+        assert meta["stages"]["wind_fit"]["hyperparameters"] == hyper
+        for fit in hyper.values():
+            assert fit["cv_score"] > 0.0 and fit["cv_runner_up_gap"] >= 0.0
+
     def test_rerun_elsewhere_is_byte_identical(self, completed, tmp_path):
         _, first_out = completed
         cfg_path, out = write_case(tmp_path)

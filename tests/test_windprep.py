@@ -2,6 +2,7 @@
 
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,6 +99,47 @@ class TestGPPosteriorMean:
         got = gp_posterior_mean(times, values, cfg, query)
         np.testing.assert_allclose(got, dense_gp_mean(times, values, cfg, query), rtol=1e-9)
 
+        # Irregular times with a gap of 15 length scales, wider than the
+        # kernel cutoff (9.12 length scales); a length scale longer than the
+        # whole span, so the band is full; unsorted training input. The
+        # banded path drops kernel values below 2^-60 of the signal
+        # variance, hence the absolute tolerance for queries inside the gap.
+        gapped = np.concatenate([times, times + 3600.0 + 15.0 * 400.0])
+        gapped_values = np.sin(gapped / 500.0) + 0.1 * rng.standard_normal(gapped.size)
+        gapped_query = np.linspace(-200.0, gapped[-1] + 200.0, 101)
+        shuffled = rng.permutation(times.size)
+        cases = [
+            (gapped, gapped_values, cfg, gapped_query),
+            (times, values, GPConfig(1.3, 1e5, 0.05), query),
+            (times[shuffled], values[shuffled], cfg, query),
+        ]
+        for case_times, case_values, case_cfg, case_query in cases:
+            got = gp_posterior_mean(case_times, case_values, case_cfg, case_query)
+            want = dense_gp_mean(case_times, case_values, case_cfg, case_query)
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-15)
+
+    def test_training_order_does_not_matter(self):
+        rng = np.random.default_rng(8)
+        times = np.sort(rng.uniform(0.0, 20000.0, 150))
+        values = np.cos(times / 900.0) + 0.1 * rng.standard_normal(150)
+        query = np.linspace(-500.0, 20500.0, 77)
+        cfg = GPConfig(signal_var=1.0, length_scale=300.0, noise_var=0.02)
+        shuffled = rng.permutation(150)
+        np.testing.assert_array_equal(
+            gp_posterior_mean(times[shuffled], values[shuffled], cfg, query),
+            gp_posterior_mean(times, values, cfg, query),
+        )
+
+    def test_each_query_independent_of_the_others(self):
+        rng = np.random.default_rng(9)
+        times = np.sort(rng.uniform(0.0, 20000.0, 150))
+        values = np.sin(times / 700.0)
+        query = rng.uniform(-1000.0, 21000.0, 60)
+        cfg = GPConfig(signal_var=1.0, length_scale=250.0, noise_var=0.05)
+        together = gp_posterior_mean(times, values, cfg, query)
+        alone = [gp_posterior_mean(times, values, cfg, query[j : j + 1])[0] for j in range(60)]
+        np.testing.assert_array_equal(together, alone)
+
     def test_two_point_shrinkage_closed_form(self):
         """Decorrelated points shrink toward the zero prior mean by
         s^2/(s^2+noise); cross terms are exp(-d^2/2l^2) small."""
@@ -154,13 +196,13 @@ class TestCrossValidate:
         good = GPConfig(signal_var=0.5, length_scale=1500.0, noise_var=0.01)
         too_long = GPConfig(signal_var=0.5, length_scale=1e6, noise_var=0.01)
         too_short = GPConfig(signal_var=0.5, length_scale=1.0, noise_var=0.01)
-        assert cross_validate(self.times, self.values, [too_long, good, too_short]) is good
+        assert cross_validate(self.times, self.values, [too_long, good, too_short]).config is good
 
     def test_deterministic_given_seed(self):
         cands = default_candidates(self.times, self.values)
         a = cross_validate(self.times, self.values, cands, seed=9)
         b = cross_validate(self.times, self.values, cands, seed=9)
-        assert a is b
+        assert a == b
 
     def test_tie_breaks_to_smaller_length_scale(self):
         cfg_long = GPConfig(signal_var=0.5, length_scale=2000.0, noise_var=0.01)
@@ -168,12 +210,29 @@ class TestCrossValidate:
         # same scores for identical configs; distinct scales settle by scale
         picked = cross_validate(self.times, self.values, [cfg_long, cfg_long, cfg_short, cfg_short])
         alone = cross_validate(self.times, self.values, [cfg_long, cfg_short])
-        assert picked.length_scale == alone.length_scale
+        assert picked.config.length_scale == alone.config.length_scale
 
     def test_leave_one_out_fallback(self):
         cfg = GPConfig(signal_var=1.0, length_scale=500.0, noise_var=0.1)
         picked = cross_validate(self.times[:5], self.values[:5], [cfg], n_folds=10)
-        assert picked is cfg
+        assert picked.config is cfg
+        assert picked.runner_up_gap is None
+
+    def test_reports_score_and_runner_up_gap(self):
+        cands = default_candidates(self.times, self.values)
+        scores = windprep._cv_scores(self.times, self.values, cands, 0, 10)
+        choice = cross_validate(self.times, self.values, cands)
+        best, second = np.sort(scores)[:2]
+        assert choice.config is cands[int(np.argmin(scores))]
+        assert choice.score == best
+        assert choice.runner_up_gap == (second - best) / best
+
+    def test_zero_component_has_no_runner_up_gap(self):
+        # a wind blowing steadily from north has u_x = 0 throughout: every
+        # candidate predicts it exactly, so the relative gap is undefined
+        zeros = np.zeros_like(self.values)
+        choice = cross_validate(self.times, zeros, default_candidates(self.times, zeros))
+        assert choice.score == 0.0 and choice.runner_up_gap is None
 
     def test_empty_candidates_raise(self):
         with pytest.raises(ValueError):
@@ -237,11 +296,15 @@ def synthetic_records(n=200, cadence=600.0, seed=2):
     return records, t, speed, direction
 
 
+def chosen_configs(records, **kwargs):
+    return [choice.config for choice in select_hyperparameters(records, **kwargs)]
+
+
 class TestFitWind:
     def test_tracks_clean_components(self):
         records, t, speed, direction = synthetic_records()
         grid = TimeGrid(t0=0.0, dt=3600.0, n_steps=32)
-        (series,) = fit_wind(records, [grid], select_hyperparameters(records, seed=0))
+        (series,) = fit_wind(records, [grid], chosen_configs(records, seed=0))
         theta = np.radians(np.interp(grid.times, t, direction))
         clean_ux = -np.interp(grid.times, t, speed) * np.sin(theta)
         clean_uy = -np.interp(grid.times, t, speed) * np.cos(theta)
@@ -273,15 +336,17 @@ class TestFitWind:
 
     def test_grids_share_one_factorization(self, monkeypatch):
         records, *_ = synthetic_records(n=120)
-        configs = select_hyperparameters(records, seed=1)
+        configs = chosen_configs(records, seed=1)
         coarse = TimeGrid(t0=0.0, dt=3600.0, n_steps=19)
         fine = TimeGrid(t0=600.0, dt=1200.0, n_steps=55)
         t = np.array([r.timestamp for r in records])
         comps = np.array([to_components(r) for r in records])
         factor_calls = []
-        original = windprep.cho_factor
+        original = windprep.cholesky_banded
         monkeypatch.setattr(
-            windprep, "cho_factor", lambda *a, **k: factor_calls.append(1) or original(*a, **k)
+            windprep,
+            "cholesky_banded",
+            lambda *a, **k: factor_calls.append(1) or original(*a, **k),
         )
         both = fit_wind(records, [coarse, fine], configs)
         assert len(factor_calls) == 2  # one per component, not per grid
@@ -297,20 +362,36 @@ class TestFitWind:
         with pytest.raises(ValueError):
             fit_wind([RawWindRecord(0.0, 2.0, 270.0)], [grid], None)
 
+    def test_memory_grows_with_the_band_not_records_squared(self):
+        n = 8000
+        records = [
+            RawWindRecord(600.0 * j, 3.0 + math.sin(j / 50.0), (270.0 + j / 40.0) % 360.0)
+            for j in range(n)
+        ]
+        grids = [TimeGrid(t0=0.0, dt=3600.0, n_steps=1333), TimeGrid(t0=0.0, dt=600.0, n_steps=n - 1)]
+        cfg = GPConfig(signal_var=1.0, length_scale=6000.0, noise_var=0.05)
+        tracemalloc.start()
+        try:
+            fit_wind(records, grids, (cfg, cfg))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * n * n * 8
+
 
 class TestRegularizeWind:
     def test_deterministic(self):
         records, *_ = synthetic_records(n=80)
         grid = TimeGrid(t0=0.0, dt=3600.0, n_steps=12)
-        (a,) = fit_wind(records, [grid], select_hyperparameters(records, seed=4))
-        (b,) = fit_wind(records, [grid], select_hyperparameters(records, seed=4))
+        (a,) = fit_wind(records, [grid], chosen_configs(records, seed=4))
+        (b,) = fit_wind(records, [grid], chosen_configs(records, seed=4))
         np.testing.assert_array_equal(a.u_x, b.u_x)
         np.testing.assert_array_equal(a.u_y, b.u_y)
 
     def test_cv_subsample_cap_still_fits_all_records(self):
         records, t, speed, direction = synthetic_records(n=150)
         grid = TimeGrid(t0=0.0, dt=3600.0, n_steps=24)
-        configs = select_hyperparameters(records, seed=0, cv_max_points=40)
+        configs = chosen_configs(records, seed=0, cv_max_points=40)
         (capped,) = fit_wind(records, [grid], configs)
         assert np.all(np.isfinite(capped.u_x))
         # selection differs at most; the fit must still track the data
@@ -320,5 +401,7 @@ class TestRegularizeWind:
 
     def test_select_hyperparameters_returns_pair(self):
         records, *_ = synthetic_records(n=60)
-        cfg_x, cfg_y = select_hyperparameters(records, seed=0)
-        assert isinstance(cfg_x, GPConfig) and isinstance(cfg_y, GPConfig)
+        choice_x, choice_y = select_hyperparameters(records, seed=0)
+        for choice in (choice_x, choice_y):
+            assert isinstance(choice.config, GPConfig)
+            assert choice.score > 0.0 and choice.runner_up_gap >= 0.0
