@@ -5,19 +5,25 @@ config (the bundled synthetic case by default), applies CLI and
 environment overrides, and runs the requested stage with missing
 predecessors filled in. Exit codes: 0 success, 2 invalid input or
 configuration, 3 numerical failure.
+
+``PLUME_THREADS`` is applied before anything that loads numpy is
+imported, so this module imports the pipeline and the config loader only
+inside ``main``.
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
-import os
 import sys
 from importlib import resources
+from typing import TYPE_CHECKING
 
-from . import pipeline
-from .config import ENV_THREADS, RunConfig, load_config
+from . import threads
 from .errors import NumericalError, ValidationError
+
+if TYPE_CHECKING:
+    from .config import RunConfig
 
 __all__ = ["main", "build_parser"]
 
@@ -120,24 +126,6 @@ def _apply_cli_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _limit_threads():
-    raw = os.environ.get(ENV_THREADS)
-    if not raw:
-        return None
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValidationError(f"{ENV_THREADS} must be an integer, got {raw!r}")
-    if n < 1:
-        raise ValidationError(f"{ENV_THREADS} must be >= 1, got {n}")
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        logger.warning("threadpoolctl not installed; %s ignored", ENV_THREADS)
-        return None
-    return threadpool_limits(limits=n)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(
@@ -146,7 +134,10 @@ def main(argv=None) -> int:
         stream=sys.stderr,
     )
     try:
-        limiter = _limit_threads()  # noqa: F841 (kept alive for the process)
+        limiter = threads.limit()  # noqa: F841 (kept alive for the process)
+        from . import pipeline
+        from .config import load_config
+
         config_path = args.config if args.config is not None else default_config_path()
         cfg = load_config(config_path, out_dir=args.out_dir, seed=args.seed)
         cfg = _apply_cli_overrides(cfg, args)

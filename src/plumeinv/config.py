@@ -29,10 +29,9 @@ from .synthetic import Harmonic, SourceSignal, SyntheticSpec, WindModel
 from .uqprop import GridSpec
 from .windprep import CV_MAX_POINTS_DEFAULT, CV_MIN_POINTS
 
-__all__ = ["RunConfig", "load_config", "ENV_SEED", "ENV_THREADS"]
+__all__ = ["RunConfig", "load_config", "ENV_SEED"]
 
 ENV_SEED = "PLUME_SEED"
-ENV_THREADS = "PLUME_THREADS"
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,9 @@ Stage 3 (positive): clipped-Gaussian push-forward sampled by pCN, centered
 at the clipped smooth mean.
 
 The prior covariance is C = I_{n_sources} kron L^-2 with L a scaled
-tridiagonal operator, so prior draws and covariance applications reduce to
-banded Cholesky solves per source block; nothing is ever explicitly
+tridiagonal operator, factored once as L = U D U^T (LAPACK ``dpttrf``), so
+prior draws and covariance applications reduce to tridiagonal solves
+(``dpttrs``) over every column at once; nothing is ever explicitly
 inverted.
 """
 
@@ -20,9 +21,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cholesky_banded, cho_solve_banded, solve_triangular
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.optimize import nnls as scipy_nnls
-from scipy.sparse import csr_array
+from scipy.sparse import csc_array
 
 from .errors import NumericalError
 from .observation import TimeGrid
@@ -38,6 +40,7 @@ __all__ = [
     "mle_constant",
     "gaussian_posterior",
     "clip_positive",
+    "whiten",
     "make_potential",
     "positive_posterior",
 ]
@@ -78,11 +81,12 @@ class SmoothnessPrior:
         scale = spec.alpha * np.sqrt(spec.grid.dt / spec.grid.span)
         diag_d = np.full(n_t, -2.0)
         diag_d[0] = diag_d[-1] = -1.0
-        # Upper banded form: row 0 superdiagonal, row 1 main diagonal.
-        self._banded = np.zeros((2, n_t))
-        self._banded[1] = scale * (1.0 - spec.gamma * ratio * diag_d)
-        self._banded[0, 1:] = scale * (-spec.gamma * ratio)
-        self._factor = cholesky_banded(self._banded)
+        self._diag = scale * (1.0 - spec.gamma * ratio * diag_d)
+        self._off = np.full(n_t - 1, scale * (-spec.gamma * ratio))
+        # L = U D U^T with U unit upper bidiagonal; dpttrs solves with it.
+        self._factor_d, self._factor_e, info = dpttrf(self._diag, self._off)
+        if info != 0:
+            raise NumericalError(f"prior operator L is not positive definite (dpttrf info {info})")
         self._cov_block: Optional[np.ndarray] = None
 
     @property
@@ -96,24 +100,35 @@ class SmoothnessPrior:
     @property
     def l_matrix(self) -> np.ndarray:
         """Dense L (n_steps x n_steps), for small-instance checks."""
-        n_t = self.n_steps
-        out = np.zeros((n_t, n_t))
-        out[np.diag_indices(n_t)] = self._banded[1]
-        off = self._banded[0, 1:]
-        out[np.arange(n_t - 1), np.arange(1, n_t)] = off
-        out[np.arange(1, n_t), np.arange(n_t - 1)] = off
-        return out
+        return np.diag(self._diag) + np.diag(self._off, 1) + np.diag(self._off, -1)
 
-    def _solve_l(self, rhs: np.ndarray) -> np.ndarray:
-        return cho_solve_banded((self._factor, False), rhs)
+    def _solve_rows(self, a: np.ndarray) -> np.ndarray:
+        """Each length-n_steps row r of ``a`` replaced by L^-1 r, in place when ``a`` is C-ordered.
 
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        """One draw w ~ N(0, C) via w_block = L^-1 xi (L is symmetric)."""
-        xi = rng.standard_normal((self.n_steps, self.spec.n_sources))
-        return self._solve_l(xi).T.ravel()
+        The rows of a C-ordered array are the columns of a Fortran-ordered
+        one, which ``dpttrs`` solves one at a time in its own memory.
+        """
+        x, _ = dpttrs(self._factor_d, self._factor_e, a.reshape(-1, self.n_steps).T, overwrite_b=1)
+        return x.T.reshape(a.shape)
+
+    def sample(self, rng: np.random.Generator, size: Optional[int] = None) -> np.ndarray:
+        """Draws w ~ N(0, C) via w_block = L^-1 xi (L is symmetric).
+
+        One draw as an (n,) vector, or ``size`` draws as a (size, n) array.
+        The normals come from one ``standard_normal((size, n_steps,
+        n_sources))`` call, so ``rng`` ends where ``size`` single draws
+        leave it, and each block of each draw is solved on its own: draw k
+        is the same, bit for bit, whatever ``size`` is.
+        """
+        b = 1 if size is None else size
+        n_t, n_s = self.n_steps, self.spec.n_sources
+        xi = rng.standard_normal((b, n_t, n_s))
+        # (b, n_s, n_t) in C order is the (b, n) source-major result.
+        out = self._solve_rows(xi.transpose(0, 2, 1).copy()).reshape(b, n_s * n_t)
+        return out[0] if size is None else out
 
     def apply_cov(self, x: np.ndarray) -> np.ndarray:
-        """C @ x for a vector or matrix x, via two banded solves per block."""
+        """C @ x for a vector or matrix x, via two tridiagonal solves per block."""
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         if single:
@@ -122,16 +137,16 @@ class SmoothnessPrior:
         if x.shape[0] != n_s * n_t:
             raise ValueError(f"expected leading dimension {n_s * n_t}, got {x.shape[0]}")
         m = x.shape[1]
-        stacked = x.reshape(n_s, n_t, m).transpose(1, 0, 2).reshape(n_t, n_s * m)
-        solved = self._solve_l(self._solve_l(stacked))
-        out = solved.reshape(n_t, n_s, m).transpose(1, 0, 2).reshape(n_s * n_t, m)
+        # One (n_s, m, n_t) copy holds every block of every column as a row.
+        rows = self._solve_rows(self._solve_rows(x.reshape(n_s, n_t, m).transpose(0, 2, 1).copy()))
+        out = rows.transpose(0, 2, 1).reshape(n_s * n_t, m)
         return out[:, 0] if single else out
 
     def cov_block(self) -> np.ndarray:
         """Dense L^-2, the covariance of one source block (cached)."""
         if self._cov_block is None:
-            eye = np.eye(self.n_steps)
-            self._cov_block = self._solve_l(self._solve_l(eye))
+            # Rows of L^-1 M are columns of M L^-1; L and L^-1 are symmetric.
+            self._cov_block = self._solve_rows(self._solve_rows(np.eye(self.n_steps)))
         return self._cov_block
 
     def dense_cov(self) -> np.ndarray:
@@ -285,6 +300,19 @@ def clip_positive(v: np.ndarray) -> np.ndarray:
     return np.maximum(np.asarray(v, dtype=float), 0.0)
 
 
+def whiten(f_matrix: np.ndarray, d: np.ndarray, noise_var: np.ndarray):
+    """(Sigma^-1/2 F as a CSC array, Sigma^-1/2 d).
+
+    Most entries of F are zero (a sampler row covers only the time slots of
+    its window), so F is whitened in sparse form; CSC gives the chain's
+    column access.
+    """
+    inv_std = 1.0 / np.sqrt(np.asarray(noise_var, dtype=float))
+    f_white = csc_array(np.asarray(f_matrix, dtype=float))
+    f_white.data *= inv_std[f_white.indices]
+    return f_white, np.asarray(d, dtype=float) * inv_std
+
+
 def make_potential(
     f_matrix: np.ndarray,
     d: np.ndarray,
@@ -293,13 +321,11 @@ def make_potential(
 ) -> Callable[[np.ndarray], float]:
     """Whitened data misfit phi(v) = 1/2 || Sigma^-1/2 (F link(v) - d) ||^2.
 
-    F and d are whitened once, and the whitened F is kept in CSR form: most
-    of its entries are zero (a sampler row covers only the time slots of its
-    window), so each call costs one sparse product and one dot product.
+    Each call costs one sparse product and one dot product. The chain
+    evaluates phi in its own accept loop; this is the independent oracle
+    that loop is checked against.
     """
-    inv_std = 1.0 / np.sqrt(np.asarray(noise_var, dtype=float))
-    f_white = csr_array(np.asarray(f_matrix, dtype=float) * inv_std[:, None])
-    d_white = np.asarray(d, dtype=float) * inv_std
+    f_white, d_white = whiten(f_matrix, d, noise_var)
 
     def potential(v: np.ndarray) -> float:
         residual = f_white @ link(v) - d_white
@@ -317,6 +343,7 @@ class PositivePosterior:
     v_mean: np.ndarray  # latent posterior mean
     acceptance_rate: float
     ess: float
+    r_hat: float
     n_steps: int
     n_kept: int
     beta: float
@@ -341,12 +368,12 @@ def positive_posterior(
     the linear-Gaussian stage). Means and covariances are chain averages
     after burn-in; cov_sp is the chain's second moment of h(v) about
     q_sp = h(v_mean), not about the chain mean of h(v), and it is formed in
-    the chain's own scatter array.
+    the chain's own scatter array. F and d are whitened once here; the
+    chain evaluates phi in its data space.
     """
-    d = np.asarray(d, dtype=float)
     prior_mean = link(np.asarray(q_s, dtype=float))
-    potential = make_potential(f_matrix, d, noise_var, link)
-    summary: ChainSummary = pcn_chain(potential, prior_mean, prior.sample, cfg, transform=link)
+    f_white, d_white = whiten(f_matrix, d, noise_var)
+    summary: ChainSummary = pcn_chain(f_white, d_white, prior_mean, prior.sample, cfg, link=link)
     if not (0.1 <= summary.acceptance_rate <= 0.6):
         logger.warning(
             "acceptance rate %.3f outside [0.1, 0.6]; consider retuning beta",
@@ -358,6 +385,7 @@ def positive_posterior(
         v_mean=summary.mean,
         acceptance_rate=summary.acceptance_rate,
         ess=summary.ess,
+        r_hat=summary.r_hat,
         n_steps=summary.n_steps,
         n_kept=summary.n_kept,
         beta=cfg.beta,

@@ -1,7 +1,12 @@
-"""Preconditioned Crank-Nicolson sampler for Gaussian-prior posteriors.
+"""Preconditioned Crank-Nicolson sampler for whitened linear data models.
 
-Targets densities proportional to exp(-phi(v)) * N(v; m, C). Proposals use
-the non-centered shift
+Targets densities proportional to exp(-phi(v)) * N(v; m, C) with
+
+    phi(v) = 1/2 || F h(v) - d ||^2,
+
+F and d already whitened by the noise std and h an entrywise link (the
+identity when omitted; clipping in the positive stage). Proposals use the
+non-centered shift
 
     v~ = m + sqrt(1 - beta^2) (v - m) + beta w,    w ~ N(0, C),
 
@@ -11,13 +16,29 @@ prior invariant when phi is constant and is robust to the dimension of v.
 Randomness comes from a counter-based Philox generator with two spawned
 streams: stream 0 drives prior draws, stream 1 drives acceptance
 variables. One draw is consumed from each stream per step regardless of
-the outcome, so chains of different lengths share their common prefix.
+the outcome, so a block's randomness is known before the block runs. The
+chain therefore works a block of ``BLOCK_SIZE`` steps at a time: one call
+``prior_sample(rng, b)`` draws the block's w (drawing b at once leaves the
+stream where b single draws leave it), one call draws its acceptance
+exponentials, one product forms F w for the whole block and one more
+forms F v at its start. The accept loop then runs in the data space, where
+
+    F v~ = F m + sqrt(1 - beta^2) (F v - F m) + beta F w,
+
+and F (h(v~) - v~) is added on the columns where the link moves v~ (for
+clipping, the negative entries), so phi is exact without a product by F
+per step. Every column of the draw and of the product is computed on its
+own, so chains of different lengths share their common prefix of states
+bit for bit.
 
 Running moments use a blocked, numerically stable one-pass (Welford/Chan)
 update so chains of 1e5+ states in thousands of dimensions never need to
-be stored. The scatter matrix is symmetric, so only its upper triangle is
-accumulated, by one BLAS ``syrk`` per block; ``second_moment`` turns it
-into the second moment about a given point and mirrors it, in place.
+be stored. The kept chain is a sequence of distinct states with dwell
+counts (Douc & Robert 2011, Ann. Statist.); each distinct state reaches
+``OnlineMoments.update_block`` once, with its count. The scatter matrix is
+symmetric, so only its upper triangle is accumulated, by one BLAS ``syrk``
+per block of rows scaled by sqrt(count); ``second_moment`` turns it into
+the second moment about a given point and mirrors it, in place.
 """
 
 from __future__ import annotations
@@ -29,6 +50,7 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg.blas import dsyrk
+from scipy.special import ndtri
 
 from .errors import ValidationError
 
@@ -40,13 +62,18 @@ __all__ = [
     "pcn_chain",
     "tune_beta",
     "effective_sample_size",
+    "split_r_hat",
 ]
 
 logger = logging.getLogger(__name__)
 
-BLOCK_SIZE = 256  # kept states buffered per moment update
+BLOCK_SIZE = 64  # chain steps drawn per block, and distinct kept states per moment update
 TUNE_MAX_ITER = 12  # bisections tune_beta tries before settling for the closest beta
+R_HAT_SPLITS = 4  # parts the kept potential trace is split into for split-R-hat
 _TILE = 256  # tile edge of the in-place finish in OnlineMoments.second_moment
+
+Link = Callable[[np.ndarray], np.ndarray]
+PriorSample = Callable[[np.random.Generator, int], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -85,16 +112,24 @@ class SamplerConfig:
         return int(round(self.burn_in_fraction * self.n_steps))
 
 
+def _merged_mean(mean: np.ndarray, count: int, rows: np.ndarray, counts: np.ndarray):
+    """(block mean, running mean after the block) for rows weighted by counts."""
+    b = counts.sum()
+    block_mean = counts @ rows / b
+    return block_mean, mean + (block_mean - mean) * (b / (count + b))
+
+
 class OnlineMoments:
     """Blocked one-pass mean and scatter accumulator.
 
     Merges per-block moments into the running (mean, scatter) pair via the
     parallel-variance (Chan) update. The scatter is Fortran-ordered and only
-    its upper triangle is kept: each block adds the centered block and the
-    scaled mean shift, stacked as a (b + 1) x dim array A, through one
-    in-place rank-(b + 1) update ``scatter += A^T A`` (BLAS ``dsyrk``), so
-    accuracy does not degrade with chain length and no dense temporary is
-    built. The lower triangle stays zero until ``second_moment`` fills it.
+    its upper triangle is kept: each block adds its rows centered on the
+    block mean and scaled by the square root of their counts, and the scaled
+    mean shift, stacked as a (b + 1) x dim array A, through one in-place
+    rank-(b + 1) update ``scatter += A^T A`` (BLAS ``dsyrk``), so accuracy
+    does not degrade with chain length and no dense temporary is built. The
+    lower triangle stays zero until ``second_moment`` fills it.
     """
 
     def __init__(self, dim: int):
@@ -103,23 +138,29 @@ class OnlineMoments:
         self.mean = np.zeros(dim)
         self.scatter = np.zeros((dim, dim), order="F")
 
-    def update_block(self, block: np.ndarray) -> None:
-        block = np.asarray(block)
-        b = block.shape[0]
+    def update_block(self, rows: np.ndarray, counts: Optional[np.ndarray] = None) -> None:
+        """Add ``rows``, row i counted ``counts[i]`` times (once each by default)."""
+        rows = np.asarray(rows)
+        b = rows.shape[0]
         if b == 0:
             return
-        block_mean = block.mean(axis=0)
-        delta = block_mean - self.mean
-        n_new = self.count + b
-        # Rows 0..b-1: the centered block; row b: sqrt(count*b/n_new) * delta,
-        # whose outer product is the between-means term of the merge.
+        counts = np.ones(b) if counts is None else np.asarray(counts, dtype=float)
+        block_mean, mean = _merged_mean(self.mean, self.count, rows, counts)
+        n_block = int(counts.sum())
+        n_new = self.count + n_block
+        # Rows 0..b-1: sqrt(count_i) (row_i - block mean); row b:
+        # sqrt(count*n_block/n_new) * delta, whose outer product is the
+        # between-means term of the merge.
         stacked = np.empty((b + 1, self.dim), order="F")
-        np.subtract(block, block_mean, out=stacked[:b])
-        np.multiply(delta, math.sqrt(self.count * b / n_new), out=stacked[b])
+        np.subtract(rows, block_mean, out=stacked[:b])
+        stacked[:b] *= np.sqrt(counts)[:, None]
+        np.multiply(
+            block_mean - self.mean, math.sqrt(self.count * n_block / n_new), out=stacked[b]
+        )
         self.scatter = dsyrk(
             1.0, stacked, beta=1.0, c=self.scatter, trans=1, lower=0, overwrite_c=1
         )
-        self.mean = self.mean + delta * (b / n_new)
+        self.mean = mean
         self.count = n_new
 
     def second_moment(self, point: np.ndarray) -> np.ndarray:
@@ -157,14 +198,16 @@ class ChainSummary:
     """First two chain moments plus diagnostics, burn-in already discarded.
 
     ``mean`` is the chain mean of v. ``cov`` is the chain second moment of
-    g(v) about g(mean), with g the chain's transform; without one, g is the
-    identity and ``cov`` is the covariance of v.
+    h(v) about h(mean), with h the chain's link; without one, h is the
+    identity and ``cov`` is the covariance of v. ``ess`` and ``r_hat`` are
+    read off the kept potential trace.
     """
 
     mean: np.ndarray
     cov: np.ndarray
     acceptance_rate: float
     ess: float
+    r_hat: float
     n_steps: int
     n_kept: int
     beta: float
@@ -195,106 +238,194 @@ def effective_sample_size(trace: np.ndarray) -> float:
     return float(n / tau)
 
 
-def _pcn_steps(
-    potential: Callable[[np.ndarray], float],
-    prior_mean: np.ndarray,
-    prior_sample: Callable[[np.random.Generator], np.ndarray],
-    cfg: SamplerConfig,
-):
-    """Run ``cfg.n_steps`` pCN steps, yielding (v, phi(v), accepted, finite) after each.
+def _r_hat(parts: np.ndarray) -> float:
+    """Gelman-Rubin R-hat of equal-length parts (rows), on normal scores of ranks."""
+    n = parts.shape[1]
+    # Average ranks (ties share the mean of their ranks), then Blom's normal scores.
+    _, inverse, ties = np.unique(parts, return_inverse=True, return_counts=True)
+    last = np.cumsum(ties)
+    ranks = (0.5 * (last - ties + 1 + last))[inverse].reshape(parts.shape)
+    z = ndtri((ranks - 0.375) / (parts.size + 0.25))
+    within = float(z.var(axis=1, ddof=1).mean())
+    between = n * float(z.mean(axis=1).var(ddof=1))
+    if within == 0.0:
+        return 1.0 if between == 0.0 else math.inf
+    return math.sqrt(((n - 1) / n * within + between / n) / within)
 
-    ``finite`` is False when the proposal's potential was non-finite; such
-    a proposal is rejected.
+
+def split_r_hat(trace: np.ndarray) -> float:
+    """Rank-normalized split-R-hat of one scalar trace (Vehtari et al. 2021).
+
+    The trace is cut into ``R_HAT_SPLITS`` equal parts (the first few values are
+    dropped when the length does not divide), and the result is the larger
+    of the rank-normalized R-hat of the parts (bulk) and that of their
+    absolute deviations from the median (tails). Near 1 when the parts
+    agree; values above about 1.01 flag a chain that has not mixed. A
+    trace shorter than two values per part gives NaN.
     """
-    prior_mean = np.asarray(prior_mean, dtype=float)
-    root = np.random.SeedSequence(cfg.seed)
-    seq_prop, seq_acc = root.spawn(2)
-    rng_prop = np.random.Generator(np.random.Philox(seq_prop))
-    rng_acc = np.random.Generator(np.random.Philox(seq_acc))
+    trace = np.asarray(trace, dtype=float)
+    n = trace.size // R_HAT_SPLITS
+    if n < 2:
+        return math.nan
+    parts = trace[trace.size - n * R_HAT_SPLITS :].reshape(R_HAT_SPLITS, n)
+    folded = np.abs(parts - np.median(parts))
+    return max(_r_hat(parts), _r_hat(folded))
 
-    v = prior_mean.copy()
-    phi_v = float(potential(v))
-    if not math.isfinite(phi_v):
-        raise ValueError("potential is non-finite at the prior mean")
+
+def _streams(seed: int):
+    """The proposal and acceptance Philox generators of a chain."""
+    seq_prop, seq_acc = np.random.SeedSequence(seed).spawn(2)
+    return (np.random.Generator(np.random.Philox(seq_prop)),
+            np.random.Generator(np.random.Philox(seq_acc)))
+
+
+@dataclass(eq=False)
+class _ChainRun:
+    """What the block kernel hands back."""
+
+    accepted: int
+    n_nonfinite: int
+    phi_trace: np.ndarray  # potential of the state after each kept step
+    mean: Optional[np.ndarray]  # chain mean of v over the kept steps
+    moments: Optional[OnlineMoments]  # moments of h(v) over the kept steps
+
+
+def _pcn_kernel(
+    f_white,
+    d_white: np.ndarray,
+    prior_mean: np.ndarray,
+    prior_sample: PriorSample,
+    cfg: SamplerConfig,
+    link: Optional[Link] = None,
+    moments: bool = True,
+) -> _ChainRun:
+    """Run ``cfg.n_steps`` pCN steps a block at a time (see the module docstring).
+
+    ``f_white`` is any matrix with ``@`` and column indexing (a CSC array in
+    the pipeline). With ``moments`` off only acceptances and the potential
+    trace are kept.
+    """
+    m = np.asarray(prior_mean, dtype=float)
+    d_white = np.asarray(d_white, dtype=float)
+    rng_prop, rng_acc = _streams(cfg.seed)
     shrink = math.sqrt(max(0.0, 1.0 - cfg.beta**2))
-    for _ in range(cfg.n_steps):
-        w = prior_sample(rng_prop)
-        proposal = prior_mean + shrink * (v - prior_mean) + cfg.beta * w
-        phi_p = float(potential(proposal))
-        # log U = -Exp(1) exactly; one acceptance draw per step keeps the
-        # stream position a function of the step index alone.
-        log_u = -rng_acc.exponential()
-        finite = math.isfinite(phi_p)
-        accept = finite and log_u <= phi_v - phi_p
-        if accept:
-            v = proposal
-            phi_v = phi_p
-        yield v, phi_v, accept, finite
+
+    def phi(v: np.ndarray, fv: np.ndarray) -> float:
+        """phi(v) given the linear part F v."""
+        if link is not None:
+            moved = link(v) - v
+            cols = np.flatnonzero(moved)
+            if cols.size:
+                fv = fv + f_white[:, cols] @ moved[cols]
+        residual = fv - d_white
+        return 0.5 * float(residual @ residual)
+
+    burn = cfg.n_burn
+    n_kept = cfg.n_steps - burn
+    phi_trace = np.empty(n_kept)
+    acc = OnlineMoments(m.size) if moments else None
+    mean_v = np.zeros(m.size) if moments else None
+    # Distinct kept states and their dwell counts, flushed BLOCK_SIZE at a time.
+    rows = np.empty((min(BLOCK_SIZE, n_kept), m.size)) if moments else None
+    counts = np.zeros(BLOCK_SIZE)
+    fill = 0
+    accepted = 0
+    n_nonfinite = 0
+
+    def flush() -> None:
+        nonlocal mean_v
+        kept, weights = rows[:fill], counts[:fill]
+        _, mean_v = _merged_mean(mean_v, acc.count, kept, weights)
+        acc.update_block(kept if link is None else link(kept), weights)
+
+    v = m.copy()
+    fm = np.asarray(f_white @ m, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite phi rejects
+        phi_v = phi(v, fm)
+        if not math.isfinite(phi_v):
+            raise ValueError("potential is non-finite at the prior mean")
+        for start in range(0, cfg.n_steps, BLOCK_SIZE):
+            b = min(BLOCK_SIZE, cfg.n_steps - start)
+            # F v is carried from step to step inside a block; forming it
+            # afresh at each block start keeps its rounding error from
+            # building up over many steps when beta is small.
+            fv = np.asarray(f_white @ v, dtype=float)
+            w = prior_sample(rng_prop, b)
+            w *= cfg.beta
+            fw = np.asarray(f_white @ w.T, dtype=float).T  # row k is F (beta w_k)
+            # log U = -Exp(1) exactly, one per step whatever the outcome.
+            log_u = -rng_acc.exponential(size=b)
+            for k in range(b):
+                proposal = v - m
+                proposal *= shrink
+                proposal += m
+                proposal += w[k]
+                f_prop = fm + shrink * (fv - fm) + fw[k]
+                phi_p = phi(proposal, f_prop)
+                finite = math.isfinite(phi_p)
+                accept = finite and log_u[k] <= phi_v - phi_p
+                if accept:
+                    v, fv, phi_v = proposal, f_prop, phi_p
+                accepted += accept
+                n_nonfinite += not finite
+                step = start + k
+                if step < burn:
+                    continue
+                phi_trace[step - burn] = phi_v
+                if not moments:
+                    continue
+                if accept or step == burn:
+                    if fill == len(rows):
+                        flush()
+                        fill = 0
+                    rows[fill] = v
+                    counts[fill] = 0.0
+                    fill += 1
+                counts[fill - 1] += 1.0
+    if moments:
+        flush()
+    return _ChainRun(accepted, n_nonfinite, phi_trace, mean_v, acc)
 
 
 def pcn_chain(
-    potential: Callable[[np.ndarray], float],
+    f_white,
+    d_white: np.ndarray,
     prior_mean: np.ndarray,
-    prior_sample: Callable[[np.random.Generator], np.ndarray],
+    prior_sample: PriorSample,
     cfg: SamplerConfig,
-    transform: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    link: Optional[Link] = None,
 ) -> ChainSummary:
-    """Run one pCN chain and return its accumulated moments.
+    """Run one pCN chain on phi(v) = 1/2 ||F h(v) - d||^2 and return its moments.
 
     Args:
-        potential: phi(v); non-finite values auto-reject the proposal.
+        f_white: whitened forward matrix F (n_meas x dim; dense, or sparse
+            with column indexing). Zero rows give a flat potential.
+        d_white: whitened data d.
         prior_mean: m, the Gaussian prior mean.
-        prior_sample: draws w ~ N(0, C) given a numpy Generator.
+        prior_sample: ``prior_sample(rng, b)`` returns b draws w ~ N(0, C)
+            as a (b, dim) array, leaving ``rng`` where b single draws would.
         cfg: chain parameters.
-        transform: optional map g, the identity when omitted; second
-            moments are accumulated for g(v), about g of the chain mean of v.
+        link: the entrywise map h, the identity when omitted; non-finite
+            potentials auto-reject the proposal. Second moments are
+            accumulated for h(v), about h of the chain mean of v.
 
     Returns:
         ChainSummary over the post-burn-in states.
     """
-    burn = cfg.n_burn
-    n_kept = cfg.n_steps - burn
-    dim = np.size(prior_mean)
-    moments = OnlineMoments(dim)
-    buf_v = np.empty((min(BLOCK_SIZE, n_kept), dim))
-    buf_g = buf_v if transform is None else np.empty_like(buf_v)
-    mean_v = np.zeros(dim)
-    fill = 0
-    accepted = 0
-    n_nonfinite = 0
-    phi_trace = np.empty(n_kept)
-
-    steps = _pcn_steps(potential, prior_mean, prior_sample, cfg)
-    for step, (v, phi_v, accept, finite) in enumerate(steps):
-        accepted += accept
-        n_nonfinite += not finite
-        if step < burn:
-            continue
-        phi_trace[step - burn] = phi_v
-        buf_v[fill] = v
-        if transform is not None:
-            buf_g[fill] = transform(v)
-        fill += 1
-        if fill == buf_v.shape[0] or step == cfg.n_steps - 1:
-            # The mean update of OnlineMoments.update_block, so without a
-            # transform mean_v equals moments.mean bit for bit.
-            block_mean = buf_v[:fill].mean(axis=0)
-            mean_v = mean_v + (block_mean - mean_v) * (fill / (moments.count + fill))
-            moments.update_block(buf_g[:fill])
-            fill = 0
-
-    if n_nonfinite:
-        logger.warning("%d proposals rejected for non-finite potential", n_nonfinite)
-    point = mean_v if transform is None else transform(mean_v)
+    run = _pcn_kernel(f_white, d_white, prior_mean, prior_sample, cfg, link)
+    if run.n_nonfinite:
+        logger.warning("%d proposals rejected for non-finite potential", run.n_nonfinite)
+    point = run.mean if link is None else link(run.mean)
     return ChainSummary(
-        mean=mean_v,
-        cov=moments.second_moment(point),
-        acceptance_rate=accepted / cfg.n_steps,
-        ess=effective_sample_size(phi_trace),
+        mean=run.mean,
+        cov=run.moments.second_moment(point),
+        acceptance_rate=run.accepted / cfg.n_steps,
+        ess=effective_sample_size(run.phi_trace),
+        r_hat=split_r_hat(run.phi_trace),
         n_steps=cfg.n_steps,
-        n_kept=n_kept,
+        n_kept=cfg.n_steps - cfg.n_burn,
         beta=cfg.beta,
-        n_nonfinite=n_nonfinite,
+        n_nonfinite=run.n_nonfinite,
     )
 
 
@@ -308,20 +439,24 @@ class TuneResult:
 
 
 def tune_beta(
-    potential: Callable[[np.ndarray], float],
+    f_white,
+    d_white: np.ndarray,
     prior_mean: np.ndarray,
-    prior_sample: Callable[[np.random.Generator], np.ndarray],
+    prior_sample: PriorSample,
     target=(0.25, 0.35),
     pilot_steps: int = 2000,
     seed: int = 0,
+    link: Optional[Link] = None,
 ) -> TuneResult:
     """Bisect beta until the pilot acceptance rate lands in ``target``.
 
-    Acceptance is non-increasing in beta for pCN, so plain bisection on
-    (0, 1] applies: start from beta = 1 and halve toward 0 while the rate
-    is below the band. If the band is unreachable (e.g. a flat potential
-    accepts everything even at beta = 1) or not hit within ``TUNE_MAX_ITER``
-    bisections, the closest evaluated beta is returned with a warning.
+    The pilots run the chain's block kernel with moments off, on the model
+    of ``pcn_chain``. Acceptance is non-increasing in beta for pCN, so plain
+    bisection on (0, 1] applies: start from beta = 1 and halve toward 0
+    while the rate is below the band. If the band is unreachable (e.g. a
+    flat potential accepts everything even at beta = 1) or not hit within
+    ``TUNE_MAX_ITER`` bisections, the closest evaluated beta is returned
+    with a warning.
     """
     if pilot_steps < 1000:
         raise ValueError("pilot_steps must be at least 1000")
@@ -331,8 +466,8 @@ def tune_beta(
 
     def rate(beta: float) -> float:
         cfg = SamplerConfig(beta=beta, n_steps=pilot_steps, burn_in_fraction=0.0, seed=seed)
-        steps = _pcn_steps(potential, prior_mean, prior_sample, cfg)
-        return sum(accept for _, _, accept, _ in steps) / pilot_steps
+        run = _pcn_kernel(f_white, d_white, prior_mean, prior_sample, cfg, link, moments=False)
+        return run.accepted / pilot_steps
 
     evaluations = []
     r_top = rate(1.0)

@@ -22,9 +22,10 @@ from plumeinv.errors import CalmWindError
 from plumeinv.inversion import (
     PriorSpec,
     build_prior,
+    clip_positive,
     gaussian_posterior,
-    make_potential,
     positive_posterior,
+    whiten,
 )
 from plumeinv.observation import (
     DustfallJar,
@@ -331,7 +332,8 @@ def test_criterion_05_pcn_prior_reproduction_and_conjugate_target():
     prior_mean = rng.normal(0.0, 1.0, 30)
     beta = 0.8
     cfg = SamplerConfig(beta=beta, n_steps=100_000, burn_in_fraction=0.1, seed=5)
-    out = pcn_chain(lambda v: 0.0, prior_mean, prior.sample, cfg)
+    # no data rows: phi = 0
+    out = pcn_chain(np.zeros((0, 30)), np.zeros(0), prior_mean, prior.sample, cfg)
     assert out.acceptance_rate == 1.0
 
     # per-coordinate AR(1) with lag-1 correlation sqrt(1 - beta^2) gives
@@ -353,15 +355,17 @@ def test_criterion_05_pcn_prior_reproduction_and_conjugate_target():
     prior_cov2 = chol @ chol.T
     prec_pot = np.diag([2.0, 0.5])
     target = np.array([0.2, 1.0])
-
-    def potential(v):
-        r = v - target
-        return 0.5 * float(r @ prec_pot @ r)
+    # phi(v) = 1/2 (v - target)^T prec_pot (v - target) as the whitened data model
+    # F = sqrt(prec_pot), d = F target
+    root = np.sqrt(prec_pot)
 
     post_cov = np.linalg.inv(np.linalg.inv(prior_cov2) + prec_pot)
     post_mean = post_cov @ (np.linalg.solve(prior_cov2, prior_mean2) + prec_pot @ target)
     cfg2 = SamplerConfig(beta=0.5, n_steps=120_000, burn_in_fraction=0.2, seed=4)
-    out2 = pcn_chain(potential, prior_mean2, lambda g: chol @ g.standard_normal(2), cfg2)
+    out2 = pcn_chain(
+        root, root @ target, prior_mean2,
+        lambda g, size: g.standard_normal((size, 2)) @ chol.T, cfg2,
+    )
     tau = out2.n_kept / out2.ess
     se2 = np.sqrt(np.diag(post_cov) * tau / out2.n_kept)
     z2 = np.abs(out2.mean - post_mean) / se2
@@ -463,8 +467,8 @@ def test_criterion_08_acceptance_band(bundled):
     prior = build_prior(
         PriorSpec(cfg.prior.alpha, cfg.prior.gamma, inv.grid, len(cfg.sources))
     )
-    phi = make_potential(inv.f_matrix, inv.measurements.values, inv.noise_var)
-    tuned = tune_beta(phi, inv.smooth.mean, prior.sample, seed=17)
+    f_white, d_white = whiten(inv.f_matrix, inv.measurements.values, inv.noise_var)
+    tuned = tune_beta(f_white, d_white, inv.smooth.mean, prior.sample, seed=17, link=clip_positive)
     elapsed = time.perf_counter() - tic
     assert tuned.in_band
     assert 0.25 <= tuned.acceptance_rate <= 0.35

@@ -6,6 +6,7 @@ bundled 30-day case is exercised by the acceptance tests instead.
 """
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 import yaml
 
-from plumeinv import cli, pipeline
+from plumeinv import cli, pipeline, threads
 from plumeinv.config import config_dict, load_config
 from plumeinv.inversion import SmoothnessPrior
 
@@ -493,6 +494,22 @@ class TestEntryPoint:
         assert proc.returncode == 0
         for command in ("synth", "wind-fit", "invert", "propagate", "run"):
             assert command in proc.stdout
+
+    def test_plume_threads_recorded(self, tmp_path):
+        """PLUME_THREADS=1 reaches BLAS in a fresh process, over OPENBLAS_NUM_THREADS,
+        with or without threadpoolctl, and run_metadata.json records it."""
+        if threads.effective() is None:
+            pytest.skip("no readable BLAS thread count in this process")
+        cfg_path, out = write_case(tmp_path)
+        env = {**os.environ, "PLUME_THREADS": "1", "OPENBLAS_NUM_THREADS": "2",
+               "OMP_NUM_THREADS": "2"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "plumeinv", "synth", "--config", str(cfg_path)],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        meta = json.loads((out / "run_metadata.json").read_text())
+        assert {entry["blas_threads"] for entry in meta["stages"].values()} == {1}
 
     def test_command_required(self):
         proc = subprocess.run(

@@ -12,7 +12,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
+from plumeinv import sampling
 from plumeinv.errors import NumericalError
 from plumeinv.inversion import (
     GaussianPosterior,
@@ -23,9 +25,10 @@ from plumeinv.inversion import (
     make_potential,
     mle_constant,
     positive_posterior,
+    whiten,
 )
 from plumeinv.observation import TimeGrid
-from plumeinv.sampling import SamplerConfig
+from plumeinv.sampling import OnlineMoments, SamplerConfig
 
 
 def make_prior(n_sources=1, n_steps=6, dt=3600.0, alpha=2.0, gamma=0.05):
@@ -97,6 +100,30 @@ class TestSmoothnessPrior:
         # independent source blocks
         cross = np.corrcoef(draws[:, 2], draws[:, 7])[0, 1]
         assert abs(cross) < 0.06
+
+    def test_block_draws_match_single_draws(self):
+        """size=b draws what b single calls draw, and leaves rng where they do."""
+        prior = make_prior(n_sources=3, n_steps=50, alpha=1.5, gamma=0.02)
+        block_rng, single_rng = np.random.default_rng(9), np.random.default_rng(9)
+        block = prior.sample(block_rng, size=13)
+        singles = np.array([prior.sample(single_rng) for _ in range(13)])
+        assert block.shape == (13, prior.n)
+        assert block_rng.bit_generator.state == single_rng.bit_generator.state
+        np.testing.assert_array_equal(block, singles)
+
+    def test_block_solve_matches_banded_cholesky(self):
+        """The dpttrf/dpttrs solve agrees with a banded Cholesky solve of L."""
+        prior = make_prior(n_sources=2, n_steps=300, alpha=1.0, gamma=5e-3)
+        l_mat = prior.l_matrix
+        banded = np.zeros((2, prior.n_steps))
+        banded[0, 1:] = np.diag(l_mat, 1)
+        banded[1] = np.diag(l_mat)
+        factor = cholesky_banded(banded)
+        draws = prior.sample(np.random.default_rng(2), size=5)
+        xi = np.random.default_rng(2).standard_normal((5, prior.n_steps, 2))
+        for k in range(5):
+            want = cho_solve_banded((factor, False), xi[k]).T.ravel()
+            np.testing.assert_allclose(draws[k], want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
 
     def test_pointwise_variance_stable_under_refinement(self):
         """Halving dt (same span) moves pointwise prior variances < 10%."""
@@ -304,6 +331,45 @@ class TestClipAndPotential:
             v = rng.normal(0.0, 1.0, 90)
             residual = (f @ link(v) - d) / np.sqrt(noise_var)
             assert phi(v) == pytest.approx(0.5 * float(residual @ residual), rel=1e-12)
+
+
+class TestChainPotential:
+    @pytest.mark.parametrize("beta, level", [(0.3, 0.6), (0.02, 0.1)])
+    def test_accept_loop_phi_matches_make_potential(self, monkeypatch, beta, level):
+        """The data-space phi of every kept state equals the make_potential oracle,
+        for states whose proposal had negative entries (clipped to zero) and
+        for states without. A small beta carries F v through many short
+        steps, where rounding error would build up without the per-block
+        refresh."""
+        rng = np.random.default_rng(12)
+        # prior std about 0.25 around the mean level: some states clip, most do
+        # not (the short steps of the small beta need a lower level to reach 0)
+        prior = make_prior(n_sources=2, n_steps=20, alpha=6.0, gamma=0.02)
+        f = rng.uniform(0.0, 0.5, (8, prior.n)) * (rng.random((8, prior.n)) < 0.5)
+        noise_var = rng.uniform(0.5, 1.5, 8)
+        truth = rng.uniform(0.0, 1.0, prior.n)
+        d = f @ truth + rng.normal(0.0, np.sqrt(noise_var))
+        prior_mean = np.full(prior.n, level)
+        cfg = SamplerConfig(beta=beta, n_steps=3000, burn_in_fraction=0.1, seed=4)
+
+        seen = []
+        original = OnlineMoments.update_block
+
+        def recording(self, rows, counts=None):
+            seen.append(np.repeat(rows, np.asarray(counts, dtype=int), axis=0))
+            original(self, rows, counts)
+
+        monkeypatch.setattr(OnlineMoments, "update_block", recording)
+        f_white, d_white = whiten(f, d, noise_var)
+        run = sampling._pcn_kernel(f_white, d_white, prior_mean, prior.sample, cfg, clip_positive)
+        states = np.concatenate(seen)  # h(v) of each kept state, in order
+        assert len(states) == len(run.phi_trace) == cfg.n_steps - cfg.n_burn
+        clipped = (states == 0.0).any(axis=1)
+        assert 0 < clipped.sum() < len(states)
+        phi = make_potential(f, d, noise_var)
+        want = np.array([phi(state) for state in states])
+        np.testing.assert_allclose(run.phi_trace[clipped], want[clipped], rtol=1e-12)
+        np.testing.assert_allclose(run.phi_trace[~clipped], want[~clipped], rtol=1e-12)
 
 
 class TestPositivePosterior:

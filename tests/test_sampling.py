@@ -1,5 +1,10 @@
 """Tests for the pCN chain: invariance, reproducibility, moments, tuning.
 
+The chain's potential is a whitened data model 1/2 ||F h(v) - d||^2: zero
+rows of F give a flat potential, rows sqrt(P) with d = sqrt(P) t give the
+quadratic 1/2 (v - t)^T P (v - t), and overflowing entries a potential
+that is infinite away from zero.
+
 With a flat potential the chain is an exact AR(1) in each coordinate with
 lag-one correlation sqrt(1 - beta^2), which gives closed-form Monte Carlo
 standard errors; the statistical checks below size their tolerances from
@@ -14,24 +19,46 @@ import pytest
 
 from plumeinv.errors import ValidationError
 from plumeinv.sampling import (
+    BLOCK_SIZE,
     OnlineMoments,
     SamplerConfig,
     TuneResult,
     effective_sample_size,
     pcn_chain,
+    split_r_hat,
     tune_beta,
 )
 
 
 def iid_normal_sampler(dim):
-    def sample(rng):
-        return rng.standard_normal(dim)
+    def sample(rng, size):
+        return rng.standard_normal((size, dim))
 
     return sample
 
 
-def flat_potential(_v) -> float:
-    return 0.0
+def flat(dim):
+    """(F, d) of a flat potential: no data rows."""
+    return np.zeros((0, dim)), np.zeros(0)
+
+
+def quadratic(dim, strength=1.0):
+    """(F, d) of the potential 1/2 strength v.v."""
+    return math.sqrt(strength) * np.eye(dim), np.zeros(dim)
+
+
+def record_kept_states(monkeypatch):
+    """Patch OnlineMoments.update_block to record every kept state, in order."""
+    seen = []
+    original = OnlineMoments.update_block
+
+    def recording(self, rows, counts=None):
+        reps = np.ones(len(rows), dtype=int) if counts is None else np.asarray(counts, dtype=int)
+        seen.append(np.repeat(np.asarray(rows), reps, axis=0))
+        original(self, rows, counts)
+
+    monkeypatch.setattr(OnlineMoments, "update_block", recording)
+    return lambda: np.concatenate(seen)
 
 
 class TestSamplerConfig:
@@ -93,6 +120,23 @@ class TestOnlineMoments:
         assert np.all(np.triu(scatter) == scatter)
         assert np.all(np.diag(scatter) > 0)
 
+    def test_counts_equal_repeated_rows(self):
+        """Rows with dwell counts give the moments of the rows repeated by count."""
+        rng = np.random.default_rng(8)
+        rows = rng.standard_normal((40, 30)) + rng.uniform(-2, 2, 30)
+        counts = rng.integers(1, 9, 40)
+        weighted, repeated = OnlineMoments(30), OnlineMoments(30)
+        for part in (slice(0, 1), slice(1, 25), slice(25, 40)):
+            weighted.update_block(rows[part], counts[part])
+            repeated.update_block(np.repeat(rows[part], counts[part], axis=0))
+        assert weighted.count == repeated.count == counts.sum()
+        np.testing.assert_allclose(weighted.mean, repeated.mean, rtol=1e-12, atol=1e-12)
+        point = rng.standard_normal(30)
+        want = repeated.second_moment(point)
+        np.testing.assert_allclose(
+            weighted.second_moment(point), want, rtol=1e-12, atol=1e-12 * np.abs(want).max()
+        )
+
     def test_empty_block_is_noop(self):
         om = OnlineMoments(2)
         om.update_block(np.ones((4, 2)))
@@ -131,12 +175,37 @@ class TestEffectiveSampleSize:
         assert effective_sample_size(np.array([1.0, 2.0, 3.0])) == 3.0
 
 
+class TestSplitRHat:
+    def test_iid_trace_near_one(self):
+        rng = np.random.default_rng(5)
+        r_hat = split_r_hat(rng.standard_normal(8000))
+        assert abs(r_hat - 1.0) < 0.01
+
+    def test_level_shift_flags(self):
+        rng = np.random.default_rng(6)
+        trace = rng.standard_normal(8000)
+        trace[4000:] += 1.0
+        assert split_r_hat(trace) > 1.1
+
+    def test_scale_change_flags_through_the_folded_trace(self):
+        """Parts with equal medians but different spreads: the bulk R-hat
+        misses them, the folded one does not."""
+        rng = np.random.default_rng(7)
+        trace = rng.standard_normal(8000)
+        trace[:2000] *= 4.0
+        assert split_r_hat(trace) > 1.1
+
+    def test_constant_and_short_traces(self):
+        assert split_r_hat(np.full(400, 2.5)) == 1.0
+        assert math.isnan(split_r_hat(np.arange(7.0)))
+
+
 class TestPcnChainFlatPotential:
     def test_accepts_everything_and_reproduces_prior(self):
         """phi = 0: acceptance is exactly 1 and moments match N(0, I)."""
         dim, beta, n = 4, 0.8, 60000
         cfg = SamplerConfig(beta=beta, n_steps=n, burn_in_fraction=0.1, seed=0)
-        out = pcn_chain(flat_potential, np.zeros(dim), iid_normal_sampler(dim), cfg)
+        out = pcn_chain(*flat(dim), np.zeros(dim), iid_normal_sampler(dim), cfg)
         assert out.acceptance_rate == 1.0
         assert out.n_nonfinite == 0
         # AR(1) autocorrelation sqrt(1-beta^2) = 0.6 -> tau = 4
@@ -150,7 +219,7 @@ class TestPcnChainFlatPotential:
 
     def test_beta_one_draws_prior_independently(self):
         cfg = SamplerConfig(beta=1.0, n_steps=20000, burn_in_fraction=0.0, seed=1)
-        out = pcn_chain(flat_potential, np.zeros(2), iid_normal_sampler(2), cfg)
+        out = pcn_chain(*flat(2), np.zeros(2), iid_normal_sampler(2), cfg)
         assert out.acceptance_rate == 1.0
         # flat phi trace has zero variance; ESS degrades to the length
         assert out.ess == out.n_kept
@@ -159,26 +228,26 @@ class TestPcnChainFlatPotential:
     def test_nonzero_prior_mean_is_respected(self):
         mean = np.array([3.0, -2.0])
         cfg = SamplerConfig(beta=0.7, n_steps=30000, seed=2)
-        out = pcn_chain(flat_potential, mean, iid_normal_sampler(2), cfg)
+        out = pcn_chain(*flat(2), mean, iid_normal_sampler(2), cfg)
         tau = (1.0 + math.sqrt(1 - 0.49)) / (1.0 - math.sqrt(1 - 0.49))
         np.testing.assert_allclose(out.mean, mean, atol=4.0 * math.sqrt(tau / out.n_kept))
 
-    def test_transform_moments(self):
+    def test_transform_moments(self, monkeypatch):
         """cov is the second moment of |v| about |mean of v|; here E|v|^2 = 1."""
-        seen = []
+        last = []
 
         def recording_abs(v):
-            seen.append(v.copy())
+            last[:] = [np.array(v, copy=True)]
             return np.abs(v)
 
+        kept = record_kept_states(monkeypatch)
         cfg = SamplerConfig(beta=1.0, n_steps=40000, burn_in_fraction=0.0, seed=3)
-        out = pcn_chain(
-            flat_potential, np.zeros(3), iid_normal_sampler(3), cfg, transform=recording_abs
-        )
-        # one call per kept state, then one at the chain mean of v
-        assert len(seen) == out.n_kept + 1
-        np.testing.assert_array_equal(seen[-1], out.mean)
-        shifted = np.abs(np.array(seen[:-1])) - np.abs(out.mean)
+        out = pcn_chain(*flat(3), np.zeros(3), iid_normal_sampler(3), cfg, link=recording_abs)
+        # the moments see h(v) once per kept state; the link's last call is at the chain mean of v
+        seen = kept()
+        assert len(seen) == out.n_kept
+        np.testing.assert_array_equal(last[0], out.mean)
+        shifted = seen - np.abs(out.mean)
         want = shifted.T @ shifted / out.n_kept
         np.testing.assert_allclose(out.cov, want, rtol=1e-10, atol=1e-14)
         se = math.sqrt(2.0 / out.n_kept)
@@ -192,22 +261,21 @@ class TestPcnChainConjugateTarget:
         chol = np.linalg.cholesky(np.array([[1.0, 0.3], [0.3, 0.5]]))
         prior_cov = chol @ chol.T
 
-        def prior_sample(rng):
-            return chol @ rng.standard_normal(2)
+        def prior_sample(rng, size):
+            return rng.standard_normal((size, 2)) @ chol.T
 
         prec_pot = np.array([[2.0, 0.0], [0.0, 0.5]])
         target = np.array([0.2, 1.0])
-
-        def potential(v):
-            r = v - target
-            return 0.5 * float(r @ prec_pot @ r)
+        # phi(v) = 1/2 (v - target)^T prec_pot (v - target) as a whitened data model
+        root = np.sqrt(prec_pot)
+        f_white, d_white = root, root @ target
 
         post_prec = np.linalg.inv(prior_cov) + prec_pot
         post_cov = np.linalg.inv(post_prec)
         post_mean = post_cov @ (np.linalg.solve(prior_cov, prior_mean) + prec_pot @ target)
 
         cfg = SamplerConfig(beta=0.5, n_steps=120000, burn_in_fraction=0.2, seed=4)
-        out = pcn_chain(potential, prior_mean, prior_sample, cfg)
+        out = pcn_chain(f_white, d_white, prior_mean, prior_sample, cfg)
         assert 0.2 < out.acceptance_rate < 0.95
         tau = out.n_kept / out.ess
         se_mean = np.sqrt(np.diag(post_cov) * tau / out.n_kept)
@@ -218,60 +286,53 @@ class TestPcnChainConjugateTarget:
             / out.n_kept
         )
         np.testing.assert_array_less(np.abs(out.cov - post_cov), 3.0 * se_cov)
+        assert abs(out.r_hat - 1.0) < 0.01
 
 
 class TestPcnChainMechanics:
     def test_bitwise_reproducible(self):
         cfg = SamplerConfig(beta=0.6, n_steps=5000, seed=11)
-        def potential(v):
-            return 0.5 * float(v @ v)
-        a = pcn_chain(potential, np.zeros(3), iid_normal_sampler(3), cfg)
-        b = pcn_chain(potential, np.zeros(3), iid_normal_sampler(3), cfg)
+        a = pcn_chain(*quadratic(3), np.zeros(3), iid_normal_sampler(3), cfg)
+        b = pcn_chain(*quadratic(3), np.zeros(3), iid_normal_sampler(3), cfg)
         np.testing.assert_array_equal(a.mean, b.mean)
         np.testing.assert_array_equal(a.cov, b.cov)
         assert a.acceptance_rate == b.acceptance_rate
+        assert a.r_hat == b.r_hat
 
-    def test_chains_share_prefix_across_lengths(self):
+    def test_chains_share_prefix_across_lengths(self, monkeypatch):
         """Per-step randomness depends only on the step index, so a longer
-        chain makes the shorter chain's proposals exactly, in order."""
-        proposals = {}
-        for n in (400, 1200):
-            seen = proposals[n] = []
-
-            def potential(v, seen=seen):
-                seen.append(v.copy())
-                return 0.5 * float(v @ v)
-
+        chain passes through the shorter chain's states exactly, in order,
+        also when neither length is a multiple of the block size."""
+        assert 400 % BLOCK_SIZE and 1203 % BLOCK_SIZE
+        states = {}
+        for n in (400, 1203):
+            kept = record_kept_states(monkeypatch)
             cfg = SamplerConfig(beta=0.6, n_steps=n, burn_in_fraction=0.0, seed=7)
-            pcn_chain(potential, np.zeros(2), iid_normal_sampler(2), cfg)
-        short, long = np.array(proposals[400]), np.array(proposals[1200])
-        # one call at the start state, then one per step
-        assert short.shape == (401, 2) and long.shape == (1201, 2)
+            pcn_chain(*quadratic(2), np.zeros(2), iid_normal_sampler(2), cfg)
+            states[n] = kept()
+        short, long = states[400], states[1203]
+        # one kept state per step
+        assert short.shape == (400, 2) and long.shape == (1203, 2)
+        assert len(np.unique(short, axis=0)) > 100  # the chain moves
         np.testing.assert_array_equal(short, long[: len(short)])
 
     def test_transform_replaces_latent_second_moments(self):
-        """The identity transform gives the untransformed chain's mean and
-        cov bit for bit."""
-        def potential(v):
-            return 0.5 * float(v @ v)
-
+        """The identity link gives the link-free chain's mean and cov bit for bit."""
         cfg = SamplerConfig(beta=0.6, n_steps=3000, seed=13)
-        plain = pcn_chain(potential, np.zeros(3), iid_normal_sampler(3), cfg)
+        plain = pcn_chain(*quadratic(3), np.zeros(3), iid_normal_sampler(3), cfg)
         mapped = pcn_chain(
-            potential, np.zeros(3), iid_normal_sampler(3), cfg, transform=lambda v: v.copy()
+            *quadratic(3), np.zeros(3), iid_normal_sampler(3), cfg, link=lambda v: v.copy()
         )
         np.testing.assert_array_equal(mapped.mean, plain.mean)
         np.testing.assert_array_equal(mapped.cov, plain.cov)
 
     def test_nonfinite_potential_auto_rejects(self, caplog):
+        """Entries of 1e300 make phi overflow to inf at every v but v = 0."""
         start = np.zeros(2)
-
-        def potential(v):
-            return 0.0 if np.array_equal(v, start) else float("inf")
-
+        f_white, d_white = 1e300 * np.eye(2), np.zeros(2)
         cfg = SamplerConfig(beta=0.5, n_steps=200, burn_in_fraction=0.0, seed=5)
         with caplog.at_level(logging.WARNING, logger="plumeinv.sampling"):
-            out = pcn_chain(potential, start, iid_normal_sampler(2), cfg)
+            out = pcn_chain(f_white, d_white, start, iid_normal_sampler(2), cfg)
         assert out.acceptance_rate == 0.0
         assert out.n_nonfinite == 200
         np.testing.assert_array_equal(out.mean, start)
@@ -280,7 +341,7 @@ class TestPcnChainMechanics:
     def test_nonfinite_at_start_raises(self):
         cfg = SamplerConfig(beta=0.5, n_steps=10)
         with pytest.raises(ValueError):
-            pcn_chain(lambda v: float("nan"), np.zeros(2), iid_normal_sampler(2), cfg)
+            pcn_chain(1e300 * np.eye(2), np.zeros(2), np.ones(2), iid_normal_sampler(2), cfg)
 
     def test_all_burn_in_raises(self):
         with pytest.raises(ValueError):
@@ -289,15 +350,13 @@ class TestPcnChainMechanics:
 
 class TestTuneBeta:
     @staticmethod
-    def concentrated_potential(dim=6, strength=40.0):
+    def concentrated(dim=6, strength=40.0):
         """Sharp quadratic that rejects large steps."""
-        def potential(v):
-            return 0.5 * strength * float(v @ v)
-        return potential
+        return quadratic(dim, strength)
 
     def test_reaches_target_band(self):
         out = tune_beta(
-            self.concentrated_potential(),
+            *self.concentrated(),
             np.zeros(6),
             iid_normal_sampler(6),
             seed=0,
@@ -308,31 +367,29 @@ class TestTuneBeta:
         assert 0.0 < out.beta < 1.0
 
     def test_accumulates_no_moments(self, monkeypatch):
-        def refuse(self, block):
+        def refuse(self, *args, **kwargs):
             raise AssertionError("tune_beta updated chain moments")
 
         monkeypatch.setattr(OnlineMoments, "update_block", refuse)
-        out = tune_beta(
-            self.concentrated_potential(), np.zeros(6), iid_normal_sampler(6), seed=0
-        )
+        out = tune_beta(*self.concentrated(), np.zeros(6), iid_normal_sampler(6), seed=0)
         assert out.in_band
         assert 0.25 <= out.acceptance_rate <= 0.35
 
     def test_flat_potential_band_unreachable(self, caplog):
         with caplog.at_level(logging.WARNING, logger="plumeinv.sampling"):
-            out = tune_beta(flat_potential, np.zeros(2), iid_normal_sampler(2), seed=0)
+            out = tune_beta(*flat(2), np.zeros(2), iid_normal_sampler(2), seed=0)
         assert out.beta == 1.0
         assert out.acceptance_rate == 1.0
         assert not out.in_band
         assert any("unreachable" in r.message for r in caplog.records)
 
     def test_deterministic(self):
-        a = tune_beta(self.concentrated_potential(), np.zeros(6), iid_normal_sampler(6), seed=3)
-        b = tune_beta(self.concentrated_potential(), np.zeros(6), iid_normal_sampler(6), seed=3)
+        a = tune_beta(*self.concentrated(), np.zeros(6), iid_normal_sampler(6), seed=3)
+        b = tune_beta(*self.concentrated(), np.zeros(6), iid_normal_sampler(6), seed=3)
         assert a == b
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            tune_beta(flat_potential, np.zeros(2), iid_normal_sampler(2), pilot_steps=500)
+            tune_beta(*flat(2), np.zeros(2), iid_normal_sampler(2), pilot_steps=500)
         with pytest.raises(ValueError):
-            tune_beta(flat_potential, np.zeros(2), iid_normal_sampler(2), target=(0.5, 0.3))
+            tune_beta(*flat(2), np.zeros(2), iid_normal_sampler(2), target=(0.5, 0.3))
