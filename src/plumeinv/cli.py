@@ -4,11 +4,8 @@ Subcommands map onto pipeline stages; every invocation loads one YAML
 config (the bundled synthetic case by default), applies CLI and
 environment overrides, and runs the requested stage with missing
 predecessors filled in. Exit codes: 0 success, 2 invalid input or
-configuration, 3 numerical failure.
-
-``PLUME_THREADS`` is applied before anything that loads numpy is
-imported, so this module imports the pipeline and the config loader only
-inside ``main``.
+configuration, 3 numerical failure. ``PLUME_THREADS`` is applied by
+``pipeline.run_stage``, as for any library caller.
 """
 
 from __future__ import annotations
@@ -16,14 +13,12 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from dataclasses import replace
 from importlib import resources
-from typing import TYPE_CHECKING
 
-from . import threads
+from . import pipeline
+from .config import RunConfig, load_config
 from .errors import NumericalError, ValidationError
-
-if TYPE_CHECKING:
-    from .config import RunConfig
 
 __all__ = ["main", "build_parser"]
 
@@ -111,8 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_cli_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    from dataclasses import replace
-
     # Overrides flow into the config and so into the key of every stage
     # whose slice reads them (pipeline.SLICES): --modes reruns propagate
     # only, --n-steps and --beta rerun invert and propagate, and the stages
@@ -134,10 +127,6 @@ def main(argv=None) -> int:
         stream=sys.stderr,
     )
     try:
-        limiter = threads.limit()  # noqa: F841 (kept alive for the process)
-        from . import pipeline
-        from .config import load_config
-
         config_path = args.config if args.config is not None else default_config_path()
         cfg = load_config(config_path, out_dir=args.out_dir, seed=args.seed)
         cfg = _apply_cli_overrides(cfg, args)

@@ -17,6 +17,7 @@ from typing import Optional
 import yaml
 
 from .errors import ValidationError
+from .observation import NOISE_FLOOR_DEFAULT
 from .plume import (
     CALM_SPEED_DEFAULT,
     X_CUTOFF_DEFAULT,
@@ -114,7 +115,7 @@ class RunConfig:
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
     plume: PlumeSettings = field(default_factory=PlumeSettings)
     synthetic: Optional[SyntheticConfig] = None
-    noise_floor: float = 1e-12
+    noise_floor: float = NOISE_FLOOR_DEFAULT
     allow_same_dt: bool = False
     wind_cv_max_points: int = CV_MAX_POINTS_DEFAULT
 
@@ -141,33 +142,44 @@ class RunConfig:
         return raw if raw.is_absolute() else self.resolve_out_dir() / raw
 
 
+def _dotted(where: str, key: str) -> str:
+    return f"{where}.{key}" if where else key
+
+
 def _require(section: dict, key: str, where: str):
     if key not in section:
-        raise ValidationError(f"missing config key {where}.{key}" if where else f"missing config key {key}")
+        raise ValidationError(f"missing config key {_dotted(where, key)}")
     return section[key]
 
 
-def _number(section: dict, key: str, where: str, default=None) -> float:
-    value = section.get(key, default) if default is not None else _require(section, key, where)
+def _number(section: dict, key: str, where: str) -> float:
+    value = _require(section, key, where)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"config key {where}.{key} must be a number, got {value!r}")
+        raise ValidationError(f"config key {_dotted(where, key)} must be a number, got {value!r}")
     if not math.isfinite(float(value)):
-        raise ValidationError(f"config key {where}.{key} must be finite")
+        raise ValidationError(f"config key {_dotted(where, key)} must be finite")
     return float(value)
 
 
-def _given(section: dict, where: str, **fields) -> dict:
+def _given(section: dict, where: str, **wanted) -> dict:
     """The numbers ``section`` sets, keyed by field name.
 
-    ``fields`` maps each field to its config key and its type (float or
+    ``wanted`` maps each field to its config key and its type (float or
     int). A key the section leaves out is not passed on, so the defaults
-    on the config dataclasses are the only ones.
+    on the config dataclasses are the only ones. An int field refuses a
+    value with a fractional part rather than truncate it.
     """
-    return {
-        name: cast(_number(section, key, where))
-        for name, (key, cast) in fields.items()
-        if key in section
-    }
+    given = {}
+    for name, (key, cast) in wanted.items():
+        if key not in section:
+            continue
+        value = _number(section, key, where)
+        if cast is int and not value.is_integer():
+            raise ValidationError(
+                f"config key {_dotted(where, key)} must be an integer, got {section[key]!r}"
+            )
+        given[name] = int(section[key]) if cast is int else value
+    return given
 
 
 def _section(data: dict, key: str) -> dict:
@@ -206,7 +218,7 @@ def _build_harmonics(items, where: str) -> tuple:
             Harmonic(
                 amplitude=_number(item, "amplitude", f"{where}[{i}]"),
                 period=_number(item, "period_s", f"{where}[{i}]"),
-                phase=_number(item, "phase_rad", f"{where}[{i}]", default=0.0),
+                **_given(item, f"{where}[{i}]", phase=("phase_rad", float)),
             )
         )
     return tuple(out)
@@ -236,8 +248,8 @@ def _build_synthetic(data: dict, n_sources: int) -> SyntheticConfig:
                 SourceSignal(
                     amplitude=_number(item, "amplitude_kg_s", f"synthetic.signals[{i}]"),
                     omega=_number(item, "omega_rad_s", f"synthetic.signals[{i}]"),
-                    phase=_number(item, "phase_rad", f"synthetic.signals[{i}]", default=0.0),
                     offset=_number(item, "offset_kg_s", f"synthetic.signals[{i}]"),
+                    **_given(item, f"synthetic.signals[{i}]", phase=("phase_rad", float)),
                 )
             )
         except ValueError as exc:

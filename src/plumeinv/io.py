@@ -21,6 +21,7 @@ import yaml
 
 from .errors import ValidationError
 from .observation import (
+    NOISE_FLOOR_DEFAULT,
     DustfallJar,
     MeasurementSet,
     RealTimeSampler,
@@ -250,7 +251,7 @@ def write_sensors(path, sensors: Sequence[Sensor], key: str) -> None:
 
 
 def load_measurements(
-    path, sensors: Sequence[Sensor], noise_floor: float = 1e-12
+    path, sensors: Sequence[Sensor], noise_floor: float = NOISE_FLOOR_DEFAULT
 ) -> MeasurementSet:
     """Measured values stacked in sensor declaration order.
 

@@ -635,9 +635,10 @@ def _release_freed_heap() -> None:
 
 
 def run_stage(cfg: RunConfig, stage: str, **invert_options) -> object:
-    """Run one stage, first running every predecessor that is not fresh."""
+    """Run one stage under ``PLUME_THREADS``, first running every predecessor that is not fresh."""
     if stage not in STAGES:
         raise ValidationError(f"unknown stage {stage!r} (expected one of {STAGES})")
+    threads.limit()
     for previous in _stages(cfg):
         if STAGES.index(previous) >= STAGES.index(stage):
             break

@@ -44,8 +44,8 @@ class SourceSignal:
 
     amplitude: float  # kg s^-1
     omega: float  # rad s^-1
-    phase: float  # rad
     offset: float  # kg s^-1
+    phase: float = 0.0  # rad
 
     def __post_init__(self) -> None:
         if self.amplitude < 0:
@@ -98,7 +98,7 @@ def block_average(q_fine: np.ndarray, fine: TimeGrid, coarse: TimeGrid) -> np.nd
 class Harmonic:
     amplitude: float
     period: float  # s
-    phase: float  # rad
+    phase: float = 0.0  # rad
 
     def __post_init__(self) -> None:
         if self.period <= 0:

@@ -1,12 +1,13 @@
-"""BLAS thread control, with or without threadpoolctl.
+"""BLAS thread control through the loaded OpenBLAS libraries.
 
-``PLUME_THREADS`` caps the BLAS threads of a run. With threadpoolctl
-installed the cap is applied to the loaded libraries. Without it, the cap
-goes through ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
-``MKL_NUM_THREADS``, which the libraries read only when they load, so
-``limit`` must run before numpy is first imported: ``cli.main`` calls it
-before it imports any module that loads numpy. This module imports no
-numpy itself.
+``PLUME_THREADS`` caps the BLAS threads of a run. ``limit`` finds each
+OpenBLAS library the process has loaded in ``/proc/self/maps`` (Linux)
+and calls that library's own thread-count setter, the call threadpoolctl
+makes, so the cap holds whether or not numpy was loaded first.
+``pipeline.run_stage`` applies it, so the command line and library
+callers get the same cap. Other BLAS builds (MKL, Accelerate) are not
+found: ``limit`` then logs that the cap is ignored, and ``effective``
+returns None.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import ctypes
 import logging
 import os
-import sys
 from typing import Optional
 
 from .errors import ValidationError
@@ -24,72 +24,64 @@ __all__ = ["ENV_THREADS", "limit", "effective"]
 logger = logging.getLogger(__name__)
 
 ENV_THREADS = "PLUME_THREADS"
-_BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-# Thread-count getters of OpenBLAS builds, plain and with the symbol
+# (getter, setter) symbol names of OpenBLAS builds, plain and with the
 # prefix and suffix of the builds bundled with numpy and scipy wheels.
-_OPENBLAS_GETTERS = (
-    "openblas_get_num_threads",
-    "openblas_get_num_threads64_",
-    "scipy_openblas_get_num_threads",
-    "scipy_openblas_get_num_threads64_",
+_OPENBLAS_SYMBOLS = tuple(
+    (f"{prefix}openblas_get_num_threads{suffix}", f"{prefix}openblas_set_num_threads{suffix}")
+    for prefix in ("", "scipy_")
+    for suffix in ("", "64_")
 )
 
 
-def limit():
-    """Apply ``PLUME_THREADS``; returns the threadpoolctl limiter to keep alive, if any."""
-    raw = os.environ.get(ENV_THREADS)
-    if not raw:
-        return None
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValidationError(f"{ENV_THREADS} must be an integer, got {raw!r}")
-    if n < 1:
-        raise ValidationError(f"{ENV_THREADS} must be >= 1, got {n}")
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        if "numpy" in sys.modules:
-            logger.warning(
-                "threadpoolctl not installed and numpy already loaded; %s ignored", ENV_THREADS
-            )
-        else:
-            os.environ.update({name: str(n) for name in _BLAS_ENV})
-        return None
-    return threadpool_limits(limits=n)
-
-
-def effective() -> Optional[int]:
-    """Largest thread count among the loaded BLAS libraries; None if none can be read.
-
-    Asks threadpoolctl when it is installed. Otherwise finds the loaded
-    OpenBLAS libraries in ``/proc/self/maps`` (Linux) and calls their own
-    thread-count getter.
-    """
-    try:
-        from threadpoolctl import threadpool_info
-    except ImportError:
-        pass
-    else:
-        counts = [lib["num_threads"] for lib in threadpool_info() if lib["user_api"] == "blas"]
-        return max(counts) if counts else None
+def _openblas() -> list:
+    """(getter, setter) of each loaded OpenBLAS library; empty if none is found."""
     try:
         with open("/proc/self/maps") as maps:
             paths = sorted(
                 {line.split()[-1] for line in maps if "openblas" in line.lower() and "/" in line}
             )
     except OSError:
-        return None
-    counts = []
+        return []
+    found = []
     for path in paths:
         try:
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        for name in _OPENBLAS_GETTERS:
-            getter = getattr(lib, name, None)
-            if getter is not None:
+        for get_name, set_name in _OPENBLAS_SYMBOLS:
+            getter, setter = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if getter is not None and setter is not None:
                 getter.argtypes, getter.restype = [], ctypes.c_int
-                counts.append(int(getter()))
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                found.append((getter, setter))
                 break
+    return found
+
+
+def limit() -> None:
+    """Cap every loaded OpenBLAS library at ``PLUME_THREADS`` threads, if it is set.
+
+    A library that already runs that many threads is left alone, so a
+    process whose environment set the same count makes no BLAS call.
+    """
+    raw = os.environ.get(ENV_THREADS)
+    if not raw:
+        return
+    try:
+        n = int(raw)
+    except ValueError:
+        raise ValidationError(f"{ENV_THREADS} must be an integer, got {raw!r}")
+    if n < 1:
+        raise ValidationError(f"{ENV_THREADS} must be >= 1, got {n}")
+    libraries = _openblas()
+    if not libraries:
+        logger.warning("no loaded OpenBLAS library found; %s ignored", ENV_THREADS)
+    for getter, setter in libraries:
+        if getter() != n:
+            setter(n)
+
+
+def effective() -> Optional[int]:
+    """Largest thread count among the loaded OpenBLAS libraries; None if none is found."""
+    counts = [getter() for getter, _ in _openblas()]
     return max(counts) if counts else None

@@ -432,6 +432,11 @@ class TestExitCodes:
         assert cli.main(["run", "--config", str(cfg_path)]) == 2
         assert not list(out.rglob("*"))
 
+    def test_fractional_integer_key_is_2(self, tmp_path):
+        cfg_path, out = write_case(tmp_path, mutate=lambda d: d["sampler"].update(n_steps=2000.9))
+        assert cli.main(["run", "--config", str(cfg_path)]) == 2
+        assert not out.exists()
+
     def test_negative_seed_is_2(self, tmp_path):
         cfg_path, out = write_case(tmp_path)
         assert cli.main(["run", "--config", str(cfg_path), "--seed", "-1"]) == 2
@@ -497,7 +502,7 @@ class TestEntryPoint:
 
     def test_plume_threads_recorded(self, tmp_path):
         """PLUME_THREADS=1 reaches BLAS in a fresh process, over OPENBLAS_NUM_THREADS,
-        with or without threadpoolctl, and run_metadata.json records it."""
+        and run_metadata.json records it."""
         if threads.effective() is None:
             pytest.skip("no readable BLAS thread count in this process")
         cfg_path, out = write_case(tmp_path)
@@ -510,6 +515,40 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         meta = json.loads((out / "run_metadata.json").read_text())
         assert {entry["blas_threads"] for entry in meta["stages"].values()} == {1}
+
+    def test_plume_threads_capped_after_numpy_loads(self, tmp_path):
+        """A library caller that loaded numpy first gets the cap from run_stage.
+
+        Runs in a fresh process so the cap does not reach the other tests.
+        """
+        if threads.effective() is None:
+            pytest.skip("no readable BLAS thread count in this process")
+        cfg_path, out = write_case(tmp_path)
+        script = (
+            "import sys\n"
+            "import numpy\n"
+            "from plumeinv import pipeline\n"
+            "from plumeinv.config import load_config\n"
+            "pipeline.run_stage(load_config(sys.argv[1]), 'wind_fit')\n"
+        )
+        env = {**os.environ, "PLUME_THREADS": "1", "OPENBLAS_NUM_THREADS": "2",
+               "OMP_NUM_THREADS": "2"}
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(cfg_path)],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        meta = json.loads((out / "run_metadata.json").read_text())
+        assert set(meta["stages"]) == {"synth", "wind_fit"}
+        assert {entry["blas_threads"] for entry in meta["stages"].values()} == {1}
+
+    @pytest.mark.parametrize("value", ["0", "abc"])
+    def test_bad_plume_threads_is_2(self, tmp_path, monkeypatch, value):
+        # rejected before any BLAS library is touched, so nothing leaks
+        cfg_path, out = write_case(tmp_path)
+        monkeypatch.setenv("PLUME_THREADS", value)
+        assert cli.main(["run", "--config", str(cfg_path)]) == 2
+        assert not out.exists()
 
     def test_command_required(self):
         proc = subprocess.run(

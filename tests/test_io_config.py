@@ -1,5 +1,6 @@
 """Tests for file formats and run configuration parsing."""
 
+import inspect
 from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
@@ -40,6 +41,7 @@ from plumeinv.observation import (
     signal_variances,
 )
 from plumeinv.sampling import SamplerConfig
+from plumeinv.synthetic import Harmonic, SourceSignal
 from plumeinv.uqprop import DepositionGrid, GridSpec
 from plumeinv.windprep import RawWindRecord
 
@@ -294,6 +296,9 @@ class TestArtifactWriters:
         assert back["stages"] == {"a": 1}
 
 
+BUNDLED_CASE = Path(plumeinv.__file__).parent / "data" / "default_case.yaml"
+
+
 def base_config(tmp_path) -> dict:
     return {
         "paths": {
@@ -348,6 +353,22 @@ class TestLoadConfig:
         assert repr(cfg.grid) == repr(grid)
         top = {f.name: f.default for f in fields(RunConfig) if f.default is not MISSING}
         assert repr({name: getattr(cfg, name) for name in top}) == repr(top)
+        loader_floor = inspect.signature(load_measurements).parameters["noise_floor"].default
+        assert loader_floor is top["noise_floor"]
+        # the phases of the synthetic signals and wind harmonics
+        data = yaml.safe_load(BUNDLED_CASE.read_text())
+        data["paths"]["out_dir"] = str(tmp_path / "out")
+        synthetic, wind_model = data["synthetic"], data["synthetic"]["wind_model"]
+        for item in (
+            synthetic["signals"] + wind_model["speed_harmonics"] + wind_model["direction_harmonics"]
+        ):
+            del item["phase_rad"]
+        spec = load_config(write_config(tmp_path, data)).synthetic
+        default = {cls: next(f.default for f in fields(cls) if f.name == "phase")
+                   for cls in (SourceSignal, Harmonic)}
+        harmonics = spec.wind_model.speed_harmonics + spec.wind_model.direction_harmonics
+        assert repr([s.phase for s in spec.spec.signals]) == repr([default[SourceSignal]] * 7)
+        assert repr([h.phase for h in harmonics]) == repr([default[Harmonic]] * 6)
 
     def test_missing_section_raises(self, tmp_path):
         data = base_config(tmp_path)
@@ -432,6 +453,23 @@ class TestSettingsValidation:
         data["sampler"] = sampler
         with pytest.raises(ValidationError, match=match):
             load_config(write_config(tmp_path, data))
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("sampler", "n_steps", 2000.9), ("sampler", "seed", 1.5), ("grid", "n_modes", 10.7)],
+    )
+    def test_fractional_integer_keys_raise(self, tmp_path, section, key, value):
+        data = base_config(tmp_path)
+        data.setdefault(section, {})[key] = value
+        with pytest.raises(ValidationError, match=f"{section}.{key} must be an integer"):
+            load_config(write_config(tmp_path, data))
+
+    def test_integral_float_is_an_integer(self, tmp_path):
+        data = base_config(tmp_path)
+        data["sampler"] = {"n_steps": 2000.0}
+        data["grid"]["n_modes"] = 10.0
+        cfg = load_config(write_config(tmp_path, data))
+        assert repr((cfg.sampler.n_steps, cfg.grid.n_modes)) == repr((2000, 10))
 
     def test_sampler_edges_accepted(self, tmp_path):
         data = base_config(tmp_path)
@@ -532,8 +570,7 @@ class TestOverrides:
 
 class TestBundledCase:
     def test_packaged_default_loads(self):
-        path = Path(plumeinv.__file__).parent / "data" / "default_case.yaml"
-        cfg = load_config(path)
+        cfg = load_config(BUNDLED_CASE)
         assert len(cfg.sources) == 7
         assert cfg.synthetic is not None
         assert len(cfg.synthetic.spec.signals) == 7
