@@ -8,7 +8,6 @@ overrides the sampler seed.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -16,7 +15,7 @@ from typing import Optional
 
 import yaml
 
-from .errors import ValidationError
+from .errors import ValidationError, _given, _number, _require
 from .observation import NOISE_FLOOR_DEFAULT
 from .plume import (
     CALM_SPEED_DEFAULT,
@@ -128,10 +127,10 @@ class RunConfig:
             steps = self.time.duration_s / dt
             if abs(steps - round(steps)) > 1e-9:
                 raise ValidationError(f"{name}={dt} does not divide the duration evenly")
-        cap = self.wind_cv_max_points
-        if isinstance(cap, bool) or not isinstance(cap, int) or cap < CV_MIN_POINTS:
+        if self.wind_cv_max_points < CV_MIN_POINTS:
             raise ValidationError(
-                f"wind_cv_max_points must be an integer >= {CV_MIN_POINTS}, got {cap!r}"
+                f"wind_cv_max_points must be at least {CV_MIN_POINTS}, "
+                f"got {self.wind_cv_max_points}"
             )
 
     def resolve_out_dir(self) -> Path:
@@ -140,46 +139,6 @@ class RunConfig:
     def resolve_input(self, name: str) -> Path:
         raw = Path(getattr(self.paths, name))
         return raw if raw.is_absolute() else self.resolve_out_dir() / raw
-
-
-def _dotted(where: str, key: str) -> str:
-    return f"{where}.{key}" if where else key
-
-
-def _require(section: dict, key: str, where: str):
-    if key not in section:
-        raise ValidationError(f"missing config key {_dotted(where, key)}")
-    return section[key]
-
-
-def _number(section: dict, key: str, where: str) -> float:
-    value = _require(section, key, where)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"config key {_dotted(where, key)} must be a number, got {value!r}")
-    if not math.isfinite(float(value)):
-        raise ValidationError(f"config key {_dotted(where, key)} must be finite")
-    return float(value)
-
-
-def _given(section: dict, where: str, **wanted) -> dict:
-    """The numbers ``section`` sets, keyed by field name.
-
-    ``wanted`` maps each field to its config key and its type (float or
-    int). A key the section leaves out is not passed on, so the defaults
-    on the config dataclasses are the only ones. An int field refuses a
-    value with a fractional part rather than truncate it.
-    """
-    given = {}
-    for name, (key, cast) in wanted.items():
-        if key not in section:
-            continue
-        value = _number(section, key, where)
-        if cast is int and not value.is_integer():
-            raise ValidationError(
-                f"config key {_dotted(where, key)} must be an integer, got {section[key]!r}"
-            )
-        given[name] = int(section[key]) if cast is int else value
-    return given
 
 
 def _section(data: dict, key: str) -> dict:
@@ -214,13 +173,13 @@ def _build_sources(items) -> tuple:
 def _build_harmonics(items, where: str) -> tuple:
     out = []
     for i, item in enumerate(items or []):
-        out.append(
-            Harmonic(
-                amplitude=_number(item, "amplitude", f"{where}[{i}]"),
-                period=_number(item, "period_s", f"{where}[{i}]"),
-                **_given(item, f"{where}[{i}]", phase=("phase_rad", float)),
-            )
-        )
+        at = f"{where}[{i}]"
+        amplitude, period = _number(item, "amplitude", at), _number(item, "period_s", at)
+        phase = _given(item, at, phase=("phase_rad", float))
+        try:
+            out.append(Harmonic(amplitude, period, **phase))
+        except ValueError as exc:
+            raise ValidationError(f"{at}.period_s: {exc}") from exc
     return tuple(out)
 
 
@@ -352,11 +311,10 @@ def _config_from_dict(data: dict) -> RunConfig:
         dt_inversion=("dt_inversion_s", float),
         dt_generation=("dt_generation_s", float),
         noise_floor=("noise_floor", float),
+        wind_cv_max_points=("wind_cv_max_points", int),
     )
     if "allow_same_dt" in data:
         extra["allow_same_dt"] = bool(data["allow_same_dt"])
-    if "wind_cv_max_points" in data:
-        extra["wind_cv_max_points"] = data["wind_cv_max_points"]
     try:
         return RunConfig(
             paths=paths,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Sequence
@@ -19,7 +20,7 @@ from typing import Sequence
 import numpy as np
 import yaml
 
-from .errors import ValidationError
+from .errors import ValidationError, _number, _require
 from .observation import (
     NOISE_FLOOR_DEFAULT,
     DustfallJar,
@@ -169,38 +170,37 @@ def write_wind_csv(path, records: Sequence[RawWindRecord], key: str) -> None:
 
 
 def _sensor_from_entry(entry: dict, where: str) -> Sensor:
-    def need(key):
-        if key not in entry:
-            raise ValidationError(f"{where}: missing field {key!r}")
-        return entry[key]
-
-    kind = str(need("kind"))
+    """One sensor; its numbers are read under the config file's rules."""
+    kind = str(_require(entry, "kind", where))
     common = dict(
-        id=str(need("id")),
-        x=float(need("x_m")),
-        y=float(need("y_m")),
-        z=float(need("z_m")),
-        snr=float(need("snr")),
+        id=str(_require(entry, "id", where)),
+        x=_number(entry, "x_m", where),
+        y=_number(entry, "y_m", where),
+        z=_number(entry, "z_m", where),
+        snr=_number(entry, "snr", where),
     )
     try:
         if kind == "dustfall_jar":
-            return DustfallJar(area=float(need("area_m2")), **common)
+            return DustfallJar(area=_number(entry, "area_m2", where), **common)
         if kind == "realtime_sampler":
-            window = float(need("window_s"))
+            window = _number(entry, "window_s", where)
             if "start_times" in entry:
                 starts = tuple(parse_timestamp(str(t)) for t in entry["start_times"])
             elif "schedule" in entry:
+                at = f"{where}.schedule"
                 sched = entry["schedule"]
-                first = parse_timestamp(str(sched["start"]))
-                every = float(sched["every_s"])
-                count = int(sched["count"])
+                first = parse_timestamp(str(_require(sched, "start", at)))
+                every = _number(sched, "every_s", at)
+                count = _number(sched, "count", at, int)
                 if every <= 0 or count < 1:
-                    raise ValidationError(f"{where}: schedule needs every_s > 0 and count >= 1")
+                    raise ValidationError(f"{at} needs every_s > 0 and count >= 1")
                 starts = tuple(first + every * k for k in range(count))
             else:
                 raise ValidationError(f"{where}: sampler needs start_times or schedule")
             return RealTimeSampler(window=window, start_times=starts, **common)
-    except (TypeError, ValueError, KeyError) as exc:
+    except ValidationError:
+        raise
+    except (TypeError, ValueError) as exc:
         raise ValidationError(f"{where}: {exc}") from exc
     raise ValidationError(f"{where}: unknown sensor kind {kind!r}")
 
@@ -282,6 +282,8 @@ def load_measurements(
             value = float(parts[2])
         except ValueError as exc:
             raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+        if not math.isfinite(value):
+            raise ValidationError(f"{path}:{lineno}: value {parts[2]!r} is not finite")
         sensor = by_id[sid]
         m = measurement_count(sensor)
         if not 0 <= index < m:

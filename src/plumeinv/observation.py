@@ -2,7 +2,9 @@
 
 Builds F = M G where G evaluates unit-emission plume kernels at sensor
 locations on a uniform time grid and M applies each sensor's time-window
-weighting by a left-endpoint rectangle rule.
+weighting by a left-endpoint rectangle rule. G is one ``kernel_profile``
+call over the whole wind series (a calm step gives zero kernels), and each
+sensor's rows of M are one array expression.
 
 Conventions:
     * Grid times are t_j = t0 + j*dt for j = 1..n_steps, i.e. the right
@@ -24,7 +26,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import CalmWindError, ConfigurationError
+from .errors import ConfigurationError
 from .plume import (
     CALM_SPEED_DEFAULT,
     X_CUTOFF_DEFAULT,
@@ -165,8 +167,8 @@ def assemble_M(sensor: Sensor, grid: TimeGrid, w_dep: float) -> np.ndarray:
     """
     times = grid.times
     if isinstance(sensor, DustfallJar):
-        weights = np.array([window_weight(sensor, 0, t, grid, w_dep) for t in times])
-        return weights[None, :] * grid.dt
+        inside = (times > grid.t0) & (times <= grid.t0 + grid.span)
+        return np.where(inside, sensor.area * w_dep, 0.0)[None, :] * grid.dt
     starts = np.asarray(sensor.start_times, dtype=float)
     tol = 1e-6  # s of float slack on window containment
     if starts.min() < grid.t0 - tol or starts.max() + sensor.window > grid.t0 + grid.span + tol:
@@ -198,25 +200,14 @@ def assemble_G(
 
     ``wind`` is anything with u_x / u_y arrays of length ``grid.n_steps``
     (a WindSeries, or a plain namespace in tests). Calm steps contribute
-    zero rows and are logged once.
+    zero rows.
     """
     points = np.array([s.location for s in sensors], dtype=float).reshape(len(sensors), 3)
-    n_t, n_p, n_s = grid.n_steps, len(sensors), len(sites)
-    table = np.zeros((n_t, n_p, n_s))
     u_x, u_y = np.asarray(wind.u_x, dtype=float), np.asarray(wind.u_y, dtype=float)
-    if len(u_x) != n_t or len(u_y) != n_t:
+    if len(u_x) != grid.n_steps or len(u_y) != grid.n_steps:
         raise ValueError("wind series length does not match the time grid")
-    calm = 0
-    for j in range(n_t):
-        try:
-            table[j] = kernel_profile(
-                points, sites, (u_x[j], u_y[j]), particle, sc, x_cutoff, calm_speed
-            )
-        except CalmWindError:
-            calm += 1
-    if calm:
-        logger.warning("calm wind at %d of %d steps; those steps contribute zero", calm, n_t)
-    return [table[:, k, :] for k in range(n_p)]
+    kernels = kernel_profile(points, sites, (u_x, u_y), particle, sc, x_cutoff, calm_speed)
+    return [kernels[:, k, :] for k in range(len(sensors))]
 
 
 def assemble_F(

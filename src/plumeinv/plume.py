@@ -14,10 +14,15 @@ Conventions:
       stability class; the vertical eddy diffusivity is recovered from
       sigma_z by K = U sigma_z^2 / (2 x), consistent with the sigma used
       in the same evaluation.
+    * ``kernel_profile`` evaluates a whole wind series in one call, a
+      bounded block of steps at a time; a calm step gives zero kernels.
+      ``rotate_to_wind`` raises CalmWindError instead, since a calm wind
+      defines no frame.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -47,8 +52,11 @@ __all__ = [
 MU_AIR = 1.8e-5  # dynamic viscosity of air, kg m^-1 s^-1
 G_ACCEL = 9.8  # gravitational acceleration, m s^-2
 
+logger = logging.getLogger(__name__)
+
 X_CUTOFF_DEFAULT = 1.0  # m; kernel is zero at or below this downwind distance
 CALM_SPEED_DEFAULT = 0.1  # m s^-1; weaker horizontal wind counts as calm
+BLOCK_STEPS = 16  # wind steps per block of kernel_profile's temporaries
 
 
 def settling_velocity(density: float, diameter: float) -> float:
@@ -224,9 +232,9 @@ def rotate_to_wind(
 def _ermak(x, y, z_rel, speed, z_src, particle, sc):
     """Ermak kernel downwind of the cutoff, on floats or equal-shape arrays.
 
-    ``x`` must be positive; ``speed`` is a positive float. Raises
-    NumericalError on overflow and clamps roundoff below zero, so both
-    callers keep these guarantees.
+    ``x`` must be positive; ``speed`` is a positive float or an array like
+    ``x``. Raises NumericalError on overflow and clamps roundoff below zero,
+    so both callers keep these guarantees.
     """
     # np.power and products, not ``**``, on per-point values: on a float ``**``
     # calls libm, one ulp off numpy's array loops (w_set**2 is one shared float).
@@ -266,27 +274,6 @@ def _ermak(x, y, z_rel, speed, z_src, particle, sc):
     return np.maximum(vals, 0.0)
 
 
-def _kernel_values(x, y, z_rel, speed, z_src, particle, sc, x_cutoff):
-    """Ermak kernel on broadcast arrays; entries with x <= x_cutoff are 0.
-
-    ``speed`` is a positive scalar; the other coordinate arguments
-    broadcast against each other. Returns an array of the broadcast shape.
-    """
-    if x_cutoff < 0:
-        raise ValueError("x_cutoff must be nonnegative")
-    x, y, z_rel, z_src = np.broadcast_arrays(
-        np.asarray(x, dtype=float),
-        np.asarray(y, dtype=float),
-        np.asarray(z_rel, dtype=float),
-        np.asarray(z_src, dtype=float),
-    )
-    out = np.zeros(x.shape)
-    mask = x > x_cutoff
-    if mask.any():
-        out[mask] = _ermak(x[mask], y[mask], z_rel[mask], speed, z_src[mask], particle, sc)
-    return out
-
-
 def plume_kernel(
     lc: LocalCoords,
     particle: ParticleProperties,
@@ -321,42 +308,71 @@ def plume_kernel(
 def kernel_profile(
     points: np.ndarray,
     sites: Sequence[SourceSite],
-    wind: Sequence[float],
+    wind: Sequence,
     particle: ParticleProperties,
     sc: StabilityClass,
     x_cutoff: float = X_CUTOFF_DEFAULT,
     calm_speed: float = CALM_SPEED_DEFAULT,
 ) -> np.ndarray:
-    """Unit-emission kernels of every source at every receptor for one wind.
+    """Unit-emission kernels of every source at every receptor, step by step.
 
     Args:
         points: (P, 3) receptor coordinates.
         sites: emitting sources (length S).
-        wind: horizontal wind components (u_x, u_y).
+        wind: horizontal wind components (u_x, u_y): two floats, or two
+            series of T steps.
         particle, sc, x_cutoff: as in :func:`plume_kernel`.
-        calm_speed: calm threshold forwarded to the rotation.
+        calm_speed: a step with a weaker wind gives zero kernels.
 
     Returns:
-        (P, S) array of kernel values, s m^-3.
-
-    Raises:
-        CalmWindError: wind below ``calm_speed``; callers assembling time
-            series catch this and zero out the step.
+        (P, S) kernel values for one wind, (T, P, S) for a series, s m^-3.
+        A series is stored time-last: ``transpose(1, 2, 0)`` of it is a
+        contiguous (P, S, T) array, the source-major column order of F and H.
     """
+    if x_cutoff < 0:
+        raise ValueError("x_cutoff must be nonnegative")
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    ux, uy = float(wind[0]), float(wind[1])
-    speed = math.hypot(ux, uy)
-    if speed < calm_speed:
-        raise CalmWindError(f"wind speed {speed:.3g} m/s below calm threshold {calm_speed:g}")
-    if not sites:
-        return np.zeros((points.shape[0], 0))
+    u_x, u_y = np.asarray(wind[0], dtype=float), np.asarray(wind[1], dtype=float)
+    if u_x.shape != u_y.shape or u_x.ndim > 1:
+        raise ValueError("wind must be two floats or two series of equal length")
+    series = u_x.ndim == 1
+    u_x, u_y = np.atleast_1d(u_x), np.atleast_1d(u_y)
+    speed = np.array([math.hypot(a, b) for a, b in zip(u_x.tolist(), u_y.tolist())])
+    live = ~(speed < calm_speed)
+    if not live.all():
+        logger.warning(
+            "calm wind at %d of %d steps; those steps give zero kernels",
+            np.count_nonzero(~live), speed.size,
+        )
+    # A calm step's frame is never read: the mask drops it. Dividing by 1
+    # there instead of by its speed keeps the arithmetic finite.
+    speed = np.where(live, speed, 1.0)
+    # receptor-source pairs flattened point-major: entry k is (k // S, k % S)
     sx = np.array([s.x for s in sites])
     sy = np.array([s.y for s in sites])
-    sz = np.array([s.height for s in sites])
-    dx = points[:, 0:1] - sx[None, :]
-    dy = points[:, 1:2] - sy[None, :]
-    downwind = (dx * ux + dy * uy) / speed
-    crosswind = (ux * dy - uy * dx) / speed
-    z_rel = points[:, 2:3] - sz[None, :]
-    return _kernel_values(downwind, crosswind, z_rel, speed, sz[None, :], particle, sc, x_cutoff)
-
+    heights = np.array([s.height for s in sites], dtype=float)
+    dx = (points[:, 0:1] - sx).ravel()
+    dy = (points[:, 1:2] - sy).ravel()
+    z_rel = (points[:, 2:3] - heights).ravel()
+    z_src = np.tile(heights, len(points))
+    out = np.zeros((dx.size, speed.size))
+    for start in range(0, speed.size, BLOCK_STEPS):
+        steps = slice(start, start + BLOCK_STEPS)
+        downwind = (dx[:, None] * u_x[steps] + dy[:, None] * u_y[steps]) / speed[steps]
+        hit = np.flatnonzero((downwind > x_cutoff) & live[steps])
+        pair, t = np.divmod(hit, downwind.shape[1])
+        t += start
+        ux, uy, u = u_x[t], u_y[t], speed[t]
+        block = np.zeros(downwind.size)
+        block[hit] = _ermak(
+            downwind.ravel()[hit],
+            (ux * dy[pair] - uy * dx[pair]) / u,
+            z_rel[pair],
+            u,
+            z_src[pair],
+            particle,
+            sc,
+        )
+        out[:, steps] = block.reshape(downwind.shape)
+    kernels = out.reshape(len(points), len(sites), speed.size).transpose(2, 0, 1)
+    return kernels if series else kernels[0]

@@ -3,8 +3,10 @@
 The forward-on-grid operator H maps the stacked emission vector to
 time-integrated ground-level deposition (kg m^-2 over the period) at every
 grid point, using the same left-endpoint quadrature as the observation
-map. Posterior covariance is pushed through H via its leading eigenpairs:
-per-cell variance needs only one forward application per retained mode.
+map. It is one ``kernel_profile`` call over the whole wind series, scaled
+by w_dep dt; a calm step deposits nothing. Posterior covariance is pushed
+through H via its leading eigenpairs: per-cell variance needs only one
+forward application per retained mode.
 
 The eigenpairs come from a block subspace iteration (Halko, Martinsson &
 Tropp 2011, SIAM Review) with a fixed-seed Gaussian start, one product
@@ -24,7 +26,6 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import eigh
 
-from .errors import CalmWindError
 from .observation import TimeGrid
 from .plume import (
     CALM_SPEED_DEFAULT,
@@ -98,30 +99,19 @@ def assemble_H(
 
     Row p holds w_dep * dt * kernel(cell p, source i, step j) in
     source-major column order; H q is then the per-cell deposition
-    accumulated over the period at ground level (z = 0).
+    accumulated over the period at ground level (z = 0). A calm step's
+    columns are zero.
     """
     pts = grid.points()
     points3 = np.column_stack([pts, np.zeros(len(pts))])
-    n_t, n_s = timegrid.n_steps, len(sites)
-    u_x, u_y = np.asarray(wind.u_x, dtype=float), np.asarray(wind.u_y, dtype=float)
-    if len(u_x) != n_t:
+    u_x = np.asarray(wind.u_x, dtype=float)
+    if len(u_x) != timegrid.n_steps:
         raise ValueError("wind series length does not match the time grid")
-    out = np.zeros((grid.n_cells, n_s * n_t))
-    weight = particle.w_dep * timegrid.dt
-    cols = np.arange(n_s) * n_t
-    calm = 0
-    for j in range(n_t):
-        try:
-            kernels = kernel_profile(
-                points3, sites, (u_x[j], u_y[j]), particle, sc, x_cutoff, calm_speed
-            )
-        except CalmWindError:
-            calm += 1
-            continue
-        out[:, cols + j] = weight * kernels
-    if calm:
-        logger.warning("calm wind at %d of %d steps; those steps deposit nothing", calm, n_t)
-    return out
+    kernels = kernel_profile(points3, sites, (u_x, wind.u_y), particle, sc, x_cutoff, calm_speed)
+    # kernel_profile stores the series time-last, so this reshape is a view
+    h = kernels.transpose(1, 2, 0).reshape(grid.n_cells, len(sites) * timegrid.n_steps)
+    h *= particle.w_dep * timegrid.dt
+    return h
 
 
 @dataclass(frozen=True, eq=False)

@@ -437,6 +437,39 @@ class TestExitCodes:
         assert cli.main(["run", "--config", str(cfg_path)]) == 2
         assert not out.exists()
 
+    def test_zero_harmonic_period_is_2(self, tmp_path):
+        def zero_period(d):
+            d["synthetic"]["wind_model"]["speed_harmonics"][0]["period_s"] = 0
+        cfg_path, out = write_case(tmp_path, mutate=zero_period)
+        assert cli.main(["run", "--config", str(cfg_path)]) == 2
+        assert not list(out.rglob("*"))
+
+    def test_fractional_cv_cap_is_2(self, tmp_path):
+        cfg_path, out = write_case(tmp_path, mutate=lambda d: d.update(wind_cv_max_points=400.5))
+        assert cli.main(["run", "--config", str(cfg_path)]) == 2
+        assert not list(out.rglob("*"))
+
+    @pytest.mark.parametrize(
+        "sensor, key, value",
+        [(1, "x_m", float("nan")), (1, "x_m", float("inf")), (2, "z_m", float("nan")),
+         (3, "snr", True)],
+        ids=["nan_x", "inf_x", "nan_z", "bool_snr"],
+    )
+    def test_bad_synthetic_sensor_number_is_2(self, tmp_path, sensor, key, value):
+        # refused while the config loads, before any stage writes a file
+        cfg_path, out = write_case(
+            tmp_path, mutate=lambda d: d["synthetic"]["sensors"][sensor].update({key: value})
+        )
+        assert cli.main(["run", "--config", str(cfg_path)]) == 2
+        assert not list(out.rglob("*"))
+
+    def test_fractional_schedule_count_is_2(self, tmp_path):
+        cfg_path, out = write_case(
+            tmp_path, mutate=lambda d: d["synthetic"]["sensors"][0]["schedule"].update(count=2.5)
+        )
+        assert cli.main(["run", "--config", str(cfg_path)]) == 2
+        assert not list(out.rglob("*"))
+
     def test_negative_seed_is_2(self, tmp_path):
         cfg_path, out = write_case(tmp_path)
         assert cli.main(["run", "--config", str(cfg_path), "--seed", "-1"]) == 2
@@ -481,6 +514,23 @@ class TestExitCodes:
         rc = cli.main(["invert", "--config", str(cfg_path), "--through", "constant"])
         assert rc == 0
         assert (out / "emissions_constant.csv").is_file()
+
+    def test_nan_sensor_coordinate_is_2(self, tmp_path):
+        cfg_path, out = real_data_case(tmp_path, jar_x=100.0)
+        sensors = out / "sensors.yaml"
+        text = sensors.read_text()
+        assert "x_m: 100.0" in text
+        sensors.write_text(text.replace("x_m: 100.0", "x_m: .nan"))
+        rc = cli.main(["invert", "--config", str(cfg_path), "--through", "constant"])
+        assert rc == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
+    def test_nonfinite_measurement_is_2(self, tmp_path, value):
+        cfg_path, out = real_data_case(tmp_path, jar_x=100.0)
+        (out / "measurements.csv").write_text(f"sensor_id,index,value\nfar,0,{value}\n")
+        rc = cli.main(["invert", "--config", str(cfg_path), "--through", "constant"])
+        assert rc == 2
+        assert not (out / "emissions_constant.csv").exists()
 
     def test_kernel_overflow_is_3(self, tmp_path):
         # settling without deposition at 50 km in stable air overflows the

@@ -169,6 +169,34 @@ class TestSensorsYaml:
         (sensor,) = load_sensors(path)
         assert sensor.start_times == (0.0, 7200.0, 14400.0)
 
+    @pytest.mark.parametrize(
+        "fields, match",
+        [
+            ("x_m: .nan, y_m: 2, z_m: 3, area_m2: 0.02, snr: 10", r"sensors\[0\]\.x_m must be finite"),
+            ("x_m: .inf, y_m: 2, z_m: 3, area_m2: 0.02, snr: 10", r"x_m must be finite"),
+            ("x_m: 1, y_m: 2, z_m: .nan, area_m2: 0.02, snr: 10", r"z_m must be finite"),
+            ("x_m: 1, y_m: 2, z_m: 3, area_m2: 0.02, snr: true", r"snr must be a number"),
+            ("x_m: 1, y_m: 2, z_m: 3, area_m2: '0.02', snr: 10", r"area_m2 must be a number"),
+        ],
+        ids=["nan_x", "inf_x", "nan_z", "bool_snr", "text_area"],
+    )
+    def test_bad_jar_number_raises(self, tmp_path, fields, match):
+        path = tmp_path / "sensors.yaml"
+        path.write_text(f"sensors:\n  - {{id: j, kind: dustfall_jar, {fields}}}\n")
+        with pytest.raises(ValidationError, match=match):
+            load_sensors(path)
+
+    def test_fractional_schedule_count_raises(self, tmp_path):
+        path = tmp_path / "sensors.yaml"
+        path.write_text(
+            "sensors:\n"
+            "  - {id: rt, kind: realtime_sampler, x_m: 1, y_m: 2, z_m: 3,\n"
+            "     window_s: 3600, snr: 100,\n"
+            "     schedule: {start: 1970-01-01T00:00:00Z, every_s: 7200, count: 2.5}}\n"
+        )
+        with pytest.raises(ValidationError, match=r"schedule\.count must be an integer"):
+            load_sensors(path)
+
     def test_missing_field_mentions_entry(self, tmp_path):
         path = tmp_path / "sensors.yaml"
         path.write_text("sensors:\n  - {id: j, kind: dustfall_jar, x_m: 1, y_m: 2, z_m: 3}\n")
@@ -241,6 +269,13 @@ class TestMeasurementsCsv:
         path = tmp_path / "meas.csv"
         path.write_text("sensor_id,index,value\nmystery,0,1.0\n")
         with pytest.raises(ValidationError, match=r":2:.*mystery"):
+            load_measurements(path, SENSORS)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_nonfinite_value_reports_line(self, tmp_path, value):
+        path = tmp_path / "meas.csv"
+        path.write_text(f"sensor_id,index,value\njar1,0,0.012\nrt1,0,{value}\n")
+        with pytest.raises(ValidationError, match=r":3:.*not finite"):
             load_measurements(path, SENSORS)
 
     def test_duplicate_entry_raises(self, tmp_path):
@@ -482,6 +517,20 @@ class TestSettingsValidation:
         data = base_config(tmp_path)
         data["wind_cv_max_points"] = cap
         with pytest.raises(ValidationError, match="wind_cv_max_points"):
+            load_config(write_config(tmp_path, data))
+
+    def test_integral_float_cv_cap_is_an_integer(self, tmp_path):
+        data = base_config(tmp_path)
+        data["wind_cv_max_points"] = 400.0
+        assert repr(load_config(write_config(tmp_path, data)).wind_cv_max_points) == "400"
+
+    @pytest.mark.parametrize("period", [0.0, -3600.0])
+    def test_nonpositive_harmonic_period_raises(self, tmp_path, period):
+        data = yaml.safe_load(BUNDLED_CASE.read_text())
+        data["paths"]["out_dir"] = str(tmp_path / "out")
+        data["synthetic"]["wind_model"]["direction_harmonics"][1]["period_s"] = period
+        match = r"synthetic\.wind_model\.direction_harmonics\[1\]\.period_s"
+        with pytest.raises(ValidationError, match=match):
             load_config(write_config(tmp_path, data))
 
     def test_smallest_cv_cap_accepted(self, tmp_path):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.special import log_ndtr
 
+from plumeinv import plume
 from plumeinv.errors import CalmWindError, NumericalError
 from plumeinv.plume import (
     BRIGGS_COEFFICIENTS,
@@ -307,11 +308,15 @@ class TestKernelProfile:
         ]
         fixed = [[450.0, -260.0, 3.0], [300.0, -120.0, 4.0], [-200.0, 200.0, 2.0]]
         points = np.vstack([fixed, scattered, edge])
+        winds = [(1.3, -2.1), (2.0, 0.0), (0.5, 0.0)]
+        series_wind = (np.array([w[0] for w in winds]), np.array([w[1] for w in winds]))
         for cls in "ABCDEF":
             sc = StabilityClass(cls)
             for w_dep, w_set in [(1.2e-2, 7.86e-3), (2.0e-3, 4.0e-3), (0.0, 6.0e-3)]:
                 p = ParticleProperties(2600.0, 1e-5, w_dep=w_dep, w_set=w_set)
-                for wind in [(1.3, -2.1), (2.0, 0.0), (0.5, 0.0)]:
+                series = kernel_profile(points, self.SITES, series_wind, p, sc)
+                assert series.shape == (len(winds), len(points), 3)
+                for step, wind in enumerate(winds):
                     prof = kernel_profile(points, self.SITES, wind, p, sc)
                     assert prof.shape == (len(points), 3)
                     for i, pt in enumerate(points):
@@ -319,20 +324,49 @@ class TestKernelProfile:
                             lc = rotate_to_wind(pt, site, wind)
                             got = plume_kernel(lc, p, sc, site.height)
                             assert prof[i, j] == got, (cls, w_dep, wind, i, j)
+                            assert series[step, i, j] == got, (cls, w_dep, wind, i, j)
                     if wind[1] == 0.0:
                         at_cut, past_cut, short, upwind = prof[-4:, 0]
                         assert at_cut == 0.0 and short == 0.0 and upwind == 0.0
                         assert past_cut > 0.0
+
+    def test_series_matches_single_pairs(self, monkeypatch):
+        # blocks of 3 do not divide the 10 steps, and two of the steps are calm
+        monkeypatch.setattr(plume, "BLOCK_STEPS", 3)
+        rng = np.random.default_rng(3)
+        points = np.column_stack(
+            [rng.uniform(-500.0, 500.0, 12), rng.uniform(-500.0, 500.0, 12), rng.uniform(0.0, 6.0, 12)]
+        )
+        speed = rng.uniform(0.5, 6.0, 10)
+        angle = rng.uniform(-math.pi, math.pi, 10)
+        u_x, u_y = speed * np.cos(angle), speed * np.sin(angle)
+        u_x[[2, 7]], u_y[[2, 7]] = 0.05, -0.03
+        series = kernel_profile(points, self.SITES, (u_x, u_y), PARTICLE, StabilityClass.C)
+        assert series.shape == (10, 12, 3)
+        # stored time-last: the (P, S, T) view that H reshapes is contiguous
+        assert series.transpose(1, 2, 0).flags.c_contiguous
+        for j in range(10):
+            pair = kernel_profile(points, self.SITES, (u_x[j], u_y[j]), PARTICLE, StabilityClass.C)
+            np.testing.assert_array_equal(series[j], pair)
+        assert np.all(series[[2, 7]] == 0.0)
+        assert np.count_nonzero(series[[0, 1, 3, 4, 5, 6, 8, 9]]) > 0
+
+    def test_mismatched_wind_series_rejected(self):
+        points = np.array([[100.0, 0.0, 2.0]])
+        with pytest.raises(ValueError):
+            kernel_profile(points, self.SITES, (np.ones(3), np.ones(2)), PARTICLE, StabilityClass.D)
 
     def test_upwind_receptors_zero(self):
         points = np.array([[-500.0, 0.0, 2.0]])
         prof = kernel_profile(points, self.SITES[:1], (2.0, 0.0), PARTICLE, StabilityClass.D)
         assert prof[0, 0] == 0.0
 
-    def test_calm_raises(self):
-        points = np.array([[100.0, 0.0, 2.0]])
-        with pytest.raises(CalmWindError):
-            kernel_profile(points, self.SITES, (0.01, 0.01), PARTICLE, StabilityClass.D)
+    def test_calm_gives_zero_kernels(self):
+        # a calm wind defines no plume axis; the kernels are zero, not an error
+        points = np.array([[100.0, 0.0, 2.0], [300.0, 10.0, 0.0]])
+        prof = kernel_profile(points, self.SITES, (0.01, 0.01), PARTICLE, StabilityClass.D)
+        assert prof.shape == (2, 3)
+        assert np.all(prof == 0.0)
 
     def test_no_sites(self):
         prof = kernel_profile(np.zeros((2, 3)), [], (2.0, 0.0), PARTICLE, StabilityClass.D)

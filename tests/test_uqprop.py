@@ -8,8 +8,15 @@ import pytest
 from scipy.linalg import eigh
 
 from plumeinv import uqprop
+from plumeinv.errors import CalmWindError
 from plumeinv.observation import DustfallJar, TimeGrid, assemble_F
-from plumeinv.plume import ParticleProperties, SourceSite, StabilityClass
+from plumeinv.plume import (
+    ParticleProperties,
+    SourceSite,
+    StabilityClass,
+    plume_kernel,
+    rotate_to_wind,
+)
 from plumeinv.uqprop import (
     CERT_TOL,
     SUBSPACE_MAX_ITER,
@@ -76,6 +83,26 @@ class TestAssembleH:
         for i in range(len(SITES)):
             assert np.all(h[:, i * n_t + 2] == 0.0)
         assert h.sum() > 0.0
+
+    def test_matches_per_step_oracle_with_calm_step(self):
+        # each entry is (w_dep dt) times the pointwise kernel, bit for bit;
+        # the calm step, which has no wind frame, deposits nothing
+        grid = GridSpec(x_min=-40.0, x_max=220.0, y_min=-60.0, y_max=40.0, n_x=4, n_y=3)
+        wind = make_wind(calm_step=5)
+        h = assemble_H(grid, SITES, wind, TIMEGRID, PARTICLE, StabilityClass.C)
+        n_t = TIMEGRID.n_steps
+        expected = np.zeros((grid.n_cells, len(SITES) * n_t))
+        for p, (x, y) in enumerate(grid.points()):
+            for i, site in enumerate(SITES):
+                for j in range(n_t):
+                    try:
+                        lc = rotate_to_wind((x, y, 0.0), site, (wind.u_x[j], wind.u_y[j]))
+                    except CalmWindError:
+                        continue
+                    kernel = plume_kernel(lc, PARTICLE, StabilityClass.C, site.height)
+                    expected[p, i * n_t + j] = (PARTICLE.w_dep * TIMEGRID.dt) * kernel
+        np.testing.assert_array_equal(h, expected)
+        assert np.all(h[:, 5::n_t] == 0.0) and np.count_nonzero(h) > 0
 
     def test_wind_length_mismatch_raises(self):
         grid = GridSpec(x_min=0.0, x_max=1.0, y_min=0.0, y_max=1.0, n_x=2, n_y=2)
