@@ -99,6 +99,17 @@ class SyntheticConfig:
     sensors: tuple = ()
     wind_cadence_s: float = 600.0
 
+    def __post_init__(self) -> None:
+        if not self.wind_cadence_s > 0:
+            raise ValidationError(
+                f"synthetic.wind_cadence_s must be positive, got {self.wind_cadence_s}"
+            )
+        if not self.wind_model.min_speed >= 0:
+            raise ValidationError(
+                "synthetic.wind_model.min_speed_mps must be non-negative, "
+                f"got {self.wind_model.min_speed}"
+            )
+
 
 @dataclass(frozen=True)
 class RunConfig:

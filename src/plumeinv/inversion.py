@@ -12,19 +12,24 @@ tridiagonal operator, factored once as L = U D U^T (LAPACK ``dpttrf``), so
 prior draws and covariance applications reduce to tridiagonal solves
 (``dpttrs``) over every column at once; nothing is ever explicitly
 inverted.
+
+Every stage takes the forward operator F as a CSR array (about 3% of its
+entries are nonzero); a dense F is converted at entry, so both run the
+same arithmetic.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.blas import dtrsm
 from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.optimize import nnls as scipy_nnls
-from scipy.sparse import csc_array
+from scipy.sparse import csr_array
 
 from .errors import NumericalError
 from .observation import TimeGrid
@@ -48,6 +53,7 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 KKT_TOL = 1e-10  # relative KKT residual bound for the constant stage
+_ROWS = 64  # rows per block where a stage works a few rows of an array at a time
 
 
 @dataclass(frozen=True)
@@ -127,20 +133,15 @@ class SmoothnessPrior:
         out = self._solve_rows(xi.transpose(0, 2, 1).copy()).reshape(b, n_s * n_t)
         return out[0] if size is None else out
 
-    def apply_cov(self, x: np.ndarray) -> np.ndarray:
-        """C @ x for a vector or matrix x, via two tridiagonal solves per block."""
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        if single:
-            x = x[:, None]
-        n_s, n_t = self.spec.n_sources, self.n_steps
-        if x.shape[0] != n_s * n_t:
-            raise ValueError(f"expected leading dimension {n_s * n_t}, got {x.shape[0]}")
-        m = x.shape[1]
-        # One (n_s, m, n_t) copy holds every block of every column as a row.
-        rows = self._solve_rows(self._solve_rows(x.reshape(n_s, n_t, m).transpose(0, 2, 1).copy()))
-        out = rows.transpose(0, 2, 1).reshape(n_s * n_t, m)
-        return out[:, 0] if single else out
+    def apply_cov_to_rows(self, a: np.ndarray) -> np.ndarray:
+        """Each length-n row r of the float array ``a`` replaced by C r.
+
+        Two tridiagonal solves per block, in place when ``a`` is C-ordered.
+        With ``a`` = F this is F C, since C is symmetric.
+        """
+        if a.shape[-1] != self.n:
+            raise ValueError(f"expected rows of length {self.n}, got {a.shape[-1]}")
+        return self._solve_rows(self._solve_rows(a))
 
     def cov_block(self) -> np.ndarray:
         """Dense L^-2, the covariance of one source block (cached)."""
@@ -159,8 +160,18 @@ class SmoothnessPrior:
         return out
 
     def marginal_var(self) -> np.ndarray:
-        """Pointwise prior variances of one source block."""
-        return np.diag(self.cov_block()).copy()
+        """Pointwise prior variances of one source block, diag(L^-2).
+
+        Formed from ``_ROWS`` rows of L^-2 at a time, so no n_steps^2 array
+        is built; each row is solved on its own, as in ``cov_block``.
+        """
+        n_t = self.n_steps
+        out = np.empty(n_t)
+        for start in range(0, n_t, _ROWS):
+            stop = min(start + _ROWS, n_t)
+            rows = self._solve_rows(self._solve_rows(np.eye(stop - start, n_t, k=start)))
+            out[start:stop] = np.diagonal(rows, offset=start)
+        return out
 
 
 def build_prior(spec: PriorSpec) -> SmoothnessPrior:
@@ -179,7 +190,7 @@ class ConstantFit:
 
 
 def mle_constant(
-    f_matrix: np.ndarray,
+    f_matrix,
     d: np.ndarray,
     noise_var: np.ndarray,
     n_sources: int,
@@ -190,14 +201,15 @@ def mle_constant(
     each source's scalar across its time slots. The KKT residual of the
     returned point is verified against a 1e-10 relative bound.
     """
+    f = csr_array(f_matrix, dtype=float)
     d = np.asarray(d, dtype=float)
     noise_var = np.asarray(noise_var, dtype=float)
-    n_meas, n_cols = f_matrix.shape
+    n_cols = f.shape[1]
     if n_cols % n_sources:
         raise ValueError("F column count is not a multiple of n_sources")
     n_t = n_cols // n_sources
     inv_std = 1.0 / np.sqrt(noise_var)
-    fa = f_matrix.reshape(n_meas, n_sources, n_t).sum(axis=2)
+    fa = f @ np.repeat(np.eye(n_sources), n_t, axis=0)  # F A, (n_meas, n_sources)
     design = fa * inv_std[:, None]
     target = d * inv_std
     rates, _ = scipy_nnls(design, target)
@@ -237,33 +249,47 @@ def mle_constant(
 class GaussianPosterior:
     """Closed-form smooth-stage posterior N(mean, C - W^T W).
 
-    ``w`` is L_S^-1 F C, with L_S the lower Cholesky factor of the
-    innovation matrix S = Sigma + F C F^T, so W^T W is the variance the data
-    remove from the prior C. The pointwise std is formed from the prior
-    variances and the column sums of W * W; the dense covariance is built
-    only when ``cov`` is read.
+    W is L_S^-1 F C, with L_S the lower Cholesky factor of the innovation
+    matrix S = Sigma + F C F^T, so W^T W is the variance the data remove
+    from the prior C. ``gaussian_posterior`` forms W once, for ``std``, and
+    keeps no (n_meas, n) array; ``cov`` rebuilds W from F and L_S.
     """
 
     mean: np.ndarray
+    std: np.ndarray
     prior: SmoothnessPrior
-    w: np.ndarray  # (n_meas, n)
-    std: np.ndarray = field(init=False)
+    f_matrix: csr_array  # (n_meas, n)
+    innovation_factor: np.ndarray  # L_S, lower triangle of (n_meas, n_meas)
 
-    def __post_init__(self) -> None:
-        var = np.tile(self.prior.marginal_var(), self.prior.spec.n_sources)
-        var -= np.einsum("ij,ij->j", self.w, self.w)
-        object.__setattr__(self, "std", np.sqrt(np.maximum(var, 0.0)))
+    @staticmethod
+    def pointwise_std(prior: SmoothnessPrior, w: np.ndarray) -> np.ndarray:
+        """sqrt(diag(C - W^T W)), roundoff negatives clipped to zero."""
+        var = np.tile(prior.marginal_var(), prior.spec.n_sources)
+        var -= np.einsum("ij,ij->j", w, w)
+        return np.sqrt(np.maximum(var, 0.0))
 
     @property
     def cov(self) -> np.ndarray:
         """Dense n x n posterior covariance, for small-instance checks."""
+        fc = self.prior.apply_cov_to_rows(self.f_matrix.toarray())
+        w = _whitened_gain(fc, self.innovation_factor)
         cov = self.prior.dense_cov()
-        cov -= self.w.T @ self.w
+        cov -= w.T @ w
         return cov
 
 
+def _whitened_gain(fc: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """W = L_S^-1 (F C) formed in the C-ordered buffer ``fc``.
+
+    The buffer read as Fortran-ordered is (F C)^T, and W^T L_S^T = (F C)^T
+    is one triangular solve from the right (BLAS ``dtrsm``) in that memory.
+    """
+    w_t = dtrsm(1.0, factor, fc.T, side=1, lower=1, trans_a=1, overwrite_b=1)
+    return w_t.T
+
+
 def gaussian_posterior(
-    f_matrix: np.ndarray,
+    f_matrix,
     d: np.ndarray,
     noise_var: np.ndarray,
     prior: SmoothnessPrior,
@@ -275,12 +301,19 @@ def gaussian_posterior(
         cov  = C - C F^T (Sigma + F C F^T)^-1 F C = C - W^T W
 
     solved through a Cholesky factorization L_S L_S^T of the
-    (n_meas x n_meas) innovation matrix, with W = L_S^-1 F C.
+    (n_meas x n_meas) innovation matrix, with W = L_S^-1 F C. F C and then
+    W share one (n_meas, n) buffer, freed once ``std`` is formed.
     """
+    f = csr_array(f_matrix, dtype=float)
     d = np.asarray(d, dtype=float)
     prior_mean = np.asarray(prior_mean, dtype=float)
-    cf_t = prior.apply_cov(f_matrix.T)  # (n, n_meas)
-    innovation_cov = f_matrix @ cf_t
+    n_meas = f.shape[0]
+    fc = prior.apply_cov_to_rows(f.toarray())  # F C, (n_meas, n)
+    # S = F (F C)^T a few columns at a time: the sparse product reads its
+    # dense operand C-ordered, so a full (F C)^T would be a second buffer.
+    innovation_cov = np.empty((n_meas, n_meas))
+    for start in range(0, n_meas, _ROWS):
+        innovation_cov[:, start : start + _ROWS] = f @ fc[start : start + _ROWS].T
     innovation_cov[np.diag_indices_from(innovation_cov)] += noise_var
     innovation_cov = 0.5 * (innovation_cov + innovation_cov.T)
     try:
@@ -290,9 +323,16 @@ def gaussian_posterior(
         raise NumericalError(
             f"innovation matrix factorization failed (condition number {cond:.3e})"
         ) from exc
-    mean = prior_mean + cf_t @ cho_solve(factor, d - f_matrix @ prior_mean)
-    w = solve_triangular(factor[0], cf_t.T, lower=True)
-    return GaussianPosterior(mean=mean, prior=prior, w=w)
+    del innovation_cov
+    mean = prior_mean + cho_solve(factor, d - f @ prior_mean) @ fc
+    std = GaussianPosterior.pointwise_std(prior, _whitened_gain(fc, factor[0]))
+    return GaussianPosterior(
+        mean=mean,
+        std=std,
+        prior=prior,
+        f_matrix=f,
+        innovation_factor=factor[0],
+    )
 
 
 def clip_positive(v: np.ndarray) -> np.ndarray:
@@ -300,7 +340,7 @@ def clip_positive(v: np.ndarray) -> np.ndarray:
     return np.maximum(np.asarray(v, dtype=float), 0.0)
 
 
-def whiten(f_matrix: np.ndarray, d: np.ndarray, noise_var: np.ndarray):
+def whiten(f_matrix, d: np.ndarray, noise_var: np.ndarray):
     """(Sigma^-1/2 F as a CSC array, Sigma^-1/2 d).
 
     Most entries of F are zero (a sampler row covers only the time slots of
@@ -308,13 +348,13 @@ def whiten(f_matrix: np.ndarray, d: np.ndarray, noise_var: np.ndarray):
     column access.
     """
     inv_std = 1.0 / np.sqrt(np.asarray(noise_var, dtype=float))
-    f_white = csc_array(np.asarray(f_matrix, dtype=float))
+    f_white = csr_array(f_matrix, dtype=float).tocsc()
     f_white.data *= inv_std[f_white.indices]
     return f_white, np.asarray(d, dtype=float) * inv_std
 
 
 def make_potential(
-    f_matrix: np.ndarray,
+    f_matrix,
     d: np.ndarray,
     noise_var: np.ndarray,
     link: Callable[[np.ndarray], np.ndarray] = clip_positive,
@@ -352,7 +392,7 @@ class PositivePosterior:
 
 
 def positive_posterior(
-    f_matrix: np.ndarray,
+    f_matrix,
     d: np.ndarray,
     noise_var: np.ndarray,
     prior: SmoothnessPrior,

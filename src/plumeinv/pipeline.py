@@ -28,6 +28,7 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from . import io, threads
 from .config import RunConfig, config_dict
@@ -372,7 +373,7 @@ class InversionResult:
     sensors: list
     measurements: MeasurementSet
     noise_var: np.ndarray
-    f_matrix: np.ndarray
+    f_matrix: csr_array
     constant: ConstantFit
     smooth: Optional[GaussianPosterior]
     positive: Optional[PositivePosterior]
@@ -436,15 +437,19 @@ def run_invert(
     noise_var = measurements.noise_var * noise_scale**2
 
     wind = load_wind_series(cfg)["inversion"]
-    f_matrix = assemble_F(
-        sensors,
-        cfg.sources,
-        wind,
-        grid,
-        cfg.particle,
-        cfg.stability,
-        x_cutoff=cfg.plume.x_cutoff_m,
-        calm_speed=cfg.plume.calm_speed_mps,
+    # F is about 3% nonzero; every stage takes it as CSR, and the dense
+    # array is dropped as soon as it is converted.
+    f_matrix = csr_array(
+        assemble_F(
+            sensors,
+            cfg.sources,
+            wind,
+            grid,
+            cfg.particle,
+            cfg.stability,
+            x_cutoff=cfg.plume.x_cutoff_m,
+            calm_speed=cfg.plume.calm_speed_mps,
+        )
     )
     d = measurements.values
     n_sources = len(cfg.sources)
@@ -467,6 +472,9 @@ def run_invert(
     if through in ("smooth", "positive"):
         prior = build_prior(PriorSpec(cfg.prior.alpha, cfg.prior.gamma, grid, n_sources))
         smooth = gaussian_posterior(f_matrix, d, noise_var, prior, constant.q)
+        # Hand the smooth stage's freed (n_meas, n) buffer back before the
+        # chain maps its n x n scatter beside it.
+        _release_freed_heap()
         io.write_emissions_csv(
             out / f"emissions_smooth{suffix}.csv",
             _source_ids(cfg),
@@ -620,13 +628,15 @@ _RUNNERS = {
 
 
 def _release_freed_heap() -> None:
-    """Hand the heap memory a finished stage freed back to the OS (glibc only).
+    """Hand the heap memory freed so far back to the OS (glibc only).
 
     glibc returns the free top of its heap only above a trim threshold,
     twice its mmap threshold, and that threshold rises to the size of the
-    largest array freed so far (F, about 31 MB on the bundled case). Up to
-    about 60 MB freed by invert can therefore stay resident while
-    propagate maps its own arrays beside it, and add to the run's peak.
+    largest array freed so far (the dense F, about 31 MB on the bundled
+    case). Up to about 60 MB freed by one step can therefore stay resident
+    while the next maps its own arrays beside it and add to the run's
+    peak: the smooth stage's buffer beside the chain's scatter, or what
+    invert freed beside propagate's covariance.
     """
     trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
     if trim is not None:

@@ -25,7 +25,10 @@ from typing import Sequence
 
 import numpy as np
 from scipy.linalg import eigh
+from scipy.linalg.blas import dgemm
+from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dorgqr, dsyevd
 
+from .errors import NumericalError
 from .observation import TimeGrid
 from .plume import (
     CALM_SPEED_DEFAULT,
@@ -144,6 +147,15 @@ def lowrank_truncate(cov: np.ndarray, n_modes: int) -> LowRankFactors:
     trailing eigenvalues (roundoff) are clamped to zero with a log
     message; asymmetry beyond ``SYM_TOL`` (relative to the largest entry)
     is an error.
+
+    The iteration runs in a workspace allocated once: the block and its
+    product with the covariance (n x block each, Fortran-ordered) and the
+    residual (n x n_modes). BLAS writes every product into it and LAPACK
+    orthonormalizes the block in place (Householder QR, ``dgeqrf`` then
+    ``dorgqr``), so no iteration allocates an n-row array. Every product
+    and factorization goes through SciPy's BLAS and LAPACK: alternating
+    with NumPy's copy would leave each library's threads spinning while
+    the other works.
     """
     cov = np.asarray(cov, dtype=float)
     n = cov.shape[0]
@@ -163,38 +175,56 @@ def lowrank_truncate(cov: np.ndarray, n_modes: int) -> LowRankFactors:
     if asym > SYM_TOL * scale:
         raise ValueError(f"covariance asymmetric beyond tolerance ({asym:.3e})")
 
-    def sym_times(x: np.ndarray) -> np.ndarray:
-        # On an exactly symmetric array, cov @ x already is the symmetric part.
-        return cov @ x if asym == 0.0 else 0.5 * (cov @ x + cov.T @ x)
+    def sym_times(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        # cov.T is cov read Fortran-ordered, so BLAS takes it without a copy;
+        # on an exactly symmetric array cov.T @ x already is the symmetric part.
+        out = dgemm(1.0, cov.T, x, c=out, overwrite_c=1)
+        if asym != 0.0:
+            out = dgemm(0.5, cov.T, x, beta=0.5, c=out, trans_a=1, overwrite_c=1)
+        return out
 
     # With block == n the first Rayleigh-Ritz step is a full eigensolve.
     block = min(n_modes + SUBSPACE_OVERSAMPLE, n)
-    q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((n, block)))
+    lwork = int(dgeqrf_lwork(n, block)[0])
+    q = _orthonormalize(
+        np.asfortranarray(np.random.default_rng(0).standard_normal((n, block))), lwork
+    )
+    cq = np.empty((n, block), order="F")
+    resid = np.empty((n, n_modes), order="F")
     for iteration in range(1, SUBSPACE_MAX_ITER + 1):
-        cq = sym_times(q)
-        t = q.T @ cq
-        theta, u = np.linalg.eigh(0.5 * (t + t.T))  # ascending
-        lam, u = theta[::-1][:n_modes], u[:, ::-1][:, :n_modes]
-        vectors = q @ u
-        residual = _relative_residual(cq @ u, vectors, lam)
+        cq = sym_times(q, cq)
+        t = dgemm(1.0, q, cq, trans_a=1)
+        theta, u, info = dsyevd(0.5 * (t + t.T), lower=1, overwrite_a=1)  # ascending
+        if info != 0:
+            raise NumericalError(f"Rayleigh-Ritz eigensolve failed (LAPACK info {info})")
+        lam, u = theta[::-1][:n_modes], np.asfortranarray(u[:, ::-1][:, :n_modes])
+        # C v - lambda v for v = q u is (C q) u - q (u lambda)
+        resid = dgemm(1.0, cq, u, c=resid, overwrite_c=1)
+        resid = dgemm(-1.0, q, u * lam, beta=1.0, c=resid, overwrite_c=1)
+        residual = _relative_residual(resid, lam)
         if residual <= CERT_TOL:
+            vectors = dgemm(1.0, q, u)
             method = "subspace"
             break
-        q, _ = np.linalg.qr(cq)
+        q, cq = _orthonormalize(cq, lwork), q
     else:
         logger.warning(
             "subspace iteration left a residual of %.1e lambda_1 after %d iterations; "
             "falling back to a dense eigensolve",
             residual, iteration,
         )
+        del q, cq, resid
         # The symmetrized matrix equals its transpose exactly, and the
         # transpose is Fortran-ordered, so LAPACK works on it without a
         # copy. The leading modes come back ascending.
         sym = cov + cov.T
         sym *= 0.5
         lam, vectors = eigh(sym.T, subset_by_index=[n - n_modes, n - 1], overwrite_a=True)
+        del sym
         lam, vectors = lam[::-1], vectors[:, ::-1]
-        residual = _relative_residual(sym_times(vectors), vectors, lam)
+        resid = sym_times(vectors, np.empty((n, n_modes), order="F"))
+        resid -= vectors * lam
+        residual = _relative_residual(resid, lam)
         method = "dense_fallback"
     negative = lam < 0
     if negative.any():
@@ -212,9 +242,19 @@ def lowrank_truncate(cov: np.ndarray, n_modes: int) -> LowRankFactors:
     )
 
 
-def _relative_residual(c_vectors: np.ndarray, vectors: np.ndarray, lam: np.ndarray) -> float:
-    """max_e ||C v_e - lambda_e v_e|| / lambda_1, given C v_e as ``c_vectors``."""
-    norms = np.linalg.norm(c_vectors - vectors * lam, axis=0)
+def _orthonormalize(a: np.ndarray, lwork: int) -> np.ndarray:
+    """Q of the Householder QR of the Fortran-ordered ``a``, written over ``a``."""
+    qr, tau, _, info = dgeqrf(a, lwork=lwork, overwrite_a=1)
+    if info == 0:
+        qr, _, info = dorgqr(qr, tau, lwork=lwork, overwrite_a=1)
+    if info != 0:
+        raise NumericalError(f"QR of the subspace block failed (LAPACK info {info})")
+    return qr
+
+
+def _relative_residual(resid: np.ndarray, lam: np.ndarray) -> float:
+    """max_e ||C v_e - lambda_e v_e|| / lambda_1, given the columns C v_e - lambda_e v_e."""
+    norms = np.sqrt(np.einsum("ij,ij->j", resid, resid))
     return float(norms.max() / (np.abs(lam).max() or 1.0))
 
 

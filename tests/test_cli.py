@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from scipy.sparse import csr_array
 
 from plumeinv import cli, pipeline, threads
 from plumeinv.config import config_dict, load_config
@@ -352,6 +353,23 @@ class TestLeanState:
         assert np.all(np.isfinite(result.smooth.std)) and np.all(result.smooth.std > 0)
         assert (tmp_path / "out" / "emissions_smooth.csv").is_file()
 
+    def test_invert_holds_f_as_csr(self, tmp_path, monkeypatch):
+        cfg_path, _ = write_case(tmp_path)
+        cfg = load_config(cfg_path)
+        pipeline.run_stage(cfg, "wind_fit")
+        assembled = []
+        assemble_f = pipeline.assemble_F
+
+        def recording(*args, **kwargs):
+            assembled.append(assemble_f(*args, **kwargs))
+            return assembled[-1]
+
+        monkeypatch.setattr(pipeline, "assemble_F", recording)
+        result = pipeline.run_invert(cfg, through="constant")
+        assert len(assembled) == 1 and isinstance(assembled[0], np.ndarray)
+        assert isinstance(result.f_matrix, csr_array)
+        np.testing.assert_array_equal(result.f_matrix.toarray(), assembled[0])
+
     def test_state_files_hold_only_what_is_loaded(self, tmp_path, monkeypatch):
         cfg_path, out = write_case(tmp_path)
         assert cli.main(["run", "--config", str(cfg_path)]) == 0
@@ -441,6 +459,21 @@ class TestExitCodes:
         def zero_period(d):
             d["synthetic"]["wind_model"]["speed_harmonics"][0]["period_s"] = 0
         cfg_path, out = write_case(tmp_path, mutate=zero_period)
+        assert cli.main(["run", "--config", str(cfg_path)]) == 2
+        assert not list(out.rglob("*"))
+
+    @pytest.mark.parametrize("cadence", [0.0, -600.0])
+    def test_nonpositive_wind_cadence_is_2(self, tmp_path, cadence):
+        cfg_path, out = write_case(
+            tmp_path, mutate=lambda d: d["synthetic"].update(wind_cadence_s=cadence)
+        )
+        assert cli.main(["run", "--config", str(cfg_path)]) == 2
+        assert not list(out.rglob("*"))
+
+    def test_negative_min_wind_speed_is_2(self, tmp_path):
+        def dipping_wind(d):
+            d["synthetic"]["wind_model"].update(speed_base_mps=0.5, min_speed_mps=-5.0)
+        cfg_path, out = write_case(tmp_path, mutate=dipping_wind)
         assert cli.main(["run", "--config", str(cfg_path)]) == 2
         assert not list(out.rglob("*"))
 

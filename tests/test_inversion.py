@@ -13,6 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.sparse import csr_array, issparse
 
 from plumeinv import sampling
 from plumeinv.errors import NumericalError
@@ -70,14 +71,19 @@ class TestSmoothnessPrior:
         dense = prior.dense_cov()
         rng = np.random.default_rng(0)
         x = rng.standard_normal(prior.n)
-        np.testing.assert_allclose(prior.apply_cov(x), dense @ x, rtol=1e-9, atol=1e-14)
+        np.testing.assert_allclose(
+            prior.apply_cov_to_rows(x.copy()), dense @ x, rtol=1e-9, atol=1e-14
+        )
         xm = rng.standard_normal((prior.n, 4))
-        np.testing.assert_allclose(prior.apply_cov(xm), dense @ xm, rtol=1e-9, atol=1e-14)
+        rows = xm.T.copy()  # each column of xm as a row
+        got = prior.apply_cov_to_rows(rows)
+        assert np.shares_memory(got, rows)
+        np.testing.assert_allclose(got.T, dense @ xm, rtol=1e-9, atol=1e-14)
 
     def test_apply_cov_rejects_wrong_length(self):
         prior = make_prior(n_sources=2, n_steps=5)
         with pytest.raises(ValueError):
-            prior.apply_cov(np.zeros(7))
+            prior.apply_cov_to_rows(np.zeros(7))
 
     def test_dense_cov_is_block_diagonal(self):
         prior = make_prior(n_sources=2, n_steps=4)
@@ -237,10 +243,86 @@ class TestGaussianPosterior:
         w = np.zeros((2, 3))
         w[0, 1] = np.sqrt(var[1]) * (1.0 + 1e-15)
         w[1, 2] = np.sqrt(0.5 * var[2])
-        post = GaussianPosterior(mean=np.zeros(3), prior=prior, w=w)
+        std = GaussianPosterior.pointwise_std(prior, w)
         assert var[1] - w[0, 1] ** 2 < 0.0
-        np.testing.assert_allclose(post.std, np.sqrt([var[0], 0.0, 0.5 * var[2]]), rtol=1e-12)
-        assert post.std[1] == 0.0
+        np.testing.assert_allclose(std, np.sqrt([var[0], 0.0, 0.5 * var[2]]), rtol=1e-12)
+        assert std[1] == 0.0
+
+
+def windowed_f(rng, n_sources, n_steps, n_meas, width=30):
+    """Sampler-like F: each row covers one window of ``width`` slots per source."""
+    f = np.zeros((n_meas, n_sources * n_steps))
+    for k in range(n_meas):
+        start = int(rng.integers(0, n_steps - width))
+        for s in range(n_sources):
+            lo = s * n_steps + start
+            f[k, lo : lo + width] = rng.uniform(0.1, 1.0, width)
+    return f
+
+
+class TestSparseF:
+    """Every stage takes F as CSR; a dense F runs the same arithmetic."""
+
+    def make_case(self, seed=21):
+        rng = np.random.default_rng(seed)
+        prior = make_prior(n_sources=3, n_steps=40, alpha=1.5, gamma=0.02)
+        f = windowed_f(rng, 3, 40, 25, width=6)
+        noise_var = rng.uniform(0.01, 0.1, 25)
+        d = f @ rng.uniform(0.5, 1.5, prior.n) + rng.normal(0.0, np.sqrt(noise_var))
+        return prior, f, noise_var, d
+
+    def test_mle_constant_dense_and_csr_agree(self):
+        _, f, noise_var, d = self.make_case()
+        dense = mle_constant(f, d, noise_var, 3)
+        sparse = mle_constant(csr_array(f), d, noise_var, 3)
+        np.testing.assert_allclose(sparse.rates, dense.rates, rtol=1e-14, atol=0.0)
+        assert sparse.kkt_residual == pytest.approx(dense.kkt_residual, rel=1e-14, abs=1e-300)
+
+    def test_gaussian_posterior_dense_and_csr_agree(self):
+        prior, f, noise_var, d = self.make_case()
+        m = np.full(prior.n, 0.9)
+        dense = gaussian_posterior(f, d, noise_var, prior, m)
+        sparse = gaussian_posterior(csr_array(f), d, noise_var, prior, m)
+        np.testing.assert_allclose(sparse.mean, dense.mean, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(sparse.std, dense.std, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(
+            sparse.cov, dense.cov, rtol=1e-14, atol=1e-14 * dense.std.max() ** 2
+        )
+
+    def test_whiten_dense_and_csr_agree(self):
+        _, f, noise_var, d = self.make_case()
+        f_csr = csr_array(f)
+        before = f_csr.copy()
+        dense_f, dense_d = whiten(f, d, noise_var)
+        sparse_f, sparse_d = whiten(f_csr, d, noise_var)
+        assert sparse_f.format == dense_f.format == "csc"
+        np.testing.assert_allclose(sparse_f.toarray(), dense_f.toarray(), rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(sparse_d, dense_d, rtol=1e-14, atol=0.0)
+        np.testing.assert_array_equal(f_csr.toarray(), before.toarray())  # input left as it was
+
+    def test_smooth_stage_holds_one_buffer(self):
+        """2 sources x 1000 slots, 300 rows: the peak stays below 1.5 (n_meas, n)
+        arrays, and the posterior keeps no array of that size."""
+        rng = np.random.default_rng(22)
+        n_sources, n_steps, n_meas = 2, 1000, 300
+        prior = make_prior(n_sources=n_sources, n_steps=n_steps, dt=3600.0, alpha=1.0, gamma=5e-3)
+        f = csr_array(windowed_f(rng, n_sources, n_steps, n_meas))
+        noise_var = np.full(n_meas, 0.1)
+        d = rng.normal(1.0, 0.3, n_meas)
+        m = np.zeros(prior.n)
+        one_buffer = n_meas * prior.n * 8
+        tracemalloc.start()
+        try:
+            post = gaussian_posterior(f, d, noise_var, prior, m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * one_buffer, f"peak {peak / one_buffer:.2f} (n_meas, n) arrays"
+        # the largest array kept is the (n_meas, n_meas) Cholesky factor
+        for name, value in vars(post).items():
+            held = value.data.size if issparse(value) else np.size(value)
+            assert held <= n_meas * n_meas, name
+        assert np.all(np.isfinite(post.std)) and np.all(post.std > 0)
 
 
 def constant_design(f, n_sources):

@@ -533,6 +533,27 @@ class TestSettingsValidation:
         with pytest.raises(ValidationError, match=match):
             load_config(write_config(tmp_path, data))
 
+    @pytest.mark.parametrize("cadence", [0.0, -600.0])
+    def test_nonpositive_wind_cadence_raises(self, tmp_path, cadence):
+        data = yaml.safe_load(BUNDLED_CASE.read_text())
+        data["paths"]["out_dir"] = str(tmp_path / "out")
+        data["synthetic"]["wind_cadence_s"] = cadence
+        with pytest.raises(ValidationError, match=r"synthetic\.wind_cadence_s"):
+            load_config(write_config(tmp_path, data))
+
+    def test_negative_min_wind_speed_raises(self, tmp_path):
+        data = yaml.safe_load(BUNDLED_CASE.read_text())
+        data["paths"]["out_dir"] = str(tmp_path / "out")
+        data["synthetic"]["wind_model"]["min_speed_mps"] = -5.0
+        with pytest.raises(ValidationError, match=r"synthetic\.wind_model\.min_speed_mps"):
+            load_config(write_config(tmp_path, data))
+
+    def test_zero_min_wind_speed_accepted(self, tmp_path):
+        data = yaml.safe_load(BUNDLED_CASE.read_text())
+        data["paths"]["out_dir"] = str(tmp_path / "out")
+        data["synthetic"]["wind_model"]["min_speed_mps"] = 0.0
+        assert load_config(write_config(tmp_path, data)).synthetic.wind_model.min_speed == 0.0
+
     def test_smallest_cv_cap_accepted(self, tmp_path):
         data = base_config(tmp_path)
         data["wind_cv_max_points"] = 3

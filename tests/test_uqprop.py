@@ -1,6 +1,7 @@
 """Tests for deposition-map propagation: operator, low-rank UQ, totals."""
 
 import logging
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -128,6 +129,24 @@ def no_dense_eigh(*args, **kwargs):
     raise AssertionError("dense eigh called")
 
 
+def reference_subspace(cov, k):
+    """The subspace iteration with fresh NumPy arrays each step (np.linalg.qr,
+    cov @ q), the independent oracle of the fixed-workspace one."""
+    n = cov.shape[0]
+    block = min(k + uqprop.SUBSPACE_OVERSAMPLE, n)
+    q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((n, block)))
+    for iteration in range(1, SUBSPACE_MAX_ITER + 1):
+        cq = cov @ q
+        theta, u = np.linalg.eigh(q.T @ cq)
+        lam, u = theta[::-1][:k], u[:, ::-1][:, :k]
+        vectors = q @ u
+        residual = np.linalg.norm(cq @ u - vectors * lam, axis=0).max() / lam[0]
+        if residual <= CERT_TOL:
+            return lam, vectors, iteration
+        q, _ = np.linalg.qr(cq)
+    raise AssertionError("reference iteration did not certify")
+
+
 class TestSubspaceIteration:
     def test_decaying_spectrum_certifies_without_dense_eigh(self, monkeypatch):
         rng = np.random.default_rng(11)
@@ -149,6 +168,51 @@ class TestSubspaceIteration:
         got = deposition_stats(h, q, fac, grid)
         dense_var = np.diag(h @ ((ref_vec * ref_lam) @ ref_vec.T) @ h.T)
         np.testing.assert_allclose(got.std, np.sqrt(dense_var), rtol=1e-9)
+
+    def test_matches_the_reference_iteration(self, monkeypatch):
+        rng = np.random.default_rng(15)
+        n, k = 700, 40
+        cov = spd_with_spectrum(rng, 10.0 ** (-np.arange(n) / 50.0))
+        monkeypatch.setattr(uqprop, "eigh", no_dense_eigh)
+        fac = lowrank_truncate(cov, k)
+        lam, vectors, iterations = reference_subspace(cov, k)
+        assert (fac.method, fac.iterations) == ("subspace", iterations)
+        np.testing.assert_allclose(fac.eigenvalues, lam, rtol=1e-12, atol=0.0)
+        signs = np.sign(np.sum(fac.vectors * vectors, axis=0))
+        np.testing.assert_allclose(fac.vectors * signs, vectors, rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("rank", [30, 130])
+    def test_rank_below_the_block_certifies(self, rank, monkeypatch):
+        # like the scatter of a short chain: rank below the 160-column block,
+        # and for rank 30 below the kept modes too
+        rng = np.random.default_rng(16)
+        n, k = 500, 100
+        states = rng.standard_normal((rank, n)) * rng.uniform(0.5, 2.0, (rank, 1))
+        cov = states.T @ states / rank
+        cov = 0.5 * (cov + cov.T)
+        monkeypatch.setattr(uqprop, "eigh", no_dense_eigh)
+        fac = lowrank_truncate(cov, k)
+        assert fac.method == "subspace" and fac.max_relative_residual <= CERT_TOL
+        expected = np.maximum(np.linalg.eigvalsh(cov)[::-1][:k], 0.0)
+        np.testing.assert_allclose(fac.eigenvalues, expected, rtol=0.0, atol=1e-10 * expected[0])
+        np.testing.assert_allclose(fac.vectors.T @ fac.vectors, np.eye(k), atol=1e-12)
+
+    def test_iteration_runs_in_a_fixed_workspace(self):
+        # q and C q (n x block) and the residual and the result (n x n_modes);
+        # no copy of the covariance and no fresh block per iteration
+        rng = np.random.default_rng(17)
+        n, k = 1200, 100
+        cov = spd_with_spectrum(rng, 10.0 ** (-np.arange(n) / 60.0))
+        block = k + uqprop.SUBSPACE_OVERSAMPLE
+        workspace = (2 * n * block + 2 * n * k) * 8
+        tracemalloc.start()
+        try:
+            fac = lowrank_truncate(cov, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert fac.method == "subspace" and fac.iterations > 2
+        assert peak < 1.1 * workspace, f"peak {peak / workspace:.2f} x the workspace"
 
     def test_flat_spectrum_falls_back_to_dense_eigh(self, caplog):
         rng = np.random.default_rng(12)
