@@ -4,6 +4,11 @@ The config file is nested key/value YAML. Relative input paths resolve
 against the output directory (all artifacts of a run live together);
 ``out_dir`` itself resolves against the working directory. ``PLUME_SEED``
 overrides the sampler seed.
+
+A section that one stage reads is that stage's own type, validated where
+it is defined: ``prior`` is ``inversion.PriorConfig``, ``sampler`` is
+``sampling.SamplerConfig``, ``grid`` is ``uqprop.GridSpec`` and
+``particle`` is ``plume.ParticleProperties``.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from typing import Optional
 import yaml
 
 from .errors import ValidationError, _given, _number, _require
+from .inversion import PriorConfig
 from .observation import NOISE_FLOOR_DEFAULT
 from .plume import (
     CALM_SPEED_DEFAULT,
@@ -50,36 +56,6 @@ class TimeConfig:
     def __post_init__(self) -> None:
         if self.duration_s <= 0:
             raise ValidationError("time.duration_s must be positive")
-
-
-@dataclass(frozen=True)
-class PriorConfig:
-    alpha: float = 1.0
-    gamma: float = 5e-3
-
-    def __post_init__(self) -> None:
-        if not (self.alpha > 0 and self.gamma > 0):
-            raise ValidationError(
-                f"prior.alpha and prior.gamma must be positive, got {self.alpha} and {self.gamma}"
-            )
-
-
-@dataclass(frozen=True)
-class GridConfig:
-    x_min: float
-    x_max: float
-    y_min: float
-    y_max: float
-    n_x: int = 40
-    n_y: int = 40
-    n_modes: int = 100
-
-    def __post_init__(self) -> None:
-        if self.n_modes < 1:
-            raise ValidationError(f"grid.n_modes must be at least 1, got {self.n_modes}")
-
-    def spec(self) -> GridSpec:
-        return GridSpec(self.x_min, self.x_max, self.y_min, self.y_max, self.n_x, self.n_y)
 
 
 @dataclass(frozen=True)
@@ -118,7 +94,7 @@ class RunConfig:
     particle: ParticleProperties
     stability: StabilityClass
     sources: tuple
-    grid: GridConfig
+    grid: GridSpec
     dt_inversion: float = 3600.0
     dt_generation: float = 1800.0
     prior: PriorConfig = field(default_factory=PriorConfig)
@@ -134,6 +110,8 @@ class RunConfig:
             raise ValidationError("time step sizes must be positive")
         if not self.sources:
             raise ValidationError("at least one source is required")
+        if not self.noise_floor > 0:
+            raise ValidationError(f"noise_floor must be positive, got {self.noise_floor}")
         for dt, name in ((self.dt_inversion, "dt_inversion"), (self.dt_generation, "dt_generation")):
             steps = self.time.duration_s / dt
             if abs(steps - round(steps)) > 1e-9:
@@ -279,17 +257,13 @@ def _config_from_dict(data: dict) -> RunConfig:
         raise ValidationError(f"unknown stability class {stability_raw!r} (expected A..F)")
     sources = _build_sources(_require(data, "sources", ""))
     grid_raw = _section(data, "grid")
-    grid = GridConfig(
+    grid = GridSpec(
         x_min=_number(grid_raw, "x_min_m", "grid"),
         x_max=_number(grid_raw, "x_max_m", "grid"),
         y_min=_number(grid_raw, "y_min_m", "grid"),
         y_max=_number(grid_raw, "y_max_m", "grid"),
         **_given(grid_raw, "grid", n_x=("n_x", int), n_y=("n_y", int), n_modes=("n_modes", int)),
     )
-    try:
-        grid.spec()
-    except ValueError as exc:
-        raise ValidationError(f"grid: {exc}") from exc
 
     prior = PriorConfig(
         **_given(data.get("prior", {}), "prior", alpha=("alpha", float), gamma=("gamma", float))

@@ -8,7 +8,9 @@ Stage 3 (positive): clipped-Gaussian push-forward sampled by pCN, centered
 at the clipped smooth mean.
 
 The prior covariance is C = I_{n_sources} kron L^-2 with L a scaled
-tridiagonal operator, factored once as L = U D U^T (LAPACK ``dpttrf``), so
+tridiagonal operator. ``SmoothnessPrior(config, grid, n_sources)`` builds
+it from the config's ``prior`` section (``PriorConfig``: alpha, gamma) on
+a time grid. L is factored once as L = U D U^T (LAPACK ``dpttrf``), so
 prior draws and covariance applications reduce to tridiagonal solves
 (``dpttrs``) over every column at once; nothing is ever explicitly
 inverted.
@@ -31,17 +33,16 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.optimize import nnls as scipy_nnls
 from scipy.sparse import csr_array
 
-from .errors import NumericalError
+from .errors import NumericalError, ValidationError
 from .observation import TimeGrid
 from .sampling import ChainSummary, SamplerConfig, pcn_chain
 
 __all__ = [
-    "PriorSpec",
+    "PriorConfig",
     "SmoothnessPrior",
     "ConstantFit",
     "GaussianPosterior",
     "PositivePosterior",
-    "build_prior",
     "mle_constant",
     "gaussian_posterior",
     "clip_positive",
@@ -57,19 +58,17 @@ _ROWS = 64  # rows per block where a stage works a few rows of an array at a tim
 
 
 @dataclass(frozen=True)
-class PriorSpec:
-    """Smoothness-prior parameters on a given grid."""
+class PriorConfig:
+    """Smoothness-prior parameters: the scale alpha and the smoothing weight gamma."""
 
-    alpha: float
-    gamma: float
-    grid: TimeGrid
-    n_sources: int
+    alpha: float = 1.0
+    gamma: float = 5e-3
 
     def __post_init__(self) -> None:
         if not (self.alpha > 0 and self.gamma > 0):
-            raise ValueError("alpha and gamma must be positive")
-        if self.n_sources < 1:
-            raise ValueError("need at least one source")
+            raise ValidationError(
+                f"prior.alpha and prior.gamma must be positive, got {self.alpha} and {self.gamma}"
+            )
 
 
 class SmoothnessPrior:
@@ -80,15 +79,17 @@ class SmoothnessPrior:
     makes pointwise prior variances independent of the grid resolution.
     """
 
-    def __init__(self, spec: PriorSpec):
-        self.spec = spec
-        n_t = spec.grid.n_steps
-        ratio = (spec.grid.span / spec.grid.dt) ** 2
-        scale = spec.alpha * np.sqrt(spec.grid.dt / spec.grid.span)
+    def __init__(self, config: PriorConfig, grid: TimeGrid, n_sources: int):
+        if n_sources < 1:
+            raise ValueError("need at least one source")
+        self.grid, self.n_sources = grid, n_sources
+        n_t = grid.n_steps
+        ratio = (grid.span / grid.dt) ** 2
+        scale = config.alpha * np.sqrt(grid.dt / grid.span)
         diag_d = np.full(n_t, -2.0)
         diag_d[0] = diag_d[-1] = -1.0
-        self._diag = scale * (1.0 - spec.gamma * ratio * diag_d)
-        self._off = np.full(n_t - 1, scale * (-spec.gamma * ratio))
+        self._diag = scale * (1.0 - config.gamma * ratio * diag_d)
+        self._off = np.full(n_t - 1, scale * (-config.gamma * ratio))
         # L = U D U^T with U unit upper bidiagonal; dpttrs solves with it.
         self._factor_d, self._factor_e, info = dpttrf(self._diag, self._off)
         if info != 0:
@@ -97,11 +98,11 @@ class SmoothnessPrior:
 
     @property
     def n_steps(self) -> int:
-        return self.spec.grid.n_steps
+        return self.grid.n_steps
 
     @property
     def n(self) -> int:
-        return self.spec.n_sources * self.spec.grid.n_steps
+        return self.n_sources * self.grid.n_steps
 
     @property
     def l_matrix(self) -> np.ndarray:
@@ -127,7 +128,7 @@ class SmoothnessPrior:
         is the same, bit for bit, whatever ``size`` is.
         """
         b = 1 if size is None else size
-        n_t, n_s = self.n_steps, self.spec.n_sources
+        n_t, n_s = self.n_steps, self.n_sources
         xi = rng.standard_normal((b, n_t, n_s))
         # (b, n_s, n_t) in C order is the (b, n) source-major result.
         out = self._solve_rows(xi.transpose(0, 2, 1).copy()).reshape(b, n_s * n_t)
@@ -155,7 +156,7 @@ class SmoothnessPrior:
         block = self.cov_block()
         n_t = self.n_steps
         out = np.zeros((self.n, self.n))
-        for s in range(self.spec.n_sources):
+        for s in range(self.n_sources):
             out[s * n_t : (s + 1) * n_t, s * n_t : (s + 1) * n_t] = block
         return out
 
@@ -172,11 +173,6 @@ class SmoothnessPrior:
             rows = self._solve_rows(self._solve_rows(np.eye(stop - start, n_t, k=start)))
             out[start:stop] = np.diagonal(rows, offset=start)
         return out
-
-
-def build_prior(spec: PriorSpec) -> SmoothnessPrior:
-    """Construct the smoothness prior for the given spec."""
-    return SmoothnessPrior(spec)
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,7 +260,7 @@ class GaussianPosterior:
     @staticmethod
     def pointwise_std(prior: SmoothnessPrior, w: np.ndarray) -> np.ndarray:
         """sqrt(diag(C - W^T W)), roundoff negatives clipped to zero."""
-        var = np.tile(prior.marginal_var(), prior.spec.n_sources)
+        var = np.tile(prior.marginal_var(), prior.n_sources)
         var -= np.einsum("ij,ij->j", w, w)
         return np.sqrt(np.maximum(var, 0.0))
 

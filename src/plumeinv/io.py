@@ -3,8 +3,9 @@
 CSV artifacts carry the key of the pipeline stage that wrote them as a
 ``# stage_key=...`` comment line above the header (the sensors YAML as a
 ``stage_key`` field); loaders skip any leading ``#`` lines, and the
-header row itself is fixed byte-for-byte per format. Timestamps are
-ISO-8601; naive values are treated as UTC.
+header row itself is fixed byte-for-byte per format. One private helper
+writes every CSV artifact: the key line, the header, then the rows.
+Timestamps are ISO-8601; naive values are treated as UTC.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .observation import (
     signal_variances,
 )
 from .uqprop import DepositionGrid
-from .windprep import CV_MIN_POINTS, RawWindRecord
+from .windprep import CV_MIN_POINTS, RawWindRecord, WindSeries
 
 __all__ = [
     "WIND_HEADER",
@@ -41,10 +42,12 @@ __all__ = [
     "EMISSIONS_HEADER",
     "GRID_HEADER",
     "TRUTH_HEADER",
+    "WIND_FIT_HEADER",
     "parse_timestamp",
     "format_timestamp",
     "load_wind_csv",
     "write_wind_csv",
+    "write_wind_fit_csv",
     "load_sensors",
     "write_sensors",
     "load_measurements",
@@ -63,6 +66,7 @@ MEASUREMENTS_HEADER = "sensor_id,index,value"
 EMISSIONS_HEADER = "source_id,time,mean_kg_s,std_kg_s"
 GRID_HEADER = "x_m,y_m,mean_mg_m2,std_mg_m2"
 TRUTH_HEADER = "source_id,time,rate_kg_s"
+WIND_FIT_HEADER = "timestamp,u_x_mps,u_y_mps,speed_mps"
 
 KG_TO_MG = 1.0e6
 
@@ -91,6 +95,21 @@ def format_timestamp(epoch: float) -> str:
 
 def _fmt(value: float) -> str:
     return f"{value:.12g}"
+
+
+def _write_stamped_csv(path, header: str, key: str, rows) -> None:
+    """The stage-key line, the fixed header, then each row of formatted fields."""
+    with open(Path(path), "w", newline="") as handle:
+        handle.write(f"# stage_key={key}\n{header}\n")
+        for row in rows:
+            handle.write(",".join(row) + "\n")
+
+
+def _source_major_rows(source_ids: Sequence[str], grid: TimeGrid, *columns):
+    """(source id, slot time, column values...) for each source, then each slot."""
+    times = [format_timestamp(t) for t in grid.times]
+    ids = [sid for sid in source_ids for _ in times]
+    return zip(ids, times * len(source_ids), *(map(_fmt, column) for column in columns))
 
 
 def _data_lines(path: Path):
@@ -159,14 +178,20 @@ def load_wind_csv(path) -> list:
 
 
 def write_wind_csv(path, records: Sequence[RawWindRecord], key: str) -> None:
-    path = Path(path)
-    with open(path, "w", newline="") as handle:
-        handle.write(f"# stage_key={key}\n")
-        handle.write(WIND_HEADER + "\n")
-        for rec in records:
-            handle.write(
-                f"{format_timestamp(rec.timestamp)},{_fmt(rec.speed)},{_fmt(rec.direction_from)}\n"
-            )
+    rows = (
+        (format_timestamp(rec.timestamp), _fmt(rec.speed), _fmt(rec.direction_from))
+        for rec in records
+    )
+    _write_stamped_csv(path, WIND_HEADER, key, rows)
+
+
+def write_wind_fit_csv(path, series: WindSeries, key: str) -> None:
+    """The fitted wind components and speed at each grid time."""
+    rows = (
+        (format_timestamp(t), _fmt(u_x), _fmt(u_y), _fmt(speed))
+        for t, u_x, u_y, speed in zip(series.grid.times, series.u_x, series.u_y, series.speed)
+    )
+    _write_stamped_csv(path, WIND_FIT_HEADER, key, rows)
 
 
 def _sensor_from_entry(entry: dict, where: str) -> Sensor:
@@ -315,11 +340,8 @@ def load_measurements(
 
 
 def write_measurements(path, measurements: MeasurementSet, key: str) -> None:
-    with open(Path(path), "w", newline="") as handle:
-        handle.write(f"# stage_key={key}\n")
-        handle.write(MEASUREMENTS_HEADER + "\n")
-        for sid, index, value, _unit in measurements.entries:
-            handle.write(f"{sid},{index},{_fmt(value)}\n")
+    rows = ((sid, str(index), _fmt(value)) for sid, index, value, _unit in measurements.entries)
+    _write_stamped_csv(path, MEASUREMENTS_HEADER, key, rows)
 
 
 def write_emissions_csv(
@@ -331,42 +353,22 @@ def write_emissions_csv(
     key: str,
 ) -> None:
     """Source-major emission estimates, one row per (source, slot time)."""
-    times = [format_timestamp(t) for t in grid.times]
-    with open(Path(path), "w", newline="") as handle:
-        handle.write(f"# stage_key={key}\n")
-        handle.write(EMISSIONS_HEADER + "\n")
-        for i, sid in enumerate(source_ids):
-            base = i * grid.n_steps
-            for j, stamp in enumerate(times):
-                handle.write(
-                    f"{sid},{stamp},{_fmt(mean[base + j])},{_fmt(std[base + j])}\n"
-                )
+    _write_stamped_csv(path, EMISSIONS_HEADER, key, _source_major_rows(source_ids, grid, mean, std))
 
 
 def write_truth_csv(
     path, source_ids: Sequence[str], grid: TimeGrid, q_true: np.ndarray, key: str
 ) -> None:
-    times = [format_timestamp(t) for t in grid.times]
-    with open(Path(path), "w", newline="") as handle:
-        handle.write(f"# stage_key={key}\n")
-        handle.write(TRUTH_HEADER + "\n")
-        for i, sid in enumerate(source_ids):
-            base = i * grid.n_steps
-            for j, stamp in enumerate(times):
-                handle.write(f"{sid},{stamp},{_fmt(q_true[base + j])}\n")
+    _write_stamped_csv(path, TRUTH_HEADER, key, _source_major_rows(source_ids, grid, q_true))
 
 
 def write_grid_csv(path, deposition: DepositionGrid, key: str) -> None:
     """Deposition map in display units (mg m^-2), row-major by y then x."""
-    points = deposition.grid.points()
-    with open(Path(path), "w", newline="") as handle:
-        handle.write(f"# stage_key={key}\n")
-        handle.write(GRID_HEADER + "\n")
-        for p in range(deposition.grid.n_cells):
-            handle.write(
-                f"{_fmt(points[p, 0])},{_fmt(points[p, 1])},"
-                f"{_fmt(deposition.mean[p] * KG_TO_MG)},{_fmt(deposition.std[p] * KG_TO_MG)}\n"
-            )
+    rows = (
+        (_fmt(x), _fmt(y), _fmt(mean * KG_TO_MG), _fmt(std * KG_TO_MG))
+        for (x, y), mean, std in zip(deposition.grid.points(), deposition.mean, deposition.std)
+    )
+    _write_stamped_csv(path, GRID_HEADER, key, rows)
 
 
 def write_json(path, payload: dict) -> None:

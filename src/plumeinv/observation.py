@@ -223,14 +223,11 @@ def assemble_F(
     """Observation map F = M G, shape (total measurements, n_sources*n_steps)."""
     g_tables = assemble_G(sensors, sites, wind, grid, particle, sc, x_cutoff, calm_speed)
     n_t, n_s = grid.n_steps, len(sites)
-    blocks = []
-    for sensor, g_k in zip(sensors, g_tables):
-        m_k = assemble_M(sensor, grid, particle.w_dep)
-        # F_k[l, i*n_t + j] = M_k[l, j] * G_k[j, i]
-        f_k = np.einsum("lj,ji->lij", m_k, g_k).reshape(m_k.shape[0], n_s * n_t)
-        blocks.append(f_k)
-    f = np.vstack(blocks) if blocks else np.zeros((0, n_s * n_t))
-    assert f.shape == (sum(measurement_count(s) for s in sensors), n_s * n_t)
+    f = np.empty((sum(measurement_count(s) for s in sensors), n_s, n_t))
+    for (sensor, rows), g_k in zip(_sensor_slices(sensors), g_tables):
+        # F_k[l, i*n_t + j] = M_k[l, j] * G_k[j, i], written in place
+        np.einsum("lj,ji->lij", assemble_M(sensor, grid, particle.w_dep), g_k, out=f[rows])
+    f = f.reshape(len(f), n_s * n_t)
     if not np.all(np.isfinite(f)):
         raise AssertionError("observation map contains non-finite entries")
     return f

@@ -37,8 +37,7 @@ from .inversion import (
     ConstantFit,
     GaussianPosterior,
     PositivePosterior,
-    PriorSpec,
-    build_prior,
+    SmoothnessPrior,
     gaussian_posterior,
     mle_constant,
     positive_posterior,
@@ -315,15 +314,7 @@ def run_wind_fit(cfg: RunConfig) -> dict:
     _save_state(cfg, WIND_STATE, **arrays)
 
     out = cfg.resolve_out_dir()
-    with open(out / WIND_FIT_CSV, "w", newline="") as handle:
-        handle.write(f"# stage_key={key}\n")
-        handle.write("timestamp,u_x_mps,u_y_mps,speed_mps\n")
-        speed = series_inv.speed
-        for j, t in enumerate(inv_grid.times):
-            handle.write(
-                f"{io.format_timestamp(t)},{series_inv.u_x[j]:.12g},"
-                f"{series_inv.u_y[j]:.12g},{speed[j]:.12g}\n"
-            )
+    io.write_wind_fit_csv(out / WIND_FIT_CSV, series_inv, key)
     hyper = {
         name: {
             "signal_var": choice.config.signal_var,
@@ -409,8 +400,8 @@ def run_invert(
     """
     if through not in ("constant", "smooth", "positive"):
         raise ValidationError(f"unknown inversion stage {through!r}")
-    if noise_scale <= 0:
-        raise ValidationError("noise_scale must be positive")
+    if not 0 < noise_scale < np.inf:
+        raise ValidationError(f"noise_scale must be positive and finite, got {noise_scale}")
     tic = time.perf_counter()
     key = _stage_keys(cfg)["invert"]
     grid = inversion_grid(cfg)
@@ -470,7 +461,7 @@ def run_invert(
     smooth = None
     positive = None
     if through in ("smooth", "positive"):
-        prior = build_prior(PriorSpec(cfg.prior.alpha, cfg.prior.gamma, grid, n_sources))
+        prior = SmoothnessPrior(cfg.prior, grid, n_sources)
         smooth = gaussian_posterior(f_matrix, d, noise_var, prior, constant.q)
         # Hand the smooth stage's freed (n_meas, n) buffer back before the
         # chain maps its n x n scatter beside it.
@@ -550,7 +541,6 @@ def run_propagate(cfg: RunConfig) -> dict:
     key = _stage_keys(cfg)["propagate"]
     grid = inversion_grid(cfg)
     wind = load_wind_series(cfg)["inversion"]
-    gspec = cfg.grid.spec()
 
     # The dense covariance is dropped once its modes are known, before H
     # is built, so the two largest arrays of the stage are never held at once.
@@ -560,7 +550,7 @@ def run_propagate(cfg: RunConfig) -> dict:
     total_variance = float(np.trace(cov))
     del cov, state["cov_positive"]
     h_matrix = assemble_H(
-        gspec,
+        cfg.grid,
         cfg.sources,
         wind,
         grid,
@@ -569,7 +559,7 @@ def run_propagate(cfg: RunConfig) -> dict:
         x_cutoff=cfg.plume.x_cutoff_m,
         calm_speed=cfg.plume.calm_speed_mps,
     )
-    deposition = deposition_stats(h_matrix, state["q_positive"], factors, gspec)
+    deposition = deposition_stats(h_matrix, state["q_positive"], factors, cfg.grid)
 
     out = cfg.resolve_out_dir()
     io.write_grid_csv(out / GRID_CSV, deposition, key)
@@ -579,12 +569,12 @@ def run_propagate(cfg: RunConfig) -> dict:
         {
             "stage_key": key,
             "grid": {
-                "x_min_m": gspec.x_min,
-                "x_max_m": gspec.x_max,
-                "y_min_m": gspec.y_min,
-                "y_max_m": gspec.y_max,
-                "n_x": gspec.n_x,
-                "n_y": gspec.n_y,
+                "x_min_m": cfg.grid.x_min,
+                "x_max_m": cfg.grid.x_max,
+                "y_min_m": cfg.grid.y_min,
+                "y_max_m": cfg.grid.y_max,
+                "n_x": cfg.grid.n_x,
+                "n_y": cfg.grid.n_y,
             },
             "n_modes": factors.n_modes,
             "eigenvalues": eigenvalues,

@@ -6,7 +6,8 @@ grid point, using the same left-endpoint quadrature as the observation
 map. It is one ``kernel_profile`` call over the whole wind series, scaled
 by w_dep dt; a calm step deposits nothing. Posterior covariance is pushed
 through H via its leading eigenpairs: per-cell variance needs only one
-forward application per retained mode.
+forward application per retained mode. The patch and the number of
+modes kept are the config's ``grid`` section, ``GridSpec``.
 
 The eigenpairs come from a block subspace iteration (Halko, Martinsson &
 Tropp 2011, SIAM Review) with a fixed-seed Gaussian start, one product
@@ -28,7 +29,7 @@ from scipy.linalg import eigh
 from scipy.linalg.blas import dgemm
 from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dorgqr, dsyevd
 
-from .errors import NumericalError
+from .errors import NumericalError, ValidationError
 from .observation import TimeGrid
 from .plume import (
     CALM_SPEED_DEFAULT,
@@ -61,20 +62,27 @@ CERT_TOL = 1e-10  # residual norm, relative to lambda_1, that certifies a kept p
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Rectangular ground patch sampled on an n_x by n_y point lattice."""
+    """Rectangular ground patch sampled on an n_x by n_y point lattice.
+
+    ``n_modes`` caps the eigenpairs of the posterior covariance that are
+    pushed onto the patch.
+    """
 
     x_min: float
     x_max: float
     y_min: float
     y_max: float
-    n_x: int
-    n_y: int
+    n_x: int = 40
+    n_y: int = 40
+    n_modes: int = 100
 
     def __post_init__(self) -> None:
         if not (self.x_max > self.x_min and self.y_max > self.y_min):
-            raise ValueError("grid bounds must have positive extent")
+            raise ValidationError("grid: grid bounds must have positive extent")
         if self.n_x < 2 or self.n_y < 2:
-            raise ValueError("need at least 2 points per axis")
+            raise ValidationError("grid: need at least 2 points per axis")
+        if self.n_modes < 1:
+            raise ValidationError(f"grid.n_modes must be at least 1, got {self.n_modes}")
 
     @property
     def n_cells(self) -> int:

@@ -19,8 +19,8 @@ from plumeinv import pipeline
 from plumeinv.cli import default_config_path
 from plumeinv.config import load_config
 from plumeinv.inversion import (
-    PriorSpec,
-    build_prior,
+    PriorConfig,
+    SmoothnessPrior,
     clip_positive,
     gaussian_posterior,
     positive_posterior,
@@ -78,7 +78,7 @@ def load_truth(path) -> dict:
     """truth_rates.csv -> {source_id: rates in time order}."""
     series: dict = {}
     with open(path) as handle:
-        handle.readline()  # config hash comment
+        handle.readline()  # the "# stage_key=" line
         for row in csv.DictReader(handle):
             series.setdefault(row["source_id"], []).append(float(row["rate_kg_s"]))
     return {sid: np.array(vals) for sid, vals in series.items()}
@@ -260,7 +260,8 @@ def test_criterion_04_gaussian_stage_information_form():
         m = int(rng.integers(2, 15))
         dt = float(rng.choice([600.0, 1800.0, 3600.0]))
         grid = TimeGrid(0.0, dt, n_t)
-        prior = build_prior(PriorSpec(rng.uniform(0.5, 3.0), rng.uniform(1e-3, 0.05), grid, n_s))
+        config = PriorConfig(rng.uniform(0.5, 3.0), rng.uniform(1e-3, 0.05))
+        prior = SmoothnessPrior(config, grid, n_s)
         n = n_s * n_t
         f = rng.normal(0.0, 1.0, (m, n))
         noise_var = rng.uniform(0.2, 2.0, m)
@@ -287,7 +288,7 @@ def test_criterion_04_gaussian_stage_information_form():
         rng_s = np.random.default_rng(500 + trial)
         grid = TimeGrid(0.0, 900.0, int(rng_s.integers(3, 8)))
         n_s = int(rng_s.integers(1, 3))
-        prior = build_prior(PriorSpec(rng_s.uniform(0.5, 2.0), 0.01, grid, n_s))
+        prior = SmoothnessPrior(PriorConfig(rng_s.uniform(0.5, 2.0), 0.01), grid, n_s)
         n = n_s * grid.n_steps
         k = int(rng_s.integers(0, n))
         s = rng_s.uniform(0.5, 2.0)
@@ -323,7 +324,7 @@ def test_criterion_05_pcn_prior_reproduction_and_conjugate_target():
     tic = time.perf_counter()
     # flat potential: the chain is prior-invariant, acceptance is exactly 1
     grid = TimeGrid(0.0, 900.0, 15)
-    prior = build_prior(PriorSpec(1.5, 0.01, grid, 2))
+    prior = SmoothnessPrior(PriorConfig(1.5, 0.01), grid, 2)
     rng = np.random.default_rng(42)
     prior_mean = rng.normal(0.0, 1.0, 30)
     beta = 0.8
@@ -384,7 +385,7 @@ def test_criterion_06_identity_link_equals_gaussian_stage():
     tic = time.perf_counter()
     rng = np.random.default_rng(0)
     grid = TimeGrid(0.0, 900.0, 20)
-    prior = build_prior(PriorSpec(1.2, 0.02, grid, 2))
+    prior = SmoothnessPrior(PriorConfig(1.2, 0.02), grid, 2)
     n = 40
     f = rng.uniform(0.0, 0.5, (8, n))
     noise_var = rng.uniform(0.5, 1.5, 8)
@@ -460,9 +461,7 @@ def test_criterion_08_acceptance_band(bundled):
     assert 0.25 <= fixed <= 0.40
 
     tic = time.perf_counter()
-    prior = build_prior(
-        PriorSpec(cfg.prior.alpha, cfg.prior.gamma, inv.grid, len(cfg.sources))
-    )
+    prior = SmoothnessPrior(cfg.prior, inv.grid, len(cfg.sources))
     f_white, d_white = whiten(inv.f_matrix, inv.measurements.values, inv.noise_var)
     tuned = tune_beta(f_white, d_white, inv.smooth.mean, prior.sample, seed=17, link=clip_positive)
     elapsed = time.perf_counter() - tic
@@ -532,8 +531,8 @@ def test_criterion_10_lowrank_deposition(bundled):
 def test_criterion_11_prior_variance_refinement():
     tic = time.perf_counter()
     alpha, gamma = 2.0, 5e-3
-    coarse = build_prior(PriorSpec(alpha, gamma, TimeGrid(0.0, 3600.0, 60), 1))
-    fine = build_prior(PriorSpec(alpha, gamma, TimeGrid(0.0, 1800.0, 120), 1))
+    coarse = SmoothnessPrior(PriorConfig(alpha, gamma), TimeGrid(0.0, 3600.0, 60), 1)
+    fine = SmoothnessPrior(PriorConfig(alpha, gamma), TimeGrid(0.0, 1800.0, 120), 1)
     v_coarse = coarse.marginal_var()
     v_fine = fine.marginal_var()[1::2]  # matching right endpoints
     rel = np.abs(v_fine - v_coarse) / v_coarse

@@ -508,6 +508,24 @@ class TestExitCodes:
         assert cli.main(["run", "--config", str(cfg_path), "--seed", "-1"]) == 2
         assert not list(out.rglob("*"))
 
+    @pytest.mark.parametrize("floor", [0.0, -1.0])
+    def test_nonpositive_noise_floor_is_2(self, tmp_path, floor):
+        # with one reading, rt1's noise variance is the floor squared alone
+        def one_reading(d):
+            d["synthetic"]["sensors"][0]["schedule"]["count"] = 1
+            d["noise_floor"] = floor
+        cfg_path, out = write_case(tmp_path, mutate=one_reading)
+        assert cli.main(["run", "--config", str(cfg_path)]) == 2
+        assert not list(out.rglob("*"))
+
+    @pytest.mark.parametrize("scale", ["nan", "inf"])
+    def test_nonfinite_noise_scale_is_2(self, completed, scale):
+        cfg_path, out = completed
+        before = {p: p.stat().st_mtime_ns for p in out.rglob("*")}
+        argv = ["invert", "--config", str(cfg_path), "--through", "constant"]
+        assert cli.main(argv + ["--noise-scale", scale]) == 2
+        assert {p: p.stat().st_mtime_ns for p in out.rglob("*")} == before
+
     def test_unknown_drop_sensor_is_2(self, completed):
         cfg_path, _ = completed
         rc = cli.main(["invert", "--config", str(cfg_path), "--drop-sensor", "nope"])

@@ -19,8 +19,8 @@ from plumeinv import sampling
 from plumeinv.errors import NumericalError
 from plumeinv.inversion import (
     GaussianPosterior,
-    PriorSpec,
-    build_prior,
+    PriorConfig,
+    SmoothnessPrior,
     clip_positive,
     gaussian_posterior,
     make_potential,
@@ -34,25 +34,25 @@ from plumeinv.sampling import OnlineMoments, SamplerConfig
 
 def make_prior(n_sources=1, n_steps=6, dt=3600.0, alpha=2.0, gamma=0.05):
     grid = TimeGrid(t0=0.0, dt=dt, n_steps=n_steps)
-    return build_prior(PriorSpec(alpha=alpha, gamma=gamma, grid=grid, n_sources=n_sources))
+    return SmoothnessPrior(PriorConfig(alpha=alpha, gamma=gamma), grid, n_sources)
 
 
-class TestPriorSpec:
+class TestPriorConfig:
     def test_validation(self):
         grid = TimeGrid(t0=0.0, dt=60.0, n_steps=4)
         with pytest.raises(ValueError):
-            PriorSpec(alpha=0.0, gamma=0.1, grid=grid, n_sources=1)
+            PriorConfig(alpha=0.0, gamma=0.1)
         with pytest.raises(ValueError):
-            PriorSpec(alpha=1.0, gamma=-0.1, grid=grid, n_sources=1)
+            PriorConfig(alpha=1.0, gamma=-0.1)
         with pytest.raises(ValueError):
-            PriorSpec(alpha=1.0, gamma=0.1, grid=grid, n_sources=0)
+            SmoothnessPrior(PriorConfig(alpha=1.0, gamma=0.1), grid, n_sources=0)
 
 
 class TestSmoothnessPrior:
     def test_l_matrix_three_step_literal(self):
         """alpha = sqrt(3), dt = 1, T = 3 makes the overall scale exactly 1."""
         grid = TimeGrid(t0=0.0, dt=1.0, n_steps=3)
-        prior = build_prior(PriorSpec(alpha=math.sqrt(3.0), gamma=0.1, grid=grid, n_sources=1))
+        prior = SmoothnessPrior(PriorConfig(alpha=math.sqrt(3.0), gamma=0.1), grid, n_sources=1)
         # ratio (T/dt)^2 = 9; Neumann stencil diag (-1, -2, -1), off-diag 1
         expected = np.array([
             [1.9, -0.9, 0.0],
@@ -165,7 +165,7 @@ def information_form(prior, f, noise_var, d, m):
     """Reference posterior via the precision-matrix route."""
     l_dense = prior.l_matrix
     l_sq = l_dense @ l_dense
-    n_s = prior.spec.n_sources
+    n_s = prior.n_sources
     prec_prior = np.kron(np.eye(n_s), l_sq)
     prec = prec_prior + f.T @ (f / noise_var[:, None])
     cov = np.linalg.inv(prec)

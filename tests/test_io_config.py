@@ -11,14 +11,13 @@ import yaml
 import plumeinv
 from plumeinv.config import (
     ENV_SEED,
-    GridConfig,
     PlumeSettings,
-    PriorConfig,
     RunConfig,
     config_dict,
     load_config,
 )
 from plumeinv.errors import ValidationError
+from plumeinv.inversion import PriorConfig
 from plumeinv.io import (
     format_timestamp,
     load_measurements,
@@ -384,7 +383,7 @@ class TestLoadConfig:
         assert repr(cfg.prior) == repr(PriorConfig())
         assert repr(cfg.sampler) == repr(SamplerConfig())
         assert repr(cfg.plume) == repr(PlumeSettings())
-        grid = GridConfig(x_min=-100.0, x_max=100.0, y_min=-100.0, y_max=100.0)
+        grid = GridSpec(x_min=-100.0, x_max=100.0, y_min=-100.0, y_max=100.0)
         assert repr(cfg.grid) == repr(grid)
         top = {f.name: f.default for f in fields(RunConfig) if f.default is not MISSING}
         assert repr({name: getattr(cfg, name) for name in top}) == repr(top)
@@ -585,6 +584,13 @@ class TestSettingsValidation:
         data = base_config(tmp_path)
         data["prior"] = prior
         with pytest.raises(ValidationError, match="prior"):
+            load_config(write_config(tmp_path, data))
+
+    @pytest.mark.parametrize("floor", [0.0, -1.0])
+    def test_nonpositive_noise_floor_raises(self, tmp_path, floor):
+        data = base_config(tmp_path)
+        data["noise_floor"] = floor
+        with pytest.raises(ValidationError, match="noise_floor"):
             load_config(write_config(tmp_path, data))
 
     def test_negative_seed_raises(self, tmp_path):

@@ -7,6 +7,7 @@ reshape, block stacking) with the production matrix builder.
 """
 
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -259,6 +260,29 @@ class TestAssembleF:
     def test_no_sensors(self):
         f = assemble_F([], SITES, make_wind(), GRID, PARTICLE, StabilityClass.D)
         assert f.shape == (0, 2 * GRID.n_steps)
+
+    def test_peak_memory_is_the_result(self):
+        """Each sensor's rows are written into F; no per-sensor blocks sit beside it."""
+        grid = TimeGrid(t0=0.0, dt=60.0, n_steps=1200)
+        rng = np.random.default_rng(3)
+        wind = SimpleNamespace(
+            u_x=3.0 + rng.uniform(-1.0, 1.0, grid.n_steps), u_y=rng.uniform(-1.0, 1.0, grid.n_steps)
+        )
+        starts = tuple(1800.0 * k for k in range(40))
+        samplers = [
+            RealTimeSampler(id=f"rt_{k}", x=100.0 + 20.0 * k, y=10.0 * k - 40.0, z=2.0,
+                            window=600.0, start_times=starts, snr=100.0)
+            for k in range(8)
+        ]
+        tracemalloc.start()
+        try:
+            f = assemble_F(samplers + [JAR], SITES, wind, grid, PARTICLE, StabilityClass.D)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert f.shape == (8 * 40 + 1, 2 * grid.n_steps)
+        assert f.nbytes > 4e6
+        assert peak < 1.5 * f.nbytes, f"peak {peak / f.nbytes:.2f} times the result"
 
 
 class TestSignalVariances:
