@@ -375,7 +375,10 @@ class PositivePosterior:
     """Positivity-stage posterior summaries and chain diagnostics."""
 
     q_sp: np.ndarray  # clipped latent posterior mean, entrywise >= 0
-    cov_sp: np.ndarray  # chain average of (h(v)-q_sp)(h(v)-q_sp)^T
+    # C_sp, the chain average of (h(v)-q_sp)(h(v)-q_sp)^T, as its exact
+    # diagonal and the Nystrom factor E (n x min(n, SKETCH_SIZE)), E E^T <= C_sp
+    cov_diag: np.ndarray
+    cov_factor: np.ndarray
     v_mean: np.ndarray  # latent posterior mean
     acceptance_rate: float
     ess: float
@@ -402,10 +405,11 @@ def positive_posterior(
     phi(v) = 1/2 || Sigma^-1/2 (F h(v) - d) ||^2 and h = ``link``
     (entrywise clipping by default; tests may pass the identity to recover
     the linear-Gaussian stage). Means and covariances are chain averages
-    after burn-in; cov_sp is the chain's second moment of h(v) about
-    q_sp = h(v_mean), not about the chain mean of h(v), and it is formed in
-    the chain's own scatter array. F and d are whitened once here; the
-    chain evaluates phi in its data space.
+    after burn-in; C_sp is the chain's second moment of h(v) about
+    q_sp = h(v_mean), not about the chain mean of h(v). It is returned as
+    its exact diagonal and the Nystrom factor of the chain's sketch, and
+    the sketch is released here, so only the factor outlives the stage. F
+    and d are whitened once here; the chain evaluates phi in its data space.
     """
     prior_mean = link(np.asarray(q_s, dtype=float))
     f_white, d_white = whiten(f_matrix, d, noise_var)
@@ -417,7 +421,8 @@ def positive_posterior(
         )
     return PositivePosterior(
         q_sp=link(summary.mean),
-        cov_sp=summary.cov,
+        cov_diag=summary.cov.diag,
+        cov_factor=summary.cov.nystrom_factor(),
         v_mean=summary.mean,
         acceptance_rate=summary.acceptance_rate,
         ess=summary.ess,

@@ -4,8 +4,9 @@ Four stages: ``synth`` (bundled twin-case generator), ``wind_fit`` (GP
 regularization of the raw records), ``invert`` (constant, smooth, and
 positive estimates), ``propagate`` (low-rank deposition map). Each stage
 writes its artifacts, stamped with its key, plus a run-metadata entry;
-the arrays a later stage loads (the fitted wind, the positive-stage mean
-and covariance) live in ``state/*.npz``, and nothing else does.
+the arrays a later stage loads (the fitted wind, the positive-stage mean,
+its covariance's Nystrom factor and trace) live in ``state/*.npz``, and
+nothing else does.
 
 The key of a stage is a sha256 over the config slice it reads
 (``SLICES``; paths never count), the keys of the stages that wrote the
@@ -464,7 +465,7 @@ def run_invert(
         prior = SmoothnessPrior(cfg.prior, grid, n_sources)
         smooth = gaussian_posterior(f_matrix, d, noise_var, prior, constant.q)
         # Hand the smooth stage's freed (n_meas, n) buffer back before the
-        # chain maps its n x n scatter beside it.
+        # chain maps its covariance sketch beside it.
         _release_freed_heap()
         io.write_emissions_csv(
             out / f"emissions_smooth{suffix}.csv",
@@ -476,7 +477,7 @@ def run_invert(
         )
         if through == "positive":
             positive = positive_posterior(f_matrix, d, noise_var, prior, smooth.mean, cfg.sampler)
-            std_sp = np.sqrt(np.maximum(np.diag(positive.cov_sp), 0.0))
+            std_sp = np.sqrt(np.maximum(positive.cov_diag, 0.0))
             io.write_emissions_csv(
                 out / f"emissions_positive{suffix}.csv",
                 _source_ids(cfg),
@@ -487,7 +488,13 @@ def run_invert(
             )
 
     if not side_experiment and through == "positive":
-        _save_state(cfg, INVERSION_STATE, q_positive=positive.q_sp, cov_positive=positive.cov_sp)
+        _save_state(
+            cfg,
+            INVERSION_STATE,
+            q_positive=positive.q_sp,
+            cov_factor=positive.cov_factor,
+            cov_trace=positive.cov_diag.sum(),
+        )
         annual = {
             "constant": annualize(constant.q, grid),
             "smooth": annualize(smooth.mean, grid),
@@ -542,13 +549,17 @@ def run_propagate(cfg: RunConfig) -> dict:
     grid = inversion_grid(cfg)
     wind = load_wind_series(cfg)["inversion"]
 
-    # The dense covariance is dropped once its modes are known, before H
-    # is built, so the two largest arrays of the stage are never held at once.
-    cov = state["cov_positive"]
-    n_modes = min(cfg.grid.n_modes, cov.shape[0])
-    factors = lowrank_truncate(cov, n_modes)
-    total_variance = float(np.trace(cov))
-    del cov, state["cov_positive"]
+    # The covariance factor and the SVD's arrays are dropped, and their heap
+    # handed back, once the modes are known: H is built after them, not
+    # beside them.
+    factor = state["cov_factor"]
+    factors = lowrank_truncate(factor, min(cfg.grid.n_modes, factor.shape[1]))
+    total_variance = state["cov_trace"]
+    # E E^T <= C, so this share bounds the sketch's error in the trace norm
+    unexplained = 1.0 - np.vdot(factor, factor) / total_variance
+    sketch_size = factor.shape[1]
+    del factor, state["cov_factor"]
+    _release_freed_heap()
     h_matrix = assemble_H(
         cfg.grid,
         cfg.sources,
@@ -592,9 +603,9 @@ def run_propagate(cfg: RunConfig) -> dict:
                 eigenvalues[-1] / lam1 if eigenvalues else float("nan")
             ),
             "eigensolve": {
-                "method": factors.method,
-                "iterations": factors.iterations,
-                "max_relative_residual": factors.max_relative_residual,
+                "method": "nystrom",
+                "sketch_size": sketch_size,
+                "unexplained_trace_share": float(unexplained),
             },
             "kept_variance_share": float(factors.eigenvalues.sum() / total_variance),
             "max_mean_mg_m2": float(deposition.mean.max() * io.KG_TO_MG),
@@ -625,8 +636,8 @@ def _release_freed_heap() -> None:
     largest array freed so far (the dense F, about 31 MB on the bundled
     case). Up to about 60 MB freed by one step can therefore stay resident
     while the next maps its own arrays beside it and add to the run's
-    peak: the smooth stage's buffer beside the chain's scatter, or what
-    invert freed beside propagate's covariance.
+    peak: the smooth stage's buffer beside the chain's covariance sketch,
+    or what invert freed beside propagate's covariance factor and H.
     """
     trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
     if trim is not None:

@@ -56,7 +56,7 @@ logger = logging.getLogger(__name__)
 
 X_CUTOFF_DEFAULT = 1.0  # m; kernel is zero at or below this downwind distance
 CALM_SPEED_DEFAULT = 0.1  # m s^-1; weaker horizontal wind counts as calm
-BLOCK_STEPS = 16  # wind steps per block of kernel_profile's temporaries
+BLOCK_ENTRIES = 1 << 14  # receptor-source-step entries per block of kernel_profile's temporaries
 
 
 def settling_velocity(density: float, diameter: float) -> float:
@@ -356,8 +356,11 @@ def kernel_profile(
     z_rel = (points[:, 2:3] - heights).ravel()
     z_src = np.tile(heights, len(points))
     out = np.zeros((dx.size, speed.size))
-    for start in range(0, speed.size, BLOCK_STEPS):
-        steps = slice(start, start + BLOCK_STEPS)
+    # The temporaries of a block are a few times its entries: small beside
+    # ``out`` however many receptors there are.
+    block_steps = max(1, BLOCK_ENTRIES // max(dx.size, 1))
+    for start in range(0, speed.size, block_steps):
+        steps = slice(start, start + block_steps)
         downwind = (dx[:, None] * u_x[steps] + dy[:, None] * u_y[steps]) / speed[steps]
         hit = np.flatnonzero((downwind > x_cutoff) & live[steps])
         pair, t = np.divmod(hit, downwind.shape[1])

@@ -35,10 +35,19 @@ Running moments use a blocked, numerically stable one-pass (Welford/Chan)
 update so chains of 1e5+ states in thousands of dimensions never need to
 be stored. The kept chain is a sequence of distinct states with dwell
 counts (Douc & Robert 2011, Ann. Statist.); each distinct state reaches
-``OnlineMoments.update_block`` once, with its count. The scatter matrix is
-symmetric, so only its upper triangle is accumulated, by one BLAS ``syrk``
-per block of rows scaled by sqrt(count); ``second_moment`` turns it into
-the second moment about a given point and mirrors it, in place.
+``OnlineMoments.update_block`` once, with its count. The n x n scatter is
+never formed: each block adds its exact diagonal and its product with a
+fixed n x ``SKETCH_SIZE`` Gaussian test matrix Omega, two GEMMs instead of
+a rank-64 ``syrk``, and ``second_moment`` turns them into the diagonal
+and the sketch Y = C Omega of the second moment C about a given point.
+``CovarianceSketch.nystrom_factor`` then gives the stable single-pass
+Nystrom factor E, with E E^T <= C, from which the leading eigenpairs
+follow (Tropp, Yurtsever, Udell & Cevher 2017, "Fixed-rank approximation
+of a positive-semidefinite matrix from streaming data", NeurIPS; Halko,
+Martinsson & Tropp 2011, SIAM Review, sec. 5.5). Up to ``SKETCH_SIZE``
+dimensions Omega is the identity, so Y is C itself and small problems
+stay exact. Omega comes from a generator of its own and draws nothing
+from the chain's streams.
 """
 
 from __future__ import annotations
@@ -49,15 +58,17 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg.blas import dsyrk
+from scipy.linalg.blas import dgemm, dger, dtrsm
+from scipy.linalg.lapack import dpotrf
 from scipy.special import ndtri
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 
 __all__ = [
     "SamplerConfig",
     "ChainSummary",
     "OnlineMoments",
+    "CovarianceSketch",
     "TuneResult",
     "pcn_chain",
     "tune_beta",
@@ -70,7 +81,8 @@ logger = logging.getLogger(__name__)
 BLOCK_SIZE = 64  # chain steps drawn per block, and distinct kept states per moment update
 TUNE_MAX_ITER = 12  # bisections tune_beta tries before settling for the closest beta
 R_HAT_SPLITS = 4  # parts the kept potential trace is split into for split-R-hat
-_TILE = 256  # tile edge of the in-place finish in OnlineMoments.second_moment
+SKETCH_SIZE = 400  # columns of the test matrix the chain's covariance is sketched with
+SKETCH_SEED = 0  # seed of the test matrix's own generator
 
 Link = Callable[[np.ndarray], np.ndarray]
 PriorSample = Callable[[np.random.Generator, int], np.ndarray]
@@ -119,24 +131,71 @@ def _merged_mean(mean: np.ndarray, count: int, rows: np.ndarray, counts: np.ndar
     return block_mean, mean + (block_mean - mean) * (b / (count + b))
 
 
-class OnlineMoments:
-    """Blocked one-pass mean and scatter accumulator.
+def _sketch_matrix(dim: int) -> np.ndarray:
+    """The test matrix Omega, Fortran-ordered: the identity up to ``SKETCH_SIZE``
+    dimensions, a fixed-seed standard Gaussian dim x ``SKETCH_SIZE`` above."""
+    if dim <= SKETCH_SIZE:
+        return np.eye(dim, order="F")
+    return np.random.default_rng(SKETCH_SEED).standard_normal((SKETCH_SIZE, dim)).T
 
-    Merges per-block moments into the running (mean, scatter) pair via the
-    parallel-variance (Chan) update. The scatter is Fortran-ordered and only
-    its upper triangle is kept: each block adds its rows centered on the
-    block mean and scaled by the square root of their counts, and the scaled
-    mean shift, stacked as a (b + 1) x dim array A, through one in-place
-    rank-(b + 1) update ``scatter += A^T A`` (BLAS ``dsyrk``), so accuracy
-    does not degrade with chain length and no dense temporary is built. The
-    lower triangle stays zero until ``second_moment`` fills it.
+
+@dataclass(eq=False)
+class CovarianceSketch:
+    """A covariance C held as its exact diagonal and the sketch Y = C Omega.
+
+    With Omega the identity (``omega.shape[1] == dim``) Y is C itself.
+    """
+
+    diag: np.ndarray  # (dim,)
+    omega: np.ndarray  # (dim, width), Fortran-ordered
+    y: Optional[np.ndarray]  # (dim, width), Fortran-ordered; None once factored
+
+    def nystrom_factor(self) -> np.ndarray:
+        """E, dim x width, with E E^T the shifted Nystrom approximation of C.
+
+        The shift nu = sqrt(dim) eps(||Y||_F) makes the core
+        Omega^T Y_nu = Omega^T (Y + nu Omega) positive definite; its upper
+        Cholesky factor R gives E = Y R^-1, so E E^T = Y (Omega^T Y_nu)^-1 Y^T.
+        That is the stable single-pass Nystrom approximation of Tropp et al.
+        2017 (Alg. 3), with Y in place of Y_nu outside the core so that
+        E E^T <= C holds without a correction by nu: 1 - ||E||_F^2 / tr C
+        bounds the sketch's error in the trace norm. E is written over Y,
+        which the sketch then no longer holds. Raises ``NumericalError``
+        when the core does not factor.
+        """
+        nu = math.sqrt(self.y.shape[0]) * float(np.spacing(np.linalg.norm(self.y)))
+        core = dgemm(1.0, self.omega, self.y, trans_a=1)
+        core = dgemm(nu, self.omega, self.omega, beta=1.0, c=core, trans_a=1, overwrite_c=1)
+        r, info = dpotrf(0.5 * (core + core.T), lower=0, clean=1, overwrite_a=1)
+        if info != 0:
+            raise NumericalError(
+                f"Cholesky factorization of the Nystrom sketch core failed (LAPACK info {info})"
+            )
+        factor, self.y = dtrsm(1.0, r, self.y, side=1, lower=0, overwrite_b=1), None
+        return factor
+
+
+class OnlineMoments:
+    """Blocked one-pass mean and covariance-sketch accumulator.
+
+    Merges per-block moments into the running mean and the scatter's
+    diagonal and sketch via the parallel-variance (Chan) update. Each block
+    stacks its rows centered on the block mean and scaled by the square
+    root of their counts, and the scaled mean shift, as a (b + 1) x dim
+    array A; the scatter grows by A^T A, so its diagonal grows by the
+    column sums of A * A and its sketch Y (dim x width, Fortran-ordered,
+    updated in place) by A^T (A Omega). Accuracy does not degrade with
+    chain length, and nothing dim x dim is built once dim exceeds
+    ``SKETCH_SIZE``.
     """
 
     def __init__(self, dim: int):
         self.dim = dim
         self.count = 0
         self.mean = np.zeros(dim)
-        self.scatter = np.zeros((dim, dim), order="F")
+        self.diag = np.zeros(dim)
+        self.omega = _sketch_matrix(dim)
+        self.y = np.zeros(self.omega.shape, order="F")
 
     def update_block(self, rows: np.ndarray, counts: Optional[np.ndarray] = None) -> None:
         """Add ``rows``, row i counted ``counts[i]`` times (once each by default)."""
@@ -157,54 +216,43 @@ class OnlineMoments:
         np.multiply(
             block_mean - self.mean, math.sqrt(self.count * n_block / n_new), out=stacked[b]
         )
-        self.scatter = dsyrk(
-            1.0, stacked, beta=1.0, c=self.scatter, trans=1, lower=0, overwrite_c=1
+        self.diag += np.einsum("ij,ij->j", stacked, stacked)
+        self.y = dgemm(
+            1.0, stacked, dgemm(1.0, stacked, self.omega), beta=1.0, c=self.y,
+            trans_a=1, overwrite_c=1,
         )
         self.mean = mean
         self.count = n_new
 
-    def second_moment(self, point: np.ndarray) -> np.ndarray:
-        """Second moment about ``point``, formed in the scatter's own memory.
+    def second_moment(self, point: np.ndarray) -> CovarianceSketch:
+        """Sketch of the second moment about ``point``, formed in the sketch's own memory.
 
-        Returns sum_k (x_k - point)(x_k - point)^T / count, which is
-        scatter / count + (mean - point)(mean - point)^T, exactly symmetric.
-        Each tile on or above the diagonal is divided by the count, gets
-        its block of the rank-1 term and is then mirrored below the
-        diagonal, so no second dim x dim array is built. The array is
-        handed over: the accumulator keeps no scatter afterwards.
+        The second moment is sum_k (x_k - point)(x_k - point)^T / count,
+        which is scatter / count + (mean - point)(mean - point)^T; the
+        rank-1 term enters the diagonal and, as a rank-1 update, Y. The
+        array Y is handed over: the accumulator keeps none afterwards.
         """
         if self.count == 0:
             raise ValueError("no samples accumulated")
-        out, self.scatter = self.scatter, None
+        y, self.y = self.y, None
         offset = self.mean - np.asarray(point, dtype=float)
-        for i in range(0, self.dim, _TILE):
-            rows = slice(i, i + _TILE)
-            for j in range(i, self.dim, _TILE):
-                cols = slice(j, j + _TILE)
-                tile = out[rows, cols]
-                tile /= self.count
-                tile += np.outer(offset[rows], offset[cols])
-                if j > i:
-                    out[cols, rows] = tile.T
-            # The diagonal tile's lower triangle holds only the rank-1 term.
-            diag = out[rows, rows]
-            lower = np.tril_indices(diag.shape[0], -1)
-            diag[lower] = diag.T[lower]
-        return out.T  # C-ordered, and equal to ``out`` by symmetry
+        y /= self.count
+        y = dger(1.0, offset, offset @ self.omega, a=y, overwrite_a=1)
+        return CovarianceSketch(diag=self.diag / self.count + offset**2, omega=self.omega, y=y)
 
 
 @dataclass(eq=False)
 class ChainSummary:
     """First two chain moments plus diagnostics, burn-in already discarded.
 
-    ``mean`` is the chain mean of v. ``cov`` is the chain second moment of
-    h(v) about h(mean), with h the chain's link; without one, h is the
-    identity and ``cov`` is the covariance of v. ``ess`` and ``r_hat`` are
-    read off the kept potential trace.
+    ``mean`` is the chain mean of v. ``cov`` sketches the chain second
+    moment of h(v) about h(mean), with h the chain's link; without one, h
+    is the identity and ``cov`` sketches the covariance of v. ``ess`` and
+    ``r_hat`` are read off the kept potential trace.
     """
 
     mean: np.ndarray
-    cov: np.ndarray
+    cov: CovarianceSketch
     acceptance_rate: float
     ess: float
     r_hat: float
@@ -406,8 +454,8 @@ def pcn_chain(
             as a (b, dim) array, leaving ``rng`` where b single draws would.
         cfg: chain parameters.
         link: the entrywise map h, the identity when omitted; non-finite
-            potentials auto-reject the proposal. Second moments are
-            accumulated for h(v), about h of the chain mean of v.
+            potentials auto-reject the proposal. ``cov`` sketches the second
+            moment of h(v) about h of the chain mean of v.
 
     Returns:
         ChainSummary over the post-burn-in states.

@@ -44,7 +44,7 @@ from plumeinv.plume import (
     kernel_profile,
     plume_kernel,
 )
-from plumeinv.sampling import SamplerConfig, pcn_chain, tune_beta
+from plumeinv.sampling import CovarianceSketch, SamplerConfig, pcn_chain, tune_beta
 from plumeinv.synthetic import block_average
 from plumeinv.uqprop import GridSpec, deposition_stats, lowrank_truncate
 
@@ -343,7 +343,7 @@ def test_criterion_05_pcn_prior_reproduction_and_conjugate_target():
     z_mean = np.abs(out.mean - prior_mean) / se_mean
     assert z_mean.max() < 3.0
     se_var = var * math.sqrt(2.0 * tau_var / out.n_kept)
-    z_var = np.abs(np.diag(out.cov) - var) / se_var
+    z_var = np.abs(out.cov.diag - var) / se_var
     assert z_var.max() < 3.0
 
     # 2-D conjugate target: quadratic potential, closed-form posterior
@@ -370,7 +370,8 @@ def test_criterion_05_pcn_prior_reproduction_and_conjugate_target():
     se_cov = np.sqrt(
         (np.outer(np.diag(post_cov), np.diag(post_cov)) + post_cov**2) * tau / out2.n_kept
     )
-    assert np.max(np.abs(out2.cov - post_cov) / se_cov) < 3.0
+    # two dimensions: the sketch's test matrix is the identity, so Y is the covariance
+    assert np.max(np.abs(out2.cov.y - post_cov) / se_cov) < 3.0
     elapsed = time.perf_counter() - tic
     assert elapsed < 30.0
     report(5, f"prior max |z| {z_mean.max():.2f} (mean) {z_var.max():.2f} (var), "
@@ -437,7 +438,7 @@ def test_criterion_07_bundled_case_recovery(bundled):
     assert min(correlations.values()) > 0.8
 
     # (c) the positive posterior is tighter on the large sources
-    std = np.sqrt(np.maximum(np.diag(inv.positive.cov_sp), 0.0))
+    std = np.sqrt(np.maximum(inv.positive.cov_diag, 0.0))
     by_source = {sid: std[source_ids.index(sid) * n_t:(source_ids.index(sid) + 1) * n_t].mean()
                  for sid in source_ids}
     top_mean = np.mean([by_source[sid] for sid in top2])
@@ -506,7 +507,9 @@ def test_criterion_10_lowrank_deposition(bundled):
     h = rng.uniform(0.0, 1e-4, (gspec.n_x * gspec.n_y, n))
     q = rng.uniform(0.0, 2.0, n)
 
-    factors = lowrank_truncate(cov, n)
+    # a full-width sketch (the identity test matrix) keeps the whole covariance
+    full = CovarianceSketch(diag=np.diag(cov), omega=np.eye(n, order="F"), y=np.array(cov, order="F"))
+    factors = lowrank_truncate(full.nystrom_factor(), n)
     dep = deposition_stats(h, q, factors, gspec)
     dense_std = np.sqrt(np.diag(h @ cov @ h.T))
     np.testing.assert_allclose(dep.std, dense_std, rtol=1e-8)

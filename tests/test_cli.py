@@ -16,7 +16,7 @@ import pytest
 import yaml
 from scipy.sparse import csr_array
 
-from plumeinv import cli, pipeline, threads
+from plumeinv import cli, pipeline, sampling, threads
 from plumeinv.config import config_dict, load_config
 from plumeinv.inversion import SmoothnessPrior
 
@@ -182,6 +182,16 @@ class TestRun:
             assert payload["timing_s"] >= 0.0
         assert meta["config"]["sampler"]["n_steps"] == 4000
         assert "paths" not in meta["config"]
+
+    def test_propagate_certifies_the_sketch(self, completed):
+        """12 rate slots fit in the sketch, so the Nystrom factor keeps the
+        whole trace but for the shift, and never more than it."""
+        _, out = completed
+        propagate = json.loads((out / "run_metadata.json").read_text())["stages"]["propagate"]
+        eigensolve = propagate["eigensolve"]
+        assert eigensolve["method"] == "nystrom" and eigensolve["sketch_size"] == 12
+        assert 0.0 <= eigensolve["unexplained_trace_share"] <= 1e-12
+        assert 0.0 < propagate["kept_variance_share"] < 1.0
 
     def test_wind_fit_reports_cv_choice(self, completed):
         _, out = completed
@@ -390,7 +400,7 @@ class TestLeanState:
         monkeypatch.setattr(pipeline, "_load_state", recording_load_state)
         # propagate reads both state files; the requested stage always runs
         assert cli.main(["propagate", "--config", str(cfg_path)]) == 0
-        assert loaded[pipeline.INVERSION_STATE] == {"q_positive", "cov_positive"}
+        assert loaded[pipeline.INVERSION_STATE] == {"q_positive", "cov_factor", "cov_trace"}
         for name in (pipeline.WIND_STATE, pipeline.INVERSION_STATE):
             with np.load(out / name) as data:
                 assert set(data.files) == loaded[name], name
@@ -439,6 +449,22 @@ class TestExitCodes:
         cfg_path, out = write_case(tmp_path)
         assert cli.main(["run", "--config", str(cfg_path), "--modes", "0"]) == 2
         assert not list(out.rglob("*"))
+
+    def test_modes_above_half_the_sketch_is_2(self, tmp_path):
+        cfg_path, out = write_case(tmp_path)
+        assert cli.main(["run", "--config", str(cfg_path), "--modes", "201"]) == 2
+        assert not list(out.rglob("*"))
+        cfg_path, out = write_case(tmp_path, mutate=lambda d: d["grid"].update(n_modes=201))
+        assert cli.main(["run", "--config", str(cfg_path)]) == 2
+        assert not list(out.rglob("*"))
+
+    def test_singular_sketch_core_is_3(self, tmp_path, monkeypatch, caplog):
+        """A zero test matrix makes the Nystrom core zero, so its Cholesky
+        factorization fails."""
+        monkeypatch.setattr(sampling, "_sketch_matrix", lambda dim: np.zeros((dim, dim), order="F"))
+        cfg_path, _ = write_case(tmp_path)
+        assert cli.main(["run", "--config", str(cfg_path)]) == 3
+        assert "sketch core" in caplog.text
 
     def test_cv_cap_below_three_is_2(self, tmp_path):
         cfg_path, out = write_case(tmp_path, mutate=lambda d: d.update(wind_cv_max_points=0))

@@ -29,7 +29,7 @@ from plumeinv.inversion import (
     whiten,
 )
 from plumeinv.observation import TimeGrid
-from plumeinv.sampling import OnlineMoments, SamplerConfig
+from plumeinv.sampling import SKETCH_SIZE, OnlineMoments, SamplerConfig
 
 
 def make_prior(n_sources=1, n_steps=6, dt=3600.0, alpha=2.0, gamma=0.05):
@@ -478,7 +478,7 @@ class TestPositivePosterior:
         se_mean = exact.std * math.sqrt(tau / got.n_kept)
         assert np.max(np.abs(got.v_mean - exact.mean) / se_mean) < 3.0
         se_std = exact.std * 0.5 * math.sqrt(2.0 * tau / got.n_kept)
-        got_std = np.sqrt(np.diag(got.cov_sp))
+        got_std = np.sqrt(got.cov_diag)
         assert np.max(np.abs(got_std - exact.std) / se_std) < 3.0
 
     def test_clipping_keeps_summaries_nonnegative(self):
@@ -489,23 +489,25 @@ class TestPositivePosterior:
         cfg = SamplerConfig(beta=0.6, n_steps=8000, seed=1)
         got = positive_posterior(f, d, noise_var, prior, q_s, cfg)
         assert np.all(got.q_sp >= 0.0)
-        assert got.cov_sp is not None
-        np.testing.assert_allclose(got.cov_sp, got.cov_sp.T, atol=1e-12)
-        assert np.all(np.diag(got.cov_sp) >= -1e-15)
+        assert np.all(got.cov_diag >= -1e-15)
+        # 40 dimensions fit in the sketch, so the factor keeps the whole
+        # trace but for the shift, and never more than it
+        assert got.cov_factor.shape == (prior.n, prior.n)
+        kept = float(np.vdot(got.cov_factor, got.cov_factor)) / got.cov_diag.sum()
+        assert 1.0 - 1e-12 <= kept <= 1.0
 
     def test_pushforward_cov_recentered_at_clipped_mean(self):
-        """cov_sp includes the (transform mean - clipped mean) rank-1 shift."""
+        """C_sp includes the (transform mean - clipped mean) rank-1 shift."""
         prior, f, noise_var, d, q_s = self.make_case(seed=4)
         cfg = SamplerConfig(beta=0.6, n_steps=4000, seed=5)
         got = positive_posterior(f, d, noise_var, prior, q_s, cfg)
         # second moment about q_sp dominates the centered one
-        assert got.cov_sp is not None
-        centered = np.diag(got.cov_sp)
-        assert np.all(centered >= -1e-15)
+        assert np.all(got.cov_diag >= -1e-15)
 
     def test_cov_formed_without_a_second_dense_array(self):
-        """The chain's scatter becomes cov_sp in place: the stage never holds
-        two n x n arrays at once (n = 2 sources x 1000 slots)."""
+        """The chain sketches C_sp: at n = 2 sources x 1000 slots, past the
+        sketch size, the stage holds a few n x SKETCH_SIZE arrays and never
+        enough memory for one n x n array."""
         rng = np.random.default_rng(8)
         prior = make_prior(n_sources=2, n_steps=1000, alpha=1.2, gamma=0.02)
         f = rng.uniform(0.0, 0.5, (8, prior.n))
@@ -517,8 +519,10 @@ class TestPositivePosterior:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert got.cov_sp.shape == (prior.n, prior.n)
-        assert peak < 1.5 * prior.n**2 * 8
+        assert got.cov_factor.shape == (prior.n, SKETCH_SIZE)
+        assert got.cov_diag.shape == (prior.n,)
+        block = prior.n * SKETCH_SIZE * 8
+        assert peak < 3 * block < prior.n**2 * 8, f"peak {peak / block:.2f} x n x SKETCH_SIZE"
 
     def test_poor_acceptance_warns(self, caplog):
         prior, f, _, d, q_s = self.make_case(seed=6)

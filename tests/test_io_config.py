@@ -610,6 +610,18 @@ class TestSettingsValidation:
         with pytest.raises(ValidationError, match="n_modes"):
             load_config(write_config(tmp_path, data))
 
+    @pytest.mark.parametrize("modes, ok", [(150, True), (200, True), (201, False), (400, False)])
+    def test_modes_capped_at_half_the_sketch(self, tmp_path, modes, ok):
+        """The chain sketches its covariance with 400 columns, which serve
+        200 modes at most."""
+        data = base_config(tmp_path)
+        data["grid"]["n_modes"] = modes
+        if ok:
+            assert load_config(write_config(tmp_path, data)).grid.n_modes == modes
+        else:
+            with pytest.raises(ValidationError, match="grid.n_modes"):
+                load_config(write_config(tmp_path, data))
+
     def test_replace_revalidates_modes(self, tmp_path):
         cfg = load_config(write_config(tmp_path, base_config(tmp_path)))
         with pytest.raises(ValidationError, match="n_modes"):

@@ -331,8 +331,9 @@ class TestKernelProfile:
                         assert past_cut > 0.0
 
     def test_series_matches_single_pairs(self, monkeypatch):
-        # blocks of 3 do not divide the 10 steps, and two of the steps are calm
-        monkeypatch.setattr(plume, "BLOCK_STEPS", 3)
+        # blocks of 3 steps (108 entries over 12 points x 3 sites) do not
+        # divide the 10 steps, and two of the steps are calm
+        monkeypatch.setattr(plume, "BLOCK_ENTRIES", 108)
         rng = np.random.default_rng(3)
         points = np.column_stack(
             [rng.uniform(-500.0, 500.0, 12), rng.uniform(-500.0, 500.0, 12), rng.uniform(0.0, 6.0, 12)]

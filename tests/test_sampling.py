@@ -20,9 +20,11 @@ import pytest
 from plumeinv.errors import ValidationError
 from plumeinv.sampling import (
     BLOCK_SIZE,
+    SKETCH_SIZE,
     OnlineMoments,
     SamplerConfig,
     TuneResult,
+    _pcn_kernel,
     effective_sample_size,
     pcn_chain,
     split_r_hat,
@@ -61,6 +63,13 @@ def record_kept_states(monkeypatch):
     return lambda: np.concatenate(seen)
 
 
+def dense(sketch):
+    """The covariance a sketch holds in full: below the sketch size its
+    test matrix is the identity, so Y is the covariance itself."""
+    assert np.array_equal(sketch.omega, np.eye(len(sketch.diag)))
+    return sketch.y
+
+
 class TestSamplerConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -87,17 +96,19 @@ class TestOnlineMoments:
         assert om.count == 1000
         np.testing.assert_allclose(om.mean, data.mean(axis=0), rtol=1e-10, atol=1e-12)
         cov = om.second_moment(om.mean)
-        np.testing.assert_allclose(cov, np.cov(data.T, ddof=0), rtol=1e-9, atol=1e-12)
-        assert np.array_equal(cov, cov.T)
+        want = np.cov(data.T, ddof=0)
+        np.testing.assert_allclose(dense(cov), want, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(cov.diag, np.diag(want), rtol=1e-9, atol=1e-12)
 
-    def test_second_moment_about_a_point_over_tiles(self):
-        """n = 800 (2 sources x 400 slots) spans several tiles and a ragged one."""
+    def test_second_moment_about_a_point_past_the_sketch_size(self):
+        """n = 800 > SKETCH_SIZE: Y is the second moment about the point times
+        the Gaussian test matrix, and the diagonal is exact."""
         rng = np.random.default_rng(4)
         n = 800
         data = rng.standard_normal((600, n)) * rng.uniform(0.5, 2.0, n) + rng.uniform(-1, 1, n)
         point = rng.uniform(-1.0, 1.0, n)
         om = OnlineMoments(n)
-        scatter = om.scatter
+        y = om.y
         start = 0
         for size in (1, 255, 0, 300, 44):
             om.update_block(data[start : start + size])
@@ -105,20 +116,36 @@ class TestOnlineMoments:
         got = om.second_moment(point)
         centered = data - point
         want = centered.T @ centered / len(data)
-        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12 * np.abs(want).max())
-        assert np.array_equal(got, got.T)
-        assert got.flags.c_contiguous
-        assert np.shares_memory(got, scatter) and om.scatter is None
+        assert got.omega.shape == (n, SKETCH_SIZE)
+        want_y = want @ got.omega
+        np.testing.assert_allclose(got.y, want_y, rtol=1e-9, atol=1e-12 * np.abs(want_y).max())
+        np.testing.assert_allclose(got.diag, np.diag(want), rtol=1e-12)
+        assert np.shares_memory(got.y, y) and om.y is None
 
-    def test_scatter_is_upper_triangle_updated_in_place(self):
+    def test_sketch_is_updated_in_place(self):
         rng = np.random.default_rng(1)
-        om = OnlineMoments(40)
-        scatter = om.scatter
+        om = OnlineMoments(SKETCH_SIZE + 40)
+        y, omega = om.y, om.omega
         for size in (5, 256, 17):
-            om.update_block(rng.standard_normal((size, 40)))
-        assert np.shares_memory(om.scatter, scatter)
-        assert np.all(np.triu(scatter) == scatter)
-        assert np.all(np.diag(scatter) > 0)
+            om.update_block(rng.standard_normal((size, om.dim)))
+        assert np.shares_memory(om.y, y) and om.y.flags.f_contiguous
+        assert om.omega is omega and omega.flags.f_contiguous
+        assert np.all(om.diag > 0)
+
+    def test_omega_is_fixed_and_draws_nothing_from_the_chain(self):
+        """Omega is the identity up to SKETCH_SIZE and the same Gaussian for
+        every accumulator above it."""
+        np.testing.assert_array_equal(OnlineMoments(SKETCH_SIZE).omega, np.eye(SKETCH_SIZE))
+        a, b = OnlineMoments(SKETCH_SIZE + 1), OnlineMoments(SKETCH_SIZE + 1)
+        np.testing.assert_array_equal(a.omega, b.omega)
+        assert a.omega.shape == (SKETCH_SIZE + 1, SKETCH_SIZE)
+        # a chain that sketches its moments moves as one that keeps none
+        dim = SKETCH_SIZE + 1
+        cfg = SamplerConfig(beta=0.5, n_steps=300, burn_in_fraction=0.0, seed=2)
+        args = (*quadratic(dim, 0.01), np.zeros(dim), iid_normal_sampler(dim), cfg)
+        sketched = _pcn_kernel(*args)
+        assert sketched.moments.omega.shape == (dim, SKETCH_SIZE)
+        np.testing.assert_array_equal(sketched.phi_trace, _pcn_kernel(*args, moments=False).phi_trace)
 
     def test_counts_equal_repeated_rows(self):
         """Rows with dwell counts give the moments of the rows repeated by count."""
@@ -132,10 +159,9 @@ class TestOnlineMoments:
         assert weighted.count == repeated.count == counts.sum()
         np.testing.assert_allclose(weighted.mean, repeated.mean, rtol=1e-12, atol=1e-12)
         point = rng.standard_normal(30)
-        want = repeated.second_moment(point)
-        np.testing.assert_allclose(
-            weighted.second_moment(point), want, rtol=1e-12, atol=1e-12 * np.abs(want).max()
-        )
+        want, got = repeated.second_moment(point), weighted.second_moment(point)
+        np.testing.assert_allclose(got.y, want.y, rtol=1e-12, atol=1e-12 * np.abs(want.y).max())
+        np.testing.assert_allclose(got.diag, want.diag, rtol=1e-12)
 
     def test_empty_block_is_noop(self):
         om = OnlineMoments(2)
@@ -213,8 +239,8 @@ class TestPcnChainFlatPotential:
         se_mean = math.sqrt(tau / out.n_kept)
         assert np.max(np.abs(out.mean)) < 4.0 * se_mean
         se_var = math.sqrt(2.0 * tau / out.n_kept)
-        assert np.max(np.abs(np.diag(out.cov) - 1.0)) < 4.0 * se_var
-        off = out.cov[np.triu_indices(dim, 1)]
+        assert np.max(np.abs(out.cov.diag - 1.0)) < 4.0 * se_var
+        off = dense(out.cov)[np.triu_indices(dim, 1)]
         assert np.max(np.abs(off)) < 4.0 * se_var
 
     def test_beta_one_draws_prior_independently(self):
@@ -249,10 +275,10 @@ class TestPcnChainFlatPotential:
         np.testing.assert_array_equal(last[0], out.mean)
         shifted = seen - np.abs(out.mean)
         want = shifted.T @ shifted / out.n_kept
-        np.testing.assert_allclose(out.cov, want, rtol=1e-10, atol=1e-14)
+        np.testing.assert_allclose(dense(out.cov), want, rtol=1e-10, atol=1e-14)
+        np.testing.assert_allclose(out.cov.diag, np.diag(want), rtol=1e-10, atol=1e-14)
         se = math.sqrt(2.0 / out.n_kept)
-        np.testing.assert_allclose(np.diag(out.cov), 1.0, atol=5.0 * se)
-
+        np.testing.assert_allclose(out.cov.diag, 1.0, atol=5.0 * se)
 
 class TestPcnChainConjugateTarget:
     def test_two_dim_gaussian_posterior(self):
@@ -285,7 +311,7 @@ class TestPcnChainConjugateTarget:
             * tau
             / out.n_kept
         )
-        np.testing.assert_array_less(np.abs(out.cov - post_cov), 3.0 * se_cov)
+        np.testing.assert_array_less(np.abs(dense(out.cov) - post_cov), 3.0 * se_cov)
         assert abs(out.r_hat - 1.0) < 0.01
 
 
@@ -295,7 +321,8 @@ class TestPcnChainMechanics:
         a = pcn_chain(*quadratic(3), np.zeros(3), iid_normal_sampler(3), cfg)
         b = pcn_chain(*quadratic(3), np.zeros(3), iid_normal_sampler(3), cfg)
         np.testing.assert_array_equal(a.mean, b.mean)
-        np.testing.assert_array_equal(a.cov, b.cov)
+        np.testing.assert_array_equal(a.cov.y, b.cov.y)
+        np.testing.assert_array_equal(a.cov.diag, b.cov.diag)
         assert a.acceptance_rate == b.acceptance_rate
         assert a.r_hat == b.r_hat
 
@@ -324,7 +351,27 @@ class TestPcnChainMechanics:
             *quadratic(3), np.zeros(3), iid_normal_sampler(3), cfg, link=lambda v: v.copy()
         )
         np.testing.assert_array_equal(mapped.mean, plain.mean)
-        np.testing.assert_array_equal(mapped.cov, plain.cov)
+        np.testing.assert_array_equal(mapped.cov.y, plain.cov.y)
+        np.testing.assert_array_equal(mapped.cov.diag, plain.cov.diag)
+
+    def test_streamed_sketch_past_the_sketch_size(self, monkeypatch):
+        """At dim 600 > SKETCH_SIZE the chain's Y and diagonal are NumPy's
+        dwell-weighted second moment of h(v) about h(mean) times Omega."""
+        dim = 600
+        kept = record_kept_states(monkeypatch)
+        cfg = SamplerConfig(beta=0.5, n_steps=600, burn_in_fraction=0.1, seed=9)
+        out = pcn_chain(
+            *quadratic(dim, 0.01), np.full(dim, 0.5), iid_normal_sampler(dim), cfg,
+            link=lambda v: np.maximum(v, 0.0),
+        )
+        seen = kept()
+        assert len(seen) == out.n_kept and len(np.unique(seen, axis=0)) > 10
+        centered = seen - np.maximum(out.mean, 0.0)
+        want = centered.T @ centered / out.n_kept
+        assert out.cov.omega.shape == (dim, SKETCH_SIZE)
+        want_y = want @ out.cov.omega
+        np.testing.assert_allclose(out.cov.y, want_y, rtol=1e-12, atol=1e-12 * np.abs(want_y).max())
+        np.testing.assert_allclose(out.cov.diag, np.diag(want), rtol=1e-12)
 
     def test_nonfinite_potential_auto_rejects(self, caplog):
         """Entries of 1e300 make phi overflow to inf at every v but v = 0."""
