@@ -118,20 +118,40 @@ class SmoothnessPrior:
         x, _ = dpttrs(self._factor_d, self._factor_e, a.reshape(-1, self.n_steps).T, overwrite_b=1)
         return x.T.reshape(a.shape)
 
+    @property
+    def normal_shape(self) -> tuple:
+        """Shape of the standard normals behind one draw: time-major, (n_steps, n_sources)."""
+        return (self.n_steps, self.n_sources)
+
+    def fill_normals(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        """Fill ``out`` (b, n_steps, n_sources) with standard normals from one call."""
+        rng.standard_normal(out=out)
+
+    def place_normals(self, normals: np.ndarray, out: np.ndarray) -> None:
+        """Copy the (b, n_steps, n_sources) ``normals`` into the C-ordered
+        (b, n) buffer ``out``, source-major."""
+        b = len(normals)
+        np.copyto(out.reshape(b, self.n_sources, self.n_steps), normals.transpose(0, 2, 1))
+
+    def solve(self, out: np.ndarray) -> None:
+        """Each source block xi of each row of the C-ordered ``out`` replaced by L^-1 xi, in place."""
+        self._solve_rows(out)
+
     def sample(self, rng: np.random.Generator, size: Optional[int] = None) -> np.ndarray:
         """Draws w ~ N(0, C) via w_block = L^-1 xi (L is symmetric).
 
         One draw as an (n,) vector, or ``size`` draws as a (size, n) array.
-        The normals come from one ``standard_normal((size, n_steps,
-        n_sources))`` call, so ``rng`` ends where ``size`` single draws
-        leave it, and each block of each draw is solved on its own: draw k
-        is the same, bit for bit, whatever ``size`` is.
+        The normals come from one ``fill_normals`` call, so ``rng`` ends
+        where ``size`` single draws leave it, and each block of each draw is
+        solved on its own: draw k is the same, bit for bit, whatever
+        ``size`` is, and the same as the chain's from the same stream.
         """
         b = 1 if size is None else size
-        n_t, n_s = self.n_steps, self.n_sources
-        xi = rng.standard_normal((b, n_t, n_s))
-        # (b, n_s, n_t) in C order is the (b, n) source-major result.
-        out = self._solve_rows(xi.transpose(0, 2, 1).copy()).reshape(b, n_s * n_t)
+        normals = np.empty((b, *self.normal_shape))
+        self.fill_normals(rng, normals)
+        out = np.empty((b, self.n))
+        self.place_normals(normals, out)
+        self.solve(out)
         return out[0] if size is None else out
 
     def apply_cov_to_rows(self, a: np.ndarray) -> np.ndarray:
@@ -413,7 +433,7 @@ def positive_posterior(
     """
     prior_mean = link(np.asarray(q_s, dtype=float))
     f_white, d_white = whiten(f_matrix, d, noise_var)
-    summary: ChainSummary = pcn_chain(f_white, d_white, prior_mean, prior.sample, cfg, link=link)
+    summary: ChainSummary = pcn_chain(f_white, d_white, prior_mean, prior, cfg, link=link)
     if not (0.1 <= summary.acceptance_rate <= 0.6):
         logger.warning(
             "acceptance rate %.3f outside [0.1, 0.6]; consider retuning beta",

@@ -17,11 +17,22 @@ Randomness comes from a counter-based Philox generator with two spawned
 streams: stream 0 drives prior draws, stream 1 drives acceptance
 variables. One draw is consumed from each stream per step regardless of
 the outcome, so a block's randomness is known before the block runs. The
-chain therefore works a block of ``BLOCK_SIZE`` steps at a time: one call
-``prior_sample(rng, b)`` draws the block's w (drawing b at once leaves the
-stream where b single draws leave it), one call draws its acceptance
-exponentials, one product forms F w for the whole block and one more
-forms F v at its start. The accept loop then runs in the data space, where
+chain therefore works a block of ``BLOCK_SIZE`` steps at a time, and
+draws block k+1's randomness while block k runs. The prior hands the
+chain w ~ N(0, C) in two halves (``GaussianPrior``): standard normals,
+and a solve that turns them into draws. One draw thread does only the
+stream work: it fills one preallocated buffer with the next block's
+normals from stream 0 (drawing b at once leaves the stream where b single
+draws leave it) and draws its b acceptance exponentials from stream 1.
+The main thread copies both into buffers of its own, only then hands
+the next block to the draw thread, and does the rest: the
+solve, the scaling by beta, one product forming F w for the whole block
+and one more forming F v at its start, the accept loop and the moment
+updates. Each stream is read by one thread in block order, so the draws
+do not depend on how the two threads are scheduled. Philox and the
+sparse products release the GIL; the solve holds it. The kernel runs
+with BLAS on one thread (``threads.single``), so the draw thread has a
+core of its own. The accept loop runs in the data space, where
 
     F v~ = F m + sqrt(1 - beta^2) (F v - F m) + beta F w,
 
@@ -54,17 +65,20 @@ from __future__ import annotations
 
 import logging
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Protocol, Tuple
 
 import numpy as np
 from scipy.linalg.blas import dgemm, dger, dtrsm
 from scipy.linalg.lapack import dpotrf
 from scipy.special import ndtri
 
+from . import threads
 from .errors import NumericalError, ValidationError
 
 __all__ = [
+    "GaussianPrior",
     "SamplerConfig",
     "ChainSummary",
     "OnlineMoments",
@@ -85,7 +99,30 @@ SKETCH_SIZE = 400  # columns of the test matrix the chain's covariance is sketch
 SKETCH_SEED = 0  # seed of the test matrix's own generator
 
 Link = Callable[[np.ndarray], np.ndarray]
-PriorSample = Callable[[np.random.Generator, int], np.ndarray]
+
+
+class GaussianPrior(Protocol):
+    """The prior N(0, C) of a chain, as standard normals and a solve.
+
+    ``fill_normals`` runs on the chain's draw thread and must call nothing
+    but the generator; ``place_normals`` and ``solve`` run on the main
+    thread. Draw k must not depend on how many draws share its call.
+    """
+
+    @property
+    def normal_shape(self) -> Tuple[int, ...]:
+        """Shape of the standard normals behind one draw."""
+
+    def fill_normals(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        """Fill ``out`` (b, *normal_shape) with standard normals, leaving
+        ``rng`` where b single draws would."""
+
+    def place_normals(self, normals: np.ndarray, out: np.ndarray) -> None:
+        """Copy ``normals`` into the C-ordered (b, dim) buffer ``out``
+        in the layout ``solve`` takes."""
+
+    def solve(self, out: np.ndarray) -> None:
+        """Turn the placed normals in ``out`` into draws w ~ N(0, C), in place."""
 
 
 @dataclass(frozen=True)
@@ -342,7 +379,7 @@ def _pcn_kernel(
     f_white,
     d_white: np.ndarray,
     prior_mean: np.ndarray,
-    prior_sample: PriorSample,
+    prior: GaussianPrior,
     cfg: SamplerConfig,
     link: Optional[Link] = None,
     moments: bool = True,
@@ -351,7 +388,8 @@ def _pcn_kernel(
 
     ``f_white`` is any matrix with ``@`` and column indexing (a CSC array in
     the pipeline). With ``moments`` off only acceptances and the potential
-    trace are kept.
+    trace are kept. The draw thread is joined, and the BLAS thread counts
+    restored, before this returns or raises.
     """
     m = np.asarray(prior_mean, dtype=float)
     d_white = np.asarray(d_white, dtype=float)
@@ -379,6 +417,17 @@ def _pcn_kernel(
     fill = 0
     accepted = 0
     n_nonfinite = 0
+    # The draw thread writes the next block's normals and exponentials into
+    # ``normals`` and ``exponentials`` while the main thread works on their
+    # copies: ``w``, the block's draws, and ``log_u``.
+    normals = np.empty((min(BLOCK_SIZE, cfg.n_steps), *prior.normal_shape))
+    w = np.empty((len(normals), m.size))
+    exponentials, log_u = np.empty(len(normals)), np.empty(len(normals))
+
+    def draw(b: int) -> None:
+        """On the draw thread: the next block's normals and exponentials."""
+        prior.fill_normals(rng_prop, normals[:b])
+        rng_acc.standard_exponential(out=exponentials[:b])
 
     def flush() -> None:
         nonlocal mean_v
@@ -388,26 +437,34 @@ def _pcn_kernel(
 
     v = m.copy()
     fm = np.asarray(f_white @ m, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite phi rejects
+    with threads.single(), ThreadPoolExecutor(1, "pcn-draw") as drawer, np.errstate(
+        over="ignore", invalid="ignore"  # a non-finite phi rejects
+    ):
         phi_v = phi(v, fm)
         if not math.isfinite(phi_v):
-            raise ValueError("potential is non-finite at the prior mean")
+            raise NumericalError(f"potential at the prior mean is non-finite ({phi_v})")
+        pending = drawer.submit(draw, len(normals))
         for start in range(0, cfg.n_steps, BLOCK_SIZE):
             b = min(BLOCK_SIZE, cfg.n_steps - start)
+            pending.result()
+            block = w[:b]
+            prior.place_normals(normals[:b], block)
+            # log U = -Exp(1) exactly, one per step whatever the outcome.
+            np.negative(exponentials[:b], out=log_u[:b])
+            if start + b < cfg.n_steps:
+                pending = drawer.submit(draw, min(BLOCK_SIZE, cfg.n_steps - start - b))
+            prior.solve(block)
+            block *= cfg.beta
             # F v is carried from step to step inside a block; forming it
             # afresh at each block start keeps its rounding error from
             # building up over many steps when beta is small.
             fv = np.asarray(f_white @ v, dtype=float)
-            w = prior_sample(rng_prop, b)
-            w *= cfg.beta
-            fw = np.asarray(f_white @ w.T, dtype=float).T  # row k is F (beta w_k)
-            # log U = -Exp(1) exactly, one per step whatever the outcome.
-            log_u = -rng_acc.exponential(size=b)
+            fw = np.asarray(f_white @ block.T, dtype=float).T  # row k is F (beta w_k)
             for k in range(b):
                 proposal = v - m
                 proposal *= shrink
                 proposal += m
-                proposal += w[k]
+                proposal += block[k]
                 f_prop = fm + shrink * (fv - fm) + fw[k]
                 phi_p = phi(proposal, f_prop)
                 finite = math.isfinite(phi_p)
@@ -430,8 +487,8 @@ def _pcn_kernel(
                     counts[fill] = 0.0
                     fill += 1
                 counts[fill - 1] += 1.0
-    if moments:
-        flush()
+        if moments:
+            flush()
     return _ChainRun(accepted, n_nonfinite, phi_trace, mean_v, acc)
 
 
@@ -439,7 +496,7 @@ def pcn_chain(
     f_white,
     d_white: np.ndarray,
     prior_mean: np.ndarray,
-    prior_sample: PriorSample,
+    prior: GaussianPrior,
     cfg: SamplerConfig,
     link: Optional[Link] = None,
 ) -> ChainSummary:
@@ -450,8 +507,8 @@ def pcn_chain(
             with column indexing). Zero rows give a flat potential.
         d_white: whitened data d.
         prior_mean: m, the Gaussian prior mean.
-        prior_sample: ``prior_sample(rng, b)`` returns b draws w ~ N(0, C)
-            as a (b, dim) array, leaving ``rng`` where b single draws would.
+        prior: the Gaussian prior N(0, C) the proposals are drawn from, as
+            standard normals and a solve (``GaussianPrior``).
         cfg: chain parameters.
         link: the entrywise map h, the identity when omitted; non-finite
             potentials auto-reject the proposal. ``cov`` sketches the second
@@ -460,7 +517,7 @@ def pcn_chain(
     Returns:
         ChainSummary over the post-burn-in states.
     """
-    run = _pcn_kernel(f_white, d_white, prior_mean, prior_sample, cfg, link)
+    run = _pcn_kernel(f_white, d_white, prior_mean, prior, cfg, link)
     if run.n_nonfinite:
         logger.warning("%d proposals rejected for non-finite potential", run.n_nonfinite)
     point = run.mean if link is None else link(run.mean)
@@ -490,7 +547,7 @@ def tune_beta(
     f_white,
     d_white: np.ndarray,
     prior_mean: np.ndarray,
-    prior_sample: PriorSample,
+    prior: GaussianPrior,
     target=(0.25, 0.35),
     pilot_steps: int = 2000,
     seed: int = 0,
@@ -514,7 +571,7 @@ def tune_beta(
 
     def rate(beta: float) -> float:
         cfg = SamplerConfig(beta=beta, n_steps=pilot_steps, burn_in_fraction=0.0, seed=seed)
-        run = _pcn_kernel(f_white, d_white, prior_mean, prior_sample, cfg, link, moments=False)
+        run = _pcn_kernel(f_white, d_white, prior_mean, prior, cfg, link, moments=False)
         return run.accepted / pilot_steps
 
     evaluations = []

@@ -5,9 +5,13 @@ OpenBLAS library the process has loaded in ``/proc/self/maps`` (Linux)
 and calls that library's own thread-count setter, the call threadpoolctl
 makes, so the cap holds whether or not numpy was loaded first.
 ``pipeline.run_stage`` applies it, so the command line and library
-callers get the same cap. Other BLAS builds (MKL, Accelerate) are not
-found: ``limit`` then logs that the cap is ignored, and ``effective``
-returns None.
+callers get the same cap. ``single`` holds every loaded OpenBLAS at one
+thread for the length of a block and then restores each library's own
+count: the pCN chain runs under it, its BLAS on the main thread and its
+random draws on one thread of its own (see ``sampling``), so the chain
+uses two cores whatever ``PLUME_THREADS`` says. Other BLAS builds (MKL,
+Accelerate) are not found: ``limit`` then logs that the cap is ignored,
+``single`` does nothing, and ``effective`` returns None.
 """
 
 from __future__ import annotations
@@ -15,11 +19,12 @@ from __future__ import annotations
 import ctypes
 import logging
 import os
-from typing import Optional
+from contextlib import contextmanager
+from typing import Iterator, Optional
 
 from .errors import ValidationError
 
-__all__ = ["ENV_THREADS", "limit", "effective"]
+__all__ = ["ENV_THREADS", "limit", "single", "effective"]
 
 logger = logging.getLogger(__name__)
 
@@ -79,6 +84,24 @@ def limit() -> None:
     for getter, setter in libraries:
         if getter() != n:
             setter(n)
+
+
+@contextmanager
+def single() -> Iterator[None]:
+    """Every loaded OpenBLAS library on one thread inside the block.
+
+    Each library's count from before is set back on every exit, a raise
+    included.
+    """
+    libraries = _openblas()
+    before = [getter() for getter, _ in libraries]
+    for _, setter in libraries:
+        setter(1)
+    try:
+        yield
+    finally:
+        for (_, setter), count in zip(libraries, before):
+            setter(count)
 
 
 def effective() -> Optional[int]:

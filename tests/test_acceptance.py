@@ -316,6 +316,23 @@ def test_criterion_04_gaussian_stage_information_form():
               f"{max(worst_dense, worst_scalar):.2e}, {elapsed:.2f}s")
 
 
+class CorrelatedNormal:
+    """The chain's prior N(0, R R^T) from a dense factor R."""
+
+    def __init__(self, factor):
+        self.factor = factor
+        self.normal_shape = (len(factor),)
+
+    def fill_normals(self, rng, out):
+        rng.standard_normal(out=out)
+
+    def place_normals(self, normals, out):
+        np.copyto(out, normals)
+
+    def solve(self, out):
+        out[...] = out @ self.factor.T
+
+
 # ---------------------------------------------------------------------------
 # criterion 5: sampler validity on a flat potential and a conjugate target
 
@@ -330,7 +347,7 @@ def test_criterion_05_pcn_prior_reproduction_and_conjugate_target():
     beta = 0.8
     cfg = SamplerConfig(beta=beta, n_steps=100_000, burn_in_fraction=0.1, seed=5)
     # no data rows: phi = 0
-    out = pcn_chain(np.zeros((0, 30)), np.zeros(0), prior_mean, prior.sample, cfg)
+    out = pcn_chain(np.zeros((0, 30)), np.zeros(0), prior_mean, prior, cfg)
     assert out.acceptance_rate == 1.0
 
     # per-coordinate AR(1) with lag-1 correlation sqrt(1 - beta^2) gives
@@ -361,7 +378,7 @@ def test_criterion_05_pcn_prior_reproduction_and_conjugate_target():
     cfg2 = SamplerConfig(beta=0.5, n_steps=120_000, burn_in_fraction=0.2, seed=4)
     out2 = pcn_chain(
         root, root @ target, prior_mean2,
-        lambda g, size: g.standard_normal((size, 2)) @ chol.T, cfg2,
+        CorrelatedNormal(chol), cfg2,
     )
     tau = out2.n_kept / out2.ess
     se2 = np.sqrt(np.diag(post_cov) * tau / out2.n_kept)
@@ -464,7 +481,7 @@ def test_criterion_08_acceptance_band(bundled):
     tic = time.perf_counter()
     prior = SmoothnessPrior(cfg.prior, inv.grid, len(cfg.sources))
     f_white, d_white = whiten(inv.f_matrix, inv.measurements.values, inv.noise_var)
-    tuned = tune_beta(f_white, d_white, inv.smooth.mean, prior.sample, seed=17, link=clip_positive)
+    tuned = tune_beta(f_white, d_white, inv.smooth.mean, prior, seed=17, link=clip_positive)
     elapsed = time.perf_counter() - tic
     assert tuned.in_band
     assert 0.25 <= tuned.acceptance_rate <= 0.35

@@ -643,6 +643,25 @@ class TestEntryPoint:
         meta = json.loads((out / "run_metadata.json").read_text())
         assert {entry["blas_threads"] for entry in meta["stages"].values()} == {1}
 
+    def test_chain_cap_does_not_reach_the_stage_record(self, tmp_path):
+        """The chain runs BLAS on one thread and then restores the count:
+        with PLUME_THREADS=2 every stage of a fresh run, invert's included,
+        records 2."""
+        if threads.effective() is None:
+            pytest.skip("no readable BLAS thread count in this process")
+        cfg_path, out = write_case(tmp_path)
+        env = {**os.environ, "PLUME_THREADS": "2", "OPENBLAS_NUM_THREADS": "2",
+               "OMP_NUM_THREADS": "2"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "plumeinv", "run", "--config", str(cfg_path),
+             "--n-steps", "500"],
+            capture_output=True, text=True, timeout=300, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        meta = json.loads((out / "run_metadata.json").read_text())
+        assert set(meta["stages"]) == {"synth", "wind_fit", "invert", "propagate"}
+        assert {entry["blas_threads"] for entry in meta["stages"].values()} == {2}
+
     def test_plume_threads_capped_after_numpy_loads(self, tmp_path):
         """A library caller that loaded numpy first gets the cap from run_stage.
 

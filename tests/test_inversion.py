@@ -8,6 +8,9 @@ KKT conditions and re-solving the discovered active set by least squares.
 
 import logging
 import math
+import random
+import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -116,6 +119,20 @@ class TestSmoothnessPrior:
         assert block.shape == (13, prior.n)
         assert block_rng.bit_generator.state == single_rng.bit_generator.state
         np.testing.assert_array_equal(block, singles)
+
+    def test_sample_is_the_chains_fill_then_solve(self):
+        """sample(rng, size) is fill_normals, place_normals and solve, bit for
+        bit, also when the stream is drawn in the chain's blocks of 64."""
+        prior = make_prior(n_sources=3, n_steps=50, alpha=1.5, gamma=0.02)
+        want = prior.sample(np.random.Generator(np.random.Philox(4)), size=70)
+        rng = np.random.Generator(np.random.Philox(4))
+        for start, stop in ((0, sampling.BLOCK_SIZE), (sampling.BLOCK_SIZE, 70)):
+            normals = np.empty((stop - start, *prior.normal_shape))
+            prior.fill_normals(rng, normals)
+            draws = np.empty((stop - start, prior.n))
+            prior.place_normals(normals, draws)
+            prior.solve(draws)
+            np.testing.assert_array_equal(draws, want[start:stop])
 
     def test_block_solve_matches_banded_cholesky(self):
         """The dpttrf/dpttrs solve agrees with a banded Cholesky solve of L."""
@@ -443,7 +460,7 @@ class TestChainPotential:
 
         monkeypatch.setattr(OnlineMoments, "update_block", recording)
         f_white, d_white = whiten(f, d, noise_var)
-        run = sampling._pcn_kernel(f_white, d_white, prior_mean, prior.sample, cfg, clip_positive)
+        run = sampling._pcn_kernel(f_white, d_white, prior_mean, prior, cfg, clip_positive)
         states = np.concatenate(seen)  # h(v) of each kept state, in order
         assert len(states) == len(run.phi_trace) == cfg.n_steps - cfg.n_burn
         clipped = (states == 0.0).any(axis=1)
@@ -452,6 +469,60 @@ class TestChainPotential:
         want = np.array([phi(state) for state in states])
         np.testing.assert_allclose(run.phi_trace[clipped], want[clipped], rtol=1e-12)
         np.testing.assert_allclose(run.phi_trace[~clipped], want[~clipped], rtol=1e-12)
+
+
+class SleepyPrior(SmoothnessPrior):
+    """A smoothness prior that pauses a seeded 0-3 ms before each normal
+    fill (on the draw thread) and before each copy of the normals (on the
+    main thread), so either thread may reach the shared buffer first."""
+
+    def __init__(self, *args, seed):
+        super().__init__(*args)
+        self.fill_pauses, self.place_pauses = random.Random(seed), random.Random(seed + 1)
+
+    def fill_normals(self, rng, out):
+        time.sleep(self.fill_pauses.uniform(0.0, 0.003))
+        super().fill_normals(rng, out)
+
+    def place_normals(self, normals, out):
+        time.sleep(self.place_pauses.uniform(0.0, 0.003))
+        super().place_normals(normals, out)
+
+
+class TestDrawThread:
+    @pytest.mark.parametrize("n_steps", [1017, 40])
+    def test_scheduling_does_not_change_the_chain(self, n_steps):
+        """Pauses in the draw thread change nothing: the potential trace,
+        acceptances, mean, diagonal and sketch match bit for bit, over many
+        blocks and below one."""
+        rng = np.random.default_rng(12)
+        args = (PriorConfig(alpha=6.0, gamma=0.02), TimeGrid(t0=0.0, dt=3600.0, n_steps=20), 2)
+        prior = SmoothnessPrior(*args)
+        f = rng.uniform(0.0, 0.5, (8, prior.n)) * (rng.random((8, prior.n)) < 0.5)
+        noise_var = rng.uniform(0.5, 1.5, 8)
+        d = f @ rng.uniform(0.0, 1.0, prior.n) + rng.normal(0.0, np.sqrt(noise_var))
+        f_white, d_white = whiten(f, d, noise_var)
+        cfg = SamplerConfig(beta=0.3, n_steps=n_steps, burn_in_fraction=0.1, seed=4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # hand the interpreter between the threads often
+        try:
+            runs = [
+                sampling._pcn_kernel(f_white, d_white, np.full(prior.n, 0.6), chain_prior, cfg,
+                                     clip_positive)
+                for chain_prior in (prior, SleepyPrior(*args, seed=1), SleepyPrior(*args, seed=3))
+            ]
+        finally:
+            sys.setswitchinterval(interval)
+        plain = runs[0]
+        assert 0 < plain.accepted < n_steps
+        want = plain.moments.second_moment(clip_positive(plain.mean))
+        for run in runs[1:]:
+            np.testing.assert_array_equal(run.phi_trace, plain.phi_trace)
+            assert run.accepted == plain.accepted
+            np.testing.assert_array_equal(run.mean, plain.mean)
+            got = run.moments.second_moment(clip_positive(run.mean))
+            np.testing.assert_array_equal(got.diag, want.diag)
+            np.testing.assert_array_equal(got.y, want.y)
 
 
 class TestPositivePosterior:

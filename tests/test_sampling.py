@@ -13,11 +13,13 @@ that instead of guessing.
 
 import logging
 import math
+import threading
 
 import numpy as np
 import pytest
 
-from plumeinv.errors import ValidationError
+from plumeinv import threads
+from plumeinv.errors import NumericalError, ValidationError
 from plumeinv.sampling import (
     BLOCK_SIZE,
     SKETCH_SIZE,
@@ -32,11 +34,22 @@ from plumeinv.sampling import (
 )
 
 
-def iid_normal_sampler(dim):
-    def sample(rng, size):
-        return rng.standard_normal((size, dim))
+class NormalPrior:
+    """The chain's prior N(0, R R^T) in len(R) dimensions, R the identity by default."""
 
-    return sample
+    def __init__(self, dim, factor=None):
+        self.normal_shape = (dim,)
+        self.factor = factor
+
+    def fill_normals(self, rng, out):
+        rng.standard_normal(out=out)
+
+    def place_normals(self, normals, out):
+        np.copyto(out, normals)
+
+    def solve(self, out):
+        if self.factor is not None:
+            out[...] = out @ self.factor.T
 
 
 def flat(dim):
@@ -142,7 +155,7 @@ class TestOnlineMoments:
         # a chain that sketches its moments moves as one that keeps none
         dim = SKETCH_SIZE + 1
         cfg = SamplerConfig(beta=0.5, n_steps=300, burn_in_fraction=0.0, seed=2)
-        args = (*quadratic(dim, 0.01), np.zeros(dim), iid_normal_sampler(dim), cfg)
+        args = (*quadratic(dim, 0.01), np.zeros(dim), NormalPrior(dim), cfg)
         sketched = _pcn_kernel(*args)
         assert sketched.moments.omega.shape == (dim, SKETCH_SIZE)
         np.testing.assert_array_equal(sketched.phi_trace, _pcn_kernel(*args, moments=False).phi_trace)
@@ -231,7 +244,7 @@ class TestPcnChainFlatPotential:
         """phi = 0: acceptance is exactly 1 and moments match N(0, I)."""
         dim, beta, n = 4, 0.8, 60000
         cfg = SamplerConfig(beta=beta, n_steps=n, burn_in_fraction=0.1, seed=0)
-        out = pcn_chain(*flat(dim), np.zeros(dim), iid_normal_sampler(dim), cfg)
+        out = pcn_chain(*flat(dim), np.zeros(dim), NormalPrior(dim), cfg)
         assert out.acceptance_rate == 1.0
         assert out.n_nonfinite == 0
         # AR(1) autocorrelation sqrt(1-beta^2) = 0.6 -> tau = 4
@@ -245,7 +258,7 @@ class TestPcnChainFlatPotential:
 
     def test_beta_one_draws_prior_independently(self):
         cfg = SamplerConfig(beta=1.0, n_steps=20000, burn_in_fraction=0.0, seed=1)
-        out = pcn_chain(*flat(2), np.zeros(2), iid_normal_sampler(2), cfg)
+        out = pcn_chain(*flat(2), np.zeros(2), NormalPrior(2), cfg)
         assert out.acceptance_rate == 1.0
         # flat phi trace has zero variance; ESS degrades to the length
         assert out.ess == out.n_kept
@@ -254,7 +267,7 @@ class TestPcnChainFlatPotential:
     def test_nonzero_prior_mean_is_respected(self):
         mean = np.array([3.0, -2.0])
         cfg = SamplerConfig(beta=0.7, n_steps=30000, seed=2)
-        out = pcn_chain(*flat(2), mean, iid_normal_sampler(2), cfg)
+        out = pcn_chain(*flat(2), mean, NormalPrior(2), cfg)
         tau = (1.0 + math.sqrt(1 - 0.49)) / (1.0 - math.sqrt(1 - 0.49))
         np.testing.assert_allclose(out.mean, mean, atol=4.0 * math.sqrt(tau / out.n_kept))
 
@@ -268,7 +281,7 @@ class TestPcnChainFlatPotential:
 
         kept = record_kept_states(monkeypatch)
         cfg = SamplerConfig(beta=1.0, n_steps=40000, burn_in_fraction=0.0, seed=3)
-        out = pcn_chain(*flat(3), np.zeros(3), iid_normal_sampler(3), cfg, link=recording_abs)
+        out = pcn_chain(*flat(3), np.zeros(3), NormalPrior(3), cfg, link=recording_abs)
         # the moments see h(v) once per kept state; the link's last call is at the chain mean of v
         seen = kept()
         assert len(seen) == out.n_kept
@@ -287,9 +300,7 @@ class TestPcnChainConjugateTarget:
         chol = np.linalg.cholesky(np.array([[1.0, 0.3], [0.3, 0.5]]))
         prior_cov = chol @ chol.T
 
-        def prior_sample(rng, size):
-            return rng.standard_normal((size, 2)) @ chol.T
-
+        prior = NormalPrior(2, chol)
         prec_pot = np.array([[2.0, 0.0], [0.0, 0.5]])
         target = np.array([0.2, 1.0])
         # phi(v) = 1/2 (v - target)^T prec_pot (v - target) as a whitened data model
@@ -301,7 +312,7 @@ class TestPcnChainConjugateTarget:
         post_mean = post_cov @ (np.linalg.solve(prior_cov, prior_mean) + prec_pot @ target)
 
         cfg = SamplerConfig(beta=0.5, n_steps=120000, burn_in_fraction=0.2, seed=4)
-        out = pcn_chain(f_white, d_white, prior_mean, prior_sample, cfg)
+        out = pcn_chain(f_white, d_white, prior_mean, prior, cfg)
         assert 0.2 < out.acceptance_rate < 0.95
         tau = out.n_kept / out.ess
         se_mean = np.sqrt(np.diag(post_cov) * tau / out.n_kept)
@@ -318,8 +329,8 @@ class TestPcnChainConjugateTarget:
 class TestPcnChainMechanics:
     def test_bitwise_reproducible(self):
         cfg = SamplerConfig(beta=0.6, n_steps=5000, seed=11)
-        a = pcn_chain(*quadratic(3), np.zeros(3), iid_normal_sampler(3), cfg)
-        b = pcn_chain(*quadratic(3), np.zeros(3), iid_normal_sampler(3), cfg)
+        a = pcn_chain(*quadratic(3), np.zeros(3), NormalPrior(3), cfg)
+        b = pcn_chain(*quadratic(3), np.zeros(3), NormalPrior(3), cfg)
         np.testing.assert_array_equal(a.mean, b.mean)
         np.testing.assert_array_equal(a.cov.y, b.cov.y)
         np.testing.assert_array_equal(a.cov.diag, b.cov.diag)
@@ -335,7 +346,7 @@ class TestPcnChainMechanics:
         for n in (400, 1203):
             kept = record_kept_states(monkeypatch)
             cfg = SamplerConfig(beta=0.6, n_steps=n, burn_in_fraction=0.0, seed=7)
-            pcn_chain(*quadratic(2), np.zeros(2), iid_normal_sampler(2), cfg)
+            pcn_chain(*quadratic(2), np.zeros(2), NormalPrior(2), cfg)
             states[n] = kept()
         short, long = states[400], states[1203]
         # one kept state per step
@@ -346,9 +357,9 @@ class TestPcnChainMechanics:
     def test_transform_replaces_latent_second_moments(self):
         """The identity link gives the link-free chain's mean and cov bit for bit."""
         cfg = SamplerConfig(beta=0.6, n_steps=3000, seed=13)
-        plain = pcn_chain(*quadratic(3), np.zeros(3), iid_normal_sampler(3), cfg)
+        plain = pcn_chain(*quadratic(3), np.zeros(3), NormalPrior(3), cfg)
         mapped = pcn_chain(
-            *quadratic(3), np.zeros(3), iid_normal_sampler(3), cfg, link=lambda v: v.copy()
+            *quadratic(3), np.zeros(3), NormalPrior(3), cfg, link=lambda v: v.copy()
         )
         np.testing.assert_array_equal(mapped.mean, plain.mean)
         np.testing.assert_array_equal(mapped.cov.y, plain.cov.y)
@@ -361,7 +372,7 @@ class TestPcnChainMechanics:
         kept = record_kept_states(monkeypatch)
         cfg = SamplerConfig(beta=0.5, n_steps=600, burn_in_fraction=0.1, seed=9)
         out = pcn_chain(
-            *quadratic(dim, 0.01), np.full(dim, 0.5), iid_normal_sampler(dim), cfg,
+            *quadratic(dim, 0.01), np.full(dim, 0.5), NormalPrior(dim), cfg,
             link=lambda v: np.maximum(v, 0.0),
         )
         seen = kept()
@@ -379,20 +390,78 @@ class TestPcnChainMechanics:
         f_white, d_white = 1e300 * np.eye(2), np.zeros(2)
         cfg = SamplerConfig(beta=0.5, n_steps=200, burn_in_fraction=0.0, seed=5)
         with caplog.at_level(logging.WARNING, logger="plumeinv.sampling"):
-            out = pcn_chain(f_white, d_white, start, iid_normal_sampler(2), cfg)
+            out = pcn_chain(f_white, d_white, start, NormalPrior(2), cfg)
         assert out.acceptance_rate == 0.0
         assert out.n_nonfinite == 200
         np.testing.assert_array_equal(out.mean, start)
         assert any("non-finite" in r.message for r in caplog.records)
 
     def test_nonfinite_at_start_raises(self):
+        """A potential that breaks at the prior mean is a numerical failure (exit 3)."""
         cfg = SamplerConfig(beta=0.5, n_steps=10)
-        with pytest.raises(ValueError):
-            pcn_chain(1e300 * np.eye(2), np.zeros(2), np.ones(2), iid_normal_sampler(2), cfg)
+        with pytest.raises(NumericalError, match="potential at the prior mean"):
+            pcn_chain(1e300 * np.eye(2), np.zeros(2), np.ones(2), NormalPrior(2), cfg)
 
     def test_all_burn_in_raises(self):
         with pytest.raises(ValueError):
             SamplerConfig(beta=0.5, n_steps=1, burn_in_fraction=0.6)
+
+
+class FillFailed(Exception):
+    pass
+
+
+class WatchedPrior(NormalPrior):
+    """N(0, I) that records the BLAS thread count of each fill and raises on
+    fill number ``fail_at`` (1-based), if given."""
+
+    def __init__(self, dim, fail_at=None):
+        super().__init__(dim)
+        self.fail_at = fail_at
+        self.blas_threads = []
+
+    def fill_normals(self, rng, out):
+        self.blas_threads.append(threads.effective())
+        if len(self.blas_threads) == self.fail_at:
+            raise FillFailed(f"fill {self.fail_at}")
+        super().fill_normals(rng, out)
+
+
+class TestDrawThread:
+    def test_fill_error_surfaces_and_no_thread_is_left(self):
+        """A fill that raises on the third block raises out of pcn_chain,
+        and neither a raise, a return nor tune_beta leaves a thread running."""
+        before = threading.active_count()
+        cfg = SamplerConfig(beta=0.5, n_steps=1000, seed=3)
+        with pytest.raises(FillFailed, match="fill 3"):
+            pcn_chain(*quadratic(3), np.zeros(3), WatchedPrior(3, fail_at=3), cfg)
+        assert threading.active_count() == before
+        pcn_chain(*quadratic(3), np.zeros(3), WatchedPrior(3), cfg)
+        assert threading.active_count() == before
+        tune_beta(*quadratic(6, 40.0), np.zeros(6), WatchedPrior(6), seed=0)
+        assert threading.active_count() == before
+
+    def test_blas_runs_on_one_thread_and_the_count_comes_back(self, monkeypatch):
+        """BLAS reads one thread inside the chain, and its count from before
+        the chain (two here) after it, on a return and on a raise."""
+        original = threads.effective()
+        if original is None:
+            pytest.skip("no readable BLAS thread count in this process")
+        monkeypatch.setenv(threads.ENV_THREADS, "2")
+        threads.limit()
+        try:
+            cfg = SamplerConfig(beta=0.5, n_steps=300, seed=3)
+            prior = WatchedPrior(3)
+            pcn_chain(*quadratic(3), np.zeros(3), prior, cfg)
+            assert len(prior.blas_threads) == math.ceil(300 / BLOCK_SIZE)
+            assert set(prior.blas_threads) == {1}
+            assert threads.effective() == 2
+            with pytest.raises(FillFailed):
+                pcn_chain(*quadratic(3), np.zeros(3), WatchedPrior(3, fail_at=2), cfg)
+            assert threads.effective() == 2
+        finally:
+            monkeypatch.setenv(threads.ENV_THREADS, str(original))
+            threads.limit()
 
 
 class TestTuneBeta:
@@ -405,7 +474,7 @@ class TestTuneBeta:
         out = tune_beta(
             *self.concentrated(),
             np.zeros(6),
-            iid_normal_sampler(6),
+            NormalPrior(6),
             seed=0,
         )
         assert isinstance(out, TuneResult)
@@ -418,25 +487,25 @@ class TestTuneBeta:
             raise AssertionError("tune_beta updated chain moments")
 
         monkeypatch.setattr(OnlineMoments, "update_block", refuse)
-        out = tune_beta(*self.concentrated(), np.zeros(6), iid_normal_sampler(6), seed=0)
+        out = tune_beta(*self.concentrated(), np.zeros(6), NormalPrior(6), seed=0)
         assert out.in_band
         assert 0.25 <= out.acceptance_rate <= 0.35
 
     def test_flat_potential_band_unreachable(self, caplog):
         with caplog.at_level(logging.WARNING, logger="plumeinv.sampling"):
-            out = tune_beta(*flat(2), np.zeros(2), iid_normal_sampler(2), seed=0)
+            out = tune_beta(*flat(2), np.zeros(2), NormalPrior(2), seed=0)
         assert out.beta == 1.0
         assert out.acceptance_rate == 1.0
         assert not out.in_band
         assert any("unreachable" in r.message for r in caplog.records)
 
     def test_deterministic(self):
-        a = tune_beta(*self.concentrated(), np.zeros(6), iid_normal_sampler(6), seed=3)
-        b = tune_beta(*self.concentrated(), np.zeros(6), iid_normal_sampler(6), seed=3)
+        a = tune_beta(*self.concentrated(), np.zeros(6), NormalPrior(6), seed=3)
+        b = tune_beta(*self.concentrated(), np.zeros(6), NormalPrior(6), seed=3)
         assert a == b
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            tune_beta(*flat(2), np.zeros(2), iid_normal_sampler(2), pilot_steps=500)
+            tune_beta(*flat(2), np.zeros(2), NormalPrior(2), pilot_steps=500)
         with pytest.raises(ValueError):
-            tune_beta(*flat(2), np.zeros(2), iid_normal_sampler(2), target=(0.5, 0.3))
+            tune_beta(*flat(2), np.zeros(2), NormalPrior(2), target=(0.5, 0.3))
