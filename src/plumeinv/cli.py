@@ -25,8 +25,8 @@ __all__ = ["main", "build_parser"]
 logger = logging.getLogger(__name__)
 
 _STAGE_BY_COMMAND = {
-    "synth": "synth",
     "wind-fit": "wind_fit",
+    "synth": "synth",
     "invert": "invert",
     "propagate": "propagate",
     "run": "propagate",
@@ -63,11 +63,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_synth = sub.add_parser("synth", help="generate the synthetic case artifacts")
-    _add_common(p_synth)
-
     p_wind = sub.add_parser("wind-fit", help="regularize raw wind onto the time grid")
     _add_common(p_wind)
+
+    p_synth = sub.add_parser("synth", help="generate the synthetic case artifacts")
+    _add_common(p_synth)
 
     p_inv = sub.add_parser("invert", help="estimate emission rates from measurements")
     _add_common(p_inv)

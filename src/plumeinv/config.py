@@ -116,6 +116,14 @@ class RunConfig:
             steps = self.time.duration_s / dt
             if abs(steps - round(steps)) > 1e-9:
                 raise ValidationError(f"{name}={dt} does not divide the duration evenly")
+            if round(steps) < 2:
+                raise ValidationError(f"{name}_s={dt} leaves fewer than two steps in the duration")
+        inverse_crime = self.dt_generation == self.dt_inversion and not self.allow_same_dt
+        if self.synthetic is not None and inverse_crime:
+            raise ValidationError(
+                "dt_generation_s equals dt_inversion_s; generating data on the inversion "
+                "grid invites an inverse crime (set allow_same_dt to override)"
+            )
         if self.wind_cv_max_points < CV_MIN_POINTS:
             raise ValidationError(
                 f"wind_cv_max_points must be at least {CV_MIN_POINTS}, "

@@ -1,8 +1,10 @@
 """Stage orchestration over one run directory.
 
-Four stages: ``synth`` (bundled twin-case generator), ``wind_fit`` (GP
-regularization of the raw records), ``invert`` (constant, smooth, and
-positive estimates), ``propagate`` (low-rank deposition map). Each stage
+Four stages, in this order: ``wind_fit`` (GP regularization of the raw
+records, which a synthetic case first writes from its wind model),
+``synth`` (twin-case data on the fitted wind), ``invert`` (constant,
+smooth, and positive estimates), ``propagate`` (low-rank deposition map).
+No stage runs another; ``run_stage`` alone chains them. Each stage
 writes its artifacts, stamped with its key, plus a run-metadata entry;
 the arrays a later stage loads (the fitted wind, the positive-stage mean,
 its covariance's Nystrom factor and trace) live in ``state/*.npz``, and
@@ -63,17 +65,18 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-STAGES = ("synth", "wind_fit", "invert", "propagate")
+STAGES = ("wind_fit", "synth", "invert", "propagate")
 
 # The config each stage reads, as dotted paths into config_dict(cfg).
 # sampler.seed is the run's one seed: it drives the synthetic noise, the
-# wind cross-validation shuffle and the chain. synth generates its data
-# from the wind it fits itself, so its slice holds the wind fit's.
-_WIND_FIT_SLICE = ("time", "dt_inversion", "dt_generation", "sampler.seed", "wind_cv_max_points")
+# wind cross-validation shuffle and the chain. A change to the wind fit's
+# slice reaches synth through the upstream key of state/wind.npz.
 _MODEL_SLICE = ("time", "dt_inversion", "sources", "particle", "stability", "plume")
 SLICES = {
-    "synth": _WIND_FIT_SLICE + _MODEL_SLICE + ("synthetic", "noise_floor", "allow_same_dt"),
-    "wind_fit": _WIND_FIT_SLICE,
+    "wind_fit": ("time", "dt_inversion", "dt_generation", "sampler.seed", "wind_cv_max_points")
+    + ("synthetic.wind_model", "synthetic.wind_cadence_s"),
+    "synth": ("dt_generation", "sampler.seed") + _MODEL_SLICE
+    + ("synthetic", "noise_floor", "allow_same_dt"),
     "invert": _MODEL_SLICE + ("noise_floor", "prior", "sampler"),
     "propagate": _MODEL_SLICE + ("grid",),
 }
@@ -118,9 +121,12 @@ def _stage_files(cfg: RunConfig) -> dict:
         cfg.resolve_input(name) for name in ("wind_csv", "sensors_file", "measurements_csv")
     )
     wind_state, inversion_state = out / WIND_STATE, out / INVERSION_STATE
+    wind_fit = (wind_state, out / WIND_FIT_CSV, out / WIND_FIT_JSON)
+    # A synthetic case's wind file is the wind fit's own output, never an input.
+    wind_fit = ((wind_csv,), wind_fit) if cfg.synthetic is None else ((), (wind_csv, *wind_fit))
     return {
-        "synth": ((), (wind_csv, sensors, measurements, out / TRUTH_FILE)),
-        "wind_fit": ((wind_csv,), (wind_state, out / WIND_FIT_CSV, out / WIND_FIT_JSON)),
+        "wind_fit": wind_fit,
+        "synth": ((wind_state,), (sensors, measurements, out / TRUTH_FILE)),
         "invert": (
             (sensors, measurements, wind_state),
             (inversion_state, *(out / f"emissions_{name}.csv" for name in ESTIMATES)),
@@ -139,8 +145,9 @@ def _file_digest(path: Path) -> Optional[str]:
 
 
 def _pick(plain: dict, dotted: str):
+    # None under a missing section: a real-data case has no synthetic keys.
     for part in dotted.split("."):
-        plain = plain[part]
+        plain = None if plain is None else plain[part]
     return plain
 
 
@@ -221,36 +228,17 @@ def _load_state(cfg: RunConfig, stage: str, name: str) -> dict:
 
 
 def run_synth(cfg: RunConfig) -> dict:
-    """Generate the synthetic case artifacts into the run directory.
+    """Write the sensor registry, the noisy measurement CSV, and the truth rates.
 
-    Writes the raw wind CSV, the sensor registry, the noisy measurement
-    CSV, and the truth rates. The data come from the wind_fit stage's
-    generation-grid series, read back when that stage is fresh and
-    fitted otherwise. Measurement generation runs on the finer
-    generation grid; reusing the inversion step size is refused unless
-    the config opts in.
+    The data are made on the generation grid from the fresh wind fit's series.
     """
     if cfg.synthetic is None:
         raise ConfigurationError("config has no synthetic section; cannot run synth")
-    if cfg.dt_generation == cfg.dt_inversion and not cfg.allow_same_dt:
-        raise ConfigurationError(
-            "dt_generation equals dt_inversion; generating data on the inversion "
-            "grid invites an inverse crime (set allow_same_dt to override)"
-        )
     tic = time.perf_counter()
     out = cfg.resolve_out_dir()
-    out.mkdir(parents=True, exist_ok=True)
     key = _stage_keys(cfg)["synth"]
     gen_grid = generation_grid(cfg)
-    t0 = gen_grid.t0
-
-    records = wind_records(
-        cfg.synthetic.wind_model, t0, cfg.time.duration_s, cfg.synthetic.wind_cadence_s
-    )
-    io.write_wind_csv(cfg.resolve_input("wind_csv"), records, key)
-    # The wind-fit key covers the file just written, so a fresh fit is
-    # reused; otherwise fit from that file so later refits reproduce it.
-    wind = load_wind_series(cfg) if _fresh(cfg, "wind_fit") else run_wind_fit(cfg)
+    wind = load_wind_series(cfg)
 
     sensors = cfg.synthetic.sensors
     io.write_sensors(cfg.resolve_input("sensors_file"), sensors, key)
@@ -292,29 +280,32 @@ def run_synth(cfg: RunConfig) -> dict:
 def run_wind_fit(cfg: RunConfig) -> dict:
     """Regularize the raw wind records onto the inversion grid.
 
-    One cross-validation per component selects the kernel; one fit then
-    serves the inversion grid and, when the config has a synthetic
-    section, the generation grid too (the synth stage consumes that series).
+    A synthetic case first writes the raw records from its wind model;
+    they are read back from that file, so a later refit from it matches
+    this fit bit for bit. One cross-validation per component selects the
+    kernel; one fit then serves the inversion grid and, in a synthetic
+    case, the generation grid the synth stage makes its data on.
     Returns {"inversion": WindSeries, "generation": WindSeries | None}.
     """
     tic = time.perf_counter()
     key = _stage_keys(cfg)["wind_fit"]
+    out, syn, inv_grid = cfg.resolve_out_dir(), cfg.synthetic, inversion_grid(cfg)
+    if syn is not None:
+        out.mkdir(parents=True, exist_ok=True)
+        records = wind_records(syn.wind_model, inv_grid.t0, cfg.time.duration_s, syn.wind_cadence_s)
+        io.write_wind_csv(cfg.resolve_input("wind_csv"), records, key)
     records = io.load_wind_csv(cfg.resolve_input("wind_csv"))
-    inv_grid = inversion_grid(cfg)
     choices = select_hyperparameters(
         records, seed=cfg.sampler.seed, cv_max_points=cfg.wind_cv_max_points
     )
-    grids = [inv_grid] if cfg.synthetic is None else [inv_grid, generation_grid(cfg)]
+    grids = [inv_grid] if syn is None else [inv_grid, generation_grid(cfg)]
     series = fit_wind(records, grids, [choice.config for choice in choices])
-    series_inv = series[0]
-    series_gen = series[1] if cfg.synthetic is not None else None
-    arrays = {"u_x_inv": series_inv.u_x, "u_y_inv": series_inv.u_y}
-    if series_gen is not None:
-        arrays["u_x_gen"] = series_gen.u_x
-        arrays["u_y_gen"] = series_gen.u_y
+    series_inv, series_gen = series[0], (series[1] if syn is not None else None)
+    arrays = {}
+    for tag, fitted in zip(("inv", "gen"), series):
+        arrays.update({f"u_x_{tag}": fitted.u_x, f"u_y_{tag}": fitted.u_y})
     _save_state(cfg, WIND_STATE, **arrays)
 
-    out = cfg.resolve_out_dir()
     io.write_wind_fit_csv(out / WIND_FIT_CSV, series_inv, key)
     hyper = {
         name: {
@@ -621,8 +612,8 @@ def run_propagate(cfg: RunConfig) -> dict:
 
 
 _RUNNERS = {
-    "synth": run_synth,
     "wind_fit": run_wind_fit,
+    "synth": run_synth,
     "invert": run_invert,
     "propagate": run_propagate,
 }

@@ -35,7 +35,7 @@ ARTIFACTS = [
     "run_metadata.json",
 ]
 WRITTEN_BY = {
-    "wind.csv": "synth",
+    "wind.csv": "wind_fit",
     "sensors.yaml": "synth",
     "measurements.csv": "synth",
     "truth_rates.csv": "synth",
@@ -298,12 +298,17 @@ class TestStageCommands:
             data["time"]["start"] = "2024-06-02T00:00:00Z"
             data["synthetic"]["sensors"][0]["schedule"]["start"] = "2024-06-02T00:00:00Z"
 
+        def slow_wind(data):
+            shift_start(data)
+            data["synthetic"]["wind_model"]["speed_base_mps"] = 2.5
+
         cfg_path, out = write_case(tmp_path)
         shifted, _ = write_case(tmp_path, name="shifted.yaml", mutate=shift_start)
+        slowed, _ = write_case(tmp_path, name="slowed.yaml", mutate=slow_wind)
         first = ["wind.csv", "state/wind.npz", "state/inversion.npz", "deposition_grid.csv"]
         assert cli.main(["run", "--config", str(cfg_path)]) == 0
-        # a --seed edit, then a time.start edit
-        for case in (cfg_path, shifted):
+        # a --seed edit, then a time.start edit, then a synthetic.wind_model edit
+        for case in (cfg_path, shifted, slowed):
             before, keys = mtimes(out, first), stage_keys(out)
             assert cli.main(["run", "--config", str(case), "--seed", "1"]) == 0
             after, new_keys = mtimes(out, first), stage_keys(out)
@@ -321,10 +326,44 @@ class TestStageCommands:
         (out / "measurements.csv").unlink()
         assert cli.main(argv) == 0
         assert (out / "measurements.csv").read_bytes() == data
-        after = mtimes(out, ["wind.csv", "state/wind.npz"])
-        assert after["wind.csv"] > before["wind.csv"]
         # synth reads the still-fresh wind fit back instead of refitting
-        assert after["state/wind.npz"] == before["state/wind.npz"]
+        assert mtimes(out, ["wind.csv", "state/wind.npz"]) == before
+
+    def test_signal_edit_keeps_the_wind_fit(self, tmp_path):
+        def shift_offset(data):
+            data["synthetic"]["signals"][0]["offset_kg_s"] = 1.2
+
+        cfg_path, out = write_case(tmp_path)
+        edited, _ = write_case(tmp_path, name="edited.yaml", mutate=shift_offset)
+        argv = ["invert", "--through", "constant", "--config"]
+        wind = ["wind.csv", "wind_fit.csv", "state/wind.npz"]
+        assert cli.main(argv + [str(cfg_path)]) == 0
+        rerun = ["measurements.csv", "emissions_constant.csv"]
+        before, keys = mtimes(out, wind + rerun), stage_keys(out)
+        assert cli.main(argv + [str(edited)]) == 0
+        after, new_keys = mtimes(out, wind + rerun), stage_keys(out)
+        for name in wind:
+            assert after[name] == before[name], name
+        for name in rerun:
+            assert after[name] > before[name], name
+        # invert --through constant records no key of its own
+        assert keys.keys() == new_keys.keys() == {"wind_fit", "synth"}
+        assert new_keys["wind_fit"] == keys["wind_fit"] and new_keys["synth"] != keys["synth"]
+
+    def test_wind_fit_alone_fits_once(self, tmp_path, monkeypatch):
+        calls = []
+        fit_wind = pipeline.fit_wind
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return fit_wind(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "fit_wind", counting)
+        cfg_path, out = write_case(tmp_path)
+        assert cli.main(["wind-fit", "--config", str(cfg_path)]) == 0
+        assert len(calls) == 1
+        assert (out / "wind.csv").is_file() and (out / "state" / "wind.npz").is_file()
+        assert not (out / "sensors.yaml").exists()
 
     def test_every_config_leaf_is_in_a_slice(self, tmp_path):
         cfg_path, _ = write_case(tmp_path)
@@ -353,7 +392,7 @@ class TestLeanState:
     def test_positive_stage_forms_no_dense_prior(self, tmp_path, monkeypatch):
         cfg_path, _ = write_case(tmp_path)
         cfg = load_config(cfg_path)
-        pipeline.run_stage(cfg, "wind_fit")
+        pipeline.run_stage(cfg, "synth")
 
         def refuse(self):
             raise AssertionError("dense n x n prior covariance formed")
@@ -366,7 +405,7 @@ class TestLeanState:
     def test_invert_holds_f_as_csr(self, tmp_path, monkeypatch):
         cfg_path, _ = write_case(tmp_path)
         cfg = load_config(cfg_path)
-        pipeline.run_stage(cfg, "wind_fit")
+        pipeline.run_stage(cfg, "synth")
         assembled = []
         assemble_f = pipeline.assemble_F
 
@@ -465,6 +504,14 @@ class TestExitCodes:
         cfg_path, _ = write_case(tmp_path)
         assert cli.main(["run", "--config", str(cfg_path)]) == 3
         assert "sketch core" in caplog.text
+
+    def test_one_step_grid_is_2(self, tmp_path):
+        def one_step(data):  # one inversion step of 3600 s
+            data["time"]["duration_s"] = 3600.0
+
+        cfg_path, out = write_case(tmp_path, mutate=one_step)
+        assert cli.main(["run", "--config", str(cfg_path)]) == 2
+        assert not out.exists()
 
     def test_cv_cap_below_three_is_2(self, tmp_path):
         cfg_path, out = write_case(tmp_path, mutate=lambda d: d.update(wind_cv_max_points=0))
@@ -675,7 +722,7 @@ class TestEntryPoint:
             "import numpy\n"
             "from plumeinv import pipeline\n"
             "from plumeinv.config import load_config\n"
-            "pipeline.run_stage(load_config(sys.argv[1]), 'wind_fit')\n"
+            "pipeline.run_stage(load_config(sys.argv[1]), 'synth')\n"
         )
         env = {**os.environ, "PLUME_THREADS": "1", "OPENBLAS_NUM_THREADS": "2",
                "OMP_NUM_THREADS": "2"}

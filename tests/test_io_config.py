@@ -434,6 +434,23 @@ class TestLoadConfig:
         with pytest.raises(ValidationError, match="evenly"):
             load_config(write_config(tmp_path, data))
 
+    @pytest.mark.parametrize("key", ["dt_inversion_s", "dt_generation_s"])
+    def test_one_step_grid_raises(self, tmp_path, key):
+        data = base_config(tmp_path)
+        data["time"]["duration_s"] = 7200.0
+        data[key] = 7200.0
+        with pytest.raises(ValidationError, match=f"{key}=7200.0 leaves fewer than two steps"):
+            load_config(write_config(tmp_path, data))
+
+    def test_synthetic_same_dt_needs_opt_in(self, tmp_path):
+        data = yaml.safe_load(BUNDLED_CASE.read_text())
+        data["paths"]["out_dir"] = str(tmp_path / "out")
+        data["dt_generation_s"] = data["dt_inversion_s"]
+        with pytest.raises(ValidationError, match="allow_same_dt"):
+            load_config(write_config(tmp_path, data))
+        data["allow_same_dt"] = True
+        assert load_config(write_config(tmp_path, data)).allow_same_dt
+
     def test_duplicate_source_ids_raise(self, tmp_path):
         data = base_config(tmp_path)
         data["sources"].append(dict(data["sources"][0]))
