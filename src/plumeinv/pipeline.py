@@ -46,6 +46,7 @@ from .inversion import (
     positive_posterior,
 )
 from .observation import MeasurementSet, TimeGrid, assemble_F
+from .sampling import sketch_test_matrix
 from .synthetic import generate_synthetic, wind_records
 from .uqprop import annualize, assemble_H, deposition_stats, lowrank_truncate
 from .windprep import WindSeries, fit_wind, select_hyperparameters
@@ -549,6 +550,7 @@ def run_propagate(cfg: RunConfig) -> dict:
     # E E^T <= C, so this share bounds the sketch's error in the trace norm
     unexplained = 1.0 - np.vdot(factor, factor) / total_variance
     sketch_size = factor.shape[1]
+    test_matrix = sketch_test_matrix(factor.shape[0])
     del factor, state["cov_factor"]
     _release_freed_heap()
     h_matrix = assemble_H(
@@ -596,6 +598,7 @@ def run_propagate(cfg: RunConfig) -> dict:
             "eigensolve": {
                 "method": "nystrom",
                 "sketch_size": sketch_size,
+                **test_matrix,
                 "unexplained_trace_share": float(unexplained),
             },
             "kept_variance_share": float(factors.eigenvalues.sum() / total_variance),

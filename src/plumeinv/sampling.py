@@ -29,8 +29,10 @@ the next block to the draw thread, and does the rest: the
 solve, the scaling by beta, one product forming F w for the whole block
 and one more forming F v at its start, the accept loop and the moment
 updates. Each stream is read by one thread in block order, so the draws
-do not depend on how the two threads are scheduled. Philox and the
-sparse products release the GIL; the solve holds it. The kernel runs
+do not depend on how the two threads are scheduled. The Philox fills
+and NumPy's matmul release the GIL; SciPy's sparse products and its BLAS
+and LAPACK wrappers (``dgemm``, the ``dpttrs`` solve) hold it: run beside
+a NumPy loop on another thread, they do not overlap it. The kernel runs
 with BLAS on one thread (``threads.single``), so the draw thread has a
 core of its own. The accept loop runs in the data space, where
 
@@ -38,9 +40,12 @@ core of its own. The accept loop runs in the data space, where
 
 and F (h(v~) - v~) is added on the columns where the link moves v~ (for
 clipping, the negative entries), so phi is exact without a product by F
-per step. Every column of the draw and of the product is computed on its
-own, so chains of different lengths share their common prefix of states
-bit for bit.
+per step. The products by F take its rows apart by density (``_RowSplit``):
+the few rows with more than n/8 nonzeros (dustfall jars, each spanning
+the whole period) go through one BLAS GEMM, the rest stay sparse. Every
+column of the draw and of the product is computed on its own, and the
+GEMM always runs at the full block width, so chains of different lengths
+share their common prefix of states and potentials bit for bit.
 
 Running moments use a blocked, numerically stable one-pass (Welford/Chan)
 update so chains of 1e5+ states in thousands of dimensions never need to
@@ -48,9 +53,13 @@ be stored. The kept chain is a sequence of distinct states with dwell
 counts (Douc & Robert 2011, Ann. Statist.); each distinct state reaches
 ``OnlineMoments.update_block`` once, with its count. The n x n scatter is
 never formed: each block adds its exact diagonal and its product with a
-fixed n x ``SKETCH_SIZE`` Gaussian test matrix Omega, two GEMMs instead of
-a rank-64 ``syrk``, and ``second_moment`` turns them into the diagonal
-and the sketch Y = C Omega of the second moment C about a given point.
+fixed n x ``SKETCH_SIZE`` test matrix Omega, a sparse product and one GEMM
+instead of a rank-64 ``syrk``, and ``second_moment`` turns them into the
+diagonal and the sketch Y = C Omega of the second moment C about a given
+point. Omega is a sparse sign matrix: ``SKETCH_NONZEROS`` entries of +-1 in
+distinct columns of each row (Tropp, Yurtsever, Udell & Cevher 2019,
+"Streaming low-rank matrix approximation with an application to
+scientific simulation", SIAM J. Sci. Comput.).
 ``CovarianceSketch.nystrom_factor`` then gives the stable single-pass
 Nystrom factor E, with E E^T <= C, from which the leading eigenpairs
 follow (Tropp, Yurtsever, Udell & Cevher 2017, "Fixed-rank approximation
@@ -72,6 +81,7 @@ from typing import Callable, Optional, Protocol, Tuple
 import numpy as np
 from scipy.linalg.blas import dgemm, dger, dtrsm
 from scipy.linalg.lapack import dpotrf
+from scipy.sparse import csr_array, eye_array
 from scipy.special import ndtri
 
 from . import threads
@@ -83,6 +93,7 @@ __all__ = [
     "ChainSummary",
     "OnlineMoments",
     "CovarianceSketch",
+    "sketch_test_matrix",
     "TuneResult",
     "pcn_chain",
     "tune_beta",
@@ -97,6 +108,7 @@ TUNE_MAX_ITER = 12  # bisections tune_beta tries before settling for the closest
 R_HAT_SPLITS = 4  # parts the kept potential trace is split into for split-R-hat
 SKETCH_SIZE = 400  # columns of the test matrix the chain's covariance is sketched with
 SKETCH_SEED = 0  # seed of the test matrix's own generator
+SKETCH_NONZEROS = 8  # +-1 entries in each row of the sparse sign test matrix
 
 Link = Callable[[np.ndarray], np.ndarray]
 
@@ -168,12 +180,31 @@ def _merged_mean(mean: np.ndarray, count: int, rows: np.ndarray, counts: np.ndar
     return block_mean, mean + (block_mean - mean) * (b / (count + b))
 
 
-def _sketch_matrix(dim: int) -> np.ndarray:
-    """The test matrix Omega, Fortran-ordered: the identity up to ``SKETCH_SIZE``
-    dimensions, a fixed-seed standard Gaussian dim x ``SKETCH_SIZE`` above."""
+def _sketch_matrix(dim: int) -> csr_array:
+    """The test matrix Omega, as CSR: the identity up to ``SKETCH_SIZE``
+    dimensions, and above it a fixed-seed dim x ``SKETCH_SIZE`` sparse sign
+    matrix whose rows each hold ``SKETCH_NONZEROS`` entries of +-1 in
+    distinct columns."""
     if dim <= SKETCH_SIZE:
-        return np.eye(dim, order="F")
-    return np.random.default_rng(SKETCH_SEED).standard_normal((SKETCH_SIZE, dim)).T
+        return eye_array(dim, format="csr")
+    rng = np.random.default_rng(SKETCH_SEED)
+    cols = rng.integers(0, SKETCH_SIZE, (dim, SKETCH_NONZEROS))
+    while True:  # redraw the rows that repeat a column, about 7% a round
+        cols.sort(axis=1)
+        repeats = np.flatnonzero((np.diff(cols, axis=1) == 0).any(axis=1))
+        if not repeats.size:
+            break
+        cols[repeats] = rng.integers(0, SKETCH_SIZE, (repeats.size, SKETCH_NONZEROS))
+    signs = rng.integers(0, 2, cols.shape) * 2.0 - 1.0
+    indptr = np.arange(0, cols.size + 1, SKETCH_NONZEROS)
+    return csr_array((signs.ravel(), cols.ravel(), indptr), shape=(dim, SKETCH_SIZE))
+
+
+def sketch_test_matrix(dim: int) -> dict:
+    """The test matrix of a dim-dimensional sketch, as run metadata."""
+    if dim <= SKETCH_SIZE:
+        return {"test_matrix": "identity", "nonzeros_per_row": 1}
+    return {"test_matrix": "sparse_sign", "nonzeros_per_row": SKETCH_NONZEROS}
 
 
 @dataclass(eq=False)
@@ -184,25 +215,30 @@ class CovarianceSketch:
     """
 
     diag: np.ndarray  # (dim,)
-    omega: np.ndarray  # (dim, width), Fortran-ordered
+    omega: csr_array  # (dim, width)
     y: Optional[np.ndarray]  # (dim, width), Fortran-ordered; None once factored
 
     def nystrom_factor(self) -> np.ndarray:
         """E, dim x width, with E E^T the shifted Nystrom approximation of C.
 
         The shift nu = sqrt(dim) eps(||Y||_F) makes the core
-        Omega^T Y_nu = Omega^T (Y + nu Omega) positive definite; its upper
-        Cholesky factor R gives E = Y R^-1, so E E^T = Y (Omega^T Y_nu)^-1 Y^T.
-        That is the stable single-pass Nystrom approximation of Tropp et al.
-        2017 (Alg. 3), with Y in place of Y_nu outside the core so that
-        E E^T <= C holds without a correction by nu: 1 - ||E||_F^2 / tr C
-        bounds the sketch's error in the trace norm. E is written over Y,
-        which the sketch then no longer holds. Raises ``NumericalError``
-        when the core does not factor.
+        Omega^T Y_nu = Omega^T Y + nu Omega^T Omega positive definite; its
+        upper Cholesky factor R gives E = Y R^-1, so
+        E E^T = Y (Omega^T Y_nu)^-1 Y^T. That is the stable single-pass
+        Nystrom approximation of Tropp et al. 2017 (Alg. 3), with Y in place
+        of Y_nu outside the core so that E E^T <= C holds without a
+        correction by nu: 1 - ||E||_F^2 / tr C bounds the sketch's error in
+        the trace norm. E is written over Y, which the sketch then no longer
+        holds. Raises ``NumericalError`` when the core does not factor.
         """
         nu = math.sqrt(self.y.shape[0]) * float(np.spacing(np.linalg.norm(self.y)))
-        core = dgemm(1.0, self.omega, self.y, trans_a=1)
-        core = dgemm(nu, self.omega, self.omega, beta=1.0, c=core, trans_a=1, overwrite_c=1)
+        omega_t = self.omega.T
+        core = nu * (omega_t @ self.omega).toarray()
+        # Omega^T Y a tile of columns at a time: the sparse product copies
+        # its operand to C order, and a copy of the whole Y would set
+        # invert's memory high water
+        for j in range(0, core.shape[1], BLOCK_SIZE):
+            core[:, j : j + BLOCK_SIZE] += omega_t @ self.y[:, j : j + BLOCK_SIZE]
         r, info = dpotrf(0.5 * (core + core.T), lower=0, clean=1, overwrite_a=1)
         if info != 0:
             raise NumericalError(
@@ -221,9 +257,9 @@ class OnlineMoments:
     root of their counts, and the scaled mean shift, as a (b + 1) x dim
     array A; the scatter grows by A^T A, so its diagonal grows by the
     column sums of A * A and its sketch Y (dim x width, Fortran-ordered,
-    updated in place) by A^T (A Omega). Accuracy does not degrade with
-    chain length, and nothing dim x dim is built once dim exceeds
-    ``SKETCH_SIZE``.
+    updated in place) by A^T (A Omega): a sparse product and one GEMM.
+    Accuracy does not degrade with chain length, and nothing dim x dim is
+    built once dim exceeds ``SKETCH_SIZE``.
     """
 
     def __init__(self, dim: int):
@@ -254,10 +290,10 @@ class OnlineMoments:
             block_mean - self.mean, math.sqrt(self.count * n_block / n_new), out=stacked[b]
         )
         self.diag += np.einsum("ij,ij->j", stacked, stacked)
-        self.y = dgemm(
-            1.0, stacked, dgemm(1.0, stacked, self.omega), beta=1.0, c=self.y,
-            trans_a=1, overwrite_c=1,
-        )
+        # A Omega, formed as (Omega^T A^T)^T: A^T is C-ordered, so the
+        # sparse product reads it in place
+        z = (self.omega.T @ stacked.T).T
+        self.y = dgemm(1.0, stacked, z, beta=1.0, c=self.y, trans_a=1, overwrite_c=1)
         self.mean = mean
         self.count = n_new
 
@@ -375,6 +411,41 @@ class _ChainRun:
     moments: Optional[OnlineMoments]  # moments of h(v) over the kept steps
 
 
+class _RowSplit:
+    """F with its rows apart by density, for the chain's products.
+
+    Rows with more than n/8 nonzeros (n the number of columns) are one
+    C-ordered dense array, multiplied by BLAS; the rest stay CSC. Products
+    come back with the dense rows first: row i of a product is row
+    ``order[i]`` of F.
+    """
+
+    def __init__(self, f):
+        f = csr_array(f, dtype=float)
+        dense = np.diff(f.indptr) > f.shape[1] / 8
+        self.order = np.concatenate([np.flatnonzero(dense), np.flatnonzero(~dense)])
+        self.n_dense = int(dense.sum())
+        self.dense = f[self.order[: self.n_dense]].toarray()
+        self.sparse = f[self.order[self.n_dense :]].tocsc()
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """F x for a vector x."""
+        return np.concatenate([self.dense @ x, self.sparse @ x])
+
+    def columns(self, cols: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """F[:, cols] x."""
+        return np.concatenate([self.dense[:, cols] @ x, self.sparse[:, cols] @ x])
+
+    def block(self, w: np.ndarray, out: np.ndarray) -> None:
+        """Column k of ``out`` becomes F w_k, w_k row k of the C-ordered ``w``.
+
+        Callers pass the same width every time: the GEMM's rounding can
+        depend on how many columns it is given.
+        """
+        np.matmul(self.dense, w.T, out=out[: self.n_dense])
+        out[self.n_dense :] = self.sparse @ w.T
+
+
 def _pcn_kernel(
     f_white,
     d_white: np.ndarray,
@@ -386,13 +457,15 @@ def _pcn_kernel(
 ) -> _ChainRun:
     """Run ``cfg.n_steps`` pCN steps a block at a time (see the module docstring).
 
-    ``f_white`` is any matrix with ``@`` and column indexing (a CSC array in
-    the pipeline). With ``moments`` off only acceptances and the potential
-    trace are kept. The draw thread is joined, and the BLAS thread counts
-    restored, before this returns or raises.
+    ``f_white`` is a dense or sparse matrix; the kernel holds it only as a
+    ``_RowSplit``, and works in that split's row order. With ``moments``
+    off only acceptances and the potential trace are kept. The draw thread
+    is joined, and the BLAS thread counts restored, before this returns or
+    raises.
     """
     m = np.asarray(prior_mean, dtype=float)
-    d_white = np.asarray(d_white, dtype=float)
+    f = _RowSplit(f_white)
+    d_white = np.asarray(d_white, dtype=float)[f.order]
     rng_prop, rng_acc = _streams(cfg.seed)
     shrink = math.sqrt(max(0.0, 1.0 - cfg.beta**2))
 
@@ -402,7 +475,7 @@ def _pcn_kernel(
             moved = link(v) - v
             cols = np.flatnonzero(moved)
             if cols.size:
-                fv = fv + f_white[:, cols] @ moved[cols]
+                fv = fv + f.columns(cols, moved[cols])
         residual = fv - d_white
         return 0.5 * float(residual @ residual)
 
@@ -419,9 +492,11 @@ def _pcn_kernel(
     n_nonfinite = 0
     # The draw thread writes the next block's normals and exponentials into
     # ``normals`` and ``exponentials`` while the main thread works on their
-    # copies: ``w``, the block's draws, and ``log_u``.
+    # copies: ``w``, the block's draws, and ``log_u``. ``w`` and the block
+    # product ``fw_t`` keep BLOCK_SIZE columns for a shorter last block too.
     normals = np.empty((min(BLOCK_SIZE, cfg.n_steps), *prior.normal_shape))
-    w = np.empty((len(normals), m.size))
+    w = np.zeros((BLOCK_SIZE, m.size))
+    fw_t = np.empty((len(d_white), BLOCK_SIZE))
     exponentials, log_u = np.empty(len(normals)), np.empty(len(normals))
 
     def draw(b: int) -> None:
@@ -436,7 +511,7 @@ def _pcn_kernel(
         acc.update_block(kept if link is None else link(kept), weights)
 
     v = m.copy()
-    fm = np.asarray(f_white @ m, dtype=float)
+    fm = f @ m
     with threads.single(), ThreadPoolExecutor(1, "pcn-draw") as drawer, np.errstate(
         over="ignore", invalid="ignore"  # a non-finite phi rejects
     ):
@@ -458,8 +533,9 @@ def _pcn_kernel(
             # F v is carried from step to step inside a block; forming it
             # afresh at each block start keeps its rounding error from
             # building up over many steps when beta is small.
-            fv = np.asarray(f_white @ v, dtype=float)
-            fw = np.asarray(f_white @ block.T, dtype=float).T  # row k is F (beta w_k)
+            fv = f @ v
+            f.block(w, fw_t)
+            fw = fw_t.T  # row k is F (beta w_k)
             for k in range(b):
                 proposal = v - m
                 proposal *= shrink

@@ -14,6 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.sparse import eye_array
 
 from plumeinv import pipeline
 from plumeinv.cli import default_config_path
@@ -525,7 +526,9 @@ def test_criterion_10_lowrank_deposition(bundled):
     q = rng.uniform(0.0, 2.0, n)
 
     # a full-width sketch (the identity test matrix) keeps the whole covariance
-    full = CovarianceSketch(diag=np.diag(cov), omega=np.eye(n, order="F"), y=np.array(cov, order="F"))
+    full = CovarianceSketch(
+        diag=np.diag(cov), omega=eye_array(n, format="csr"), y=np.array(cov, order="F")
+    )
     factors = lowrank_truncate(full.nystrom_factor(), n)
     dep = deposition_stats(h, q, factors, gspec)
     dense_std = np.sqrt(np.diag(h @ cov @ h.T))

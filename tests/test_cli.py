@@ -190,6 +190,7 @@ class TestRun:
         propagate = json.loads((out / "run_metadata.json").read_text())["stages"]["propagate"]
         eigensolve = propagate["eigensolve"]
         assert eigensolve["method"] == "nystrom" and eigensolve["sketch_size"] == 12
+        assert eigensolve["test_matrix"] == "identity" and eigensolve["nonzeros_per_row"] == 1
         assert 0.0 <= eigensolve["unexplained_trace_share"] <= 1e-12
         assert 0.0 < propagate["kept_variance_share"] < 1.0
 
@@ -500,7 +501,7 @@ class TestExitCodes:
     def test_singular_sketch_core_is_3(self, tmp_path, monkeypatch, caplog):
         """A zero test matrix makes the Nystrom core zero, so its Cholesky
         factorization fails."""
-        monkeypatch.setattr(sampling, "_sketch_matrix", lambda dim: np.zeros((dim, dim), order="F"))
+        monkeypatch.setattr(sampling, "_sketch_matrix", lambda dim: csr_array((dim, dim)))
         cfg_path, _ = write_case(tmp_path)
         assert cli.main(["run", "--config", str(cfg_path)]) == 3
         assert "sketch core" in caplog.text

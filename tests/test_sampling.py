@@ -17,18 +17,23 @@ import threading
 
 import numpy as np
 import pytest
+from scipy.sparse import csc_array
 
 from plumeinv import threads
 from plumeinv.errors import NumericalError, ValidationError
 from plumeinv.sampling import (
     BLOCK_SIZE,
+    SKETCH_NONZEROS,
     SKETCH_SIZE,
     OnlineMoments,
     SamplerConfig,
     TuneResult,
     _pcn_kernel,
+    _RowSplit,
+    _sketch_matrix,
     effective_sample_size,
     pcn_chain,
+    sketch_test_matrix,
     split_r_hat,
     tune_beta,
 )
@@ -79,7 +84,7 @@ def record_kept_states(monkeypatch):
 def dense(sketch):
     """The covariance a sketch holds in full: below the sketch size its
     test matrix is the identity, so Y is the covariance itself."""
-    assert np.array_equal(sketch.omega, np.eye(len(sketch.diag)))
+    assert np.array_equal(sketch.omega.toarray(), np.eye(len(sketch.diag)))
     return sketch.y
 
 
@@ -142,15 +147,17 @@ class TestOnlineMoments:
         for size in (5, 256, 17):
             om.update_block(rng.standard_normal((size, om.dim)))
         assert np.shares_memory(om.y, y) and om.y.flags.f_contiguous
-        assert om.omega is omega and omega.flags.f_contiguous
+        assert om.omega is omega and omega.format == "csr"
         assert np.all(om.diag > 0)
 
     def test_omega_is_fixed_and_draws_nothing_from_the_chain(self):
-        """Omega is the identity up to SKETCH_SIZE and the same Gaussian for
-        every accumulator above it."""
-        np.testing.assert_array_equal(OnlineMoments(SKETCH_SIZE).omega, np.eye(SKETCH_SIZE))
+        """Omega is the identity up to SKETCH_SIZE, and the same sparse sign
+        matrix for every accumulator above it."""
+        identity = OnlineMoments(SKETCH_SIZE).omega
+        assert identity.format == "csr"
+        np.testing.assert_array_equal(identity.toarray(), np.eye(SKETCH_SIZE))
         a, b = OnlineMoments(SKETCH_SIZE + 1), OnlineMoments(SKETCH_SIZE + 1)
-        np.testing.assert_array_equal(a.omega, b.omega)
+        np.testing.assert_array_equal(a.omega.toarray(), b.omega.toarray())
         assert a.omega.shape == (SKETCH_SIZE + 1, SKETCH_SIZE)
         # a chain that sketches its moments moves as one that keeps none
         dim = SKETCH_SIZE + 1
@@ -159,6 +166,29 @@ class TestOnlineMoments:
         sketched = _pcn_kernel(*args)
         assert sketched.moments.omega.shape == (dim, SKETCH_SIZE)
         np.testing.assert_array_equal(sketched.phi_trace, _pcn_kernel(*args, moments=False).phi_trace)
+
+    @pytest.mark.parametrize("dim", [SKETCH_SIZE + 1, 5040])
+    def test_omega_is_a_sparse_sign_matrix(self, dim):
+        """Above SKETCH_SIZE each row of Omega holds SKETCH_NONZEROS entries
+        of +-1 in distinct columns, and every call gives the same matrix."""
+        omega = _sketch_matrix(dim)
+        assert omega.format == "csr" and omega.shape == (dim, SKETCH_SIZE)
+        np.testing.assert_array_equal(np.diff(omega.indptr), SKETCH_NONZEROS)
+        cols = omega.indices.reshape(dim, SKETCH_NONZEROS)
+        assert all(len(np.unique(row)) == SKETCH_NONZEROS for row in cols)
+        np.testing.assert_array_equal(np.abs(omega.data), 1.0)
+        # both signs, and the columns spread over the whole width
+        assert 0.4 < np.mean(omega.data > 0) < 0.6
+        assert len(np.unique(omega.indices)) == SKETCH_SIZE
+        again = _sketch_matrix(dim)
+        for name in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(again, name), getattr(omega, name))
+
+    def test_test_matrix_is_named(self):
+        assert sketch_test_matrix(SKETCH_SIZE) == {"test_matrix": "identity", "nonzeros_per_row": 1}
+        assert sketch_test_matrix(SKETCH_SIZE + 1) == {
+            "test_matrix": "sparse_sign", "nonzeros_per_row": SKETCH_NONZEROS,
+        }
 
     def test_counts_equal_repeated_rows(self):
         """Rows with dwell counts give the moments of the rows repeated by count."""
@@ -326,6 +356,73 @@ class TestPcnChainConjugateTarget:
         assert abs(out.r_hat - 1.0) < 0.01
 
 
+def rows_with_nonzeros(rng, nonzeros, dim):
+    """F with one row per entry of ``nonzeros``, holding that many random
+    entries in random columns."""
+    f = np.zeros((len(nonzeros), dim))
+    for row, k in zip(f, nonzeros):
+        row[rng.choice(dim, k, replace=False)] = rng.standard_normal(k)
+    return f
+
+
+# Row nonzero counts at dim 152, where the split's bar n/8 is 19: rows with
+# 20 or more nonzeros are dense, rows with 19 or fewer stay sparse.
+SPLIT_CASES = {
+    "dense_rows": [152, 100, 20, 152],
+    "sparse_rows": [1, 7, 19, 3],
+    "mixed_rows": [152, 7, 100, 1, 19, 20, 60, 2],
+    "zero_row": [152, 0, 50, 3],
+}
+
+
+class TestRowSplit:
+    """The chain's products by F with its dense rows apart (``_RowSplit``)
+    against the dense F."""
+
+    @staticmethod
+    def split_of(case, seed=0):
+        rng = np.random.default_rng(seed)
+        f = rows_with_nonzeros(rng, SPLIT_CASES[case], 152)
+        return f, _RowSplit(csc_array(f)), rng
+
+    @staticmethod
+    def assert_close(got, want):
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("case", sorted(SPLIT_CASES))
+    def test_rows_above_an_eighth_of_the_columns_are_dense(self, case):
+        f, split, _ = self.split_of(case)
+        dense = np.count_nonzero(f, axis=1) > f.shape[1] / 8
+        assert split.n_dense == dense.sum()
+        assert sorted(split.order) == list(range(len(f)))
+        assert np.all(dense[split.order[: split.n_dense]])
+        assert split.dense.flags.c_contiguous and split.sparse.format == "csc"
+
+    @pytest.mark.parametrize("case", sorted(SPLIT_CASES))
+    def test_products_equal_the_dense_product(self, case):
+        f, split, rng = self.split_of(case)
+        w = rng.standard_normal((BLOCK_SIZE, f.shape[1]))
+        out = np.empty((len(f), BLOCK_SIZE))
+        split.block(w, out)
+        self.assert_close(out, (f @ w.T)[split.order])
+        x = rng.standard_normal(f.shape[1])
+        self.assert_close(split @ x, (f @ x)[split.order])
+        cols = np.sort(rng.choice(f.shape[1], 9, replace=False))
+        self.assert_close(split.columns(cols, x[cols]), (f[:, cols] @ x[cols])[split.order])
+
+    @pytest.mark.parametrize("b", [1, 3, 37])
+    @pytest.mark.parametrize("case", sorted(SPLIT_CASES))
+    def test_tail_block_columns_equal_the_dense_product(self, case, b):
+        """A last block of b < BLOCK_SIZE draws runs at the full width; the
+        rows past b (NaN here) touch no column before b."""
+        f, split, rng = self.split_of(case, seed=b)
+        w = np.full((BLOCK_SIZE, f.shape[1]), np.nan)
+        w[:b] = rng.standard_normal((b, f.shape[1]))
+        out = np.empty((len(f), BLOCK_SIZE))
+        split.block(w, out)
+        self.assert_close(out[:, :b], (f @ w[:b].T)[split.order])
+
+
 class TestPcnChainMechanics:
     def test_bitwise_reproducible(self):
         cfg = SamplerConfig(beta=0.6, n_steps=5000, seed=11)
@@ -353,6 +450,24 @@ class TestPcnChainMechanics:
         assert short.shape == (400, 2) and long.shape == (1203, 2)
         assert len(np.unique(short, axis=0)) > 100  # the chain moves
         np.testing.assert_array_equal(short, long[: len(short)])
+
+    def test_chains_with_dense_rows_share_prefix_across_lengths(self, monkeypatch):
+        """With 20 dense rows the block product is a GEMM, whose rounding can
+        depend on its width; the 400-step chain's last block of 16 still
+        gives the 1203-step chain's states and potentials bit for bit."""
+        rng = np.random.default_rng(3)
+        dim = 60
+        f = 0.05 * rows_with_nonzeros(rng, [dim] * 20 + [3] * 30, dim)
+        d = f @ rng.standard_normal(dim)
+        out = {}
+        for n in (400, 1203):
+            kept = record_kept_states(monkeypatch)
+            cfg = SamplerConfig(beta=0.5, n_steps=n, burn_in_fraction=0.0, seed=7)
+            run = _pcn_kernel(csc_array(f), d, np.zeros(dim), NormalPrior(dim), cfg, np.abs)
+            out[n] = kept(), run.phi_trace
+        assert 0.1 < np.mean(np.diff(out[1203][1]) != 0) < 0.9  # the chain moves
+        np.testing.assert_array_equal(out[400][0], out[1203][0][:400])
+        np.testing.assert_array_equal(out[400][1], out[1203][1][:400])
 
     def test_transform_replaces_latent_second_moments(self):
         """The identity link gives the link-free chain's mean and cov bit for bit."""

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from scipy.linalg import eigh
+from scipy.sparse import eye_array
 
 from plumeinv.errors import CalmWindError, NumericalError
 from plumeinv.observation import DustfallJar, TimeGrid, assemble_F
@@ -16,7 +17,7 @@ from plumeinv.plume import (
     plume_kernel,
     rotate_to_wind,
 )
-from plumeinv.sampling import SKETCH_SIZE, CovarianceSketch
+from plumeinv.sampling import SKETCH_SIZE, CovarianceSketch, _sketch_matrix
 from plumeinv.uqprop import (
     DepositionGrid,
     GridSpec,
@@ -125,12 +126,9 @@ def spd_with_spectrum(rng, eigenvalues):
     return 0.5 * (cov + cov.T)
 
 
-def gaussian_test_matrix(rng, n, width=SKETCH_SIZE):
-    return np.asfortranarray(rng.standard_normal((n, width)))
-
-
 def sketch_of(cov, omega):
-    """The sketch the chain would stream for the covariance ``cov``."""
+    """The sketch the chain would stream for the covariance ``cov`` with the
+    sparse test matrix ``omega``."""
     return CovarianceSketch(diag=np.diag(cov).copy(), omega=omega, y=np.asfortranarray(cov @ omega))
 
 
@@ -140,8 +138,9 @@ def unexplained_share(factor, cov):
 
 def reference_nystrom(cov, omega, k):
     """Leading pairs of the dense n x n shifted Nystrom matrix
-    Y (Omega^T (Y + nu Omega))^-1 Y^T by NumPy's eigh: the independent oracle
-    of the factored path."""
+    Y (Omega^T (Y + nu Omega))^-1 Y^T by NumPy's eigh, with the test matrix
+    made dense: the independent oracle of the factored path."""
+    omega = omega.toarray()
     y = cov @ omega
     nu = np.sqrt(cov.shape[0]) * np.spacing(np.linalg.norm(y))
     core = omega.T @ (y + nu * omega)
@@ -152,14 +151,15 @@ def reference_nystrom(cov, omega, k):
 
 class TestSubspaceIteration:
     """The sketch Y = C Omega is one pass of block subspace iteration from the
-    Gaussian start Omega (Halko, Martinsson & Tropp 2011, sec. 5.5); the
-    Nystrom core takes the place of the Rayleigh-Ritz step."""
+    start Omega, here the chain's sparse sign test matrix (Halko, Martinsson
+    & Tropp 2011, sec. 5.5); the Nystrom core takes the place of the
+    Rayleigh-Ritz step."""
 
     def test_decaying_spectrum_certifies_without_dense_eigh(self):
         rng = np.random.default_rng(11)
         n, k = 600, 20
         cov = spd_with_spectrum(rng, 10.0 ** (-np.arange(n) / 20.0))
-        factor = sketch_of(cov, gaussian_test_matrix(rng, n)).nystrom_factor()
+        factor = sketch_of(cov, _sketch_matrix(n)).nystrom_factor()
         assert factor.shape == (n, SKETCH_SIZE)
         # the spectrum past the sketch is below 1e-20; what is left is the
         # shift, at most nu (about 2.5e-13 here) on each of the 400 columns
@@ -183,7 +183,7 @@ class TestSubspaceIteration:
         rng = np.random.default_rng(15)
         n, k = 700, 40
         cov = spd_with_spectrum(rng, 10.0 ** (-np.arange(n) / 150.0))
-        omega = gaussian_test_matrix(rng, n)
+        omega = _sketch_matrix(n)
         fac = lowrank_truncate(sketch_of(cov, omega).nystrom_factor(), k)
         lam, vectors = reference_nystrom(cov, omega, k)
         np.testing.assert_allclose(fac.eigenvalues, lam, rtol=1e-12, atol=0.0)
@@ -200,7 +200,7 @@ class TestSubspaceIteration:
         states = rng.standard_normal((rank, n)) * rng.uniform(0.5, 2.0, (rank, 1))
         cov = states.T @ states / rank
         cov = 0.5 * (cov + cov.T)
-        factor = sketch_of(cov, gaussian_test_matrix(rng, n)).nystrom_factor()
+        factor = sketch_of(cov, _sketch_matrix(n)).nystrom_factor()
         # exact but for the shift: at most nu on each of the rank directions
         assert 0.0 <= unexplained_share(factor, cov) < 1e-10
         fac = lowrank_truncate(factor, k)
@@ -219,7 +219,7 @@ class TestSubspaceIteration:
         rng = np.random.default_rng(17)
         n, k = 3000, 100
         states = rng.standard_normal((600, n))
-        sketch = sketch_of(states.T @ states / 600, gaussian_test_matrix(rng, n))
+        sketch = sketch_of(states.T @ states / 600, _sketch_matrix(n))
         del states
         block = n * SKETCH_SIZE * 8
         tracemalloc.start()
@@ -236,8 +236,8 @@ class TestSubspaceIteration:
         rng = np.random.default_rng(13)
         n = 500
         cov = spd_with_spectrum(rng, 0.8 ** np.arange(n))
-        omega = gaussian_test_matrix(rng, n)
-        inputs = (cov, omega)
+        omega = _sketch_matrix(n)
+        inputs = (cov, omega.data, omega.indices, omega.indptr)
         before = [a.copy() for a in inputs]
         first, second = (sketch_of(cov, omega) for _ in range(2))
         y = first.y
@@ -257,7 +257,7 @@ class TestNystromFactor:
         # at most nu per eigenvalue, never above it
         rng = np.random.default_rng(n)
         cov = random_spd(rng, n)
-        factor = sketch_of(cov, np.eye(n, order="F")).nystrom_factor()
+        factor = sketch_of(cov, eye_array(n, format="csr")).nystrom_factor()
         share = unexplained_share(factor, cov)
         assert 0.0 <= share <= 1e-12
 
@@ -266,12 +266,12 @@ class TestNystromFactor:
         rng = np.random.default_rng(int(decay))
         n = 600
         cov = spd_with_spectrum(rng, 10.0 ** (-np.arange(n) / decay))
-        factor = sketch_of(cov, gaussian_test_matrix(rng, n)).nystrom_factor()
+        factor = sketch_of(cov, _sketch_matrix(n)).nystrom_factor()
         assert 0.0 <= unexplained_share(factor, cov) < 1.0
 
     def test_indefinite_core_raises(self):
-        omega = np.eye(3, order="F")
-        sketch = CovarianceSketch(diag=-np.ones(3), omega=omega, y=-omega)
+        omega = eye_array(3, format="csr")
+        sketch = CovarianceSketch(diag=-np.ones(3), omega=omega, y=-np.eye(3, order="F"))
         with pytest.raises(NumericalError, match="sketch core"):
             sketch.nystrom_factor()
 
