@@ -81,7 +81,7 @@ from typing import Callable, Optional, Protocol, Tuple
 import numpy as np
 from scipy.linalg.blas import dgemm, dger, dtrsm
 from scipy.linalg.lapack import dpotrf
-from scipy.sparse import csr_array, eye_array
+from scipy.sparse import csr_array
 from scipy.special import ndtri
 
 from . import threads
@@ -186,7 +186,7 @@ def _sketch_matrix(dim: int) -> csr_array:
     matrix whose rows each hold ``SKETCH_NONZEROS`` entries of +-1 in
     distinct columns."""
     if dim <= SKETCH_SIZE:
-        return eye_array(dim, format="csr")
+        return csr_array((np.ones(dim), np.arange(dim), np.arange(dim + 1)), shape=(dim, dim))
     rng = np.random.default_rng(SKETCH_SEED)
     cols = rng.integers(0, SKETCH_SIZE, (dim, SKETCH_NONZEROS))
     while True:  # redraw the rows that repeat a column, about 7% a round

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.sparse import eye_array
+from scipy.sparse import csr_array
 
 from plumeinv import pipeline
 from plumeinv.cli import default_config_path
@@ -527,7 +527,7 @@ def test_criterion_10_lowrank_deposition(bundled):
 
     # a full-width sketch (the identity test matrix) keeps the whole covariance
     full = CovarianceSketch(
-        diag=np.diag(cov), omega=eye_array(n, format="csr"), y=np.array(cov, order="F")
+        diag=np.diag(cov), omega=csr_array(np.eye(n)), y=np.array(cov, order="F")
     )
     factors = lowrank_truncate(full.nystrom_factor(), n)
     dep = deposition_stats(h, q, factors, gspec)

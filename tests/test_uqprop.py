@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from scipy.linalg import eigh
-from scipy.sparse import eye_array
+from scipy.sparse import csr_array
 
 from plumeinv.errors import CalmWindError, NumericalError
 from plumeinv.observation import DustfallJar, TimeGrid, assemble_F
@@ -257,7 +257,7 @@ class TestNystromFactor:
         # at most nu per eigenvalue, never above it
         rng = np.random.default_rng(n)
         cov = random_spd(rng, n)
-        factor = sketch_of(cov, eye_array(n, format="csr")).nystrom_factor()
+        factor = sketch_of(cov, csr_array(np.eye(n))).nystrom_factor()
         share = unexplained_share(factor, cov)
         assert 0.0 <= share <= 1e-12
 
@@ -270,7 +270,7 @@ class TestNystromFactor:
         assert 0.0 <= unexplained_share(factor, cov) < 1.0
 
     def test_indefinite_core_raises(self):
-        omega = eye_array(3, format="csr")
+        omega = csr_array(np.eye(3))
         sketch = CovarianceSketch(diag=-np.ones(3), omega=omega, y=-np.eye(3, order="F"))
         with pytest.raises(NumericalError, match="sketch core"):
             sketch.nystrom_factor()
