@@ -222,14 +222,14 @@ class CovarianceSketch:
         """E, dim x width, with E E^T the shifted Nystrom approximation of C.
 
         The shift nu = sqrt(dim) eps(||Y||_F) makes the core
-        Omega^T Y_nu = Omega^T Y + nu Omega^T Omega positive definite; its
-        upper Cholesky factor R gives E = Y R^-1, so
-        E E^T = Y (Omega^T Y_nu)^-1 Y^T. That is the stable single-pass
-        Nystrom approximation of Tropp et al. 2017 (Alg. 3), with Y in place
-        of Y_nu outside the core so that E E^T <= C holds without a
-        correction by nu: 1 - ||E||_F^2 / tr C bounds the sketch's error in
-        the trace norm. E is written over Y, which the sketch then no longer
-        holds. Raises ``NumericalError`` when the core does not factor.
+        Omega^T Y_nu = Omega^T (Y + nu Omega) positive definite; its upper
+        Cholesky factor R gives E = Y R^-1, so E E^T = Y (Omega^T Y_nu)^-1 Y^T.
+        That is the stable single-pass Nystrom approximation of Tropp et al.
+        2017 (Alg. 3), with Y in place of Y_nu outside the core so that
+        E E^T <= C holds without a correction by nu: 1 - ||E||_F^2 / tr C
+        bounds the sketch's error in the trace norm. E is written over Y,
+        which the sketch then no longer holds. Raises ``NumericalError``
+        when the core does not factor.
         """
         nu = math.sqrt(self.y.shape[0]) * float(np.spacing(np.linalg.norm(self.y)))
         omega_t = self.omega.T
