@@ -360,8 +360,8 @@ def whiten(f_matrix, d: np.ndarray, noise_var: np.ndarray):
     """(Sigma^-1/2 F as a CSC array, Sigma^-1/2 d).
 
     Most entries of F are zero (a sampler row covers only the time slots of
-    its window), so F is whitened in sparse form; CSC gives the chain's
-    column access.
+    its window), so F is whitened in sparse form. The chain splits it by
+    row density on its own (see ``sampling``).
     """
     inv_std = 1.0 / np.sqrt(np.asarray(noise_var, dtype=float))
     f_white = csr_array(f_matrix, dtype=float).tocsc()
