@@ -22,7 +22,7 @@ import yaml
 
 from .errors import ValidationError, _given, _number, _require
 from .inversion import PriorConfig
-from .observation import NOISE_FLOOR_DEFAULT
+from .observation import NOISE_FLOOR_DEFAULT, TimeGrid, check_windows
 from .plume import (
     CALM_SPEED_DEFAULT,
     X_CUTOFF_DEFAULT,
@@ -129,6 +129,18 @@ class RunConfig:
                 f"wind_cv_max_points must be at least {CV_MIN_POINTS}, "
                 f"got {self.wind_cv_max_points}"
             )
+        if self.synthetic is not None:
+            # Refused here, before the wind fit or synth writes anything.
+            for dt in (self.dt_inversion, self.dt_generation):
+                grid = self.time_grid(dt)
+                for sensor in self.synthetic.sensors:
+                    check_windows(sensor, grid)
+
+    def time_grid(self, dt: float) -> TimeGrid:
+        """The grid of ``dt`` steps over the run's horizon."""
+        from .io import parse_timestamp  # no import cycle: io does not import config
+
+        return TimeGrid(parse_timestamp(self.time.start), dt, round(self.time.duration_s / dt))
 
     def resolve_out_dir(self) -> Path:
         return Path(self.paths.out_dir)
@@ -251,8 +263,6 @@ def _config_from_dict(data: dict) -> RunConfig:
     particle_raw = _section(data, "particle")
     try:
         particle = ParticleProperties(
-            density=_number(particle_raw, "density_kg_m3", "particle"),
-            diameter=_number(particle_raw, "diameter_m", "particle"),
             w_dep=_number(particle_raw, "w_dep_mps", "particle"),
             w_set=_number(particle_raw, "w_set_mps", "particle"),
         )

@@ -357,15 +357,15 @@ def clip_positive(v: np.ndarray) -> np.ndarray:
 
 
 def whiten(f_matrix, d: np.ndarray, noise_var: np.ndarray):
-    """(Sigma^-1/2 F as a CSC array, Sigma^-1/2 d).
+    """(Sigma^-1/2 F as a CSR array, Sigma^-1/2 d).
 
     Most entries of F are zero (a sampler row covers only the time slots of
-    its window), so F is whitened in sparse form. The chain splits it by
-    row density on its own (see ``sampling``).
+    its window), so F is whitened in sparse form, row by row, into a copy.
+    The chain splits it by row density on its own (see ``sampling``).
     """
     inv_std = 1.0 / np.sqrt(np.asarray(noise_var, dtype=float))
-    f_white = csr_array(f_matrix, dtype=float).tocsc()
-    f_white.data *= inv_std[f_white.indices]
+    f_white = csr_array(f_matrix, dtype=float, copy=True)
+    f_white.data *= np.repeat(inv_std, np.diff(f_white.indptr))
     return f_white, np.asarray(d, dtype=float) * inv_std
 
 
@@ -406,7 +406,6 @@ class PositivePosterior:
     n_steps: int
     n_kept: int
     beta: float
-    burn_in_fraction: float
     n_nonfinite: int
 
 
@@ -450,6 +449,5 @@ def positive_posterior(
         n_steps=summary.n_steps,
         n_kept=summary.n_kept,
         beta=cfg.beta,
-        burn_in_fraction=cfg.burn_in_fraction,
         n_nonfinite=summary.n_nonfinite,
     )

@@ -323,7 +323,7 @@ def load_measurements(
     if not header_seen:
         raise ValidationError(f"{path}: empty measurements file")
 
-    ids, indices, units = entry_labels(sensors)
+    ids, indices = entry_labels(sensors)
     values = []
     for sid, ell in zip(ids, indices.tolist()):
         if (sid, ell) not in seen:
@@ -335,12 +335,11 @@ def load_measurements(
         indices=indices,
         values=values,
         noise_var=signal_variances(values, sensors, noise_floor),
-        units=units,
     )
 
 
 def write_measurements(path, measurements: MeasurementSet, key: str) -> None:
-    rows = ((sid, str(index), _fmt(value)) for sid, index, value, _unit in measurements.entries)
+    rows = ((sid, str(index), _fmt(value)) for sid, index, value in measurements.entries)
     _write_stamped_csv(path, MEASUREMENTS_HEADER, key, rows)
 
 
@@ -372,7 +371,8 @@ def write_grid_csv(path, deposition: DepositionGrid, key: str) -> None:
 
 
 def write_json(path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Strict JSON: a NaN or infinity raises instead of writing a non-JSON token."""
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def read_json(path) -> dict:

@@ -1,10 +1,11 @@
 """Linear observation map from stacked emission rates to sensor readings.
 
-Builds F = M G where G evaluates unit-emission plume kernels at sensor
+Builds F = M G where G holds the unit-emission plume kernels at the sensor
 locations on a uniform time grid and M applies each sensor's time-window
-weighting by a left-endpoint rectangle rule. G is one ``kernel_profile``
-call over the whole wind series (a calm step gives zero kernels), and each
-sensor's rows of M are one array expression.
+weighting by a left-endpoint rectangle rule. ``assemble_F`` makes G with one
+``kernel_profile`` call over the whole wind series (a calm step gives zero
+kernels) and writes each sensor's rows of F = M G in place; G is never
+returned.
 
 Conventions:
     * Grid times are t_j = t0 + j*dt for j = 1..n_steps, i.e. the right
@@ -45,8 +46,8 @@ __all__ = [
     "entry_labels",
     "measurement_count",
     "window_weight",
+    "check_windows",
     "assemble_M",
-    "assemble_G",
     "assemble_F",
     "signal_variances",
     "simulate_measurements",
@@ -158,56 +159,47 @@ def window_weight(sensor: Sensor, ell: int, t: float, grid: TimeGrid, w_dep: flo
     return 1.0 / sensor.window if inside else 0.0
 
 
-def assemble_M(sensor: Sensor, grid: TimeGrid, w_dep: float) -> np.ndarray:
-    """Quadrature matrix of one sensor: entry (ell, j) = weight(t_j) * dt.
+def check_windows(sensor: Sensor, grid: TimeGrid) -> None:
+    """Refuse a sampler whose windows leave the grid span or miss every grid point.
 
     Raises:
-        ConfigurationError: a sampler window lies outside the grid span or
-            captures no grid point.
+        ConfigurationError: naming the sensor and, for an empty window, its index.
     """
-    times = grid.times
     if isinstance(sensor, DustfallJar):
-        inside = (times > grid.t0) & (times <= grid.t0 + grid.span)
-        return np.where(inside, sensor.area * w_dep, 0.0)[None, :] * grid.dt
+        return
     starts = np.asarray(sensor.start_times, dtype=float)
     tol = 1e-6  # s of float slack on window containment
     if starts.min() < grid.t0 - tol or starts.max() + sensor.window > grid.t0 + grid.span + tol:
         raise ConfigurationError(
             f"sensor {sensor.id!r}: sampling windows extend outside the time grid"
         )
-    covered = (times[None, :] > starts[:, None]) & (times[None, :] <= starts[:, None] + sensor.window)
-    has_point = covered.any(axis=1)
-    if not has_point.all():
-        empty = int(np.flatnonzero(~has_point)[0])
+    # grid points in (start, start + window]: those <= the end less those <= the start
+    times = grid.times
+    captured = np.searchsorted(times, starts + sensor.window, side="right") - np.searchsorted(
+        times, starts, side="right"
+    )
+    if not captured.all():
+        empty = int(np.flatnonzero(captured == 0)[0])
         raise ConfigurationError(
             f"sensor {sensor.id!r}: window {empty} captures no grid point "
             f"(window {sensor.window} s vs grid dt {grid.dt} s)"
         )
-    return covered.astype(float) * (grid.dt / sensor.window)
 
 
-def assemble_G(
-    sensors: Sequence[Sensor],
-    sites: Sequence[SourceSite],
-    wind,
-    grid: TimeGrid,
-    particle: ParticleProperties,
-    sc: StabilityClass,
-    x_cutoff: float = X_CUTOFF_DEFAULT,
-    calm_speed: float = CALM_SPEED_DEFAULT,
-) -> list:
-    """Unit-emission kernel tables, one (n_steps, n_sources) array per sensor.
+def assemble_M(sensor: Sensor, grid: TimeGrid, w_dep: float) -> np.ndarray:
+    """Quadrature matrix of one sensor: entry (ell, j) = weight(t_j) * dt.
 
-    ``wind`` is anything with u_x / u_y arrays of length ``grid.n_steps``
-    (a WindSeries, or a plain namespace in tests). Calm steps contribute
-    zero rows.
+    Raises:
+        ConfigurationError: as :func:`check_windows`.
     """
-    points = np.array([s.location for s in sensors], dtype=float).reshape(len(sensors), 3)
-    u_x, u_y = np.asarray(wind.u_x, dtype=float), np.asarray(wind.u_y, dtype=float)
-    if len(u_x) != grid.n_steps or len(u_y) != grid.n_steps:
-        raise ValueError("wind series length does not match the time grid")
-    kernels = kernel_profile(points, sites, (u_x, u_y), particle, sc, x_cutoff, calm_speed)
-    return [kernels[:, k, :] for k in range(len(sensors))]
+    check_windows(sensor, grid)
+    times = grid.times
+    if isinstance(sensor, DustfallJar):
+        inside = (times > grid.t0) & (times <= grid.t0 + grid.span)
+        return np.where(inside, sensor.area * w_dep, 0.0)[None, :] * grid.dt
+    starts = np.asarray(sensor.start_times, dtype=float)[:, None]
+    covered = (times[None, :] > starts) & (times[None, :] <= starts + sensor.window)
+    return covered.astype(float) * (grid.dt / sensor.window)
 
 
 def assemble_F(
@@ -220,13 +212,22 @@ def assemble_F(
     x_cutoff: float = X_CUTOFF_DEFAULT,
     calm_speed: float = CALM_SPEED_DEFAULT,
 ) -> np.ndarray:
-    """Observation map F = M G, shape (total measurements, n_sources*n_steps)."""
-    g_tables = assemble_G(sensors, sites, wind, grid, particle, sc, x_cutoff, calm_speed)
+    """Observation map F = M G, shape (total measurements, n_sources*n_steps).
+
+    ``wind`` is anything with u_x / u_y arrays of length ``grid.n_steps``
+    (a WindSeries, or a plain namespace in tests).
+    """
+    points = np.array([s.location for s in sensors], dtype=float).reshape(len(sensors), 3)
+    u_x, u_y = np.asarray(wind.u_x, dtype=float), np.asarray(wind.u_y, dtype=float)
+    if len(u_x) != grid.n_steps or len(u_y) != grid.n_steps:
+        raise ValueError("wind series length does not match the time grid")
+    # G: (n_steps, n_sensors, n_sources)
+    g = kernel_profile(points, sites, (u_x, u_y), particle, sc, x_cutoff, calm_speed)
     n_t, n_s = grid.n_steps, len(sites)
     f = np.empty((sum(measurement_count(s) for s in sensors), n_s, n_t))
-    for (sensor, rows), g_k in zip(_sensor_slices(sensors), g_tables):
-        # F_k[l, i*n_t + j] = M_k[l, j] * G_k[j, i], written in place
-        np.einsum("lj,ji->lij", assemble_M(sensor, grid, particle.w_dep), g_k, out=f[rows])
+    for k, (sensor, rows) in enumerate(_sensor_slices(sensors)):
+        # F_k[l, i*n_t + j] = M_k[l, j] * G[j, k, i], written in place
+        np.einsum("lj,ji->lij", assemble_M(sensor, grid, particle.w_dep), g[:, k, :], out=f[rows])
     f = f.reshape(len(f), n_s * n_t)
     if not np.all(np.isfinite(f)):
         raise AssertionError("observation map contains non-finite entries")
@@ -241,11 +242,10 @@ class MeasurementSet:
     indices: np.ndarray  # per-sensor measurement index, 0-based
     values: np.ndarray  # stacked vector d
     noise_var: np.ndarray  # diagonal of Sigma
-    units: tuple  # per entry, "kg" (jars) or "kg_m3" (samplers)
 
     def __post_init__(self) -> None:
         n = len(self.values)
-        if not (len(self.sensor_ids) == len(self.indices) == len(self.noise_var) == len(self.units) == n):
+        if not (len(self.sensor_ids) == len(self.indices) == len(self.noise_var) == n):
             raise ValueError("measurement fields must have equal length")
         if not np.all(self.noise_var > 0):
             raise ValueError("noise variances must be positive")
@@ -255,7 +255,7 @@ class MeasurementSet:
 
     @property
     def entries(self) -> list:
-        return list(zip(self.sensor_ids, self.indices.tolist(), self.values.tolist(), self.units))
+        return list(zip(self.sensor_ids, self.indices.tolist(), self.values.tolist()))
 
 
 def _sensor_slices(sensors: Sequence[Sensor]) -> list:
@@ -269,17 +269,13 @@ def _sensor_slices(sensors: Sequence[Sensor]) -> list:
 
 
 def entry_labels(sensors: Sequence[Sensor]) -> tuple:
-    """Per-entry sensor ids, per-sensor indices and units, in stacking order.
-
-    A jar's entry is a mass in "kg"; a sampler's is a concentration in "kg_m3".
-    """
-    ids, indices, units = [], [], []
+    """Per-entry sensor ids and per-sensor indices, in stacking order."""
+    ids, indices = [], []
     for sensor in sensors:
         m = measurement_count(sensor)
         ids.extend([sensor.id] * m)
         indices.extend(range(m))
-        units.extend(["kg" if isinstance(sensor, DustfallJar) else "kg_m3"] * m)
-    return tuple(ids), np.array(indices, dtype=int), tuple(units)
+    return tuple(ids), np.array(indices, dtype=int)
 
 
 def signal_variances(
@@ -336,7 +332,5 @@ def simulate_measurements(
     noise_var = signal_variances(clean, sensors, noise_floor)
     rng = np.random.default_rng(seed)
     values = clean + rng.normal(0.0, np.sqrt(noise_var))
-    ids, indices, units = entry_labels(sensors)
-    return MeasurementSet(
-        sensor_ids=ids, indices=indices, values=values, noise_var=noise_var, units=units
-    )
+    ids, indices = entry_labels(sensors)
+    return MeasurementSet(sensor_ids=ids, indices=indices, values=values, noise_var=noise_var)

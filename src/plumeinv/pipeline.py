@@ -25,6 +25,7 @@ import ctypes
 import hashlib
 import json
 import logging
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -94,13 +95,11 @@ ESTIMATES = ("constant", "smooth", "positive")
 
 
 def inversion_grid(cfg: RunConfig) -> TimeGrid:
-    t0 = io.parse_timestamp(cfg.time.start)
-    return TimeGrid(t0, cfg.dt_inversion, int(round(cfg.time.duration_s / cfg.dt_inversion)))
+    return cfg.time_grid(cfg.dt_inversion)
 
 
 def generation_grid(cfg: RunConfig) -> TimeGrid:
-    t0 = io.parse_timestamp(cfg.time.start)
-    return TimeGrid(t0, cfg.dt_generation, int(round(cfg.time.duration_s / cfg.dt_generation)))
+    return cfg.time_grid(cfg.dt_generation)
 
 
 def _source_ids(cfg: RunConfig) -> list:
@@ -187,6 +186,12 @@ def _fresh(cfg: RunConfig, stage: str) -> bool:
     return recorded.get(stage) == _stage_keys(cfg)[stage] and all(p.is_file() for p in writes)
 
 
+def _finite_or_none(value) -> Optional[float]:
+    """A metadata number, or None (JSON null) where it is undefined: NaN or infinite."""
+    value = float(value)
+    return value if math.isfinite(value) else None
+
+
 def _record(cfg: RunConfig, stage: str, key: str, payload: dict) -> None:
     """Enter a finished stage in run_metadata.json; entries of stale stages go.
 
@@ -228,7 +233,7 @@ def _load_state(cfg: RunConfig, stage: str, name: str) -> dict:
 # synth
 
 
-def run_synth(cfg: RunConfig) -> dict:
+def run_synth(cfg: RunConfig) -> None:
     """Write the sensor registry, the noisy measurement CSV, and the truth rates.
 
     The data are made on the generation grid from the fresh wind fit's series.
@@ -271,14 +276,13 @@ def run_synth(cfg: RunConfig) -> dict:
             "timing_s": time.perf_counter() - tic,
         },
     )
-    return {"q_true": q_true, "measurements": measurements, "wind": wind, "grid": gen_grid}
 
 
 # ---------------------------------------------------------------------------
 # wind_fit
 
 
-def run_wind_fit(cfg: RunConfig) -> dict:
+def run_wind_fit(cfg: RunConfig) -> None:
     """Regularize the raw wind records onto the inversion grid.
 
     A synthetic case first writes the raw records from its wind model;
@@ -286,7 +290,6 @@ def run_wind_fit(cfg: RunConfig) -> dict:
     this fit bit for bit. One cross-validation per component selects the
     kernel; one fit then serves the inversion grid and, in a synthetic
     case, the generation grid the synth stage makes its data on.
-    Returns {"inversion": WindSeries, "generation": WindSeries | None}.
     """
     tic = time.perf_counter()
     key = _stage_keys(cfg)["wind_fit"]
@@ -301,13 +304,12 @@ def run_wind_fit(cfg: RunConfig) -> dict:
     )
     grids = [inv_grid] if syn is None else [inv_grid, generation_grid(cfg)]
     series = fit_wind(records, grids, [choice.config for choice in choices])
-    series_inv, series_gen = series[0], (series[1] if syn is not None else None)
     arrays = {}
     for tag, fitted in zip(("inv", "gen"), series):
         arrays.update({f"u_x_{tag}": fitted.u_x, f"u_y_{tag}": fitted.u_y})
     _save_state(cfg, WIND_STATE, **arrays)
 
-    io.write_wind_fit_csv(out / WIND_FIT_CSV, series_inv, key)
+    io.write_wind_fit_csv(out / WIND_FIT_CSV, series[0], key)
     hyper = {
         name: {
             "signal_var": choice.config.signal_var,
@@ -332,7 +334,6 @@ def run_wind_fit(cfg: RunConfig) -> dict:
             "timing_s": time.perf_counter() - tic,
         },
     )
-    return {"inversion": series_inv, "generation": series_gen}
 
 
 def load_wind_series(cfg: RunConfig) -> dict:
@@ -354,7 +355,6 @@ class InversionResult:
     """Everything the inversion stage produced, for callers and tests."""
 
     grid: TimeGrid
-    sensors: list
     measurements: MeasurementSet
     noise_var: np.ndarray
     f_matrix: csr_array
@@ -415,7 +415,6 @@ def run_invert(
             indices=measurements.indices[keep],
             values=measurements.values[keep],
             noise_var=measurements.noise_var[keep],
-            units=tuple(np.array(measurements.units)[keep]),
         )
         logger.info("dropped sensor %s (%d measurements remain)", drop_sensor, keep.sum())
     noise_var = measurements.noise_var * noise_scale**2
@@ -508,7 +507,7 @@ def run_invert(
                 "nnls_unique": bool(constant.unique),
                 "acceptance_rate": float(positive.acceptance_rate),
                 "ess": float(positive.ess),
-                "r_hat": float(positive.r_hat),
+                "r_hat": _finite_or_none(positive.r_hat),
                 "beta": float(positive.beta),
                 "n_steps": int(positive.n_steps),
                 "n_nonfinite": int(positive.n_nonfinite),
@@ -519,7 +518,6 @@ def run_invert(
         )
     return InversionResult(
         grid=grid,
-        sensors=sensors,
         measurements=measurements,
         noise_var=noise_var,
         f_matrix=f_matrix,
@@ -534,7 +532,11 @@ def run_invert(
 
 
 def run_propagate(cfg: RunConfig) -> dict:
-    """Low-rank deposition map from the stored positive posterior."""
+    """Low-rank deposition map from the stored positive posterior.
+
+    Returns {"deposition": DepositionGrid, "factors": LowRankFactors}; H is
+    dropped when the stage ends.
+    """
     tic = time.perf_counter()
     state = _load_state(cfg, "invert", INVERSION_STATE)
     key = _stage_keys(cfg)["propagate"]
@@ -585,7 +587,6 @@ def run_propagate(cfg: RunConfig) -> dict:
             "unit": "mg_m2",
         },
     )
-    lam1 = eigenvalues[0] if eigenvalues and eigenvalues[0] > 0 else float("nan")
     _record(
         cfg,
         "propagate",
@@ -593,21 +594,21 @@ def run_propagate(cfg: RunConfig) -> dict:
         {
             "n_modes": factors.n_modes,
             "eigenvalue_ratio_last_to_first": (
-                eigenvalues[-1] / lam1 if eigenvalues else float("nan")
+                eigenvalues[-1] / eigenvalues[0] if eigenvalues and eigenvalues[0] > 0 else None
             ),
             "eigensolve": {
                 "method": "nystrom",
                 "sketch_size": sketch_size,
                 **test_matrix,
-                "unexplained_trace_share": float(unexplained),
+                "unexplained_trace_share": _finite_or_none(unexplained),
             },
-            "kept_variance_share": float(factors.eigenvalues.sum() / total_variance),
+            "kept_variance_share": _finite_or_none(factors.eigenvalues.sum() / total_variance),
             "max_mean_mg_m2": float(deposition.mean.max() * io.KG_TO_MG),
             "annual_total_tonne_yr": annualize(state["q_positive"], grid),
             "timing_s": time.perf_counter() - tic,
         },
     )
-    return {"deposition": deposition, "factors": factors, "h_matrix": h_matrix}
+    return {"deposition": deposition, "factors": factors}
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,9 @@ Conventions:
       stability class; the vertical eddy diffusivity is recovered from
       sigma_z by K = U sigma_z^2 / (2 x), consistent with the sigma used
       in the same evaluation.
+    * A species enters only through its deposition and settling velocities
+      (``ParticleProperties``). The settling velocity is an input; for a
+      small sphere it is Stokes' rho g d^2 / (18 mu), set by the caller.
     * ``kernel_profile`` evaluates a whole wind series in one call, a
       bounded block of steps at a time; a calm step gives zero kernels.
       ``rotate_to_wind`` raises CalmWindError instead, since a calm wind
@@ -34,23 +37,17 @@ from scipy.special import erfcx
 from .errors import CalmWindError, NumericalError
 
 __all__ = [
-    "MU_AIR",
-    "G_ACCEL",
     "X_CUTOFF_DEFAULT",
     "CALM_SPEED_DEFAULT",
     "ParticleProperties",
     "StabilityClass",
     "SourceSite",
     "LocalCoords",
-    "settling_velocity",
     "briggs_sigma",
     "rotate_to_wind",
     "plume_kernel",
     "kernel_profile",
 ]
-
-MU_AIR = 1.8e-5  # dynamic viscosity of air, kg m^-1 s^-1
-G_ACCEL = 9.8  # gravitational acceleration, m s^-2
 
 logger = logging.getLogger(__name__)
 
@@ -59,47 +56,20 @@ CALM_SPEED_DEFAULT = 0.1  # m s^-1; weaker horizontal wind counts as calm
 BLOCK_ENTRIES = 1 << 14  # receptor-source-step entries per block of kernel_profile's temporaries
 
 
-def settling_velocity(density: float, diameter: float) -> float:
-    """Terminal fall speed of a small sphere: rho g d^2 / (18 mu).
-
-    Args:
-        density: particle material density, kg m^-3.
-        diameter: particle diameter, m.
-
-    Returns:
-        Settling velocity in m s^-1.
-    """
-    if not (math.isfinite(density) and math.isfinite(diameter)):
-        raise ValueError("density and diameter must be finite")
-    if density <= 0:
-        raise ValueError(f"density must be positive, got {density}")
-    if diameter < 0:
-        raise ValueError(f"diameter must be nonnegative, got {diameter}")
-    return density * G_ACCEL * diameter**2 / (18.0 * MU_AIR)
-
-
 @dataclass(frozen=True)
 class ParticleProperties:
-    """Physical parameters of one particulate species.
+    """The two velocities of one particulate species that the kernel reads."""
 
-    ``w_set`` is supplied by the caller, not derived from density/diameter;
-    use :func:`settling_velocity` if a Stokes-law value is wanted.
-    """
-
-    density: float  # kg m^-3
-    diameter: float  # m
     w_dep: float  # deposition velocity, m s^-1
     w_set: float  # settling velocity, m s^-1
 
     def __post_init__(self) -> None:
-        for name in ("density", "diameter", "w_dep", "w_set"):
+        for name in ("w_dep", "w_set"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if self.density <= 0:
-            raise ValueError(f"density must be positive, got {self.density}")
-        if self.diameter < 0 or self.w_dep < 0 or self.w_set < 0:
-            raise ValueError("diameter, w_dep and w_set must be nonnegative")
+        if self.w_dep < 0 or self.w_set < 0:
+            raise ValueError("w_dep and w_set must be nonnegative")
 
     @property
     def w_offset(self) -> float:

@@ -102,7 +102,7 @@ def truth_on_inversion_grid(bundled) -> np.ndarray:
 
 def test_criterion_01_plume_mass_and_classical_reduction():
     tic = time.perf_counter()
-    inert = ParticleProperties(2600.0, 1e-5, w_dep=0.0, w_set=0.0)
+    inert = ParticleProperties(w_dep=0.0, w_set=0.0)
     cls = StabilityClass.D
     height, speed = 5.0, 2.3
 
@@ -202,7 +202,7 @@ def test_criterion_02_dispersion_coefficient_snapshot():
 
 def test_criterion_03_observation_matches_direct_quadrature():
     tic = time.perf_counter()
-    particle = ParticleProperties(2600.0, 1e-5, w_dep=1.2e-2, w_set=7.86e-3)
+    particle = ParticleProperties(w_dep=1.2e-2, w_set=7.86e-3)
     grid = TimeGrid(t0=0.0, dt=600.0, n_steps=10)
     sites = [
         SourceSite(id="a", x=0.0, y=0.0, height=5.0),

@@ -61,12 +61,7 @@ def tiny_case(out_dir) -> dict:
         "dt_inversion_s": 3600.0,
         "dt_generation_s": 1800.0,
         "stability_class": "D",
-        "particle": {
-            "density_kg_m3": 2600.0,
-            "diameter_m": 1.0e-5,
-            "w_dep_mps": 1.2e-2,
-            "w_set_mps": 7.86e-3,
-        },
+        "particle": {"w_dep_mps": 1.2e-2, "w_set_mps": 7.86e-3},
         "sources": [
             {"id": "q1", "x_m": 0.0, "y_m": 0.0, "z_m": 5.0},
             {"id": "q2", "x_m": 60.0, "y_m": 40.0, "z_m": 4.0},
@@ -182,6 +177,18 @@ class TestRun:
             assert payload["timing_s"] >= 0.0
         assert meta["config"]["sampler"]["n_steps"] == 4000
         assert "paths" not in meta["config"]
+
+    def test_metadata_is_strict_json(self, tmp_path):
+        """Five steps leave R-hat undefined: it is written as null, not NaN."""
+        def refuse(token):
+            raise ValueError(f"non-JSON token {token}")
+
+        cfg_path, out = write_case(tmp_path)
+        assert cli.main(["run", "--config", str(cfg_path), "--n-steps", "5", "--seed", "1"]) == 0
+        for name in ("wind_fit.json", "deposition_grid.json"):
+            json.loads((out / name).read_text(), parse_constant=refuse)
+        meta = json.loads((out / "run_metadata.json").read_text(), parse_constant=refuse)
+        assert meta["stages"]["invert"]["r_hat"] is None
 
     def test_propagate_certifies_the_sketch(self, completed):
         """12 rate slots fit in the sketch, so the Nystrom factor keeps the
@@ -351,6 +358,25 @@ class TestStageCommands:
         assert keys.keys() == new_keys.keys() == {"wind_fit", "synth"}
         assert new_keys["wind_fit"] == keys["wind_fit"] and new_keys["synth"] != keys["synth"]
 
+    def test_particle_density_and_diameter_rerun_nothing(self, tmp_path):
+        """The kernel reads only the two velocities: a config that still
+        carries an older density and diameter loads, keeps every stage key
+        and reruns no stage but propagate, which a run always reruns."""
+        def lead(data):
+            data["particle"].update(density_kg_m3=11340.0, diameter_m=3.0e-6)
+
+        cfg_path, out = write_case(tmp_path)
+        edited, _ = write_case(tmp_path, name="edited.yaml", mutate=lead)
+        assert cli.main(["run", "--config", str(cfg_path)]) == 0
+        names = [name for name, stage in WRITTEN_BY.items() if stage != "propagate"]
+        names += ["state/wind.npz", "state/inversion.npz"]
+        before, keys = mtimes(out, names), stage_keys(out)
+        assert cli.main(["run", "--config", str(edited)]) == 0
+        assert mtimes(out, names) == before
+        assert stage_keys(out) == keys
+        meta = json.loads((out / "run_metadata.json").read_text())
+        assert meta["config"]["particle"] == {"w_dep": 1.2e-2, "w_set": 7.86e-3}
+
     def test_wind_fit_alone_fits_once(self, tmp_path, monkeypatch):
         calls = []
         fit_wind = pipeline.fit_wind
@@ -511,6 +537,26 @@ class TestExitCodes:
             data["time"]["duration_s"] = 3600.0
 
         cfg_path, out = write_case(tmp_path, mutate=one_step)
+        assert cli.main(["run", "--config", str(cfg_path)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "schedule, window_s",
+        [
+            ({"count": 7}, 3600.0),  # the seventh window ends past the horizon
+            # (00:10, 00:40] holds a generation step but no inversion step
+            ({"start": "2024-06-01T00:10:00Z"}, 1800.0),
+        ],
+        ids=["past_the_horizon", "empty_on_the_inversion_grid"],
+    )
+    def test_bad_synthetic_sampler_window_is_2(self, tmp_path, schedule, window_s):
+        """Refused at load, before the wind fit or synth writes a file."""
+        def edit(data):
+            sampler = data["synthetic"]["sensors"][0]
+            sampler["schedule"].update(schedule)
+            sampler["window_s"] = window_s
+
+        cfg_path, out = write_case(tmp_path, mutate=edit)
         assert cli.main(["run", "--config", str(cfg_path)]) == 2
         assert not out.exists()
 

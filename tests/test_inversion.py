@@ -312,7 +312,7 @@ class TestSparseF:
         before = f_csr.copy()
         dense_f, dense_d = whiten(f, d, noise_var)
         sparse_f, sparse_d = whiten(f_csr, d, noise_var)
-        assert sparse_f.format == dense_f.format == "csc"
+        assert sparse_f.format == dense_f.format == "csr"
         np.testing.assert_allclose(sparse_f.toarray(), dense_f.toarray(), rtol=1e-14, atol=0.0)
         np.testing.assert_allclose(sparse_d, dense_d, rtol=1e-14, atol=0.0)
         np.testing.assert_array_equal(f_csr.toarray(), before.toarray())  # input left as it was

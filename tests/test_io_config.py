@@ -1,6 +1,7 @@
 """Tests for file formats and run configuration parsing."""
 
 import inspect
+import math
 from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
@@ -237,7 +238,6 @@ class TestMeasurementsCsv:
             indices=np.array([0, 0, 1, 2]),
             values=values,
             noise_var=signal_variances(values, SENSORS),
-            units=("kg", "kg_m3", "kg_m3", "kg_m3"),
         )
 
     def test_round_trip(self, tmp_path):
@@ -249,7 +249,6 @@ class TestMeasurementsCsv:
         np.testing.assert_array_equal(loaded.indices, original.indices)
         np.testing.assert_allclose(loaded.values, original.values, rtol=1e-11)
         np.testing.assert_allclose(loaded.noise_var, original.noise_var, rtol=1e-9)
-        assert loaded.units == original.units
 
     def test_rows_in_any_order(self, tmp_path):
         path = tmp_path / "meas.csv"
@@ -329,6 +328,11 @@ class TestArtifactWriters:
         assert back["stage_key"] == "beef00000000"
         assert back["stages"] == {"a": 1}
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_json_refuses_non_finite(self, tmp_path, value):
+        with pytest.raises(ValueError):
+            write_json(tmp_path / "meta.json", {"r_hat": value})
+
 
 BUNDLED_CASE = Path(plumeinv.__file__).parent / "data" / "default_case.yaml"
 
@@ -345,8 +349,6 @@ def base_config(tmp_path) -> dict:
         "dt_inversion_s": 3600.0,
         "dt_generation_s": 1800.0,
         "particle": {
-            "density_kg_m3": 2600.0,
-            "diameter_m": 1.0e-5,
             "w_dep_mps": 1.2e-2,
             "w_set_mps": 7.86e-3,
         },

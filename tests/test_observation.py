@@ -20,7 +20,6 @@ from plumeinv.observation import (
     RealTimeSampler,
     TimeGrid,
     assemble_F,
-    assemble_G,
     assemble_M,
     measurement_count,
     signal_variances,
@@ -29,7 +28,7 @@ from plumeinv.observation import (
 )
 from plumeinv.plume import ParticleProperties, SourceSite, StabilityClass, kernel_profile
 
-PARTICLE = ParticleProperties(density=2600.0, diameter=1e-5, w_dep=1.2e-2, w_set=7.8641975308642e-3)
+PARTICLE = ParticleProperties(w_dep=1.2e-2, w_set=7.8641975308642e-3)
 
 GRID = TimeGrid(t0=0.0, dt=600.0, n_steps=10)
 
@@ -176,31 +175,6 @@ class TestAssembleM:
         np.testing.assert_allclose(m, GRID.dt / GRID.span)
 
 
-class TestAssembleG:
-    def test_shapes_and_values_match_profile(self):
-        wind = make_wind()
-        tables = assemble_G(SENSORS, SITES, wind, GRID, PARTICLE, StabilityClass.D)
-        assert len(tables) == len(SENSORS)
-        points = np.array([s.location for s in SENSORS])
-        for j in range(GRID.n_steps):
-            profile = kernel_profile(
-                points, SITES, (wind.u_x[j], wind.u_y[j]), PARTICLE, StabilityClass.D
-            )
-            for k in range(len(SENSORS)):
-                np.testing.assert_array_equal(tables[k][j], profile[k])
-
-    def test_calm_step_contributes_zero(self):
-        tables = assemble_G(SENSORS, SITES, make_wind(calm_step=4), GRID, PARTICLE, StabilityClass.D)
-        for table in tables:
-            assert np.all(table[4] == 0.0)
-            assert np.any(table[3] != 0.0)
-
-    def test_wind_length_mismatch_raises(self):
-        wind = SimpleNamespace(u_x=np.ones(3), u_y=np.ones(3))
-        with pytest.raises(ValueError):
-            assemble_G(SENSORS, SITES, wind, GRID, PARTICLE, StabilityClass.D)
-
-
 def reference_forward(q_by_source, wind):
     """Direct quadrature of every measurement, no matrix assembly.
 
@@ -260,6 +234,11 @@ class TestAssembleF:
     def test_no_sensors(self):
         f = assemble_F([], SITES, make_wind(), GRID, PARTICLE, StabilityClass.D)
         assert f.shape == (0, 2 * GRID.n_steps)
+
+    def test_wind_length_mismatch_raises(self):
+        wind = SimpleNamespace(u_x=np.ones(3), u_y=np.ones(3))
+        with pytest.raises(ValueError, match="wind series length"):
+            assemble_F(SENSORS, SITES, wind, GRID, PARTICLE, StabilityClass.D)
 
     def test_peak_memory_is_the_result(self):
         """Each sensor's rows are written into F; no per-sensor blocks sit beside it."""
@@ -322,13 +301,12 @@ class TestMeasurementSet:
             indices=np.zeros(n, dtype=int),
             values=np.arange(n, dtype=float),
             noise_var=np.ones(n),
-            units=("kg",) * n,
         )
 
     def test_len_and_entries(self):
         ms = MeasurementSet(**self._fields(3))
         assert len(ms) == 3
-        assert ms.entries[1] == ("b", 0, 1.0, "kg")
+        assert ms.entries[1] == ("b", 0, 1.0)
 
     def test_length_mismatch_raises(self):
         fields = self._fields(3)
@@ -355,7 +333,6 @@ class TestSimulateMeasurements:
         ms = simulate_measurements(self.f, self.q, SENSORS, seed=0)
         assert ms.sensor_ids == ("jar_x",) + ("rt_1",) * 5 + ("rt_2",) * 2
         np.testing.assert_array_equal(ms.indices, [0, 0, 1, 2, 3, 4, 0, 1])
-        assert ms.units == ("kg",) + ("kg_m3",) * 7
 
     def test_same_seed_reproduces(self):
         a = simulate_measurements(self.f, self.q, SENSORS, seed=42)

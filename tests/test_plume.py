@@ -24,7 +24,6 @@ from plumeinv.plume import (
     kernel_profile,
     plume_kernel,
     rotate_to_wind,
-    settling_velocity,
 )
 
 # Local copy of the power-law fit table; the snapshot test pins the
@@ -74,37 +73,21 @@ def naive_kernel(x, y, z, h, speed, w_dep, w_set, cls) -> float:
     return pref * gauss_y * drift * (direct + image + dep)
 
 
-PARTICLE = ParticleProperties(density=2600.0, diameter=1e-5, w_dep=1.2e-2, w_set=7.8641975308642e-3)
-
-
-class TestSettlingVelocity:
-    def test_frozen_values(self):
-        # rho g d^2 / (18 mu) with g = 9.8, mu = 1.8e-5
-        assert settling_velocity(2600.0, 1e-5) == pytest.approx(7.8641975308642e-3, rel=1e-12)
-        assert settling_velocity(1200.0, 5e-6) == pytest.approx(9.074074074074076e-4, rel=1e-12)
-
-    def test_zero_diameter(self):
-        assert settling_velocity(1000.0, 0.0) == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            settling_velocity(-1.0, 1e-5)
-        with pytest.raises(ValueError):
-            settling_velocity(1000.0, -1e-5)
-        with pytest.raises(ValueError):
-            settling_velocity(math.nan, 1e-5)
+PARTICLE = ParticleProperties(w_dep=1.2e-2, w_set=7.8641975308642e-3)
 
 
 class TestParticleProperties:
     def test_w_offset(self):
-        p = ParticleProperties(2600.0, 1e-5, w_dep=0.012, w_set=0.008)
+        p = ParticleProperties(w_dep=0.012, w_set=0.008)
         assert p.w_offset == pytest.approx(0.008, rel=1e-15)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            ParticleProperties(2600.0, 1e-5, w_dep=-0.01, w_set=0.0)
+            ParticleProperties(w_dep=-0.01, w_set=0.0)
         with pytest.raises(ValueError):
-            ParticleProperties(0.0, 1e-5, w_dep=0.01, w_set=0.0)
+            ParticleProperties(w_dep=0.01, w_set=-0.001)
+        with pytest.raises(ValueError):
+            ParticleProperties(w_dep=math.nan, w_set=0.0)
 
 
 class TestBriggsSigma:
@@ -204,7 +187,7 @@ class TestPlumeKernel:
 
     def test_reduces_to_reflected_gaussian_without_deposition(self):
         # w_dep = w_set = 0 collapses the kernel to the textbook image form
-        p0 = ParticleProperties(2600.0, 1e-5, w_dep=0.0, w_set=0.0)
+        p0 = ParticleProperties(w_dep=0.0, w_set=0.0)
         h = 4.0
         speed = 2.5
         for x, y, z in [(50.0, 0.0, 0.0), (300.0, 20.0, 1.5), (1500.0, -60.0, 10.0)]:
@@ -225,7 +208,7 @@ class TestPlumeKernel:
     @pytest.mark.parametrize("cls", ["A", "C", "D", "F"])
     @pytest.mark.parametrize("w_dep,w_set", [(1.2e-2, 7.86e-3), (2.0e-3, 4.0e-3), (0.0, 6.0e-3)])
     def test_matches_naive_transcription(self, cls, w_dep, w_set):
-        p = ParticleProperties(2600.0, 1e-5, w_dep=w_dep, w_set=w_set)
+        p = ParticleProperties(w_dep=w_dep, w_set=w_set)
         sc = StabilityClass(cls)
         for x in (5.0, 60.0, 400.0, 2500.0):
             for y in (0.0, 25.0):
@@ -244,7 +227,7 @@ class TestPlumeKernel:
         assert k_pos > 0
 
     def test_nonnegative_under_strong_deposition(self):
-        p = ParticleProperties(2600.0, 1e-5, w_dep=0.5, w_set=0.0)
+        p = ParticleProperties(w_dep=0.5, w_set=0.0)
         for x in (10.0, 100.0, 1000.0, 10000.0):
             lc = LocalCoords(downwind=x, crosswind=0.0, z_rel=-2.0, speed=0.5)
             assert plume_kernel(lc, p, StabilityClass.F, z_src=2.0) >= 0.0
@@ -252,13 +235,13 @@ class TestPlumeKernel:
     def test_settling_overflow_raises(self):
         # settling far exceeding deposition at long stable-class range blows
         # up the image correction; must surface as NumericalError, not inf
-        p = ParticleProperties(2600.0, 1e-5, w_dep=0.0, w_set=0.02)
+        p = ParticleProperties(w_dep=0.0, w_set=0.02)
         lc = LocalCoords(downwind=5e4, crosswind=0.0, z_rel=-2.0, speed=0.5)
         with pytest.raises(NumericalError):
             plume_kernel(lc, p, StabilityClass.F, z_src=2.0)
 
     def test_same_geometry_finite_when_deposition_dominates(self):
-        p = ParticleProperties(2600.0, 1e-5, w_dep=0.02, w_set=0.02)
+        p = ParticleProperties(w_dep=0.02, w_set=0.02)
         lc = LocalCoords(downwind=5e4, crosswind=0.0, z_rel=-2.0, speed=0.5)
         assert math.isfinite(plume_kernel(lc, p, StabilityClass.F, z_src=2.0))
 
@@ -313,7 +296,7 @@ class TestKernelProfile:
         for cls in "ABCDEF":
             sc = StabilityClass(cls)
             for w_dep, w_set in [(1.2e-2, 7.86e-3), (2.0e-3, 4.0e-3), (0.0, 6.0e-3)]:
-                p = ParticleProperties(2600.0, 1e-5, w_dep=w_dep, w_set=w_set)
+                p = ParticleProperties(w_dep=w_dep, w_set=w_set)
                 series = kernel_profile(points, self.SITES, series_wind, p, sc)
                 assert series.shape == (len(winds), len(points), 3)
                 for step, wind in enumerate(winds):

@@ -20,7 +20,7 @@ from plumeinv.synthetic import (
     wind_records,
 )
 
-PARTICLE = ParticleProperties(density=2600.0, diameter=1e-5, w_dep=1.2e-2, w_set=7.8641975308642e-3)
+PARTICLE = ParticleProperties(w_dep=1.2e-2, w_set=7.8641975308642e-3)
 
 
 class TestSourceSignal:

@@ -28,7 +28,7 @@ from plumeinv.uqprop import (
     lowrank_truncate,
 )
 
-PARTICLE = ParticleProperties(density=2600.0, diameter=1e-5, w_dep=1.2e-2, w_set=7.8641975308642e-3)
+PARTICLE = ParticleProperties(w_dep=1.2e-2, w_set=7.8641975308642e-3)
 TIMEGRID = TimeGrid(t0=0.0, dt=600.0, n_steps=8)
 SITES = [
     SourceSite(id="src_a", x=0.0, y=0.0, height=5.0),
