@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands map onto pipeline stages; every invocation loads one YAML
-config (the bundled synthetic case by default), applies CLI and
-environment overrides, and runs the requested stage with missing
-predecessors filled in. Exit codes: 0 success, 2 invalid input or
-configuration, 3 numerical failure. ``PLUME_THREADS`` is applied by
+config (the bundled synthetic case by default), applies the CLI
+overrides, and runs the requested stage with missing predecessors
+filled in. Exit codes: 0 success, 2 invalid input or configuration,
+3 numerical failure. ``PLUME_THREADS`` is applied by
 ``pipeline.run_stage``, as for any library caller.
 """
 
@@ -20,7 +20,7 @@ from . import pipeline
 from .config import RunConfig, load_config
 from .errors import NumericalError, ValidationError
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main"]
 
 logger = logging.getLogger(__name__)
 
@@ -49,7 +49,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--seed",
         type=int,
         default=None,
-        help="override the run seed (beats the PLUME_SEED environment variable)",
+        help="override sampler.seed, the run's one seed",
     )
 
 

@@ -1,9 +1,10 @@
-"""Run configuration: YAML parsing, validation, env overrides.
+"""Run configuration: YAML parsing, validation, overrides.
 
 The config file is nested key/value YAML. Relative input paths resolve
 against the output directory (all artifacts of a run live together);
-``out_dir`` itself resolves against the working directory. ``PLUME_SEED``
-overrides the sampler seed.
+``out_dir`` itself resolves against the working directory. ``load_config``
+takes the two overrides a caller may pass, the output directory and the
+sampler seed; keys the loader does not read are ignored.
 
 A section that one stage reads is that stage's own type, validated where
 it is defined: ``prior`` is ``inversion.PriorConfig``, ``sampler`` is
@@ -13,7 +14,6 @@ it is defined: ``prior`` is ``inversion.PriorConfig``, ``sampler`` is
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -33,11 +33,8 @@ from .plume import (
 from .sampling import SamplerConfig
 from .synthetic import Harmonic, SourceSignal, SyntheticSpec, WindModel
 from .uqprop import GridSpec
-from .windprep import CV_MAX_POINTS_DEFAULT, CV_MIN_POINTS
 
-__all__ = ["RunConfig", "load_config", "ENV_SEED"]
-
-ENV_SEED = "PLUME_SEED"
+__all__ = ["RunConfig", "load_config"]
 
 
 @dataclass(frozen=True)
@@ -102,8 +99,6 @@ class RunConfig:
     plume: PlumeSettings = field(default_factory=PlumeSettings)
     synthetic: Optional[SyntheticConfig] = None
     noise_floor: float = NOISE_FLOOR_DEFAULT
-    allow_same_dt: bool = False
-    wind_cv_max_points: int = CV_MAX_POINTS_DEFAULT
 
     def __post_init__(self) -> None:
         if self.dt_inversion <= 0 or self.dt_generation <= 0:
@@ -118,16 +113,10 @@ class RunConfig:
                 raise ValidationError(f"{name}={dt} does not divide the duration evenly")
             if round(steps) < 2:
                 raise ValidationError(f"{name}_s={dt} leaves fewer than two steps in the duration")
-        inverse_crime = self.dt_generation == self.dt_inversion and not self.allow_same_dt
-        if self.synthetic is not None and inverse_crime:
+        if self.synthetic is not None and self.dt_generation == self.dt_inversion:
             raise ValidationError(
                 "dt_generation_s equals dt_inversion_s; generating data on the inversion "
-                "grid invites an inverse crime (set allow_same_dt to override)"
-            )
-        if self.wind_cv_max_points < CV_MIN_POINTS:
-            raise ValidationError(
-                f"wind_cv_max_points must be at least {CV_MIN_POINTS}, "
-                f"got {self.wind_cv_max_points}"
+                "grid invites an inverse crime"
             )
         if self.synthetic is not None:
             # Refused here, before the wind fit or synth writes anything.
@@ -314,10 +303,7 @@ def _config_from_dict(data: dict) -> RunConfig:
         dt_inversion=("dt_inversion_s", float),
         dt_generation=("dt_generation_s", float),
         noise_floor=("noise_floor", float),
-        wind_cv_max_points=("wind_cv_max_points", int),
     )
-    if "allow_same_dt" in data:
-        extra["allow_same_dt"] = bool(data["allow_same_dt"])
     try:
         return RunConfig(
             paths=paths,
@@ -339,12 +325,6 @@ def _config_from_dict(data: dict) -> RunConfig:
 def _apply_overrides(cfg: RunConfig, out_dir=None, seed=None) -> RunConfig:
     from dataclasses import replace
 
-    env_seed = os.environ.get(ENV_SEED)
-    if seed is None and env_seed is not None:
-        try:
-            seed = int(env_seed)
-        except ValueError:
-            raise ValidationError(f"{ENV_SEED} must be an integer, got {env_seed!r}")
     if seed is not None:
         cfg = replace(cfg, sampler=replace(cfg.sampler, seed=int(seed)))
     if out_dir is not None:
@@ -353,7 +333,7 @@ def _apply_overrides(cfg: RunConfig, out_dir=None, seed=None) -> RunConfig:
 
 
 def load_config(path, out_dir=None, seed=None) -> RunConfig:
-    """Parse, validate, and apply overrides (CLI args beat PLUME_SEED)."""
+    """Parse, validate, and apply the output directory and seed overrides."""
     path = Path(path)
     if not path.is_file():
         raise ValidationError(f"config file not found: {path}")

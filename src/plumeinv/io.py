@@ -37,12 +37,6 @@ from .uqprop import DepositionGrid
 from .windprep import CV_MIN_POINTS, RawWindRecord, WindSeries
 
 __all__ = [
-    "WIND_HEADER",
-    "MEASUREMENTS_HEADER",
-    "EMISSIONS_HEADER",
-    "GRID_HEADER",
-    "TRUTH_HEADER",
-    "WIND_FIT_HEADER",
     "parse_timestamp",
     "format_timestamp",
     "load_wind_csv",

@@ -46,7 +46,7 @@ from .inversion import (
     mle_constant,
     positive_posterior,
 )
-from .observation import MeasurementSet, TimeGrid, assemble_F
+from .observation import MeasurementSet, TimeGrid, assemble_F, signal_variances
 from .sampling import sketch_test_matrix
 from .synthetic import generate_synthetic, wind_records
 from .uqprop import annualize, assemble_H, deposition_stats, lowrank_truncate
@@ -75,10 +75,9 @@ STAGES = ("wind_fit", "synth", "invert", "propagate")
 # slice reaches synth through the upstream key of state/wind.npz.
 _MODEL_SLICE = ("time", "dt_inversion", "sources", "particle", "stability", "plume")
 SLICES = {
-    "wind_fit": ("time", "dt_inversion", "dt_generation", "sampler.seed", "wind_cv_max_points")
+    "wind_fit": ("time", "dt_inversion", "dt_generation", "sampler.seed")
     + ("synthetic.wind_model", "synthetic.wind_cadence_s"),
-    "synth": ("dt_generation", "sampler.seed") + _MODEL_SLICE
-    + ("synthetic", "noise_floor", "allow_same_dt"),
+    "synth": ("dt_generation", "sampler.seed") + _MODEL_SLICE + ("synthetic", "noise_floor"),
     "invert": _MODEL_SLICE + ("noise_floor", "prior", "sampler"),
     "propagate": _MODEL_SLICE + ("grid",),
 }
@@ -299,9 +298,7 @@ def run_wind_fit(cfg: RunConfig) -> None:
         records = wind_records(syn.wind_model, inv_grid.t0, cfg.time.duration_s, syn.wind_cadence_s)
         io.write_wind_csv(cfg.resolve_input("wind_csv"), records, key)
     records = io.load_wind_csv(cfg.resolve_input("wind_csv"))
-    choices = select_hyperparameters(
-        records, seed=cfg.sampler.seed, cv_max_points=cfg.wind_cv_max_points
-    )
+    choices = select_hyperparameters(records, seed=cfg.sampler.seed)
     grids = [inv_grid] if syn is None else [inv_grid, generation_grid(cfg)]
     series = fit_wind(records, grids, [choice.config for choice in choices])
     arrays = {}
@@ -383,7 +380,9 @@ def run_invert(
     Args:
         cfg: run configuration (wind state must exist; see run_stage).
         through: last stage to run, "constant", "smooth", or "positive".
-        drop_sensor: exclude this sensor id (ablation experiments).
+        drop_sensor: exclude this sensor id (ablation experiments); the
+            noise variances are computed as if its readings were never in
+            the measurement file.
         noise_scale: multiplies the noise std handed to the inversion
             (the injected noise is untouched); 0.5 models an optimistic
             noise assumption.
@@ -410,11 +409,14 @@ def run_invert(
         sensors = [s for s in sensors if s.id != drop_sensor]
         if not sensors:
             raise ValidationError("dropping that sensor leaves no measurements")
+        # The noise comes from the kept sensors alone: a jar's is pooled over
+        # every jar, and the dropped one must not set the others'.
+        values = measurements.values[keep]
         measurements = MeasurementSet(
             sensor_ids=tuple(np.array(measurements.sensor_ids)[keep]),
             indices=measurements.indices[keep],
-            values=measurements.values[keep],
-            noise_var=measurements.noise_var[keep],
+            values=values,
+            noise_var=signal_variances(values, sensors, cfg.noise_floor),
         )
         logger.info("dropped sensor %s (%d measurements remain)", drop_sensor, keep.sum())
     noise_var = measurements.noise_var * noise_scale**2

@@ -104,6 +104,8 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 BLOCK_SIZE = 64  # chain steps drawn per block, and distinct kept states per moment update
+TUNE_BAND = (0.25, 0.35)  # pilot acceptance rates tune_beta accepts
+TUNE_PILOT_STEPS = 2000  # steps of each tune_beta pilot chain
 TUNE_MAX_ITER = 12  # bisections tune_beta tries before settling for the closest beta
 R_HAT_SPLITS = 4  # parts the kept potential trace is split into for split-R-hat
 SKETCH_SIZE = 400  # columns of the test matrix the chain's covariance is sketched with
@@ -407,8 +409,8 @@ class _ChainRun:
     accepted: int
     n_nonfinite: int
     phi_trace: np.ndarray  # potential of the state after each kept step
-    mean: Optional[np.ndarray]  # chain mean of v over the kept steps
-    moments: Optional[OnlineMoments]  # moments of h(v) over the kept steps
+    mean: np.ndarray  # chain mean of v over the kept steps
+    moments: OnlineMoments  # moments of h(v) over the kept steps
 
 
 class _RowSplit:
@@ -453,14 +455,12 @@ def _pcn_kernel(
     prior: GaussianPrior,
     cfg: SamplerConfig,
     link: Optional[Link] = None,
-    moments: bool = True,
 ) -> _ChainRun:
     """Run ``cfg.n_steps`` pCN steps a block at a time (see the module docstring).
 
     ``f_white`` is a dense or sparse matrix; the kernel holds it only as a
-    ``_RowSplit``, and works in that split's row order. With ``moments``
-    off only acceptances and the potential trace are kept. The draw thread
-    is joined, and the BLAS thread counts restored, before this returns or
+    ``_RowSplit``, and works in that split's row order. The draw thread is
+    joined, and the BLAS thread counts restored, before this returns or
     raises.
     """
     m = np.asarray(prior_mean, dtype=float)
@@ -482,10 +482,10 @@ def _pcn_kernel(
     burn = cfg.n_burn
     n_kept = cfg.n_steps - burn
     phi_trace = np.empty(n_kept)
-    acc = OnlineMoments(m.size) if moments else None
-    mean_v = np.zeros(m.size) if moments else None
+    acc = OnlineMoments(m.size)
+    mean_v = np.zeros(m.size)
     # Distinct kept states and their dwell counts, flushed BLOCK_SIZE at a time.
-    rows = np.empty((min(BLOCK_SIZE, n_kept), m.size)) if moments else None
+    rows = np.empty((min(BLOCK_SIZE, n_kept), m.size))
     counts = np.zeros(BLOCK_SIZE)
     fill = 0
     accepted = 0
@@ -553,8 +553,6 @@ def _pcn_kernel(
                 if step < burn:
                     continue
                 phi_trace[step - burn] = phi_v
-                if not moments:
-                    continue
                 if accept or step == burn:
                     if fill == len(rows):
                         flush()
@@ -563,8 +561,7 @@ def _pcn_kernel(
                     counts[fill] = 0.0
                     fill += 1
                 counts[fill - 1] += 1.0
-        if moments:
-            flush()
+        flush()
     return _ChainRun(accepted, n_nonfinite, phi_trace, mean_v, acc)
 
 
@@ -624,31 +621,25 @@ def tune_beta(
     d_white: np.ndarray,
     prior_mean: np.ndarray,
     prior: GaussianPrior,
-    target=(0.25, 0.35),
-    pilot_steps: int = 2000,
     seed: int = 0,
     link: Optional[Link] = None,
 ) -> TuneResult:
-    """Bisect beta until the pilot acceptance rate lands in ``target``.
+    """Bisect beta until the pilot acceptance rate lands in ``TUNE_BAND``.
 
-    The pilots run the chain's block kernel with moments off, on the model
-    of ``pcn_chain``. Acceptance is non-increasing in beta for pCN, so plain
-    bisection on (0, 1] applies: start from beta = 1 and halve toward 0
-    while the rate is below the band. If the band is unreachable (e.g. a
-    flat potential accepts everything even at beta = 1) or not hit within
-    ``TUNE_MAX_ITER`` bisections, the closest evaluated beta is returned
-    with a warning.
+    Each pilot runs ``TUNE_PILOT_STEPS`` steps with no burn-in through the
+    block kernel of ``pcn_chain``, just as a chain does. Acceptance is
+    non-increasing in beta for pCN, so plain bisection on (0, 1] applies:
+    start from beta = 1 and halve toward 0 while the rate is below the
+    band. If the band is unreachable (e.g. a flat potential accepts
+    everything even at beta = 1) or not hit within ``TUNE_MAX_ITER``
+    bisections, the closest evaluated beta is returned with a warning.
     """
-    if pilot_steps < 1000:
-        raise ValueError("pilot_steps must be at least 1000")
-    lo_band, hi_band = target
-    if not (0.0 < lo_band < hi_band < 1.0):
-        raise ValueError(f"invalid target band {target}")
+    lo_band, hi_band = TUNE_BAND
 
     def rate(beta: float) -> float:
-        cfg = SamplerConfig(beta=beta, n_steps=pilot_steps, burn_in_fraction=0.0, seed=seed)
-        run = _pcn_kernel(f_white, d_white, prior_mean, prior, cfg, link, moments=False)
-        return run.accepted / pilot_steps
+        cfg = SamplerConfig(beta=beta, n_steps=TUNE_PILOT_STEPS, burn_in_fraction=0.0, seed=seed)
+        run = _pcn_kernel(f_white, d_white, prior_mean, prior, cfg, link)
+        return run.accepted / TUNE_PILOT_STEPS
 
     evaluations = []
     r_top = rate(1.0)
@@ -657,7 +648,8 @@ def tune_beta(
         return TuneResult(1.0, r_top, True)
     if r_top > hi_band:
         logger.warning(
-            "acceptance %.3f at beta=1 already above the band %s; band unreachable", r_top, target
+            "acceptance %.3f at beta=1 already above the band %s; band unreachable",
+            r_top, TUNE_BAND,
         )
         return TuneResult(1.0, r_top, False)
 
@@ -676,6 +668,6 @@ def tune_beta(
     beta_best, rate_best = min(evaluations, key=lambda br: abs(br[1] - center))
     logger.warning(
         "step-size search did not reach %s in %d bisections; returning beta=%.4g (rate %.3f)",
-        target, TUNE_MAX_ITER, beta_best, rate_best,
+        TUNE_BAND, TUNE_MAX_ITER, beta_best, rate_best,
     )
     return TuneResult(beta_best, rate_best, False)

@@ -3,8 +3,8 @@
 Raw anemometer records (speed + meteorological "blowing from" direction)
 are converted to Cartesian components and each component is smoothed
 independently by zero-mean GP regression with a squared-exponential
-kernel. Hyperparameters come from k-fold cross-validation over a small
-logarithmic candidate grid.
+kernel. Hyperparameters come from ``CV_FOLDS``-fold cross-validation on
+at most ``CV_MAX_POINTS`` records, over a small logarithmic candidate grid.
 
 The kernel falls below 2^-60 of its signal variance beyond
 sqrt(120 ln 2) = 9.12 length scales. Entries past that cutoff are dropped,
@@ -43,7 +43,8 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-CV_MAX_POINTS_DEFAULT = 400  # cross-validation subsample cap (cost control)
+CV_MAX_POINTS = 400  # records the cross-validation subsamples down to (cost cap)
+CV_FOLDS = 10  # cross-validation folds; fewer points fall back to leave-one-out
 CV_MIN_POINTS = 3  # fewer points leave some cross-validation fold under two to train on
 # Kernel values below 2^-KERNEL_TOL_LOG2 of the signal variance are dropped:
 # exp(-d^2 / (2 l^2)) < 2^-60 beyond d = sqrt(120 ln 2) l, about 9.12 l.
@@ -223,16 +224,14 @@ def _cv_scores(
     values: np.ndarray,
     candidates: Sequence[GPConfig],
     seed: int,
-    n_folds: int,
 ) -> np.ndarray:
     """Mean held-out squared error of each candidate (see cross_validate)."""
     n = times.size
-    if n < n_folds:
+    if n < CV_FOLDS:
         logger.info("only %d points; falling back to leave-one-out", n)
-        n_folds = n
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
-    folds = np.array_split(perm, n_folds)
+    folds = np.array_split(perm, min(CV_FOLDS, n))
     errs = [[] for _ in candidates]
     for fold in folds:
         train = np.setdiff1d(perm, fold, assume_unique=True)
@@ -252,19 +251,18 @@ def cross_validate(
     values: np.ndarray,
     candidates: Sequence[GPConfig],
     seed: int = 0,
-    n_folds: int = 10,
 ) -> CVChoice:
     """Pick the candidate with the lowest mean held-out squared error.
 
-    Folds are contiguous chunks of a seeded shuffle of the indices. With
-    fewer than ``n_folds`` points the split degrades to leave-one-out
-    (logged); ValueError when no fold leaves two points to train on. Ties
-    break to the smallest length scale, then first listed.
+    Folds are ``CV_FOLDS`` contiguous chunks of a seeded shuffle of the
+    indices. With fewer than ``CV_FOLDS`` points the split degrades to
+    leave-one-out (logged); ValueError when no fold leaves two points to
+    train on. Ties break to the smallest length scale, then first listed.
     """
     if not candidates:
         raise ValueError("need at least one candidate configuration")
     scores = _cv_scores(
-        np.asarray(times, dtype=float), np.asarray(values, dtype=float), candidates, seed, n_folds
+        np.asarray(times, dtype=float), np.asarray(values, dtype=float), candidates, seed
     )
     ranked = sorted(
         range(len(candidates)),
@@ -295,24 +293,20 @@ def _component_arrays(records: Sequence[RawWindRecord]):
     return t, comps
 
 
-def select_hyperparameters(
-    records: Sequence[RawWindRecord],
-    candidates: Sequence[GPConfig] = None,
-    seed: int = 0,
-    cv_max_points: int = CV_MAX_POINTS_DEFAULT,
-):
+def select_hyperparameters(records: Sequence[RawWindRecord], seed: int = 0):
     """Cross-validated kernel choice for each wind component.
 
-    Selection runs on an evenly-strided subsample of at most
-    ``cv_max_points`` records (cost cap); returns (choice_x, choice_y),
+    Each component's candidates are ``default_candidates`` on all records;
+    selection runs on an evenly-strided subsample of at most
+    ``CV_MAX_POINTS`` records (cost cap). Returns (choice_x, choice_y),
     each a CVChoice.
     """
     t, comps = _component_arrays(records)
-    sub = _cv_subsample(t.size, cv_max_points)
-    chosen = []
-    for k in range(2):
-        cand = candidates if candidates is not None else default_candidates(t, comps[:, k])
-        chosen.append(cross_validate(t[sub], comps[sub, k], cand, seed=seed))
+    sub = _cv_subsample(t.size, CV_MAX_POINTS)
+    chosen = [
+        cross_validate(t[sub], comps[sub, k], default_candidates(t, comps[:, k]), seed=seed)
+        for k in range(2)
+    ]
     return chosen[0], chosen[1]
 
 

@@ -7,8 +7,10 @@ bundled 30-day case is exercised by the acceptance tests instead.
 
 import json
 import os
+import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -260,6 +262,30 @@ class TestStageCommands:
         assert (out / "emissions_positive_drop-rt1.csv").is_file()
         assert (out / "emissions_positive.csv").read_bytes() == plain
 
+    def test_drop_jar_equals_the_case_without_it(self, tmp_path):
+        """Jars pool their signal variance, so the dropped jar must not set
+        the others' noise: the result equals that of the files without it."""
+        cfg_path, out = write_case(tmp_path)
+        cfg = load_config(cfg_path)
+        dropped = pipeline.run_stage(cfg, "invert", through="smooth", drop_sensor="jar_b")
+        lean = tmp_path / "lean"
+        shutil.copytree(out, lean)
+        listed = yaml.safe_load((lean / "sensors.yaml").read_text())
+        listed["sensors"] = [s for s in listed["sensors"] if s["id"] != "jar_b"]
+        (lean / "sensors.yaml").write_text(yaml.safe_dump(listed))
+        rows = (lean / "measurements.csv").read_text().splitlines(keepends=True)
+        (lean / "measurements.csv").write_text("".join(r for r in rows if not r.startswith("jar_b,")))
+        lean_cfg = replace(cfg, synthetic=None, paths=replace(cfg.paths, out_dir=str(lean)))
+        plain = pipeline.run_stage(lean_cfg, "invert", through="smooth")
+        assert "jar_b" not in plain.measurements.sensor_ids
+        for got, want in [
+            (dropped.noise_var, plain.noise_var),
+            (dropped.constant.q, plain.constant.q),
+            (dropped.smooth.mean, plain.smooth.mean),
+            (dropped.smooth.std, plain.smooth.std),
+        ]:
+            np.testing.assert_array_equal(got, want)
+
     def test_noise_scale_suffix(self, completed):
         cfg_path, out = completed
         rc = cli.main([
@@ -358,15 +384,13 @@ class TestStageCommands:
         assert keys.keys() == new_keys.keys() == {"wind_fit", "synth"}
         assert new_keys["wind_fit"] == keys["wind_fit"] and new_keys["synth"] != keys["synth"]
 
-    def test_particle_density_and_diameter_rerun_nothing(self, tmp_path):
-        """The kernel reads only the two velocities: a config that still
-        carries an older density and diameter loads, keeps every stage key
-        and reruns no stage but propagate, which a run always reruns."""
-        def lead(data):
-            data["particle"].update(density_kg_m3=11340.0, diameter_m=3.0e-6)
-
+    @staticmethod
+    def rerun_with(tmp_path, mutate) -> dict:
+        """Run the case, then the case edited by ``mutate`` in the same
+        directory: the edit keeps every stage key and reruns no stage but
+        propagate, which a run always reruns. Returns the final metadata."""
         cfg_path, out = write_case(tmp_path)
-        edited, _ = write_case(tmp_path, name="edited.yaml", mutate=lead)
+        edited, _ = write_case(tmp_path, name="edited.yaml", mutate=mutate)
         assert cli.main(["run", "--config", str(cfg_path)]) == 0
         names = [name for name, stage in WRITTEN_BY.items() if stage != "propagate"]
         names += ["state/wind.npz", "state/inversion.npz"]
@@ -374,8 +398,25 @@ class TestStageCommands:
         assert cli.main(["run", "--config", str(edited)]) == 0
         assert mtimes(out, names) == before
         assert stage_keys(out) == keys
-        meta = json.loads((out / "run_metadata.json").read_text())
+        return json.loads((out / "run_metadata.json").read_text())
+
+    def test_particle_density_and_diameter_rerun_nothing(self, tmp_path):
+        """The kernel reads only the two velocities: a config that still
+        carries an older density and diameter loads and reruns nothing."""
+        def lead(data):
+            data["particle"].update(density_kg_m3=11340.0, diameter_m=3.0e-6)
+
+        meta = self.rerun_with(tmp_path, lead)
         assert meta["config"]["particle"] == {"w_dep": 1.2e-2, "w_set": 7.86e-3}
+
+    def test_old_cv_cap_and_same_dt_keys_rerun_nothing(self, tmp_path):
+        """A config that still sets the keys for the wind cross-validation
+        cap and the same-step opt-in, at their old defaults, loads and
+        reruns nothing."""
+        meta = self.rerun_with(
+            tmp_path, lambda d: d.update(wind_cv_max_points=400, allow_same_dt=False)
+        )
+        assert not {"wind_cv_max_points", "allow_same_dt"} & set(meta["config"])
 
     def test_wind_fit_alone_fits_once(self, tmp_path, monkeypatch):
         calls = []
@@ -560,10 +601,19 @@ class TestExitCodes:
         assert cli.main(["run", "--config", str(cfg_path)]) == 2
         assert not out.exists()
 
-    def test_cv_cap_below_three_is_2(self, tmp_path):
-        cfg_path, out = write_case(tmp_path, mutate=lambda d: d.update(wind_cv_max_points=0))
+    def test_single_point_grid_axis_is_2(self, tmp_path):
+        cfg_path, out = write_case(tmp_path, mutate=lambda d: d["grid"].update(n_x=1))
         assert cli.main(["run", "--config", str(cfg_path)]) == 2
         assert not list(out.rglob("*"))
+
+    def test_same_dt_is_2_even_with_the_old_opt_in(self, tmp_path):
+        """Generating on the inversion grid is refused, and the key that
+        used to allow it is ignored."""
+        def same_dt(d):
+            d.update(dt_generation_s=d["dt_inversion_s"], allow_same_dt=True)
+        cfg_path, out = write_case(tmp_path, mutate=same_dt)
+        assert cli.main(["run", "--config", str(cfg_path)]) == 2
+        assert not out.exists()
 
     def test_nonpositive_prior_is_2(self, tmp_path):
         cfg_path, out = write_case(tmp_path, mutate=lambda d: d["prior"].update(alpha=-1.0))
@@ -597,8 +647,8 @@ class TestExitCodes:
         assert cli.main(["run", "--config", str(cfg_path)]) == 2
         assert not list(out.rglob("*"))
 
-    def test_fractional_cv_cap_is_2(self, tmp_path):
-        cfg_path, out = write_case(tmp_path, mutate=lambda d: d.update(wind_cv_max_points=400.5))
+    def test_fractional_grid_size_is_2(self, tmp_path):
+        cfg_path, out = write_case(tmp_path, mutate=lambda d: d["grid"].update(n_y=5.5))
         assert cli.main(["run", "--config", str(cfg_path)]) == 2
         assert not list(out.rglob("*"))
 

@@ -11,7 +11,6 @@ import yaml
 
 import plumeinv
 from plumeinv.config import (
-    ENV_SEED,
     PlumeSettings,
     RunConfig,
     config_dict,
@@ -444,14 +443,12 @@ class TestLoadConfig:
         with pytest.raises(ValidationError, match=f"{key}=7200.0 leaves fewer than two steps"):
             load_config(write_config(tmp_path, data))
 
-    def test_synthetic_same_dt_needs_opt_in(self, tmp_path):
+    def test_synthetic_same_dt_raises(self, tmp_path):
         data = yaml.safe_load(BUNDLED_CASE.read_text())
         data["paths"]["out_dir"] = str(tmp_path / "out")
         data["dt_generation_s"] = data["dt_inversion_s"]
-        with pytest.raises(ValidationError, match="allow_same_dt"):
+        with pytest.raises(ValidationError, match="inverse crime"):
             load_config(write_config(tmp_path, data))
-        data["allow_same_dt"] = True
-        assert load_config(write_config(tmp_path, data)).allow_same_dt
 
     def test_duplicate_source_ids_raise(self, tmp_path):
         data = base_config(tmp_path)
@@ -530,18 +527,6 @@ class TestSettingsValidation:
         cfg = load_config(write_config(tmp_path, data))
         assert cfg.sampler.beta == 1.0 and cfg.sampler.n_steps == 1
 
-    @pytest.mark.parametrize("cap", [0, 1, 2, 3.5, "400", True])
-    def test_bad_cv_cap_raises(self, tmp_path, cap):
-        data = base_config(tmp_path)
-        data["wind_cv_max_points"] = cap
-        with pytest.raises(ValidationError, match="wind_cv_max_points"):
-            load_config(write_config(tmp_path, data))
-
-    def test_integral_float_cv_cap_is_an_integer(self, tmp_path):
-        data = base_config(tmp_path)
-        data["wind_cv_max_points"] = 400.0
-        assert repr(load_config(write_config(tmp_path, data)).wind_cv_max_points) == "400"
-
     @pytest.mark.parametrize("period", [0.0, -3600.0])
     def test_nonpositive_harmonic_period_raises(self, tmp_path, period):
         data = yaml.safe_load(BUNDLED_CASE.read_text())
@@ -571,11 +556,6 @@ class TestSettingsValidation:
         data["paths"]["out_dir"] = str(tmp_path / "out")
         data["synthetic"]["wind_model"]["min_speed_mps"] = 0.0
         assert load_config(write_config(tmp_path, data)).synthetic.wind_model.min_speed == 0.0
-
-    def test_smallest_cv_cap_accepted(self, tmp_path):
-        data = base_config(tmp_path)
-        data["wind_cv_max_points"] = 3
-        assert load_config(write_config(tmp_path, data)).wind_cv_max_points == 3
 
     def test_negative_cutoff_raises(self, tmp_path):
         data = base_config(tmp_path)
@@ -652,22 +632,6 @@ class TestOverrides:
     def test_seed_argument(self, tmp_path):
         path = write_config(tmp_path, base_config(tmp_path))
         assert load_config(path, seed=99).sampler.seed == 99
-
-    def test_env_seed(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(ENV_SEED, "7")
-        path = write_config(tmp_path, base_config(tmp_path))
-        assert load_config(path).sampler.seed == 7
-
-    def test_argument_beats_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(ENV_SEED, "7")
-        path = write_config(tmp_path, base_config(tmp_path))
-        assert load_config(path, seed=3).sampler.seed == 3
-
-    def test_bad_env_seed_raises(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(ENV_SEED, "many")
-        path = write_config(tmp_path, base_config(tmp_path))
-        with pytest.raises(ValidationError, match=ENV_SEED):
-            load_config(path)
 
     def test_out_dir_override(self, tmp_path):
         path = write_config(tmp_path, base_config(tmp_path))

@@ -17,9 +17,9 @@ import threading
 
 import numpy as np
 import pytest
-from scipy.sparse import csc_array
+from scipy.sparse import csc_array, csr_array
 
-from plumeinv import threads
+from plumeinv import sampling, threads
 from plumeinv.errors import NumericalError, ValidationError
 from plumeinv.sampling import (
     BLOCK_SIZE,
@@ -150,7 +150,7 @@ class TestOnlineMoments:
         assert om.omega is omega and omega.format == "csr"
         assert np.all(om.diag > 0)
 
-    def test_omega_is_fixed_and_draws_nothing_from_the_chain(self):
+    def test_omega_is_fixed_and_draws_nothing_from_the_chain(self, monkeypatch):
         """Omega is the identity up to SKETCH_SIZE, and the same sparse sign
         matrix for every accumulator above it."""
         identity = OnlineMoments(SKETCH_SIZE).omega
@@ -159,13 +159,14 @@ class TestOnlineMoments:
         a, b = OnlineMoments(SKETCH_SIZE + 1), OnlineMoments(SKETCH_SIZE + 1)
         np.testing.assert_array_equal(a.omega.toarray(), b.omega.toarray())
         assert a.omega.shape == (SKETCH_SIZE + 1, SKETCH_SIZE)
-        # a chain that sketches its moments moves as one that keeps none
+        # a chain moves as it does with an Omega that draws nothing at all
         dim = SKETCH_SIZE + 1
         cfg = SamplerConfig(beta=0.5, n_steps=300, burn_in_fraction=0.0, seed=2)
         args = (*quadratic(dim, 0.01), np.zeros(dim), NormalPrior(dim), cfg)
         sketched = _pcn_kernel(*args)
         assert sketched.moments.omega.shape == (dim, SKETCH_SIZE)
-        np.testing.assert_array_equal(sketched.phi_trace, _pcn_kernel(*args, moments=False).phi_trace)
+        monkeypatch.setattr(sampling, "_sketch_matrix", lambda n: csr_array((n, SKETCH_SIZE)))
+        np.testing.assert_array_equal(sketched.phi_trace, _pcn_kernel(*args).phi_trace)
 
     @pytest.mark.parametrize("dim", [SKETCH_SIZE + 1, 5040])
     def test_omega_is_a_sparse_sign_matrix(self, dim):
@@ -597,15 +598,6 @@ class TestTuneBeta:
         assert 0.25 <= out.acceptance_rate <= 0.35
         assert 0.0 < out.beta < 1.0
 
-    def test_accumulates_no_moments(self, monkeypatch):
-        def refuse(self, *args, **kwargs):
-            raise AssertionError("tune_beta updated chain moments")
-
-        monkeypatch.setattr(OnlineMoments, "update_block", refuse)
-        out = tune_beta(*self.concentrated(), np.zeros(6), NormalPrior(6), seed=0)
-        assert out.in_band
-        assert 0.25 <= out.acceptance_rate <= 0.35
-
     def test_flat_potential_band_unreachable(self, caplog):
         with caplog.at_level(logging.WARNING, logger="plumeinv.sampling"):
             out = tune_beta(*flat(2), np.zeros(2), NormalPrior(2), seed=0)
@@ -618,9 +610,3 @@ class TestTuneBeta:
         a = tune_beta(*self.concentrated(), np.zeros(6), NormalPrior(6), seed=3)
         b = tune_beta(*self.concentrated(), np.zeros(6), NormalPrior(6), seed=3)
         assert a == b
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            tune_beta(*flat(2), np.zeros(2), NormalPrior(2), pilot_steps=500)
-        with pytest.raises(ValueError):
-            tune_beta(*flat(2), np.zeros(2), NormalPrior(2), target=(0.5, 0.3))

@@ -214,13 +214,13 @@ class TestCrossValidate:
 
     def test_leave_one_out_fallback(self):
         cfg = GPConfig(signal_var=1.0, length_scale=500.0, noise_var=0.1)
-        picked = cross_validate(self.times[:5], self.values[:5], [cfg], n_folds=10)
+        picked = cross_validate(self.times[:5], self.values[:5], [cfg])
         assert picked.config is cfg
         assert picked.runner_up_gap is None
 
     def test_reports_score_and_runner_up_gap(self):
         cands = default_candidates(self.times, self.values)
-        scores = windprep._cv_scores(self.times, self.values, cands, 0, 10)
+        scores = windprep._cv_scores(self.times, self.values, cands, 0)
         choice = cross_validate(self.times, self.values, cands)
         best, second = np.sort(scores)[:2]
         assert choice.config is cands[int(np.argmin(scores))]
@@ -243,7 +243,7 @@ class TestCrossValidate:
         times = np.sort(rng.uniform(0.0, 50000.0, 97))
         values = np.cos(times / 3000.0) + 0.2 * rng.standard_normal(97)
         cands = default_candidates(times, values)
-        got = windprep._cv_scores(times, values, cands, 3, 10)
+        got = windprep._cv_scores(times, values, cands, 3)
         np.testing.assert_array_equal(got, oracle_cv_scores(times, values, cands, 3, 10))
 
     def test_no_trainable_fold_raises(self):
@@ -259,7 +259,7 @@ class TestCrossValidate:
         flat = GPConfig(signal_var=1.0, length_scale=1e6, noise_var=1e-300)
         fine = GPConfig(signal_var=1.0, length_scale=2.0, noise_var=0.01)
         with caplog.at_level(logging.WARNING, logger="plumeinv.windprep"):
-            scores = windprep._cv_scores(times, values, [flat, fine], 0, 10)
+            scores = windprep._cv_scores(times, values, [flat, fine], 0)
         assert any("adding jitter" in r.message for r in caplog.records)
         assert np.all(np.isfinite(scores))
         np.testing.assert_array_equal(scores, oracle_cv_scores(times, values, [flat, fine], 0, 10))
@@ -388,10 +388,11 @@ class TestRegularizeWind:
         np.testing.assert_array_equal(a.u_x, b.u_x)
         np.testing.assert_array_equal(a.u_y, b.u_y)
 
-    def test_cv_subsample_cap_still_fits_all_records(self):
+    def test_cv_subsample_cap_still_fits_all_records(self, monkeypatch):
+        monkeypatch.setattr(windprep, "CV_MAX_POINTS", 40)
         records, t, speed, direction = synthetic_records(n=150)
         grid = TimeGrid(t0=0.0, dt=3600.0, n_steps=24)
-        configs = chosen_configs(records, seed=0, cv_max_points=40)
+        configs = chosen_configs(records, seed=0)
         (capped,) = fit_wind(records, [grid], configs)
         assert np.all(np.isfinite(capped.u_x))
         # selection differs at most; the fit must still track the data
