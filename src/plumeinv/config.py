@@ -9,7 +9,9 @@ sampler seed; keys the loader does not read are ignored.
 A section that one stage reads is that stage's own type, validated where
 it is defined: ``prior`` is ``inversion.PriorConfig``, ``sampler`` is
 ``sampling.SamplerConfig``, ``grid`` is ``uqprop.GridSpec`` and
-``particle`` is ``plume.ParticleProperties``.
+``particle`` is ``plume.ParticleProperties``. ``RunConfig.plume_model``
+joins ``sources``, ``particle``, ``stability_class`` and the ``plume``
+section into the ``plume.PlumeModel`` that the forward operators take.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .plume import (
     CALM_SPEED_DEFAULT,
     X_CUTOFF_DEFAULT,
     ParticleProperties,
+    PlumeModel,
     SourceSite,
     StabilityClass,
 )
@@ -124,6 +127,14 @@ class RunConfig:
                 grid = self.time_grid(dt)
                 for sensor in self.synthetic.sensors:
                     check_windows(sensor, grid)
+
+    @property
+    def plume_model(self) -> PlumeModel:
+        """The forward model of the sources, particle, stability and ``plume`` section."""
+        plume = self.plume
+        return PlumeModel(
+            self.sources, self.particle, self.stability, plume.x_cutoff_m, plume.calm_speed_mps
+        )
 
     def time_grid(self, dt: float) -> TimeGrid:
         """The grid of ``dt`` steps over the run's horizon."""
@@ -355,8 +366,6 @@ def _as_plain(obj):
         return obj.value
     if isinstance(obj, (list, tuple)):
         return [_as_plain(v) for v in obj]
-    if isinstance(obj, dict):
-        return {k: _as_plain(v) for k, v in obj.items()}
     return obj
 
 

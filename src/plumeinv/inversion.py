@@ -94,7 +94,6 @@ class SmoothnessPrior:
         self._factor_d, self._factor_e, info = dpttrf(self._diag, self._off)
         if info != 0:
             raise NumericalError(f"prior operator L is not positive definite (dpttrf info {info})")
-        self._cov_block: Optional[np.ndarray] = None
 
     @property
     def n_steps(self) -> int:
@@ -165,11 +164,9 @@ class SmoothnessPrior:
         return self._solve_rows(self._solve_rows(a))
 
     def cov_block(self) -> np.ndarray:
-        """Dense L^-2, the covariance of one source block (cached)."""
-        if self._cov_block is None:
-            # Rows of L^-1 M are columns of M L^-1; L and L^-1 are symmetric.
-            self._cov_block = self._solve_rows(self._solve_rows(np.eye(self.n_steps)))
-        return self._cov_block
+        """Dense L^-2, the covariance of one source block."""
+        # Rows of L^-1 M are columns of M L^-1; L and L^-1 are symmetric.
+        return self._solve_rows(self._solve_rows(np.eye(self.n_steps)))
 
     def dense_cov(self) -> np.ndarray:
         """Dense C = I kron L^-2. Only sensible at small-to-moderate n."""

@@ -23,7 +23,6 @@ import yaml
 
 from .errors import ValidationError, _number, _require
 from .observation import (
-    NOISE_FLOOR_DEFAULT,
     DustfallJar,
     MeasurementSet,
     RealTimeSampler,
@@ -31,7 +30,6 @@ from .observation import (
     TimeGrid,
     entry_labels,
     measurement_count,
-    signal_variances,
 )
 from .uqprop import DepositionGrid
 from .windprep import CV_MIN_POINTS, RawWindRecord, WindSeries
@@ -269,15 +267,10 @@ def write_sensors(path, sensors: Sequence[Sensor], key: str) -> None:
     Path(path).write_text(yaml.safe_dump(payload, sort_keys=False))
 
 
-def load_measurements(
-    path, sensors: Sequence[Sensor], noise_floor: float = NOISE_FLOOR_DEFAULT
-) -> MeasurementSet:
+def load_measurements(path, sensors: Sequence[Sensor]) -> MeasurementSet:
     """Measured values stacked in sensor declaration order.
 
-    Every declared measurement slot must appear exactly once. Noise
-    variances are the measured-value variance over each sensor's entries
-    (pooled across the jar network for single-reading jars) divided by the
-    sensor's SNR, the only observable proxy in real-data mode.
+    Every declared measurement slot must appear exactly once.
     """
     path = Path(path)
     if not path.is_file():
@@ -323,13 +316,7 @@ def load_measurements(
         if (sid, ell) not in seen:
             raise ValidationError(f"{path}: missing measurement ({sid!r}, {ell})")
         values.append(seen[(sid, ell)])
-    values = np.array(values)
-    return MeasurementSet(
-        sensor_ids=ids,
-        indices=indices,
-        values=values,
-        noise_var=signal_variances(values, sensors, noise_floor),
-    )
+    return MeasurementSet(sensor_ids=ids, indices=indices, values=np.array(values))
 
 
 def write_measurements(path, measurements: MeasurementSet, key: str) -> None:

@@ -2,8 +2,9 @@
 
 Builds F = M G where G holds the unit-emission plume kernels at the sensor
 locations on a uniform time grid and M applies each sensor's time-window
-weighting by a left-endpoint rectangle rule. ``assemble_F`` makes G with one
-``kernel_profile`` call over the whole wind series (a calm step gives zero
+weighting by a left-endpoint rectangle rule. ``assemble_F`` takes the plume
+model and a wind series, whose grid is the time grid of F; it makes G with
+one ``kernel_profile`` call over the whole series (a calm step gives zero
 kernels) and writes each sensor's rows of F = M G in place; G is never
 returned.
 
@@ -28,14 +29,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import ConfigurationError
-from .plume import (
-    CALM_SPEED_DEFAULT,
-    X_CUTOFF_DEFAULT,
-    ParticleProperties,
-    SourceSite,
-    StabilityClass,
-    kernel_profile,
-)
+from .plume import PlumeModel, kernel_profile
 
 __all__ = [
     "TimeGrid",
@@ -202,32 +196,20 @@ def assemble_M(sensor: Sensor, grid: TimeGrid, w_dep: float) -> np.ndarray:
     return covered.astype(float) * (grid.dt / sensor.window)
 
 
-def assemble_F(
-    sensors: Sequence[Sensor],
-    sites: Sequence[SourceSite],
-    wind,
-    grid: TimeGrid,
-    particle: ParticleProperties,
-    sc: StabilityClass,
-    x_cutoff: float = X_CUTOFF_DEFAULT,
-    calm_speed: float = CALM_SPEED_DEFAULT,
-) -> np.ndarray:
+def assemble_F(sensors: Sequence[Sensor], model: PlumeModel, wind) -> np.ndarray:
     """Observation map F = M G, shape (total measurements, n_sources*n_steps).
 
-    ``wind`` is anything with u_x / u_y arrays of length ``grid.n_steps``
-    (a WindSeries, or a plain namespace in tests).
+    ``wind`` is a WindSeries; its grid is the time grid of F.
     """
     points = np.array([s.location for s in sensors], dtype=float).reshape(len(sensors), 3)
-    u_x, u_y = np.asarray(wind.u_x, dtype=float), np.asarray(wind.u_y, dtype=float)
-    if len(u_x) != grid.n_steps or len(u_y) != grid.n_steps:
-        raise ValueError("wind series length does not match the time grid")
+    grid, w_dep = wind.grid, model.particle.w_dep
     # G: (n_steps, n_sensors, n_sources)
-    g = kernel_profile(points, sites, (u_x, u_y), particle, sc, x_cutoff, calm_speed)
-    n_t, n_s = grid.n_steps, len(sites)
+    g = kernel_profile(points, model, (wind.u_x, wind.u_y))
+    n_t, n_s = grid.n_steps, len(model.sites)
     f = np.empty((sum(measurement_count(s) for s in sensors), n_s, n_t))
     for k, (sensor, rows) in enumerate(_sensor_slices(sensors)):
         # F_k[l, i*n_t + j] = M_k[l, j] * G[j, k, i], written in place
-        np.einsum("lj,ji->lij", assemble_M(sensor, grid, particle.w_dep), g[:, k, :], out=f[rows])
+        np.einsum("lj,ji->lij", assemble_M(sensor, grid, w_dep), g[:, k, :], out=f[rows])
     f = f.reshape(len(f), n_s * n_t)
     if not np.all(np.isfinite(f)):
         raise AssertionError("observation map contains non-finite entries")
@@ -236,19 +218,15 @@ def assemble_F(
 
 @dataclass(frozen=True, eq=False)
 class MeasurementSet:
-    """Stacked sensor readings with per-entry diagonal noise variance."""
+    """Stacked sensor readings; ``signal_variances`` gives their noise model."""
 
     sensor_ids: tuple  # per entry
     indices: np.ndarray  # per-sensor measurement index, 0-based
     values: np.ndarray  # stacked vector d
-    noise_var: np.ndarray  # diagonal of Sigma
 
     def __post_init__(self) -> None:
-        n = len(self.values)
-        if not (len(self.sensor_ids) == len(self.indices) == len(self.noise_var) == n):
+        if not len(self.sensor_ids) == len(self.indices) == len(self.values):
             raise ValueError("measurement fields must have equal length")
-        if not np.all(self.noise_var > 0):
-            raise ValueError("noise variances must be positive")
 
     def __len__(self) -> int:
         return len(self.values)
@@ -333,4 +311,4 @@ def simulate_measurements(
     rng = np.random.default_rng(seed)
     values = clean + rng.normal(0.0, np.sqrt(noise_var))
     ids, indices = entry_labels(sensors)
-    return MeasurementSet(sensor_ids=ids, indices=indices, values=values, noise_var=noise_var)
+    return MeasurementSet(sensor_ids=ids, indices=indices, values=values)

@@ -242,27 +242,16 @@ def run_synth(cfg: RunConfig) -> None:
     tic = time.perf_counter()
     out = cfg.resolve_out_dir()
     key = _stage_keys(cfg)["synth"]
-    gen_grid = generation_grid(cfg)
-    wind = load_wind_series(cfg)
+    wind = load_wind_series(cfg)["generation"]
 
-    sensors = cfg.synthetic.sensors
-    io.write_sensors(cfg.resolve_input("sensors_file"), sensors, key)
+    syn = cfg.synthetic
+    io.write_sensors(cfg.resolve_input("sensors_file"), syn.sensors, key)
 
     q_true, measurements = generate_synthetic(
-        cfg.synthetic.spec,
-        cfg.sources,
-        sensors,
-        wind["generation"],
-        gen_grid,
-        cfg.particle,
-        cfg.stability,
-        seed=cfg.sampler.seed,
-        noise_floor=cfg.noise_floor,
-        x_cutoff=cfg.plume.x_cutoff_m,
-        calm_speed=cfg.plume.calm_speed_mps,
+        syn.spec, cfg.plume_model, syn.sensors, wind, cfg.sampler.seed, cfg.noise_floor
     )
     io.write_measurements(cfg.resolve_input("measurements_csv"), measurements, key)
-    io.write_truth_csv(out / TRUTH_FILE, _source_ids(cfg), gen_grid, q_true, key)
+    io.write_truth_csv(out / TRUTH_FILE, _source_ids(cfg), wind.grid, q_true, key)
 
     _record(
         cfg,
@@ -270,7 +259,7 @@ def run_synth(cfg: RunConfig) -> None:
         key,
         {
             "n_measurements": int(measurements.values.size),
-            "n_sensors": len(sensors),
+            "n_sensors": len(syn.sensors),
             "seed": cfg.sampler.seed,
             "timing_s": time.perf_counter() - tic,
         },
@@ -381,8 +370,8 @@ def run_invert(
         cfg: run configuration (wind state must exist; see run_stage).
         through: last stage to run, "constant", "smooth", or "positive".
         drop_sensor: exclude this sensor id (ablation experiments); the
-            noise variances are computed as if its readings were never in
-            the measurement file.
+            noise variances are computed after the drop, as if its readings
+            were never in the measurement file.
         noise_scale: multiplies the noise std handed to the inversion
             (the injected noise is untouched); 0.5 models an optimistic
             noise assumption.
@@ -398,44 +387,27 @@ def run_invert(
     key = _stage_keys(cfg)["invert"]
     grid = inversion_grid(cfg)
     sensors = io.load_sensors(cfg.resolve_input("sensors_file"))
-    measurements = io.load_measurements(
-        cfg.resolve_input("measurements_csv"), sensors, noise_floor=cfg.noise_floor
-    )
+    measurements = io.load_measurements(cfg.resolve_input("measurements_csv"), sensors)
     if drop_sensor is not None:
-        ids = [s.id for s in sensors]
-        if drop_sensor not in ids:
+        if drop_sensor not in [s.id for s in sensors]:
             raise ValidationError(f"cannot drop unknown sensor {drop_sensor!r}")
-        keep = np.array([sid != drop_sensor for sid in measurements.sensor_ids])
+        ids = np.array(measurements.sensor_ids)
+        keep = ids != drop_sensor
         sensors = [s for s in sensors if s.id != drop_sensor]
         if not sensors:
             raise ValidationError("dropping that sensor leaves no measurements")
-        # The noise comes from the kept sensors alone: a jar's is pooled over
-        # every jar, and the dropped one must not set the others'.
-        values = measurements.values[keep]
         measurements = MeasurementSet(
-            sensor_ids=tuple(np.array(measurements.sensor_ids)[keep]),
-            indices=measurements.indices[keep],
-            values=values,
-            noise_var=signal_variances(values, sensors, cfg.noise_floor),
+            tuple(ids[keep]), measurements.indices[keep], measurements.values[keep]
         )
         logger.info("dropped sensor %s (%d measurements remain)", drop_sensor, keep.sum())
-    noise_var = measurements.noise_var * noise_scale**2
+    # The noise comes from the kept sensors alone: a jar's is pooled over
+    # every jar, and a dropped one must not set the others'.
+    noise_var = signal_variances(measurements.values, sensors, cfg.noise_floor) * noise_scale**2
 
     wind = load_wind_series(cfg)["inversion"]
     # F is about 3% nonzero; every stage takes it as CSR, and the dense
     # array is dropped as soon as it is converted.
-    f_matrix = csr_array(
-        assemble_F(
-            sensors,
-            cfg.sources,
-            wind,
-            grid,
-            cfg.particle,
-            cfg.stability,
-            x_cutoff=cfg.plume.x_cutoff_m,
-            calm_speed=cfg.plume.calm_speed_mps,
-        )
-    )
+    f_matrix = csr_array(assemble_F(sensors, cfg.plume_model, wind))
     d = measurements.values
     n_sources = len(cfg.sources)
     suffix = _artifact_suffix(drop_sensor, noise_scale)
@@ -557,16 +529,7 @@ def run_propagate(cfg: RunConfig) -> dict:
     test_matrix = sketch_test_matrix(factor.shape[0])
     del factor, state["cov_factor"]
     _release_freed_heap()
-    h_matrix = assemble_H(
-        cfg.grid,
-        cfg.sources,
-        wind,
-        grid,
-        cfg.particle,
-        cfg.stability,
-        x_cutoff=cfg.plume.x_cutoff_m,
-        calm_speed=cfg.plume.calm_speed_mps,
-    )
+    h_matrix = assemble_H(cfg.grid, cfg.plume_model, wind)
     deposition = deposition_stats(h_matrix, state["q_positive"], factors, cfg.grid)
 
     out = cfg.resolve_out_dir()

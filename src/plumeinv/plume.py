@@ -17,6 +17,11 @@ Conventions:
     * A species enters only through its deposition and settling velocities
       (``ParticleProperties``). The settling velocity is an input; for a
       small sphere it is Stokes' rho g d^2 / (18 mu), set by the caller.
+    * ``PlumeModel`` is the forward model's whole parameter set: the
+      sources, the particle velocities, the stability class, the
+      near-field cutoff and the calm speed. ``kernel_profile`` and the
+      operators built on it (F in ``observation``, H in ``uqprop``) take it
+      as one argument.
     * ``kernel_profile`` evaluates a whole wind series in one call, a
       bounded block of steps at a time; a calm step gives zero kernels.
       ``rotate_to_wind`` raises CalmWindError instead, since a calm wind
@@ -42,6 +47,7 @@ __all__ = [
     "ParticleProperties",
     "StabilityClass",
     "SourceSite",
+    "PlumeModel",
     "LocalCoords",
     "briggs_sigma",
     "rotate_to_wind",
@@ -144,6 +150,27 @@ class SourceSite:
     def __post_init__(self) -> None:
         if self.height < 0:
             raise ValueError(f"source height must be nonnegative, got {self.height}")
+
+
+@dataclass(frozen=True)
+class PlumeModel:
+    """The parameters of the plume solution that F and H evaluate.
+
+    ``x_cutoff`` (m) is the downwind distance at or below which a kernel is
+    zero; a horizontal wind weaker than ``calm_speed`` (m s^-1) is calm and
+    transports nothing.
+    """
+
+    sites: tuple
+    particle: ParticleProperties
+    stability: StabilityClass
+    x_cutoff: float = X_CUTOFF_DEFAULT
+    calm_speed: float = CALM_SPEED_DEFAULT
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "sites", tuple(self.sites))
+        if self.x_cutoff < 0:
+            raise ValueError("x_cutoff must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -275,32 +302,22 @@ def plume_kernel(
     )
 
 
-def kernel_profile(
-    points: np.ndarray,
-    sites: Sequence[SourceSite],
-    wind: Sequence,
-    particle: ParticleProperties,
-    sc: StabilityClass,
-    x_cutoff: float = X_CUTOFF_DEFAULT,
-    calm_speed: float = CALM_SPEED_DEFAULT,
-) -> np.ndarray:
+def kernel_profile(points: np.ndarray, model: PlumeModel, wind: Sequence) -> np.ndarray:
     """Unit-emission kernels of every source at every receptor, step by step.
 
     Args:
         points: (P, 3) receptor coordinates.
-        sites: emitting sources (length S).
+        model: the S sources and the plume parameters; a step with a wind
+            weaker than ``model.calm_speed`` gives zero kernels.
         wind: horizontal wind components (u_x, u_y): two floats, or two
             series of T steps.
-        particle, sc, x_cutoff: as in :func:`plume_kernel`.
-        calm_speed: a step with a weaker wind gives zero kernels.
 
     Returns:
         (P, S) kernel values for one wind, (T, P, S) for a series, s m^-3.
         A series is stored time-last: ``transpose(1, 2, 0)`` of it is a
         contiguous (P, S, T) array, the source-major column order of F and H.
     """
-    if x_cutoff < 0:
-        raise ValueError("x_cutoff must be nonnegative")
+    sites = model.sites
     points = np.atleast_2d(np.asarray(points, dtype=float))
     u_x, u_y = np.asarray(wind[0], dtype=float), np.asarray(wind[1], dtype=float)
     if u_x.shape != u_y.shape or u_x.ndim > 1:
@@ -308,7 +325,7 @@ def kernel_profile(
     series = u_x.ndim == 1
     u_x, u_y = np.atleast_1d(u_x), np.atleast_1d(u_y)
     speed = np.array([math.hypot(a, b) for a, b in zip(u_x.tolist(), u_y.tolist())])
-    live = ~(speed < calm_speed)
+    live = ~(speed < model.calm_speed)
     if not live.all():
         logger.warning(
             "calm wind at %d of %d steps; those steps give zero kernels",
@@ -332,7 +349,7 @@ def kernel_profile(
     for start in range(0, speed.size, block_steps):
         steps = slice(start, start + block_steps)
         downwind = (dx[:, None] * u_x[steps] + dy[:, None] * u_y[steps]) / speed[steps]
-        hit = np.flatnonzero((downwind > x_cutoff) & live[steps])
+        hit = np.flatnonzero((downwind > model.x_cutoff) & live[steps])
         pair, t = np.divmod(hit, downwind.shape[1])
         t += start
         ux, uy, u = u_x[t], u_y[t], speed[t]
@@ -343,8 +360,8 @@ def kernel_profile(
             z_rel[pair],
             u,
             z_src[pair],
-            particle,
-            sc,
+            model.particle,
+            model.stability,
         )
         out[:, steps] = block.reshape(downwind.shape)
     kernels = out.reshape(len(points), len(sites), speed.size).transpose(2, 0, 1)

@@ -1,8 +1,8 @@
 """Synthetic twin experiment: known sinusoidal sources, simulated sensors.
 
 Ground truth emission rates are clipped sinusoids on a fine generation
-grid; the forward model runs on that grid and noise is injected per-sensor
-by SNR. Inversion then runs on a coarser grid so the estimator never sees
+grid, the grid of the wind series handed to ``generate_synthetic``; the
+plume model's F runs on that grid and noise is injected per-sensor by SNR. Inversion then runs on a coarser grid so the estimator never sees
 the discretization that produced the data.
 """
 
@@ -17,13 +17,7 @@ import numpy as np
 from .errors import ValidationError
 from .observation import Sensor, TimeGrid, assemble_F, simulate_measurements
 from .observation import NOISE_FLOOR_DEFAULT
-from .plume import (
-    CALM_SPEED_DEFAULT,
-    X_CUTOFF_DEFAULT,
-    ParticleProperties,
-    SourceSite,
-    StabilityClass,
-)
+from .plume import PlumeModel
 from .windprep import RawWindRecord
 
 __all__ = [
@@ -144,32 +138,27 @@ def wind_records(model: WindModel, t0: float, duration: float, cadence: float) -
 
 def generate_synthetic(
     spec: SyntheticSpec,
-    sites: Sequence[SourceSite],
+    model: PlumeModel,
     sensors: Sequence[Sensor],
     wind,
-    gen_grid: TimeGrid,
-    particle: ParticleProperties,
-    sc: StabilityClass,
     seed: int,
     noise_floor: float = NOISE_FLOOR_DEFAULT,
-    x_cutoff: float = X_CUTOFF_DEFAULT,
-    calm_speed: float = CALM_SPEED_DEFAULT,
 ):
     """Forward-simulate noisy measurements from the truth signals.
 
     Args:
-        spec: truth signals, one per site (validated).
-        wind: WindSeries on ``gen_grid``.
+        spec: truth signals, one per site of ``model`` (validated).
+        wind: WindSeries on the generation grid.
         seed: noise seed; fixed seed reproduces the dataset exactly.
 
     Returns:
-        (q_true, MeasurementSet) with q_true source-major on ``gen_grid``.
+        (q_true, MeasurementSet) with q_true source-major on ``wind.grid``.
     """
-    if len(spec.signals) != len(sites):
+    if len(spec.signals) != len(model.sites):
         raise ValidationError(
-            f"{len(spec.signals)} truth signals for {len(sites)} sources"
+            f"{len(spec.signals)} truth signals for {len(model.sites)} sources"
         )
-    q_true = emission_series(spec, gen_grid)
-    f_gen = assemble_F(sensors, sites, wind, gen_grid, particle, sc, x_cutoff, calm_speed)
+    q_true = emission_series(spec, wind.grid)
+    f_gen = assemble_F(sensors, model, wind)
     measurements = simulate_measurements(f_gen, q_true, sensors, seed, noise_floor)
     return q_true, measurements

@@ -3,8 +3,9 @@
 The forward-on-grid operator H maps the stacked emission vector to
 time-integrated ground-level deposition (kg m^-2 over the period) at every
 grid point, using the same left-endpoint quadrature as the observation
-map. It is one ``kernel_profile`` call over the whole wind series, scaled
-by w_dep dt; a calm step deposits nothing. Posterior covariance is pushed
+map. Like F it takes the plume model and a wind series whose grid is the
+time grid; it is one ``kernel_profile`` call over the whole series, scaled
+by w_dep dt, and a calm step deposits nothing. Posterior covariance is pushed
 through H via its leading eigenpairs: per-cell variance needs only one
 forward application per retained mode. The patch and the number of
 modes kept are the config's ``grid`` section, ``GridSpec``.
@@ -20,21 +21,12 @@ sketch's columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 from scipy.linalg import svd
 
 from .errors import ValidationError
 from .observation import TimeGrid
-from .plume import (
-    CALM_SPEED_DEFAULT,
-    X_CUTOFF_DEFAULT,
-    ParticleProperties,
-    SourceSite,
-    StabilityClass,
-    kernel_profile,
-)
+from .plume import PlumeModel, kernel_profile
 from .sampling import SKETCH_SIZE
 
 __all__ = [
@@ -89,32 +81,20 @@ class GridSpec:
         return np.column_stack([gx.ravel(), gy.ravel()])
 
 
-def assemble_H(
-    grid: GridSpec,
-    sites: Sequence[SourceSite],
-    wind,
-    timegrid: TimeGrid,
-    particle: ParticleProperties,
-    sc: StabilityClass,
-    x_cutoff: float = X_CUTOFF_DEFAULT,
-    calm_speed: float = CALM_SPEED_DEFAULT,
-) -> np.ndarray:
+def assemble_H(grid: GridSpec, model: PlumeModel, wind) -> np.ndarray:
     """Deposition operator, shape (n_cells, n_sources * n_steps).
 
     Row p holds w_dep * dt * kernel(cell p, source i, step j) in
     source-major column order; H q is then the per-cell deposition
-    accumulated over the period at ground level (z = 0). A calm step's
-    columns are zero.
+    accumulated over the period at ground level (z = 0). ``wind`` is a
+    WindSeries, on whose grid the steps are. A calm step's columns are zero.
     """
     pts = grid.points()
     points3 = np.column_stack([pts, np.zeros(len(pts))])
-    u_x = np.asarray(wind.u_x, dtype=float)
-    if len(u_x) != timegrid.n_steps:
-        raise ValueError("wind series length does not match the time grid")
-    kernels = kernel_profile(points3, sites, (u_x, wind.u_y), particle, sc, x_cutoff, calm_speed)
+    kernels = kernel_profile(points3, model, (wind.u_x, wind.u_y))
     # kernel_profile stores the series time-last, so this reshape is a view
-    h = kernels.transpose(1, 2, 0).reshape(grid.n_cells, len(sites) * timegrid.n_steps)
-    h *= particle.w_dep * timegrid.dt
+    h = kernels.transpose(1, 2, 0).reshape(grid.n_cells, len(model.sites) * wind.grid.n_steps)
+    h *= model.particle.w_dep * wind.grid.dt
     return h
 
 

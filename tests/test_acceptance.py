@@ -39,6 +39,7 @@ from plumeinv.plume import (
     BRIGGS_COEFFICIENTS,
     LocalCoords,
     ParticleProperties,
+    PlumeModel,
     SourceSite,
     StabilityClass,
     briggs_sigma,
@@ -48,6 +49,7 @@ from plumeinv.plume import (
 from plumeinv.sampling import CovarianceSketch, SamplerConfig, pcn_chain, tune_beta
 from plumeinv.synthetic import block_average
 from plumeinv.uqprop import GridSpec, deposition_stats, lowrank_truncate
+from plumeinv.windprep import WindSeries
 
 
 def report(num: int, detail: str) -> None:
@@ -218,17 +220,16 @@ def test_criterion_03_observation_matches_direct_quadrature():
     rng = np.random.default_rng(11)
     speeds = 3.0 + rng.uniform(-1.0, 1.0, grid.n_steps)
     angles = rng.uniform(-0.4, 0.4, grid.n_steps)
-    wind = SimpleNamespace(u_x=speeds * np.cos(angles), u_y=speeds * np.sin(angles))
+    wind = WindSeries(grid, speeds * np.cos(angles), speeds * np.sin(angles))
     q_by_source = rng.uniform(0.1, 2.0, (len(sites), grid.n_steps))
+    model = PlumeModel(sites, particle, StabilityClass.D)
 
-    f = assemble_F(sensors, sites, wind, grid, particle, StabilityClass.D)
+    f = assemble_F(sensors, model, wind)
 
     points = np.array([s.location for s in sensors])
     kern = np.zeros((grid.n_steps, len(sensors), len(sites)))
     for j in range(grid.n_steps):
-        kern[j] = kernel_profile(
-            points, sites, (wind.u_x[j], wind.u_y[j]), particle, StabilityClass.D
-        )
+        kern[j] = kernel_profile(points, model, (wind.u_x[j], wind.u_y[j]))
     expected = []
     for k, sensor in enumerate(sensors):
         for ell in range(measurement_count(sensor)):

@@ -20,6 +20,7 @@ from scipy.sparse import csr_array
 
 from plumeinv import cli, pipeline, sampling, threads
 from plumeinv.config import config_dict, load_config
+from plumeinv.errors import ConfigurationError, ValidationError
 from plumeinv.inversion import SmoothnessPrior
 
 ARTIFACTS = [
@@ -433,6 +434,34 @@ class TestStageCommands:
         assert (out / "wind.csv").is_file() and (out / "state" / "wind.npz").is_file()
         assert not (out / "sensors.yaml").exists()
 
+    def test_propagate_refuses_an_inversion_of_another_prior(self, completed):
+        """Called directly, not through run_stage, propagate runs no
+        predecessor: after a prior edit it refuses the stored inversion."""
+        cfg_path, out = completed
+        cfg = load_config(cfg_path)
+        edited = replace(cfg, prior=replace(cfg.prior, alpha=2.0 * cfg.prior.alpha))
+        before = {p: p.stat().st_mtime_ns for p in out.rglob("*")}
+        with pytest.raises(ConfigurationError, match="missing or stale; run the invert stage"):
+            pipeline.run_propagate(edited)
+        assert {p: p.stat().st_mtime_ns for p in out.rglob("*")} == before
+
+    def test_unreadable_metadata_reruns_every_stage(self, tmp_path, monkeypatch, caplog):
+        cfg_path, out = write_case(tmp_path)
+        assert cli.main(["run", "--config", str(cfg_path)]) == 0
+        keys = stage_keys(out)
+        (out / "run_metadata.json").write_text("{not json")
+        ran = []
+        for stage, runner in list(pipeline._RUNNERS.items()):
+            def recording(cfg, *args, _stage=stage, _runner=runner, **kwargs):
+                ran.append(_stage)
+                return _runner(cfg, *args, **kwargs)
+
+            monkeypatch.setitem(pipeline._RUNNERS, stage, recording)
+        pipeline.run_stage(load_config(cfg_path), "propagate")
+        assert ran == list(pipeline.STAGES)
+        assert "every stage counts as stale" in caplog.text
+        assert stage_keys(out) == keys
+
     def test_every_config_leaf_is_in_a_slice(self, tmp_path):
         cfg_path, _ = write_case(tmp_path)
         plain = config_dict(load_config(cfg_path))
@@ -700,6 +729,12 @@ class TestExitCodes:
         cfg_path, _ = completed
         rc = cli.main(["invert", "--config", str(cfg_path), "--drop-sensor", "nope"])
         assert rc == 2
+
+    def test_dropping_the_only_sensor_is_refused(self, tmp_path):
+        cfg_path, _ = real_data_case(tmp_path, jar_x=100.0)
+        with pytest.raises(ValidationError, match="leaves no measurements"):
+            pipeline.run_invert(load_config(cfg_path), drop_sensor="far")
+        assert cli.main(["invert", "--config", str(cfg_path), "--drop-sensor", "far"]) == 2
 
     def test_missing_wind_without_synth_is_2(self, tmp_path):
         cfg_path, out = real_data_case(tmp_path, jar_x=100.0)

@@ -37,12 +37,14 @@ from plumeinv.observation import (
     MeasurementSet,
     RealTimeSampler,
     TimeGrid,
+    assemble_F,
     signal_variances,
 )
+from plumeinv.plume import PlumeModel
 from plumeinv.sampling import SamplerConfig
 from plumeinv.synthetic import Harmonic, SourceSignal
-from plumeinv.uqprop import DepositionGrid, GridSpec
-from plumeinv.windprep import RawWindRecord
+from plumeinv.uqprop import DepositionGrid, GridSpec, assemble_H
+from plumeinv.windprep import RawWindRecord, WindSeries
 
 
 class TestTimestamps:
@@ -127,6 +129,22 @@ class TestWindCsv:
         with pytest.raises(ValidationError, match="no wind records"):
             load_wind_csv(path)
 
+    def test_wrong_field_count_reports_line(self, tmp_path):
+        path = tmp_path / "wind.csv"
+        path.write_text(
+            "timestamp,speed_mps,direction_deg_from\n"
+            "1970-01-01T00:00:00Z,3,300\n"
+            "1970-01-01T00:10:00Z,3\n"
+        )
+        with pytest.raises(ValidationError, match=r":3: expected 3 fields, found 2"):
+            load_wind_csv(path)
+
+    def test_empty_file_raises(self, tmp_path):
+        path = tmp_path / "wind.csv"
+        path.write_text("# stage_key=x\n\n")
+        with pytest.raises(ValidationError, match="empty wind file"):
+            load_wind_csv(path)
+
     def test_fewer_than_three_distinct_records_raise(self, tmp_path):
         # cross-validation needs two training points in every fold
         path = tmp_path / "wind.csv"
@@ -202,6 +220,16 @@ class TestSensorsYaml:
         with pytest.raises(ValidationError, match=r"sensors\[0\]"):
             load_sensors(path)
 
+    def test_sampler_without_start_times_or_schedule_raises(self, tmp_path):
+        path = tmp_path / "sensors.yaml"
+        path.write_text(
+            "sensors:\n"
+            "  - {id: rt, kind: realtime_sampler, x_m: 1, y_m: 2, z_m: 3,\n"
+            "     window_s: 3600, snr: 100}\n"
+        )
+        with pytest.raises(ValidationError, match=r"sensors\[0\]: sampler needs start_times"):
+            load_sensors(path)
+
     def test_unknown_kind_raises(self, tmp_path):
         path = tmp_path / "sensors.yaml"
         path.write_text(
@@ -231,12 +259,10 @@ class TestSensorsYaml:
 
 class TestMeasurementsCsv:
     def make_set(self):
-        values = np.array([0.012, 3.1e-7, 2.9e-7, 3.3e-7])
         return MeasurementSet(
             sensor_ids=("jar1", "rt1", "rt1", "rt1"),
             indices=np.array([0, 0, 1, 2]),
-            values=values,
-            noise_var=signal_variances(values, SENSORS),
+            values=np.array([0.012, 3.1e-7, 2.9e-7, 3.3e-7]),
         )
 
     def test_round_trip(self, tmp_path):
@@ -247,7 +273,6 @@ class TestMeasurementsCsv:
         assert loaded.sensor_ids == original.sensor_ids
         np.testing.assert_array_equal(loaded.indices, original.indices)
         np.testing.assert_allclose(loaded.values, original.values, rtol=1e-11)
-        np.testing.assert_allclose(loaded.noise_var, original.noise_var, rtol=1e-9)
 
     def test_rows_in_any_order(self, tmp_path):
         path = tmp_path / "meas.csv"
@@ -285,6 +310,18 @@ class TestMeasurementsCsv:
         path = tmp_path / "meas.csv"
         path.write_text("sensor_id,index,value\njar1,0,1.0\nrt1,0,1.0\nrt1,1,1.0\n")
         with pytest.raises(ValidationError, match="missing measurement"):
+            load_measurements(path, SENSORS)
+
+    def test_wrong_field_count_reports_line(self, tmp_path):
+        path = tmp_path / "meas.csv"
+        path.write_text("sensor_id,index,value\njar1,0,0.012,7\n")
+        with pytest.raises(ValidationError, match=r":2: expected 3 fields, found 4"):
+            load_measurements(path, SENSORS)
+
+    def test_empty_file_raises(self, tmp_path):
+        path = tmp_path / "meas.csv"
+        path.write_text("")
+        with pytest.raises(ValidationError, match="empty measurements file"):
             load_measurements(path, SENSORS)
 
     def test_jar_second_reading_explained(self, tmp_path):
@@ -388,8 +425,8 @@ class TestLoadConfig:
         assert repr(cfg.grid) == repr(grid)
         top = {f.name: f.default for f in fields(RunConfig) if f.default is not MISSING}
         assert repr({name: getattr(cfg, name) for name in top}) == repr(top)
-        loader_floor = inspect.signature(load_measurements).parameters["noise_floor"].default
-        assert loader_floor is top["noise_floor"]
+        noise_floor = inspect.signature(signal_variances).parameters["noise_floor"].default
+        assert noise_floor is top["noise_floor"]
         # the phases of the synthetic signals and wind harmonics
         data = yaml.safe_load(BUNDLED_CASE.read_text())
         data["paths"]["out_dir"] = str(tmp_path / "out")
@@ -626,6 +663,51 @@ class TestSettingsValidation:
         with pytest.raises(ValidationError, match="n_modes"):
             replace(cfg.grid, n_modes=0)
         assert replace(cfg.grid, n_modes=1).n_modes == 1
+
+
+class TestPlumeSettingsReachOperators:
+    """F and H built through ``cfg.plume_model`` honour the ``plume`` section.
+
+    The source sits at the origin and the wind blows east, so a receptor's
+    downwind distance is its x. The defaults (1 m, 0.1 m/s) give nonzero
+    kernels inside the configured 55 m cutoff and at the 0.5 m/s steps,
+    which the configured 1 m/s calm speed makes calm.
+    """
+
+    CALM = [5, 17]
+
+    def operators(self, tmp_path):
+        data = base_config(tmp_path)
+        data["plume"] = {"x_cutoff_m": 55.0, "calm_speed_mps": 1.0}
+        cfg = load_config(write_config(tmp_path, data))
+        grid = cfg.time_grid(cfg.dt_inversion)
+        u_x = np.full(grid.n_steps, 3.0)
+        u_x[self.CALM] = 0.5
+        wind = WindSeries(grid, u_x, np.zeros(grid.n_steps))
+        jars = [
+            DustfallJar(id=f"j{x:g}", x=x, y=0.0, z=1.5, area=0.02, snr=10.0)
+            for x in (20.0, 40.0, 150.0)
+        ]
+        defaults = PlumeModel(cfg.sources, cfg.particle, cfg.stability)
+        return {
+            name: (assemble_F(jars, model, wind), assemble_H(cfg.grid, model, wind))
+            for name, model in (("configured", cfg.plume_model), ("defaults", defaults))
+        }, cfg.grid
+
+    def test_cutoff_and_calm_speed_reach_f_and_h(self, tmp_path):
+        ops, grid = self.operators(tmp_path)
+        (f, h), (f_default, h_default) = ops["configured"], ops["defaults"]
+        live = np.setdiff1d(np.arange(f.shape[1]), self.CALM)
+        # F: the two jars inside the cutoff read nothing, and no jar reads a calm step
+        assert np.all(f[:2] == 0.0) and np.all(f_default[:2][:, live] > 0.0)
+        assert np.all(f[:, self.CALM] == 0.0) and np.all(f_default[2, self.CALM] > 0.0)
+        np.testing.assert_array_equal(f[2, live], f_default[2, live])
+        # H: the cells inside the cutoff get nothing, and no cell gets a calm step
+        x = grid.points()[:, 0]
+        near = (x > 1.0) & (x <= 55.0)
+        assert np.all(h[near] == 0.0) and np.count_nonzero(h_default[near][:, live]) > 0
+        assert np.all(h[:, self.CALM] == 0.0) and np.count_nonzero(h_default[:, self.CALM]) > 0
+        np.testing.assert_array_equal(h[x > 55.0][:, live], h_default[x > 55.0][:, live])
 
 
 class TestOverrides:

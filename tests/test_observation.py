@@ -8,7 +8,6 @@ reshape, block stacking) with the production matrix builder.
 
 import math
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,7 +25,14 @@ from plumeinv.observation import (
     simulate_measurements,
     window_weight,
 )
-from plumeinv.plume import ParticleProperties, SourceSite, StabilityClass, kernel_profile
+from plumeinv.plume import (
+    ParticleProperties,
+    PlumeModel,
+    SourceSite,
+    StabilityClass,
+    kernel_profile,
+)
+from plumeinv.windprep import WindSeries
 
 PARTICLE = ParticleProperties(w_dep=1.2e-2, w_set=7.8641975308642e-3)
 
@@ -36,6 +42,7 @@ SITES = [
     SourceSite(id="src_a", x=0.0, y=0.0, height=5.0),
     SourceSite(id="src_b", x=80.0, y=-40.0, height=2.0),
 ]
+MODEL = PlumeModel(SITES, PARTICLE, StabilityClass.D)
 
 JAR = DustfallJar(id="jar_x", x=150.0, y=10.0, z=1.5, area=0.02, snr=10.0)
 SAMPLER_1 = RealTimeSampler(
@@ -59,7 +66,7 @@ def make_wind(calm_step=None):
     if calm_step is not None:
         u_x[calm_step] = 0.02
         u_y[calm_step] = 0.02
-    return SimpleNamespace(u_x=u_x, u_y=u_y)
+    return WindSeries(GRID, u_x, u_y)
 
 
 class TestTimeGrid:
@@ -186,9 +193,7 @@ def reference_forward(q_by_source, wind):
     kern = np.zeros((GRID.n_steps, len(SENSORS), len(SITES)))
     for j in range(GRID.n_steps):
         # a calm slot gives zero kernels: it transports nothing
-        kern[j] = kernel_profile(
-            points, SITES, (wind.u_x[j], wind.u_y[j]), PARTICLE, StabilityClass.D
-        )
+        kern[j] = kernel_profile(points, MODEL, (wind.u_x[j], wind.u_y[j]))
     out = []
     for k, sensor in enumerate(SENSORS):
         for ell in range(measurement_count(sensor)):
@@ -205,7 +210,7 @@ class TestAssembleF:
     def test_matches_direct_quadrature(self):
         """Two sources, three sensors, ten steps, varying wind."""
         wind = make_wind()
-        f = assemble_F(SENSORS, SITES, wind, GRID, PARTICLE, StabilityClass.D)
+        f = assemble_F(SENSORS, MODEL, wind)
         assert f.shape == (8, 2 * GRID.n_steps)
         rng = np.random.default_rng(11)
         q_by_source = rng.uniform(0.1, 2.0, (len(SITES), GRID.n_steps))
@@ -214,7 +219,7 @@ class TestAssembleF:
 
     def test_direct_quadrature_with_calm_gap(self):
         wind = make_wind(calm_step=6)
-        f = assemble_F(SENSORS, SITES, wind, GRID, PARTICLE, StabilityClass.D)
+        f = assemble_F(SENSORS, MODEL, wind)
         rng = np.random.default_rng(12)
         q_by_source = rng.uniform(0.1, 2.0, (len(SITES), GRID.n_steps))
         expected = reference_forward(q_by_source, wind)
@@ -223,7 +228,7 @@ class TestAssembleF:
     def test_stacking_is_source_major(self):
         """Feeding a one-hot emission vector reads out a single F column."""
         wind = make_wind()
-        f = assemble_F(SENSORS, SITES, wind, GRID, PARTICLE, StabilityClass.D)
+        f = assemble_F(SENSORS, MODEL, wind)
         i, j = 1, 4  # source src_b, slot 5
         q = np.zeros(2 * GRID.n_steps)
         q[i * GRID.n_steps + j] = 1.0
@@ -232,20 +237,15 @@ class TestAssembleF:
         np.testing.assert_allclose(f @ q, reference_forward(by_source, wind), rtol=1e-12)
 
     def test_no_sensors(self):
-        f = assemble_F([], SITES, make_wind(), GRID, PARTICLE, StabilityClass.D)
+        f = assemble_F([], MODEL, make_wind())
         assert f.shape == (0, 2 * GRID.n_steps)
-
-    def test_wind_length_mismatch_raises(self):
-        wind = SimpleNamespace(u_x=np.ones(3), u_y=np.ones(3))
-        with pytest.raises(ValueError, match="wind series length"):
-            assemble_F(SENSORS, SITES, wind, GRID, PARTICLE, StabilityClass.D)
 
     def test_peak_memory_is_the_result(self):
         """Each sensor's rows are written into F; no per-sensor blocks sit beside it."""
         grid = TimeGrid(t0=0.0, dt=60.0, n_steps=1200)
         rng = np.random.default_rng(3)
-        wind = SimpleNamespace(
-            u_x=3.0 + rng.uniform(-1.0, 1.0, grid.n_steps), u_y=rng.uniform(-1.0, 1.0, grid.n_steps)
+        wind = WindSeries(
+            grid, 3.0 + rng.uniform(-1.0, 1.0, grid.n_steps), rng.uniform(-1.0, 1.0, grid.n_steps)
         )
         starts = tuple(1800.0 * k for k in range(40))
         samplers = [
@@ -255,7 +255,7 @@ class TestAssembleF:
         ]
         tracemalloc.start()
         try:
-            f = assemble_F(samplers + [JAR], SITES, wind, grid, PARTICLE, StabilityClass.D)
+            f = assemble_F(samplers + [JAR], MODEL, wind)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -300,7 +300,6 @@ class TestMeasurementSet:
             sensor_ids=tuple("abcdefgh"[:n]),
             indices=np.zeros(n, dtype=int),
             values=np.arange(n, dtype=float),
-            noise_var=np.ones(n),
         )
 
     def test_len_and_entries(self):
@@ -310,13 +309,7 @@ class TestMeasurementSet:
 
     def test_length_mismatch_raises(self):
         fields = self._fields(3)
-        fields["noise_var"] = np.ones(2)
-        with pytest.raises(ValueError):
-            MeasurementSet(**fields)
-
-    def test_nonpositive_noise_raises(self):
-        fields = self._fields(3)
-        fields["noise_var"] = np.array([1.0, 0.0, 1.0])
+        fields["values"] = np.ones(2)
         with pytest.raises(ValueError):
             MeasurementSet(**fields)
 
@@ -324,7 +317,7 @@ class TestMeasurementSet:
 class TestSimulateMeasurements:
     def setup_method(self):
         self.wind = make_wind()
-        self.f = assemble_F(SENSORS, SITES, self.wind, GRID, PARTICLE, StabilityClass.D)
+        self.f = assemble_F(SENSORS, MODEL, self.wind)
         rng = np.random.default_rng(13)
         self.q = rng.uniform(0.1, 2.0, 2 * GRID.n_steps)
         self.clean = self.f @ self.q
@@ -338,7 +331,6 @@ class TestSimulateMeasurements:
         a = simulate_measurements(self.f, self.q, SENSORS, seed=42)
         b = simulate_measurements(self.f, self.q, SENSORS, seed=42)
         np.testing.assert_array_equal(a.values, b.values)
-        np.testing.assert_array_equal(a.noise_var, b.noise_var)
 
     def test_different_seeds_differ(self):
         a = simulate_measurements(self.f, self.q, SENSORS, seed=1)
@@ -346,8 +338,11 @@ class TestSimulateMeasurements:
         assert np.all(a.values != b.values)
 
     def test_noise_var_matches_signal_variances(self):
+        # the draw's std is sqrt(signal_variances) of the clean signal, bit for bit
         ms = simulate_measurements(self.f, self.q, SENSORS, seed=0)
-        np.testing.assert_array_equal(ms.noise_var, signal_variances(self.clean, SENSORS))
+        sd = np.sqrt(signal_variances(self.clean, SENSORS))
+        noise = np.random.default_rng(0).normal(0.0, sd)
+        np.testing.assert_array_equal(ms.values, self.clean + noise)
 
     def test_noise_is_zero_mean_with_declared_variance(self):
         n_seeds = 400
@@ -355,11 +350,12 @@ class TestSimulateMeasurements:
         for seed in range(n_seeds):
             ms = simulate_measurements(self.f, self.q, SENSORS, seed=seed)
             resid[seed] = ms.values - self.clean
-        sd = np.sqrt(ms.noise_var)
+        noise_var = signal_variances(self.clean, SENSORS)
+        sd = np.sqrt(noise_var)
         # mean within 4 standard errors, variance within 5 (chi-square SE)
         np.testing.assert_array_less(np.abs(resid.mean(axis=0)), 4.0 * sd / math.sqrt(n_seeds))
-        var_err = np.abs(resid.var(axis=0) - ms.noise_var)
-        np.testing.assert_array_less(var_err, 5.0 * ms.noise_var * math.sqrt(2.0 / n_seeds))
+        var_err = np.abs(resid.var(axis=0) - noise_var)
+        np.testing.assert_array_less(var_err, 5.0 * noise_var * math.sqrt(2.0 / n_seeds))
 
     def test_nonfinite_rates_raise(self):
         bad = self.q.copy()

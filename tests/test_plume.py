@@ -18,6 +18,7 @@ from plumeinv.plume import (
     BRIGGS_COEFFICIENTS,
     LocalCoords,
     ParticleProperties,
+    PlumeModel,
     SourceSite,
     StabilityClass,
     briggs_sigma,
@@ -257,10 +258,7 @@ class TestPlumeKernel:
             plume_kernel(lc, PARTICLE, StabilityClass.D, z_src=2.0, x_cutoff=-1.0)
         site = SourceSite("a", 0.0, 0.0, 2.0)
         with pytest.raises(ValueError):
-            kernel_profile(
-                np.array([[100.0, 0.0, 2.0]]), [site], (2.0, 0.0), PARTICLE, StabilityClass.D,
-                x_cutoff=-1.0,
-            )
+            PlumeModel([site], PARTICLE, StabilityClass.D, x_cutoff=-1.0)
 
 
 class TestKernelProfile:
@@ -269,6 +267,9 @@ class TestKernelProfile:
         SourceSite("b", -40.0, 80.0, 1.0),
         SourceSite("c", 120.0, 260.0, 4.0),
     ]
+
+    def model(self, sites=SITES):
+        return PlumeModel(sites, PARTICLE, StabilityClass.D)
 
     def test_matches_pointwise_kernel(self):
         # the float path of plume_kernel and the masked array path of
@@ -297,10 +298,11 @@ class TestKernelProfile:
             sc = StabilityClass(cls)
             for w_dep, w_set in [(1.2e-2, 7.86e-3), (2.0e-3, 4.0e-3), (0.0, 6.0e-3)]:
                 p = ParticleProperties(w_dep=w_dep, w_set=w_set)
-                series = kernel_profile(points, self.SITES, series_wind, p, sc)
+                model = PlumeModel(self.SITES, p, sc)
+                series = kernel_profile(points, model, series_wind)
                 assert series.shape == (len(winds), len(points), 3)
                 for step, wind in enumerate(winds):
-                    prof = kernel_profile(points, self.SITES, wind, p, sc)
+                    prof = kernel_profile(points, model, wind)
                     assert prof.shape == (len(points), 3)
                     for i, pt in enumerate(points):
                         for j, site in enumerate(self.SITES):
@@ -325,12 +327,13 @@ class TestKernelProfile:
         angle = rng.uniform(-math.pi, math.pi, 10)
         u_x, u_y = speed * np.cos(angle), speed * np.sin(angle)
         u_x[[2, 7]], u_y[[2, 7]] = 0.05, -0.03
-        series = kernel_profile(points, self.SITES, (u_x, u_y), PARTICLE, StabilityClass.C)
+        model = PlumeModel(self.SITES, PARTICLE, StabilityClass.C)
+        series = kernel_profile(points, model, (u_x, u_y))
         assert series.shape == (10, 12, 3)
         # stored time-last: the (P, S, T) view that H reshapes is contiguous
         assert series.transpose(1, 2, 0).flags.c_contiguous
         for j in range(10):
-            pair = kernel_profile(points, self.SITES, (u_x[j], u_y[j]), PARTICLE, StabilityClass.C)
+            pair = kernel_profile(points, model, (u_x[j], u_y[j]))
             np.testing.assert_array_equal(series[j], pair)
         assert np.all(series[[2, 7]] == 0.0)
         assert np.count_nonzero(series[[0, 1, 3, 4, 5, 6, 8, 9]]) > 0
@@ -338,21 +341,21 @@ class TestKernelProfile:
     def test_mismatched_wind_series_rejected(self):
         points = np.array([[100.0, 0.0, 2.0]])
         with pytest.raises(ValueError):
-            kernel_profile(points, self.SITES, (np.ones(3), np.ones(2)), PARTICLE, StabilityClass.D)
+            kernel_profile(points, self.model(), (np.ones(3), np.ones(2)))
 
     def test_upwind_receptors_zero(self):
         points = np.array([[-500.0, 0.0, 2.0]])
-        prof = kernel_profile(points, self.SITES[:1], (2.0, 0.0), PARTICLE, StabilityClass.D)
+        prof = kernel_profile(points, self.model(self.SITES[:1]), (2.0, 0.0))
         assert prof[0, 0] == 0.0
 
     def test_calm_gives_zero_kernels(self):
         # a calm wind defines no plume axis; the kernels are zero, not an error
         points = np.array([[100.0, 0.0, 2.0], [300.0, 10.0, 0.0]])
-        prof = kernel_profile(points, self.SITES, (0.01, 0.01), PARTICLE, StabilityClass.D)
+        prof = kernel_profile(points, self.model(), (0.01, 0.01))
         assert prof.shape == (2, 3)
         assert np.all(prof == 0.0)
 
     def test_no_sites(self):
-        prof = kernel_profile(np.zeros((2, 3)), [], (2.0, 0.0), PARTICLE, StabilityClass.D)
+        prof = kernel_profile(np.zeros((2, 3)), self.model([]), (2.0, 0.0))
         assert prof.shape == (2, 0)
 

@@ -1,14 +1,14 @@
 """Tests for the synthetic twin: truth signals, wind model, data generation."""
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from plumeinv.errors import ValidationError
 from plumeinv.observation import DustfallJar, RealTimeSampler, TimeGrid
-from plumeinv.plume import ParticleProperties, SourceSite, StabilityClass
+from plumeinv.observation import assemble_F, signal_variances
+from plumeinv.plume import ParticleProperties, PlumeModel, SourceSite, StabilityClass
 from plumeinv.synthetic import (
     Harmonic,
     SourceSignal,
@@ -19,6 +19,7 @@ from plumeinv.synthetic import (
     generate_synthetic,
     wind_records,
 )
+from plumeinv.windprep import WindSeries
 
 PARTICLE = ParticleProperties(w_dep=1.2e-2, w_set=7.8641975308642e-3)
 
@@ -142,10 +143,14 @@ class TestWindRecords:
 class TestGenerateSynthetic:
     def setup_method(self):
         self.grid = TimeGrid(t0=0.0, dt=600.0, n_steps=12)
-        self.sites = [
-            SourceSite(id="src_a", x=0.0, y=0.0, height=5.0),
-            SourceSite(id="src_b", x=50.0, y=30.0, height=3.0),
-        ]
+        self.model = PlumeModel(
+            [
+                SourceSite(id="src_a", x=0.0, y=0.0, height=5.0),
+                SourceSite(id="src_b", x=50.0, y=30.0, height=3.0),
+            ],
+            PARTICLE,
+            StabilityClass.D,
+        )
         self.sensors = [
             DustfallJar(id="jar1", x=200.0, y=0.0, z=1.5, area=0.02, snr=10.0),
             DustfallJar(id="jar2", x=250.0, y=40.0, z=1.5, area=0.02, snr=10.0),
@@ -157,22 +162,18 @@ class TestGenerateSynthetic:
         rng = np.random.default_rng(23)
         speed = 3.0 + rng.uniform(-0.5, 0.5, 12)
         ang = rng.uniform(-0.25, 0.25, 12)
-        self.wind = SimpleNamespace(u_x=speed * np.cos(ang), u_y=speed * np.sin(ang))
+        self.wind = WindSeries(self.grid, speed * np.cos(ang), speed * np.sin(ang))
         self.spec = SyntheticSpec(signals=(
             SourceSignal(amplitude=0.2, omega=2e-4, phase=0.0, offset=1.0),
             SourceSignal(amplitude=0.1, omega=3e-4, phase=1.0, offset=0.5),
         ))
 
     def test_truth_matches_emission_series(self):
-        q, _ = generate_synthetic(
-            self.spec, self.sites, self.sensors, self.wind, self.grid,
-            PARTICLE, StabilityClass.D, seed=0,
-        )
+        q, _ = generate_synthetic(self.spec, self.model, self.sensors, self.wind, seed=0)
         np.testing.assert_array_equal(q, emission_series(self.spec, self.grid))
 
     def test_reproducible_and_seeded(self):
-        args = (self.spec, self.sites, self.sensors, self.wind, self.grid,
-                PARTICLE, StabilityClass.D)
+        args = (self.spec, self.model, self.sensors, self.wind)
         _, m_a = generate_synthetic(*args, seed=5)
         _, m_b = generate_synthetic(*args, seed=5)
         _, m_c = generate_synthetic(*args, seed=6)
@@ -182,18 +183,14 @@ class TestGenerateSynthetic:
     def test_noise_scale_respects_snr(self):
         """Residuals should sit at the declared noise scale, not at zero
         and not wildly above it."""
-        args = (self.spec, self.sites, self.sensors, self.wind, self.grid,
-                PARTICLE, StabilityClass.D)
-        from plumeinv.observation import assemble_F
-        f = assemble_F(self.sensors, self.sites, self.wind, self.grid,
-                       PARTICLE, StabilityClass.D)
+        args = (self.spec, self.model, self.sensors, self.wind)
+        f = assemble_F(self.sensors, self.model, self.wind)
         q = emission_series(self.spec, self.grid)
         clean = f @ q
         resid = np.array([
             generate_synthetic(*args, seed=s)[1].values - clean for s in range(200)
         ])
-        _, m0 = generate_synthetic(*args, seed=0)
-        sd = np.sqrt(m0.noise_var)
+        sd = np.sqrt(signal_variances(clean, self.sensors))
         z = resid / sd
         assert abs(z.mean()) < 0.1
         assert 0.85 < z.std() < 1.15
@@ -201,7 +198,4 @@ class TestGenerateSynthetic:
     def test_signal_site_mismatch_raises(self):
         bad = SyntheticSpec(signals=(self.spec.signals[0],))
         with pytest.raises(ValidationError):
-            generate_synthetic(
-                bad, self.sites, self.sensors, self.wind, self.grid,
-                PARTICLE, StabilityClass.D, seed=0,
-            )
+            generate_synthetic(bad, self.model, self.sensors, self.wind, seed=0)

@@ -1,7 +1,6 @@
 """Tests for deposition-map propagation: operator, low-rank UQ, totals."""
 
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +11,7 @@ from plumeinv.errors import CalmWindError, NumericalError
 from plumeinv.observation import DustfallJar, TimeGrid, assemble_F
 from plumeinv.plume import (
     ParticleProperties,
+    PlumeModel,
     SourceSite,
     StabilityClass,
     plume_kernel,
@@ -27,6 +27,7 @@ from plumeinv.uqprop import (
     deposition_stats,
     lowrank_truncate,
 )
+from plumeinv.windprep import WindSeries
 
 PARTICLE = ParticleProperties(w_dep=1.2e-2, w_set=7.8641975308642e-3)
 TIMEGRID = TimeGrid(t0=0.0, dt=600.0, n_steps=8)
@@ -34,16 +35,17 @@ SITES = [
     SourceSite(id="src_a", x=0.0, y=0.0, height=5.0),
     SourceSite(id="src_b", x=60.0, y=-30.0, height=2.0),
 ]
+MODEL = PlumeModel(SITES, PARTICLE, StabilityClass.D)
 
 
-def make_wind(n=TIMEGRID.n_steps, calm_step=None):
+def make_wind(calm_step=None):
     rng = np.random.default_rng(17)
-    speed = 3.5 + rng.uniform(-0.5, 0.5, n)
-    angle = rng.uniform(-0.3, 0.3, n)
+    speed = 3.5 + rng.uniform(-0.5, 0.5, TIMEGRID.n_steps)
+    angle = rng.uniform(-0.3, 0.3, TIMEGRID.n_steps)
     u_x, u_y = speed * np.cos(angle), speed * np.sin(angle)
     if calm_step is not None:
         u_x[calm_step] = u_y[calm_step] = 0.01
-    return SimpleNamespace(u_x=u_x, u_y=u_y)
+    return WindSeries(TIMEGRID, u_x, u_y)
 
 
 class TestGridSpec:
@@ -72,15 +74,15 @@ class TestAssembleH:
         so its observation row must equal the H row at that cell."""
         wind = make_wind()
         grid = GridSpec(x_min=150.0, x_max=250.0, y_min=-20.0, y_max=30.0, n_x=2, n_y=2)
-        h = assemble_H(grid, SITES, wind, TIMEGRID, PARTICLE, StabilityClass.D)
+        h = assemble_H(grid, MODEL, wind)
         for p, (x, y) in enumerate(grid.points()):
             jar = DustfallJar(id="probe", x=x, y=y, z=0.0, area=1.0, snr=10.0)
-            f = assemble_F([jar], SITES, wind, TIMEGRID, PARTICLE, StabilityClass.D)
+            f = assemble_F([jar], MODEL, wind)
             np.testing.assert_allclose(h[p], f[0], rtol=1e-12)
 
     def test_calm_steps_deposit_nothing(self):
         grid = GridSpec(x_min=100.0, x_max=200.0, y_min=-50.0, y_max=50.0, n_x=3, n_y=3)
-        h = assemble_H(grid, SITES, make_wind(calm_step=2), TIMEGRID, PARTICLE, StabilityClass.D)
+        h = assemble_H(grid, MODEL, make_wind(calm_step=2))
         n_t = TIMEGRID.n_steps
         for i in range(len(SITES)):
             assert np.all(h[:, i * n_t + 2] == 0.0)
@@ -91,7 +93,7 @@ class TestAssembleH:
         # the calm step, which has no wind frame, deposits nothing
         grid = GridSpec(x_min=-40.0, x_max=220.0, y_min=-60.0, y_max=40.0, n_x=4, n_y=3)
         wind = make_wind(calm_step=5)
-        h = assemble_H(grid, SITES, wind, TIMEGRID, PARTICLE, StabilityClass.C)
+        h = assemble_H(grid, PlumeModel(SITES, PARTICLE, StabilityClass.C), wind)
         n_t = TIMEGRID.n_steps
         expected = np.zeros((grid.n_cells, len(SITES) * n_t))
         for p, (x, y) in enumerate(grid.points()):
@@ -105,11 +107,6 @@ class TestAssembleH:
                     expected[p, i * n_t + j] = (PARTICLE.w_dep * TIMEGRID.dt) * kernel
         np.testing.assert_array_equal(h, expected)
         assert np.all(h[:, 5::n_t] == 0.0) and np.count_nonzero(h) > 0
-
-    def test_wind_length_mismatch_raises(self):
-        grid = GridSpec(x_min=0.0, x_max=1.0, y_min=0.0, y_max=1.0, n_x=2, n_y=2)
-        with pytest.raises(ValueError):
-            assemble_H(grid, SITES, make_wind(n=3), TIMEGRID, PARTICLE, StabilityClass.D)
 
 
 def random_spd(rng, n):
