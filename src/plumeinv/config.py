@@ -222,7 +222,9 @@ def _build_synthetic(data: dict, n_sources: int) -> SyntheticConfig:
             )
         except ValueError as exc:
             raise ValidationError(f"synthetic.signals[{i}]: {exc}") from exc
-    clip = {"clip": bool(data["clip"])} if "clip" in data else {}
+    clip = {"clip": data["clip"]} if "clip" in data else {}
+    if clip and not isinstance(clip["clip"], bool):
+        raise ValidationError(f"key synthetic.clip must be true or false, got {data['clip']!r}")
     spec = SyntheticSpec(signals=tuple(signals), **clip)
 
     from .io import _sensor_from_entry  # no import cycle: io does not import config

@@ -21,10 +21,6 @@ class NumericalError(RuntimeError):
     """A numerical routine failed (overflow, factorization breakdown, ...)."""
 
 
-class CalmWindError(ValueError):
-    """Horizontal wind too weak to define a plume axis."""
-
-
 def _dotted(where: str, key: str) -> str:
     return f"{where}.{key}" if where else key
 

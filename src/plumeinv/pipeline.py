@@ -179,10 +179,10 @@ def _read_metadata(cfg: RunConfig) -> dict:
         return {}
 
 
-def _fresh(cfg: RunConfig, stage: str) -> bool:
+def _fresh(cfg: RunConfig, stage: str, keys: dict) -> bool:
     recorded = _read_metadata(cfg).get("stage_keys", {})
     _, writes = _stage_files(cfg)[stage]
-    return recorded.get(stage) == _stage_keys(cfg)[stage] and all(p.is_file() for p in writes)
+    return recorded.get(stage) == keys[stage] and all(p.is_file() for p in writes)
 
 
 def _finite_or_none(value) -> Optional[float]:
@@ -191,12 +191,11 @@ def _finite_or_none(value) -> Optional[float]:
     return value if math.isfinite(value) else None
 
 
-def _record(cfg: RunConfig, stage: str, key: str, payload: dict) -> None:
+def _record(cfg: RunConfig, stage: str, keys: dict, payload: dict) -> None:
     """Enter a finished stage in run_metadata.json; entries of stale stages go.
 
     Each entry also records the BLAS thread count the stage ran with.
     """
-    keys = _stage_keys(cfg)
     old = _read_metadata(cfg)
     recorded, entries = old.get("stage_keys", {}), old.get("stages", {})
     kept = [s for s in keys if s != stage and s in entries and recorded.get(s) == keys[s]]
@@ -209,7 +208,7 @@ def _record(cfg: RunConfig, stage: str, key: str, payload: dict) -> None:
         cfg.resolve_out_dir() / METADATA_FILE,
         {
             "config": echo,
-            "stage_keys": {**{s: keys[s] for s in kept}, stage: key},
+            "stage_keys": {**{s: keys[s] for s in kept}, stage: keys[stage]},
             "stages": {**{s: entries[s] for s in kept}, stage: payload},
         },
     )
@@ -221,8 +220,8 @@ def _save_state(cfg: RunConfig, name: str, **arrays) -> None:
     np.savez(path, **arrays)
 
 
-def _load_state(cfg: RunConfig, stage: str, name: str) -> dict:
-    if not _fresh(cfg, stage):
+def _load_state(cfg: RunConfig, stage: str, name: str, keys: dict) -> dict:
+    if not _fresh(cfg, stage, keys):
         raise ConfigurationError(f"{name} missing or stale; run the {stage} stage")
     with np.load(cfg.resolve_out_dir() / name, allow_pickle=False) as data:
         return {k: data[k] for k in data.files}
@@ -241,22 +240,22 @@ def run_synth(cfg: RunConfig) -> None:
         raise ConfigurationError("config has no synthetic section; cannot run synth")
     tic = time.perf_counter()
     out = cfg.resolve_out_dir()
-    key = _stage_keys(cfg)["synth"]
-    wind = load_wind_series(cfg)["generation"]
+    keys = _stage_keys(cfg)
+    wind = _wind_series(cfg, keys)["generation"]
 
     syn = cfg.synthetic
-    io.write_sensors(cfg.resolve_input("sensors_file"), syn.sensors, key)
+    io.write_sensors(cfg.resolve_input("sensors_file"), syn.sensors, keys["synth"])
 
     q_true, measurements = generate_synthetic(
         syn.spec, cfg.plume_model, syn.sensors, wind, cfg.sampler.seed, cfg.noise_floor
     )
-    io.write_measurements(cfg.resolve_input("measurements_csv"), measurements, key)
-    io.write_truth_csv(out / TRUTH_FILE, _source_ids(cfg), wind.grid, q_true, key)
+    io.write_measurements(cfg.resolve_input("measurements_csv"), measurements, keys["synth"])
+    io.write_truth_csv(out / TRUTH_FILE, _source_ids(cfg), wind.grid, q_true, keys["synth"])
 
     _record(
         cfg,
         "synth",
-        key,
+        keys,
         {
             "n_measurements": int(measurements.values.size),
             "n_sensors": len(syn.sensors),
@@ -280,12 +279,12 @@ def run_wind_fit(cfg: RunConfig) -> None:
     case, the generation grid the synth stage makes its data on.
     """
     tic = time.perf_counter()
-    key = _stage_keys(cfg)["wind_fit"]
+    keys = _stage_keys(cfg)
     out, syn, inv_grid = cfg.resolve_out_dir(), cfg.synthetic, inversion_grid(cfg)
     if syn is not None:
         out.mkdir(parents=True, exist_ok=True)
         records = wind_records(syn.wind_model, inv_grid.t0, cfg.time.duration_s, syn.wind_cadence_s)
-        io.write_wind_csv(cfg.resolve_input("wind_csv"), records, key)
+        io.write_wind_csv(cfg.resolve_input("wind_csv"), records, keys["wind_fit"])
     records = io.load_wind_csv(cfg.resolve_input("wind_csv"))
     choices = select_hyperparameters(records, seed=cfg.sampler.seed)
     grids = [inv_grid] if syn is None else [inv_grid, generation_grid(cfg)]
@@ -295,7 +294,7 @@ def run_wind_fit(cfg: RunConfig) -> None:
         arrays.update({f"u_x_{tag}": fitted.u_x, f"u_y_{tag}": fitted.u_y})
     _save_state(cfg, WIND_STATE, **arrays)
 
-    io.write_wind_fit_csv(out / WIND_FIT_CSV, series[0], key)
+    io.write_wind_fit_csv(out / WIND_FIT_CSV, series[0], keys["wind_fit"])
     hyper = {
         name: {
             "signal_var": choice.config.signal_var,
@@ -308,12 +307,12 @@ def run_wind_fit(cfg: RunConfig) -> None:
     }
     io.write_json(
         out / WIND_FIT_JSON,
-        {"stage_key": key, "n_records": len(records), "hyperparameters": hyper},
+        {"stage_key": keys["wind_fit"], "n_records": len(records), "hyperparameters": hyper},
     )
     _record(
         cfg,
         "wind_fit",
-        key,
+        keys,
         {
             "n_records": len(records),
             "hyperparameters": hyper,
@@ -324,7 +323,11 @@ def run_wind_fit(cfg: RunConfig) -> None:
 
 def load_wind_series(cfg: RunConfig) -> dict:
     """Wind state from disk as {"inversion": ..., "generation": ...}."""
-    state = _load_state(cfg, "wind_fit", WIND_STATE)
+    return _wind_series(cfg, _stage_keys(cfg))
+
+
+def _wind_series(cfg: RunConfig, keys: dict) -> dict:
+    state = _load_state(cfg, "wind_fit", WIND_STATE, keys)
     inv = WindSeries(inversion_grid(cfg), state["u_x_inv"], state["u_y_inv"])
     gen = None
     if "u_x_gen" in state:
@@ -384,7 +387,7 @@ def run_invert(
     if not 0 < noise_scale < np.inf:
         raise ValidationError(f"noise_scale must be positive and finite, got {noise_scale}")
     tic = time.perf_counter()
-    key = _stage_keys(cfg)["invert"]
+    keys = _stage_keys(cfg)
     grid = inversion_grid(cfg)
     sensors = io.load_sensors(cfg.resolve_input("sensors_file"))
     measurements = io.load_measurements(cfg.resolve_input("measurements_csv"), sensors)
@@ -404,7 +407,7 @@ def run_invert(
     # every jar, and a dropped one must not set the others'.
     noise_var = signal_variances(measurements.values, sensors, cfg.noise_floor) * noise_scale**2
 
-    wind = load_wind_series(cfg)["inversion"]
+    wind = _wind_series(cfg, keys)["inversion"]
     # F is about 3% nonzero; every stage takes it as CSR, and the dense
     # array is dropped as soon as it is converted.
     f_matrix = csr_array(assemble_F(sensors, cfg.plume_model, wind))
@@ -421,7 +424,7 @@ def run_invert(
         grid,
         constant.q,
         np.zeros_like(constant.q),
-        key,
+        keys["invert"],
     )
 
     smooth = None
@@ -438,7 +441,7 @@ def run_invert(
             grid,
             smooth.mean,
             smooth.std,
-            key,
+            keys["invert"],
         )
         if through == "positive":
             positive = positive_posterior(f_matrix, d, noise_var, prior, smooth.mean, cfg.sampler)
@@ -449,7 +452,7 @@ def run_invert(
                 grid,
                 positive.q_sp,
                 std_sp,
-                key,
+                keys["invert"],
             )
 
     if not side_experiment and through == "positive":
@@ -472,7 +475,7 @@ def run_invert(
         _record(
             cfg,
             "invert",
-            key,
+            keys,
             {
                 "constant_rates_kg_s": {
                     sid: float(r) for sid, r in zip(_source_ids(cfg), constant.rates)
@@ -512,10 +515,10 @@ def run_propagate(cfg: RunConfig) -> dict:
     dropped when the stage ends.
     """
     tic = time.perf_counter()
-    state = _load_state(cfg, "invert", INVERSION_STATE)
-    key = _stage_keys(cfg)["propagate"]
+    keys = _stage_keys(cfg)
+    state = _load_state(cfg, "invert", INVERSION_STATE, keys)
     grid = inversion_grid(cfg)
-    wind = load_wind_series(cfg)["inversion"]
+    wind = _wind_series(cfg, keys)["inversion"]
 
     # The covariance factor and the SVD's arrays are dropped, and their heap
     # handed back, once the modes are known: H is built after them, not
@@ -533,12 +536,12 @@ def run_propagate(cfg: RunConfig) -> dict:
     deposition = deposition_stats(h_matrix, state["q_positive"], factors, cfg.grid)
 
     out = cfg.resolve_out_dir()
-    io.write_grid_csv(out / GRID_CSV, deposition, key)
+    io.write_grid_csv(out / GRID_CSV, deposition, keys["propagate"])
     eigenvalues = [float(v) for v in factors.eigenvalues]
     io.write_json(
         out / GRID_JSON,
         {
-            "stage_key": key,
+            "stage_key": keys["propagate"],
             "grid": {
                 "x_min_m": cfg.grid.x_min,
                 "x_max_m": cfg.grid.x_max,
@@ -555,7 +558,7 @@ def run_propagate(cfg: RunConfig) -> dict:
     _record(
         cfg,
         "propagate",
-        key,
+        keys,
         {
             "n_modes": factors.n_modes,
             "eigenvalue_ratio_last_to_first": (
@@ -610,10 +613,12 @@ def run_stage(cfg: RunConfig, stage: str, **invert_options) -> object:
     if stage not in STAGES:
         raise ValidationError(f"unknown stage {stage!r} (expected one of {STAGES})")
     threads.limit()
+    # No stage writes a file a key hashes, so the keys hold across the loop.
+    keys = _stage_keys(cfg)
     for previous in _stages(cfg):
         if STAGES.index(previous) >= STAGES.index(stage):
             break
-        if not _fresh(cfg, previous):
+        if not _fresh(cfg, previous, keys):
             logger.info("stage %s is missing or stale; running it first", previous)
             _RUNNERS[previous](cfg)
             _release_freed_heap()

@@ -5,8 +5,8 @@ point source, including gravitational settling of the particles and a
 deposition flux boundary condition at the ground.
 
 Conventions:
-    * Wind-aligned frame: x downwind, y crosswind, z height above ground.
-      ``LocalCoords.z_rel`` is the receptor height relative to the source.
+    * Wind-aligned frame of each source: x downwind, y crosswind, z height
+      above ground.
     * The kernel is exactly zero at or upwind of the source (downwind
       distance <= ``x_cutoff``, default 1 m), which also removes the
       sigma -> 0 singularity at the source itself.
@@ -24,8 +24,7 @@ Conventions:
       as one argument.
     * ``kernel_profile`` evaluates a whole wind series in one call, a
       bounded block of steps at a time; a calm step gives zero kernels.
-      ``rotate_to_wind`` raises CalmWindError instead, since a calm wind
-      defines no frame.
+      It is the one entry point to the kernel.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import erfcx
 
-from .errors import CalmWindError, NumericalError
+from .errors import NumericalError
 
 __all__ = [
     "X_CUTOFF_DEFAULT",
@@ -48,10 +47,7 @@ __all__ = [
     "StabilityClass",
     "SourceSite",
     "PlumeModel",
-    "LocalCoords",
     "briggs_sigma",
-    "rotate_to_wind",
-    "plume_kernel",
     "kernel_profile",
 ]
 
@@ -133,7 +129,7 @@ def briggs_sigma(sc: StabilityClass, axis: str, x):
 
 
 def _briggs_fit(sc: StabilityClass, axis: str, x):
-    """Unvalidated Briggs width on a float or an array (see _ermak)."""
+    """Briggs width, unchecked: callers pass distances of at least zero."""
     a, b, c = BRIGGS_COEFFICIENTS[(sc, axis)]
     return a * x * np.power(1.0 + b * x, -c)
 
@@ -173,68 +169,12 @@ class PlumeModel:
             raise ValueError("x_cutoff must be nonnegative")
 
 
-@dataclass(frozen=True)
-class LocalCoords:
-    """Receptor position in the wind-aligned frame of one source.
-
-    ``downwind``/``crosswind`` are horizontal offsets from the source
-    centroid; ``z_rel`` is receptor height minus source height; ``speed``
-    is the horizontal wind speed.
-    """
-
-    downwind: float
-    crosswind: float
-    z_rel: float
-    speed: float
-
-    def __post_init__(self) -> None:
-        if self.speed < 0:
-            raise ValueError("wind speed must be nonnegative")
-
-
-def rotate_to_wind(
-    point: Sequence[float],
-    source: SourceSite,
-    wind: Sequence[float],
-    calm_speed: float = CALM_SPEED_DEFAULT,
-) -> LocalCoords:
-    """Express a receptor point in the wind-aligned frame of a source.
-
-    The downwind axis points along the horizontal wind vector, so the
-    transform applied to the wind itself gives (U, 0).
-
-    Args:
-        point: receptor (x, y, z) in site coordinates, m.
-        source: emitting site.
-        wind: horizontal wind components (u_x, u_y), m s^-1.
-        calm_speed: below this wind speed the frame is undefined.
-
-    Raises:
-        CalmWindError: wind speed below ``calm_speed``.
-    """
-    ux, uy = float(wind[0]), float(wind[1])
-    speed = math.hypot(ux, uy)
-    if speed < calm_speed:
-        raise CalmWindError(f"wind speed {speed:.3g} m/s below calm threshold {calm_speed:g}")
-    dx = float(point[0]) - source.x
-    dy = float(point[1]) - source.y
-    return LocalCoords(
-        downwind=(dx * ux + dy * uy) / speed,
-        crosswind=(ux * dy - uy * dx) / speed,
-        z_rel=float(point[2]) - source.height,
-        speed=speed,
-    )
-
-
 def _ermak(x, y, z_rel, speed, z_src, particle, sc):
-    """Ermak kernel downwind of the cutoff, on floats or equal-shape arrays.
+    """Ermak kernel on equal-shape arrays of points downwind of the cutoff.
 
-    ``x`` must be positive; ``speed`` is a positive float or an array like
-    ``x``. Raises NumericalError on overflow and clamps roundoff below zero,
-    so both callers keep these guarantees.
+    ``x`` and ``speed`` must be positive. Raises NumericalError on overflow
+    and clamps roundoff below zero.
     """
-    # np.power and products, not ``**``, on per-point values: on a float ``**``
-    # calls libm, one ulp off numpy's array loops (w_set**2 is one shared float).
     sy = _briggs_fit(sc, "crosswind", x)
     sz = _briggs_fit(sc, "vertical", x)
     sz2 = sz * sz
@@ -269,37 +209,6 @@ def _ermak(x, y, z_rel, speed, z_src, particle, sc):
     # The bracket is nonnegative analytically; clamp roundoff in the
     # strong-deposition limit where it approaches zero by cancellation.
     return np.maximum(vals, 0.0)
-
-
-def plume_kernel(
-    lc: LocalCoords,
-    particle: ParticleProperties,
-    sc: StabilityClass,
-    z_src: float,
-    x_cutoff: float = X_CUTOFF_DEFAULT,
-) -> float:
-    """Concentration per unit emission rate at one receptor, s m^-3.
-
-    Evaluates the same formula as :func:`kernel_profile` on floats and
-    agrees with the matching entry of its output bit for bit.
-
-    Args:
-        lc: receptor in the wind-aligned source frame.
-        particle: species parameters (w_dep, w_set).
-        sc: stability class for the Briggs widths.
-        z_src: source release height, m.
-        x_cutoff: hard upwind/near-field cutoff, m; must be >= 0.
-    """
-    if lc.speed <= 0:
-        raise ValueError("wind speed must be positive")
-    if x_cutoff < 0:
-        raise ValueError("x_cutoff must be nonnegative")
-    x = float(lc.downwind)
-    if not x > x_cutoff:
-        return 0.0
-    return float(
-        _ermak(x, float(lc.crosswind), float(lc.z_rel), float(lc.speed), float(z_src), particle, sc)
-    )
 
 
 def kernel_profile(points: np.ndarray, model: PlumeModel, wind: Sequence) -> np.ndarray:

@@ -434,6 +434,25 @@ class TestStageCommands:
         assert (out / "wind.csv").is_file() and (out / "state" / "wind.npz").is_file()
         assert not (out / "sensors.yaml").exists()
 
+    def test_stage_keys_are_computed_once_per_caller(self, tmp_path, monkeypatch):
+        """run_stage computes the keys once for its freshness checks and
+        each runner once for itself: five for a run, two for a rerun that
+        finds every stage fresh and runs propagate alone."""
+        calls = []
+        stage_keys = pipeline._stage_keys
+
+        def counting(cfg):
+            calls.append(1)
+            return stage_keys(cfg)
+
+        monkeypatch.setattr(pipeline, "_stage_keys", counting)
+        cfg_path, _ = write_case(tmp_path)
+        assert cli.main(["run", "--config", str(cfg_path)]) == 0
+        assert len(calls) <= 5
+        calls.clear()
+        assert cli.main(["run", "--config", str(cfg_path)]) == 0
+        assert len(calls) <= 2
+
     def test_propagate_refuses_an_inversion_of_another_prior(self, completed):
         """Called directly, not through run_stage, propagate runs no
         predecessor: after a prior edit it refuses the stored inversion."""
@@ -527,8 +546,8 @@ class TestLeanState:
                 loaded[self.name].add(key)
                 return super().__getitem__(key)
 
-        def recording_load_state(cfg, stage, name):
-            state = Recording(load_state(cfg, stage, name))
+        def recording_load_state(cfg, stage, name, keys):
+            state = Recording(load_state(cfg, stage, name, keys))
             state.name = name
             loaded.setdefault(name, set())
             return state
@@ -571,9 +590,19 @@ def real_data_case(root: Path, jar_x: float) -> tuple:
 
 
 class TestExitCodes:
-    def test_invalid_config_is_2(self, tmp_path):
-        cfg_path, _ = write_case(tmp_path, mutate=lambda d: d.update(stability_class="G"))
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d.update(stability_class="G"),
+            # synthetic.clip is a YAML boolean: text and numbers are refused
+            *(lambda d, v=v: d["synthetic"].update(clip=v) for v in ("false", "no", 2, 0)),
+        ],
+        ids=["stability_G", "clip_text_false", "clip_text_no", "clip_2", "clip_0"],
+    )
+    def test_invalid_config_is_2(self, tmp_path, edit):
+        cfg_path, out = write_case(tmp_path, mutate=edit)
         assert cli.main(["run", "--config", str(cfg_path)]) == 2
+        assert not out.exists()
 
     def test_out_of_range_beta_override_is_2(self, tmp_path):
         # rejected while the config is built, before any stage runs

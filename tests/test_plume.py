@@ -13,18 +13,15 @@ import pytest
 from scipy.special import log_ndtr
 
 from plumeinv import plume
-from plumeinv.errors import CalmWindError, NumericalError
+from plumeinv.errors import NumericalError
 from plumeinv.plume import (
     BRIGGS_COEFFICIENTS,
-    LocalCoords,
     ParticleProperties,
     PlumeModel,
     SourceSite,
     StabilityClass,
     briggs_sigma,
     kernel_profile,
-    plume_kernel,
-    rotate_to_wind,
 )
 
 # Local copy of the power-law fit table; the snapshot test pins the
@@ -75,6 +72,21 @@ def naive_kernel(x, y, z, h, speed, w_dep, w_set, cls) -> float:
 
 
 PARTICLE = ParticleProperties(w_dep=1.2e-2, w_set=7.8641975308642e-3)
+
+
+def kernel_at(x, y, z, h, speed, particle=PARTICLE, sc=StabilityClass.D):
+    """kernel_profile of one source of height h at the origin, wind (speed, 0).
+
+    Its wind frame is the site frame: (x, y) is (downwind, crosswind).
+    """
+    model = PlumeModel([SourceSite("s", 0.0, 0.0, h)], particle, sc)
+    return kernel_profile([[x, y, z]], model, (speed, 0.0))[0, 0]
+
+
+def wind_frame(point, site, wind):
+    """(downwind, crosswind) offsets of ``point`` from ``site`` for a wind (u_x, u_y)."""
+    dx, dy, speed = point[0] - site.x, point[1] - site.y, math.hypot(wind[0], wind[1])
+    return (dx * wind[0] + dy * wind[1]) / speed, (wind[0] * dy - wind[1] * dx) / speed
 
 
 class TestParticleProperties:
@@ -137,54 +149,12 @@ class TestBriggsSigma:
             briggs_sigma(StabilityClass.D, "crosswind", -1.0)
 
 
-class TestRotateToWind:
-    def test_wind_vector_maps_to_downwind_axis(self):
-        src = SourceSite("s", 0.0, 0.0, 0.0)
-        lc = rotate_to_wind((3.0, 4.0, 0.0), src, (3.0, 4.0))
-        assert lc.downwind == pytest.approx(5.0, rel=1e-15)
-        assert lc.crosswind == pytest.approx(0.0, abs=1e-12)
-        assert lc.speed == pytest.approx(5.0, rel=1e-15)
-
-    def test_hand_worked_case(self):
-        # wind (3,4): the point (4,-3) is perpendicular to the wind, on the
-        # right-hand side looking downwind
-        src = SourceSite("s", 0.0, 0.0, 2.0)
-        lc = rotate_to_wind((4.0, -3.0, 5.0), src, (3.0, 4.0))
-        assert lc.downwind == pytest.approx(0.0, abs=1e-12)
-        assert lc.crosswind == pytest.approx(-5.0, rel=1e-15)
-        assert lc.z_rel == pytest.approx(3.0, rel=1e-15)
-
-    def test_southward_wind(self):
-        src = SourceSite("s", 0.0, 0.0, 0.0)
-        lc = rotate_to_wind((0.0, -10.0, 1.0), src, (0.0, -2.0))
-        assert lc.downwind == pytest.approx(10.0, rel=1e-15)
-        assert lc.crosswind == pytest.approx(0.0, abs=1e-15)
-
-    def test_source_offset(self):
-        src = SourceSite("s", 100.0, 50.0, 4.0)
-        lc = rotate_to_wind((160.0, 50.0, 4.0), src, (2.0, 0.0))
-        assert lc.downwind == pytest.approx(60.0, rel=1e-15)
-        assert lc.z_rel == 0.0
-
-    def test_calm_raises(self):
-        src = SourceSite("s", 0.0, 0.0, 0.0)
-        with pytest.raises(CalmWindError):
-            rotate_to_wind((10.0, 0.0, 0.0), src, (0.05, 0.0))
-
-    def test_custom_calm_threshold(self):
-        src = SourceSite("s", 0.0, 0.0, 0.0)
-        lc = rotate_to_wind((10.0, 0.0, 0.0), src, (0.05, 0.0), calm_speed=0.01)
-        assert lc.speed == pytest.approx(0.05)
-
-
 class TestPlumeKernel:
     def test_zero_at_and_upwind_of_cutoff(self):
         for x in (-50.0, 0.0, 0.5, 1.0):
-            lc = LocalCoords(downwind=x, crosswind=0.0, z_rel=0.0, speed=2.0)
-            assert plume_kernel(lc, PARTICLE, StabilityClass.D, z_src=3.0) == 0.0
+            assert kernel_at(x, 0.0, 3.0, 3.0, 2.0) == 0.0
         # just past the cutoff the on-axis kernel is alive again
-        lc = LocalCoords(downwind=1.0001, crosswind=0.0, z_rel=0.0, speed=2.0)
-        assert plume_kernel(lc, PARTICLE, StabilityClass.D, z_src=3.0) > 0.0
+        assert kernel_at(1.0001, 0.0, 3.0, 3.0, 2.0) > 0.0
 
     def test_reduces_to_reflected_gaussian_without_deposition(self):
         # w_dep = w_set = 0 collapses the kernel to the textbook image form
@@ -202,8 +172,7 @@ class TestPlumeKernel:
                 )
                 / (2 * math.pi * speed * sy * sz)
             )
-            lc = LocalCoords(downwind=x, crosswind=y, z_rel=z - h, speed=speed)
-            got = plume_kernel(lc, p0, StabilityClass.D, z_src=h)
+            got = kernel_at(x, y, z, h, speed, p0)
             assert got == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("cls", ["A", "C", "D", "F"])
@@ -215,47 +184,33 @@ class TestPlumeKernel:
             for y in (0.0, 25.0):
                 for z, h in [(0.0, 0.5), (1.5, 4.0), (10.0, 4.0)]:
                     for speed in (0.6, 3.0):
-                        lc = LocalCoords(downwind=x, crosswind=y, z_rel=z - h, speed=speed)
-                        got = plume_kernel(lc, p, sc, z_src=h)
+                        got = kernel_at(x, y, z, h, speed, p, sc)
                         want = naive_kernel(x, y, z, h, speed, w_dep, w_set, cls)
                         assert got == pytest.approx(want, rel=1e-9, abs=1e-300)
 
     def test_even_in_crosswind(self):
-        lc_pos = LocalCoords(200.0, 37.0, -1.0, 1.8)
-        lc_neg = LocalCoords(200.0, -37.0, -1.0, 1.8)
-        k_pos = plume_kernel(lc_pos, PARTICLE, StabilityClass.C, z_src=2.0)
-        assert k_pos == plume_kernel(lc_neg, PARTICLE, StabilityClass.C, z_src=2.0)
+        k_pos = kernel_at(200.0, 37.0, 1.0, 2.0, 1.8, sc=StabilityClass.C)
+        assert k_pos == kernel_at(200.0, -37.0, 1.0, 2.0, 1.8, sc=StabilityClass.C)
         assert k_pos > 0
 
     def test_nonnegative_under_strong_deposition(self):
         p = ParticleProperties(w_dep=0.5, w_set=0.0)
         for x in (10.0, 100.0, 1000.0, 10000.0):
-            lc = LocalCoords(downwind=x, crosswind=0.0, z_rel=-2.0, speed=0.5)
-            assert plume_kernel(lc, p, StabilityClass.F, z_src=2.0) >= 0.0
+            assert kernel_at(x, 0.0, 0.0, 2.0, 0.5, p, StabilityClass.F) >= 0.0
 
     def test_settling_overflow_raises(self):
         # settling far exceeding deposition at long stable-class range blows
         # up the image correction; must surface as NumericalError, not inf
         p = ParticleProperties(w_dep=0.0, w_set=0.02)
-        lc = LocalCoords(downwind=5e4, crosswind=0.0, z_rel=-2.0, speed=0.5)
         with pytest.raises(NumericalError):
-            plume_kernel(lc, p, StabilityClass.F, z_src=2.0)
+            kernel_at(5e4, 0.0, 0.0, 2.0, 0.5, p, StabilityClass.F)
 
     def test_same_geometry_finite_when_deposition_dominates(self):
         p = ParticleProperties(w_dep=0.02, w_set=0.02)
-        lc = LocalCoords(downwind=5e4, crosswind=0.0, z_rel=-2.0, speed=0.5)
-        assert math.isfinite(plume_kernel(lc, p, StabilityClass.F, z_src=2.0))
-
-    def test_requires_positive_speed(self):
-        lc = LocalCoords(100.0, 0.0, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            plume_kernel(lc, PARTICLE, StabilityClass.D, z_src=2.0)
+        assert math.isfinite(kernel_at(5e4, 0.0, 0.0, 2.0, 0.5, p, StabilityClass.F))
 
     def test_negative_cutoff_rejected(self):
         # sigma is undefined upwind of the source, so a negative cutoff is an error
-        lc = LocalCoords(100.0, 0.0, 0.0, 2.0)
-        with pytest.raises(ValueError):
-            plume_kernel(lc, PARTICLE, StabilityClass.D, z_src=2.0, x_cutoff=-1.0)
         site = SourceSite("a", 0.0, 0.0, 2.0)
         with pytest.raises(ValueError):
             PlumeModel([site], PARTICLE, StabilityClass.D, x_cutoff=-1.0)
@@ -272,8 +227,15 @@ class TestKernelProfile:
         return PlumeModel(sites, PARTICLE, StabilityClass.D)
 
     def test_matches_pointwise_kernel(self):
-        # the float path of plume_kernel and the masked array path of
-        # kernel_profile must agree bit for bit, at the cutoff edge too
+        # the masked array path of kernel_profile against the naive
+        # transcription in each source's wind frame, at the cutoff edge too
+        a, c = self.SITES[0], self.SITES[2]
+        # the frame by hand: the wind maps to the downwind axis, a point
+        # across the wind is at zero downwind, and offsets are from the source
+        assert wind_frame((3.0, 4.0), a, (3.0, 4.0)) == pytest.approx((5.0, 0.0), abs=1e-12)
+        assert wind_frame((4.0, -3.0), a, (3.0, 4.0)) == pytest.approx((0.0, -5.0), abs=1e-12)
+        assert wind_frame((0.0, -10.0), a, (0.0, -2.0)) == pytest.approx((10.0, 0.0), abs=1e-12)
+        assert wind_frame((180.0, 260.0), c, (2.0, 0.0)) == (60.0, 0.0)
         rng = np.random.default_rng(7)
         scattered = np.column_stack(
             [
@@ -290,9 +252,12 @@ class TestKernelProfile:
             [0.5, 0.0, 5.0],
             [-7.0, 3.0, 1.0],
         ]
+        # on the axis of "a" for the (3, 4) and the southward wind, and at the
+        # height of "c" 60 m downwind of it for an eastward one
+        on_axis = [[300.0, 400.0, 5.0], [0.0, -100.0, 1.0], [180.0, 260.0, 4.0]]
         fixed = [[450.0, -260.0, 3.0], [300.0, -120.0, 4.0], [-200.0, 200.0, 2.0]]
-        points = np.vstack([fixed, scattered, edge])
-        winds = [(1.3, -2.1), (2.0, 0.0), (0.5, 0.0)]
+        points = np.vstack([fixed, on_axis, scattered, edge])
+        winds = [(1.3, -2.1), (2.0, 0.0), (0.5, 0.0), (3.0, 4.0), (0.0, -2.0)]
         series_wind = (np.array([w[0] for w in winds]), np.array([w[1] for w in winds]))
         for cls in "ABCDEF":
             sc = StabilityClass(cls)
@@ -304,21 +269,26 @@ class TestKernelProfile:
                 for step, wind in enumerate(winds):
                     prof = kernel_profile(points, model, wind)
                     assert prof.shape == (len(points), 3)
+                    np.testing.assert_array_equal(series[step], prof)
+                    speed = math.hypot(wind[0], wind[1])
                     for i, pt in enumerate(points):
                         for j, site in enumerate(self.SITES):
-                            lc = rotate_to_wind(pt, site, wind)
-                            got = plume_kernel(lc, p, sc, site.height)
-                            assert prof[i, j] == got, (cls, w_dep, wind, i, j)
-                            assert series[step, i, j] == got, (cls, w_dep, wind, i, j)
+                            x, y = wind_frame(pt, site, wind)
+                            want = naive_kernel(x, y, pt[2], site.height, speed, w_dep, w_set, cls)
+                            assert prof[i, j] == pytest.approx(want, rel=1e-9, abs=1e-300), (
+                                cls, w_dep, wind, i, j,
+                            )
                     if wind[1] == 0.0:
                         at_cut, past_cut, short, upwind = prof[-4:, 0]
                         assert at_cut == 0.0 and short == 0.0 and upwind == 0.0
                         assert past_cut > 0.0
 
-    def test_series_matches_single_pairs(self, monkeypatch):
+    @pytest.mark.parametrize("block_entries", [108, 20])
+    def test_series_matches_single_pairs(self, monkeypatch, block_entries):
         # blocks of 3 steps (108 entries over 12 points x 3 sites) do not
-        # divide the 10 steps, and two of the steps are calm
-        monkeypatch.setattr(plume, "BLOCK_ENTRIES", 108)
+        # divide the 10 steps; 20 entries, fewer than the 36 pairs, make
+        # blocks of one step; two of the steps are calm
+        monkeypatch.setattr(plume, "BLOCK_ENTRIES", block_entries)
         rng = np.random.default_rng(3)
         points = np.column_stack(
             [rng.uniform(-500.0, 500.0, 12), rng.uniform(-500.0, 500.0, 12), rng.uniform(0.0, 6.0, 12)]

@@ -7,15 +7,14 @@ import pytest
 from scipy.linalg import eigh
 from scipy.sparse import csr_array
 
-from plumeinv.errors import CalmWindError, NumericalError
+from plumeinv.errors import NumericalError
 from plumeinv.observation import DustfallJar, TimeGrid, assemble_F
 from plumeinv.plume import (
     ParticleProperties,
     PlumeModel,
     SourceSite,
     StabilityClass,
-    plume_kernel,
-    rotate_to_wind,
+    kernel_profile,
 )
 from plumeinv.sampling import SKETCH_SIZE, CovarianceSketch, _sketch_matrix
 from plumeinv.uqprop import (
@@ -89,22 +88,19 @@ class TestAssembleH:
         assert h.sum() > 0.0
 
     def test_matches_per_step_oracle_with_calm_step(self):
-        # each entry is (w_dep dt) times the pointwise kernel, bit for bit;
-        # the calm step, which has no wind frame, deposits nothing
+        # each entry is (w_dep dt) times the single-wind kernel at the cell,
+        # bit for bit; the calm step, which has no wind frame, deposits nothing
         grid = GridSpec(x_min=-40.0, x_max=220.0, y_min=-60.0, y_max=40.0, n_x=4, n_y=3)
         wind = make_wind(calm_step=5)
-        h = assemble_H(grid, PlumeModel(SITES, PARTICLE, StabilityClass.C), wind)
+        model = PlumeModel(SITES, PARTICLE, StabilityClass.C)
+        h = assemble_H(grid, model, wind)
         n_t = TIMEGRID.n_steps
+        cells = np.column_stack([grid.points(), np.zeros(grid.n_cells)])
         expected = np.zeros((grid.n_cells, len(SITES) * n_t))
-        for p, (x, y) in enumerate(grid.points()):
-            for i, site in enumerate(SITES):
-                for j in range(n_t):
-                    try:
-                        lc = rotate_to_wind((x, y, 0.0), site, (wind.u_x[j], wind.u_y[j]))
-                    except CalmWindError:
-                        continue
-                    kernel = plume_kernel(lc, PARTICLE, StabilityClass.C, site.height)
-                    expected[p, i * n_t + j] = (PARTICLE.w_dep * TIMEGRID.dt) * kernel
+        for j in range(n_t):
+            kernels = kernel_profile(cells, model, (wind.u_x[j], wind.u_y[j]))
+            for i in range(len(SITES)):
+                expected[:, i * n_t + j] = (PARTICLE.w_dep * TIMEGRID.dt) * kernels[:, i]
         np.testing.assert_array_equal(h, expected)
         assert np.all(h[:, 5::n_t] == 0.0) and np.count_nonzero(h) > 0
 
