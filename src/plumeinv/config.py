@@ -16,14 +16,13 @@ section into the ``plume.PlumeModel`` that the forward operators take.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Optional
 
-import yaml
-
 from .errors import ValidationError, _given, _number, _require
 from .inversion import PriorConfig
+from .io import _read_yaml, _sensor_list, parse_timestamp
 from .observation import NOISE_FLOOR_DEFAULT, TimeGrid, check_windows
 from .plume import (
     CALM_SPEED_DEFAULT,
@@ -138,8 +137,6 @@ class RunConfig:
 
     def time_grid(self, dt: float) -> TimeGrid:
         """The grid of ``dt`` steps over the run's horizon."""
-        from .io import parse_timestamp  # no import cycle: io does not import config
-
         return TimeGrid(parse_timestamp(self.time.start), dt, round(self.time.duration_s / dt))
 
     def resolve_out_dir(self) -> Path:
@@ -226,23 +223,11 @@ def _build_synthetic(data: dict, n_sources: int) -> SyntheticConfig:
     if clip and not isinstance(clip["clip"], bool):
         raise ValidationError(f"key synthetic.clip must be true or false, got {data['clip']!r}")
     spec = SyntheticSpec(signals=tuple(signals), **clip)
-
-    from .io import _sensor_from_entry  # no import cycle: io does not import config
-
-    raw_sensors = _require(data, "sensors", "synthetic")
-    if not isinstance(raw_sensors, list) or not raw_sensors:
-        raise ValidationError("synthetic.sensors must be a non-empty list")
-    sensors = tuple(
-        _sensor_from_entry(entry, f"synthetic.sensors[{i}]")
-        for i, entry in enumerate(raw_sensors)
-    )
-    ids = [s.id for s in sensors]
-    if len(set(ids)) != len(ids):
-        raise ValidationError("synthetic sensor ids must be unique")
+    sensors = _sensor_list(_require(data, "sensors", "synthetic"), "synthetic.sensors")
     return SyntheticConfig(
         spec=spec,
         wind_model=model,
-        sensors=sensors,
+        sensors=tuple(sensors),
         **_given(data, "synthetic", wind_cadence_s=("wind_cadence_s", float)),
     )
 
@@ -336,8 +321,6 @@ def _config_from_dict(data: dict) -> RunConfig:
 
 
 def _apply_overrides(cfg: RunConfig, out_dir=None, seed=None) -> RunConfig:
-    from dataclasses import replace
-
     if seed is not None:
         cfg = replace(cfg, sampler=replace(cfg.sampler, seed=int(seed)))
     if out_dir is not None:
@@ -347,21 +330,12 @@ def _apply_overrides(cfg: RunConfig, out_dir=None, seed=None) -> RunConfig:
 
 def load_config(path, out_dir=None, seed=None) -> RunConfig:
     """Parse, validate, and apply the output directory and seed overrides."""
-    path = Path(path)
-    if not path.is_file():
-        raise ValidationError(f"config file not found: {path}")
-    try:
-        data = yaml.safe_load(path.read_text())
-    except yaml.YAMLError as exc:
-        raise ValidationError(f"config file {path} is not valid YAML: {exc}") from exc
-    cfg = _config_from_dict(data)
+    cfg = _config_from_dict(_read_yaml(path, "config"))
     return _apply_overrides(cfg, out_dir=out_dir, seed=seed)
 
 
 def _as_plain(obj):
     """Recursively convert config dataclasses to JSON-serializable data."""
-    from dataclasses import fields, is_dataclass
-
     if is_dataclass(obj):
         return {f.name: _as_plain(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, StabilityClass):

@@ -2,10 +2,14 @@
 
 CSV artifacts carry the key of the pipeline stage that wrote them as a
 ``# stage_key=...`` comment line above the header (the sensors YAML as a
-``stage_key`` field); loaders skip any leading ``#`` lines, and the
-header row itself is fixed byte-for-byte per format. One private helper
-writes every CSV artifact: the key line, the header, then the rows.
-Timestamps are ISO-8601; naive values are treated as UTC.
+``stage_key`` field). Each input format has one reader: ``_csv_rows``
+reads every CSV input (it skips blank and ``#`` lines, checks the fixed
+header byte-for-byte and the field count), ``_read_yaml`` every YAML
+file, and ``_sensor_list`` every list of sensor entries, in the sensors
+file or in a config's ``synthetic.sensors``. One private helper writes
+every CSV artifact: the key line, the header, then the rows, with fields
+quoted where needed. Timestamps are ISO-8601; naive values are treated
+as UTC.
 """
 
 from __future__ import annotations
@@ -93,8 +97,7 @@ def _write_stamped_csv(path, header: str, key: str, rows) -> None:
     """The stage-key line, the fixed header, then each row of formatted fields."""
     with open(Path(path), "w", newline="") as handle:
         handle.write(f"# stage_key={key}\n{header}\n")
-        for row in rows:
-            handle.write(",".join(row) + "\n")
+        csv.writer(handle, lineterminator="\n").writerows(rows)
 
 
 def _source_major_rows(source_ids: Sequence[str], grid: TimeGrid, *columns):
@@ -104,21 +107,46 @@ def _source_major_rows(source_ids: Sequence[str], grid: TimeGrid, *columns):
     return zip(ids, times * len(source_ids), *(map(_fmt, column) for column in columns))
 
 
-def _data_lines(path: Path):
-    """Yield (line_number, raw_line) skipping blank and comment lines."""
+def _csv_rows(path, header: str, what: str):
+    """Yield (line number, fields) for each data row of a CSV file.
+
+    Blank and ``#`` lines are skipped; the first other line must be
+    ``header`` and every later one must have as many fields.
+    """
+    path = Path(path)
+    if not path.is_file():
+        raise ValidationError(f"{what} file not found: {path}")
+    n_fields = header.count(",") + 1
+    header_seen = False
     with open(path, newline="") as handle:
         for lineno, raw in enumerate(handle, start=1):
-            stripped = raw.rstrip("\n").rstrip("\r")
-            if not stripped or stripped.startswith("#"):
+            line = raw.rstrip("\n").rstrip("\r")
+            if not line or line.startswith("#"):
                 continue
-            yield lineno, stripped
+            if not header_seen:
+                if line != header:
+                    raise ValidationError(f"{path}: expected header {header!r}, found {line!r}")
+                header_seen = True
+                continue
+            fields = next(csv.reader([line]))
+            if len(fields) != n_fields:
+                raise ValidationError(
+                    f"{path}:{lineno}: expected {n_fields} fields, found {len(fields)}"
+                )
+            yield lineno, fields
+    if not header_seen:
+        raise ValidationError(f"{path}: empty {what} file")
 
 
-def _check_header(path: Path, line: str, expected: str) -> None:
-    if line != expected:
-        raise ValidationError(
-            f"{path}: expected header {expected!r}, found {line!r}"
-        )
+def _read_yaml(path, what: str):
+    """The parsed contents of a YAML file."""
+    path = Path(path)
+    if not path.is_file():
+        raise ValidationError(f"{what} file not found: {path}")
+    try:
+        return yaml.safe_load(path.read_text())
+    except yaml.YAMLError as exc:
+        raise ValidationError(f"{path}: invalid YAML: {exc}") from exc
 
 
 def load_wind_csv(path) -> list:
@@ -127,19 +155,8 @@ def load_wind_csv(path) -> list:
     At least ``CV_MIN_POINTS`` distinct timestamps must remain, so that the
     wind fit's cross-validation has two points to train on in every fold.
     """
-    path = Path(path)
-    if not path.is_file():
-        raise ValidationError(f"wind file not found: {path}")
     rows = []
-    header_seen = False
-    for lineno, line in _data_lines(path):
-        if not header_seen:
-            _check_header(path, line, WIND_HEADER)
-            header_seen = True
-            continue
-        parts = next(csv.reader([line]))
-        if len(parts) != 3:
-            raise ValidationError(f"{path}:{lineno}: expected 3 fields, found {len(parts)}")
+    for lineno, parts in _csv_rows(path, WIND_HEADER, "wind"):
         try:
             record = RawWindRecord(
                 timestamp=parse_timestamp(parts[0]),
@@ -149,8 +166,6 @@ def load_wind_csv(path) -> list:
         except (ValueError, ValidationError) as exc:
             raise ValidationError(f"{path}:{lineno}: {exc}") from exc
         rows.append(record)
-    if not header_seen:
-        raise ValidationError(f"{path}: empty wind file")
     if not rows:
         raise ValidationError(f"{path}: no wind records")
     rows.sort(key=lambda r: r.timestamp)
@@ -189,8 +204,11 @@ def write_wind_fit_csv(path, series: WindSeries, key: str) -> None:
 def _sensor_from_entry(entry: dict, where: str) -> Sensor:
     """One sensor; its numbers are read under the config file's rules."""
     kind = str(_require(entry, "kind", where))
+    sid = str(_require(entry, "id", where))
+    if any(c in sid for c in "/\\\n\r"):  # an id names files and one-line CSV rows
+        raise ValidationError(f"{where}: sensor id {sid!r} has a path separator or line break")
     common = dict(
-        id=str(_require(entry, "id", where)),
+        id=sid,
         x=_number(entry, "x_m", where),
         y=_number(entry, "y_m", where),
         z=_number(entry, "z_m", where),
@@ -222,27 +240,23 @@ def _sensor_from_entry(entry: dict, where: str) -> Sensor:
     raise ValidationError(f"{where}: unknown sensor kind {kind!r}")
 
 
-def load_sensors(path) -> list:
-    """Sensor registry from structured YAML."""
-    path = Path(path)
-    if not path.is_file():
-        raise ValidationError(f"sensors file not found: {path}")
-    try:
-        data = yaml.safe_load(path.read_text())
-    except yaml.YAMLError as exc:
-        raise ValidationError(f"{path}: invalid YAML: {exc}") from exc
-    if not isinstance(data, dict) or "sensors" not in data:
-        raise ValidationError(f"{path}: expected a top-level 'sensors' list")
-    entries = data["sensors"]
+def _sensor_list(entries, where: str) -> list:
+    """The sensors of a list of entries; it must be non-empty and its ids unique."""
     if not isinstance(entries, list) or not entries:
-        raise ValidationError(f"{path}: 'sensors' must be a non-empty list")
-    sensors = [
-        _sensor_from_entry(entry, f"{path}: sensors[{i}]") for i, entry in enumerate(entries)
-    ]
+        raise ValidationError(f"{where} must be a non-empty list")
+    sensors = [_sensor_from_entry(entry, f"{where}[{i}]") for i, entry in enumerate(entries)]
     ids = [s.id for s in sensors]
     if len(set(ids)) != len(ids):
-        raise ValidationError(f"{path}: sensor ids must be unique")
+        raise ValidationError(f"{where}: sensor ids must be unique")
     return sensors
+
+
+def load_sensors(path) -> list:
+    """Sensor registry from structured YAML."""
+    data = _read_yaml(path, "sensors")
+    if not isinstance(data, dict) or "sensors" not in data:
+        raise ValidationError(f"{path}: expected a top-level 'sensors' list")
+    return _sensor_list(data["sensors"], f"{path}: sensors")
 
 
 def write_sensors(path, sensors: Sequence[Sensor], key: str) -> None:
@@ -272,20 +286,9 @@ def load_measurements(path, sensors: Sequence[Sensor]) -> MeasurementSet:
 
     Every declared measurement slot must appear exactly once.
     """
-    path = Path(path)
-    if not path.is_file():
-        raise ValidationError(f"measurements file not found: {path}")
     by_id = {s.id: s for s in sensors}
     seen = {}
-    header_seen = False
-    for lineno, line in _data_lines(path):
-        if not header_seen:
-            _check_header(path, line, MEASUREMENTS_HEADER)
-            header_seen = True
-            continue
-        parts = next(csv.reader([line]))
-        if len(parts) != 3:
-            raise ValidationError(f"{path}:{lineno}: expected 3 fields, found {len(parts)}")
+    for lineno, parts in _csv_rows(path, MEASUREMENTS_HEADER, "measurements"):
         sid = parts[0]
         if sid not in by_id:
             raise ValidationError(f"{path}:{lineno}: unknown sensor id {sid!r}")
@@ -307,8 +310,6 @@ def load_measurements(path, sensors: Sequence[Sensor]) -> MeasurementSet:
         if (sid, index) in seen:
             raise ValidationError(f"{path}:{lineno}: duplicate measurement ({sid!r}, {index})")
         seen[(sid, index)] = value
-    if not header_seen:
-        raise ValidationError(f"{path}: empty measurements file")
 
     ids, indices = entry_labels(sensors)
     values = []

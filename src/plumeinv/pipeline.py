@@ -417,15 +417,12 @@ def run_invert(
     side_experiment = bool(suffix)
     out = cfg.resolve_out_dir()
 
+    def write_estimate(name: str, mean: np.ndarray, std: np.ndarray) -> None:
+        path = out / f"emissions_{name}{suffix}.csv"
+        io.write_emissions_csv(path, _source_ids(cfg), grid, mean, std, keys["invert"])
+
     constant = mle_constant(f_matrix, d, noise_var, n_sources)
-    io.write_emissions_csv(
-        out / f"emissions_constant{suffix}.csv",
-        _source_ids(cfg),
-        grid,
-        constant.q,
-        np.zeros_like(constant.q),
-        keys["invert"],
-    )
+    write_estimate("constant", constant.q, np.zeros_like(constant.q))
 
     smooth = None
     positive = None
@@ -435,25 +432,10 @@ def run_invert(
         # Hand the smooth stage's freed (n_meas, n) buffer back before the
         # chain maps its covariance sketch beside it.
         _release_freed_heap()
-        io.write_emissions_csv(
-            out / f"emissions_smooth{suffix}.csv",
-            _source_ids(cfg),
-            grid,
-            smooth.mean,
-            smooth.std,
-            keys["invert"],
-        )
+        write_estimate("smooth", smooth.mean, smooth.std)
         if through == "positive":
             positive = positive_posterior(f_matrix, d, noise_var, prior, smooth.mean, cfg.sampler)
-            std_sp = np.sqrt(np.maximum(positive.cov_diag, 0.0))
-            io.write_emissions_csv(
-                out / f"emissions_positive{suffix}.csv",
-                _source_ids(cfg),
-                grid,
-                positive.q_sp,
-                std_sp,
-                keys["invert"],
-            )
+            write_estimate("positive", positive.q_sp, np.sqrt(np.maximum(positive.cov_diag, 0.0)))
 
     if not side_experiment and through == "positive":
         _save_state(
@@ -526,8 +508,13 @@ def run_propagate(cfg: RunConfig) -> dict:
     factor = state["cov_factor"]
     factors = lowrank_truncate(factor, min(cfg.grid.n_modes, factor.shape[1]))
     total_variance = state["cov_trace"]
+
+    def trace_share(part: float) -> float:
+        """``part`` over the chain's covariance trace; NaN (null) unless that is positive."""
+        return part / total_variance if total_variance > 0 else math.nan
+
     # E E^T <= C, so this share bounds the sketch's error in the trace norm
-    unexplained = 1.0 - np.vdot(factor, factor) / total_variance
+    unexplained = 1.0 - trace_share(np.vdot(factor, factor))
     sketch_size = factor.shape[1]
     test_matrix = sketch_test_matrix(factor.shape[0])
     del factor, state["cov_factor"]
@@ -570,7 +557,7 @@ def run_propagate(cfg: RunConfig) -> dict:
                 **test_matrix,
                 "unexplained_trace_share": _finite_or_none(unexplained),
             },
-            "kept_variance_share": _finite_or_none(factors.eigenvalues.sum() / total_variance),
+            "kept_variance_share": _finite_or_none(trace_share(factors.eigenvalues.sum())),
             "max_mean_mg_m2": float(deposition.mean.max() * io.KG_TO_MG),
             "annual_total_tonne_yr": annualize(state["q_positive"], grid),
             "timing_s": time.perf_counter() - tic,

@@ -10,6 +10,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -203,6 +204,25 @@ class TestRun:
         assert eigensolve["test_matrix"] == "identity" and eigensolve["nonzeros_per_row"] == 1
         assert 0.0 <= eigensolve["unexplained_trace_share"] <= 1e-12
         assert 0.0 < propagate["kept_variance_share"] < 1.0
+
+    def test_one_step_chain_records_null_trace_shares(self, tmp_path):
+        """One step leaves the chain's covariance trace zero: no share of
+        it is defined, and none is computed."""
+        cfg_path, out = write_case(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(["run", "--config", str(cfg_path), "--n-steps", "1"]) == 0
+        propagate = json.loads((out / "run_metadata.json").read_text())["stages"]["propagate"]
+        assert propagate["eigensolve"]["unexplained_trace_share"] is None
+        assert propagate["kept_variance_share"] is None
+
+    def test_sensor_id_with_a_comma_round_trips(self, tmp_path):
+        cfg_path, out = write_case(
+            tmp_path, mutate=lambda d: d["synthetic"]["sensors"][1].update(id="jar,a")
+        )
+        assert cli.main(["run", "--config", str(cfg_path), "--n-steps", "200"]) == 0
+        (row,) = [r for r in (out / "measurements.csv").read_text().splitlines() if "jar,a" in r]
+        assert row.startswith('"jar,a",0,')
 
     def test_wind_fit_reports_cv_choice(self, completed):
         _, out = completed
@@ -723,6 +743,15 @@ class TestExitCodes:
         )
         assert cli.main(["run", "--config", str(cfg_path)]) == 2
         assert not list(out.rglob("*"))
+
+    @pytest.mark.parametrize("char", ["/", "\\", "\n"], ids=["slash", "backslash", "newline"])
+    def test_sensor_id_with_a_path_separator_or_line_break_is_2(self, tmp_path, char):
+        # --drop-sensor puts the id in a file name, and a CSV row is one line
+        cfg_path, out = write_case(
+            tmp_path, mutate=lambda d: d["synthetic"]["sensors"][1].update(id=f"jar{char}a")
+        )
+        assert cli.main(["run", "--config", str(cfg_path)]) == 2
+        assert not out.exists()
 
     def test_fractional_schedule_count_is_2(self, tmp_path):
         cfg_path, out = write_case(

@@ -119,10 +119,6 @@ class TestWindCsv:
         with pytest.raises(ValidationError, match="header"):
             load_wind_csv(path)
 
-    def test_missing_file_raises(self, tmp_path):
-        with pytest.raises(ValidationError, match="not found"):
-            load_wind_csv(tmp_path / "absent.csv")
-
     def test_no_records_raises(self, tmp_path):
         path = tmp_path / "wind.csv"
         path.write_text("timestamp,speed_mps,direction_deg_from\n")
@@ -244,12 +240,6 @@ class TestSensorsYaml:
         with pytest.raises(ValidationError, match="unique"):
             load_sensors(path)
 
-    def test_invalid_yaml_raises(self, tmp_path):
-        path = tmp_path / "sensors.yaml"
-        path.write_text("sensors: [unclosed\n")
-        with pytest.raises(ValidationError, match="invalid YAML"):
-            load_sensors(path)
-
     def test_requires_sensor_list(self, tmp_path):
         path = tmp_path / "sensors.yaml"
         path.write_text("stations: []\n")
@@ -329,6 +319,29 @@ class TestMeasurementsCsv:
         path.write_text("sensor_id,index,value\njar1,1,1.0\n")
         with pytest.raises(ValidationError, match="single value per period"):
             load_measurements(path, SENSORS)
+
+
+# Every input file passes through one shared reader per format.
+LOADERS = {
+    "wind": load_wind_csv,
+    "measurements": lambda path: load_measurements(path, SENSORS),
+    "sensors": load_sensors,
+    "config": load_config,
+}
+
+
+class TestSharedReaders:
+    @pytest.mark.parametrize("name", list(LOADERS))
+    def test_missing_file_raises(self, tmp_path, name):
+        with pytest.raises(ValidationError, match=f"{name} file not found"):
+            LOADERS[name](tmp_path / "absent")
+
+    @pytest.mark.parametrize("name", ["sensors", "config"])
+    def test_invalid_yaml_raises(self, tmp_path, name):
+        path = tmp_path / f"{name}.yaml"
+        path.write_text(f"{name}: [unclosed\n")
+        with pytest.raises(ValidationError, match="invalid YAML"):
+            LOADERS[name](path)
 
 
 class TestArtifactWriters:
