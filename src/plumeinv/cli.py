@@ -4,8 +4,8 @@ Subcommands map onto pipeline stages; every invocation loads one YAML
 config (the bundled synthetic case by default), applies the CLI
 overrides, and runs the requested stage with missing predecessors
 filled in. Exit codes: 0 success, 2 invalid input or configuration,
-3 numerical failure. ``PLUME_THREADS`` is applied by
-``pipeline.run_stage``, as for any library caller.
+3 numerical failure. ``pipeline.run_stage`` runs every stage with BLAS
+on one thread, as for any library caller.
 """
 
 from __future__ import annotations

@@ -207,6 +207,8 @@ def _sensor_from_entry(entry: dict, where: str) -> Sensor:
     sid = str(_require(entry, "id", where))
     if any(c in sid for c in "/\\\n\r"):  # an id names files and one-line CSV rows
         raise ValidationError(f"{where}: sensor id {sid!r} has a path separator or line break")
+    if sid.startswith("#"):  # _csv_rows reads a line that starts with # as a comment
+        raise ValidationError(f"{where}: sensor id {sid!r} starts with '#'")
     common = dict(
         id=sid,
         x=_number(entry, "x_m", where),

@@ -27,6 +27,7 @@ import json
 import logging
 import math
 import time
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -90,6 +91,7 @@ GRID_JSON = "deposition_grid.json"
 METADATA_FILE = "run_metadata.json"
 WIND_STATE = "state/wind.npz"
 INVERSION_STATE = "state/inversion.npz"
+_STATE_CHUNK_BYTES = 1 << 20
 ESTIMATES = ("constant", "smooth", "positive")
 
 
@@ -192,10 +194,7 @@ def _finite_or_none(value) -> Optional[float]:
 
 
 def _record(cfg: RunConfig, stage: str, keys: dict, payload: dict) -> None:
-    """Enter a finished stage in run_metadata.json; entries of stale stages go.
-
-    Each entry also records the BLAS thread count the stage ran with.
-    """
+    """Enter a finished stage in run_metadata.json; entries of stale stages go."""
     old = _read_metadata(cfg)
     recorded, entries = old.get("stage_keys", {}), old.get("stages", {})
     kept = [s for s in keys if s != stage and s in entries and recorded.get(s) == keys[s]]
@@ -203,7 +202,6 @@ def _record(cfg: RunConfig, stage: str, keys: dict, payload: dict) -> None:
     # case in different directories must match byte for byte (timing_s aside).
     echo = config_dict(cfg)
     echo.pop("paths", None)
-    payload = {**payload, "blas_threads": threads.effective()}
     io.write_json(
         cfg.resolve_out_dir() / METADATA_FILE,
         {
@@ -215,9 +213,28 @@ def _record(cfg: RunConfig, stage: str, keys: dict, payload: dict) -> None:
 
 
 def _save_state(cfg: RunConfig, name: str, **arrays) -> None:
+    """Write ``arrays`` as the .npz archive ``np.savez`` writes: one stored
+    zip member ``<key>.npy`` per array.
+
+    Each member's data goes out in slices of at most ``_STATE_CHUNK_BYTES``
+    that are views of the array. ``np.savez`` copies up to 16 MiB of an
+    array at a time: a whole copy of the 16 MB covariance factor, at
+    invert's memory high water.
+    """
     path = cfg.resolve_out_dir() / name
     path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez(path, **arrays)
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED, allowZip64=True) as archive:
+        for key, value in arrays.items():
+            value = np.asarray(value)
+            header = np.lib.format.header_data_from_array_1_0(value)
+            # A Fortran-ordered array (the covariance factor) goes out in its
+            # own order, as the header says, without a copy.
+            data = np.ascontiguousarray(value.T if header["fortran_order"] else value)
+            data = data.reshape(-1).view(np.uint8)
+            with archive.open(f"{key}.npy", "w", force_zip64=True) as member:
+                np.lib.format.write_array_header_1_0(member, header)
+                for start in range(0, data.size, _STATE_CHUNK_BYTES):
+                    member.write(data[start : start + _STATE_CHUNK_BYTES])
 
 
 def _load_state(cfg: RunConfig, stage: str, name: str, keys: dict) -> dict:
@@ -596,17 +613,21 @@ def _release_freed_heap() -> None:
 
 
 def run_stage(cfg: RunConfig, stage: str, **invert_options) -> object:
-    """Run one stage under ``PLUME_THREADS``, first running every predecessor that is not fresh."""
+    """Run one stage, first running every predecessor that is not fresh.
+
+    Every stage run does its BLAS work on one thread (``threads.single``);
+    each library's own count comes back on return or raise.
+    """
     if stage not in STAGES:
         raise ValidationError(f"unknown stage {stage!r} (expected one of {STAGES})")
-    threads.limit()
     # No stage writes a file a key hashes, so the keys hold across the loop.
     keys = _stage_keys(cfg)
-    for previous in _stages(cfg):
-        if STAGES.index(previous) >= STAGES.index(stage):
-            break
-        if not _fresh(cfg, previous, keys):
-            logger.info("stage %s is missing or stale; running it first", previous)
-            _RUNNERS[previous](cfg)
-            _release_freed_heap()
-    return _RUNNERS[stage](cfg, **invert_options)
+    with threads.single():
+        for previous in _stages(cfg):
+            if STAGES.index(previous) >= STAGES.index(stage):
+                break
+            if not _fresh(cfg, previous, keys):
+                logger.info("stage %s is missing or stale; running it first", previous)
+                _RUNNERS[previous](cfg)
+                _release_freed_heap()
+        return _RUNNERS[stage](cfg, **invert_options)

@@ -32,9 +32,10 @@ updates. Each stream is read by one thread in block order, so the draws
 do not depend on how the two threads are scheduled. The Philox fills
 and NumPy's matmul release the GIL; SciPy's sparse products and its BLAS
 and LAPACK wrappers (``dgemm``, the ``dpttrs`` solve) hold it: run beside
-a NumPy loop on another thread, they do not overlap it. The kernel runs
-with BLAS on one thread (``threads.single``), so the draw thread has a
-core of its own. The accept loop runs in the data space, where
+a NumPy loop on another thread, they do not overlap it. ``pipeline``
+runs every stage with BLAS on one thread (``threads.single``), so the
+draw thread has a core of its own. The accept loop runs in the data
+space, where
 
     F v~ = F m + sqrt(1 - beta^2) (F v - F m) + beta F w,
 
@@ -84,7 +85,6 @@ from scipy.linalg.lapack import dpotrf
 from scipy.sparse import csr_array
 from scipy.special import ndtri
 
-from . import threads
 from .errors import NumericalError, ValidationError
 
 __all__ = [
@@ -512,7 +512,7 @@ def _pcn_kernel(
 
     v = m.copy()
     fm = f @ m
-    with threads.single(), ThreadPoolExecutor(1, "pcn-draw") as drawer, np.errstate(
+    with ThreadPoolExecutor(1, "pcn-draw") as drawer, np.errstate(
         over="ignore", invalid="ignore"  # a non-finite phi rejects
     ):
         phi_v = phi(v, fm)

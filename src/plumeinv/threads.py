@@ -1,34 +1,28 @@
 """BLAS thread control through the loaded OpenBLAS libraries.
 
-``PLUME_THREADS`` caps the BLAS threads of a run. ``limit`` finds each
-OpenBLAS library the process has loaded in ``/proc/self/maps`` (Linux)
-and calls that library's own thread-count setter, the call threadpoolctl
-makes, so the cap holds whether or not numpy was loaded first.
-``pipeline.run_stage`` applies it, so the command line and library
-callers get the same cap. ``single`` holds every loaded OpenBLAS at one
+``single`` holds every OpenBLAS library the process has loaded at one
 thread for the length of a block and then restores each library's own
-count: the pCN chain runs under it, its BLAS on the main thread and its
-random draws on one thread of its own (see ``sampling``), so the chain
-uses two cores whatever ``PLUME_THREADS`` says. Other BLAS builds (MKL,
-Accelerate) are not found: ``limit`` then logs that the cap is ignored,
-``single`` does nothing, and ``effective`` returns None.
+count. It finds the libraries in ``/proc/self/maps`` (Linux) and calls
+each one's own thread-count setter, the call threadpoolctl makes, so it
+holds whether or not numpy was loaded first and whatever
+``OPENBLAS_NUM_THREADS`` says. ``pipeline.run_stage`` runs every stage
+under it: at this problem size a second BLAS thread saves no time, its
+spinning threads slow a run down when another process shares the cores,
+and a fixed count makes a stage's rounding, and so its artifacts, the
+same on every machine. The pCN chain then has BLAS on the main thread
+and its random draws on one thread of its own (see ``sampling``). Other
+BLAS builds (MKL, Accelerate) are not found, and ``single`` leaves them
+at their own default.
 """
 
 from __future__ import annotations
 
 import ctypes
-import logging
-import os
 from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import Iterator
 
-from .errors import ValidationError
+__all__ = ["single"]
 
-__all__ = ["ENV_THREADS", "limit", "single", "effective"]
-
-logger = logging.getLogger(__name__)
-
-ENV_THREADS = "PLUME_THREADS"
 # (getter, setter) symbol names of OpenBLAS builds, plain and with the
 # prefix and suffix of the builds bundled with numpy and scipy wheels.
 _OPENBLAS_SYMBOLS = tuple(
@@ -63,29 +57,6 @@ def _openblas() -> list:
     return found
 
 
-def limit() -> None:
-    """Cap every loaded OpenBLAS library at ``PLUME_THREADS`` threads, if it is set.
-
-    A library that already runs that many threads is left alone, so a
-    process whose environment set the same count makes no BLAS call.
-    """
-    raw = os.environ.get(ENV_THREADS)
-    if not raw:
-        return
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValidationError(f"{ENV_THREADS} must be an integer, got {raw!r}")
-    if n < 1:
-        raise ValidationError(f"{ENV_THREADS} must be >= 1, got {n}")
-    libraries = _openblas()
-    if not libraries:
-        logger.warning("no loaded OpenBLAS library found; %s ignored", ENV_THREADS)
-    for getter, setter in libraries:
-        if getter() != n:
-            setter(n)
-
-
 @contextmanager
 def single() -> Iterator[None]:
     """Every loaded OpenBLAS library on one thread inside the block.
@@ -102,9 +73,3 @@ def single() -> Iterator[None]:
     finally:
         for (_, setter), count in zip(libraries, before):
             setter(count)
-
-
-def effective() -> Optional[int]:
-    """Largest thread count among the loaded OpenBLAS libraries; None if none is found."""
-    counts = [getter() for getter, _ in _openblas()]
-    return max(counts) if counts else None

@@ -21,7 +21,7 @@ from scipy.sparse import csr_array
 
 from plumeinv import cli, pipeline, sampling, threads
 from plumeinv.config import config_dict, load_config
-from plumeinv.errors import ConfigurationError, ValidationError
+from plumeinv.errors import ConfigurationError, NumericalError, ValidationError
 from plumeinv.inversion import SmoothnessPrior
 
 ARTIFACTS = [
@@ -580,6 +580,32 @@ class TestLeanState:
             with np.load(out / name) as data:
                 assert set(data.files) == loaded[name], name
 
+    def test_state_round_trips(self, tmp_path, monkeypatch):
+        """_load_state returns each array _save_state wrote, dtype and shape
+        included, and a second write is byte-identical."""
+        cfg = load_config(write_case(tmp_path)[0])
+        arrays = {
+            "factor": np.random.default_rng(0).standard_normal((700, 400)),  # > 1 MiB
+            "total": np.float64(2.5),
+            "ids": np.arange(7, dtype=np.int64),
+            "fortran": np.asfortranarray(np.arange(12, dtype=np.float32).reshape(3, 4)),
+            "empty": np.empty((0, 3)),
+            "flags": np.array([True, False]),
+        }
+        monkeypatch.setattr(pipeline, "_fresh", lambda cfg, stage, keys: True)
+        pipeline._save_state(cfg, pipeline.INVERSION_STATE, **arrays)
+        path = cfg.resolve_out_dir() / pipeline.INVERSION_STATE
+        written = path.read_bytes()
+        loaded = pipeline._load_state(cfg, "invert", pipeline.INVERSION_STATE, {})
+        assert list(loaded) == list(arrays)
+        for name, array in arrays.items():
+            array = np.asarray(array)
+            assert loaded[name].dtype == array.dtype, name
+            assert loaded[name].shape == array.shape, name
+            np.testing.assert_array_equal(loaded[name], array, err_msg=name)
+        pipeline._save_state(cfg, pipeline.INVERSION_STATE, **arrays)
+        assert path.read_bytes() == written
+
 
 def real_data_case(root: Path, jar_x: float) -> tuple:
     """A non-synthetic config with its wind and measurement files on disk."""
@@ -753,6 +779,15 @@ class TestExitCodes:
         assert cli.main(["run", "--config", str(cfg_path)]) == 2
         assert not out.exists()
 
+    def test_sensor_id_starting_with_hash_is_2(self, tmp_path, caplog):
+        # measurements.csv would hold the id's rows as comment lines
+        cfg_path, out = write_case(
+            tmp_path, mutate=lambda d: d["synthetic"]["sensors"][1].update(id="#a")
+        )
+        assert cli.main(["run", "--config", str(cfg_path)]) == 2
+        assert "'#a'" in caplog.text
+        assert not out.exists()
+
     def test_fractional_schedule_count_is_2(self, tmp_path):
         cfg_path, out = write_case(
             tmp_path, mutate=lambda d: d["synthetic"]["sensors"][0]["schedule"].update(count=2.5)
@@ -864,74 +899,66 @@ class TestEntryPoint:
         for command in ("synth", "wind-fit", "invert", "propagate", "run"):
             assert command in proc.stdout
 
-    def test_plume_threads_recorded(self, tmp_path):
-        """PLUME_THREADS=1 reaches BLAS in a fresh process, over OPENBLAS_NUM_THREADS,
-        and run_metadata.json records it."""
-        if threads.effective() is None:
-            pytest.skip("no readable BLAS thread count in this process")
-        cfg_path, out = write_case(tmp_path)
-        env = {**os.environ, "PLUME_THREADS": "1", "OPENBLAS_NUM_THREADS": "2",
-               "OMP_NUM_THREADS": "2"}
-        proc = subprocess.run(
-            [sys.executable, "-m", "plumeinv", "synth", "--config", str(cfg_path)],
-            capture_output=True, text=True, timeout=120, env=env,
-        )
-        assert proc.returncode == 0, proc.stderr
-        meta = json.loads((out / "run_metadata.json").read_text())
-        assert {entry["blas_threads"] for entry in meta["stages"].values()} == {1}
+    def test_blas_thread_count_does_not_change_the_artifacts(self, tmp_path):
+        """Fresh processes at OPENBLAS_NUM_THREADS=1 and =2 write the same bytes:
+        every artifact and state file, and run_metadata.json timing_s aside."""
+        outs = []
+        for count in ("1", "2"):
+            (tmp_path / count).mkdir()
+            cfg_path, out = write_case(tmp_path / count)
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": count, "OMP_NUM_THREADS": count}
+            proc = subprocess.run(
+                [sys.executable, "-m", "plumeinv", "run", "--config", str(cfg_path),
+                 "--n-steps", "500"],
+                capture_output=True, text=True, timeout=300, env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outs.append(out)
+        one, two = outs
+        data = [name for name in ARTIFACTS if name != "run_metadata.json"]
+        for name in data + ["state/wind.npz", "state/inversion.npz"]:
+            assert (one / name).read_bytes() == (two / name).read_bytes(), name
+        metadata = [strip_timing(json.loads((out / "run_metadata.json").read_text()))
+                    for out in outs]
+        assert metadata[0] == metadata[1]
 
-    def test_chain_cap_does_not_reach_the_stage_record(self, tmp_path):
-        """The chain runs BLAS on one thread and then restores the count:
-        with PLUME_THREADS=2 every stage of a fresh run, invert's included,
-        records 2."""
-        if threads.effective() is None:
-            pytest.skip("no readable BLAS thread count in this process")
-        cfg_path, out = write_case(tmp_path)
-        env = {**os.environ, "PLUME_THREADS": "2", "OPENBLAS_NUM_THREADS": "2",
-               "OMP_NUM_THREADS": "2"}
-        proc = subprocess.run(
-            [sys.executable, "-m", "plumeinv", "run", "--config", str(cfg_path),
-             "--n-steps", "500"],
-            capture_output=True, text=True, timeout=300, env=env,
-        )
-        assert proc.returncode == 0, proc.stderr
-        meta = json.loads((out / "run_metadata.json").read_text())
-        assert set(meta["stages"]) == {"synth", "wind_fit", "invert", "propagate"}
-        assert {entry["blas_threads"] for entry in meta["stages"].values()} == {2}
+    def test_run_stage_holds_blas_at_one_thread_and_the_count_comes_back(
+        self, tmp_path, monkeypatch
+    ):
+        """A caller whose OpenBLAS runs two threads sees one inside every stage
+        run_stage runs, predecessors included, and two after it, on a return
+        and on a raise."""
+        libraries = threads._openblas()
+        if not libraries:
+            pytest.skip("no loaded OpenBLAS library in this process")
+        cfg_path, _ = write_case(tmp_path)
+        cfg = load_config(cfg_path)
+        seen = []
 
-    def test_plume_threads_capped_after_numpy_loads(self, tmp_path):
-        """A library caller that loaded numpy first gets the cap from run_stage.
+        def counting(stage):
+            def runner(cfg, **options):
+                seen.append((stage, {getter() for getter, _ in libraries}))
+                if stage == "invert":
+                    raise NumericalError("stage failed")
+            return runner
 
-        Runs in a fresh process so the cap does not reach the other tests.
-        """
-        if threads.effective() is None:
-            pytest.skip("no readable BLAS thread count in this process")
-        cfg_path, out = write_case(tmp_path)
-        script = (
-            "import sys\n"
-            "import numpy\n"
-            "from plumeinv import pipeline\n"
-            "from plumeinv.config import load_config\n"
-            "pipeline.run_stage(load_config(sys.argv[1]), 'synth')\n"
-        )
-        env = {**os.environ, "PLUME_THREADS": "1", "OPENBLAS_NUM_THREADS": "2",
-               "OMP_NUM_THREADS": "2"}
-        proc = subprocess.run(
-            [sys.executable, "-c", script, str(cfg_path)],
-            capture_output=True, text=True, timeout=120, env=env,
-        )
-        assert proc.returncode == 0, proc.stderr
-        meta = json.loads((out / "run_metadata.json").read_text())
-        assert set(meta["stages"]) == {"synth", "wind_fit"}
-        assert {entry["blas_threads"] for entry in meta["stages"].values()} == {1}
-
-    @pytest.mark.parametrize("value", ["0", "abc"])
-    def test_bad_plume_threads_is_2(self, tmp_path, monkeypatch, value):
-        # rejected before any BLAS library is touched, so nothing leaks
-        cfg_path, out = write_case(tmp_path)
-        monkeypatch.setenv("PLUME_THREADS", value)
-        assert cli.main(["run", "--config", str(cfg_path)]) == 2
-        assert not out.exists()
+        for stage in pipeline.STAGES:
+            monkeypatch.setitem(pipeline._RUNNERS, stage, counting(stage))
+        before = [getter() for getter, _ in libraries]
+        try:
+            for _, setter in libraries:
+                setter(2)
+            pipeline.run_stage(cfg, "synth")
+            assert seen == [("wind_fit", {1}), ("synth", {1})]
+            assert [getter() for getter, _ in libraries] == [2] * len(libraries)
+            seen.clear()
+            with pytest.raises(NumericalError, match="stage failed"):
+                pipeline.run_stage(cfg, "invert")
+            assert seen == [("wind_fit", {1}), ("synth", {1}), ("invert", {1})]
+            assert [getter() for getter, _ in libraries] == [2] * len(libraries)
+        finally:
+            for (_, setter), count in zip(libraries, before):
+                setter(count)
 
     def test_command_required(self):
         proc = subprocess.run(

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from scipy.sparse import csc_array, csr_array
 
-from plumeinv import sampling, threads
+from plumeinv import sampling
 from plumeinv.errors import NumericalError, ValidationError
 from plumeinv.sampling import (
     BLOCK_SIZE,
@@ -528,17 +528,16 @@ class FillFailed(Exception):
 
 
 class WatchedPrior(NormalPrior):
-    """N(0, I) that records the BLAS thread count of each fill and raises on
-    fill number ``fail_at`` (1-based), if given."""
+    """N(0, I) that raises on fill number ``fail_at`` (1-based), if given."""
 
     def __init__(self, dim, fail_at=None):
         super().__init__(dim)
         self.fail_at = fail_at
-        self.blas_threads = []
+        self.fills = 0
 
     def fill_normals(self, rng, out):
-        self.blas_threads.append(threads.effective())
-        if len(self.blas_threads) == self.fail_at:
+        self.fills += 1
+        if self.fills == self.fail_at:
             raise FillFailed(f"fill {self.fail_at}")
         super().fill_normals(rng, out)
 
@@ -556,28 +555,6 @@ class TestDrawThread:
         assert threading.active_count() == before
         tune_beta(*quadratic(6, 40.0), np.zeros(6), WatchedPrior(6), seed=0)
         assert threading.active_count() == before
-
-    def test_blas_runs_on_one_thread_and_the_count_comes_back(self, monkeypatch):
-        """BLAS reads one thread inside the chain, and its count from before
-        the chain (two here) after it, on a return and on a raise."""
-        original = threads.effective()
-        if original is None:
-            pytest.skip("no readable BLAS thread count in this process")
-        monkeypatch.setenv(threads.ENV_THREADS, "2")
-        threads.limit()
-        try:
-            cfg = SamplerConfig(beta=0.5, n_steps=300, seed=3)
-            prior = WatchedPrior(3)
-            pcn_chain(*quadratic(3), np.zeros(3), prior, cfg)
-            assert len(prior.blas_threads) == math.ceil(300 / BLOCK_SIZE)
-            assert set(prior.blas_threads) == {1}
-            assert threads.effective() == 2
-            with pytest.raises(FillFailed):
-                pcn_chain(*quadratic(3), np.zeros(3), WatchedPrior(3, fail_at=2), cfg)
-            assert threads.effective() == 2
-        finally:
-            monkeypatch.setenv(threads.ENV_THREADS, str(original))
-            threads.limit()
 
 
 class TestTuneBeta:
