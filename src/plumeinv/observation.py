@@ -6,7 +6,10 @@ weighting by a left-endpoint rectangle rule. ``assemble_F`` takes the plume
 model and a wind series, whose grid is the time grid of F; it makes G with
 one ``kernel_profile`` call over the whole series (a calm step gives zero
 kernels) and writes each sensor's rows of F = M G in place; G is never
-returned.
+returned. Given emission rates q, it returns the data F q from G and each
+sensor's M instead, and F is never formed: synthetic data need only that
+product, and on the bundled case's generation grid F would be about 24
+times the size of G.
 
 Conventions:
     * Grid times are t_j = t0 + j*dt for j = 1..n_steps, i.e. the right
@@ -28,7 +31,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericalError
 from .plume import PlumeModel, kernel_profile
 
 __all__ = [
@@ -196,23 +199,46 @@ def assemble_M(sensor: Sensor, grid: TimeGrid, w_dep: float) -> np.ndarray:
     return covered.astype(float) * (grid.dt / sensor.window)
 
 
-def assemble_F(sensors: Sequence[Sensor], model: PlumeModel, wind) -> np.ndarray:
+def assemble_F(
+    sensors: Sequence[Sensor], model: PlumeModel, wind, q: np.ndarray | None = None
+) -> np.ndarray:
     """Observation map F = M G, shape (total measurements, n_sources*n_steps).
 
-    ``wind`` is a WindSeries; its grid is the time grid of F.
+    ``wind`` is a WindSeries; its grid is the time grid of F. Given the
+    source-major emission vector ``q``, return the clean data F q instead,
+    shape (total measurements,), without forming F.
+
+    Raises:
+        NumericalError: F, or F q, has a non-finite entry.
     """
     points = np.array([s.location for s in sensors], dtype=float).reshape(len(sensors), 3)
     grid, w_dep = wind.grid, model.particle.w_dep
     # G: (n_steps, n_sensors, n_sources)
     g = kernel_profile(points, model, (wind.u_x, wind.u_y))
     n_t, n_s = grid.n_steps, len(model.sites)
-    f = np.empty((sum(measurement_count(s) for s in sensors), n_s, n_t))
+    n_meas = sum(measurement_count(s) for s in sensors)
+    if q is None:
+        f = np.empty((n_meas, n_s, n_t))
+    else:
+        q = np.asarray(q, dtype=float)
+        if not np.all(np.isfinite(q)):
+            raise ValueError("emission vector must be finite")
+        q_by_source = q.reshape(n_s, n_t)
+        f = np.empty(n_meas)
     for k, (sensor, rows) in enumerate(_sensor_slices(sensors)):
-        # F_k[l, i*n_t + j] = M_k[l, j] * G[j, k, i], written in place
-        np.einsum("lj,ji->lij", assemble_M(sensor, grid, w_dep), g[:, k, :], out=f[rows])
-    f = f.reshape(len(f), n_s * n_t)
+        m_k = assemble_M(sensor, grid, w_dep)
+        if q is None:
+            # F_k[l, i*n_t + j] = M_k[l, j] * G[j, k, i], written in place
+            np.einsum("lj,ji->lij", m_k, g[:, k, :], out=f[rows])
+        else:
+            # (F q)_k = M_k c_k with c_k[j] = sum_i G[j, k, i] q[i*n_t + j]
+            f[rows] = m_k @ np.einsum("ji,ij->j", g[:, k, :], q_by_source)
+    if q is None:
+        f = f.reshape(n_meas, n_s * n_t)
     if not np.all(np.isfinite(f)):
-        raise AssertionError("observation map contains non-finite entries")
+        raise NumericalError(
+            f"observation map {'F' if q is None else 'product F q'} has non-finite entries"
+        )
     return f
 
 
@@ -289,24 +315,22 @@ def signal_variances(
 
 
 def simulate_measurements(
-    f_matrix: np.ndarray,
-    q: np.ndarray,
+    clean: np.ndarray,
     sensors: Sequence[Sensor],
     seed: int,
     noise_floor: float = NOISE_FLOOR_DEFAULT,
 ) -> MeasurementSet:
-    """Clean forward data F q plus per-sensor Gaussian noise set by SNR.
+    """The clean forward data F q plus per-sensor Gaussian noise set by SNR.
 
     Noise variances follow ``signal_variances`` applied to the clean
     signal: per-sensor entry variance for samplers, pooled across the jar
     network for single-reading jars.
     """
-    q = np.asarray(q, dtype=float)
-    if not np.all(np.isfinite(q)):
-        raise ValueError("emission vector must be finite")
-    clean = f_matrix @ q
-    if len(clean) != sum(measurement_count(s) for s in sensors):
-        raise ValueError("F row count does not match the sensors' measurement counts")
+    clean = np.asarray(clean, dtype=float)
+    if not np.all(np.isfinite(clean)):
+        raise ValueError("clean signal must be finite")
+    if clean.shape != (sum(measurement_count(s) for s in sensors),):
+        raise ValueError("clean signal length does not match the sensors' measurement counts")
     noise_var = signal_variances(clean, sensors, noise_floor)
     rng = np.random.default_rng(seed)
     values = clean + rng.normal(0.0, np.sqrt(noise_var))

@@ -510,8 +510,8 @@ def run_invert(
 def run_propagate(cfg: RunConfig) -> dict:
     """Low-rank deposition map from the stored positive posterior.
 
-    Returns {"deposition": DepositionGrid, "factors": LowRankFactors}; H is
-    dropped when the stage ends.
+    Returns {"deposition": DepositionGrid, "factors": LowRankFactors}. H is
+    never formed: one ``assemble_H`` call applies it to [q | U].
     """
     tic = time.perf_counter()
     keys = _stage_keys(cfg)
@@ -519,25 +519,29 @@ def run_propagate(cfg: RunConfig) -> dict:
     grid = inversion_grid(cfg)
     wind = _wind_series(cfg, keys)["inversion"]
 
-    # The covariance factor and the SVD's arrays are dropped, and their heap
-    # handed back, once the modes are known: H is built after them, not
-    # beside them.
     factor = state["cov_factor"]
-    factors = lowrank_truncate(factor, min(cfg.grid.n_modes, factor.shape[1]))
     total_variance = state["cov_trace"]
 
     def trace_share(part: float) -> float:
         """``part`` over the chain's covariance trace; NaN (null) unless that is positive."""
         return part / total_variance if total_variance > 0 else math.nan
 
-    # E E^T <= C, so this share bounds the sketch's error in the trace norm
-    unexplained = 1.0 - trace_share(np.vdot(factor, factor))
+    # E E^T <= C, so this share bounds the sketch's error in the trace norm.
+    # It is read before the SVD overwrites the factor, and in the factor's
+    # own (Fortran) order, as np.vdot would copy the 2-D array to C order.
+    flat = factor.ravel(order="K")
+    unexplained = 1.0 - trace_share(np.vdot(flat, flat))
     sketch_size = factor.shape[1]
     test_matrix = sketch_test_matrix(factor.shape[0])
-    del factor, state["cov_factor"]
+    factors = lowrank_truncate(factor, min(cfg.grid.n_modes, sketch_size))
+    # The factor and the SVD's arrays are dropped, and their heap handed
+    # back, before the deposition products are made.
+    del factor, flat, state["cov_factor"]
     _release_freed_heap()
-    h_matrix = assemble_H(cfg.grid, cfg.plume_model, wind)
-    deposition = deposition_stats(h_matrix, state["q_positive"], factors, cfg.grid)
+    products = assemble_H(
+        cfg.grid, cfg.plume_model, wind, np.column_stack([state["q_positive"], factors.vectors])
+    )
+    deposition = deposition_stats(products, factors, cfg.grid)
 
     out = cfg.resolve_out_dir()
     io.write_grid_csv(out / GRID_CSV, deposition, keys["propagate"])
@@ -604,7 +608,7 @@ def _release_freed_heap() -> None:
     case). Up to about 60 MB freed by one step can therefore stay resident
     while the next maps its own arrays beside it and add to the run's
     peak: the smooth stage's buffer beside the chain's covariance sketch,
-    or what invert freed beside propagate's covariance factor and H.
+    or what invert freed beside propagate's covariance factor and its SVD.
     """
     trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
     if trim is not None:

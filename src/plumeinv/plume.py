@@ -24,7 +24,9 @@ Conventions:
       as one argument.
     * ``kernel_profile`` evaluates a whole wind series in one call, a
       bounded block of steps at a time; a calm step gives zero kernels.
-      It is the one entry point to the kernel.
+      It is the one entry point to the kernel. Given ``weights``, it
+      returns the kernels applied to them instead, summed block by block,
+      so an operator that is only ever multiplied (H) is never held.
 """
 
 from __future__ import annotations
@@ -211,7 +213,9 @@ def _ermak(x, y, z_rel, speed, z_src, particle, sc):
     return np.maximum(vals, 0.0)
 
 
-def kernel_profile(points: np.ndarray, model: PlumeModel, wind: Sequence) -> np.ndarray:
+def kernel_profile(
+    points: np.ndarray, model: PlumeModel, wind: Sequence, weights: np.ndarray | None = None
+) -> np.ndarray:
     """Unit-emission kernels of every source at every receptor, step by step.
 
     Args:
@@ -219,12 +223,17 @@ def kernel_profile(points: np.ndarray, model: PlumeModel, wind: Sequence) -> np.
         model: the S sources and the plume parameters; a step with a wind
             weaker than ``model.calm_speed`` gives zero kernels.
         wind: horizontal wind components (u_x, u_y): two floats, or two
-            series of T steps.
+            series of T steps (one float pair is T = 1).
+        weights: optional (S*T, k) array, rows in the source-major column
+            order of F and H (row s*T + t is source s at step t).
 
     Returns:
-        (P, S) kernel values for one wind, (T, P, S) for a series, s m^-3.
-        A series is stored time-last: ``transpose(1, 2, 0)`` of it is a
-        contiguous (P, S, T) array, the source-major column order of F and H.
+        Without ``weights``: (P, S) kernel values for one wind, (T, P, S) for
+        a series, s m^-3. A series is stored time-last: ``transpose(1, 2, 0)``
+        of it is a contiguous (P, S, T) array, the source-major column order
+        of F and H. With ``weights``: the (P, k) product
+        sum over s, t of K[t, p, s] * weights[s*T + t], accumulated a block
+        of steps at a time, so the kernels are never held whole.
     """
     sites = model.sites
     points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -251,9 +260,20 @@ def kernel_profile(points: np.ndarray, model: PlumeModel, wind: Sequence) -> np.
     dy = (points[:, 1:2] - sy).ravel()
     z_rel = (points[:, 2:3] - heights).ravel()
     z_src = np.tile(heights, len(points))
-    out = np.zeros((dx.size, speed.size))
+    if weights is None:
+        out = np.zeros((dx.size, speed.size))
+    else:
+        weights = np.asarray(weights, dtype=float)
+        if weights.ndim != 2 or len(weights) != len(sites) * speed.size:
+            raise ValueError(
+                f"weights must have {len(sites) * speed.size} rows of k columns, "
+                f"got shape {weights.shape}"
+            )
+        # (S, T, k): step t of source s is [s, t]
+        by_source = weights.reshape(len(sites), speed.size, weights.shape[1])
+        out = np.zeros((len(points), weights.shape[1]))
     # The temporaries of a block are a few times its entries: small beside
-    # ``out`` however many receptors there are.
+    # the kernels of the whole series however many receptors there are.
     block_steps = max(1, BLOCK_ENTRIES // max(dx.size, 1))
     for start in range(0, speed.size, block_steps):
         steps = slice(start, start + block_steps)
@@ -272,6 +292,16 @@ def kernel_profile(points: np.ndarray, model: PlumeModel, wind: Sequence) -> np.
             model.particle,
             model.stability,
         )
-        out[:, steps] = block.reshape(downwind.shape)
+        if weights is None:
+            out[:, steps] = block.reshape(downwind.shape)
+        else:
+            # point-major pairs: row p of this (P, S*b) view holds K[t, p, s]
+            # at column s*b + (t - start), the row of the block's weights it meets
+            n_b = downwind.shape[1]
+            out += block.reshape(len(points), len(sites) * n_b) @ by_source[:, steps].reshape(
+                len(sites) * n_b, out.shape[1]
+            )
+    if weights is not None:
+        return out
     kernels = out.reshape(len(points), len(sites), speed.size).transpose(2, 0, 1)
     return kernels if series else kernels[0]

@@ -2,8 +2,9 @@
 
 Ground truth emission rates are clipped sinusoids on a fine generation
 grid, the grid of the wind series handed to ``generate_synthetic``; the
-plume model's F runs on that grid and noise is injected per-sensor by SNR. Inversion then runs on a coarser grid so the estimator never sees
-the discretization that produced the data.
+clean data F q_true are made on that grid, without forming F there, and
+noise is injected per-sensor by SNR. Inversion then runs on a coarser grid
+so the estimator never sees the discretization that produced the data.
 """
 
 from __future__ import annotations
@@ -159,6 +160,6 @@ def generate_synthetic(
             f"{len(spec.signals)} truth signals for {len(model.sites)} sources"
         )
     q_true = emission_series(spec, wind.grid)
-    f_gen = assemble_F(sensors, model, wind)
-    measurements = simulate_measurements(f_gen, q_true, sensors, seed, noise_floor)
+    clean = assemble_F(sensors, model, wind, q_true)
+    measurements = simulate_measurements(clean, sensors, seed, noise_floor)
     return q_true, measurements

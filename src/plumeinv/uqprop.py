@@ -4,18 +4,22 @@ The forward-on-grid operator H maps the stacked emission vector to
 time-integrated ground-level deposition (kg m^-2 over the period) at every
 grid point, using the same left-endpoint quadrature as the observation
 map. Like F it takes the plume model and a wind series whose grid is the
-time grid; it is one ``kernel_profile`` call over the whole series, scaled
-by w_dep dt, and a calm step deposits nothing. Posterior covariance is pushed
-through H via its leading eigenpairs: per-cell variance needs only one
-forward application per retained mode. The patch and the number of
+time grid, and a calm step deposits nothing. H is only ever applied:
+``assemble_H`` returns H x for the vectors x it is given, from one
+``kernel_profile`` call over the whole series that sums the kernels into
+the product a block of steps at a time, scaled by w_dep dt. H itself,
+n_cells x n (65 MB on the bundled case), is never formed. Posterior
+covariance is pushed through H via its leading eigenpairs: per-cell
+variance needs only the product with each retained mode, so one call on
+[q | U] gives the mean and every mode. The patch and the number of
 modes kept are the config's ``grid`` section, ``GridSpec``.
 
 The covariance arrives as a factor E with C ~ E E^T: the chain's
 single-pass Nystrom factor, n x ``SKETCH_SIZE`` (see ``sampling``). Its
-thin SVD E = U S V^T gives the eigenpairs (S^2, U) of E E^T, so nothing
-n x n is formed. The Nystrom approximation is accurate for the leading
-modes only with oversampling, so ``GridSpec`` keeps at most half the
-sketch's columns.
+thin SVD E = U S V^T, taken in place over E, gives the eigenpairs (S^2, U)
+of E E^T, so nothing n x n is formed. The Nystrom approximation is
+accurate for the leading modes only with oversampling, so ``GridSpec``
+keeps at most half the sketch's columns.
 """
 
 from __future__ import annotations
@@ -81,21 +85,21 @@ class GridSpec:
         return np.column_stack([gx.ravel(), gy.ravel()])
 
 
-def assemble_H(grid: GridSpec, model: PlumeModel, wind) -> np.ndarray:
-    """Deposition operator, shape (n_cells, n_sources * n_steps).
+def assemble_H(grid: GridSpec, model: PlumeModel, wind, x: np.ndarray) -> np.ndarray:
+    """Deposition H x for an (n_sources * n_steps,) or (n_sources * n_steps, k) x.
 
-    Row p holds w_dep * dt * kernel(cell p, source i, step j) in
+    Row p of H is w_dep * dt * kernel(cell p, source i, step j) in
     source-major column order; H q is then the per-cell deposition
     accumulated over the period at ground level (z = 0). ``wind`` is a
     WindSeries, on whose grid the steps are. A calm step's columns are zero.
+    Returns (n_cells,) or (n_cells, k); H is never formed.
     """
     pts = grid.points()
     points3 = np.column_stack([pts, np.zeros(len(pts))])
-    kernels = kernel_profile(points3, model, (wind.u_x, wind.u_y))
-    # kernel_profile stores the series time-last, so this reshape is a view
-    h = kernels.transpose(1, 2, 0).reshape(grid.n_cells, len(model.sites) * wind.grid.n_steps)
-    h *= model.particle.w_dep * wind.grid.dt
-    return h
+    x = np.asarray(x, dtype=float)
+    hx = kernel_profile(points3, model, (wind.u_x, wind.u_y), weights=x.reshape(len(x), -1))
+    hx *= model.particle.w_dep * wind.grid.dt
+    return hx.reshape((grid.n_cells,) + x.shape[1:])
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,13 +126,16 @@ def lowrank_truncate(factor: np.ndarray, n_modes: int) -> LowRankFactors:
     The thin SVD E = U S V^T gives them as (S^2, U), nonincreasing and
     nonnegative by construction. The work is O(n k^2) and holds O(n k)
     memory; ``n_modes`` cannot exceed min(n, k), the rank E can have.
+    The SVD consumes E: a Fortran-ordered float64 ``factor`` (as ``np.load``
+    returns the chain's) is overwritten in place, without a copy, so read
+    anything else off it first.
     """
     factor = np.asarray(factor, dtype=float)
     if factor.ndim != 2:
         raise ValueError(f"factor must be a 2-D array, got {factor.ndim} dimensions")
     if not 1 <= n_modes <= min(factor.shape):
         raise ValueError(f"n_modes must be in [1, {min(factor.shape)}], got {n_modes}")
-    u, s, _ = svd(factor, full_matrices=False)
+    u, s, _ = svd(factor, full_matrices=False, overwrite_a=True)
     # a copy of the kept columns, so the n x k U is not held through propagate
     return LowRankFactors(eigenvalues=s[:n_modes] ** 2, vectors=u[:, :n_modes].copy())
 
@@ -149,20 +156,15 @@ class DepositionGrid:
 
 
 def deposition_stats(
-    h_matrix: np.ndarray,
-    q: np.ndarray,
-    factors: LowRankFactors,
-    grid: GridSpec,
+    products: np.ndarray, factors: LowRankFactors, grid: GridSpec
 ) -> DepositionGrid:
-    """Deposition mean H q and per-cell std from low-rank covariance factors.
+    """Deposition mean and per-cell std from H [q | U], shape (n_cells, 1 + n_e).
 
-    std_p = sqrt( sum_e lambda_e (H l_e)_p^2 ), one forward application of
-    H per retained mode.
+    Column 0 is the mean H q; the others are H applied to the retained
+    eigenvectors l_e, so std_p = sqrt( sum_e lambda_e (H l_e)_p^2 ).
     """
-    mean = h_matrix @ np.asarray(q, dtype=float)
-    propagated = h_matrix @ factors.vectors  # (n_cells, n_e)
-    var = (propagated**2) @ factors.eigenvalues
-    return DepositionGrid(mean=mean, std=np.sqrt(np.maximum(var, 0.0)), grid=grid)
+    var = (products[:, 1:] ** 2) @ factors.eigenvalues
+    return DepositionGrid(mean=products[:, 0], std=np.sqrt(np.maximum(var, 0.0)), grid=grid)
 
 
 def annualize(q: np.ndarray, timegrid: TimeGrid) -> float:

@@ -529,7 +529,7 @@ def test_criterion_10_lowrank_deposition(bundled):
         diag=np.diag(cov), omega=csr_array(np.eye(n)), y=np.array(cov, order="F")
     )
     factors = lowrank_truncate(full.nystrom_factor(), n)
-    dep = deposition_stats(h, q, factors, gspec)
+    dep = deposition_stats(h @ np.column_stack([q, factors.vectors]), factors, gspec)
     dense_std = np.sqrt(np.diag(h @ cov @ h.T))
     np.testing.assert_allclose(dep.std, dense_std, rtol=1e-8)
     np.testing.assert_allclose(dep.mean, h @ q, rtol=1e-12)

@@ -10,6 +10,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -19,10 +20,11 @@ import pytest
 import yaml
 from scipy.sparse import csr_array
 
-from plumeinv import cli, pipeline, sampling, threads
+from plumeinv import cli, observation, pipeline, sampling, threads
 from plumeinv.config import config_dict, load_config
 from plumeinv.errors import ConfigurationError, NumericalError, ValidationError
 from plumeinv.inversion import SmoothnessPrior
+from plumeinv.observation import measurement_count
 
 ARTIFACTS = [
     "wind.csv",
@@ -108,6 +110,25 @@ def tiny_case(out_dir) -> dict:
             ],
         },
     }
+
+
+def dense_operator_case(data: dict) -> None:
+    """Four sources over eight days, a sampler read every half hour and an
+    80 x 80 map.
+
+    The generation-grid F (386 x 1536, 4.7 MB) is several times any array
+    synth needs for F q, and H (6400 x 768, 39 MB) several times any array
+    propagate needs for its products.
+    """
+    data["time"]["duration_s"] = 8 * 86400.0
+    data["sources"] += [
+        {"id": "q3", "x_m": -50.0, "y_m": 80.0, "z_m": 3.0},
+        {"id": "q4", "x_m": 120.0, "y_m": -30.0, "z_m": 6.0},
+    ]
+    data["synthetic"]["signals"] += data["synthetic"]["signals"]
+    data["synthetic"]["sensors"][0]["schedule"].update(every_s=1800.0, count=383)
+    data["grid"].update(n_x=80, n_y=80)
+    data["sampler"]["n_steps"] = 200
 
 
 def write_case(root: Path, name="case.yaml", mutate=None) -> tuple:
@@ -580,6 +601,35 @@ class TestLeanState:
             with np.load(out / name) as data:
                 assert set(data.files) == loaded[name], name
 
+    def test_synth_holds_no_dense_observation_map(self, tmp_path):
+        cfg = load_config(write_case(tmp_path, mutate=dense_operator_case)[0])
+        pipeline.run_stage(cfg, "wind_fit")
+        n_meas = sum(measurement_count(s) for s in cfg.synthetic.sensors)
+        f_bytes = n_meas * len(cfg.sources) * cfg.time_grid(cfg.dt_generation).n_steps * 8
+        tracemalloc.start()
+        try:
+            pipeline.run_synth(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert f_bytes > 4e6
+        assert peak < 0.5 * f_bytes, f"synth peak {peak / f_bytes:.2f} x F_gen"
+
+    def test_propagate_holds_no_dense_deposition_operator(self, tmp_path):
+        cfg = load_config(write_case(tmp_path, mutate=dense_operator_case)[0])
+        pipeline.run_stage(cfg, "invert")
+        n = len(cfg.sources) * pipeline.inversion_grid(cfg).n_steps
+        h_bytes = cfg.grid.n_cells * n * 8
+        tracemalloc.start()
+        try:
+            result = pipeline.run_propagate(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result["deposition"].mean.max() > 0
+        assert h_bytes > 3e7
+        assert peak < 0.5 * h_bytes, f"propagate peak {peak / h_bytes:.2f} x H"
+
     def test_state_round_trips(self, tmp_path, monkeypatch):
         """_load_state returns each array _save_state wrote, dtype and shape
         included, and a second write is byte-identical."""
@@ -880,6 +930,21 @@ class TestExitCodes:
         rc = cli.main(["invert", "--config", str(cfg_path), "--through", "constant"])
         assert rc == 2
         assert not (out / "emissions_constant.csv").exists()
+
+    @pytest.mark.parametrize("command, operator", [("run", "product F q"), ("invert", "F")])
+    def test_nonfinite_observation_map_is_3(self, tmp_path, monkeypatch, caplog, command, operator):
+        # NaN kernels: synth's F q, the first operator run reaches, and
+        # invert's dense F each exit 3 naming what broke
+        cfg_path, _ = write_case(tmp_path)
+        if command == "invert":
+            assert cli.main(["synth", "--config", str(cfg_path)]) == 0
+
+        def nan_kernels(points, model, wind):
+            return np.full((len(wind[0]), len(points), len(model.sites)), np.nan)
+
+        monkeypatch.setattr(observation, "kernel_profile", nan_kernels)
+        assert cli.main([command, "--config", str(cfg_path)]) == 3
+        assert f"observation map {operator} has non-finite entries" in caplog.text
 
     def test_kernel_overflow_is_3(self, tmp_path):
         # settling without deposition at 50 km in stable air overflows the

@@ -702,8 +702,9 @@ class TestPlumeSettingsReachOperators:
             for x in (20.0, 40.0, 150.0)
         ]
         defaults = PlumeModel(cfg.sources, cfg.particle, cfg.stability)
+        identity = np.eye(len(cfg.sources) * grid.n_steps)
         return {
-            name: (assemble_F(jars, model, wind), assemble_H(cfg.grid, model, wind))
+            name: (assemble_F(jars, model, wind), assemble_H(cfg.grid, model, wind, identity))
             for name, model in (("configured", cfg.plume_model), ("defaults", defaults))
         }, cfg.grid
 

@@ -12,7 +12,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from plumeinv.errors import ConfigurationError
+from plumeinv import observation
+from plumeinv.errors import ConfigurationError, NumericalError
 from plumeinv.observation import (
     DustfallJar,
     MeasurementSet,
@@ -236,6 +237,26 @@ class TestAssembleF:
         by_source[i, j] = 1.0
         np.testing.assert_allclose(f @ q, reference_forward(by_source, wind), rtol=1e-12)
 
+    def test_product_matches_dense_f(self):
+        # F q from G and each sensor's M, with a jar, two samplers and a calm step
+        wind = make_wind(calm_step=6)
+        q = np.random.default_rng(14).uniform(0.1, 2.0, 2 * GRID.n_steps)
+        fq = assemble_F(SENSORS, MODEL, wind, q)
+        assert fq.shape == (8,)
+        np.testing.assert_allclose(fq, assemble_F(SENSORS, MODEL, wind) @ q, rtol=1e-12)
+        assert assemble_F([], MODEL, wind, q).shape == (0,)
+
+    @pytest.mark.parametrize("product", [False, True])
+    def test_nonfinite_kernel_is_a_numerical_error(self, monkeypatch, product):
+        def nan_kernels(points, model, wind):
+            return np.full((len(wind[0]), len(points), len(model.sites)), np.nan)
+
+        monkeypatch.setattr(observation, "kernel_profile", nan_kernels)
+        q = np.ones(2 * GRID.n_steps) if product else None
+        name = "product F q" if product else "F"
+        with pytest.raises(NumericalError, match=f"observation map {name} has non-finite"):
+            assemble_F(SENSORS, MODEL, make_wind(), q)
+
     def test_no_sensors(self):
         f = assemble_F([], MODEL, make_wind())
         assert f.shape == (0, 2 * GRID.n_steps)
@@ -323,23 +344,23 @@ class TestSimulateMeasurements:
         self.clean = self.f @ self.q
 
     def test_layout_metadata(self):
-        ms = simulate_measurements(self.f, self.q, SENSORS, seed=0)
+        ms = simulate_measurements(self.clean, SENSORS, seed=0)
         assert ms.sensor_ids == ("jar_x",) + ("rt_1",) * 5 + ("rt_2",) * 2
         np.testing.assert_array_equal(ms.indices, [0, 0, 1, 2, 3, 4, 0, 1])
 
     def test_same_seed_reproduces(self):
-        a = simulate_measurements(self.f, self.q, SENSORS, seed=42)
-        b = simulate_measurements(self.f, self.q, SENSORS, seed=42)
+        a = simulate_measurements(self.clean, SENSORS, seed=42)
+        b = simulate_measurements(self.clean, SENSORS, seed=42)
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_different_seeds_differ(self):
-        a = simulate_measurements(self.f, self.q, SENSORS, seed=1)
-        b = simulate_measurements(self.f, self.q, SENSORS, seed=2)
+        a = simulate_measurements(self.clean, SENSORS, seed=1)
+        b = simulate_measurements(self.clean, SENSORS, seed=2)
         assert np.all(a.values != b.values)
 
     def test_noise_var_matches_signal_variances(self):
         # the draw's std is sqrt(signal_variances) of the clean signal, bit for bit
-        ms = simulate_measurements(self.f, self.q, SENSORS, seed=0)
+        ms = simulate_measurements(self.clean, SENSORS, seed=0)
         sd = np.sqrt(signal_variances(self.clean, SENSORS))
         noise = np.random.default_rng(0).normal(0.0, sd)
         np.testing.assert_array_equal(ms.values, self.clean + noise)
@@ -348,7 +369,7 @@ class TestSimulateMeasurements:
         n_seeds = 400
         resid = np.empty((n_seeds, len(self.clean)))
         for seed in range(n_seeds):
-            ms = simulate_measurements(self.f, self.q, SENSORS, seed=seed)
+            ms = simulate_measurements(self.clean, SENSORS, seed=seed)
             resid[seed] = ms.values - self.clean
         noise_var = signal_variances(self.clean, SENSORS)
         sd = np.sqrt(noise_var)
@@ -360,9 +381,11 @@ class TestSimulateMeasurements:
     def test_nonfinite_rates_raise(self):
         bad = self.q.copy()
         bad[3] = np.nan
-        with pytest.raises(ValueError):
-            simulate_measurements(self.f, bad, SENSORS, seed=0)
+        with pytest.raises(ValueError, match="emission vector"):
+            assemble_F(SENSORS, MODEL, self.wind, bad)
+        with pytest.raises(ValueError, match="clean signal"):
+            simulate_measurements(self.f @ bad, SENSORS, seed=0)
 
     def test_row_count_mismatch_raises(self):
         with pytest.raises(ValueError):
-            simulate_measurements(self.f[:-1], self.q, SENSORS, seed=0)
+            simulate_measurements(self.clean[:-1], SENSORS, seed=0)

@@ -308,6 +308,38 @@ class TestKernelProfile:
         assert np.all(series[[2, 7]] == 0.0)
         assert np.count_nonzero(series[[0, 1, 3, 4, 5, 6, 8, 9]]) > 0
 
+    @pytest.mark.parametrize("block_entries", [108, 20])
+    def test_weights_give_the_kernels_applied_to_them(self, monkeypatch, block_entries):
+        # the product is summed block by block; the identity reads the
+        # kernels back bit for bit, as each entry sums one kernel and zeros
+        monkeypatch.setattr(plume, "BLOCK_ENTRIES", block_entries)
+        rng = np.random.default_rng(5)
+        points = np.column_stack(
+            [rng.uniform(-500.0, 500.0, 12), rng.uniform(-500.0, 500.0, 12), rng.uniform(0.0, 6.0, 12)]
+        )
+        u_x, u_y = rng.uniform(-4.0, 4.0, 10), rng.uniform(-4.0, 4.0, 10)
+        u_x[4], u_y[4] = 0.05, 0.0
+        model = PlumeModel(self.SITES, PARTICLE, StabilityClass.B)
+        series = kernel_profile(points, model, (u_x, u_y))
+        np.testing.assert_array_equal(kernel_profile(points, model, (u_x, u_y), weights=None), series)
+        dense = series.transpose(1, 2, 0).reshape(12, 3 * 10)
+        np.testing.assert_array_equal(
+            kernel_profile(points, model, (u_x, u_y), weights=np.eye(30)), dense
+        )
+        weights = rng.uniform(0.0, 1.0, (30, 4))
+        product = kernel_profile(points, model, (u_x, u_y), weights=weights)
+        assert product.shape == (12, 4)
+        np.testing.assert_allclose(product, dense @ weights, rtol=1e-12)
+        # one wind pair is a series of one step
+        pair = kernel_profile(points, model, (u_x[0], u_y[0]), weights=weights[::10])
+        np.testing.assert_allclose(pair, series[0] @ weights[::10], rtol=1e-12)
+
+    def test_weights_of_the_wrong_shape_rejected(self):
+        points = np.array([[100.0, 0.0, 2.0]])
+        for bad in (np.ones((7, 2)), np.ones(6), np.ones((6, 2, 1))):
+            with pytest.raises(ValueError, match="weights"):
+                kernel_profile(points, self.model(), (np.ones(2), np.ones(2)), weights=bad)
+
     def test_mismatched_wind_series_rejected(self):
         points = np.array([[100.0, 0.0, 2.0]])
         with pytest.raises(ValueError):

@@ -4,9 +4,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh
+from scipy.linalg import eigh, svd
 from scipy.sparse import csr_array
 
+from plumeinv import plume
 from plumeinv.errors import NumericalError
 from plumeinv.observation import DustfallJar, TimeGrid, assemble_F
 from plumeinv.plume import (
@@ -67,13 +68,29 @@ class TestGridSpec:
         assert GridSpec(x_min=0.0, x_max=1.0, y_min=0.0, y_max=1.0, n_modes=200).n_modes == 200
 
 
+def dense_h(grid, model, wind):
+    """H entry by entry: (w_dep dt) times the single-wind kernel at each cell
+    and step, in source-major columns. A calm step has no wind frame and
+    deposits nothing."""
+    n_t = wind.grid.n_steps
+    cells = np.column_stack([grid.points(), np.zeros(grid.n_cells)])
+    h = np.zeros((grid.n_cells, len(model.sites) * n_t))
+    for j in range(n_t):
+        kernels = kernel_profile(cells, model, (wind.u_x[j], wind.u_y[j]))
+        for i in range(len(model.sites)):
+            h[:, i * n_t + j] = (model.particle.w_dep * wind.grid.dt) * kernels[:, i]
+    return h
+
+
 class TestAssembleH:
+    N = len(SITES) * TIMEGRID.n_steps
+
     def test_matches_unit_area_ground_jar_row(self):
         """A 1 m^2 jar at ground level integrates the same kernel column,
         so its observation row must equal the H row at that cell."""
         wind = make_wind()
         grid = GridSpec(x_min=150.0, x_max=250.0, y_min=-20.0, y_max=30.0, n_x=2, n_y=2)
-        h = assemble_H(grid, MODEL, wind)
+        h = assemble_H(grid, MODEL, wind, np.eye(self.N))
         for p, (x, y) in enumerate(grid.points()):
             jar = DustfallJar(id="probe", x=x, y=y, z=0.0, area=1.0, snr=10.0)
             f = assemble_F([jar], MODEL, wind)
@@ -81,28 +98,38 @@ class TestAssembleH:
 
     def test_calm_steps_deposit_nothing(self):
         grid = GridSpec(x_min=100.0, x_max=200.0, y_min=-50.0, y_max=50.0, n_x=3, n_y=3)
-        h = assemble_H(grid, MODEL, make_wind(calm_step=2))
+        h = assemble_H(grid, MODEL, make_wind(calm_step=2), np.eye(self.N))
         n_t = TIMEGRID.n_steps
         for i in range(len(SITES)):
             assert np.all(h[:, i * n_t + 2] == 0.0)
         assert h.sum() > 0.0
 
     def test_matches_per_step_oracle_with_calm_step(self):
-        # each entry is (w_dep dt) times the single-wind kernel at the cell,
-        # bit for bit; the calm step, which has no wind frame, deposits nothing
+        # H applied to the identity is the oracle bit for bit: each product
+        # entry sums one kernel and zeros
         grid = GridSpec(x_min=-40.0, x_max=220.0, y_min=-60.0, y_max=40.0, n_x=4, n_y=3)
         wind = make_wind(calm_step=5)
         model = PlumeModel(SITES, PARTICLE, StabilityClass.C)
-        h = assemble_H(grid, model, wind)
+        h = assemble_H(grid, model, wind, np.eye(self.N))
+        np.testing.assert_array_equal(h, dense_h(grid, model, wind))
         n_t = TIMEGRID.n_steps
-        cells = np.column_stack([grid.points(), np.zeros(grid.n_cells)])
-        expected = np.zeros((grid.n_cells, len(SITES) * n_t))
-        for j in range(n_t):
-            kernels = kernel_profile(cells, model, (wind.u_x[j], wind.u_y[j]))
-            for i in range(len(SITES)):
-                expected[:, i * n_t + j] = (PARTICLE.w_dep * TIMEGRID.dt) * kernels[:, i]
-        np.testing.assert_array_equal(h, expected)
         assert np.all(h[:, 5::n_t] == 0.0) and np.count_nonzero(h) > 0
+
+    @pytest.mark.parametrize("block_entries", [108, 20])
+    @pytest.mark.parametrize("k", [None, 1, 6])
+    def test_product_matches_the_oracle_times_x(self, monkeypatch, block_entries, k):
+        # 108 entries over 12 cells x 2 sources make blocks of 4 steps; 20,
+        # fewer than the 24 pairs, make blocks of one step. A 1-D x gives a
+        # 1-D product.
+        monkeypatch.setattr(plume, "BLOCK_ENTRIES", block_entries)
+        grid = GridSpec(x_min=-40.0, x_max=220.0, y_min=-60.0, y_max=40.0, n_x=4, n_y=3)
+        wind = make_wind(calm_step=5)
+        model = PlumeModel(SITES, PARTICLE, StabilityClass.C)
+        x = np.random.default_rng(31).uniform(0.1, 2.0, (self.N,) if k is None else (self.N, k))
+        hx = assemble_H(grid, model, wind, x)
+        assert hx.shape == (grid.n_cells,) + x.shape[1:]
+        np.testing.assert_allclose(hx, dense_h(grid, model, wind) @ x, rtol=1e-12)
+        assert np.count_nonzero(hx) > 0
 
 
 def random_spd(rng, n):
@@ -166,7 +193,7 @@ class TestSubspaceIteration:
         grid = GridSpec(x_min=0.0, x_max=1.0, y_min=0.0, y_max=1.0, n_x=6, n_y=5)
         h = rng.standard_normal((grid.n_cells, n))
         q = rng.uniform(0.0, 1.0, n)
-        got = deposition_stats(h, q, fac, grid)
+        got = deposition_stats(h @ np.column_stack([q, fac.vectors]), fac, grid)
         dense_var = np.diag(h @ ((ref_vec * ref_lam) @ ref_vec.T) @ h.T)
         np.testing.assert_allclose(got.std, np.sqrt(dense_var), rtol=1e-9)
 
@@ -308,6 +335,17 @@ class TestLowRankTruncate:
         np.testing.assert_allclose(fac.vectors.T @ fac.vectors, np.eye(7), atol=1e-12)
         assert fac.n_modes == 7
 
+    def test_fortran_factor_is_taken_in_place_and_matches_a_copying_svd(self):
+        rng = np.random.default_rng(8)
+        factor = np.asfortranarray(rng.standard_normal((300, 40)))
+        before = factor.copy(order="F")
+        u, s, _ = svd(before.copy(order="F"), full_matrices=False)
+        fac = lowrank_truncate(factor, 12)
+        np.testing.assert_array_equal(fac.eigenvalues, s[:12] ** 2)
+        np.testing.assert_array_equal(fac.vectors, u[:, :12])
+        # no copy was made: the SVD worked in the factor's own storage
+        assert not np.array_equal(factor, before)
+
     def test_bad_mode_count_raises(self):
         with pytest.raises(ValueError):
             lowrank_truncate(np.eye(4), 0)
@@ -340,7 +378,7 @@ class TestDepositionStats:
         cov = random_spd(rng, n)
         q = rng.uniform(0.0, 1.0, n)
         fac = lowrank_truncate(np.linalg.cholesky(cov), n)
-        got = deposition_stats(h, q, fac, grid)
+        got = deposition_stats(h @ np.column_stack([q, fac.vectors]), fac, grid)
         np.testing.assert_allclose(got.mean, h @ q, rtol=1e-12)
         dense_var = np.diag(h @ cov @ h.T)
         np.testing.assert_allclose(got.std, np.sqrt(dense_var), rtol=1e-9)
@@ -352,10 +390,10 @@ class TestDepositionStats:
         h = rng.standard_normal((grid.n_cells, 12))
         cov = random_spd(rng, 12)
         q = np.zeros(12)
-        stds = [
-            deposition_stats(h, q, lowrank_truncate(np.linalg.cholesky(cov), k), grid).std
-            for k in (2, 6, 12)
-        ]
+        stds = []
+        for k in (2, 6, 12):
+            fac = lowrank_truncate(np.linalg.cholesky(cov), k)
+            stds.append(deposition_stats(h @ np.column_stack([q, fac.vectors]), fac, grid).std)
         assert np.all(stds[0] <= stds[1] + 1e-15)
         assert np.all(stds[1] <= stds[2] + 1e-15)
 
