@@ -23,7 +23,7 @@ from typing import Optional
 from .errors import ValidationError, _given, _number, _require
 from .inversion import PriorConfig
 from .io import _read_yaml, _sensor_list, parse_timestamp
-from .observation import NOISE_FLOOR_DEFAULT, TimeGrid, check_windows
+from .observation import NOISE_FLOOR_DEFAULT, TimeGrid, window_slots
 from .plume import (
     CALM_SPEED_DEFAULT,
     X_CUTOFF_DEFAULT,
@@ -125,7 +125,7 @@ class RunConfig:
             for dt in (self.dt_inversion, self.dt_generation):
                 grid = self.time_grid(dt)
                 for sensor in self.synthetic.sensors:
-                    check_windows(sensor, grid)
+                    window_slots(sensor, grid)
 
     @property
     def plume_model(self) -> PlumeModel:

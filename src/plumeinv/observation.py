@@ -2,12 +2,14 @@
 
 Builds F = M G where G holds the unit-emission plume kernels at the sensor
 locations on a uniform time grid and M applies each sensor's time-window
-weighting by a left-endpoint rectangle rule. ``assemble_F`` takes the plume
-model and a wind series, whose grid is the time grid of F; it makes G with
-one ``kernel_profile`` call over the whole series (a calm step gives zero
-kernels) and writes each sensor's rows of F = M G in place; G is never
-returned. Given emission rates q, it returns the data F q from G and each
-sensor's M instead, and F is never formed: synthetic data need only that
+weighting by a left-endpoint rectangle rule: each row of a sensor's M is one
+weight on the run of grid slots ``window_slots`` gives, so M is never formed.
+``assemble_F`` takes the plume model and a wind series, whose grid is the
+time grid of F; it makes G with one ``kernel_profile`` call over the whole
+series (a calm step gives zero kernels) and writes each measurement's row of
+F from its slots in place; G is never returned. Given emission rates q, it
+returns the data F q instead, each entry a weight times a sum over its
+slots, and F is never formed: synthetic data need only that
 product, and on the bundled case's generation grid F would be about 24
 times the size of G.
 
@@ -43,8 +45,7 @@ __all__ = [
     "entry_labels",
     "measurement_count",
     "window_weight",
-    "check_windows",
-    "assemble_M",
+    "window_slots",
     "assemble_F",
     "signal_variances",
     "simulate_measurements",
@@ -156,47 +157,35 @@ def window_weight(sensor: Sensor, ell: int, t: float, grid: TimeGrid, w_dep: flo
     return 1.0 / sensor.window if inside else 0.0
 
 
-def check_windows(sensor: Sensor, grid: TimeGrid) -> None:
-    """Refuse a sampler whose windows leave the grid span or miss every grid point.
+def window_slots(sensor: Sensor, grid: TimeGrid) -> tuple:
+    """Grid slots each measurement reads: measurement ell reads first[ell] <= j < stop[ell].
+
+    A jar reads every slot of the period; a sampler's window (start, start +
+    window] reads the slots whose times it contains.
 
     Raises:
-        ConfigurationError: naming the sensor and, for an empty window, its index.
+        ConfigurationError: a sampler window leaves the grid span or captures
+            no grid point, naming the sensor and, for an empty window, its index.
     """
     if isinstance(sensor, DustfallJar):
-        return
+        return np.array([0]), np.array([grid.n_steps])
     starts = np.asarray(sensor.start_times, dtype=float)
     tol = 1e-6  # s of float slack on window containment
     if starts.min() < grid.t0 - tol or starts.max() + sensor.window > grid.t0 + grid.span + tol:
         raise ConfigurationError(
             f"sensor {sensor.id!r}: sampling windows extend outside the time grid"
         )
-    # grid points in (start, start + window]: those <= the end less those <= the start
+    # the slots after the start up to the last one not after the end
     times = grid.times
-    captured = np.searchsorted(times, starts + sensor.window, side="right") - np.searchsorted(
-        times, starts, side="right"
-    )
-    if not captured.all():
-        empty = int(np.flatnonzero(captured == 0)[0])
+    first = np.searchsorted(times, starts, side="right")
+    stop = np.searchsorted(times, starts + sensor.window, side="right")
+    if not (stop > first).all():
+        empty = int(np.flatnonzero(stop == first)[0])
         raise ConfigurationError(
             f"sensor {sensor.id!r}: window {empty} captures no grid point "
             f"(window {sensor.window} s vs grid dt {grid.dt} s)"
         )
-
-
-def assemble_M(sensor: Sensor, grid: TimeGrid, w_dep: float) -> np.ndarray:
-    """Quadrature matrix of one sensor: entry (ell, j) = weight(t_j) * dt.
-
-    Raises:
-        ConfigurationError: as :func:`check_windows`.
-    """
-    check_windows(sensor, grid)
-    times = grid.times
-    if isinstance(sensor, DustfallJar):
-        inside = (times > grid.t0) & (times <= grid.t0 + grid.span)
-        return np.where(inside, sensor.area * w_dep, 0.0)[None, :] * grid.dt
-    starts = np.asarray(sensor.start_times, dtype=float)[:, None]
-    covered = (times[None, :] > starts) & (times[None, :] <= starts + sensor.window)
-    return covered.astype(float) * (grid.dt / sensor.window)
+    return first, stop
 
 
 def assemble_F(
@@ -209,6 +198,7 @@ def assemble_F(
     shape (total measurements,), without forming F.
 
     Raises:
+        ConfigurationError: as :func:`window_slots`.
         NumericalError: F, or F q, has a non-finite entry.
     """
     points = np.array([s.location for s in sensors], dtype=float).reshape(len(sensors), 3)
@@ -218,7 +208,7 @@ def assemble_F(
     n_t, n_s = grid.n_steps, len(model.sites)
     n_meas = sum(measurement_count(s) for s in sensors)
     if q is None:
-        f = np.empty((n_meas, n_s, n_t))
+        f = np.zeros((n_meas, n_s, n_t))
     else:
         q = np.asarray(q, dtype=float)
         if not np.all(np.isfinite(q)):
@@ -226,13 +216,21 @@ def assemble_F(
         q_by_source = q.reshape(n_s, n_t)
         f = np.empty(n_meas)
     for k, (sensor, rows) in enumerate(_sensor_slices(sensors)):
-        m_k = assemble_M(sensor, grid, w_dep)
-        if q is None:
-            # F_k[l, i*n_t + j] = M_k[l, j] * G[j, k, i], written in place
-            np.einsum("lj,ji->lij", m_k, g[:, k, :], out=f[rows])
+        first, stop = window_slots(sensor, grid)
+        # M_k's one nonzero value, on each row's slots (rectangle rule)
+        if isinstance(sensor, DustfallJar):
+            weight = sensor.area * w_dep * grid.dt
         else:
-            # (F q)_k = M_k c_k with c_k[j] = sum_i G[j, k, i] q[i*n_t + j]
-            f[rows] = m_k @ np.einsum("ji,ij->j", g[:, k, :], q_by_source)
+            weight = grid.dt / sensor.window
+        if q is None:
+            # F_k[l, i*n_t + j] = weight * G[j, k, i] for j in row l's slots
+            for row, a, b in zip(range(rows.start, rows.stop), first, stop):
+                f[row, :, a:b] = weight * g[a:b, k, :].T
+        else:
+            # (F q)_k[l] = weight * sum of c_k over row l's slots,
+            # with c_k[j] = sum_i G[j, k, i] q[i*n_t + j]
+            c = np.einsum("ji,ij->j", g[:, k, :], q_by_source)
+            f[rows] = weight * np.array([c[a:b].sum() for a, b in zip(first, stop)])
     if q is None:
         f = f.reshape(n_meas, n_s * n_t)
     if not np.all(np.isfinite(f)):
@@ -296,12 +294,13 @@ def signal_variances(
     """
     values = np.asarray(values, dtype=float)
     noise_var = np.empty_like(values)
-    jar_rows = np.concatenate(
-        [np.arange(rows.start, rows.stop) for s, rows in _sensor_slices(sensors)
-         if isinstance(s, DustfallJar)]
-    ) if any(isinstance(s, DustfallJar) for s in sensors) else np.array([], dtype=int)
-    jar_var = float(np.var(values[jar_rows])) if jar_rows.size else 0.0
-    for sensor, rows in _sensor_slices(sensors):
+    slices = _sensor_slices(sensors)
+    jar_values = np.concatenate(
+        # the empty slice keeps the list non-empty when there is no jar
+        [values[rows] for s, rows in slices if isinstance(s, DustfallJar)] + [values[:0]]
+    )
+    jar_var = float(np.var(jar_values)) if jar_values.size else 0.0
+    for sensor, rows in slices:
         if isinstance(sensor, DustfallJar):
             signal_var = jar_var
         else:

@@ -534,10 +534,6 @@ def run_propagate(cfg: RunConfig) -> dict:
     sketch_size = factor.shape[1]
     test_matrix = sketch_test_matrix(factor.shape[0])
     factors = lowrank_truncate(factor, min(cfg.grid.n_modes, sketch_size))
-    # The factor and the SVD's arrays are dropped, and their heap handed
-    # back, before the deposition products are made.
-    del factor, flat, state["cov_factor"]
-    _release_freed_heap()
     products = assemble_H(
         cfg.grid, cfg.plume_model, wind, np.column_stack([state["q_positive"], factors.vectors])
     )

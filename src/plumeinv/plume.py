@@ -272,8 +272,9 @@ def kernel_profile(
         # (S, T, k): step t of source s is [s, t]
         by_source = weights.reshape(len(sites), speed.size, weights.shape[1])
         out = np.zeros((len(points), weights.shape[1]))
-    # The temporaries of a block are a few times its entries: small beside
-    # the kernels of the whole series however many receptors there are.
+    # The temporaries of a block are about 27 doubles per entry, about 3.5 MB
+    # for a full block: small beside the kernels of the whole series however
+    # many receptors there are.
     block_steps = max(1, BLOCK_ENTRIES // max(dx.size, 1))
     for start in range(0, speed.size, block_steps):
         steps = slice(start, start + block_steps)

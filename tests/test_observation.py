@@ -20,10 +20,10 @@ from plumeinv.observation import (
     RealTimeSampler,
     TimeGrid,
     assemble_F,
-    assemble_M,
     measurement_count,
     signal_variances,
     simulate_measurements,
+    window_slots,
     window_weight,
 )
 from plumeinv.plume import (
@@ -136,51 +136,48 @@ class TestWindowWeight:
             window_weight(SAMPLER_1, 5, 300.0, GRID, PARTICLE.w_dep)
 
 
-class TestAssembleM:
-    def test_jar_row_is_uniform(self):
-        m = assemble_M(JAR, GRID, PARTICLE.w_dep)
-        expected = np.full((1, GRID.n_steps), JAR.area * PARTICLE.w_dep * GRID.dt)
-        np.testing.assert_array_equal(m, expected)
+def sampler(window, starts):
+    return RealTimeSampler(id="s", x=0, y=0, z=3, window=window, start_times=starts, snr=100.0)
 
-    def test_sampler_rows_rectangle_rule(self):
-        m = assemble_M(SAMPLER_1, GRID, PARTICLE.w_dep)
-        assert m.shape == (5, 10)
-        # window ell covers grid slots 2*ell+1 and 2*ell+2 (1-based times)
-        expected = np.zeros((5, 10))
-        for ell in range(5):
-            expected[ell, 2 * ell : 2 * ell + 2] = GRID.dt / SAMPLER_1.window
-        np.testing.assert_array_equal(m, expected)
-        # each window averages a full slot span, so rows sum to one
-        np.testing.assert_allclose(m.sum(axis=1), 1.0)
 
-    def test_window_before_grid_raises(self):
-        bad = RealTimeSampler(
-            id="s", x=0, y=0, z=3, window=600.0, start_times=(-600.0,), snr=100.0
-        )
-        with pytest.raises(ConfigurationError):
-            assemble_M(bad, GRID, PARTICLE.w_dep)
-
-    def test_window_past_grid_raises(self):
-        bad = RealTimeSampler(
-            id="s", x=0, y=0, z=3, window=1200.0, start_times=(5400.0,), snr=100.0
-        )
-        with pytest.raises(ConfigurationError):
-            assemble_M(bad, GRID, PARTICLE.w_dep)
-
-    def test_window_missing_grid_points_raises(self):
-        # (60, 300] contains no multiple of 600
-        bad = RealTimeSampler(
-            id="s", x=0, y=0, z=3, window=240.0, start_times=(60.0,), snr=100.0
-        )
-        with pytest.raises(ConfigurationError):
-            assemble_M(bad, GRID, PARTICLE.w_dep)
+class TestWindowSlots:
+    @pytest.mark.parametrize(
+        "sensor",
+        [
+            JAR,
+            SAMPLER_1,  # back to back
+            SAMPLER_2,
+            sampler(1800.0, (0.0, 600.0, 1200.0)),  # overlapping
+            sampler(1200.0, (GRID.t0 + GRID.span - 1200.0,)),  # ends at the span
+            sampler(1200.0, (GRID.t0 - 5e-7, 4800.0 + 5e-7)),  # inside the tolerance
+        ],
+        ids=["jar", "back_to_back", "apart", "overlapping", "end_of_span", "tolerance"],
+    )
+    def test_slots_are_where_the_window_weight_is_nonzero(self, sensor):
+        first, stop = window_slots(sensor, GRID)
+        assert len(first) == len(stop) == measurement_count(sensor)
+        for ell in range(measurement_count(sensor)):
+            for j, t in enumerate(GRID.times):
+                weight = window_weight(sensor, ell, t, GRID, PARTICLE.w_dep)
+                assert (first[ell] <= j < stop[ell]) == (weight != 0.0), (ell, j)
 
     def test_exact_span_is_allowed(self):
-        full = RealTimeSampler(
-            id="s", x=0, y=0, z=3, window=GRID.span, start_times=(GRID.t0,), snr=100.0
-        )
-        m = assemble_M(full, GRID, PARTICLE.w_dep)
-        np.testing.assert_allclose(m, GRID.dt / GRID.span)
+        first, stop = window_slots(sampler(GRID.span, (GRID.t0,)), GRID)
+        np.testing.assert_array_equal(first, [0])
+        np.testing.assert_array_equal(stop, [GRID.n_steps])
+
+    def test_window_before_grid_raises(self):
+        with pytest.raises(ConfigurationError, match="windows extend outside the time grid"):
+            window_slots(sampler(600.0, (-600.0,)), GRID)
+
+    def test_window_past_grid_raises(self):
+        with pytest.raises(ConfigurationError, match="windows extend outside the time grid"):
+            window_slots(sampler(1200.0, (5400.0,)), GRID)
+
+    def test_window_missing_grid_points_raises(self):
+        # (360, 600] holds the grid time 600; (660, 900] holds no multiple of 600
+        with pytest.raises(ConfigurationError, match="window 1 captures no grid point"):
+            window_slots(sampler(240.0, (360.0, 660.0)), GRID)
 
 
 def reference_forward(q_by_source, wind):
@@ -245,6 +242,46 @@ class TestAssembleF:
         assert fq.shape == (8,)
         np.testing.assert_allclose(fq, assemble_F(SENSORS, MODEL, wind) @ q, rtol=1e-12)
         assert assemble_F([], MODEL, wind, q).shape == (0,)
+
+    def test_f_is_bitwise_the_dense_window_matrix_times_g(self):
+        # Each sensor's dense window matrix M, entry (l, j) = weight(t_j) * dt,
+        # then F_k[l, i*n_t + j] = M[l, j] * G[j, k, i]: one product per entry.
+        wind = make_wind(calm_step=6)
+        times = GRID.times
+        g = kernel_profile(np.array([s.location for s in SENSORS]), MODEL, (wind.u_x, wind.u_y))
+        blocks = []
+        for k, sensor in enumerate(SENSORS):
+            if isinstance(sensor, DustfallJar):
+                inside = (times > GRID.t0) & (times <= GRID.t0 + GRID.span)
+                m = np.where(inside, sensor.area * PARTICLE.w_dep, 0.0)[None, :] * GRID.dt
+            else:
+                starts = np.asarray(sensor.start_times)[:, None]
+                covered = (times[None, :] > starts) & (times[None, :] <= starts + sensor.window)
+                m = covered.astype(float) * (GRID.dt / sensor.window)
+            blocks.append(np.einsum("lj,ji->lij", m, g[:, k, :]).reshape(len(m), -1))
+        np.testing.assert_array_equal(assemble_F(SENSORS, MODEL, wind), np.vstack(blocks))
+
+    def test_product_holds_no_dense_window_matrix(self):
+        """F q on a long hourly sampler peaks below half of its dense window matrix."""
+        grid = TimeGrid(t0=0.0, dt=600.0, n_steps=2400)
+        rng = np.random.default_rng(5)
+        wind = WindSeries(
+            grid, 3.0 + rng.uniform(-1.0, 1.0, grid.n_steps), rng.uniform(-1.0, 1.0, grid.n_steps)
+        )
+        hourly = RealTimeSampler(
+            id="rt_h", x=200.0, y=-30.0, z=3.0, window=3600.0,
+            start_times=tuple(3600.0 * k for k in range(400)), snr=100.0,
+        )
+        q = rng.uniform(0.1, 2.0, len(SITES) * grid.n_steps)
+        dense_m_bytes = measurement_count(hourly) * grid.n_steps * 8
+        tracemalloc.start()
+        try:
+            fq = assemble_F([hourly], MODEL, wind, q)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert fq.shape == (400,)
+        assert peak < 0.5 * dense_m_bytes, f"peak {peak / dense_m_bytes:.2f} times the dense M"
 
     @pytest.mark.parametrize("product", [False, True])
     def test_nonfinite_kernel_is_a_numerical_error(self, monkeypatch, product):
