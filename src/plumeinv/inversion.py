@@ -5,7 +5,7 @@ squares on the whitened data misfit.
 Stage 2 (smooth): closed-form Gaussian posterior under a second-order
 smoothness prior centered at the constant fit.
 Stage 3 (positive): clipped-Gaussian push-forward sampled by pCN, centered
-at the clipped smooth mean.
+at the clipped smooth mean; its result is the chain's ``ChainSummary``.
 
 The prior covariance is C = I_{n_sources} kron L^-2 with L a scaled
 tridiagonal operator. ``SmoothnessPrior(config, grid, n_sources)`` builds
@@ -42,7 +42,6 @@ __all__ = [
     "SmoothnessPrior",
     "ConstantFit",
     "GaussianPosterior",
-    "PositivePosterior",
     "mle_constant",
     "gaussian_posterior",
     "clip_positive",
@@ -387,25 +386,6 @@ def make_potential(
     return potential
 
 
-@dataclass(frozen=True, eq=False)
-class PositivePosterior:
-    """Positivity-stage posterior summaries and chain diagnostics."""
-
-    q_sp: np.ndarray  # clipped latent posterior mean, entrywise >= 0
-    # C_sp, the chain average of (h(v)-q_sp)(h(v)-q_sp)^T, as its exact
-    # diagonal and the Nystrom factor E (n x min(n, SKETCH_SIZE)), E E^T <= C_sp
-    cov_diag: np.ndarray
-    cov_factor: np.ndarray
-    v_mean: np.ndarray  # latent posterior mean
-    acceptance_rate: float
-    ess: float
-    r_hat: float
-    n_steps: int
-    n_kept: int
-    beta: float
-    n_nonfinite: int
-
-
 def positive_posterior(
     f_matrix,
     d: np.ndarray,
@@ -414,37 +394,27 @@ def positive_posterior(
     q_s: np.ndarray,
     cfg: SamplerConfig,
     link: Callable[[np.ndarray], np.ndarray] = clip_positive,
-) -> PositivePosterior:
+) -> ChainSummary:
     """Positivity stage: pCN on the latent v with data model F h(v).
 
     The chain targets exp(-phi(v)) N(v; h(q_s), C) with
     phi(v) = 1/2 || Sigma^-1/2 (F h(v) - d) ||^2 and h = ``link``
     (entrywise clipping by default; tests may pass the identity to recover
-    the linear-Gaussian stage). Means and covariances are chain averages
-    after burn-in; C_sp is the chain's second moment of h(v) about
-    q_sp = h(v_mean), not about the chain mean of h(v). It is returned as
-    its exact diagonal and the Nystrom factor of the chain's sketch, and
-    the sketch is released here, so only the factor outlives the stage. F
-    and d are whitened once here; the chain evaluates phi in its data space.
+    the linear-Gaussian stage). F and d are whitened once here; the chain
+    evaluates phi in its data space. The result is the chain's
+    ``ChainSummary``: ``mean`` is the latent posterior mean, ``point`` is
+    q_sp = h(mean), the stage's estimate, and ``cov`` sketches C_sp, the
+    chain's second moment of h(v) about q_sp (not about the chain mean of
+    h(v)), as its exact diagonal and Y = C_sp Omega. A caller that keeps
+    the covariance calls ``cov.nystrom_factor()``, which writes the factor
+    over Y.
     """
     prior_mean = link(np.asarray(q_s, dtype=float))
     f_white, d_white = whiten(f_matrix, d, noise_var)
-    summary: ChainSummary = pcn_chain(f_white, d_white, prior_mean, prior, cfg, link=link)
+    summary = pcn_chain(f_white, d_white, prior_mean, prior, cfg, link=link)
     if not (0.1 <= summary.acceptance_rate <= 0.6):
         logger.warning(
             "acceptance rate %.3f outside [0.1, 0.6]; consider retuning beta",
             summary.acceptance_rate,
         )
-    return PositivePosterior(
-        q_sp=link(summary.mean),
-        cov_diag=summary.cov.diag,
-        cov_factor=summary.cov.nystrom_factor(),
-        v_mean=summary.mean,
-        acceptance_rate=summary.acceptance_rate,
-        ess=summary.ess,
-        r_hat=summary.r_hat,
-        n_steps=summary.n_steps,
-        n_kept=summary.n_kept,
-        beta=cfg.beta,
-        n_nonfinite=summary.n_nonfinite,
-    )
+    return summary

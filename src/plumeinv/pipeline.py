@@ -41,14 +41,13 @@ from .errors import ConfigurationError, ValidationError
 from .inversion import (
     ConstantFit,
     GaussianPosterior,
-    PositivePosterior,
     SmoothnessPrior,
     gaussian_posterior,
     mle_constant,
     positive_posterior,
 )
 from .observation import MeasurementSet, TimeGrid, assemble_F, signal_variances
-from .sampling import sketch_test_matrix
+from .sampling import ChainSummary, sketch_test_matrix
 from .synthetic import generate_synthetic, wind_records
 from .uqprop import annualize, assemble_H, deposition_stats, lowrank_truncate
 from .windprep import WindSeries, fit_wind, select_hyperparameters
@@ -366,7 +365,7 @@ class InversionResult:
     f_matrix: csr_array
     constant: ConstantFit
     smooth: Optional[GaussianPosterior]
-    positive: Optional[PositivePosterior]
+    positive: Optional[ChainSummary]
 
 
 def _artifact_suffix(drop_sensor: Optional[str], noise_scale: float) -> str:
@@ -397,7 +396,9 @@ def run_invert(
             noise assumption.
 
     Side experiments (drop_sensor set or noise_scale != 1) write suffixed
-    emission CSVs and do not touch the pipeline state.
+    emission CSVs and do not touch the pipeline state. Only a run that
+    writes ``state/inversion.npz`` factors the positive stage's covariance
+    sketch, and the factor goes to that file, not into the result.
     """
     if through not in ("constant", "smooth", "positive"):
         raise ValidationError(f"unknown inversion stage {through!r}")
@@ -452,23 +453,23 @@ def run_invert(
         write_estimate("smooth", smooth.mean, smooth.std)
         if through == "positive":
             positive = positive_posterior(f_matrix, d, noise_var, prior, smooth.mean, cfg.sampler)
-            write_estimate("positive", positive.q_sp, np.sqrt(np.maximum(positive.cov_diag, 0.0)))
+            write_estimate("positive", positive.point, np.sqrt(np.maximum(positive.cov.diag, 0.0)))
 
     if not side_experiment and through == "positive":
         _save_state(
             cfg,
             INVERSION_STATE,
-            q_positive=positive.q_sp,
-            cov_factor=positive.cov_factor,
-            cov_trace=positive.cov_diag.sum(),
+            q_positive=positive.point,
+            cov_factor=positive.cov.nystrom_factor(),
+            cov_trace=positive.cov.diag.sum(),
         )
         annual = {
             "constant": annualize(constant.q, grid),
             "smooth": annualize(smooth.mean, grid),
-            "positive": annualize(positive.q_sp, grid),
+            "positive": annualize(positive.point, grid),
         }
         per_source = {
-            sid: annualize(positive.q_sp[i * grid.n_steps : (i + 1) * grid.n_steps], grid)
+            sid: annualize(positive.point[i * grid.n_steps : (i + 1) * grid.n_steps], grid)
             for i, sid in enumerate(_source_ids(cfg))
         }
         _record(

@@ -61,14 +61,16 @@ point. Omega is a sparse sign matrix: ``SKETCH_NONZEROS`` entries of +-1 in
 distinct columns of each row (Tropp, Yurtsever, Udell & Cevher 2019,
 "Streaming low-rank matrix approximation with an application to
 scientific simulation", SIAM J. Sci. Comput.).
-``CovarianceSketch.nystrom_factor`` then gives the stable single-pass
-Nystrom factor E, with E E^T <= C, from which the leading eigenpairs
-follow (Tropp, Yurtsever, Udell & Cevher 2017, "Fixed-rank approximation
-of a positive-semidefinite matrix from streaming data", NeurIPS; Halko,
-Martinsson & Tropp 2011, SIAM Review, sec. 5.5). Up to ``SKETCH_SIZE``
-dimensions Omega is the identity, so Y is C itself and small problems
-stay exact. Omega comes from a generator of its own and draws nothing
-from the chain's streams.
+``pcn_chain`` returns one ``ChainSummary``: the chain mean, h of it, the
+sketch about that point, the potential trace and the diagnostics. Where
+the factor is kept, ``CovarianceSketch.nystrom_factor`` then gives the
+stable single-pass Nystrom factor E, with E E^T <= C, from which the
+leading eigenpairs follow (Tropp, Yurtsever, Udell & Cevher 2017,
+"Fixed-rank approximation of a positive-semidefinite matrix from
+streaming data", NeurIPS; Halko, Martinsson & Tropp 2011, SIAM Review,
+sec. 5.5). Up to ``SKETCH_SIZE`` dimensions Omega is the identity, so Y
+is C itself and small problems stay exact. Omega comes from a generator
+of its own and draws nothing from the chain's streams.
 """
 
 from __future__ import annotations
@@ -318,23 +320,26 @@ class OnlineMoments:
 
 @dataclass(eq=False)
 class ChainSummary:
-    """First two chain moments plus diagnostics, burn-in already discarded.
+    """One chain's moments and diagnostics over its kept (post-burn-in) steps.
 
-    ``mean`` is the chain mean of v. ``cov`` sketches the chain second
-    moment of h(v) about h(mean), with h the chain's link; without one, h
-    is the identity and ``cov`` sketches the covariance of v. ``ess`` and
-    ``r_hat`` are read off the kept potential trace.
+    ``mean`` is the chain mean of v and ``point`` is h(mean), with h the
+    chain's link (the identity without one). ``cov`` sketches the chain's
+    second moment of h(v) about ``point``; without a link it is the
+    covariance of v. ``phi_trace`` is the potential after each kept step,
+    and ``ess`` and ``r_hat`` are read off it.
     """
 
     mean: np.ndarray
+    point: np.ndarray
     cov: CovarianceSketch
+    phi_trace: np.ndarray
     acceptance_rate: float
     ess: float
     r_hat: float
     n_steps: int
     n_kept: int
     beta: float
-    n_nonfinite: int = 0
+    n_nonfinite: int
 
 
 def effective_sample_size(trace: np.ndarray) -> float:
@@ -402,17 +407,6 @@ def _streams(seed: int):
             np.random.Generator(np.random.Philox(seq_acc)))
 
 
-@dataclass(eq=False)
-class _ChainRun:
-    """What the block kernel hands back."""
-
-    accepted: int
-    n_nonfinite: int
-    phi_trace: np.ndarray  # potential of the state after each kept step
-    mean: np.ndarray  # chain mean of v over the kept steps
-    moments: OnlineMoments  # moments of h(v) over the kept steps
-
-
 class _RowSplit:
     """F with its rows apart by density, for the chain's products.
 
@@ -448,20 +442,34 @@ class _RowSplit:
         out[self.n_dense :] = self.sparse @ w.T
 
 
-def _pcn_kernel(
+def pcn_chain(
     f_white,
     d_white: np.ndarray,
     prior_mean: np.ndarray,
     prior: GaussianPrior,
     cfg: SamplerConfig,
     link: Optional[Link] = None,
-) -> _ChainRun:
-    """Run ``cfg.n_steps`` pCN steps a block at a time (see the module docstring).
+) -> ChainSummary:
+    """Run one pCN chain on phi(v) = 1/2 ||F h(v) - d||^2 and return its moments.
 
-    ``f_white`` is a dense or sparse matrix; the kernel holds it only as a
-    ``_RowSplit``, and works in that split's row order. The draw thread is
-    joined, and the BLAS thread counts restored, before this returns or
-    raises.
+    The chain runs ``cfg.n_steps`` steps a block at a time (see the module
+    docstring). Its draw thread is joined before this returns or raises.
+
+    Args:
+        f_white: whitened forward matrix F (n_meas x dim; dense, or sparse
+            with column indexing). Zero rows give a flat potential. The
+            chain holds it only as a ``_RowSplit``, and works in that
+            split's row order.
+        d_white: whitened data d.
+        prior_mean: m, the Gaussian prior mean.
+        prior: the Gaussian prior N(0, C) the proposals are drawn from, as
+            standard normals and a solve (``GaussianPrior``).
+        cfg: chain parameters.
+        link: the entrywise map h, the identity when omitted; non-finite
+            potentials auto-reject the proposal.
+
+    Returns:
+        ChainSummary over the post-burn-in states.
     """
     m = np.asarray(prior_mean, dtype=float)
     f = _RowSplit(f_white)
@@ -562,48 +570,21 @@ def _pcn_kernel(
                     fill += 1
                 counts[fill - 1] += 1.0
         flush()
-    return _ChainRun(accepted, n_nonfinite, phi_trace, mean_v, acc)
-
-
-def pcn_chain(
-    f_white,
-    d_white: np.ndarray,
-    prior_mean: np.ndarray,
-    prior: GaussianPrior,
-    cfg: SamplerConfig,
-    link: Optional[Link] = None,
-) -> ChainSummary:
-    """Run one pCN chain on phi(v) = 1/2 ||F h(v) - d||^2 and return its moments.
-
-    Args:
-        f_white: whitened forward matrix F (n_meas x dim; dense, or sparse
-            with column indexing). Zero rows give a flat potential.
-        d_white: whitened data d.
-        prior_mean: m, the Gaussian prior mean.
-        prior: the Gaussian prior N(0, C) the proposals are drawn from, as
-            standard normals and a solve (``GaussianPrior``).
-        cfg: chain parameters.
-        link: the entrywise map h, the identity when omitted; non-finite
-            potentials auto-reject the proposal. ``cov`` sketches the second
-            moment of h(v) about h of the chain mean of v.
-
-    Returns:
-        ChainSummary over the post-burn-in states.
-    """
-    run = _pcn_kernel(f_white, d_white, prior_mean, prior, cfg, link)
-    if run.n_nonfinite:
-        logger.warning("%d proposals rejected for non-finite potential", run.n_nonfinite)
-    point = run.mean if link is None else link(run.mean)
+    if n_nonfinite:
+        logger.warning("%d proposals rejected for non-finite potential", n_nonfinite)
+    point = mean_v if link is None else link(mean_v)
     return ChainSummary(
-        mean=run.mean,
-        cov=run.moments.second_moment(point),
-        acceptance_rate=run.accepted / cfg.n_steps,
-        ess=effective_sample_size(run.phi_trace),
-        r_hat=split_r_hat(run.phi_trace),
+        mean=mean_v,
+        point=point,
+        cov=acc.second_moment(point),
+        phi_trace=phi_trace,
+        acceptance_rate=accepted / cfg.n_steps,
+        ess=effective_sample_size(phi_trace),
+        r_hat=split_r_hat(phi_trace),
         n_steps=cfg.n_steps,
-        n_kept=cfg.n_steps - cfg.n_burn,
+        n_kept=n_kept,
         beta=cfg.beta,
-        n_nonfinite=run.n_nonfinite,
+        n_nonfinite=n_nonfinite,
     )
 
 
@@ -626,8 +607,8 @@ def tune_beta(
 ) -> TuneResult:
     """Bisect beta until the pilot acceptance rate lands in ``TUNE_BAND``.
 
-    Each pilot runs ``TUNE_PILOT_STEPS`` steps with no burn-in through the
-    block kernel of ``pcn_chain``, just as a chain does. Acceptance is
+    Each pilot is a ``pcn_chain`` of ``TUNE_PILOT_STEPS`` steps with no
+    burn-in. Acceptance is
     non-increasing in beta for pCN, so plain bisection on (0, 1] applies:
     start from beta = 1 and halve toward 0 while the rate is below the
     band. If the band is unreachable (e.g. a flat potential accepts
@@ -638,8 +619,7 @@ def tune_beta(
 
     def rate(beta: float) -> float:
         cfg = SamplerConfig(beta=beta, n_steps=TUNE_PILOT_STEPS, burn_in_fraction=0.0, seed=seed)
-        run = _pcn_kernel(f_white, d_white, prior_mean, prior, cfg, link)
-        return run.accepted / TUNE_PILOT_STEPS
+        return pcn_chain(f_white, d_white, prior_mean, prior, cfg, link).acceptance_rate
 
     evaluations = []
     r_top = rate(1.0)

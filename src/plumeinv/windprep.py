@@ -59,15 +59,17 @@ class RawWindRecord:
 
     timestamp: float  # epoch s
     speed: float  # m s^-1
-    direction_from: float  # degrees clockwise from north
+    direction_from: float  # degrees clockwise from north, in [0, 360); 360 reads as 0
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.timestamp):
             raise ValueError("timestamp must be finite")
         if not (math.isfinite(self.speed) and self.speed >= 0):
             raise ValueError(f"speed must be finite and nonnegative, got {self.speed}")
-        if not (0.0 <= self.direction_from < 360.0):
-            raise ValueError(f"direction must be in [0, 360), got {self.direction_from}")
+        if not (0.0 <= self.direction_from <= 360.0):
+            raise ValueError(f"direction must be in [0, 360], got {self.direction_from}")
+        if self.direction_from == 360.0:  # north, as station exports write it
+            object.__setattr__(self, "direction_from", 0.0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -418,7 +418,7 @@ def test_criterion_06_identity_link_equals_gaussian_stage():
     )
     tau = got.n_kept / got.ess
     se_mean = exact.std * math.sqrt(tau / got.n_kept)
-    z = np.abs(got.v_mean - exact.mean) / se_mean
+    z = np.abs(got.mean - exact.mean) / se_mean
     assert z.max() < 3.0
     elapsed = time.perf_counter() - tic
     assert elapsed < 120.0
@@ -455,7 +455,7 @@ def test_criterion_07_bundled_case_recovery(bundled):
     assert min(correlations.values()) > 0.8
 
     # (c) the positive posterior is tighter on the large sources
-    std = np.sqrt(np.maximum(inv.positive.cov_diag, 0.0))
+    std = np.sqrt(np.maximum(inv.positive.cov.diag, 0.0))
     by_source = {sid: std[source_ids.index(sid) * n_t:(source_ids.index(sid) + 1) * n_t].mean()
                  for sid in source_ids}
     top_mean = np.mean([by_source[sid] for sid in top2])

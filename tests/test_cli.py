@@ -7,6 +7,7 @@ bundled 30-day case is exercised by the acceptance tests instead.
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -139,6 +140,15 @@ def write_case(root: Path, name="case.yaml", mutate=None) -> tuple:
     path = root / name
     path.write_text(yaml.safe_dump(data))
     return path, out
+
+
+def short_bundled_case(root: Path) -> Path:
+    """The bundled case with a 500-step chain, written as ``root/case.yaml``."""
+    data = yaml.safe_load(Path(cli.default_config_path()).read_text())
+    data["sampler"]["n_steps"] = 500
+    path = root / "case.yaml"
+    path.write_text(yaml.safe_dump(data))
+    return path
 
 
 def strip_timing(metadata: dict) -> dict:
@@ -336,6 +346,27 @@ class TestStageCommands:
         ])
         assert rc == 0
         assert (out / "emissions_constant_noise-0.5.csv").is_file()
+
+    def test_positive_side_experiments_leave_the_sketch_unfactored(self, tmp_path, monkeypatch):
+        """On the bundled case, a positive-stage side experiment writes its
+        suffixed estimate without making the Nystrom factor, which only the
+        inversion state keeps, and leaves that state and the keys as they were."""
+        cfg = load_config(short_bundled_case(tmp_path), out_dir=tmp_path / "out")
+        pipeline.run_stage(cfg, "invert")
+        out = cfg.resolve_out_dir()
+        state, keys = (out / pipeline.INVERSION_STATE).read_bytes(), stage_keys(out)
+
+        def refuse(self):
+            raise AssertionError("a side experiment factored the covariance sketch")
+
+        monkeypatch.setattr(sampling.CovarianceSketch, "nystrom_factor", refuse)
+        for options, suffix in [({"drop_sensor": "xact1"}, "drop-xact1"),
+                                ({"noise_scale": 0.5}, "noise-0.5")]:
+            result = pipeline.run_invert(cfg, **options)
+            assert result.positive.cov.y is not None
+            assert (out / f"emissions_positive_{suffix}.csv").stat().st_size > 0
+        assert (out / pipeline.INVERSION_STATE).read_bytes() == state
+        assert stage_keys(out) == keys
 
     def test_modes_reruns_only_propagate(self, tmp_path):
         cfg_path, out = write_case(tmp_path)
@@ -655,6 +686,43 @@ class TestLeanState:
             np.testing.assert_array_equal(loaded[name], array, err_msg=name)
         pipeline._save_state(cfg, pipeline.INVERSION_STATE, **arrays)
         assert path.read_bytes() == written
+
+
+class TestLibraryUse:
+    def test_readme_code_runs_as_documented(self, tmp_path, monkeypatch, capsys):
+        """The README's Library-use blocks run in order on a short-chain copy
+        of the bundled case, with ``q`` and ``x`` bound before the last."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+        blocks = re.findall(r"```python\n(.*?)```", section, re.S)
+        assert len(blocks) == 3
+        short_bundled_case(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        names = {}
+        for block in blocks[:-1]:
+            exec(block, names)
+        cfg, result, prior = names["cfg"], names["result"], names["prior"]
+        n = len(cfg.sources) * pipeline.inversion_grid(cfg).n_steps
+        positive = result.positive
+        assert isinstance(result, pipeline.InversionResult)
+        assert isinstance(positive, sampling.ChainSummary)
+        assert 0.0 < positive.acceptance_rate < 1.0
+        assert f"{positive.acceptance_rate} {positive.ess}" in capsys.readouterr().out
+        np.testing.assert_array_equal(positive.point, np.maximum(positive.mean, 0.0))
+        assert positive.cov.diag.shape == (n,)
+        assert positive.cov.y is None  # the factor went to the state file
+        with np.load(tmp_path / "runs" / "api" / pipeline.INVERSION_STATE) as state:
+            np.testing.assert_array_equal(state["q_positive"], positive.point)
+            assert state["cov_factor"].shape == (n, sampling.SKETCH_SIZE)
+        assert isinstance(prior, SmoothnessPrior) and prior.n == n
+
+        names.update(q=positive.point, x=np.ones((n, 2)))
+        exec(blocks[-1], names)
+        n_meas = result.measurements.values.size
+        f, fq, hx = names["f"], names["fq"], names["hx"]
+        assert f.shape == (n_meas, n) and fq.shape == (n_meas,)
+        np.testing.assert_allclose(fq, f @ positive.point, rtol=1e-12, atol=1e-12 * np.abs(fq).max())
+        assert hx.shape == (cfg.grid.n_cells, 2)
 
 
 def real_data_case(root: Path, jar_x: float) -> tuple:

@@ -460,7 +460,7 @@ class TestChainPotential:
 
         monkeypatch.setattr(OnlineMoments, "update_block", recording)
         f_white, d_white = whiten(f, d, noise_var)
-        run = sampling._pcn_kernel(f_white, d_white, prior_mean, prior, cfg, clip_positive)
+        run = sampling.pcn_chain(f_white, d_white, prior_mean, prior, cfg, clip_positive)
         states = np.concatenate(seen)  # h(v) of each kept state, in order
         assert len(states) == len(run.phi_trace) == cfg.n_steps - cfg.n_burn
         clipped = (states == 0.0).any(axis=1)
@@ -507,22 +507,20 @@ class TestDrawThread:
         sys.setswitchinterval(1e-6)  # hand the interpreter between the threads often
         try:
             runs = [
-                sampling._pcn_kernel(f_white, d_white, np.full(prior.n, 0.6), chain_prior, cfg,
-                                     clip_positive)
+                sampling.pcn_chain(f_white, d_white, np.full(prior.n, 0.6), chain_prior, cfg,
+                                   clip_positive)
                 for chain_prior in (prior, SleepyPrior(*args, seed=1), SleepyPrior(*args, seed=3))
             ]
         finally:
             sys.setswitchinterval(interval)
         plain = runs[0]
-        assert 0 < plain.accepted < n_steps
-        want = plain.moments.second_moment(clip_positive(plain.mean))
+        assert 0 < plain.acceptance_rate < 1
         for run in runs[1:]:
             np.testing.assert_array_equal(run.phi_trace, plain.phi_trace)
-            assert run.accepted == plain.accepted
+            assert run.acceptance_rate == plain.acceptance_rate
             np.testing.assert_array_equal(run.mean, plain.mean)
-            got = run.moments.second_moment(clip_positive(run.mean))
-            np.testing.assert_array_equal(got.diag, want.diag)
-            np.testing.assert_array_equal(got.y, want.y)
+            np.testing.assert_array_equal(run.cov.diag, plain.cov.diag)
+            np.testing.assert_array_equal(run.cov.y, plain.cov.y)
 
 
 class TestPositivePosterior:
@@ -547,9 +545,9 @@ class TestPositivePosterior:
         )
         tau = got.n_kept / got.ess
         se_mean = exact.std * math.sqrt(tau / got.n_kept)
-        assert np.max(np.abs(got.v_mean - exact.mean) / se_mean) < 3.0
+        assert np.max(np.abs(got.mean - exact.mean) / se_mean) < 3.0
         se_std = exact.std * 0.5 * math.sqrt(2.0 * tau / got.n_kept)
-        got_std = np.sqrt(got.cov_diag)
+        got_std = np.sqrt(got.cov.diag)
         assert np.max(np.abs(got_std - exact.std) / se_std) < 3.0
 
     def test_clipping_keeps_summaries_nonnegative(self):
@@ -559,12 +557,13 @@ class TestPositivePosterior:
         q_s = np.zeros(prior.n)
         cfg = SamplerConfig(beta=0.6, n_steps=8000, seed=1)
         got = positive_posterior(f, d, noise_var, prior, q_s, cfg)
-        assert np.all(got.q_sp >= 0.0)
-        assert np.all(got.cov_diag >= -1e-15)
+        assert np.all(got.point >= 0.0)
+        assert np.all(got.cov.diag >= -1e-15)
         # 40 dimensions fit in the sketch, so the factor keeps the whole
         # trace but for the shift, and never more than it
-        assert got.cov_factor.shape == (prior.n, prior.n)
-        kept = float(np.vdot(got.cov_factor, got.cov_factor)) / got.cov_diag.sum()
+        factor = got.cov.nystrom_factor()
+        assert factor.shape == (prior.n, prior.n)
+        kept = float(np.vdot(factor, factor)) / got.cov.diag.sum()
         assert 1.0 - 1e-12 <= kept <= 1.0
 
     def test_pushforward_cov_recentered_at_clipped_mean(self):
@@ -573,7 +572,7 @@ class TestPositivePosterior:
         cfg = SamplerConfig(beta=0.6, n_steps=4000, seed=5)
         got = positive_posterior(f, d, noise_var, prior, q_s, cfg)
         # second moment about q_sp dominates the centered one
-        assert np.all(got.cov_diag >= -1e-15)
+        assert np.all(got.cov.diag >= -1e-15)
 
     def test_cov_formed_without_a_second_dense_array(self):
         """The chain sketches C_sp: at n = 2 sources x 1000 slots, past the
@@ -587,11 +586,12 @@ class TestPositivePosterior:
         tracemalloc.start()
         try:
             got = positive_posterior(f, d, np.ones(8), prior, np.ones(prior.n), cfg)
+            factor = got.cov.nystrom_factor()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert got.cov_factor.shape == (prior.n, SKETCH_SIZE)
-        assert got.cov_diag.shape == (prior.n,)
+        assert factor.shape == (prior.n, SKETCH_SIZE)
+        assert got.cov.diag.shape == (prior.n,)
         block = prior.n * SKETCH_SIZE * 8
         assert peak < 3 * block < prior.n**2 * 8, f"peak {peak / block:.2f} x n x SKETCH_SIZE"
 

@@ -44,7 +44,7 @@ from plumeinv.plume import PlumeModel
 from plumeinv.sampling import SamplerConfig
 from plumeinv.synthetic import Harmonic, SourceSignal
 from plumeinv.uqprop import DepositionGrid, GridSpec, assemble_H
-from plumeinv.windprep import RawWindRecord, WindSeries
+from plumeinv.windprep import RawWindRecord, WindSeries, to_components
 
 
 class TestTimestamps:
@@ -111,6 +111,35 @@ class TestWindCsv:
             "1970-01-01T00:10:00Z,not_a_number,300\n"
         )
         with pytest.raises(ValidationError, match=r":4:"):
+            load_wind_csv(path)
+
+    def test_north_written_as_360_reads_as_0(self, tmp_path):
+        """Hourly station exports write north as 360: it loads as 0, with
+        the components of 0 bit for bit."""
+        path = tmp_path / "wind.csv"
+        path.write_text(
+            "timestamp,speed_mps,direction_deg_from\n"
+            "1970-01-01T00:00:00Z,3,350\n"
+            "1970-01-01T00:10:00Z,3,360\n"
+            "1970-01-01T00:20:00Z,3,10\n"
+        )
+        loaded = load_wind_csv(path)
+        assert [r.direction_from for r in loaded] == [350.0, 0.0, 10.0]
+        north = RawWindRecord(timestamp=600.0, speed=3.0, direction_from=0.0)
+        assert loaded[1] == north
+        got, want = np.array(to_components(loaded[1])), np.array(to_components(north))
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("direction", ["360.5", "-0.5", "nan", "inf"])
+    def test_direction_outside_0_to_360_reports_line_number(self, tmp_path, direction):
+        path = tmp_path / "wind.csv"
+        path.write_text(
+            "timestamp,speed_mps,direction_deg_from\n"
+            "1970-01-01T00:00:00Z,3,350\n"
+            f"1970-01-01T00:10:00Z,3,{direction}\n"
+            "1970-01-01T00:20:00Z,3,10\n"
+        )
+        with pytest.raises(ValidationError, match=r":3: direction must be in \[0, 360\]"):
             load_wind_csv(path)
 
     def test_wrong_header_raises(self, tmp_path):

@@ -28,7 +28,6 @@ from plumeinv.sampling import (
     OnlineMoments,
     SamplerConfig,
     TuneResult,
-    _pcn_kernel,
     _RowSplit,
     _sketch_matrix,
     effective_sample_size,
@@ -163,10 +162,10 @@ class TestOnlineMoments:
         dim = SKETCH_SIZE + 1
         cfg = SamplerConfig(beta=0.5, n_steps=300, burn_in_fraction=0.0, seed=2)
         args = (*quadratic(dim, 0.01), np.zeros(dim), NormalPrior(dim), cfg)
-        sketched = _pcn_kernel(*args)
-        assert sketched.moments.omega.shape == (dim, SKETCH_SIZE)
+        sketched = pcn_chain(*args)
+        assert sketched.cov.omega.shape == (dim, SKETCH_SIZE)
         monkeypatch.setattr(sampling, "_sketch_matrix", lambda n: csr_array((n, SKETCH_SIZE)))
-        np.testing.assert_array_equal(sketched.phi_trace, _pcn_kernel(*args).phi_trace)
+        np.testing.assert_array_equal(sketched.phi_trace, pcn_chain(*args).phi_trace)
 
     @pytest.mark.parametrize("dim", [SKETCH_SIZE + 1, 5040])
     def test_omega_is_a_sparse_sign_matrix(self, dim):
@@ -464,7 +463,7 @@ class TestPcnChainMechanics:
         for n in (400, 1203):
             kept = record_kept_states(monkeypatch)
             cfg = SamplerConfig(beta=0.5, n_steps=n, burn_in_fraction=0.0, seed=7)
-            run = _pcn_kernel(csc_array(f), d, np.zeros(dim), NormalPrior(dim), cfg, np.abs)
+            run = pcn_chain(csc_array(f), d, np.zeros(dim), NormalPrior(dim), cfg, np.abs)
             out[n] = kept(), run.phi_trace
         assert 0.1 < np.mean(np.diff(out[1203][1]) != 0) < 0.9  # the chain moves
         np.testing.assert_array_equal(out[400][0], out[1203][0][:400])
@@ -493,7 +492,8 @@ class TestPcnChainMechanics:
         )
         seen = kept()
         assert len(seen) == out.n_kept and len(np.unique(seen, axis=0)) > 10
-        centered = seen - np.maximum(out.mean, 0.0)
+        np.testing.assert_array_equal(out.point, np.maximum(out.mean, 0.0))
+        centered = seen - out.point
         want = centered.T @ centered / out.n_kept
         assert out.cov.omega.shape == (dim, SKETCH_SIZE)
         want_y = want @ out.cov.omega

@@ -39,7 +39,7 @@ class TestRawWindRecord:
         with pytest.raises(ValueError):
             RawWindRecord(timestamp=0.0, speed=-1.0, direction_from=0.0)
         with pytest.raises(ValueError):
-            RawWindRecord(timestamp=0.0, speed=1.0, direction_from=360.0)
+            RawWindRecord(timestamp=0.0, speed=1.0, direction_from=360.5)
         with pytest.raises(ValueError):
             RawWindRecord(timestamp=0.0, speed=1.0, direction_from=-5.0)
 
