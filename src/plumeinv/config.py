@@ -65,6 +65,8 @@ class PlumeSettings:
     def __post_init__(self) -> None:
         if not self.x_cutoff_m >= 0.0:
             raise ValidationError(f"plume.x_cutoff_m must be non-negative, got {self.x_cutoff_m}")
+        if not self.calm_speed_mps > 0.0:
+            raise ValidationError(f"plume.calm_speed_mps must be positive, got {self.calm_speed_mps}")
 
 
 @dataclass(frozen=True)

@@ -414,7 +414,7 @@ def positive_posterior(
     summary = pcn_chain(f_white, d_white, prior_mean, prior, cfg, link=link)
     if not (0.1 <= summary.acceptance_rate <= 0.6):
         logger.warning(
-            "acceptance rate %.3f outside [0.1, 0.6]; consider retuning beta",
-            summary.acceptance_rate,
+            "acceptance rate %.3f outside [0.1, 0.6] at beta %g; choose another "
+            "sampler.beta or --beta", summary.acceptance_rate, cfg.beta,
         )
     return summary

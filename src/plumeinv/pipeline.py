@@ -600,12 +600,14 @@ def _release_freed_heap() -> None:
     """Hand the heap memory freed so far back to the OS (glibc only).
 
     glibc returns the free top of its heap only above a trim threshold,
-    twice its mmap threshold, and that threshold rises to the size of the
-    largest array freed so far (the dense F, about 31 MB on the bundled
-    case). Up to about 60 MB freed by one step can therefore stay resident
-    while the next maps its own arrays beside it and add to the run's
-    peak: the smooth stage's buffer beside the chain's covariance sketch,
-    or what invert freed beside propagate's covariance factor and its SVD.
+    twice its mmap threshold, which rises to the size of the largest array
+    freed so far (the dense F, about 31 MB on the bundled case). Freed
+    memory can therefore stay resident while the next step maps its own
+    arrays beside it: the smooth stage's buffer beside the chain's sketch,
+    or what invert freed beside propagate's factor and its SVD. On the
+    bundled case (2 vCPUs, peak RSS by os.wait4, 3 runs each) the trim
+    lowers a cold 2000-step run's peak from 132.1-132.2 to 129.2-129.7 MB
+    and a 10000-step invert's from 128.7-129.0 to 126.6-127.0 MB.
     """
     trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
     if trim is not None:

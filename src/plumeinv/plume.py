@@ -169,6 +169,8 @@ class PlumeModel:
         object.__setattr__(self, "sites", tuple(self.sites))
         if self.x_cutoff < 0:
             raise ValueError("x_cutoff must be nonnegative")
+        if not self.calm_speed > 0:
+            raise ValueError("calm_speed must be positive")
 
 
 def _ermak(x, y, z_rel, speed, z_src, particle, sc):

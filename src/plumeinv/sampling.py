@@ -12,6 +12,7 @@ non-centered shift
 
 accepted with probability min{1, exp(phi(v) - phi(v~))}, which leaves the
 prior invariant when phi is constant and is robust to the dimension of v.
+The step size beta is a setting (``SamplerConfig.beta``), never searched.
 
 Randomness comes from a counter-based Philox generator with two spawned
 streams: stream 0 drives prior draws, stream 1 drives acceptance
@@ -96,9 +97,7 @@ __all__ = [
     "OnlineMoments",
     "CovarianceSketch",
     "sketch_test_matrix",
-    "TuneResult",
     "pcn_chain",
-    "tune_beta",
     "effective_sample_size",
     "split_r_hat",
 ]
@@ -106,9 +105,6 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 BLOCK_SIZE = 64  # chain steps drawn per block, and distinct kept states per moment update
-TUNE_BAND = (0.25, 0.35)  # pilot acceptance rates tune_beta accepts
-TUNE_PILOT_STEPS = 2000  # steps of each tune_beta pilot chain
-TUNE_MAX_ITER = 12  # bisections tune_beta tries before settling for the closest beta
 R_HAT_SPLITS = 4  # parts the kept potential trace is split into for split-R-hat
 SKETCH_SIZE = 400  # columns of the test matrix the chain's covariance is sketched with
 SKETCH_SEED = 0  # seed of the test matrix's own generator
@@ -586,68 +582,3 @@ def pcn_chain(
         beta=cfg.beta,
         n_nonfinite=n_nonfinite,
     )
-
-
-@dataclass(frozen=True)
-class TuneResult:
-    """Outcome of the step-size search."""
-
-    beta: float
-    acceptance_rate: float
-    in_band: bool
-
-
-def tune_beta(
-    f_white,
-    d_white: np.ndarray,
-    prior_mean: np.ndarray,
-    prior: GaussianPrior,
-    seed: int = 0,
-    link: Optional[Link] = None,
-) -> TuneResult:
-    """Bisect beta until the pilot acceptance rate lands in ``TUNE_BAND``.
-
-    Each pilot is a ``pcn_chain`` of ``TUNE_PILOT_STEPS`` steps with no
-    burn-in. Acceptance is
-    non-increasing in beta for pCN, so plain bisection on (0, 1] applies:
-    start from beta = 1 and halve toward 0 while the rate is below the
-    band. If the band is unreachable (e.g. a flat potential accepts
-    everything even at beta = 1) or not hit within ``TUNE_MAX_ITER``
-    bisections, the closest evaluated beta is returned with a warning.
-    """
-    lo_band, hi_band = TUNE_BAND
-
-    def rate(beta: float) -> float:
-        cfg = SamplerConfig(beta=beta, n_steps=TUNE_PILOT_STEPS, burn_in_fraction=0.0, seed=seed)
-        return pcn_chain(f_white, d_white, prior_mean, prior, cfg, link).acceptance_rate
-
-    evaluations = []
-    r_top = rate(1.0)
-    evaluations.append((1.0, r_top))
-    if lo_band <= r_top <= hi_band:
-        return TuneResult(1.0, r_top, True)
-    if r_top > hi_band:
-        logger.warning(
-            "acceptance %.3f at beta=1 already above the band %s; band unreachable",
-            r_top, TUNE_BAND,
-        )
-        return TuneResult(1.0, r_top, False)
-
-    lo, hi = 0.0, 1.0  # acceptance at lo -> 1, at hi below the band
-    for _ in range(TUNE_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        r_mid = rate(mid)
-        evaluations.append((mid, r_mid))
-        if lo_band <= r_mid <= hi_band:
-            return TuneResult(mid, r_mid, True)
-        if r_mid > hi_band:
-            lo = mid
-        else:
-            hi = mid
-    center = 0.5 * (lo_band + hi_band)
-    beta_best, rate_best = min(evaluations, key=lambda br: abs(br[1] - center))
-    logger.warning(
-        "step-size search did not reach %s in %d bisections; returning beta=%.4g (rate %.3f)",
-        TUNE_BAND, TUNE_MAX_ITER, beta_best, rate_best,
-    )
-    return TuneResult(beta_best, rate_best, False)

@@ -55,6 +55,22 @@ WRITTEN_BY = {
     "deposition_grid.json": "propagate",
 }
 
+# Prints, as one JSON line, the peak RSS in MB of a fresh child that imports
+# the CLI and of one that runs a cold 2000-step run into the directory given
+# as its argument; each child is read with os.wait4.
+PEAK_RSS_SCRIPT = """
+import json, os, subprocess, sys
+def peak_mb(*args):
+    child = subprocess.Popen([sys.executable, *args])
+    _, status, usage = os.wait4(child.pid, 0)
+    assert status == 0, f"{args} exited with status {status}"
+    return usage.ru_maxrss / 1024.0
+imported = peak_mb("-c", "import plumeinv.cli")
+run = peak_mb("-m", "plumeinv", "run", "--config", "perfbench/case.yaml", "--out-dir", sys.argv[1],
+              "--n-steps", "2000", "--seed", "1")
+print(json.dumps({"import": imported, "run": run}))
+"""
+
 
 def tiny_case(out_dir) -> dict:
     return {
@@ -1092,6 +1108,31 @@ class TestEntryPoint:
         finally:
             for (_, setter), count in zip(libraries, before):
                 setter(count)
+
+    def test_cold_run_peak_rss_above_the_import(self, tmp_path):
+        """A cold 2000-step run of perfbench/case.yaml peaks less than 63 MB of
+        RSS above the bare import of the CLI, so neither the generation-grid F
+        nor H is held dense.
+
+        Each child is started fresh and read with os.wait4, so the difference
+        is what the run adds to the CLI's own import. It read 50.1-50.5 MB
+        over four runs on a 2-vCPU machine (80-83 MB when synth held the
+        generation-grid F and propagate held H); the bound adds about a
+        quarter. The children are started by a small Python process of their
+        own: a child's ru_maxrss counts the high water of the process it was
+        forked from, and pytest's own peak would hide the run's.
+        """
+        root = Path(__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", PEAK_RSS_SCRIPT, str(tmp_path / "rss-run")],
+            capture_output=True, text=True, timeout=600, cwd=root,
+        )
+        assert proc.returncode == 0, proc.stderr
+        peaks = json.loads(proc.stdout.splitlines()[-1])
+        run, imported = peaks["run"], peaks["import"]
+        print(f"peak RSS: run {run:.1f} MB, import {imported:.1f} MB, "
+              f"difference {run - imported:.1f} MB")
+        assert run - imported < 63, f"the run peaks {run - imported:.1f} MB above the import"
 
     def test_command_required(self):
         proc = subprocess.run(

@@ -601,4 +601,5 @@ class TestPositivePosterior:
         cfg = SamplerConfig(beta=1.0, n_steps=2000, seed=7)
         with caplog.at_level(logging.WARNING, logger="plumeinv.inversion"):
             positive_posterior(f, d, tiny_noise, prior, q_s, cfg)
-        assert any("acceptance rate" in r.message for r in caplog.records)
+        messages = [r.getMessage() for r in caplog.records]
+        assert any("acceptance rate" in m and "sampler.beta or --beta" in m for m in messages)

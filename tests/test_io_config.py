@@ -642,6 +642,14 @@ class TestSettingsValidation:
         with pytest.raises(ValidationError, match="x_cutoff_m"):
             load_config(write_config(tmp_path, data))
 
+    @pytest.mark.parametrize("calm", [0.0, -0.5])
+    def test_nonpositive_calm_speed_raises(self, tmp_path, calm):
+        """A zero wind must stay calm: with calm_speed_mps <= 0 the kernel divides 0 by 0."""
+        data = base_config(tmp_path)
+        data["plume"] = {"calm_speed_mps": calm}
+        with pytest.raises(ValidationError, match="plume.calm_speed_mps"):
+            load_config(write_config(tmp_path, data))
+
     def test_zero_cutoff_accepted(self, tmp_path):
         data = base_config(tmp_path)
         data["plume"] = {"x_cutoff_m": 0.0}

@@ -215,6 +215,13 @@ class TestPlumeKernel:
         with pytest.raises(ValueError):
             PlumeModel([site], PARTICLE, StabilityClass.D, x_cutoff=-1.0)
 
+    @pytest.mark.parametrize("calm", [0.0, -0.5])
+    def test_nonpositive_calm_speed_rejected(self, calm):
+        # a zero wind would count as live, and the kernel would divide 0 by 0
+        site = SourceSite("a", 0.0, 0.0, 2.0)
+        with pytest.raises(ValueError, match="calm_speed"):
+            PlumeModel([site], PARTICLE, StabilityClass.D, calm_speed=calm)
+
 
 class TestKernelProfile:
     SITES = [

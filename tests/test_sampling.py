@@ -1,4 +1,6 @@
-"""Tests for the pCN chain: invariance, reproducibility, moments, tuning.
+"""Tests for the pCN chain: invariance, reproducibility, moments,
+diagnostics and the draw thread. Each test sets the step size beta itself;
+the package does not search it.
 
 The chain's potential is a whitened data model 1/2 ||F h(v) - d||^2: zero
 rows of F give a flat potential, rows sqrt(P) with d = sqrt(P) t give the
@@ -27,14 +29,12 @@ from plumeinv.sampling import (
     SKETCH_SIZE,
     OnlineMoments,
     SamplerConfig,
-    TuneResult,
     _RowSplit,
     _sketch_matrix,
     effective_sample_size,
     pcn_chain,
     sketch_test_matrix,
     split_r_hat,
-    tune_beta,
 )
 
 
@@ -545,7 +545,7 @@ class WatchedPrior(NormalPrior):
 class TestDrawThread:
     def test_fill_error_surfaces_and_no_thread_is_left(self):
         """A fill that raises on the third block raises out of pcn_chain,
-        and neither a raise, a return nor tune_beta leaves a thread running."""
+        and neither a raise nor a return leaves a thread running."""
         before = threading.active_count()
         cfg = SamplerConfig(beta=0.5, n_steps=1000, seed=3)
         with pytest.raises(FillFailed, match="fill 3"):
@@ -553,37 +553,4 @@ class TestDrawThread:
         assert threading.active_count() == before
         pcn_chain(*quadratic(3), np.zeros(3), WatchedPrior(3), cfg)
         assert threading.active_count() == before
-        tune_beta(*quadratic(6, 40.0), np.zeros(6), WatchedPrior(6), seed=0)
-        assert threading.active_count() == before
 
-
-class TestTuneBeta:
-    @staticmethod
-    def concentrated(dim=6, strength=40.0):
-        """Sharp quadratic that rejects large steps."""
-        return quadratic(dim, strength)
-
-    def test_reaches_target_band(self):
-        out = tune_beta(
-            *self.concentrated(),
-            np.zeros(6),
-            NormalPrior(6),
-            seed=0,
-        )
-        assert isinstance(out, TuneResult)
-        assert out.in_band
-        assert 0.25 <= out.acceptance_rate <= 0.35
-        assert 0.0 < out.beta < 1.0
-
-    def test_flat_potential_band_unreachable(self, caplog):
-        with caplog.at_level(logging.WARNING, logger="plumeinv.sampling"):
-            out = tune_beta(*flat(2), np.zeros(2), NormalPrior(2), seed=0)
-        assert out.beta == 1.0
-        assert out.acceptance_rate == 1.0
-        assert not out.in_band
-        assert any("unreachable" in r.message for r in caplog.records)
-
-    def test_deterministic(self):
-        a = tune_beta(*self.concentrated(), np.zeros(6), NormalPrior(6), seed=3)
-        b = tune_beta(*self.concentrated(), np.zeros(6), NormalPrior(6), seed=3)
-        assert a == b
