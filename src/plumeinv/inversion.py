@@ -1,7 +1,8 @@
 """Three-stage estimation of the stacked emission-rate vector.
 
 Stage 1 (constant): per-source constant rates by nonnegative least
-squares on the whitened data misfit.
+squares on the whitened data misfit, solved in the package by Lawson and
+Hanson's active-set method (one unknown per source, so a few iterations).
 Stage 2 (smooth): closed-form Gaussian posterior under a second-order
 smoothness prior centered at the constant fit.
 Stage 3 (positive): clipped-Gaussian push-forward sampled by pCN, centered
@@ -30,7 +31,6 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.blas import dtrsm
 from scipy.linalg.lapack import dpttrf, dpttrs
-from scipy.optimize import nnls as scipy_nnls
 from scipy.sparse import csr_array
 
 from .errors import NumericalError, ValidationError
@@ -53,6 +53,7 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 KKT_TOL = 1e-10  # relative KKT residual bound for the constant stage
+_NNLS_ITER_PER_UNKNOWN = 3  # the constant stage's outer-loop cap, 3n as in SciPy's nnls
 _ROWS = 64  # rows per block where a stage works a few rows of an array at a time
 
 
@@ -201,6 +202,49 @@ class ConstantFit:
     unique: bool
 
 
+def _nnls(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
+    """argmin || a x - b || over x >= 0 by Lawson and Hanson's active-set method.
+
+    (*Solving Least Squares Problems*, 1974, ch. 23.) From x = 0, the
+    column with the largest gradient a^T (b - a x) above ``tol`` joins the
+    passive set, and least squares is solved on the passive columns. While
+    a passive coefficient of that solve is not positive, x steps towards it
+    as far as the bound allows and the columns that reach zero leave the
+    set. Each outer pass adds one column; after 3n of them the solve raises
+    ``NumericalError``.
+    """
+    n = a.shape[1]
+    x = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+
+    def passive_solve() -> np.ndarray:
+        z = np.zeros(n)
+        z[passive] = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
+        return z
+
+    for _ in range(_NNLS_ITER_PER_UNKNOWN * n):
+        grad = a.T @ (b - a @ x)
+        grad[passive] = -np.inf
+        entering = int(np.argmax(grad))
+        if grad[entering] <= tol:
+            return x
+        passive[entering] = True
+        z = passive_solve()
+        if z[entering] <= 0:  # its gradient was roundoff: it cannot leave zero
+            return x
+        while (blocked := passive & (z <= 0)).any():
+            ratio = x[blocked] / (x[blocked] - z[blocked])
+            x += ratio.min() * (z - x)
+            x[np.flatnonzero(blocked)[np.argmin(ratio)]] = 0.0
+            passive &= x > 0
+            x[~passive] = 0.0
+            z = passive_solve()
+        x = z
+    raise NumericalError(
+        f"the constant stage's NNLS did not converge in {_NNLS_ITER_PER_UNKNOWN * n} iterations"
+    )
+
+
 def mle_constant(
     f_matrix,
     d: np.ndarray,
@@ -210,8 +254,10 @@ def mle_constant(
     """Constant-per-source maximum likelihood via nonnegative least squares.
 
     Minimizes || Sigma^-1/2 (F A p - d) ||^2 over p >= 0 where A replicates
-    each source's scalar across its time slots. The KKT residual of the
-    returned point is verified against a 1e-10 relative bound.
+    each source's scalar across its time slots, by the package's own
+    Lawson-Hanson solve (``_nnls``). Its gradient test is relative to
+    max(1, |(Sigma^-1/2 F A)^T Sigma^-1/2 d|), the scale the KKT residual of
+    the returned point is then verified against, at a 1e-10 relative bound.
     """
     f = csr_array(f_matrix, dtype=float)
     d = np.asarray(d, dtype=float)
@@ -224,10 +270,11 @@ def mle_constant(
     fa = f @ np.repeat(np.eye(n_sources), n_t, axis=0)  # F A, (n_meas, n_sources)
     design = fa * inv_std[:, None]
     target = d * inv_std
-    rates, _ = scipy_nnls(design, target)
+    scale = max(1.0, float(np.abs(design.T @ target).max()))
+    tol = 10 * max(design.shape) * np.finfo(float).eps * scale  # a gradient's roundoff
+    rates = _nnls(design, target, tol)
 
     grad = design.T @ (target - design @ rates)  # ascent direction of the fit
-    scale = max(1.0, float(np.abs(design.T @ target).max()))
     active = rates > 0
     kkt = 0.0
     if active.any():

@@ -1134,6 +1134,19 @@ class TestEntryPoint:
               f"difference {run - imported:.1f} MB")
         assert run - imported < 63, f"the run peaks {run - imported:.1f} MB above the import"
 
+    def test_cli_import_leaves_out_scipy_optimize(self):
+        """A fresh ``import plumeinv.cli`` loads no part of ``scipy.optimize``,
+        which would add about 16 MB of resident memory and 0.14 s to every
+        command."""
+        root = Path(__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, plumeinv.cli; print([m for m in sys.modules if m.startswith('scipy.optimize')])"],
+            capture_output=True, text=True, timeout=120, cwd=root,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_command_required(self):
         proc = subprocess.run(
             [sys.executable, "-m", "plumeinv"],

@@ -3,7 +3,9 @@
 The Gaussian stage is checked against the information-form update
 (C^-1 + F^T S^-1 F)^-1, which shares no code path with the production
 innovation-form solve. The constant stage is checked by verifying the
-KKT conditions and re-solving the discovered active set by least squares.
+KKT conditions, re-solving the discovered active set by least squares, and
+against ``scipy.optimize.nnls``, a compiled implementation of the same
+Lawson-Hanson method that the package itself does not import.
 """
 
 import logging
@@ -16,9 +18,10 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.optimize import nnls as scipy_nnls
 from scipy.sparse import csr_array, issparse
 
-from plumeinv import sampling
+from plumeinv import inversion, sampling
 from plumeinv.errors import NumericalError
 from plumeinv.inversion import (
     GaussianPosterior,
@@ -393,6 +396,68 @@ class TestMleConstant:
     def test_column_count_mismatch_raises(self):
         with pytest.raises(ValueError):
             mle_constant(np.ones((3, 7)), np.ones(3), np.ones(3), 2)
+
+
+class TestNnlsOracle:
+    """The constant stage's own NNLS solve against ``scipy.optimize.nnls``:
+    the same residual norm to 1e-12 relative, at rates that are nonnegative."""
+
+    N_SOURCES, N_T, N_MEAS = 7, 3, 40
+
+    def case(self, seed):
+        rng = np.random.default_rng(seed)
+        f = rng.uniform(0.0, 1.0, (self.N_MEAS, self.N_SOURCES * self.N_T))
+        return rng, f, rng.uniform(0.02, 0.2, self.N_MEAS)
+
+    def solve_both(self, f, d, noise_var):
+        fit = mle_constant(f, d, noise_var, self.N_SOURCES)
+        design = constant_design(f, self.N_SOURCES) / np.sqrt(noise_var)[:, None]
+        target = d / np.sqrt(noise_var)
+        _, oracle_norm = scipy_nnls(design, target)
+        assert np.all(fit.rates >= 0)
+        norm = np.linalg.norm(design @ fit.rates - target)
+        np.testing.assert_allclose(norm, oracle_norm, rtol=1e-12, atol=0.0)
+        return fit
+
+    def test_sign_mixed_targets(self):
+        """Random targets of both signs leave some rates on the bound."""
+        on_bound = off_bound = 0
+        for seed in range(100):
+            rng, f, noise_var = self.case(seed)
+            fit = self.solve_both(f, rng.standard_normal(self.N_MEAS), noise_var)
+            on_bound += int(np.sum(fit.rates == 0))
+            off_bound += int(np.sum(fit.rates > 0))
+        assert on_bound and off_bound
+
+    def test_zero_column_stays_at_zero(self):
+        rng, f, noise_var = self.case(101)
+        f[:, self.N_T : 2 * self.N_T] = 0.0  # source 1 reaches no sensor
+        d = f @ np.repeat(rng.uniform(0.5, 2.0, self.N_SOURCES), self.N_T)
+        fit = self.solve_both(f, d + 0.1 * rng.standard_normal(self.N_MEAS), noise_var)
+        assert fit.rates[1] == 0.0
+        assert not fit.unique  # any rate of source 1 fits as well
+
+    def test_identical_columns_are_flagged(self, caplog):
+        rng, f, noise_var = self.case(102)
+        f[:, self.N_T : 2 * self.N_T] = f[:, : self.N_T]  # sources 0 and 1 alike
+        d = f @ np.repeat(rng.uniform(0.5, 2.0, self.N_SOURCES), self.N_T)
+        d += 0.1 * rng.standard_normal(self.N_MEAS)
+        with caplog.at_level(logging.WARNING, logger="plumeinv.inversion"):
+            fit = self.solve_both(f, d, noise_var)
+        assert not fit.unique
+        assert any("not unique" in r.message for r in caplog.records)
+
+    def test_all_negative_target_gives_zero(self):
+        rng, f, noise_var = self.case(103)
+        fit = self.solve_both(f, -rng.uniform(0.1, 1.0, self.N_MEAS), noise_var)
+        np.testing.assert_array_equal(fit.rates, np.zeros(self.N_SOURCES))
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        rng, f, noise_var = self.case(104)
+        d = f @ np.repeat(rng.uniform(0.5, 2.0, self.N_SOURCES), self.N_T)
+        monkeypatch.setattr(inversion, "_NNLS_ITER_PER_UNKNOWN", 0)
+        with pytest.raises(NumericalError, match="constant stage's NNLS"):
+            mle_constant(f, d, noise_var, self.N_SOURCES)
 
 
 class TestClipAndPotential:

@@ -10,6 +10,7 @@ import pytest
 import yaml
 
 import plumeinv
+from plumeinv import io
 from plumeinv.config import (
     PlumeSettings,
     RunConfig,
@@ -413,6 +414,7 @@ class TestArtifactWriters:
 
 
 BUNDLED_CASE = Path(plumeinv.__file__).parent / "data" / "default_case.yaml"
+PERFBENCH_CASE = Path(__file__).resolve().parents[1] / "perfbench" / "case.yaml"
 
 
 def base_config(tmp_path) -> dict:
@@ -780,3 +782,28 @@ class TestBundledCase:
         assert len(cfg.synthetic.spec.signals) == 7
         assert len(cfg.synthetic.sensors) == 33
         assert cfg.sampler.n_steps == 100_000
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML was built without libyaml")
+class TestLibyaml:
+    """Where PyYAML has libyaml, the package reads and writes YAML through
+    its C classes; they must agree with the pure-Python ones."""
+
+    def test_package_uses_the_c_classes(self):
+        assert io._YAML_LOADER is yaml.CSafeLoader
+        assert io._YAML_DUMPER is yaml.CSafeDumper
+
+    @pytest.mark.parametrize("path", [BUNDLED_CASE, PERFBENCH_CASE], ids=["default", "perfbench"])
+    def test_bundled_case_reads_the_same(self, path):
+        text = path.read_text()
+        assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
+
+    def test_written_sensors_are_the_same_bytes(self, tmp_path, monkeypatch):
+        sensors = load_config(BUNDLED_CASE).synthetic.sensors
+        write_sensors(tmp_path / "c.yaml", sensors, "cafe00000000")
+        monkeypatch.setattr(io, "_YAML_DUMPER", yaml.SafeDumper)
+        write_sensors(tmp_path / "pure.yaml", sensors, "cafe00000000")
+        text = (tmp_path / "c.yaml").read_text()
+        assert text == (tmp_path / "pure.yaml").read_text()
+        assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
+        assert load_sensors(tmp_path / "c.yaml") == list(sensors)
