@@ -14,6 +14,9 @@ Conventions:
       stability class; the vertical eddy diffusivity is recovered from
       sigma_z by K = U sigma_z^2 / (2 x), consistent with the sigma used
       in the same evaluation.
+    * The kernel is evaluated in completed-square form (see ``_ermak``): the
+      settling drift shifts the direct Gaussian's height, so one exponent
+      that is never positive serves the direct and the image term.
     * A species enters only through its deposition and settling velocities
       (``ParticleProperties``). The settling velocity is an input; for a
       small sphere it is Stokes' rho g d^2 / (18 mu), set by the caller.
@@ -24,7 +27,9 @@ Conventions:
       as one argument.
     * ``kernel_profile`` evaluates a whole wind series in one call, a
       bounded block of steps at a time; a calm step gives zero kernels.
-      It is the one entry point to the kernel. Given ``weights``, it
+      It is the one entry point to the kernel. A block of one step (H,
+      whose receptor-source pairs fill a block) reads that step's wind as
+      scalars and skips a calm step outright. Given ``weights``, it
       returns the kernels applied to them instead, summed block by block,
       so an operator that is only ever multiplied (H) is never held.
 """
@@ -38,6 +43,7 @@ from enum import Enum
 from typing import Sequence
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 from scipy.special import erfcx
 
 from .errors import NumericalError
@@ -58,6 +64,8 @@ logger = logging.getLogger(__name__)
 X_CUTOFF_DEFAULT = 1.0  # m; kernel is zero at or below this downwind distance
 CALM_SPEED_DEFAULT = 0.1  # m s^-1; weaker horizontal wind counts as calm
 BLOCK_ENTRIES = 1 << 14  # receptor-source-step entries per block of kernel_profile's temporaries
+_SQRT2 = math.sqrt(2.0)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -133,7 +141,11 @@ def briggs_sigma(sc: StabilityClass, axis: str, x):
 def _briggs_fit(sc: StabilityClass, axis: str, x):
     """Briggs width, unchecked: callers pass distances of at least zero."""
     a, b, c = BRIGGS_COEFFICIENTS[(sc, axis)]
-    return a * x * np.power(1.0 + b * x, -c)
+    # The table's exponents c are 0, 1/2 and 1, so no np.power is needed.
+    if c == 0.0:
+        return a * x
+    stretch = 1.0 + b * x
+    return a * x / (np.sqrt(stretch) if c == 0.5 else stretch)
 
 
 @dataclass(frozen=True)
@@ -173,46 +185,60 @@ class PlumeModel:
             raise ValueError("calm_speed must be positive")
 
 
-def _ermak(x, y, z_rel, speed, z_src, particle, sc):
+def _ermak(x, y, z_rel, z_image, lift, speed, particle, sc):
     """Ermak kernel on equal-shape arrays of points downwind of the cutoff.
 
-    ``x`` and ``speed`` must be positive. Raises NumericalError on overflow
-    and clamps roundoff below zero.
+    ``x`` and ``speed`` must be positive; ``speed`` is one float for the
+    whole array or an array like ``x``, with the same arithmetic either way.
+    ``z_image`` is (z + z_src) / sqrt(2), the receptor's height above the
+    image source over sqrt(2), and ``lift`` is 2 z z_src, or None where it is
+    zero throughout. Raises NumericalError on overflow and clamps roundoff
+    below zero.
     """
     sy = _briggs_fit(sc, "crosswind", x)
     sz = _briggs_fit(sc, "vertical", x)
-    sz2 = sz * sz
-    kz = speed * sz2 / (2.0 * x)
-    w_set = particle.w_set
-    w_o = particle.w_offset
-
-    # Reflected-image height: z + z_src in the ground frame equals z_rel + 2*z_src.
-    zg = z_rel + 2.0 * z_src
-    # Shared settling-drift exponent; each bracket term gets its own Gaussian
-    # added before exponentiating so the combined exponent cannot overflow.
-    e_drift = (
-        -(y * y) / (2.0 * (sy * sy))
-        - w_set * z_rel / (2.0 * kz)
-        - w_set**2 * sz2 / (8.0 * (kz * kz))
-    )
-    term_direct = np.exp(e_drift - z_rel * z_rel / (2.0 * sz2))
-    # Deposition correction folded into the image term via the scaled
-    # complementary error function: exp(a)*erfc(b) = exp(a - b^2)*erfcx(b)
-    # with a - b^2 = -(z_rel + 2 z_src)^2 / (2 sigma_z^2).
-    b_arg = zg / (np.sqrt(2.0) * sz) + w_o * sz / (np.sqrt(2.0) * kz)
+    # The settling drift completes the square of the direct Gaussian: with
+    # s = w_set x / U the particles have dropped by s, and the direct term is
+    # exp(e1), e1 = -y^2 / (2 sy^2) - (z_rel + s)^2 / (2 sz^2) <= 0, so it
+    # cannot overflow. The image term is exp(e1 - 2 z z_src / sz^2), which
+    # equals the direct term on the ground.
+    direct = y / sy
+    direct *= direct
+    drop = x * (particle.w_set / speed)
+    drop += z_rel
+    drop /= sz
+    drop *= drop
+    direct += drop
+    direct *= -0.5
+    np.exp(direct, out=direct)
+    # Deposition correction of the image term through the scaled
+    # complementary error function: 1 - 2 sqrt(2 pi) g erfcx(b), with
+    # g = W_o x / (U sz) and b = (z + z_src) / (sqrt(2) sz) + sqrt(2) g.
+    g = np.multiply(x, particle.w_offset / speed, out=drop)  # drop's buffer is free again
+    g /= sz
+    b = z_image / sz
+    b += _SQRT2 * g
     # Overflow here (W_o < 0 at extreme range) is detected below; keep the
     # inf/nan quiet until then.
     with np.errstate(over="ignore", invalid="ignore"):
-        correction = 1.0 - np.sqrt(2.0 * np.pi) * (w_o * sz / kz) * erfcx(b_arg)
-        term_image = np.exp(e_drift - zg * zg / (2.0 * sz2)) * correction
-        vals = (term_direct + term_image) / (2.0 * np.pi * speed * sy * sz)
-    if not np.isfinite(vals).all():
+        bracket = erfcx(b, out=b)
+        bracket *= g
+        bracket *= -2.0 * _SQRT_2PI
+        bracket += 1.0
+        if lift is not None:
+            bracket *= np.exp(-lift / (sz * sz))
+        bracket += 1.0
+        bracket *= direct
+        sy *= (2.0 * np.pi) * speed
+        sy *= sz
+        bracket /= sy
+    if not np.isfinite(bracket).all():
         raise NumericalError(
             "plume kernel overflow (settling far exceeds deposition at extreme range)"
         )
     # The bracket is nonnegative analytically; clamp roundoff in the
     # strong-deposition limit where it approaches zero by cancellation.
-    return np.maximum(vals, 0.0)
+    return np.maximum(bracket, 0.0, out=bracket)
 
 
 def kernel_profile(
@@ -261,7 +287,10 @@ def kernel_profile(
     dx = (points[:, 0:1] - sx).ravel()
     dy = (points[:, 1:2] - sy).ravel()
     z_rel = (points[:, 2:3] - heights).ravel()
-    z_src = np.tile(heights, len(points))
+    z_image = ((points[:, 2:3] + heights) / _SQRT2).ravel()
+    lift = (2.0 * points[:, 2:3] * heights).ravel()
+    if not lift.any():
+        lift = None  # z z_src = 0 for every pair: the image term's ratio to the direct is 1
     if weights is None:
         out = np.zeros((dx.size, speed.size))
     else:
@@ -274,35 +303,50 @@ def kernel_profile(
         # (S, T, k): step t of source s is [s, t]
         by_source = weights.reshape(len(sites), speed.size, weights.shape[1])
         out = np.zeros((len(points), weights.shape[1]))
-    # The temporaries of a block are about 27 doubles per entry, about 3.5 MB
+    # The temporaries of a block are about 12 doubles per entry, about 1.6 MB
     # for a full block: small beside the kernels of the whole series however
     # many receptors there are.
     block_steps = max(1, BLOCK_ENTRIES // max(dx.size, 1))
     for start in range(0, speed.size, block_steps):
-        steps = slice(start, start + block_steps)
-        downwind = (dx[:, None] * u_x[steps] + dy[:, None] * u_y[steps]) / speed[steps]
-        hit = np.flatnonzero((downwind > model.x_cutoff) & live[steps])
-        pair, t = np.divmod(hit, downwind.shape[1])
-        t += start
-        ux, uy, u = u_x[t], u_y[t], speed[t]
+        steps = slice(start, min(start + block_steps, speed.size))
+        if steps.stop - start == 1:
+            # one step: its wind as scalars, and a calm step skipped
+            if not live[start]:
+                continue
+            ux, uy, u = u_x[start], u_y[start], speed[start]
+            downwind = ((dx * ux + dy * uy) / u)[:, None]
+            hit = pair = np.flatnonzero(downwind > model.x_cutoff)
+        else:
+            downwind = (dx[:, None] * u_x[steps] + dy[:, None] * u_y[steps]) / speed[steps]
+            hit = np.flatnonzero((downwind > model.x_cutoff) & live[steps])
+            pair, t = np.divmod(hit, downwind.shape[1])
+            t += start
+            ux, uy, u = u_x[t], u_y[t], speed[t]
         block = np.zeros(downwind.size)
         block[hit] = _ermak(
             downwind.ravel()[hit],
             (ux * dy[pair] - uy * dx[pair]) / u,
             z_rel[pair],
+            z_image[pair],
+            None if lift is None else lift[pair],
             u,
-            z_src[pair],
             model.particle,
             model.stability,
         )
         if weights is None:
             out[:, steps] = block.reshape(downwind.shape)
-        else:
+        elif out.size:  # BLAS takes no empty product
             # point-major pairs: row p of this (P, S*b) view holds K[t, p, s]
-            # at column s*b + (t - start), the row of the block's weights it meets
+            # at column s*b + (t - start), the row of the block's weights it
+            # meets; out += K W is accumulated in place as out^T += W^T K^T
             n_b = downwind.shape[1]
-            out += block.reshape(len(points), len(sites) * n_b) @ by_source[:, steps].reshape(
-                len(sites) * n_b, out.shape[1]
+            dgemm(
+                1.0,
+                by_source[:, steps].reshape(len(sites) * n_b, out.shape[1]).T,
+                block.reshape(len(points), len(sites) * n_b).T,
+                beta=1.0,
+                c=out.T,
+                overwrite_c=True,
             )
     if weights is not None:
         return out

@@ -14,18 +14,25 @@ sorted times, so gaps in the records are handled exactly. The band is
 factored with a banded Cholesky, and each query sums over the records
 within its window. Time and memory grow as records x band, not as
 records squared.
+
+Cross-validation builds each length scale's kernel shapes once per fold
+and each candidate scales them, so it costs one banded Cholesky and solve
+per candidate. A Gram matrix that does not factor even with the jitter
+raises NumericalError naming the wind component and the length scale.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
+from .errors import NumericalError
 from .observation import TimeGrid
 
 __all__ = [
@@ -51,6 +58,7 @@ CV_MIN_POINTS = 3  # fewer points leave some cross-validation fold under two to 
 KERNEL_TOL_LOG2 = 60
 _CUTOFF_PER_SCALE = math.sqrt(2.0 * KERNEL_TOL_LOG2 * math.log(2.0))
 _QUERY_BLOCK_ENTRIES = 1 << 16  # query kernel entries per block: bounds its temporaries
+_COMPONENTS = ("u_x", "u_y")
 
 
 @dataclass(frozen=True)
@@ -124,45 +132,65 @@ def to_components(record: RawWindRecord):
     return (-record.speed * math.sin(theta), -record.speed * math.cos(theta))
 
 
-def _kernel(d: np.ndarray, cfg: GPConfig) -> np.ndarray:
-    return cfg.signal_var * np.exp(-(d**2) / (2.0 * cfg.length_scale**2))
+def _shape(d: np.ndarray, length_scale: float) -> np.ndarray:
+    """The kernel over its signal variance, exp(-d^2 / (2 l^2))."""
+    return np.exp(-(d**2) / (2.0 * length_scale**2))
 
 
-def _band(times: np.ndarray, length_scale: float):
-    """Kernel support on sorted training times: (cutoff, half_width, window).
+class _Support:
+    """One length scale's kernel shapes on sorted training times.
 
-    ``half_width`` is the most records any record has after it within the
+    ``band`` holds the Gram matrix's shape in LAPACK upper band storage:
+    its half-width is the most records any record has after it within the
     cutoff, so every Gram entry above 2^-KERNEL_TOL_LOG2 of the signal
-    variance lies in the band. ``window`` is the most records in any interval
-    of length 2 * cutoff, so it depends on the training times alone and each
-    query's window of records does not depend on the other queries.
+    variance lies in it. Row ``half_width - k`` of the band holds the k-th
+    superdiagonal; the entries left of each superdiagonal's start are never
+    read. ``window`` is the most records in any interval of length
+    2 * cutoff, so it depends on the training times alone and each query's
+    window of records does not depend on the other queries.
     """
-    cutoff = _CUTOFF_PER_SCALE * length_scale
-    rank = np.arange(times.size)
-    half_width = int(np.max(np.searchsorted(times, times + cutoff, side="right") - rank)) - 1
-    window = int(np.max(np.searchsorted(times, times + 2.0 * cutoff, side="right") - rank))
-    return cutoff, half_width, window
 
+    def __init__(self, times: np.ndarray, length_scale: float):
+        self.times, self.length_scale = times, length_scale
+        self.cutoff = _CUTOFF_PER_SCALE * length_scale
+        rank = np.arange(times.size)
+        cut = self.cutoff
+        half_width = int(np.max(np.searchsorted(times, times + cut, side="right") - rank)) - 1
+        self.window = int(np.max(np.searchsorted(times, times + 2.0 * cut, side="right") - rank))
+        offset = np.arange(half_width, -1, -1)[:, None]
+        self.band = _shape(times - times[np.maximum(rank - offset, 0)], length_scale)
 
-def _weights(times: np.ndarray, values: np.ndarray, cfg: GPConfig, half_width: int) -> np.ndarray:
-    """(K + noise I)^-1 values with K held in LAPACK upper band storage.
+    def weights(self, values: np.ndarray, cfg: GPConfig) -> np.ndarray:
+        """(K + noise I)^-1 values for the signal and noise variances of ``cfg``.
 
-    Row ``half_width - k`` of the band holds the k-th superdiagonal; the
-    entries left of each superdiagonal's start are never read. A matrix
-    that is not numerically positive definite gets a jitter of
-    1e-10 * signal_var on its diagonal once, logged.
-    """
-    offset = np.arange(half_width, -1, -1)[:, None]
-    band = _kernel(times - times[np.maximum(np.arange(times.size) - offset, 0)], cfg)
-    band[-1] += cfg.noise_var
-    try:
-        factor = cholesky_banded(band)
-    except np.linalg.LinAlgError:
-        jitter = 1e-10 * cfg.signal_var
-        logger.warning("kernel matrix not positive definite; adding jitter %.3g", jitter)
-        band[-1] += jitter
-        factor = cholesky_banded(band)
-    return cho_solve_banded((factor, False), values)
+        A matrix that is not numerically positive definite gets a jitter of
+        1e-10 * signal_var on its diagonal once, logged; NumericalError if
+        it still does not factor.
+        """
+        band = cfg.signal_var * self.band
+        band[-1] += cfg.noise_var
+        try:
+            factor = cholesky_banded(band)
+        except np.linalg.LinAlgError:
+            jitter = 1e-10 * cfg.signal_var
+            logger.warning("kernel matrix not positive definite; adding jitter %.3g", jitter)
+            band[-1] += jitter
+            try:
+                factor = cholesky_banded(band)
+            except np.linalg.LinAlgError as exc:
+                raise NumericalError(
+                    f"kernel matrix at length scale {self.length_scale:.6g} s is not positive "
+                    f"definite after a jitter of {jitter:.3g}"
+                ) from exc
+        return cho_solve_banded((factor, False), values)
+
+    def near(self, query: np.ndarray):
+        """Kernel shapes of each query against its window of records, and their indices."""
+        start = np.clip(
+            np.searchsorted(self.times, query - self.cutoff), 0, self.times.size - self.window
+        )
+        near = start[:, None] + np.arange(self.window)
+        return _shape(query[:, None] - self.times[near], self.length_scale), near
 
 
 def gp_posterior_mean(
@@ -175,8 +203,8 @@ def gp_posterior_mean(
 
     Kernel values below 2^-KERNEL_TOL_LOG2 of the signal variance are
     dropped, so the Gram matrix is banded and each query sums over its
-    window of nearby records (see _band). Training points may come in any
-    order; they are sorted first.
+    window of nearby records (see _Support). Training points may come in
+    any order; they are sorted first.
 
     Args:
         times: (n,) training epochs.
@@ -186,23 +214,21 @@ def gp_posterior_mean(
 
     Returns:
         (m,) posterior mean. A kernel matrix that is not numerically positive
-        definite gets a jitter of 1e-10 * signal_var added once, logged.
+        definite gets a jitter of 1e-10 * signal_var added once, logged;
+        NumericalError if it still does not factor.
     """
     times = np.asarray(times, dtype=float)
     if times.size < 2:
         raise ValueError("need at least two training points")
     order = np.argsort(times, kind="stable")
-    times = times[order]
-    cutoff, half_width, window = _band(times, cfg.length_scale)
-    alpha = _weights(times, np.asarray(values, dtype=float)[order], cfg, half_width)
+    support = _Support(times[order], cfg.length_scale)
+    alpha = support.weights(np.asarray(values, dtype=float)[order], cfg)
     query = np.asarray(query_times, dtype=float)
-    start = np.clip(np.searchsorted(times, query - cutoff), 0, times.size - window)
     mean = np.empty(query.size)
-    rows = max(1, _QUERY_BLOCK_ENTRIES // window)
+    rows = max(1, _QUERY_BLOCK_ENTRIES // support.window)
     for lo in range(0, query.size, rows):
-        near = start[lo : lo + rows, None] + np.arange(window)
-        kern = _kernel(query[lo : lo + rows, None] - times[near], cfg)
-        mean[lo : lo + rows] = np.sum(kern * alpha[near], axis=1)
+        shape, near = support.near(query[lo : lo + rows])
+        mean[lo : lo + rows] = np.sum(cfg.signal_var * shape * alpha[near], axis=1)
     return mean
 
 
@@ -227,22 +253,32 @@ def _cv_scores(
     candidates: Sequence[GPConfig],
     seed: int,
 ) -> np.ndarray:
-    """Mean held-out squared error of each candidate (see cross_validate)."""
+    """Mean held-out squared error of each candidate (see cross_validate),
+    by gp_posterior_mean's arithmetic with its shapes shared per length scale."""
     n = times.size
     if n < CV_FOLDS:
         logger.info("only %d points; falling back to leave-one-out", n)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     folds = np.array_split(perm, min(CV_FOLDS, n))
+    by_scale = {}
+    for ci, cfg in enumerate(candidates):
+        by_scale.setdefault(cfg.length_scale, []).append(ci)
     errs = [[] for _ in candidates]
     for fold in folds:
         train = np.setdiff1d(perm, fold, assume_unique=True)
         if train.size < 2:
             continue
+        train = train[np.argsort(times[train], kind="stable")]
         t_train, y_train, t_held, y_held = times[train], values[train], times[fold], values[fold]
-        for ci, cfg in enumerate(candidates):
-            pred = gp_posterior_mean(t_train, y_train, cfg, t_held)
-            errs[ci].append(float(np.mean((pred - y_held) ** 2)))
+        for length_scale, members in by_scale.items():
+            support = _Support(t_train, length_scale)
+            shape, near = support.near(t_held)
+            for ci in members:
+                cfg = candidates[ci]
+                alpha = support.weights(y_train, cfg)
+                pred = np.sum(cfg.signal_var * shape * alpha[near], axis=1)
+                errs[ci].append(float(np.mean((pred - y_held) ** 2)))
     if not errs[0]:
         raise ValueError(f"no cross-validation fold has two training points ({n} points)")
     return np.array([float(np.mean(e)) for e in errs])
@@ -278,6 +314,15 @@ def cross_validate(
     return CVChoice(candidates[ranked[0]], best, gap)
 
 
+@contextmanager
+def _naming(what: str):
+    """Prefix a NumericalError raised inside the block with ``what`` it broke in."""
+    try:
+        yield
+    except NumericalError as exc:
+        raise NumericalError(f"{what}: {exc}") from exc
+
+
 def _cv_subsample(n: int, cap: int) -> np.ndarray:
     if n <= cap:
         return np.arange(n)
@@ -305,10 +350,11 @@ def select_hyperparameters(records: Sequence[RawWindRecord], seed: int = 0):
     """
     t, comps = _component_arrays(records)
     sub = _cv_subsample(t.size, CV_MAX_POINTS)
-    chosen = [
-        cross_validate(t[sub], comps[sub, k], default_candidates(t, comps[:, k]), seed=seed)
-        for k in range(2)
-    ]
+    chosen = []
+    for k in range(2):
+        candidates = default_candidates(t, comps[:, k])
+        with _naming(f"cross-validation of wind component {_COMPONENTS[k]}"):
+            chosen.append(cross_validate(t[sub], comps[sub, k], candidates, seed=seed))
     return chosen[0], chosen[1]
 
 
@@ -334,7 +380,8 @@ def fit_wind(
             )
     query = np.concatenate([grid.times for grid in grids])
     splits = np.cumsum([grid.n_steps for grid in grids])[:-1]
-    u_x, u_y = (
-        np.split(gp_posterior_mean(t, comps[:, k], configs[k], query), splits) for k in range(2)
-    )
-    return [WindSeries(grid, ux, uy) for grid, ux, uy in zip(grids, u_x, u_y)]
+    fitted = []
+    for k in range(2):
+        with _naming(f"fit of wind component {_COMPONENTS[k]}"):
+            fitted.append(np.split(gp_posterior_mean(t, comps[:, k], configs[k], query), splits))
+    return [WindSeries(grid, ux, uy) for grid, ux, uy in zip(grids, *fitted)]

@@ -21,7 +21,7 @@ import pytest
 import yaml
 from scipy.sparse import csr_array
 
-from plumeinv import cli, observation, pipeline, sampling, threads
+from plumeinv import cli, observation, pipeline, sampling, threads, uqprop, windprep
 from plumeinv.config import config_dict, load_config
 from plumeinv.errors import ConfigurationError, NumericalError, ValidationError
 from plumeinv.inversion import SmoothnessPrior
@@ -69,6 +69,33 @@ imported = peak_mb("-c", "import plumeinv.cli")
 run = peak_mb("-m", "plumeinv", "run", "--config", "perfbench/case.yaml", "--out-dir", sys.argv[1],
               "--n-steps", "2000", "--seed", "1")
 print(json.dumps({"import": imported, "run": run}))
+"""
+
+# The case is perfbench/case.yaml over 120 days: its duration and every
+# sampler's count times four, written beside the run; the bundled file is
+# only read.
+HORIZON_RSS_SCRIPT = """
+import json, os, subprocess, sys
+import yaml
+case = yaml.safe_load(open("perfbench/case.yaml"))
+case["time"]["duration_s"] *= 4
+for sensor in case["synthetic"]["sensors"]:
+    if "schedule" in sensor:
+        sensor["schedule"]["count"] *= 4
+os.makedirs(sys.argv[1])
+path = os.path.join(sys.argv[1], "case.yaml")
+with open(path, "w") as fh:
+    yaml.safe_dump(case, fh)
+def peak_mb(*args):
+    child = subprocess.Popen([sys.executable, *args])
+    _, status, usage = os.wait4(child.pid, 0)
+    assert status == 0, f"{args} exited with status {status}"
+    return usage.ru_maxrss / 1024.0
+out = os.path.join(sys.argv[1], "run")
+imported = peak_mb("-c", "import plumeinv.cli")
+wind = peak_mb("-m", "plumeinv", "wind-fit", "--config", path, "--out-dir", out)
+synth = peak_mb("-m", "plumeinv", "synth", "--config", path, "--out-dir", out)
+print(json.dumps({"import": imported, "wind_fit": wind, "synth": synth}))
 """
 
 
@@ -811,6 +838,25 @@ class TestExitCodes:
         assert cli.main(["run", "--config", str(cfg_path)]) == 3
         assert "sketch core" in caplog.text
 
+    def test_wind_gram_that_does_not_factor_is_3(self, tmp_path, monkeypatch, caplog):
+        """A wind kernel matrix that fails to factor even with the jitter."""
+
+        def failing(band):
+            raise np.linalg.LinAlgError("leading minor not positive definite")
+
+        monkeypatch.setattr(windprep, "cholesky_banded", failing)
+        cfg_path, _ = write_case(tmp_path)
+        assert cli.main(["wind-fit", "--config", str(cfg_path)]) == 3
+        assert "cross-validation of wind component u_x: kernel matrix at length" in caplog.text
+
+    def test_eigensolve_failure_is_3(self, tmp_path, monkeypatch, caplog):
+        """The SVD of the covariance factor's R does not converge."""
+        real = uqprop.dgesdd
+        monkeypatch.setattr(uqprop, "dgesdd", lambda *a, **k: (*real(*a, **k)[:3], 1))
+        cfg_path, _ = write_case(tmp_path)
+        assert cli.main(["run", "--config", str(cfg_path)]) == 3
+        assert "eigensolve: the SVD" in caplog.text
+
     def test_one_step_grid_is_2(self, tmp_path):
         def one_step(data):  # one inversion step of 3600 s
             data["time"]["duration_s"] = 3600.0
@@ -1133,6 +1179,28 @@ class TestEntryPoint:
         print(f"peak RSS: run {run:.1f} MB, import {imported:.1f} MB, "
               f"difference {run - imported:.1f} MB")
         assert run - imported < 63, f"the run peaks {run - imported:.1f} MB above the import"
+
+    def test_horizon_synth_peak_rss_above_the_import(self, tmp_path):
+        """Synth on a 120-day case peaks less than 30 MB of RSS above the bare
+        import of the CLI, so no sensor's window matrix is held dense.
+
+        Each child is started fresh and read with os.wait4, from a small
+        Python process of its own, as in the cold run's test above. Synth
+        read 14.7-15.0 MB above the import in four runs on a 2-vCPU machine
+        (155 MB when each sensor's dense window matrix was built, 133 MB for
+        the hourly sampler's alone); the bound is twice that reading.
+        """
+        root = Path(__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", HORIZON_RSS_SCRIPT, str(tmp_path / "horizon-120d")],
+            capture_output=True, text=True, timeout=600, cwd=root,
+        )
+        assert proc.returncode == 0, proc.stderr
+        peaks = json.loads(proc.stdout.splitlines()[-1])
+        synth, imported = peaks["synth"], peaks["import"]
+        print(f"peak RSS: wind fit {peaks['wind_fit']:.1f} MB, synth {synth:.1f} MB, "
+              f"import {imported:.1f} MB, synth's difference {synth - imported:.1f} MB")
+        assert synth - imported < 30, f"synth peaks {synth - imported:.1f} MB above the import"
 
     def test_cli_import_leaves_out_scipy_optimize(self):
         """A fresh ``import plumeinv.cli`` loads no part of ``scipy.optimize``,

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from plumeinv import windprep
+from plumeinv.errors import NumericalError
 from plumeinv.observation import TimeGrid
 from plumeinv.windprep import (
     GPConfig,
@@ -263,6 +264,32 @@ class TestCrossValidate:
         assert any("adding jitter" in r.message for r in caplog.records)
         assert np.all(np.isfinite(scores))
         np.testing.assert_array_equal(scores, oracle_cv_scores(times, values, [flat, fine], 0, 10))
+
+    def test_gram_that_does_not_factor_after_the_jitter_is_a_numerical_error(
+        self, monkeypatch, caplog
+    ):
+        # both factorizations fail, the plain one and the one with jitter
+        calls = []
+
+        def failing(band):
+            calls.append(1)
+            raise np.linalg.LinAlgError("leading minor not positive definite")
+
+        monkeypatch.setattr(windprep, "cholesky_banded", failing)
+        records, *_ = synthetic_records(n=40)
+        with caplog.at_level(logging.WARNING, logger="plumeinv.windprep"):
+            with pytest.raises(
+                NumericalError,
+                match=r"cross-validation of wind component u_x: kernel matrix at length scale "
+                r"\S+ s is not positive definite after a jitter",
+            ):
+                select_hyperparameters(records, seed=0)
+        assert len(calls) == 2
+        assert any("adding jitter" in r.message for r in caplog.records)
+        grid = TimeGrid(t0=0.0, dt=3600.0, n_steps=4)
+        cfg = GPConfig(1.0, 3000.0, 0.1)
+        with pytest.raises(NumericalError, match="fit of wind component u_x: .* 3000 s"):
+            fit_wind(records, [grid], (cfg, cfg))
 
 
 def oracle_cv_scores(times, values, candidates, seed, n_folds):
