@@ -27,9 +27,7 @@ Conventions:
       as one argument.
     * ``kernel_profile`` evaluates a whole wind series in one call, a
       bounded block of steps at a time; a calm step gives zero kernels.
-      It is the one entry point to the kernel. A block of one step (H,
-      whose receptor-source pairs fill a block) reads that step's wind as
-      scalars and skips a calm step outright. Given ``weights``, it
+      It is the one entry point to the kernel. Given ``weights``, it
       returns the kernels applied to them instead, summed block by block,
       so an operator that is only ever multiplied (H) is never held.
 """
@@ -188,12 +186,10 @@ class PlumeModel:
 def _ermak(x, y, z_rel, z_image, lift, speed, particle, sc):
     """Ermak kernel on equal-shape arrays of points downwind of the cutoff.
 
-    ``x`` and ``speed`` must be positive; ``speed`` is one float for the
-    whole array or an array like ``x``, with the same arithmetic either way.
-    ``z_image`` is (z + z_src) / sqrt(2), the receptor's height above the
-    image source over sqrt(2), and ``lift`` is 2 z z_src, or None where it is
-    zero throughout. Raises NumericalError on overflow and clamps roundoff
-    below zero.
+    ``x`` and ``speed`` must be positive. ``z_image`` is (z + z_src) /
+    sqrt(2), the receptor's height above the image source over sqrt(2), and
+    ``lift`` is 2 z z_src, or None where it is zero throughout. Raises
+    NumericalError on overflow and clamps roundoff below zero.
     """
     sy = _briggs_fit(sc, "crosswind", x)
     sz = _briggs_fit(sc, "vertical", x)
@@ -303,25 +299,17 @@ def kernel_profile(
         # (S, T, k): step t of source s is [s, t]
         by_source = weights.reshape(len(sites), speed.size, weights.shape[1])
         out = np.zeros((len(points), weights.shape[1]))
-    # The temporaries of a block are about 12 doubles per entry, about 1.6 MB
+    # The temporaries of a block are about 12-15 doubles per entry, about 2 MB
     # for a full block: small beside the kernels of the whole series however
     # many receptors there are.
     block_steps = max(1, BLOCK_ENTRIES // max(dx.size, 1))
     for start in range(0, speed.size, block_steps):
-        steps = slice(start, min(start + block_steps, speed.size))
-        if steps.stop - start == 1:
-            # one step: its wind as scalars, and a calm step skipped
-            if not live[start]:
-                continue
-            ux, uy, u = u_x[start], u_y[start], speed[start]
-            downwind = ((dx * ux + dy * uy) / u)[:, None]
-            hit = pair = np.flatnonzero(downwind > model.x_cutoff)
-        else:
-            downwind = (dx[:, None] * u_x[steps] + dy[:, None] * u_y[steps]) / speed[steps]
-            hit = np.flatnonzero((downwind > model.x_cutoff) & live[steps])
-            pair, t = np.divmod(hit, downwind.shape[1])
-            t += start
-            ux, uy, u = u_x[t], u_y[t], speed[t]
+        steps = slice(start, start + block_steps)
+        downwind = (dx[:, None] * u_x[steps] + dy[:, None] * u_y[steps]) / speed[steps]
+        hit = np.flatnonzero((downwind > model.x_cutoff) & live[steps])
+        pair, t = np.divmod(hit, downwind.shape[1])
+        t += start
+        ux, uy, u = u_x[t], u_y[t], speed[t]
         block = np.zeros(downwind.size)
         block[hit] = _ermak(
             downwind.ravel()[hit],
@@ -340,14 +328,14 @@ def kernel_profile(
             # at column s*b + (t - start), the row of the block's weights it
             # meets; out += K W is accumulated in place as out^T += W^T K^T
             n_b = downwind.shape[1]
-            dgemm(
+            out = dgemm(
                 1.0,
                 by_source[:, steps].reshape(len(sites) * n_b, out.shape[1]).T,
                 block.reshape(len(points), len(sites) * n_b).T,
                 beta=1.0,
                 c=out.T,
                 overwrite_c=True,
-            )
+            ).T
     if weights is not None:
         return out
     kernels = out.reshape(len(points), len(sites), speed.size).transpose(2, 0, 1)

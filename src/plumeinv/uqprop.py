@@ -15,21 +15,19 @@ variance needs only the product with each retained mode, so one call on
 modes kept are the config's ``grid`` section, ``GridSpec``.
 
 The covariance arrives as a factor E with C ~ E E^T: the chain's
-single-pass Nystrom factor, n x ``SKETCH_SIZE`` (see ``sampling``). A QR
-E = Q R taken in place over E, the SVD R = W S V^T of the small R, and Q
-applied to the kept columns of W only give the eigenpairs (S^2, Q W) of
-E E^T (Halko, Martinsson & Tropp 2011, SIAM Review, sec. 5), so nothing
-n x n, and beyond E nothing n x ``SKETCH_SIZE``, is formed. A LAPACK
-failure in it raises NumericalError naming the eigensolve. The Nystrom
-approximation is accurate for the leading modes only with oversampling,
-so ``GridSpec`` keeps at most half the sketch's columns.
+single-pass Nystrom factor, n x ``SKETCH_SIZE`` (see ``sampling``). Its
+thin SVD E = U S V^T, taken in place over E, gives the eigenpairs (S^2, U)
+of E E^T, so nothing n x n is formed; an SVD that does not converge raises
+NumericalError naming the eigensolve. The Nystrom approximation is
+accurate for the leading modes only with oversampling, so ``GridSpec``
+keeps at most half the sketch's columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 import numpy as np
-from scipy.linalg.lapack import dgeqrf, dgesdd, dormqr
+from scipy.linalg import LinAlgError, svd
 
 from .errors import NumericalError, ValidationError
 from .observation import TimeGrid
@@ -123,45 +121,29 @@ class LowRankFactors:
         return len(self.eigenvalues)
 
 
-def _lapack(routine, *args, **kwargs):
-    """One LAPACK call, after its workspace query; NumericalError on failure."""
-    query = routine(*args, lwork=-1, **kwargs)
-    *result, info = routine(*args, lwork=int(query[-2][0]), **kwargs)
-    if info != 0:
-        raise NumericalError(f"eigensolve: LAPACK {routine.__name__} failed (info = {info})")
-    return result
-
-
 def lowrank_truncate(factor: np.ndarray, n_modes: int) -> LowRankFactors:
     """Leading ``n_modes`` eigenpairs of C = E E^T, given the n x k factor E.
 
-    E = Q R by a QR taken in place, the SVD of the small R = W S V^T, and
-    then U = Q W for the kept columns of W only: the eigenpairs are
-    (S^2, U), nonincreasing and nonnegative by construction. The work is
-    O(n k^2); beyond E it holds the n x ``n_modes`` vectors and O(k^2).
-    ``n_modes`` cannot exceed min(n, k), the rank E can have. The QR
-    consumes E: a Fortran-ordered float64 ``factor`` (as ``np.load``
+    The thin SVD E = U S V^T gives them as (S^2, U), nonincreasing and
+    nonnegative by construction. The work is O(n k^2) and holds O(n k)
+    memory; ``n_modes`` cannot exceed min(n, k), the rank E can have.
+    The SVD consumes E: a Fortran-ordered float64 ``factor`` (as ``np.load``
     returns the chain's) is overwritten in place, without a copy, so read
-    anything else off it first. A LAPACK failure raises NumericalError.
+    anything else off it first. An SVD that does not converge raises
+    NumericalError.
     """
-    factor = np.asarray(factor, dtype=float, order="F")
+    factor = np.asarray(factor, dtype=float)
     if factor.ndim != 2:
         raise ValueError(f"factor must be a 2-D array, got {factor.ndim} dimensions")
     if not 1 <= n_modes <= min(factor.shape):
         raise ValueError(f"n_modes must be in [1, {min(factor.shape)}], got {n_modes}")
-    qr, tau, _ = _lapack(dgeqrf, factor, overwrite_a=True)
-    rank = tau.size
-    # R = triu(qr[:rank]), built Fortran-ordered so the SVD works in it
-    r = np.tril(qr[:rank].T).T
-    w, s, _, info = dgesdd(r, full_matrices=False, overwrite_a=True)
-    if info != 0:
-        raise NumericalError(
-            f"eigensolve: the SVD of the {rank} x {qr.shape[1]} R did not converge (info = {info})"
-        )
-    vectors = np.zeros((len(qr), n_modes), order="F")
-    vectors[:rank] = w[:, :n_modes]
-    vectors, _ = _lapack(dormqr, "L", "N", qr[:, :rank], tau, vectors, overwrite_c=True)
-    return LowRankFactors(eigenvalues=s[:n_modes] ** 2, vectors=vectors)
+    try:
+        u, s, _ = svd(factor, full_matrices=False, overwrite_a=True)
+    except LinAlgError as exc:
+        n, k = factor.shape
+        raise NumericalError(f"eigensolve: the SVD of the {n} x {k} covariance factor failed ({exc})") from exc
+    # a copy of the kept columns, so the n x k U is not held through propagate
+    return LowRankFactors(eigenvalues=s[:n_modes] ** 2, vectors=u[:, :n_modes].copy())
 
 
 @dataclass(frozen=True, eq=False)

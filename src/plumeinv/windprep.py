@@ -192,6 +192,11 @@ class _Support:
         near = start[:, None] + np.arange(self.window)
         return _shape(query[:, None] - self.times[near], self.length_scale), near
 
+    @staticmethod
+    def mean(shape: np.ndarray, near: np.ndarray, alpha: np.ndarray, cfg: GPConfig) -> np.ndarray:
+        """Posterior mean at the queries ``near`` gave ``shape`` and ``near`` for."""
+        return np.sum(cfg.signal_var * shape * alpha[near], axis=1)
+
 
 def gp_posterior_mean(
     times: np.ndarray,
@@ -228,7 +233,7 @@ def gp_posterior_mean(
     rows = max(1, _QUERY_BLOCK_ENTRIES // support.window)
     for lo in range(0, query.size, rows):
         shape, near = support.near(query[lo : lo + rows])
-        mean[lo : lo + rows] = np.sum(cfg.signal_var * shape * alpha[near], axis=1)
+        mean[lo : lo + rows] = support.mean(shape, near, alpha, cfg)
     return mean
 
 
@@ -276,8 +281,7 @@ def _cv_scores(
             shape, near = support.near(t_held)
             for ci in members:
                 cfg = candidates[ci]
-                alpha = support.weights(y_train, cfg)
-                pred = np.sum(cfg.signal_var * shape * alpha[near], axis=1)
+                pred = support.mean(shape, near, support.weights(y_train, cfg), cfg)
                 errs[ci].append(float(np.mean((pred - y_held) ** 2)))
     if not errs[0]:
         raise ValueError(f"no cross-validation fold has two training points ({n} points)")

@@ -850,9 +850,12 @@ class TestExitCodes:
         assert "cross-validation of wind component u_x: kernel matrix at length" in caplog.text
 
     def test_eigensolve_failure_is_3(self, tmp_path, monkeypatch, caplog):
-        """The SVD of the covariance factor's R does not converge."""
-        real = uqprop.dgesdd
-        monkeypatch.setattr(uqprop, "dgesdd", lambda *a, **k: (*real(*a, **k)[:3], 1))
+        """The SVD of the covariance factor does not converge."""
+
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(uqprop, "svd", failing)
         cfg_path, _ = write_case(tmp_path)
         assert cli.main(["run", "--config", str(cfg_path)]) == 3
         assert "eigensolve: the SVD" in caplog.text

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh, svd
+from scipy.linalg import LinAlgError, eigh, svd
 from scipy.sparse import csr_array
 
 from plumeinv import plume, uqprop
@@ -341,41 +341,18 @@ class TestLowRankTruncate:
         before = factor.copy(order="F")
         u, s, _ = svd(before.copy(order="F"), full_matrices=False)
         fac = lowrank_truncate(factor, 12)
-        # LAPACK's SVD of a tall matrix is the SVD of its R, so the singular
-        # values agree bit for bit; U = Q W is applied by another route, so
-        # the vectors agree to rounding of unit-norm columns
         np.testing.assert_array_equal(fac.eigenvalues, s[:12] ** 2)
-        np.testing.assert_allclose(fac.vectors, u[:, :12], rtol=0.0, atol=2e-15)
-        # no copy was made: the QR worked in the factor's own storage
+        np.testing.assert_array_equal(fac.vectors, u[:, :12])
+        # no copy was made: the SVD worked in the factor's own storage
         assert not np.array_equal(factor, before)
 
-    def test_holds_the_kept_vectors_and_a_few_k_by_k_arrays(self):
-        # beyond the factor: the n x n_modes vectors and R's SVD, nothing n x k
-        rng = np.random.default_rng(9)
-        n, k, n_modes = 6000, SKETCH_SIZE, 50
-        factor = np.asfortranarray(rng.standard_normal((n, k)))
-        tracemalloc.start()
-        try:
-            fac = lowrank_truncate(factor, n_modes)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert fac.vectors.shape == (n, n_modes)
-        bound = 8 * (n * n_modes + 8 * k * k)
-        assert peak < bound < 8 * n * k, f"peak {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"
-
-    @pytest.mark.parametrize("routine", ["dgeqrf", "dgesdd", "dormqr"])
-    def test_lapack_failure_is_a_numerical_error(self, monkeypatch, routine):
-        real = getattr(uqprop, routine)
-
+    def test_svd_failure_is_a_numerical_error(self, monkeypatch):
         def failing(*args, **kwargs):
-            *result, _ = real(*args, **kwargs)
-            return (*result, 3)
+            raise LinAlgError("SVD did not converge")
 
-        failing.__name__ = routine
-        monkeypatch.setattr(uqprop, routine, failing)
+        monkeypatch.setattr(uqprop, "svd", failing)
         factor = np.asfortranarray(np.random.default_rng(4).standard_normal((50, 20)))
-        with pytest.raises(NumericalError, match="eigensolve"):
+        with pytest.raises(NumericalError, match="eigensolve: the SVD of the 50 x 20"):
             lowrank_truncate(factor, 5)
 
     def test_bad_mode_count_raises(self):
