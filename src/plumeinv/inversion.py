@@ -4,7 +4,10 @@ Stage 1 (constant): per-source constant rates by nonnegative least
 squares on the whitened data misfit, solved in the package by Lawson and
 Hanson's active-set method (one unknown per source, so a few iterations).
 Stage 2 (smooth): closed-form Gaussian posterior under a second-order
-smoothness prior centered at the constant fit.
+smoothness prior centered at the constant fit. It makes no
+(n_meas, n) array: the innovation matrix S comes from a few rows of F C
+at a time, and the mean and std from one source's columns of F C at a
+time, each formed again once S is factored.
 Stage 3 (positive): clipped-Gaussian push-forward sampled by pCN, centered
 at the clipped smooth mean; its result is the chain's ``ChainSummary``.
 
@@ -16,9 +19,10 @@ prior draws and covariance applications reduce to tridiagonal solves
 (``dpttrs``) over every column at once; nothing is ever explicitly
 inverted.
 
-Every stage takes the forward operator F as a CSR array (about 3% of its
-entries are nonzero); a dense F is converted at entry, so both run the
-same arithmetic.
+Every stage takes the forward operator F as a CSR array, as
+``observation.assemble_F`` returns it (about 3% of its entries are
+nonzero); a dense F is converted at entry, so both run the same
+arithmetic.
 """
 
 from __future__ import annotations
@@ -28,9 +32,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_solve
 from scipy.linalg.blas import dtrsm
-from scipy.linalg.lapack import dpttrf, dpttrs
+from scipy.linalg.lapack import dpotrf, dpttrf, dpttrs
 from scipy.sparse import csr_array
 
 from .errors import NumericalError, ValidationError
@@ -54,7 +58,7 @@ logger = logging.getLogger(__name__)
 
 KKT_TOL = 1e-10  # relative KKT residual bound for the constant stage
 _NNLS_ITER_PER_UNKNOWN = 3  # the constant stage's outer-loop cap, 3n as in SciPy's nnls
-_ROWS = 64  # rows per block where a stage works a few rows of an array at a time
+_ROWS = 32  # rows per block where a stage works a few rows of an array at a time
 
 
 @dataclass(frozen=True)
@@ -154,13 +158,17 @@ class SmoothnessPrior:
         return out[0] if size is None else out
 
     def apply_cov_to_rows(self, a: np.ndarray) -> np.ndarray:
-        """Each length-n row r of the float array ``a`` replaced by C r.
+        """Each length-n row r of the float array ``a`` replaced by C r, or
+        each length-n_steps row by L^-2 r.
 
         Two tridiagonal solves per block, in place when ``a`` is C-ordered.
-        With ``a`` = F this is F C, since C is symmetric.
+        With ``a`` = F this is F C, since C is symmetric; with ``a`` the
+        columns of one source's block of F, it is that block of F C.
         """
-        if a.shape[-1] != self.n:
-            raise ValueError(f"expected rows of length {self.n}, got {a.shape[-1]}")
+        if a.shape[-1] not in (self.n, self.n_steps):
+            raise ValueError(
+                f"expected rows of length {self.n} or {self.n_steps}, got {a.shape[-1]}"
+            )
         return self._solve_rows(self._solve_rows(a))
 
     def cov_block(self) -> np.ndarray:
@@ -310,41 +318,86 @@ class GaussianPosterior:
 
     W is L_S^-1 F C, with L_S the lower Cholesky factor of the innovation
     matrix S = Sigma + F C F^T, so W^T W is the variance the data remove
-    from the prior C. ``gaussian_posterior`` forms W once, for ``std``, and
-    keeps no (n_meas, n) array; ``cov`` rebuilds W from F and L_S.
+    from the prior C. ``gaussian_posterior`` forms W one source's columns
+    at a time, for ``std``, and the posterior keeps the noise variances
+    instead of L_S: it holds no (n_meas, n) or (n_meas, n_meas) array.
+    ``cov`` factors S again and rebuilds W whole.
     """
 
     mean: np.ndarray
     std: np.ndarray
     prior: SmoothnessPrior
     f_matrix: csr_array  # (n_meas, n)
-    innovation_factor: np.ndarray  # L_S, lower triangle of (n_meas, n_meas)
+    noise_var: np.ndarray  # (n_meas,), the diagonal of Sigma
 
     @staticmethod
-    def pointwise_std(prior: SmoothnessPrior, w: np.ndarray) -> np.ndarray:
-        """sqrt(diag(C - W^T W)), roundoff negatives clipped to zero."""
+    def pointwise_std(prior: SmoothnessPrior, removed: np.ndarray) -> np.ndarray:
+        """sqrt(diag(C) - removed), roundoff negatives clipped to zero.
+
+        ``removed`` is diag(W^T W), the squared column norms of W.
+        """
         var = np.tile(prior.marginal_var(), prior.n_sources)
-        var -= np.einsum("ij,ij->j", w, w)
+        var -= removed
         return np.sqrt(np.maximum(var, 0.0))
 
     @property
     def cov(self) -> np.ndarray:
         """Dense n x n posterior covariance, for small-instance checks."""
-        fc = self.prior.apply_cov_to_rows(self.f_matrix.toarray())
-        w = _whitened_gain(fc, self.innovation_factor)
+        factor = _innovation_factor(self.f_matrix, self.noise_var, self.prior)
+        w = _whitened_gain(self.prior.apply_cov_to_rows(self.f_matrix.toarray()), factor)
         cov = self.prior.dense_cov()
         cov -= w.T @ w
         return cov
 
 
 def _whitened_gain(fc: np.ndarray, factor: np.ndarray) -> np.ndarray:
-    """W = L_S^-1 (F C) formed in the C-ordered buffer ``fc``.
+    """W = L_S^-1 (F C) formed in the C-ordered buffer ``fc``, or a block
+    of F C's columns, with L_S the lower triangle of ``factor``.
 
     The buffer read as Fortran-ordered is (F C)^T, and W^T L_S^T = (F C)^T
     is one triangular solve from the right (BLAS ``dtrsm``) in that memory.
     """
     w_t = dtrsm(1.0, factor, fc.T, side=1, lower=1, trans_a=1, overwrite_b=1)
     return w_t.T
+
+
+def _innovation_factor(f: csr_array, noise_var: np.ndarray, prior: SmoothnessPrior) -> np.ndarray:
+    """L_S, the lower Cholesky factor of S = Sigma + F C F^T, made in S's memory.
+
+    S is formed ``_ROWS`` of its columns at a time, from the same rows of
+    F C: S[:, rows] = F (F_rows C)^T, so no (n_meas, n) array is made. It
+    is symmetrised in place, a band of rows and its mirror at a time, and
+    LAPACK ``dpotrf`` factors it where it lies. The result is
+    Fortran-ordered: L_S in its lower triangle, S above it.
+
+    Raises:
+        NumericalError: S does not factor; the message gives the condition
+            number of S, rebuilt from the triangle the factorization leaves
+            and a copy of the diagonal.
+    """
+    n_meas = f.shape[0]
+    s = np.empty((n_meas, n_meas))
+    for start in range(0, n_meas, _ROWS):
+        fc_rows = prior.apply_cov_to_rows(f[start : start + _ROWS].toarray())
+        s[:, start : start + _ROWS] = f @ fc_rows.T
+    s[np.diag_indices_from(s)] += noise_var
+    # (S + S^T) / 2 entry by entry; a + b == b + a, so mirrored entries agree
+    for start in range(0, n_meas, _ROWS):
+        band = slice(start, start + _ROWS)
+        half_sum = 0.5 * (s[band, start:] + s[start:, band].T)
+        s[band, start:] = half_sum
+        s[start:, band] = half_sum.T
+    diagonal = np.diagonal(s).copy()
+    # S is symmetric, so its transpose is S in Fortran order
+    factor, info = dpotrf(s.T, lower=1, clean=0, overwrite_a=1)
+    if info != 0 or not np.isfinite(np.diagonal(factor)).all():
+        intact = np.triu(factor, 1)
+        intact += intact.T + np.diag(diagonal)
+        cond = float(np.linalg.cond(intact)) if np.isfinite(intact).all() else np.nan
+        raise NumericalError(
+            f"innovation matrix factorization failed (condition number {cond:.3e})"
+        )
+    return factor
 
 
 def gaussian_posterior(
@@ -360,37 +413,35 @@ def gaussian_posterior(
         cov  = C - C F^T (Sigma + F C F^T)^-1 F C = C - W^T W
 
     solved through a Cholesky factorization L_S L_S^T of the
-    (n_meas x n_meas) innovation matrix, with W = L_S^-1 F C. F C and then
-    W share one (n_meas, n) buffer, freed once ``std`` is formed.
+    (n_meas x n_meas) innovation matrix, with W = L_S^-1 F C. No
+    (n_meas, n) array is made. C is block diagonal, so source s's columns
+    of F C are F_s L^-2, with F_s its columns of F: each such
+    (n_meas, n_steps) block is formed after the factorization, gives its
+    part of the mean, becomes its block of W in its own memory, gives W's
+    column norms there and is freed before the next.
     """
     f = csr_array(f_matrix, dtype=float)
     d = np.asarray(d, dtype=float)
+    noise_var = np.asarray(noise_var, dtype=float)
     prior_mean = np.asarray(prior_mean, dtype=float)
-    n_meas = f.shape[0]
-    fc = prior.apply_cov_to_rows(f.toarray())  # F C, (n_meas, n)
-    # S = F (F C)^T a few columns at a time: the sparse product reads its
-    # dense operand C-ordered, so a full (F C)^T would be a second buffer.
-    innovation_cov = np.empty((n_meas, n_meas))
-    for start in range(0, n_meas, _ROWS):
-        innovation_cov[:, start : start + _ROWS] = f @ fc[start : start + _ROWS].T
-    innovation_cov[np.diag_indices_from(innovation_cov)] += noise_var
-    innovation_cov = 0.5 * (innovation_cov + innovation_cov.T)
-    try:
-        factor = cho_factor(innovation_cov, lower=True)
-    except np.linalg.LinAlgError as exc:
-        cond = float(np.linalg.cond(innovation_cov))
-        raise NumericalError(
-            f"innovation matrix factorization failed (condition number {cond:.3e})"
-        ) from exc
-    del innovation_cov
-    mean = prior_mean + cho_solve(factor, d - f @ prior_mean) @ fc
-    std = GaussianPosterior.pointwise_std(prior, _whitened_gain(fc, factor[0]))
+    factor = _innovation_factor(f, noise_var, prior)
+    gain = cho_solve((factor, True), d - f @ prior_mean)  # S^-1 (d - F m)
+    mean = np.empty(prior.n)
+    removed = np.empty(prior.n)  # diag(W^T W)
+    n_t = prior.n_steps
+    for source in range(prior.n_sources):
+        cols = slice(source * n_t, (source + 1) * n_t)
+        fc = prior.apply_cov_to_rows(f[:, cols].toarray())
+        mean[cols] = prior_mean[cols] + gain @ fc
+        w = _whitened_gain(fc, factor)
+        removed[cols] = np.einsum("ij,ij->j", w, w)
+        del fc, w
     return GaussianPosterior(
         mean=mean,
-        std=std,
+        std=GaussianPosterior.pointwise_std(prior, removed),
         prior=prior,
         f_matrix=f,
-        innovation_factor=factor[0],
+        noise_var=noise_var,
     )
 
 

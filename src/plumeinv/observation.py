@@ -7,11 +7,12 @@ weight on the run of grid slots ``window_slots`` gives, so M is never formed.
 ``assemble_F`` takes the plume model and a wind series, whose grid is the
 time grid of F; it makes G with one ``kernel_profile`` call over the whole
 series (a calm step gives zero kernels) and writes each measurement's row of
-F from its slots in place; G is never returned. Given emission rates q, it
-returns the data F q instead, each entry a weight times a sum over its
-slots, and F is never formed: synthetic data need only that
-product, and on the bundled case's generation grid F would be about 24
-times the size of G.
+F straight into CSR from its slots, exact zeros left out, so no dense
+(measurements, sources x steps) array is made. A sampler row holds only its
+window's slots, and F is about 3% nonzero on the bundled case. Given
+emission rates q, it returns the data F q instead, each entry a weight
+times a sum over its slots, and F is never formed: synthetic data need
+only that product.
 
 Conventions:
     * Grid times are t_j = t0 + j*dt for j = 1..n_steps, i.e. the right
@@ -32,6 +33,7 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .errors import ConfigurationError, NumericalError
 from .plume import PlumeModel, kernel_profile
@@ -188,14 +190,27 @@ def window_slots(sensor: Sensor, grid: TimeGrid) -> tuple:
     return first, stop
 
 
-def assemble_F(
-    sensors: Sequence[Sensor], model: PlumeModel, wind, q: np.ndarray | None = None
-) -> np.ndarray:
-    """Observation map F = M G, shape (total measurements, n_sources*n_steps).
+class _ObservationMatrix(csr_array):
+    """F as CSR that ``np.count_nonzero`` counts as it counted a dense F.
 
-    ``wind`` is a WindSeries; its grid is the time grid of F. Given the
-    source-major emission vector ``q``, return the clean data F q instead,
-    shape (total measurements,), without forming F.
+    ``perfbench/trace_run.py`` reads F's fill by ``np.count_nonzero``, which
+    a plain sparse array refuses; every other NumPy function is declined.
+    """
+
+    def __array_function__(self, func, types, args, kwargs):
+        if func is np.count_nonzero and len(args) == 1 and not kwargs:
+            return self.count_nonzero()
+        return NotImplemented
+
+
+def assemble_F(sensors: Sequence[Sensor], model: PlumeModel, wind, q: np.ndarray | None = None):
+    """Observation map F = M G as a CSR array, shape (total measurements, n_sources*n_steps).
+
+    ``wind`` is a WindSeries; its grid is the time grid of F. Each row
+    stores its window's nonzero entries, columns source-major and sorted,
+    so F equals the CSR conversion of the dense map entry for entry. Given
+    the source-major emission vector ``q``, return the clean data F q
+    instead, shape (total measurements,), without forming F.
 
     Raises:
         ConfigurationError: as :func:`window_slots`.
@@ -208,7 +223,10 @@ def assemble_F(
     n_t, n_s = grid.n_steps, len(model.sites)
     n_meas = sum(measurement_count(s) for s in sensors)
     if q is None:
-        f = np.zeros((n_meas, n_s, n_t))
+        # F_k[l, i*n_t + j] = weight * G[j, k, i] for j in row l's slots
+        columns = np.arange(n_s * n_t).reshape(n_s, n_t)
+        indptr = np.zeros(n_meas + 1, dtype=np.int64)
+        data, indices = [], []
     else:
         q = np.asarray(q, dtype=float)
         if not np.all(np.isfinite(q)):
@@ -223,17 +241,30 @@ def assemble_F(
         else:
             weight = grid.dt / sensor.window
         if q is None:
-            # F_k[l, i*n_t + j] = weight * G[j, k, i] for j in row l's slots
+            values = weight * g[:, k, :].T  # (n_s, n_t), source-major
+            stored = values != 0.0
             for row, a, b in zip(range(rows.start, rows.stop), first, stop):
-                f[row, :, a:b] = weight * g[a:b, k, :].T
+                keep = stored[:, a:b]
+                data.append(values[:, a:b][keep])
+                indices.append(columns[:, a:b][keep])
+                indptr[row + 1] = indptr[row] + data[-1].size
         else:
             # (F q)_k[l] = weight * sum of c_k over row l's slots,
             # with c_k[j] = sum_i G[j, k, i] q[i*n_t + j]
             c = np.einsum("ji,ij->j", g[:, k, :], q_by_source)
             f[rows] = weight * np.array([c[a:b].sum() for a, b in zip(first, stop)])
     if q is None:
-        f = f.reshape(n_meas, n_s * n_t)
-    if not np.all(np.isfinite(f)):
+        # 32-bit indices where they fit, as SciPy's own conversion picks
+        index = np.int32 if max(indptr[-1], n_s * n_t) <= np.iinfo(np.int32).max else np.int64
+        f = _ObservationMatrix(
+            (
+                np.concatenate([np.empty(0), *data]),
+                np.concatenate([np.empty(0, index), *indices]).astype(index, copy=False),
+                indptr.astype(index, copy=False),
+            ),
+            shape=(n_meas, n_s * n_t),
+        )
+    if not np.all(np.isfinite(f.data if q is None else f)):
         raise NumericalError(
             f"observation map {'F' if q is None else 'product F q'} has non-finite entries"
         )

@@ -21,7 +21,6 @@ A requested stage always runs, after every stale predecessor.
 
 from __future__ import annotations
 
-import ctypes
 import hashlib
 import json
 import logging
@@ -426,9 +425,7 @@ def run_invert(
     noise_var = signal_variances(measurements.values, sensors, cfg.noise_floor) * noise_scale**2
 
     wind = _wind_series(cfg, keys)["inversion"]
-    # F is about 3% nonzero; every stage takes it as CSR, and the dense
-    # array is dropped as soon as it is converted.
-    f_matrix = csr_array(assemble_F(sensors, cfg.plume_model, wind))
+    f_matrix = assemble_F(sensors, cfg.plume_model, wind)  # CSR, about 3% nonzero
     d = measurements.values
     n_sources = len(cfg.sources)
     suffix = _artifact_suffix(drop_sensor, noise_scale)
@@ -447,9 +444,6 @@ def run_invert(
     if through in ("smooth", "positive"):
         prior = SmoothnessPrior(cfg.prior, grid, n_sources)
         smooth = gaussian_posterior(f_matrix, d, noise_var, prior, constant.q)
-        # Hand the smooth stage's freed (n_meas, n) buffer back before the
-        # chain maps its covariance sketch beside it.
-        _release_freed_heap()
         write_estimate("smooth", smooth.mean, smooth.std)
         if through == "positive":
             positive = positive_posterior(f_matrix, d, noise_var, prior, smooth.mean, cfg.sampler)
@@ -596,25 +590,6 @@ _RUNNERS = {
 }
 
 
-def _release_freed_heap() -> None:
-    """Hand the heap memory freed so far back to the OS (glibc only).
-
-    glibc returns the free top of its heap only above a trim threshold,
-    twice its mmap threshold, which rises to the size of the largest array
-    freed so far (the dense F, about 31 MB on the bundled case). Freed
-    memory can therefore stay resident while the next step maps its own
-    arrays beside it: the smooth stage's buffer beside the chain's sketch,
-    or what invert freed beside propagate's factor and its SVD. On the
-    bundled case (2 vCPUs, peak RSS by os.wait4, 3 runs each) the trim
-    lowers a cold 2000-step run's peak from 132.1-132.2 to 129.2-129.7 MB
-    and a 10000-step invert's from 128.7-129.0 to 126.6-127.0 MB.
-    """
-    trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
-    if trim is not None:
-        trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
-        trim(0)
-
-
 def run_stage(cfg: RunConfig, stage: str, **invert_options) -> object:
     """Run one stage, first running every predecessor that is not fresh.
 
@@ -632,5 +607,4 @@ def run_stage(cfg: RunConfig, stage: str, **invert_options) -> object:
             if not _fresh(cfg, previous, keys):
                 logger.info("stage %s is missing or stale; running it first", previous)
                 _RUNNERS[previous](cfg)
-                _release_freed_heap()
         return _RUNNERS[stage](cfg, **invert_options)

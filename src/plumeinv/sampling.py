@@ -29,14 +29,17 @@ The main thread copies both into buffers of its own, only then hands
 the next block to the draw thread, and does the rest: the
 solve, the scaling by beta, one product forming F w for the whole block
 and one more forming F v at its start, the accept loop and the moment
-updates. Each stream is read by one thread in block order, so the draws
-do not depend on how the two threads are scheduled. The Philox fills
-and NumPy's matmul release the GIL; SciPy's sparse products and its BLAS
-and LAPACK wrappers (``dgemm``, the ``dpttrs`` solve) hold it: run beside
-a NumPy loop on another thread, they do not overlap it. ``pipeline``
-runs every stage with BLAS on one thread (``threads.single``), so the
-draw thread has a core of its own. The accept loop runs in the data
-space, where
+updates; a flush of kept states writes h(v) over them in the chain's
+own buffer, so no second copy of the block is made. Each stream is read
+by one thread in block order, so the draws do not depend on how the two
+threads are scheduled. The Philox fills, NumPy's matmul and SciPy's
+sparse products release the GIL; SciPy's BLAS and LAPACK wrappers
+(``dgemm``, the ``dpttrs`` solve) hold it. A Python loop on another
+thread took 0.071 s beside 200 of the chain's sketch products
+(Omega^T A^T) against 0.068 s alone, and 0.135 s beside its ``dgemm``
+updates, whose time it then shares (2 vCPUs). ``pipeline`` runs every
+stage with BLAS on one thread (``threads.single``), so the draw thread
+has a core of its own. The accept loop runs in the data space, where
 
     F v~ = F m + sqrt(1 - beta^2) (F v - F m) + beta F w,
 
@@ -109,6 +112,7 @@ R_HAT_SPLITS = 4  # parts the kept potential trace is split into for split-R-hat
 SKETCH_SIZE = 400  # columns of the test matrix the chain's covariance is sketched with
 SKETCH_SEED = 0  # seed of the test matrix's own generator
 SKETCH_NONZEROS = 8  # +-1 entries in each row of the sparse sign test matrix
+_CENTRE_COLUMNS = 256  # columns of a block centred at a time in a moment update
 
 Link = Callable[[np.ndarray], np.ndarray]
 
@@ -283,9 +287,17 @@ class OnlineMoments:
         # Rows 0..b-1: sqrt(count_i) (row_i - block mean); row b:
         # sqrt(count*n_block/n_new) * delta, whose outer product is the
         # between-means term of the merge.
+        # Rows are centred and scaled in C order, a chunk of columns at a
+        # time, and copied into the Fortran-ordered A: a whole centred copy
+        # would add its size to the chain's peak, and writing A directly
+        # strides through memory.
         stacked = np.empty((b + 1, self.dim), order="F")
-        np.subtract(rows, block_mean, out=stacked[:b])
-        stacked[:b] *= np.sqrt(counts)[:, None]
+        scale = np.sqrt(counts)[:, None]
+        for j in range(0, self.dim, _CENTRE_COLUMNS):
+            cols = slice(j, j + _CENTRE_COLUMNS)
+            chunk = rows[:, cols] - block_mean[cols]
+            chunk *= scale
+            stacked[:b, cols] = chunk
         np.multiply(
             block_mean - self.mean, math.sqrt(self.count * n_block / n_new), out=stacked[b]
         )
@@ -512,7 +524,12 @@ def pcn_chain(
         nonlocal mean_v
         kept, weights = rows[:fill], counts[:fill]
         _, mean_v = _merged_mean(mean_v, acc.count, kept, weights)
-        acc.update_block(kept if link is None else link(kept), weights)
+        if link is not None:
+            # h(v) over v in the buffer itself, a row at a time: h is
+            # entrywise, and a whole h(kept) would be a second copy of it
+            for row in kept:
+                row[:] = link(row)
+        acc.update_block(kept, weights)
 
     v = m.copy()
     fm = f @ m

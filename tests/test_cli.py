@@ -71,6 +71,25 @@ run = peak_mb("-m", "plumeinv", "run", "--config", "perfbench/case.yaml", "--out
 print(json.dumps({"import": imported, "run": run}))
 """
 
+# Prints, as one JSON line, the peak RSS in MB of a fresh child that imports
+# the CLI and of one that runs a 2000-step invert in the directory given as
+# its argument, after a synth there that is not measured.
+INVERT_RSS_SCRIPT = """
+import json, os, subprocess, sys
+def peak_mb(*args):
+    child = subprocess.Popen([sys.executable, *args])
+    _, status, usage = os.wait4(child.pid, 0)
+    assert status == 0, f"{args} exited with status {status}"
+    return usage.ru_maxrss / 1024.0
+out = sys.argv[1]
+subprocess.run([sys.executable, "-m", "plumeinv", "synth", "--config", "perfbench/case.yaml",
+                "--out-dir", out, "--seed", "1"], check=True, capture_output=True)
+imported = peak_mb("-c", "import plumeinv.cli")
+invert = peak_mb("-m", "plumeinv", "invert", "--config", "perfbench/case.yaml", "--out-dir", out,
+                 "--n-steps", "2000", "--seed", "1")
+print(json.dumps({"import": imported, "invert": invert}))
+"""
+
 # The case is perfbench/case.yaml over 120 days: its duration and every
 # sampler's count times four, written beside the run; the bundled file is
 # only read.
@@ -646,9 +665,8 @@ class TestLeanState:
 
         monkeypatch.setattr(pipeline, "assemble_F", recording)
         result = pipeline.run_invert(cfg, through="constant")
-        assert len(assembled) == 1 and isinstance(assembled[0], np.ndarray)
-        assert isinstance(result.f_matrix, csr_array)
-        np.testing.assert_array_equal(result.f_matrix.toarray(), assembled[0])
+        assert len(assembled) == 1 and isinstance(assembled[0], csr_array)
+        assert result.f_matrix is assembled[0]
 
     def test_state_files_hold_only_what_is_loaded(self, tmp_path, monkeypatch):
         cfg_path, out = write_case(tmp_path)
@@ -859,6 +877,19 @@ class TestExitCodes:
         cfg_path, _ = write_case(tmp_path)
         assert cli.main(["run", "--config", str(cfg_path)]) == 3
         assert "eigensolve: the SVD" in caplog.text
+
+    def test_indefinite_innovation_matrix_is_3(self, tmp_path, monkeypatch, caplog):
+        """Negative noise variances reach the smooth stage: its innovation
+        matrix is indefinite and does not factor."""
+        smooth = pipeline.gaussian_posterior
+
+        def negated(f, d, noise_var, *args):
+            return smooth(f, d, -1e6 * noise_var, *args)
+
+        monkeypatch.setattr(pipeline, "gaussian_posterior", negated)
+        cfg_path, _ = write_case(tmp_path)
+        assert cli.main(["invert", "--config", str(cfg_path)]) == 3
+        assert "innovation matrix factorization failed (condition number" in caplog.text
 
     def test_one_step_grid_is_2(self, tmp_path):
         def one_step(data):  # one inversion step of 3600 s
@@ -1182,6 +1213,29 @@ class TestEntryPoint:
         print(f"peak RSS: run {run:.1f} MB, import {imported:.1f} MB, "
               f"difference {run - imported:.1f} MB")
         assert run - imported < 63, f"the run peaks {run - imported:.1f} MB above the import"
+
+    def test_invert_peak_rss_above_the_import(self, tmp_path):
+        """A 2000-step invert of perfbench/case.yaml peaks less than 43 MB of
+        RSS above the bare import of the CLI, so invert holds no
+        (measurements, sources x steps) array: neither a dense F nor the
+        smooth stage's F C.
+
+        Each child is started fresh and read with os.wait4, from a small
+        Python process of its own, as in the cold run's test above. It read
+        40.1-40.4 MB in three runs on a 2-vCPU machine, and 47.3-47.5 MB
+        when invert made the dense F and the smooth stage held F C whole.
+        """
+        root = Path(__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", INVERT_RSS_SCRIPT, str(tmp_path / "invert-run")],
+            capture_output=True, text=True, timeout=600, cwd=root,
+        )
+        assert proc.returncode == 0, proc.stderr
+        peaks = json.loads(proc.stdout.splitlines()[-1])
+        invert, imported = peaks["invert"], peaks["import"]
+        print(f"peak RSS: invert {invert:.1f} MB, import {imported:.1f} MB, "
+              f"difference {invert - imported:.1f} MB")
+        assert invert - imported < 43, f"invert peaks {invert - imported:.1f} MB above the import"
 
     def test_horizon_synth_peak_rss_above_the_import(self, tmp_path):
         """Synth on a 120-day case peaks less than 30 MB of RSS above the bare

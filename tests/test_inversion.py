@@ -11,6 +11,7 @@ Lawson-Hanson method that the package itself does not import.
 import logging
 import math
 import random
+import re
 import sys
 import time
 import tracemalloc
@@ -255,6 +256,22 @@ class TestGaussianPosterior:
         with pytest.raises(NumericalError):
             gaussian_posterior(f, np.array([1.0, 1.0]), np.zeros(2), prior, np.zeros(4))
 
+    def test_indefinite_innovation_gives_the_condition_number_of_s(self):
+        """Negative noise variances on the last rows make S indefinite past
+        its leading rows, so the factorization fails part-way through; the
+        message gives the condition number of S itself, read from the
+        triangle the factorization leaves."""
+        rng = np.random.default_rng(9)
+        prior, f, noise_var, d, m = random_system(rng, 2, 6, 10)
+        noise_var[-3:] = -10.0 * np.max(f @ prior.dense_cov() @ f.T)
+        s = f @ prior.dense_cov() @ f.T + np.diag(noise_var)
+        assert np.linalg.eigvalsh(s).min() < 0 < np.linalg.eigvalsh(s[:7, :7]).min()
+        with pytest.raises(NumericalError, match="innovation matrix factorization failed") as err:
+            gaussian_posterior(f, d, noise_var, prior, m)
+        cond = float(re.search(r"condition number ([^)]+)\)", str(err.value)).group(1))
+        assert math.isfinite(cond)
+        assert cond == pytest.approx(np.linalg.cond(s), rel=1e-3)
+
     def test_std_clips_roundoff_negatives(self):
         # W removes all of the prior variance of slot 1 plus one roundoff
         # step, and half of the variance of slot 2
@@ -263,7 +280,7 @@ class TestGaussianPosterior:
         w = np.zeros((2, 3))
         w[0, 1] = np.sqrt(var[1]) * (1.0 + 1e-15)
         w[1, 2] = np.sqrt(0.5 * var[2])
-        std = GaussianPosterior.pointwise_std(prior, w)
+        std = GaussianPosterior.pointwise_std(prior, np.einsum("ij,ij->j", w, w))
         assert var[1] - w[0, 1] ** 2 < 0.0
         np.testing.assert_allclose(std, np.sqrt([var[0], 0.0, 0.5 * var[2]]), rtol=1e-12)
         assert std[1] == 0.0
@@ -320,6 +337,26 @@ class TestSparseF:
         np.testing.assert_allclose(sparse_d, dense_d, rtol=1e-14, atol=0.0)
         np.testing.assert_array_equal(f_csr.toarray(), before.toarray())  # input left as it was
 
+    def test_smooth_stage_holds_no_measurement_by_slot_array(self):
+        """7 sources x 1000 slots, 300 rows: F C is formed a few rows, or one
+        source's columns, at a time, so the peak stays below half of one
+        (n_meas, n) array (it read 0.26; 1.27 when F C was held whole)."""
+        rng = np.random.default_rng(23)
+        n_sources, n_steps, n_meas = 7, 1000, 300
+        prior = make_prior(n_sources=n_sources, n_steps=n_steps, dt=3600.0, alpha=1.0, gamma=5e-3)
+        f = csr_array(windowed_f(rng, n_sources, n_steps, n_meas))
+        noise_var = np.full(n_meas, 0.1)
+        d = rng.normal(1.0, 0.3, n_meas)
+        one_array = n_meas * prior.n * 8
+        tracemalloc.start()
+        try:
+            post = gaussian_posterior(f, d, noise_var, prior, np.zeros(prior.n))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * one_array, f"peak {peak / one_array:.2f} (n_meas, n) arrays"
+        assert np.all(np.isfinite(post.std)) and np.all(post.std > 0)
+
     def test_smooth_stage_holds_one_buffer(self):
         """2 sources x 1000 slots, 300 rows: the peak stays below 1.5 (n_meas, n)
         arrays, and the posterior keeps no array of that size."""
@@ -338,7 +375,7 @@ class TestSparseF:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * one_buffer, f"peak {peak / one_buffer:.2f} (n_meas, n) arrays"
-        # the largest array kept is the (n_meas, n_meas) Cholesky factor
+        # no array kept is larger than (n_meas, n_meas)
         for name, value in vars(post).items():
             held = value.data.size if issparse(value) else np.size(value)
             assert held <= n_meas * n_meas, name

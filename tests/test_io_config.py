@@ -743,7 +743,10 @@ class TestPlumeSettingsReachOperators:
         defaults = PlumeModel(cfg.sources, cfg.particle, cfg.stability)
         identity = np.eye(len(cfg.sources) * grid.n_steps)
         return {
-            name: (assemble_F(jars, model, wind), assemble_H(cfg.grid, model, wind, identity))
+            name: (
+                assemble_F(jars, model, wind).toarray(),
+                assemble_H(cfg.grid, model, wind, identity),
+            )
             for name, model in (("configured", cfg.plume_model), ("defaults", defaults))
         }, cfg.grid
 

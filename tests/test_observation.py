@@ -11,6 +11,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_array
 
 from plumeinv import observation
 from plumeinv.errors import ConfigurationError, NumericalError
@@ -246,6 +247,8 @@ class TestAssembleF:
     def test_f_is_bitwise_the_dense_window_matrix_times_g(self):
         # Each sensor's dense window matrix M, entry (l, j) = weight(t_j) * dt,
         # then F_k[l, i*n_t + j] = M[l, j] * G[j, k, i]: one product per entry.
+        # F is that dense oracle's CSR conversion, array for array; the calm
+        # step's exact zeros are not stored.
         wind = make_wind(calm_step=6)
         times = GRID.times
         g = kernel_profile(np.array([s.location for s in SENSORS]), MODEL, (wind.u_x, wind.u_y))
@@ -259,7 +262,13 @@ class TestAssembleF:
                 covered = (times[None, :] > starts) & (times[None, :] <= starts + sensor.window)
                 m = covered.astype(float) * (GRID.dt / sensor.window)
             blocks.append(np.einsum("lj,ji->lij", m, g[:, k, :]).reshape(len(m), -1))
-        np.testing.assert_array_equal(assemble_F(SENSORS, MODEL, wind), np.vstack(blocks))
+        got, want = assemble_F(SENSORS, MODEL, wind), csr_array(np.vstack(blocks))
+        assert isinstance(got, csr_array) and got.shape == want.shape
+        for name in ("indptr", "indices", "data"):
+            got_part, want_part = getattr(got, name), getattr(want, name)
+            assert got_part.dtype == want_part.dtype, name
+            np.testing.assert_array_equal(got_part, want_part)
+        assert np.count_nonzero(got) == want.nnz  # as perfbench's tracer counts F
 
     def test_product_holds_no_dense_window_matrix(self):
         """F q on a long hourly sampler peaks below half of its dense window matrix."""
@@ -298,8 +307,11 @@ class TestAssembleF:
         f = assemble_F([], MODEL, make_wind())
         assert f.shape == (0, 2 * GRID.n_steps)
 
-    def test_peak_memory_is_the_result(self):
-        """Each sensor's rows are written into F; no per-sensor blocks sit beside it."""
+    def test_peak_memory_stays_below_one_dense_f(self):
+        """F is written as CSR from each row's slots, so no dense F, and no
+        per-sensor block of it, is made: the peak, which the kernel call's
+        own temporaries set, stays below three quarters of one dense F (it
+        read 0.48; a dense F is at least one)."""
         grid = TimeGrid(t0=0.0, dt=60.0, n_steps=1200)
         rng = np.random.default_rng(3)
         wind = WindSeries(
@@ -317,9 +329,10 @@ class TestAssembleF:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert f.shape == (8 * 40 + 1, 2 * grid.n_steps)
-        assert f.nbytes > 4e6
-        assert peak < 1.5 * f.nbytes, f"peak {peak / f.nbytes:.2f} times the result"
+        assert isinstance(f, csr_array) and f.shape == (8 * 40 + 1, 2 * grid.n_steps)
+        dense_bytes = f.shape[0] * f.shape[1] * 8
+        assert dense_bytes > 4e6
+        assert peak < 0.75 * dense_bytes, f"peak {peak / dense_bytes:.2f} times a dense F"
 
 
 class TestSignalVariances:

@@ -93,7 +93,7 @@ class TestAssembleH:
         h = assemble_H(grid, MODEL, wind, np.eye(self.N))
         for p, (x, y) in enumerate(grid.points()):
             jar = DustfallJar(id="probe", x=x, y=y, z=0.0, area=1.0, snr=10.0)
-            f = assemble_F([jar], MODEL, wind)
+            f = assemble_F([jar], MODEL, wind).toarray()
             np.testing.assert_allclose(h[p], f[0], rtol=1e-12)
 
     def test_calm_steps_deposit_nothing(self):
