@@ -39,7 +39,7 @@ from scipy.sparse import csr_array
 
 from .errors import NumericalError, ValidationError
 from .observation import TimeGrid
-from .sampling import ChainSummary, SamplerConfig, pcn_chain
+from .sampling import ChainSummary, RowSplit, SamplerConfig, pcn_chain
 
 __all__ = [
     "PriorConfig",
@@ -450,14 +450,20 @@ def clip_positive(v: np.ndarray) -> np.ndarray:
     return np.maximum(np.asarray(v, dtype=float), 0.0)
 
 
+def _inv_std(noise_var: np.ndarray) -> np.ndarray:
+    """Sigma^-1/2 as a vector: the factor each row of F and d is whitened by."""
+    return 1.0 / np.sqrt(np.asarray(noise_var, dtype=float))
+
+
 def whiten(f_matrix, d: np.ndarray, noise_var: np.ndarray):
     """(Sigma^-1/2 F as a CSR array, Sigma^-1/2 d).
 
     Most entries of F are zero (a sampler row covers only the time slots of
     its window), so F is whitened in sparse form, row by row, into a copy.
-    The chain splits it by row density on its own (see ``sampling``).
+    The positive stage does not make this copy: it whitens F straight into
+    the chain's ``RowSplit``.
     """
-    inv_std = 1.0 / np.sqrt(np.asarray(noise_var, dtype=float))
+    inv_std = _inv_std(noise_var)
     f_white = csr_array(f_matrix, dtype=float, copy=True)
     f_white.data *= np.repeat(inv_std, np.diff(f_white.indptr))
     return f_white, np.asarray(d, dtype=float) * inv_std
@@ -498,8 +504,12 @@ def positive_posterior(
     The chain targets exp(-phi(v)) N(v; h(q_s), C) with
     phi(v) = 1/2 || Sigma^-1/2 (F h(v) - d) ||^2 and h = ``link``
     (entrywise clipping by default; tests may pass the identity to recover
-    the linear-Gaussian stage). F and d are whitened once here; the chain
-    evaluates phi in its data space. The result is the chain's
+    the linear-Gaussian stage). The link must be the identity on
+    nonnegative entries, as clipping, abs and the identity are: the chain
+    skips it on proposals it can show to be nonnegative. F and d are
+    whitened once here, F straight into the chain's ``RowSplit``, so no
+    whitened copy of F is made beside it; the chain evaluates phi in its
+    data space. The result is the chain's
     ``ChainSummary``: ``mean`` is the latent posterior mean, ``point`` is
     q_sp = h(mean), the stage's estimate, and ``cov`` sketches C_sp, the
     chain's second moment of h(v) about q_sp (not about the chain mean of
@@ -508,7 +518,9 @@ def positive_posterior(
     over Y.
     """
     prior_mean = link(np.asarray(q_s, dtype=float))
-    f_white, d_white = whiten(f_matrix, d, noise_var)
+    inv_std = _inv_std(noise_var)
+    f_white = RowSplit(f_matrix, row_scale=inv_std)
+    d_white = np.asarray(d, dtype=float) * inv_std
     summary = pcn_chain(f_white, d_white, prior_mean, prior, cfg, link=link)
     if not (0.1 <= summary.acceptance_rate <= 0.6):
         logger.warning(

@@ -18,34 +18,52 @@ Randomness comes from a counter-based Philox generator with two spawned
 streams: stream 0 drives prior draws, stream 1 drives acceptance
 variables. One draw is consumed from each stream per step regardless of
 the outcome, so a block's randomness is known before the block runs. The
-chain therefore works a block of ``BLOCK_SIZE`` steps at a time, and
-draws block k+1's randomness while block k runs. The prior hands the
+chain therefore works a block of ``BLOCK_SIZE`` steps at a time, with
+the randomness drawn up to a block and a half ahead. The prior hands the
 chain w ~ N(0, C) in two halves (``GaussianPrior``): standard normals,
 and a solve that turns them into draws. One draw thread does only the
-stream work: it fills one preallocated buffer with the next block's
-normals from stream 0 (drawing b at once leaves the stream where b single
-draws leave it) and draws its b acceptance exponentials from stream 1.
-The main thread copies both into buffers of its own, only then hands
-the next block to the draw thread, and does the rest: the
-solve, the scaling by beta, one product forming F w for the whole block
-and one more forming F v at its start, the accept loop and the moment
-updates; a flush of kept states writes h(v) over them in the chain's
-own buffer, so no second copy of the block is made. Each stream is read
-by one thread in block order, so the draws do not depend on how the two
-threads are scheduled. The Philox fills, NumPy's matmul and SciPy's
-sparse products release the GIL; SciPy's BLAS and LAPACK wrappers
-(``dgemm``, the ``dpttrs`` solve) hold it. A Python loop on another
-thread took 0.071 s beside 200 of the chain's sketch products
-(Omega^T A^T) against 0.068 s alone, and 0.135 s beside its ``dgemm``
-updates, whose time it then shares (2 vCPUs). ``pipeline`` runs every
-stage with BLAS on one thread (``threads.single``), so the draw thread
-has a core of its own. The accept loop runs in the data space, where
+stream work, in chunks of half a block: chunk j's normals from stream 0
+and its acceptance exponentials from stream 1 go into slot j mod 3 of a
+preallocated ring of three chunk slots (drawing c at once leaves a
+stream where c single draws leave it). The main thread takes a block's
+two chunks in order, copies each out of its slot into buffers of its
+own, and only then hands that slot back for chunk j + 3, so no slot is
+written while it is read. A block that holds a flush takes about twice
+as long as one that does not; with a block and a half queued, the draw
+thread keeps filling through such a block instead of waiting for the
+main thread. The main thread does the rest: the solve, the scaling by
+beta, one product forming F w for the whole block and one more forming
+F v at its start, the accept loop and the moment updates; a flush of
+kept states writes h(v) over them in the chain's own buffer, so no
+second copy of the block is made. Each stream is read by one thread in
+chunk order, so the draws do not depend on how the two threads are
+scheduled. The Philox fills, NumPy's matmul and SciPy's sparse products
+release the GIL; SciPy's BLAS and LAPACK wrappers (``dgemm``, the
+``dpttrs`` solve) hold it. A Python loop on another thread took 0.071 s
+beside 200 of the chain's sketch products (Omega^T A^T) against 0.068 s
+alone, and 0.135 s beside its ``dgemm`` updates, whose time it then
+shares (2 vCPUs). ``pipeline`` runs every stage with BLAS on one thread
+(``threads.single``), so the draw thread has a core of its own. On a
+10k-step invert of the bundled case (2 vCPUs) the main thread is busy
+1.50-1.72 s and waits 0.01-0.04 s for the draws; the draw thread fills
+for 1.02-1.32 s, about 110 us a step, which is now the chain's floor.
+The accept loop runs in the data space, where
 
     F v~ = F m + sqrt(1 - beta^2) (F v - F m) + beta F w,
 
 and F (h(v~) - v~) is added on the columns where the link moves v~ (for
 clipping, the negative entries), so phi is exact without a product by F
-per step. The products by F take its rows apart by density (``_RowSplit``):
+per step. The state part of that sum, base = m + sqrt(1 - beta^2)(v - m),
+its image under F and min(base) are formed once per state change (an
+acceptance, or a block start, where F v is formed afresh), and each
+step adds only F (beta w_k) and forms the residual. The link is the
+identity on nonnegative entries (``pcn_chain``), and rounding is
+monotone, so when fl(min(base) + min(beta w_k)) >= 0 no entry of the
+proposal is negative and the link is not applied; a NaN or -inf bound
+takes the exact path. The proposal base + beta w_k itself is formed
+only where that bound fails or the step is accepted, so a rejected step
+forms no vector of the state's size. The products by F take its rows
+apart by density (``RowSplit``):
 the few rows with more than n/8 nonzeros (dustfall jars, each spanning
 the whole period) go through one BLAS GEMM, the rest stay sparse. Every
 column of the draw and of the product is computed on its own, and the
@@ -82,8 +100,9 @@ from __future__ import annotations
 import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Optional, Protocol, Tuple
+from typing import Callable, Iterator, Optional, Protocol, Tuple
 
 import numpy as np
 from scipy.linalg.blas import dgemm, dger, dtrsm
@@ -99,6 +118,7 @@ __all__ = [
     "ChainSummary",
     "OnlineMoments",
     "CovarianceSketch",
+    "RowSplit",
     "sketch_test_matrix",
     "pcn_chain",
     "effective_sample_size",
@@ -113,16 +133,21 @@ SKETCH_SIZE = 400  # columns of the test matrix the chain's covariance is sketch
 SKETCH_SEED = 0  # seed of the test matrix's own generator
 SKETCH_NONZEROS = 8  # +-1 entries in each row of the sparse sign test matrix
 _CENTRE_COLUMNS = 256  # columns of a block centred at a time in a moment update
+_CHUNK = BLOCK_SIZE // 2  # draws the draw thread fills at a time
+_RING = 3  # chunk slots the draw thread fills ahead of the main thread
 
-Link = Callable[[np.ndarray], np.ndarray]
+Link = Callable[[np.ndarray], np.ndarray]  # entrywise, the identity on nonnegative entries
 
 
 class GaussianPrior(Protocol):
     """The prior N(0, C) of a chain, as standard normals and a solve.
 
     ``fill_normals`` runs on the chain's draw thread and must call nothing
-    but the generator; ``place_normals`` and ``solve`` run on the main
-    thread. Draw k must not depend on how many draws share its call.
+    but the generator; it fills half a block of draws at a time, into a
+    slot the main thread has already copied out. ``place_normals`` and
+    ``solve`` run on the main thread: ``place_normals`` copies each half
+    block into its rows of the block's buffer, and ``solve`` takes the
+    whole block. Draw k must not depend on how many draws share its call.
     """
 
     @property
@@ -415,22 +440,29 @@ def _streams(seed: int):
             np.random.Generator(np.random.Philox(seq_acc)))
 
 
-class _RowSplit:
+class RowSplit:
     """F with its rows apart by density, for the chain's products.
 
     Rows with more than n/8 nonzeros (n the number of columns) are one
     C-ordered dense array, multiplied by BLAS; the rest stay CSC. Products
     come back with the dense rows first: row i of a product is row
-    ``order[i]`` of F.
+    ``order[i]`` of F. With ``row_scale``, row i of F is multiplied by
+    ``row_scale[i]`` in the split's own copies, as ``inversion.whiten``
+    whitens a copy of F, and to the same bits.
     """
 
-    def __init__(self, f):
+    def __init__(self, f, row_scale: Optional[np.ndarray] = None):
         f = csr_array(f, dtype=float)
         dense = np.diff(f.indptr) > f.shape[1] / 8
         self.order = np.concatenate([np.flatnonzero(dense), np.flatnonzero(~dense)])
         self.n_dense = int(dense.sum())
         self.dense = f[self.order[: self.n_dense]].toarray()
-        self.sparse = f[self.order[self.n_dense :]].tocsc()
+        sparse = f[self.order[self.n_dense :]]
+        if row_scale is not None:
+            scale = np.asarray(row_scale, dtype=float)[self.order]
+            self.dense *= scale[: self.n_dense, None]
+            sparse.data *= np.repeat(scale[self.n_dense :], np.diff(sparse.indptr))
+        self.sparse = sparse.tocsc()
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         """F x for a vector x."""
@@ -450,6 +482,16 @@ class _RowSplit:
         out[self.n_dense :] = self.sparse @ w.T
 
 
+@contextmanager
+def _draw_thread() -> Iterator[ThreadPoolExecutor]:
+    """The chain's draw thread, joined on the way out; a raise drops the draws still queued."""
+    drawer = ThreadPoolExecutor(1, "pcn-draw")
+    try:
+        yield drawer
+    finally:
+        drawer.shutdown(cancel_futures=True)
+
+
 def pcn_chain(
     f_white,
     d_white: np.ndarray,
@@ -461,39 +503,60 @@ def pcn_chain(
     """Run one pCN chain on phi(v) = 1/2 ||F h(v) - d||^2 and return its moments.
 
     The chain runs ``cfg.n_steps`` steps a block at a time (see the module
-    docstring). Its draw thread is joined before this returns or raises.
+    docstring). Its draw thread is joined before this returns or raises,
+    and a raise drops the draws still queued.
 
     Args:
-        f_white: whitened forward matrix F (n_meas x dim; dense, or sparse
-            with column indexing). Zero rows give a flat potential. The
-            chain holds it only as a ``_RowSplit``, and works in that
-            split's row order.
+        f_white: whitened forward matrix F (n_meas x dim; dense, sparse
+            with column indexing, or a ``RowSplit`` of it). Zero rows give a
+            flat potential. The chain holds F only as a ``RowSplit``, and
+            works in that split's row order; a caller that passes the split
+            need not keep F itself.
         d_white: whitened data d.
         prior_mean: m, the Gaussian prior mean.
         prior: the Gaussian prior N(0, C) the proposals are drawn from, as
             standard normals and a solve (``GaussianPrior``).
         cfg: chain parameters.
-        link: the entrywise map h, the identity when omitted; non-finite
-            potentials auto-reject the proposal.
+        link: the entrywise map h, the identity when omitted. It must be
+            the identity on nonnegative entries (clipping, abs and the
+            identity are): the chain skips it on proposals that a lower
+            bound shows to be nonnegative. Non-finite potentials
+            auto-reject the proposal.
 
     Returns:
         ChainSummary over the post-burn-in states.
     """
     m = np.asarray(prior_mean, dtype=float)
-    f = _RowSplit(f_white)
+    f = f_white if isinstance(f_white, RowSplit) else RowSplit(f_white)
     d_white = np.asarray(d_white, dtype=float)[f.order]
     rng_prop, rng_acc = _streams(cfg.seed)
     shrink = math.sqrt(max(0.0, 1.0 - cfg.beta**2))
 
-    def phi(v: np.ndarray, fv: np.ndarray) -> float:
-        """phi(v) given the linear part F v."""
-        if link is not None:
+    def moves(low: float) -> bool:
+        """Whether the link may move a vector whose entries are all >= low.
+
+        Rounding is monotone, so a sum of two vectors has no entry below the
+        rounded sum of their minima; a NaN or -inf bound gives True.
+        """
+        return link is not None and not low >= 0.0
+
+    def phi(fv: np.ndarray, v: Optional[np.ndarray] = None) -> float:
+        """phi given the linear part F v; v is passed where the link may move it."""
+        if v is not None:
             moved = link(v) - v
             cols = np.flatnonzero(moved)
             if cols.size:
                 fv = fv + f.columns(cols, moved[cols])
         residual = fv - d_white
         return 0.5 * float(residual @ residual)
+
+    def rebase(v: np.ndarray, fv: np.ndarray):
+        """(m + sqrt(1 - beta^2) (v - m), its image under F, its least entry):
+        the part of each proposal from v that does not depend on the draw."""
+        base = v - m
+        base *= shrink
+        base += m
+        return base, fm + shrink * (fv - fm), float(base.min())
 
     burn = cfg.n_burn
     n_kept = cfg.n_steps - burn
@@ -506,19 +569,24 @@ def pcn_chain(
     fill = 0
     accepted = 0
     n_nonfinite = 0
-    # The draw thread writes the next block's normals and exponentials into
-    # ``normals`` and ``exponentials`` while the main thread works on their
-    # copies: ``w``, the block's draws, and ``log_u``. ``w`` and the block
-    # product ``fw_t`` keep BLOCK_SIZE columns for a shorter last block too.
-    normals = np.empty((min(BLOCK_SIZE, cfg.n_steps), *prior.normal_shape))
+    # The draw thread fills chunk j's normals and exponentials into ring
+    # slot j % len(normals); the main thread copies a block's two chunks
+    # into ``w``, the block's draws, and ``log_u``, and hands each slot
+    # back for the chunk a ring ahead only once it has copied it. ``w`` and
+    # the block product ``fw_t`` keep BLOCK_SIZE columns for a shorter last
+    # block too.
+    n_chunks = -(-cfg.n_steps // _CHUNK)
+    normals = np.empty((min(_RING, n_chunks), min(_CHUNK, cfg.n_steps), *prior.normal_shape))
+    exponentials = np.empty(normals.shape[:2])
     w = np.zeros((BLOCK_SIZE, m.size))
     fw_t = np.empty((len(d_white), BLOCK_SIZE))
-    exponentials, log_u = np.empty(len(normals)), np.empty(len(normals))
+    log_u = np.empty(BLOCK_SIZE)
 
-    def draw(b: int) -> None:
-        """On the draw thread: the next block's normals and exponentials."""
-        prior.fill_normals(rng_prop, normals[:b])
-        rng_acc.standard_exponential(out=exponentials[:b])
+    def draw(j: int) -> None:
+        """On the draw thread: chunk j's normals and exponentials, into its slot."""
+        slot, c = j % len(normals), min(_CHUNK, cfg.n_steps - j * _CHUNK)
+        prior.fill_normals(rng_prop, normals[slot, :c])
+        rng_acc.standard_exponential(out=exponentials[slot, :c])
 
     def flush() -> None:
         nonlocal mean_v
@@ -533,41 +601,47 @@ def pcn_chain(
 
     v = m.copy()
     fm = f @ m
-    with ThreadPoolExecutor(1, "pcn-draw") as drawer, np.errstate(
+    with _draw_thread() as drawer, np.errstate(
         over="ignore", invalid="ignore"  # a non-finite phi rejects
     ):
-        phi_v = phi(v, fm)
+        phi_v = phi(fm, v if moves(float(m.min())) else None)
         if not math.isfinite(phi_v):
             raise NumericalError(f"potential at the prior mean is non-finite ({phi_v})")
-        pending = drawer.submit(draw, len(normals))
+        pending = [drawer.submit(draw, j) for j in range(len(normals))]
         for start in range(0, cfg.n_steps, BLOCK_SIZE):
             b = min(BLOCK_SIZE, cfg.n_steps - start)
-            pending.result()
+            for j in range(start // _CHUNK, -(-(start + b) // _CHUNK)):
+                slot, row = j % len(normals), j * _CHUNK - start
+                c = min(_CHUNK, b - row)
+                pending[slot].result()
+                prior.place_normals(normals[slot, :c], w[row : row + c])
+                # log U = -Exp(1) exactly, one per step whatever the outcome.
+                np.negative(exponentials[slot, :c], out=log_u[row : row + c])
+                if j + len(normals) < n_chunks:
+                    pending[slot] = drawer.submit(draw, j + len(normals))
             block = w[:b]
-            prior.place_normals(normals[:b], block)
-            # log U = -Exp(1) exactly, one per step whatever the outcome.
-            np.negative(exponentials[:b], out=log_u[:b])
-            if start + b < cfg.n_steps:
-                pending = drawer.submit(draw, min(BLOCK_SIZE, cfg.n_steps - start - b))
             prior.solve(block)
             block *= cfg.beta
+            low = block.min(axis=1).tolist()
             # F v is carried from step to step inside a block; forming it
             # afresh at each block start keeps its rounding error from
             # building up over many steps when beta is small.
             fv = f @ v
             f.block(w, fw_t)
             fw = fw_t.T  # row k is F (beta w_k)
+            base, base_f, base_low = rebase(v, fv)
             for k in range(b):
-                proposal = v - m
-                proposal *= shrink
-                proposal += m
-                proposal += block[k]
-                f_prop = fm + shrink * (fv - fm) + fw[k]
-                phi_p = phi(proposal, f_prop)
+                # The proposal is base + beta w_k; it is formed only
+                # where the link may move it or where it is accepted.
+                f_prop = base_f + fw[k]
+                proposal = base + block[k] if moves(base_low + low[k]) else None
+                phi_p = phi(f_prop, proposal)
                 finite = math.isfinite(phi_p)
                 accept = finite and log_u[k] <= phi_v - phi_p
                 if accept:
-                    v, fv, phi_v = proposal, f_prop, phi_p
+                    v = base + block[k] if proposal is None else proposal
+                    fv, phi_v = f_prop, phi_p
+                    base, base_f, base_low = rebase(v, fv)
                 accepted += accept
                 n_nonfinite += not finite
                 step = start + k

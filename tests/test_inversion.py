@@ -574,29 +574,30 @@ class TestChainPotential:
 
 
 class SleepyPrior(SmoothnessPrior):
-    """A smoothness prior that pauses a seeded 0-3 ms before each normal
+    """A smoothness prior that pauses a seeded 0-8 ms before each normal
     fill (on the draw thread) and before each copy of the normals (on the
-    main thread), so either thread may reach the shared buffer first."""
+    main thread), so the draw thread at times lags the main thread and at
+    times fills the whole ring ahead of it."""
 
     def __init__(self, *args, seed):
         super().__init__(*args)
         self.fill_pauses, self.place_pauses = random.Random(seed), random.Random(seed + 1)
 
     def fill_normals(self, rng, out):
-        time.sleep(self.fill_pauses.uniform(0.0, 0.003))
+        time.sleep(self.fill_pauses.uniform(0.0, 0.008))
         super().fill_normals(rng, out)
 
     def place_normals(self, normals, out):
-        time.sleep(self.place_pauses.uniform(0.0, 0.003))
+        time.sleep(self.place_pauses.uniform(0.0, 0.008))
         super().place_normals(normals, out)
 
 
 class TestDrawThread:
-    @pytest.mark.parametrize("n_steps", [1017, 40])
+    @pytest.mark.parametrize("n_steps", [1017, 40, 33])
     def test_scheduling_does_not_change_the_chain(self, n_steps):
-        """Pauses in the draw thread change nothing: the potential trace,
+        """Pauses in either thread change nothing: the potential trace,
         acceptances, mean, diagonal and sketch match bit for bit, over many
-        blocks and below one."""
+        blocks, below one and at one chunk of draws plus a step."""
         rng = np.random.default_rng(12)
         args = (PriorConfig(alpha=6.0, gamma=0.02), TimeGrid(t0=0.0, dt=3600.0, n_steps=20), 2)
         prior = SmoothnessPrior(*args)

@@ -16,6 +16,7 @@ that instead of guessing.
 import logging
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,8 +29,8 @@ from plumeinv.sampling import (
     SKETCH_NONZEROS,
     SKETCH_SIZE,
     OnlineMoments,
+    RowSplit,
     SamplerConfig,
-    _RowSplit,
     _sketch_matrix,
     effective_sample_size,
     pcn_chain,
@@ -376,14 +377,14 @@ SPLIT_CASES = {
 
 
 class TestRowSplit:
-    """The chain's products by F with its dense rows apart (``_RowSplit``)
+    """The chain's products by F with its dense rows apart (``RowSplit``)
     against the dense F."""
 
     @staticmethod
     def split_of(case, seed=0):
         rng = np.random.default_rng(seed)
         f = rows_with_nonzeros(rng, SPLIT_CASES[case], 152)
-        return f, _RowSplit(csc_array(f)), rng
+        return f, RowSplit(csc_array(f)), rng
 
     @staticmethod
     def assert_close(got, want):
@@ -409,6 +410,21 @@ class TestRowSplit:
         self.assert_close(split @ x, (f @ x)[split.order])
         cols = np.sort(rng.choice(f.shape[1], 9, replace=False))
         self.assert_close(split.columns(cols, x[cols]), (f[:, cols] @ x[cols])[split.order])
+
+    @pytest.mark.parametrize("case", sorted(SPLIT_CASES))
+    def test_row_scale_gives_the_split_of_the_whitened_copy(self, case):
+        """Scaling rows in the split's own copies gives, bit for bit, the
+        split of F with its rows scaled first, and changes no entry of F."""
+        f, _, rng = self.split_of(case)
+        scale = rng.uniform(0.5, 3.0, len(f))
+        f_csr = csr_array(f)
+        scaled = RowSplit(f_csr, row_scale=scale)
+        want = RowSplit(csr_array(f * scale[:, None]))
+        np.testing.assert_array_equal(scaled.order, want.order)
+        np.testing.assert_array_equal(scaled.dense, want.dense)
+        for name in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(scaled.sparse, name), getattr(want.sparse, name))
+        np.testing.assert_array_equal(f_csr.toarray(), f)
 
     @pytest.mark.parametrize("b", [1, 3, 37])
     @pytest.mark.parametrize("case", sorted(SPLIT_CASES))
@@ -480,6 +496,52 @@ class TestPcnChainMechanics:
         np.testing.assert_array_equal(mapped.cov.y, plain.cov.y)
         np.testing.assert_array_equal(mapped.cov.diag, plain.cov.diag)
 
+    def test_link_runs_only_where_a_proposal_may_go_negative(self, monkeypatch):
+        """With the prior mean 40 prior std above zero no proposal has a
+        negative entry, so the link runs only on each distinct kept state,
+        in a flush, and once on the chain mean for ``point``."""
+        dim = 3
+        calls = []
+        seen = []
+        original = OnlineMoments.update_block
+
+        def counting_link(v):
+            calls.append(len(v))
+            return np.maximum(v, 0.0)
+
+        def recording(self, rows, counts=None):
+            seen.append(len(rows))
+            original(self, rows, counts)
+
+        monkeypatch.setattr(OnlineMoments, "update_block", recording)
+        f, _ = quadratic(dim)
+        cfg = SamplerConfig(beta=0.5, n_steps=1000, burn_in_fraction=0.1, seed=6)
+        out = pcn_chain(f, np.full(dim, 40.0), np.full(dim, 40.0), NormalPrior(dim), cfg,
+                        counting_link)
+        assert 0.1 < out.acceptance_rate < 0.9
+        assert len(calls) == sum(seen) + 1 and sum(seen) > 50
+
+    def test_peak_memory_above_the_sketch_is_a_few_block_buffers(self):
+        """At dim 2 x SKETCH_SIZE the chain's traced peak above its sketch Y
+        is at most 7 (BLOCK_SIZE, dim) buffers: the ring of 1.5, the block's
+        draws, the kept rows and a flush's stacked rows with their sketch
+        product. Measured at 6.27 (5.73 with the draws one block ahead), so
+        one more such buffer would exceed it."""
+        dim = 2 * SKETCH_SIZE
+        f = csr_array(0.1 * np.eye(50, dim))
+        cfg = SamplerConfig(beta=0.5, n_steps=1000, burn_in_fraction=0.1, seed=2)
+        one_block = BLOCK_SIZE * dim * 8
+        tracemalloc.start()
+        try:
+            out = pcn_chain(f, np.zeros(50), np.zeros(dim), NormalPrior(dim), cfg,
+                            link=lambda v: np.maximum(v, 0.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        above = (peak - out.cov.y.nbytes) / one_block
+        assert above <= 7.0, f"peak {above:.2f} block buffers above Y"
+        assert out.cov.y.shape == (dim, SKETCH_SIZE) and out.acceptance_rate > 0.5
+
     def test_streamed_sketch_past_the_sketch_size(self, monkeypatch):
         """At dim 600 > SKETCH_SIZE the chain's Y and diagonal are NumPy's
         dwell-weighted second moment of h(v) about h(mean) times Omega."""
@@ -528,18 +590,33 @@ class FillFailed(Exception):
 
 
 class WatchedPrior(NormalPrior):
-    """N(0, I) that raises on fill number ``fail_at`` (1-based), if given."""
+    """N(0, I) that counts its fills and copies, and raises on fill number
+    ``fail_at`` or solve number ``solve_fails_at`` (1-based), if given."""
 
-    def __init__(self, dim, fail_at=None):
+    def __init__(self, dim, fail_at=None, solve_fails_at=None):
         super().__init__(dim)
-        self.fail_at = fail_at
-        self.fills = 0
+        self.fail_at, self.solve_fails_at = fail_at, solve_fails_at
+        self.fills = self.placed = self.solves = 0
 
     def fill_normals(self, rng, out):
         self.fills += 1
         if self.fills == self.fail_at:
             raise FillFailed(f"fill {self.fail_at}")
         super().fill_normals(rng, out)
+
+    def place_normals(self, normals, out):
+        self.placed += 1
+        super().place_normals(normals, out)
+
+    def solve(self, out):
+        self.solves += 1
+        if self.solves == self.solve_fails_at:
+            raise NumericalError(f"solve {self.solve_fails_at}")
+        super().solve(out)
+
+
+def draw_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("pcn-draw")]
 
 
 class TestDrawThread:
@@ -554,3 +631,15 @@ class TestDrawThread:
         pcn_chain(*quadratic(3), np.zeros(3), WatchedPrior(3), cfg)
         assert threading.active_count() == before
 
+
+    def test_main_thread_error_drops_the_queued_draws_and_joins(self):
+        """A solve that raises on the third block raises out of pcn_chain, no
+        draw thread is left, and no more than the ring's three chunks were
+        filled past the last chunk the main thread copied."""
+        cfg = SamplerConfig(beta=0.5, n_steps=1000, seed=3)
+        prior = WatchedPrior(3, solve_fails_at=3)
+        with pytest.raises(NumericalError, match="solve 3"):
+            pcn_chain(*quadratic(3), np.zeros(3), prior, cfg)
+        assert not draw_threads()
+        assert prior.placed == 3 * BLOCK_SIZE // sampling._CHUNK
+        assert prior.placed <= prior.fills <= prior.placed + sampling._RING
