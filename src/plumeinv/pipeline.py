@@ -2,18 +2,17 @@
 
 Four stages, in this order: ``wind_fit`` (GP regularization of the raw
 records, which a synthetic case first writes from its wind model),
-``synth`` (twin-case data on the fitted wind), ``invert`` (constant,
-smooth, and positive estimates), ``propagate`` (low-rank deposition map).
-No stage runs another; ``run_stage`` alone chains them. Each stage
-writes its artifacts, stamped with its key, plus a run-metadata entry;
-the arrays a later stage loads (the fitted wind, the positive-stage mean,
-its covariance's Nystrom factor and trace) live in ``state/*.npz``, and
-nothing else does.
+``synth`` (twin-case data on the wind model; it reads no file), ``invert``
+(constant, smooth, and positive estimates), ``propagate`` (low-rank
+deposition map). No stage runs another; ``run_stage`` alone chains them.
+Each stage writes its artifacts, stamped with its key, plus a run-metadata
+entry; the arrays a later stage loads (the fitted wind, the positive-stage
+mean, its covariance's Nystrom factor and trace) live in ``state/*.npz``.
 
-The key of a stage is a sha256 over the config slice it reads
-(``SLICES``; paths never count), the keys of the stages that wrote the
-files it reads, and the sha256 of every file it reads that no stage
-writes (the wind, sensors and measurements files of a real-data case).
+The key of a stage is a sha256 over ``OUTPUT_VERSION``, the config slice
+it reads (``SLICES``; paths never count), the keys of the stages that
+wrote the files it reads, and the sha256 of every file it reads that no
+stage writes (the wind, sensors and measurements files of real data).
 ``run_metadata.json`` keeps the key each stage last ran under; a stage is
 fresh when that key is its current key and the files it writes exist.
 A requested stage always runs, after every stale predecessor.
@@ -47,7 +46,7 @@ from .inversion import (
 )
 from .observation import MeasurementSet, TimeGrid, assemble_F, signal_variances
 from .sampling import ChainSummary, sketch_test_matrix
-from .synthetic import generate_synthetic, wind_records
+from .synthetic import generate_synthetic, wind_records, wind_series
 from .uqprop import annualize, assemble_H, deposition_stats, lowrank_truncate
 from .windprep import WindSeries, fit_wind, select_hyperparameters
 
@@ -68,15 +67,21 @@ logger = logging.getLogger(__name__)
 
 STAGES = ("wind_fit", "synth", "invert", "propagate")
 
+# In every stage key: bumped where a stage's bytes or a state layout move,
+# so a directory an older package wrote reruns instead of reading as fresh.
+OUTPUT_VERSION = 1
+
 # The config each stage reads, as dotted paths into config_dict(cfg).
 # sampler.seed is the run's one seed: it drives the synthetic noise, the
 # wind cross-validation shuffle and the chain. A change to the wind fit's
-# slice reaches synth through the upstream key of state/wind.npz.
-_MODEL_SLICE = ("time", "dt_inversion", "sources", "particle", "stability", "plume")
+# slice reaches invert and propagate through the key of state/wind.npz.
+_PLUME_MODEL_SLICE = ("sources", "particle", "stability", "plume")
+_MODEL_SLICE = ("time", "dt_inversion") + _PLUME_MODEL_SLICE
 SLICES = {
-    "wind_fit": ("time", "dt_inversion", "dt_generation", "sampler.seed")
+    "wind_fit": ("time", "dt_inversion", "sampler.seed")
     + ("synthetic.wind_model", "synthetic.wind_cadence_s"),
-    "synth": ("dt_generation", "sampler.seed") + _MODEL_SLICE + ("synthetic", "noise_floor"),
+    "synth": ("time", "dt_generation", "sampler.seed") + _PLUME_MODEL_SLICE
+    + ("synthetic.spec", "synthetic.wind_model", "synthetic.sensors", "noise_floor"),
     "invert": _MODEL_SLICE + ("noise_floor", "prior", "sampler"),
     "propagate": _MODEL_SLICE + ("grid",),
 }
@@ -125,7 +130,7 @@ def _stage_files(cfg: RunConfig) -> dict:
     wind_fit = ((wind_csv,), wind_fit) if cfg.synthetic is None else ((), (wind_csv, *wind_fit))
     return {
         "wind_fit": wind_fit,
-        "synth": ((wind_state,), (sensors, measurements, out / TRUTH_FILE)),
+        "synth": ((), (sensors, measurements, out / TRUTH_FILE)),
         "invert": (
             (sensors, measurements, wind_state),
             (inversion_state, *(out / f"emissions_{name}.csv" for name in ESTIMATES)),
@@ -159,6 +164,7 @@ def _stage_keys(cfg: RunConfig) -> dict:
         reads, writes = files[stage]
         keys[stage] = _digest(
             {
+                "version": OUTPUT_VERSION,
                 "config": {name: _pick(plain, name) for name in SLICES[stage]},
                 "upstream": {s: keys[s] for s in keys if set(files[s][1]) & set(reads)},
                 "inputs": [_file_digest(p) for p in reads if p not in written],
@@ -247,18 +253,17 @@ def _load_state(cfg: RunConfig, stage: str, name: str, keys: dict) -> dict:
 
 
 def run_synth(cfg: RunConfig) -> None:
-    """Write the sensor registry, the noisy measurement CSV, and the truth rates.
-
-    The data are made on the generation grid from the fresh wind fit's series.
-    """
+    """Write the sensor registry, the noisy measurement CSV, and the truth rates,
+    made on the generation grid from the wind model itself."""
     if cfg.synthetic is None:
         raise ConfigurationError("config has no synthetic section; cannot run synth")
     tic = time.perf_counter()
     out = cfg.resolve_out_dir()
+    out.mkdir(parents=True, exist_ok=True)
     keys = _stage_keys(cfg)
-    wind = _wind_series(cfg, keys)["generation"]
-
     syn = cfg.synthetic
+    wind = wind_series(syn.wind_model, generation_grid(cfg))
+
     io.write_sensors(cfg.resolve_input("sensors_file"), syn.sensors, keys["synth"])
 
     q_true, measurements = generate_synthetic(
@@ -267,17 +272,9 @@ def run_synth(cfg: RunConfig) -> None:
     io.write_measurements(cfg.resolve_input("measurements_csv"), measurements, keys["synth"])
     io.write_truth_csv(out / TRUTH_FILE, _source_ids(cfg), wind.grid, q_true, keys["synth"])
 
-    _record(
-        cfg,
-        "synth",
-        keys,
-        {
-            "n_measurements": int(measurements.values.size),
-            "n_sensors": len(syn.sensors),
-            "seed": cfg.sampler.seed,
-            "timing_s": time.perf_counter() - tic,
-        },
-    )
+    payload = {"n_measurements": int(measurements.values.size), "n_sensors": len(syn.sensors)}
+    payload.update(seed=cfg.sampler.seed, timing_s=time.perf_counter() - tic)
+    _record(cfg, "synth", keys, payload)
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +287,8 @@ def run_wind_fit(cfg: RunConfig) -> None:
     A synthetic case first writes the raw records from its wind model;
     they are read back from that file, so a later refit from it matches
     this fit bit for bit. One cross-validation per component selects the
-    kernel; one fit then serves the inversion grid and, in a synthetic
-    case, the generation grid the synth stage makes its data on.
+    kernel, and one fit evaluates it on the inversion grid. A synthetic
+    case also records the fit's rms error against the wind model there.
     """
     tic = time.perf_counter()
     keys = _stage_keys(cfg)
@@ -302,14 +299,10 @@ def run_wind_fit(cfg: RunConfig) -> None:
         io.write_wind_csv(cfg.resolve_input("wind_csv"), records, keys["wind_fit"])
     records = io.load_wind_csv(cfg.resolve_input("wind_csv"))
     choices = select_hyperparameters(records, seed=cfg.sampler.seed)
-    grids = [inv_grid] if syn is None else [inv_grid, generation_grid(cfg)]
-    series = fit_wind(records, grids, [choice.config for choice in choices])
-    arrays = {}
-    for tag, fitted in zip(("inv", "gen"), series):
-        arrays.update({f"u_x_{tag}": fitted.u_x, f"u_y_{tag}": fitted.u_y})
-    _save_state(cfg, WIND_STATE, **arrays)
+    series = fit_wind(records, inv_grid, [choice.config for choice in choices])
+    _save_state(cfg, WIND_STATE, u_x=series.u_x, u_y=series.u_y)
 
-    io.write_wind_fit_csv(out / WIND_FIT_CSV, series[0], keys["wind_fit"])
+    io.write_wind_fit_csv(out / WIND_FIT_CSV, series, keys["wind_fit"])
     hyper = {
         name: {
             "signal_var": choice.config.signal_var,
@@ -324,30 +317,22 @@ def run_wind_fit(cfg: RunConfig) -> None:
         out / WIND_FIT_JSON,
         {"stage_key": keys["wind_fit"], "n_records": len(records), "hyperparameters": hyper},
     )
-    _record(
-        cfg,
-        "wind_fit",
-        keys,
-        {
-            "n_records": len(records),
-            "hyperparameters": hyper,
-            "timing_s": time.perf_counter() - tic,
-        },
-    )
+    payload = {"n_records": len(records), "hyperparameters": hyper}
+    if syn is not None:
+        model = wind_series(syn.wind_model, inv_grid)
+        squared = (series.u_x - model.u_x) ** 2 + (series.u_y - model.u_y) ** 2
+        payload["wind_rms_error_mps"] = float(np.sqrt(np.mean(squared)))
+    _record(cfg, "wind_fit", keys, {**payload, "timing_s": time.perf_counter() - tic})
 
 
-def load_wind_series(cfg: RunConfig) -> dict:
-    """Wind state from disk as {"inversion": ..., "generation": ...}."""
+def load_wind_series(cfg: RunConfig) -> WindSeries:
+    """The fitted wind on the inversion grid, from disk."""
     return _wind_series(cfg, _stage_keys(cfg))
 
 
-def _wind_series(cfg: RunConfig, keys: dict) -> dict:
+def _wind_series(cfg: RunConfig, keys: dict) -> WindSeries:
     state = _load_state(cfg, "wind_fit", WIND_STATE, keys)
-    inv = WindSeries(inversion_grid(cfg), state["u_x_inv"], state["u_y_inv"])
-    gen = None
-    if "u_x_gen" in state:
-        gen = WindSeries(generation_grid(cfg), state["u_x_gen"], state["u_y_gen"])
-    return {"inversion": inv, "generation": gen}
+    return WindSeries(inversion_grid(cfg), state["u_x"], state["u_y"])
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +409,7 @@ def run_invert(
     # every jar, and a dropped one must not set the others'.
     noise_var = signal_variances(measurements.values, sensors, cfg.noise_floor) * noise_scale**2
 
-    wind = _wind_series(cfg, keys)["inversion"]
+    wind = _wind_series(cfg, keys)
     f_matrix = assemble_F(sensors, cfg.plume_model, wind)  # CSR, about 3% nonzero
     d = measurements.values
     n_sources = len(cfg.sources)
@@ -512,7 +497,7 @@ def run_propagate(cfg: RunConfig) -> dict:
     keys = _stage_keys(cfg)
     state = _load_state(cfg, "invert", INVERSION_STATE, keys)
     grid = inversion_grid(cfg)
-    wind = _wind_series(cfg, keys)["inversion"]
+    wind = _wind_series(cfg, keys)
 
     factor = state["cov_factor"]
     total_variance = state["cov_trace"]

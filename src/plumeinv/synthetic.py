@@ -4,7 +4,8 @@ Ground truth emission rates are clipped sinusoids on a fine generation
 grid, the grid of the wind series handed to ``generate_synthetic``; the
 clean data F q_true are made on that grid, without forming F there, and
 noise is injected per-sensor by SNR. Inversion then runs on a coarser grid
-so the estimator never sees the discretization that produced the data.
+and the GP fit of the wind records, so the estimator sees neither the
+discretization nor the wind (``wind_series`` of the model) that made the data.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .errors import ValidationError
 from .observation import Sensor, TimeGrid, assemble_F, simulate_measurements
 from .observation import NOISE_FLOOR_DEFAULT
 from .plume import PlumeModel
-from .windprep import RawWindRecord
+from .windprep import RawWindRecord, WindSeries
 
 __all__ = [
     "SourceSignal",
@@ -29,6 +30,7 @@ __all__ = [
     "emission_series",
     "block_average",
     "wind_records",
+    "wind_series",
     "generate_synthetic",
 ]
 
@@ -135,6 +137,14 @@ def wind_records(model: WindModel, t0: float, duration: float, cadence: float) -
         RawWindRecord(timestamp=t0 + float(e), speed=float(s), direction_from=float(d))
         for e, s, d in zip(elapsed, speeds, directions)
     ]
+
+
+def wind_series(model: WindModel, grid: TimeGrid) -> WindSeries:
+    """The model at elapsed j dt, j = 1..n_steps, as ``windprep.to_components`` does."""
+    elapsed = grid.dt * np.arange(1, grid.n_steps + 1)
+    speed = model.speed(elapsed)
+    theta = np.radians(model.direction(elapsed))
+    return WindSeries(grid, -speed * np.sin(theta), -speed * np.cos(theta))
 
 
 def generate_synthetic(

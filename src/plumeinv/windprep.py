@@ -4,7 +4,9 @@ Raw anemometer records (speed + meteorological "blowing from" direction)
 are converted to Cartesian components and each component is smoothed
 independently by zero-mean GP regression with a squared-exponential
 kernel. Hyperparameters come from ``CV_FOLDS``-fold cross-validation on
-at most ``CV_MAX_POINTS`` records, over a small logarithmic candidate grid.
+at most ``CV_MAX_POINTS`` records in ``CV_RUNS`` contiguous runs spread
+over the span, so it sees the records' cadence at every horizon, over a
+small logarithmic candidate grid.
 
 The kernel falls below 2^-60 of its signal variance beyond
 sqrt(120 ln 2) = 9.12 length scales. Entries past that cutoff are dropped,
@@ -51,6 +53,7 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 CV_MAX_POINTS = 400  # records the cross-validation subsamples down to (cost cap)
+CV_RUNS = 8  # contiguous runs of records those points come in
 CV_FOLDS = 10  # cross-validation folds; fewer points fall back to leave-one-out
 CV_MIN_POINTS = 3  # fewer points leave some cross-validation fold under two to train on
 # Kernel values below 2^-KERNEL_TOL_LOG2 of the signal variance are dropped:
@@ -328,9 +331,11 @@ def _naming(what: str):
 
 
 def _cv_subsample(n: int, cap: int) -> np.ndarray:
+    """All n records, or CV_RUNS runs of cap // CV_RUNS, the first and last at the ends."""
     if n <= cap:
         return np.arange(n)
-    return np.unique(np.round(np.linspace(0, n - 1, cap)).astype(int))
+    starts = np.round(np.linspace(0, n - cap // CV_RUNS, CV_RUNS)).astype(int)
+    return (starts[:, None] + np.arange(cap // CV_RUNS)).ravel()
 
 
 def _component_arrays(records: Sequence[RawWindRecord]):
@@ -348,9 +353,8 @@ def select_hyperparameters(records: Sequence[RawWindRecord], seed: int = 0):
     """Cross-validated kernel choice for each wind component.
 
     Each component's candidates are ``default_candidates`` on all records;
-    selection runs on an evenly-strided subsample of at most
-    ``CV_MAX_POINTS`` records (cost cap). Returns (choice_x, choice_y),
-    each a CVChoice.
+    selection runs on ``_cv_subsample``'s at most ``CV_MAX_POINTS`` records
+    (cost cap). Returns (choice_x, choice_y), each a CVChoice.
     """
     t, comps = _component_arrays(records)
     sub = _cv_subsample(t.size, CV_MAX_POINTS)
@@ -364,28 +368,23 @@ def select_hyperparameters(records: Sequence[RawWindRecord], seed: int = 0):
 
 def fit_wind(
     records: Sequence[RawWindRecord],
-    grids: Sequence[TimeGrid],
+    grid: TimeGrid,
     configs: Sequence[GPConfig],
-) -> list:
-    """GP posterior mean of both components on all records at each grid's times.
+) -> WindSeries:
+    """GP posterior mean of both components on all records at the grid times.
 
-    One gp_posterior_mean call per component evaluates every grid, so each
-    component's Gram matrix is factored once; returns one WindSeries per
-    grid, in order. Grid times outside the record span are still evaluated
-    (GP extrapolation) with a warning.
+    ``configs`` holds the kernel of u_x, then of u_y. Grid times outside
+    the record span are still evaluated (GP extrapolation) with a warning.
     """
     t, comps = _component_arrays(records)
-    for grid in grids:
-        query = grid.times
-        if query[0] < t[0] or query[-1] > t[-1]:
-            logger.warning(
-                "grid [%s, %s] extends beyond the wind records [%s, %s]; extrapolating",
-                query[0], query[-1], t[0], t[-1],
-            )
-    query = np.concatenate([grid.times for grid in grids])
-    splits = np.cumsum([grid.n_steps for grid in grids])[:-1]
+    query = grid.times
+    if query[0] < t[0] or query[-1] > t[-1]:
+        logger.warning(
+            "grid [%s, %s] extends beyond the wind records [%s, %s]; extrapolating",
+            query[0], query[-1], t[0], t[-1],
+        )
     fitted = []
     for k in range(2):
         with _naming(f"fit of wind component {_COMPONENTS[k]}"):
-            fitted.append(np.split(gp_posterior_mean(t, comps[:, k], configs[k], query), splits))
-    return [WindSeries(grid, ux, uy) for grid, ux, uy in zip(grids, *fitted)]
+            fitted.append(gp_posterior_mean(t, comps[:, k], configs[k], query))
+    return WindSeries(grid, *fitted)

@@ -26,6 +26,8 @@ from plumeinv.config import config_dict, load_config
 from plumeinv.errors import ConfigurationError, NumericalError, ValidationError
 from plumeinv.inversion import SmoothnessPrior
 from plumeinv.observation import measurement_count
+from plumeinv.synthetic import emission_series, wind_records
+from plumeinv.windprep import to_components
 
 ARTIFACTS = [
     "wind.csv",
@@ -495,7 +497,7 @@ class TestStageCommands:
         (out / "measurements.csv").unlink()
         assert cli.main(argv) == 0
         assert (out / "measurements.csv").read_bytes() == data
-        # synth reads the still-fresh wind fit back instead of refitting
+        # the wind fit is still fresh, so it does not run again
         assert mtimes(out, ["wind.csv", "state/wind.npz"]) == before
 
     def test_signal_edit_keeps_the_wind_fit(self, tmp_path):
@@ -518,6 +520,61 @@ class TestStageCommands:
         # invert --through constant records no key of its own
         assert keys.keys() == new_keys.keys() == {"wind_fit", "synth"}
         assert new_keys["wind_fit"] == keys["wind_fit"] and new_keys["synth"] != keys["synth"]
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d.update(dt_inversion_s=1200.0),
+            lambda d: d["synthetic"].update(wind_cadence_s=300.0),
+        ],
+        ids=["dt_inversion", "wind_cadence"],
+    )
+    def test_wind_fit_edit_keeps_synth(self, tmp_path, edit):
+        """Synth reads neither the inversion grid nor the wind records: an
+        edit of either refits the wind and keeps synth's data and key."""
+        cfg_path, out = write_case(tmp_path)
+        edited, _ = write_case(tmp_path, name="edited.yaml", mutate=edit)
+        argv = ["invert", "--through", "constant", "--config"]
+        kept = ["sensors.yaml", "measurements.csv", "truth_rates.csv"]
+        assert cli.main(argv + [str(cfg_path)]) == 0
+        before, keys = mtimes(out, kept + ["state/wind.npz"]), stage_keys(out)
+        assert cli.main(argv + [str(edited)]) == 0
+        after, new_keys = mtimes(out, kept + ["state/wind.npz"]), stage_keys(out)
+        for name in kept:
+            assert after[name] == before[name], name
+        assert after["state/wind.npz"] > before["state/wind.npz"]
+        assert new_keys["synth"] == keys["synth"] and new_keys["wind_fit"] != keys["wind_fit"]
+
+    def test_dt_generation_edit_on_real_data_reruns_nothing(self, tmp_path):
+        """Only synth reads the generation grid, and a real-data case has no synth."""
+        cfg_path, out = real_data_case(tmp_path, jar_x=100.0)
+        names = ["wind_fit.csv", "state/wind.npz", "emissions_positive.csv", "state/inversion.npz"]
+        assert cli.main(["run", "--config", str(cfg_path)]) == 0
+        before, keys = mtimes(out, names), stage_keys(out)
+        data = yaml.safe_load(cfg_path.read_text())
+        data["dt_generation_s"] = 3600.0
+        cfg_path.write_text(yaml.safe_dump(data))
+        assert cli.main(["run", "--config", str(cfg_path)]) == 0
+        assert mtimes(out, names) == before
+        assert stage_keys(out) == keys
+
+    def test_another_output_version_reruns_every_stage(self, tmp_path, monkeypatch):
+        """A directory whose metadata was recorded under another output
+        version is not read as fresh, though its config is unchanged."""
+        cfg_path, out = write_case(tmp_path)
+        version = pipeline.OUTPUT_VERSION
+        monkeypatch.setattr(pipeline, "OUTPUT_VERSION", version - 1)
+        assert cli.main(["run", "--config", str(cfg_path)]) == 0
+        names = [name for name, stage in WRITTEN_BY.items() if stage != "propagate"]
+        names += ["state/wind.npz", "state/inversion.npz"]
+        before, keys = mtimes(out, names), stage_keys(out)
+        monkeypatch.setattr(pipeline, "OUTPUT_VERSION", version)
+        assert cli.main(["run", "--config", str(cfg_path)]) == 0
+        after, new_keys = mtimes(out, names), stage_keys(out)
+        for name in names:
+            assert after[name] > before[name], name
+        for stage in pipeline.STAGES:
+            assert new_keys[stage] != keys[stage], stage
 
     @staticmethod
     def rerun_with(tmp_path, mutate) -> dict:
@@ -784,6 +841,71 @@ class TestLibraryUse:
         assert f.shape == (n_meas, n) and fq.shape == (n_meas,)
         np.testing.assert_allclose(fq, f @ positive.point, rtol=1e-12, atol=1e-12 * np.abs(fq).max())
         assert hx.shape == (cfg.grid.n_cells, 2)
+
+
+class TestTwin:
+    """The twin's data come from the wind model, and invert from the fit of
+    its records, so an error of the wind fit shows in the recovery."""
+
+    def test_synth_data_do_not_depend_on_the_wind_state(self, tmp_path):
+        cfg_path, out = write_case(tmp_path)
+        pipeline.run_stage(load_config(cfg_path), "synth")
+        assert (out / pipeline.WIND_STATE).is_file()
+        bare = tmp_path / "bare"
+        pipeline.run_synth(load_config(cfg_path, out_dir=bare))
+        assert not (bare / pipeline.WIND_STATE).exists()
+        for name in ("sensors.yaml", "measurements.csv", "truth_rates.csv"):
+            assert (bare / name).read_bytes() == (out / name).read_bytes(), name
+
+    @pytest.mark.parametrize("seed, days", [(17, 30), (21, 30), (25, 30), (38, 30), (0, 60)])
+    def test_fitted_wind_is_near_the_model(self, tmp_path, seed, days):
+        """On these seeds an evenly strided cross-validation chose a length
+        scale that smoothed away the bundled wind's 7.4 h speed harmonic,
+        an rms error of 0.19-0.37 m/s."""
+        data = yaml.safe_load(Path(cli.default_config_path()).read_text())
+        data["time"]["duration_s"] = days * 86400.0
+        path = tmp_path / "case.yaml"
+        path.write_text(yaml.safe_dump(data))
+        cfg = load_config(path, out_dir=tmp_path / "out", seed=seed)
+        pipeline.run_stage(cfg, "wind_fit")
+        fitted = pipeline.load_wind_series(cfg)
+        grid = fitted.grid
+        model = wind_records(cfg.synthetic.wind_model, grid.t0, grid.span, grid.dt)[1:]
+        u_x, u_y = np.array([to_components(record) for record in model]).T
+        rms = np.sqrt(np.mean((fitted.u_x - u_x) ** 2 + (fitted.u_y - u_y) ** 2))
+        assert rms < 0.01
+        meta = json.loads((cfg.resolve_out_dir() / "run_metadata.json").read_text())
+        assert meta["stages"]["wind_fit"]["wind_rms_error_mps"] == pytest.approx(rms, rel=1e-6)
+
+    def test_a_wrong_wind_fit_shows_in_the_recovery(self, tmp_path, monkeypatch):
+        """u_x's length scale forced to 25920 s, which smooths away the speed
+        harmonic, puts the top source's constant rate far off its truth."""
+        def top_source_error(out_dir) -> float:
+            cfg = load_config(cli.default_config_path(), out_dir=out_dir, seed=17)
+            rates = pipeline.run_stage(cfg, "invert", through="constant").constant.rates
+            truth = emission_series(cfg.synthetic.spec, pipeline.generation_grid(cfg))
+            means = truth.reshape(len(cfg.sources), -1).mean(axis=1)
+            top = int(np.argmax(means))
+            return abs(rates[top] - means[top]) / means[top]
+
+        fitted = top_source_error(tmp_path / "fitted")
+        select = pipeline.select_hyperparameters
+
+        def forced(records, seed):
+            choice_x, choice_y = select(records, seed=seed)
+            config = replace(choice_x.config, length_scale=25920.0)
+            return replace(choice_x, config=config), choice_y
+
+        monkeypatch.setattr(pipeline, "select_hyperparameters", forced)
+        wrong = top_source_error(tmp_path / "forced")
+        assert fitted < 0.2 < wrong
+        assert wrong > 4.0 * fitted
+
+    def test_real_data_records_no_wind_error(self, tmp_path):
+        cfg_path, out = real_data_case(tmp_path, jar_x=100.0)
+        assert cli.main(["wind-fit", "--config", str(cfg_path)]) == 0
+        wind_fit = json.loads((out / "run_metadata.json").read_text())["stages"]["wind_fit"]
+        assert "wind_rms_error_mps" not in wind_fit
 
 
 def real_data_case(root: Path, jar_x: float) -> tuple:

@@ -20,8 +20,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 RUN = ["run", "--config", "perfbench/case.yaml", "--n-steps", "10000", "--seed", "1"]
-ACCEPTANCE = 0.3084
-ESS = 50.6390148353
+ACCEPTANCE = 0.3077
+ESS = 50.0738273965
 # The sketch's unexplained trace share read 3.78e-4 on this run; the bound
 # adds a margin of 7e-5, about a fifth of it.
 TRACE_SHARE_BOUND = 4.5e-4

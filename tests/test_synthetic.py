@@ -18,8 +18,9 @@ from plumeinv.synthetic import (
     emission_series,
     generate_synthetic,
     wind_records,
+    wind_series,
 )
-from plumeinv.windprep import WindSeries
+from plumeinv.windprep import WindSeries, to_components
 
 PARTICLE = ParticleProperties(w_dep=1.2e-2, w_set=7.8641975308642e-3)
 
@@ -138,6 +139,25 @@ class TestWindRecords:
             wind_records(model, t0=0.0, duration=0.0, cadence=600.0)
         with pytest.raises(ValueError):
             wind_records(model, t0=0.0, duration=3600.0, cadence=-1.0)
+
+
+class TestWindSeries:
+    def test_is_the_model_at_the_grid_times_in_components(self):
+        model = WindModel(
+            speed_base=3.0,
+            direction_base=300.0,
+            speed_harmonics=(Harmonic(amplitude=0.8, period=7200.0, phase=0.3),),
+            direction_harmonics=(Harmonic(amplitude=80.0, period=10800.0, phase=1.0),),
+        )
+        grid = TimeGrid(t0=1.7e9, dt=1800.0, n_steps=12)
+        series = wind_series(model, grid)
+        # the records at the grid cadence, less the one at t0, sit at the grid times
+        records = wind_records(model, grid.t0, grid.span, grid.dt)[1:]
+        assert [r.timestamp for r in records] == list(grid.times)
+        want = np.array([to_components(r) for r in records])
+        assert series.grid is grid
+        np.testing.assert_allclose(series.u_x, want[:, 0], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(series.u_y, want[:, 1], rtol=1e-12, atol=1e-12)
 
 
 class TestGenerateSynthetic:

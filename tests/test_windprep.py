@@ -289,7 +289,7 @@ class TestCrossValidate:
         grid = TimeGrid(t0=0.0, dt=3600.0, n_steps=4)
         cfg = GPConfig(1.0, 3000.0, 0.1)
         with pytest.raises(NumericalError, match="fit of wind component u_x: .* 3000 s"):
-            fit_wind(records, [grid], (cfg, cfg))
+            fit_wind(records, grid, (cfg, cfg))
 
 
 def oracle_cv_scores(times, values, candidates, seed, n_folds):
@@ -331,7 +331,7 @@ class TestFitWind:
     def test_tracks_clean_components(self):
         records, t, speed, direction = synthetic_records()
         grid = TimeGrid(t0=0.0, dt=3600.0, n_steps=32)
-        (series,) = fit_wind(records, [grid], chosen_configs(records, seed=0))
+        series = fit_wind(records, grid, chosen_configs(records, seed=0))
         theta = np.radians(np.interp(grid.times, t, direction))
         clean_ux = -np.interp(grid.times, t, speed) * np.sin(theta)
         clean_uy = -np.interp(grid.times, t, speed) * np.cos(theta)
@@ -349,23 +349,22 @@ class TestFitWind:
         grid = TimeGrid(t0=0.0, dt=300.0, n_steps=4)
         cfg = (GPConfig(1.0, 400.0, 0.01), GPConfig(1.0, 400.0, 0.01))
         with pytest.raises(ValueError, match="strictly increase"):
-            fit_wind(records, [grid], cfg)
+            fit_wind(records, grid, cfg)
         with pytest.raises(ValueError, match="strictly increase"):
-            fit_wind(records[::-1], [grid], cfg)
+            fit_wind(records[::-1], grid, cfg)
 
     def test_extrapolation_warns(self, caplog):
         records = [RawWindRecord(0.0, 2.0, 270.0), RawWindRecord(600.0, 2.0, 270.0)]
         grid = TimeGrid(t0=0.0, dt=600.0, n_steps=3)  # last time 1800 > records
         cfg = (GPConfig(1.0, 400.0, 0.01), GPConfig(1.0, 400.0, 0.01))
         with caplog.at_level(logging.WARNING, logger="plumeinv.windprep"):
-            fit_wind(records, [grid], cfg)
+            fit_wind(records, grid, cfg)
         assert any("extrapolating" in r.message for r in caplog.records)
 
-    def test_grids_share_one_factorization(self, monkeypatch):
+    def test_each_component_is_its_gp_posterior_mean(self, monkeypatch):
         records, *_ = synthetic_records(n=120)
         configs = chosen_configs(records, seed=1)
-        coarse = TimeGrid(t0=0.0, dt=3600.0, n_steps=19)
-        fine = TimeGrid(t0=600.0, dt=1200.0, n_steps=55)
+        grid = TimeGrid(t0=600.0, dt=1200.0, n_steps=55)
         t = np.array([r.timestamp for r in records])
         comps = np.array([to_components(r) for r in records])
         factor_calls = []
@@ -375,19 +374,18 @@ class TestFitWind:
             "cholesky_banded",
             lambda *a, **k: factor_calls.append(1) or original(*a, **k),
         )
-        both = fit_wind(records, [coarse, fine], configs)
-        assert len(factor_calls) == 2  # one per component, not per grid
-        for series, grid in zip(both, (coarse, fine)):
-            assert series.grid is grid
-            for k, u in enumerate((series.u_x, series.u_y)):
-                np.testing.assert_array_equal(
-                    u, gp_posterior_mean(t, comps[:, k], configs[k], grid.times)
-                )
+        series = fit_wind(records, grid, configs)
+        assert len(factor_calls) == 2  # one per component
+        assert series.grid is grid
+        for k, u in enumerate((series.u_x, series.u_y)):
+            np.testing.assert_array_equal(
+                u, gp_posterior_mean(t, comps[:, k], configs[k], grid.times)
+            )
 
     def test_too_few_records_raise(self):
         grid = TimeGrid(t0=0.0, dt=600.0, n_steps=3)
         with pytest.raises(ValueError):
-            fit_wind([RawWindRecord(0.0, 2.0, 270.0)], [grid], None)
+            fit_wind([RawWindRecord(0.0, 2.0, 270.0)], grid, None)
 
     def test_memory_grows_with_the_band_not_records_squared(self):
         n = 8000
@@ -395,11 +393,11 @@ class TestFitWind:
             RawWindRecord(600.0 * j, 3.0 + math.sin(j / 50.0), (270.0 + j / 40.0) % 360.0)
             for j in range(n)
         ]
-        grids = [TimeGrid(t0=0.0, dt=3600.0, n_steps=1333), TimeGrid(t0=0.0, dt=600.0, n_steps=n - 1)]
+        grid = TimeGrid(t0=0.0, dt=600.0, n_steps=n - 1)
         cfg = GPConfig(signal_var=1.0, length_scale=6000.0, noise_var=0.05)
         tracemalloc.start()
         try:
-            fit_wind(records, grids, (cfg, cfg))
+            fit_wind(records, grid, (cfg, cfg))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -410,8 +408,8 @@ class TestRegularizeWind:
     def test_deterministic(self):
         records, *_ = synthetic_records(n=80)
         grid = TimeGrid(t0=0.0, dt=3600.0, n_steps=12)
-        (a,) = fit_wind(records, [grid], chosen_configs(records, seed=4))
-        (b,) = fit_wind(records, [grid], chosen_configs(records, seed=4))
+        a = fit_wind(records, grid, chosen_configs(records, seed=4))
+        b = fit_wind(records, grid, chosen_configs(records, seed=4))
         np.testing.assert_array_equal(a.u_x, b.u_x)
         np.testing.assert_array_equal(a.u_y, b.u_y)
 
@@ -420,12 +418,21 @@ class TestRegularizeWind:
         records, t, speed, direction = synthetic_records(n=150)
         grid = TimeGrid(t0=0.0, dt=3600.0, n_steps=24)
         configs = chosen_configs(records, seed=0)
-        (capped,) = fit_wind(records, [grid], configs)
+        capped = fit_wind(records, grid, configs)
         assert np.all(np.isfinite(capped.u_x))
         # selection differs at most; the fit must still track the data
         theta = np.radians(np.interp(grid.times, t, direction))
         clean_ux = -np.interp(grid.times, t, speed) * np.sin(theta)
         assert np.max(np.abs(capped.u_x - clean_ux)) < 0.5
+
+    def test_cv_subsample_takes_contiguous_runs_spread_over_the_records(self):
+        runs = windprep._cv_subsample(8640, 400).reshape(windprep.CV_RUNS, -1)
+        assert runs.shape == (8, 50)
+        np.testing.assert_array_equal(np.diff(runs, axis=1), 1)
+        assert runs[0, 0] == 0 and runs[-1, -1] == 8639
+        gaps = np.diff(runs[:, 0])
+        assert gaps.min() > 50 and gaps.max() - gaps.min() <= 1
+        np.testing.assert_array_equal(windprep._cv_subsample(400, 400), np.arange(400))
 
     def test_select_hyperparameters_returns_pair(self):
         records, *_ = synthetic_records(n=60)
