@@ -3,10 +3,10 @@
 Raw anemometer records (speed + meteorological "blowing from" direction)
 are converted to Cartesian components and each component is smoothed
 independently by zero-mean GP regression with a squared-exponential
-kernel. Hyperparameters come from ``CV_FOLDS``-fold cross-validation on
-at most ``CV_MAX_POINTS`` records in ``CV_RUNS`` contiguous runs spread
-over the span, so it sees the records' cadence at every horizon, over a
-small logarithmic candidate grid.
+kernel. Hyperparameters come from ``CV_FOLDS``-fold cross-validation over
+a small logarithmic candidate grid, on at most ``CV_MAX_POINTS`` records in
+``CV_RUNS`` contiguous runs spread over the span: it sees the records' own
+cadence at every horizon, where an even stride would coarsen with it.
 
 The kernel falls below 2^-60 of its signal variance beyond
 sqrt(120 ln 2) = 9.12 length scales. Entries past that cutoff are dropped,
@@ -331,7 +331,7 @@ def _naming(what: str):
 
 
 def _cv_subsample(n: int, cap: int) -> np.ndarray:
-    """All n records, or CV_RUNS runs of cap // CV_RUNS, the first and last at the ends."""
+    """All n records, or CV_RUNS evenly spread runs of cap // CV_RUNS from first to last."""
     if n <= cap:
         return np.arange(n)
     starts = np.round(np.linspace(0, n - cap // CV_RUNS, CV_RUNS)).astype(int)
