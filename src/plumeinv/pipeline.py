@@ -69,7 +69,7 @@ STAGES = ("wind_fit", "synth", "invert", "propagate")
 
 # In every stage key: bumped where a stage's bytes or a state layout move,
 # so a directory an older package wrote reruns instead of reading as fresh.
-OUTPUT_VERSION = 1
+OUTPUT_VERSION = 2
 
 # The config each stage reads, as dotted paths into config_dict(cfg).
 # sampler.seed is the run's one seed: it drives the synthetic noise, the
@@ -507,8 +507,9 @@ def run_propagate(cfg: RunConfig) -> dict:
         return part / total_variance if total_variance > 0 else math.nan
 
     # E E^T <= C, so this share bounds the sketch's error in the trace norm.
-    # It is read before the SVD overwrites the factor, and in the factor's
-    # own (Fortran) order, as np.vdot would copy the 2-D array to C order.
+    # It is read before the eigensolve's QR overwrites the factor, and in
+    # the factor's own (Fortran) order, as np.vdot would copy the 2-D array
+    # to C order.
     flat = factor.ravel(order="K")
     unexplained = 1.0 - trace_share(np.vdot(flat, flat))
     sketch_size = factor.shape[1]

@@ -15,9 +15,13 @@ variance needs only the product with each retained mode, so one call on
 modes kept are the config's ``grid`` section, ``GridSpec``.
 
 The covariance arrives as a factor E with C ~ E E^T: the chain's
-single-pass Nystrom factor, n x ``SKETCH_SIZE`` (see ``sampling``). Its
-thin SVD E = U S V^T, taken in place over E, gives the eigenpairs (S^2, U)
-of E E^T, so nothing n x n is formed; an SVD that does not converge raises
+single-pass Nystrom factor, n x ``SKETCH_SIZE`` (see ``sampling``). The
+eigenpairs of E E^T come from E = Q R and the SVD R = U_R S V_R^T of the
+small R: they are (S^2, Q U_R) (Halko, Martinsson & Tropp 2011, "Finding
+structure with randomness", SIAM Review 53(2), Stage B). The QR is taken
+in place over E, and Q is applied to the kept columns of U_R only, so
+neither anything n x n nor the n x ``SKETCH_SIZE`` U is formed. A
+non-finite factor, or an SVD that does not converge, raises
 NumericalError naming the eigensolve. The Nystrom approximation is
 accurate for the leading modes only with oversampling, so ``GridSpec``
 keeps at most half the sketch's columns.
@@ -27,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import numpy as np
-from scipy.linalg import LinAlgError, svd
+from scipy.linalg import LinAlgError, lapack, svd
 
 from .errors import NumericalError, ValidationError
 from .observation import TimeGrid
@@ -124,26 +128,49 @@ class LowRankFactors:
 def lowrank_truncate(factor: np.ndarray, n_modes: int) -> LowRankFactors:
     """Leading ``n_modes`` eigenpairs of C = E E^T, given the n x k factor E.
 
-    The thin SVD E = U S V^T gives them as (S^2, U), nonincreasing and
-    nonnegative by construction. The work is O(n k^2) and holds O(n k)
-    memory; ``n_modes`` cannot exceed min(n, k), the rank E can have.
-    The SVD consumes E: a Fortran-ordered float64 ``factor`` (as ``np.load``
-    returns the chain's) is overwritten in place, without a copy, so read
-    anything else off it first. An SVD that does not converge raises
+    With E = Q R and the thin SVD R = U_R S V_R^T of the r x k R, r =
+    min(n, k), they are (S^2, Q U_R[:, :n_modes]), nonincreasing and
+    nonnegative by construction. The work is O(n k^2) and, beyond E, holds
+    the n x ``n_modes`` vectors and a few k x k arrays; ``n_modes`` cannot
+    exceed r, the rank E can have. The QR consumes E: a Fortran-ordered
+    float64 ``factor`` (as ``np.load`` returns the chain's) is overwritten
+    in place, without a copy, so read anything else off it first. A
+    non-finite factor or R, or an SVD that does not converge, raises
     NumericalError.
     """
     factor = np.asarray(factor, dtype=float)
     if factor.ndim != 2:
         raise ValueError(f"factor must be a 2-D array, got {factor.ndim} dimensions")
-    if not 1 <= n_modes <= min(factor.shape):
-        raise ValueError(f"n_modes must be in [1, {min(factor.shape)}], got {n_modes}")
+    n, k = factor.shape
+    r = min(n, k)
+    if not 1 <= n_modes <= r:
+        raise ValueError(f"n_modes must be in [1, {r}], got {n_modes}")
+    # LAPACK does not check E: one pass over it, with no n x k temporary;
+    # a NaN or an infinity makes the sum non-finite
+    if not np.isfinite(factor.sum()):
+        raise NumericalError(f"eigensolve: the {n} x {k} covariance factor is not finite")
+    qr, tau = _lapack(lapack.dgeqrf, factor, overwrite_a=1)
+    r_factor = qr[:r].copy(order="F")
+    r_factor[np.tri(r, k, -1, dtype=bool)] = 0.0
     try:
-        u, s, _ = svd(factor, full_matrices=False, overwrite_a=True)
-    except LinAlgError as exc:
-        n, k = factor.shape
+        u_r, s, _ = svd(r_factor, full_matrices=False, overwrite_a=True)
+    except (LinAlgError, ValueError) as exc:  # ValueError: R is not finite
         raise NumericalError(f"eigensolve: the SVD of the {n} x {k} covariance factor failed ({exc})") from exc
-    # a copy of the kept columns, so the n x k U is not held through propagate
-    return LowRankFactors(eigenvalues=s[:n_modes] ** 2, vectors=u[:, :n_modes].copy())
+    vectors = np.zeros((n, n_modes), order="F")
+    vectors[:r] = u_r[:, :n_modes]
+    (vectors,) = _lapack(lapack.dormqr, "L", "N", qr[:, :r], tau, vectors, overwrite_c=1)
+    return LowRankFactors(eigenvalues=s[:n_modes] ** 2, vectors=vectors)
+
+
+def _lapack(routine, *args, **kwargs) -> list:
+    """The outputs of a LAPACK wrapper run with its optimal workspace, less
+    the workspace and ``info``. ``kwargs`` go to the workspace query too, so
+    an ``overwrite_*`` flag spares the query a copy of the array."""
+    work = routine(*args, lwork=-1, **kwargs)[-2]
+    *outputs, _, info = routine(*args, lwork=int(work[0]), **kwargs)
+    if info < 0:
+        raise ValueError(f"{routine.__name__}: illegal value in argument {-info}")
+    return outputs
 
 
 @dataclass(frozen=True, eq=False)

@@ -92,6 +92,32 @@ invert = peak_mb("-m", "plumeinv", "invert", "--config", "perfbench/case.yaml", 
 print(json.dumps({"import": imported, "invert": invert}))
 """
 
+# Prints, as one JSON line, the peak RSS in MB of a fresh child that imports
+# the CLI and of one that runs propagate on a 2000-step invert of
+# perfbench/case.yaml, made in the directory given as its argument and not
+# measured. The case is written there with sampler.n_steps at 2000, so
+# propagate reads the invert state as fresh; the bundled file is only read.
+PROPAGATE_RSS_SCRIPT = """
+import json, os, subprocess, sys
+import yaml
+case = yaml.safe_load(open("perfbench/case.yaml"))
+case["sampler"]["n_steps"] = 2000
+os.makedirs(sys.argv[1])
+path = os.path.join(sys.argv[1], "case.yaml")
+with open(path, "w") as fh:
+    yaml.safe_dump(case, fh)
+def peak_mb(*args):
+    child = subprocess.Popen([sys.executable, *args])
+    _, status, usage = os.wait4(child.pid, 0)
+    assert status == 0, f"{args} exited with status {status}"
+    return usage.ru_maxrss / 1024.0
+common = ["--config", path, "--out-dir", os.path.join(sys.argv[1], "run"), "--seed", "1"]
+subprocess.run([sys.executable, "-m", "plumeinv", "invert", *common], check=True, capture_output=True)
+imported = peak_mb("-c", "import plumeinv.cli")
+propagate = peak_mb("-m", "plumeinv", "propagate", *common)
+print(json.dumps({"import": imported, "propagate": propagate}))
+"""
+
 # The case is perfbench/case.yaml over 120 days: its duration and every
 # sampler's count times four, written beside the run; the bundled file is
 # only read.
@@ -1000,6 +1026,19 @@ class TestExitCodes:
         assert cli.main(["run", "--config", str(cfg_path)]) == 3
         assert "eigensolve: the SVD" in caplog.text
 
+    def test_non_finite_covariance_factor_is_3(self, tmp_path, caplog):
+        """A NaN in the stored covariance factor stops propagate before the
+        eigensolve's QR, which would not check it."""
+        cfg_path, out = write_case(tmp_path)
+        assert cli.main(["invert", "--config", str(cfg_path)]) == 0
+        with np.load(out / pipeline.INVERSION_STATE) as data:
+            state = {k: data[k] for k in data.files}
+        state["cov_factor"][3, 1] = np.nan
+        pipeline._save_state(load_config(cfg_path), pipeline.INVERSION_STATE, **state)
+        assert cli.main(["propagate", "--config", str(cfg_path)]) == 3
+        assert "eigensolve: the" in caplog.text
+        assert "covariance factor is not finite" in caplog.text
+
     def test_indefinite_innovation_matrix_is_3(self, tmp_path, monkeypatch, caplog):
         """Negative noise variances reach the smooth stage: its innovation
         matrix is indefinite and does not factor."""
@@ -1358,6 +1397,28 @@ class TestEntryPoint:
         print(f"peak RSS: invert {invert:.1f} MB, import {imported:.1f} MB, "
               f"difference {invert - imported:.1f} MB")
         assert invert - imported < 43, f"invert peaks {invert - imported:.1f} MB above the import"
+
+    def test_propagate_peak_rss_above_the_import(self, tmp_path):
+        """Propagate on a 2000-step invert of perfbench/case.yaml peaks less
+        than 34 MB of RSS above the bare import of the CLI, so its eigensolve
+        forms no n x 400 U beside the 5040 x 400 covariance factor.
+
+        Each child is started fresh and read with os.wait4, from a small
+        Python process of its own, as in the cold run's test above. It read
+        29.0-29.2 MB in three runs on a 2-vCPU machine, and 39.4-39.8 MB when
+        the eigensolve was the thin SVD of the whole factor.
+        """
+        root = Path(__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", PROPAGATE_RSS_SCRIPT, str(tmp_path / "propagate-run")],
+            capture_output=True, text=True, timeout=600, cwd=root,
+        )
+        assert proc.returncode == 0, proc.stderr
+        peaks = json.loads(proc.stdout.splitlines()[-1])
+        propagate, imported = peaks["propagate"], peaks["import"]
+        print(f"peak RSS: propagate {propagate:.1f} MB, import {imported:.1f} MB, "
+              f"difference {propagate - imported:.1f} MB")
+        assert propagate - imported < 34, f"propagate peaks {propagate - imported:.1f} MB above the import"
 
     def test_horizon_synth_peak_rss_above_the_import(self, tmp_path):
         """Synth on a 120-day case peaks less than 30 MB of RSS above the bare

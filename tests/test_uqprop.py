@@ -336,15 +336,75 @@ class TestLowRankTruncate:
         assert fac.n_modes == 7
 
     def test_fortran_factor_is_taken_in_place_and_matches_a_copying_svd(self):
+        """On a tall factor LAPACK's SVD itself starts with a QR and takes the
+        SVD of R, so the eigenvalues are SciPy's s^2 bit for bit. Its U is its
+        Q times all of R's vectors, formed by a GEMM, where the route applies
+        Q to the kept columns: the vectors agree to rounding, sign included."""
         rng = np.random.default_rng(8)
         factor = np.asfortranarray(rng.standard_normal((300, 40)))
         before = factor.copy(order="F")
         u, s, _ = svd(before.copy(order="F"), full_matrices=False)
         fac = lowrank_truncate(factor, 12)
         np.testing.assert_array_equal(fac.eigenvalues, s[:12] ** 2)
-        np.testing.assert_array_equal(fac.vectors, u[:, :12])
-        # no copy was made: the SVD worked in the factor's own storage
+        np.testing.assert_allclose(fac.vectors, u[:, :12], rtol=0.0, atol=1e-14)
+        assert np.all(np.sum(fac.vectors * u[:, :12], axis=0) > 0)  # no column's sign flips
+        # no copy was made: the QR worked in the factor's own storage
         assert not np.array_equal(factor, before)
+
+    @pytest.mark.parametrize("n", [40, 400])
+    def test_square_factor_matches_a_copying_svd(self, n):
+        """A case of at most ``SKETCH_SIZE`` slots has a square factor, whose
+        SVD LAPACK takes without a QR. Eigenvalues and vectors still agree to
+        rounding; a vector's sign may differ, which no deposition std sees."""
+        rng = np.random.default_rng(n)
+        q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        factor = np.asfortranarray((q1 * np.geomspace(1.0, 1e-3, n)) @ q2.T)
+        u, s, _ = svd(factor, full_matrices=False)
+        m = n // 4
+        fac = lowrank_truncate(factor, m)
+        np.testing.assert_allclose(fac.eigenvalues, s[:m] ** 2, rtol=1e-13, atol=0.0)
+        signs = np.sign(np.sum(fac.vectors * u[:, :m], axis=0))
+        np.testing.assert_allclose(fac.vectors * signs, u[:, :m], rtol=0.0, atol=1e-13)
+
+    def test_memory_beyond_the_factor_is_the_kept_vectors_and_a_few_small_arrays(self):
+        """Beyond the n x k factor the eigensolve allocates the n x ``n_modes``
+        vectors and at most five k x k arrays: R, its SVD and LAPACK's
+        workspace. On 5040 x 400 with 100 modes tracemalloc read 7.94 MB,
+        4.03 MB of vectors and 3.1 k^2 doubles; the thin SVD of the whole
+        factor, which formed U, 5040 x 400, read 22.6 MB."""
+        n, k, m = 5040, SKETCH_SIZE, 100
+        factor = np.asfortranarray(np.random.default_rng(9).standard_normal((n, k)))
+        tracemalloc.start()
+        try:
+            fac = lowrank_truncate(factor, m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert fac.vectors.shape == (n, m)
+        bound = 8 * (n * m + 5 * k * k)
+        assert peak < bound, f"eigensolve peak {peak / 1e6:.2f} MB, bound {bound / 1e6:.2f} MB"
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_factor_is_a_numerical_error(self, value):
+        factor = np.asfortranarray(np.random.default_rng(4).standard_normal((50, 20)))
+        factor[17, 3] = value
+        with pytest.raises(NumericalError, match="eigensolve: the 50 x 20 covariance factor is not finite"):
+            lowrank_truncate(factor, 5)
+
+    def test_non_finite_r_is_a_numerical_error(self, monkeypatch):
+        """An R that the QR left non-finite reaches the SVD's finiteness check."""
+        geqrf = uqprop.lapack.dgeqrf
+
+        def overflowing(a, **kwargs):
+            qr, tau, work, info = geqrf(a, **kwargs)
+            qr[0, 0] = np.inf
+            return qr, tau, work, info
+
+        monkeypatch.setattr(uqprop.lapack, "dgeqrf", overflowing)
+        factor = np.asfortranarray(np.random.default_rng(4).standard_normal((50, 20)))
+        with pytest.raises(NumericalError, match="eigensolve: the SVD of the 50 x 20"):
+            lowrank_truncate(factor, 5)
 
     def test_svd_failure_is_a_numerical_error(self, monkeypatch):
         def failing(*args, **kwargs):
@@ -391,6 +451,33 @@ class TestDepositionStats:
         np.testing.assert_allclose(got.mean, h @ q, rtol=1e-12)
         dense_var = np.diag(h @ cov @ h.T)
         np.testing.assert_allclose(got.std, np.sqrt(dense_var), rtol=1e-9)
+
+    def test_matches_a_copying_svd_on_a_small_case(self):
+        """On a case of 480 slots, more than the sketch's width, the deposition
+        mean and std from the eigensolve match those from the thin SVD of a
+        copy of the chain's Nystrom factor, whose whole U is formed, within
+        1e-12 relative."""
+        rng = np.random.default_rng(12)
+        timegrid = TimeGrid(t0=0.0, dt=600.0, n_steps=240)
+        speed = 3.5 + rng.uniform(-0.5, 0.5, timegrid.n_steps)
+        angle = rng.uniform(-0.3, 0.3, timegrid.n_steps)
+        wind = WindSeries(timegrid, speed * np.cos(angle), speed * np.sin(angle))
+        n = len(SITES) * timegrid.n_steps
+        factor = sketch_of(spd_with_spectrum(rng, np.geomspace(1.0, 1e-6, n)), _sketch_matrix(n)).nystrom_factor()
+        assert factor.shape == (n, SKETCH_SIZE)
+        u, s, _ = svd(factor.copy(order="F"), full_matrices=False)
+        m = SKETCH_SIZE // 4
+        oracle = LowRankFactors(eigenvalues=s[:m] ** 2, vectors=u[:, :m])
+        fac = lowrank_truncate(factor, m)
+        q = rng.uniform(0.0, 1.0, n)
+        grid = GridSpec(x_min=-40.0, x_max=220.0, y_min=-60.0, y_max=40.0, n_x=5, n_y=4)
+        got, want = (
+            deposition_stats(assemble_H(grid, MODEL, wind, np.column_stack([q, f.vectors])), f, grid)
+            for f in (fac, oracle)
+        )
+        assert np.count_nonzero(want.std) > grid.n_cells // 2  # cells upwind of every source see none
+        np.testing.assert_allclose(got.mean, want.mean, rtol=1e-12)
+        np.testing.assert_allclose(got.std, want.std, rtol=1e-12)
 
     def test_truncated_std_is_monotone_in_rank(self):
         """Adding modes only adds variance."""
