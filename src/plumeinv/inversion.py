@@ -81,6 +81,8 @@ class SmoothnessPrior:
     L = alpha * sqrt(dt/T) * (I - gamma * D) with D the Neumann
     second-difference stencil scaled by (T/dt)^2; the sqrt(dt/T) factor
     makes pointwise prior variances independent of the grid resolution.
+    ``solve`` is all the pCN chain takes of it: the chain draws standard
+    normals in the state's order and ``solve`` turns them into draws.
     """
 
     def __init__(self, config: PriorConfig, grid: TimeGrid, n_sources: int):
@@ -121,39 +123,21 @@ class SmoothnessPrior:
         x, _ = dpttrs(self._factor_d, self._factor_e, a.reshape(-1, self.n_steps).T, overwrite_b=1)
         return x.T.reshape(a.shape)
 
-    @property
-    def normal_shape(self) -> tuple:
-        """Shape of the standard normals behind one draw: time-major, (n_steps, n_sources)."""
-        return (self.n_steps, self.n_sources)
-
-    def fill_normals(self, rng: np.random.Generator, out: np.ndarray) -> None:
-        """Fill ``out`` (b, n_steps, n_sources) with standard normals from one call."""
-        rng.standard_normal(out=out)
-
-    def place_normals(self, normals: np.ndarray, out: np.ndarray) -> None:
-        """Copy the (b, n_steps, n_sources) ``normals`` into the C-ordered
-        (b, n) buffer ``out``, source-major."""
-        b = len(normals)
-        np.copyto(out.reshape(b, self.n_sources, self.n_steps), normals.transpose(0, 2, 1))
-
     def solve(self, out: np.ndarray) -> None:
-        """Each source block xi of each row of the C-ordered ``out`` replaced by L^-1 xi, in place."""
+        """Each source block xi of each row of the C-ordered ``out`` replaced
+        by L^-1 xi, in place: standard normals become draws of N(0, C)."""
         self._solve_rows(out)
 
     def sample(self, rng: np.random.Generator, size: Optional[int] = None) -> np.ndarray:
         """Draws w ~ N(0, C) via w_block = L^-1 xi (L is symmetric).
 
         One draw as an (n,) vector, or ``size`` draws as a (size, n) array.
-        The normals come from one ``fill_normals`` call, so ``rng`` ends
-        where ``size`` single draws leave it, and each block of each draw is
+        The normals come from one call, source-major, so ``rng`` ends where
+        ``size`` single draws leave it, and each block of each draw is
         solved on its own: draw k is the same, bit for bit, whatever
         ``size`` is, and the same as the chain's from the same stream.
         """
-        b = 1 if size is None else size
-        normals = np.empty((b, *self.normal_shape))
-        self.fill_normals(rng, normals)
-        out = np.empty((b, self.n))
-        self.place_normals(normals, out)
+        out = rng.standard_normal((1 if size is None else size, self.n))
         self.solve(out)
         return out[0] if size is None else out
 
@@ -506,10 +490,11 @@ def positive_posterior(
     (entrywise clipping by default; tests may pass the identity to recover
     the linear-Gaussian stage). The link must be the identity on
     nonnegative entries, as clipping, abs and the identity are: the chain
-    skips it on proposals it can show to be nonnegative. F and d are
-    whitened once here, F straight into the chain's ``RowSplit``, so no
-    whitened copy of F is made beside it; the chain evaluates phi in its
-    data space. The result is the chain's
+    skips it on proposals it can show to be nonnegative. The chain draws
+    its proposals' standard normals itself and ``prior.solve`` turns them
+    into draws of N(0, C). F and d are whitened once here, F straight into
+    the chain's ``RowSplit``, so no whitened copy of F is made beside it;
+    the chain evaluates phi in its data space. The result is the chain's
     ``ChainSummary``: ``mean`` is the latent posterior mean, ``point`` is
     q_sp = h(mean), the stage's estimate, and ``cov`` sketches C_sp, the
     chain's second moment of h(v) about q_sp (not about the chain mean of
@@ -521,7 +506,7 @@ def positive_posterior(
     inv_std = _inv_std(noise_var)
     f_white = RowSplit(f_matrix, row_scale=inv_std)
     d_white = np.asarray(d, dtype=float) * inv_std
-    summary = pcn_chain(f_white, d_white, prior_mean, prior, cfg, link=link)
+    summary = pcn_chain(f_white, d_white, prior_mean, prior.solve, cfg, link=link)
     if not (0.1 <= summary.acceptance_rate <= 0.6):
         logger.warning(
             "acceptance rate %.3f outside [0.1, 0.6] at beta %g; choose another "

@@ -69,7 +69,7 @@ STAGES = ("wind_fit", "synth", "invert", "propagate")
 
 # In every stage key: bumped where a stage's bytes or a state layout move,
 # so a directory an older package wrote reruns instead of reading as fresh.
-OUTPUT_VERSION = 2
+OUTPUT_VERSION = 3
 
 # The config each stage reads, as dotted paths into config_dict(cfg).
 # sampler.seed is the run's one seed: it drives the synthetic noise, the
@@ -515,6 +515,8 @@ def run_propagate(cfg: RunConfig) -> dict:
     sketch_size = factor.shape[1]
     test_matrix = sketch_test_matrix(factor.shape[0])
     factors = lowrank_truncate(factor, min(cfg.grid.n_modes, sketch_size))
+    # The QR has consumed the factor: free it before H [q | U] is formed.
+    del factor, flat, state["cov_factor"]
     products = assemble_H(
         cfg.grid, cfg.plume_model, wind, np.column_stack([state["q_positive"], factors.vectors])
     )

@@ -19,23 +19,24 @@ streams: stream 0 drives prior draws, stream 1 drives acceptance
 variables. One draw is consumed from each stream per step regardless of
 the outcome, so a block's randomness is known before the block runs. The
 chain therefore works a block of ``BLOCK_SIZE`` steps at a time, with
-the randomness drawn up to a block and a half ahead. The prior hands the
-chain w ~ N(0, C) in two halves (``GaussianPrior``): standard normals,
-and a solve that turns them into draws. One draw thread does only the
-stream work, in chunks of half a block: chunk j's normals from stream 0
-and its acceptance exponentials from stream 1 go into slot j mod 3 of a
-preallocated ring of three chunk slots (drawing c at once leaves a
-stream where c single draws leave it). The main thread takes a block's
-two chunks in order, copies each out of its slot into buffers of its
-own, and only then hands that slot back for chunk j + 3, so no slot is
-written while it is read. A block that holds a flush takes about twice
-as long as one that does not; with a block and a half queued, the draw
-thread keeps filling through such a block instead of waiting for the
-main thread. The main thread does the rest: the solve, the scaling by
-beta, one product forming F w for the whole block and one more forming
-F v at its start, the accept loop and the moment updates; a flush of
-kept states writes h(v) over them in the chain's own buffer, so no
-second copy of the block is made. Each stream is read by one thread in
+the randomness drawn up to a block and a half ahead. The chain draws the
+standard normals behind each w ~ N(0, C) itself, in the state's order,
+and the caller's solve (``Solve``) turns a block of them into draws in
+place. One draw thread does only the stream work, in chunks of half a
+block, and calls nothing but the two generators: chunk j's normals from
+stream 0 and its acceptance exponentials from stream 1 go into slot
+j mod 3 of a preallocated ring of three chunk slots (drawing c at once
+leaves a stream where c single draws leave it). The main thread takes a
+block's two chunks in order, copies each out of its slot into buffers
+of its own, and only then hands that slot back for chunk j + 3, so no
+slot is written while it is read. A block that holds a flush takes
+about twice as long as one that does not; with a block and a half
+queued, the draw thread keeps filling through such a block instead of
+waiting for the main thread. The main thread does the rest: the solve,
+the scaling by beta, one product forming F w for the whole block and one
+more forming F v at its start, the accept loop and the moment updates; a
+flush of kept states writes h(v) over them in the chain's own buffer, so
+no second copy of the block is made. Each stream is read by one thread in
 chunk order, so the draws do not depend on how the two threads are
 scheduled. The Philox fills, NumPy's matmul and SciPy's sparse products
 release the GIL; SciPy's BLAS and LAPACK wrappers (``dgemm``, the
@@ -102,7 +103,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Protocol, Tuple
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 from scipy.linalg.blas import dgemm, dger, dtrsm
@@ -113,7 +114,6 @@ from scipy.special import ndtri
 from .errors import NumericalError, ValidationError
 
 __all__ = [
-    "GaussianPrior",
     "SamplerConfig",
     "ChainSummary",
     "OnlineMoments",
@@ -137,33 +137,7 @@ _CHUNK = BLOCK_SIZE // 2  # draws the draw thread fills at a time
 _RING = 3  # chunk slots the draw thread fills ahead of the main thread
 
 Link = Callable[[np.ndarray], np.ndarray]  # entrywise, the identity on nonnegative entries
-
-
-class GaussianPrior(Protocol):
-    """The prior N(0, C) of a chain, as standard normals and a solve.
-
-    ``fill_normals`` runs on the chain's draw thread and must call nothing
-    but the generator; it fills half a block of draws at a time, into a
-    slot the main thread has already copied out. ``place_normals`` and
-    ``solve`` run on the main thread: ``place_normals`` copies each half
-    block into its rows of the block's buffer, and ``solve`` takes the
-    whole block. Draw k must not depend on how many draws share its call.
-    """
-
-    @property
-    def normal_shape(self) -> Tuple[int, ...]:
-        """Shape of the standard normals behind one draw."""
-
-    def fill_normals(self, rng: np.random.Generator, out: np.ndarray) -> None:
-        """Fill ``out`` (b, *normal_shape) with standard normals, leaving
-        ``rng`` where b single draws would."""
-
-    def place_normals(self, normals: np.ndarray, out: np.ndarray) -> None:
-        """Copy ``normals`` into the C-ordered (b, dim) buffer ``out``
-        in the layout ``solve`` takes."""
-
-    def solve(self, out: np.ndarray) -> None:
-        """Turn the placed normals in ``out`` into draws w ~ N(0, C), in place."""
+Solve = Callable[[np.ndarray], None]  # standard normals to draws of the prior, in place
 
 
 @dataclass(frozen=True)
@@ -496,7 +470,7 @@ def pcn_chain(
     f_white,
     d_white: np.ndarray,
     prior_mean: np.ndarray,
-    prior: GaussianPrior,
+    solve: Solve,
     cfg: SamplerConfig,
     link: Optional[Link] = None,
 ) -> ChainSummary:
@@ -514,8 +488,11 @@ def pcn_chain(
             need not keep F itself.
         d_white: whitened data d.
         prior_mean: m, the Gaussian prior mean.
-        prior: the Gaussian prior N(0, C) the proposals are drawn from, as
-            standard normals and a solve (``GaussianPrior``).
+        solve: the prior N(0, C) the proposals are drawn from, as the map
+            that turns a C-ordered (b, dim) block of standard normals, one
+            draw a row, into draws w ~ N(0, C) in place. It runs on the
+            calling thread, and row k of its result must not depend on
+            the other rows.
         cfg: chain parameters.
         link: the entrywise map h, the identity when omitted. It must be
             the identity on nonnegative entries (clipping, abs and the
@@ -576,7 +553,7 @@ def pcn_chain(
     # the block product ``fw_t`` keep BLOCK_SIZE columns for a shorter last
     # block too.
     n_chunks = -(-cfg.n_steps // _CHUNK)
-    normals = np.empty((min(_RING, n_chunks), min(_CHUNK, cfg.n_steps), *prior.normal_shape))
+    normals = np.empty((min(_RING, n_chunks), min(_CHUNK, cfg.n_steps), m.size))
     exponentials = np.empty(normals.shape[:2])
     w = np.zeros((BLOCK_SIZE, m.size))
     fw_t = np.empty((len(d_white), BLOCK_SIZE))
@@ -585,7 +562,7 @@ def pcn_chain(
     def draw(j: int) -> None:
         """On the draw thread: chunk j's normals and exponentials, into its slot."""
         slot, c = j % len(normals), min(_CHUNK, cfg.n_steps - j * _CHUNK)
-        prior.fill_normals(rng_prop, normals[slot, :c])
+        rng_prop.standard_normal(out=normals[slot, :c])
         rng_acc.standard_exponential(out=exponentials[slot, :c])
 
     def flush() -> None:
@@ -614,13 +591,13 @@ def pcn_chain(
                 slot, row = j % len(normals), j * _CHUNK - start
                 c = min(_CHUNK, b - row)
                 pending[slot].result()
-                prior.place_normals(normals[slot, :c], w[row : row + c])
+                w[row : row + c] = normals[slot, :c]
                 # log U = -Exp(1) exactly, one per step whatever the outcome.
                 np.negative(exponentials[slot, :c], out=log_u[row : row + c])
                 if j + len(normals) < n_chunks:
                     pending[slot] = drawer.submit(draw, j + len(normals))
             block = w[:b]
-            prior.solve(block)
+            solve(block)
             block *= cfg.beta
             low = block.min(axis=1).tolist()
             # F v is carried from step to step inside a block; forming it

@@ -320,21 +320,13 @@ def test_criterion_04_gaussian_stage_information_form():
               f"{max(worst_dense, worst_scalar):.2e}, {elapsed:.2f}s")
 
 
-class CorrelatedNormal:
-    """The chain's prior N(0, R R^T) from a dense factor R."""
+def correlated(factor):
+    """The chain's prior N(0, R R^T) from a dense factor R, as its solve."""
 
-    def __init__(self, factor):
-        self.factor = factor
-        self.normal_shape = (len(factor),)
+    def solve(out):
+        out[...] = out @ factor.T
 
-    def fill_normals(self, rng, out):
-        rng.standard_normal(out=out)
-
-    def place_normals(self, normals, out):
-        np.copyto(out, normals)
-
-    def solve(self, out):
-        out[...] = out @ self.factor.T
+    return solve
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +343,7 @@ def test_criterion_05_pcn_prior_reproduction_and_conjugate_target():
     beta = 0.8
     cfg = SamplerConfig(beta=beta, n_steps=100_000, burn_in_fraction=0.1, seed=5)
     # no data rows: phi = 0
-    out = pcn_chain(np.zeros((0, 30)), np.zeros(0), prior_mean, prior, cfg)
+    out = pcn_chain(np.zeros((0, 30)), np.zeros(0), prior_mean, prior.solve, cfg)
     assert out.acceptance_rate == 1.0
 
     # per-coordinate AR(1) with lag-1 correlation sqrt(1 - beta^2) gives
@@ -382,7 +374,7 @@ def test_criterion_05_pcn_prior_reproduction_and_conjugate_target():
     cfg2 = SamplerConfig(beta=0.5, n_steps=120_000, burn_in_fraction=0.2, seed=4)
     out2 = pcn_chain(
         root, root @ target, prior_mean2,
-        CorrelatedNormal(chol), cfg2,
+        correlated(chol), cfg2,
     )
     tau = out2.n_kept / out2.ess
     se2 = np.sqrt(np.diag(post_cov) * tau / out2.n_kept)
@@ -494,7 +486,7 @@ def test_criterion_08_acceptance_band(bundled):
 
     def pilot_rate(beta):
         pilot = SamplerConfig(beta=beta, n_steps=2000, burn_in_fraction=0.0, seed=17)
-        return pcn_chain(f_white, d_white, inv.smooth.mean, prior, pilot,
+        return pcn_chain(f_white, d_white, inv.smooth.mean, prior.solve, pilot,
                          link=clip_positive).acceptance_rate
 
     lo, hi, tuned = 0.0, 1.0, 1.0

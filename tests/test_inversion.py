@@ -125,16 +125,15 @@ class TestSmoothnessPrior:
         np.testing.assert_array_equal(block, singles)
 
     def test_sample_is_the_chains_fill_then_solve(self):
-        """sample(rng, size) is fill_normals, place_normals and solve, bit for
-        bit, also when the stream is drawn in the chain's blocks of 64."""
+        """sample(rng, size) is standard normals in the state's order, then
+        solve, bit for bit, also when the stream is drawn in the chain's
+        blocks of 64."""
         prior = make_prior(n_sources=3, n_steps=50, alpha=1.5, gamma=0.02)
         want = prior.sample(np.random.Generator(np.random.Philox(4)), size=70)
         rng = np.random.Generator(np.random.Philox(4))
         for start, stop in ((0, sampling.BLOCK_SIZE), (sampling.BLOCK_SIZE, 70)):
-            normals = np.empty((stop - start, *prior.normal_shape))
-            prior.fill_normals(rng, normals)
             draws = np.empty((stop - start, prior.n))
-            prior.place_normals(normals, draws)
+            rng.standard_normal(out=draws)
             prior.solve(draws)
             np.testing.assert_array_equal(draws, want[start:stop])
 
@@ -147,9 +146,9 @@ class TestSmoothnessPrior:
         banded[1] = np.diag(l_mat)
         factor = cholesky_banded(banded)
         draws = prior.sample(np.random.default_rng(2), size=5)
-        xi = np.random.default_rng(2).standard_normal((5, prior.n_steps, 2))
+        xi = np.random.default_rng(2).standard_normal((5, 2, prior.n_steps))  # source-major
         for k in range(5):
-            want = cho_solve_banded((factor, False), xi[k]).T.ravel()
+            want = cho_solve_banded((factor, False), xi[k].T).T.ravel()
             np.testing.assert_allclose(draws[k], want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
 
     def test_pointwise_variance_stable_under_refinement(self):
@@ -562,7 +561,7 @@ class TestChainPotential:
 
         monkeypatch.setattr(OnlineMoments, "update_block", recording)
         f_white, d_white = whiten(f, d, noise_var)
-        run = sampling.pcn_chain(f_white, d_white, prior_mean, prior, cfg, clip_positive)
+        run = sampling.pcn_chain(f_white, d_white, prior_mean, prior.solve, cfg, clip_positive)
         states = np.concatenate(seen)  # h(v) of each kept state, in order
         assert len(states) == len(run.phi_trace) == cfg.n_steps - cfg.n_burn
         clipped = (states == 0.0).any(axis=1)
@@ -573,47 +572,61 @@ class TestChainPotential:
         np.testing.assert_allclose(run.phi_trace[~clipped], want[~clipped], rtol=1e-12)
 
 
-class SleepyPrior(SmoothnessPrior):
-    """A smoothness prior that pauses a seeded 0-8 ms before each normal
-    fill (on the draw thread) and before each copy of the normals (on the
-    main thread), so the draw thread at times lags the main thread and at
-    times fills the whole ring ahead of it."""
+class SleepyStream:
+    """A chain's stream 0 that pauses a seeded 0-8 ms before each fill, on
+    the draw thread."""
 
-    def __init__(self, *args, seed):
-        super().__init__(*args)
-        self.fill_pauses, self.place_pauses = random.Random(seed), random.Random(seed + 1)
+    def __init__(self, rng, pauses):
+        self.rng, self.pauses = rng, pauses
 
-    def fill_normals(self, rng, out):
-        time.sleep(self.fill_pauses.uniform(0.0, 0.008))
-        super().fill_normals(rng, out)
+    def standard_normal(self, *, out):
+        time.sleep(self.pauses.uniform(0.0, 0.008))
+        self.rng.standard_normal(out=out)
 
-    def place_normals(self, normals, out):
-        time.sleep(self.place_pauses.uniform(0.0, 0.008))
-        super().place_normals(normals, out)
+
+def sleepy_solve(prior, pauses):
+    """``prior.solve`` after a seeded 0-8 ms pause, on the main thread."""
+
+    def solve(out):
+        time.sleep(pauses.uniform(0.0, 0.008))
+        prior.solve(out)
+
+    return solve
 
 
 class TestDrawThread:
     @pytest.mark.parametrize("n_steps", [1017, 40, 33])
-    def test_scheduling_does_not_change_the_chain(self, n_steps):
+    def test_scheduling_does_not_change_the_chain(self, monkeypatch, n_steps):
         """Pauses in either thread change nothing: the potential trace,
         acceptances, mean, diagonal and sketch match bit for bit, over many
-        blocks, below one and at one chunk of draws plus a step."""
+        blocks, below one and at one chunk of draws plus a step. The pauses
+        make the draw thread at times lag the main thread and at times fill
+        the whole ring ahead of it."""
         rng = np.random.default_rng(12)
-        args = (PriorConfig(alpha=6.0, gamma=0.02), TimeGrid(t0=0.0, dt=3600.0, n_steps=20), 2)
-        prior = SmoothnessPrior(*args)
+        prior = make_prior(n_sources=2, n_steps=20, alpha=6.0, gamma=0.02)
         f = rng.uniform(0.0, 0.5, (8, prior.n)) * (rng.random((8, prior.n)) < 0.5)
         noise_var = rng.uniform(0.5, 1.5, 8)
         d = f @ rng.uniform(0.0, 1.0, prior.n) + rng.normal(0.0, np.sqrt(noise_var))
         f_white, d_white = whiten(f, d, noise_var)
         cfg = SamplerConfig(beta=0.3, n_steps=n_steps, burn_in_fraction=0.1, seed=4)
+        streams = sampling._streams
+
+        def chain(solve):
+            return sampling.pcn_chain(f_white, d_white, np.full(prior.n, 0.6), solve, cfg,
+                                      clip_positive)
+
+        def sleepy_run(seed):
+            def sleepy_streams(chain_seed):
+                rng_prop, rng_acc = streams(chain_seed)
+                return SleepyStream(rng_prop, random.Random(seed)), rng_acc
+
+            monkeypatch.setattr(sampling, "_streams", sleepy_streams)
+            return chain(sleepy_solve(prior, random.Random(seed + 1)))
+
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # hand the interpreter between the threads often
         try:
-            runs = [
-                sampling.pcn_chain(f_white, d_white, np.full(prior.n, 0.6), chain_prior, cfg,
-                                   clip_positive)
-                for chain_prior in (prior, SleepyPrior(*args, seed=1), SleepyPrior(*args, seed=3))
-            ]
+            runs = [chain(prior.solve), sleepy_run(1), sleepy_run(3)]
         finally:
             sys.setswitchinterval(interval)
         plain = runs[0]

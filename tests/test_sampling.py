@@ -39,22 +39,17 @@ from plumeinv.sampling import (
 )
 
 
-class NormalPrior:
-    """The chain's prior N(0, R R^T) in len(R) dimensions, R the identity by default."""
+def white(out):
+    """The solve of N(0, I): the chain's standard normals are its draws."""
 
-    def __init__(self, dim, factor=None):
-        self.normal_shape = (dim,)
-        self.factor = factor
 
-    def fill_normals(self, rng, out):
-        rng.standard_normal(out=out)
+def correlated(factor):
+    """The solve of N(0, R R^T), R = ``factor``."""
 
-    def place_normals(self, normals, out):
-        np.copyto(out, normals)
+    def solve(out):
+        out[...] = out @ factor.T
 
-    def solve(self, out):
-        if self.factor is not None:
-            out[...] = out @ self.factor.T
+    return solve
 
 
 def flat(dim):
@@ -162,7 +157,7 @@ class TestOnlineMoments:
         # a chain moves as it does with an Omega that draws nothing at all
         dim = SKETCH_SIZE + 1
         cfg = SamplerConfig(beta=0.5, n_steps=300, burn_in_fraction=0.0, seed=2)
-        args = (*quadratic(dim, 0.01), np.zeros(dim), NormalPrior(dim), cfg)
+        args = (*quadratic(dim, 0.01), np.zeros(dim), white, cfg)
         sketched = pcn_chain(*args)
         assert sketched.cov.omega.shape == (dim, SKETCH_SIZE)
         monkeypatch.setattr(sampling, "_sketch_matrix", lambda n: csr_array((n, SKETCH_SIZE)))
@@ -275,7 +270,7 @@ class TestPcnChainFlatPotential:
         """phi = 0: acceptance is exactly 1 and moments match N(0, I)."""
         dim, beta, n = 4, 0.8, 60000
         cfg = SamplerConfig(beta=beta, n_steps=n, burn_in_fraction=0.1, seed=0)
-        out = pcn_chain(*flat(dim), np.zeros(dim), NormalPrior(dim), cfg)
+        out = pcn_chain(*flat(dim), np.zeros(dim), white, cfg)
         assert out.acceptance_rate == 1.0
         assert out.n_nonfinite == 0
         # AR(1) autocorrelation sqrt(1-beta^2) = 0.6 -> tau = 4
@@ -289,7 +284,7 @@ class TestPcnChainFlatPotential:
 
     def test_beta_one_draws_prior_independently(self):
         cfg = SamplerConfig(beta=1.0, n_steps=20000, burn_in_fraction=0.0, seed=1)
-        out = pcn_chain(*flat(2), np.zeros(2), NormalPrior(2), cfg)
+        out = pcn_chain(*flat(2), np.zeros(2), white, cfg)
         assert out.acceptance_rate == 1.0
         # flat phi trace has zero variance; ESS degrades to the length
         assert out.ess == out.n_kept
@@ -298,7 +293,7 @@ class TestPcnChainFlatPotential:
     def test_nonzero_prior_mean_is_respected(self):
         mean = np.array([3.0, -2.0])
         cfg = SamplerConfig(beta=0.7, n_steps=30000, seed=2)
-        out = pcn_chain(*flat(2), mean, NormalPrior(2), cfg)
+        out = pcn_chain(*flat(2), mean, white, cfg)
         tau = (1.0 + math.sqrt(1 - 0.49)) / (1.0 - math.sqrt(1 - 0.49))
         np.testing.assert_allclose(out.mean, mean, atol=4.0 * math.sqrt(tau / out.n_kept))
 
@@ -312,7 +307,7 @@ class TestPcnChainFlatPotential:
 
         kept = record_kept_states(monkeypatch)
         cfg = SamplerConfig(beta=1.0, n_steps=40000, burn_in_fraction=0.0, seed=3)
-        out = pcn_chain(*flat(3), np.zeros(3), NormalPrior(3), cfg, link=recording_abs)
+        out = pcn_chain(*flat(3), np.zeros(3), white, cfg, link=recording_abs)
         # the moments see h(v) once per kept state; the link's last call is at the chain mean of v
         seen = kept()
         assert len(seen) == out.n_kept
@@ -331,7 +326,7 @@ class TestPcnChainConjugateTarget:
         chol = np.linalg.cholesky(np.array([[1.0, 0.3], [0.3, 0.5]]))
         prior_cov = chol @ chol.T
 
-        prior = NormalPrior(2, chol)
+        prior = correlated(chol)
         prec_pot = np.array([[2.0, 0.0], [0.0, 0.5]])
         target = np.array([0.2, 1.0])
         # phi(v) = 1/2 (v - target)^T prec_pot (v - target) as a whitened data model
@@ -442,8 +437,8 @@ class TestRowSplit:
 class TestPcnChainMechanics:
     def test_bitwise_reproducible(self):
         cfg = SamplerConfig(beta=0.6, n_steps=5000, seed=11)
-        a = pcn_chain(*quadratic(3), np.zeros(3), NormalPrior(3), cfg)
-        b = pcn_chain(*quadratic(3), np.zeros(3), NormalPrior(3), cfg)
+        a = pcn_chain(*quadratic(3), np.zeros(3), white, cfg)
+        b = pcn_chain(*quadratic(3), np.zeros(3), white, cfg)
         np.testing.assert_array_equal(a.mean, b.mean)
         np.testing.assert_array_equal(a.cov.y, b.cov.y)
         np.testing.assert_array_equal(a.cov.diag, b.cov.diag)
@@ -459,7 +454,7 @@ class TestPcnChainMechanics:
         for n in (400, 1203):
             kept = record_kept_states(monkeypatch)
             cfg = SamplerConfig(beta=0.6, n_steps=n, burn_in_fraction=0.0, seed=7)
-            pcn_chain(*quadratic(2), np.zeros(2), NormalPrior(2), cfg)
+            pcn_chain(*quadratic(2), np.zeros(2), white, cfg)
             states[n] = kept()
         short, long = states[400], states[1203]
         # one kept state per step
@@ -479,7 +474,7 @@ class TestPcnChainMechanics:
         for n in (400, 1203):
             kept = record_kept_states(monkeypatch)
             cfg = SamplerConfig(beta=0.5, n_steps=n, burn_in_fraction=0.0, seed=7)
-            run = pcn_chain(csc_array(f), d, np.zeros(dim), NormalPrior(dim), cfg, np.abs)
+            run = pcn_chain(csc_array(f), d, np.zeros(dim), white, cfg, np.abs)
             out[n] = kept(), run.phi_trace
         assert 0.1 < np.mean(np.diff(out[1203][1]) != 0) < 0.9  # the chain moves
         np.testing.assert_array_equal(out[400][0], out[1203][0][:400])
@@ -488,9 +483,9 @@ class TestPcnChainMechanics:
     def test_transform_replaces_latent_second_moments(self):
         """The identity link gives the link-free chain's mean and cov bit for bit."""
         cfg = SamplerConfig(beta=0.6, n_steps=3000, seed=13)
-        plain = pcn_chain(*quadratic(3), np.zeros(3), NormalPrior(3), cfg)
+        plain = pcn_chain(*quadratic(3), np.zeros(3), white, cfg)
         mapped = pcn_chain(
-            *quadratic(3), np.zeros(3), NormalPrior(3), cfg, link=lambda v: v.copy()
+            *quadratic(3), np.zeros(3), white, cfg, link=lambda v: v.copy()
         )
         np.testing.assert_array_equal(mapped.mean, plain.mean)
         np.testing.assert_array_equal(mapped.cov.y, plain.cov.y)
@@ -516,7 +511,7 @@ class TestPcnChainMechanics:
         monkeypatch.setattr(OnlineMoments, "update_block", recording)
         f, _ = quadratic(dim)
         cfg = SamplerConfig(beta=0.5, n_steps=1000, burn_in_fraction=0.1, seed=6)
-        out = pcn_chain(f, np.full(dim, 40.0), np.full(dim, 40.0), NormalPrior(dim), cfg,
+        out = pcn_chain(f, np.full(dim, 40.0), np.full(dim, 40.0), white, cfg,
                         counting_link)
         assert 0.1 < out.acceptance_rate < 0.9
         assert len(calls) == sum(seen) + 1 and sum(seen) > 50
@@ -533,7 +528,7 @@ class TestPcnChainMechanics:
         one_block = BLOCK_SIZE * dim * 8
         tracemalloc.start()
         try:
-            out = pcn_chain(f, np.zeros(50), np.zeros(dim), NormalPrior(dim), cfg,
+            out = pcn_chain(f, np.zeros(50), np.zeros(dim), white, cfg,
                             link=lambda v: np.maximum(v, 0.0))
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -549,7 +544,7 @@ class TestPcnChainMechanics:
         kept = record_kept_states(monkeypatch)
         cfg = SamplerConfig(beta=0.5, n_steps=600, burn_in_fraction=0.1, seed=9)
         out = pcn_chain(
-            *quadratic(dim, 0.01), np.full(dim, 0.5), NormalPrior(dim), cfg,
+            *quadratic(dim, 0.01), np.full(dim, 0.5), white, cfg,
             link=lambda v: np.maximum(v, 0.0),
         )
         seen = kept()
@@ -568,7 +563,7 @@ class TestPcnChainMechanics:
         f_white, d_white = 1e300 * np.eye(2), np.zeros(2)
         cfg = SamplerConfig(beta=0.5, n_steps=200, burn_in_fraction=0.0, seed=5)
         with caplog.at_level(logging.WARNING, logger="plumeinv.sampling"):
-            out = pcn_chain(f_white, d_white, start, NormalPrior(2), cfg)
+            out = pcn_chain(f_white, d_white, start, white, cfg)
         assert out.acceptance_rate == 0.0
         assert out.n_nonfinite == 200
         np.testing.assert_array_equal(out.mean, start)
@@ -578,7 +573,7 @@ class TestPcnChainMechanics:
         """A potential that breaks at the prior mean is a numerical failure (exit 3)."""
         cfg = SamplerConfig(beta=0.5, n_steps=10)
         with pytest.raises(NumericalError, match="potential at the prior mean"):
-            pcn_chain(1e300 * np.eye(2), np.zeros(2), np.ones(2), NormalPrior(2), cfg)
+            pcn_chain(1e300 * np.eye(2), np.zeros(2), np.ones(2), white, cfg)
 
     def test_all_burn_in_raises(self):
         with pytest.raises(ValueError):
@@ -589,30 +584,44 @@ class FillFailed(Exception):
     pass
 
 
-class WatchedPrior(NormalPrior):
-    """N(0, I) that counts its fills and copies, and raises on fill number
-    ``fail_at`` or solve number ``solve_fails_at`` (1-based), if given."""
+class WatchedStream:
+    """A chain's stream 0 that records the thread of each fill and raises
+    on fill number ``fail_at`` (1-based), if given."""
 
-    def __init__(self, dim, fail_at=None, solve_fails_at=None):
-        super().__init__(dim)
-        self.fail_at, self.solve_fails_at = fail_at, solve_fails_at
-        self.fills = self.placed = self.solves = 0
+    def __init__(self, rng, fail_at=None):
+        self.rng, self.fail_at, self.threads = rng, fail_at, []
 
-    def fill_normals(self, rng, out):
-        self.fills += 1
-        if self.fills == self.fail_at:
+    def standard_normal(self, *, out):
+        self.threads.append(threading.current_thread())
+        if len(self.threads) == self.fail_at:
             raise FillFailed(f"fill {self.fail_at}")
-        super().fill_normals(rng, out)
+        self.rng.standard_normal(out=out)
 
-    def place_normals(self, normals, out):
-        self.placed += 1
-        super().place_normals(normals, out)
 
-    def solve(self, out):
-        self.solves += 1
-        if self.solves == self.solve_fails_at:
-            raise NumericalError(f"solve {self.solve_fails_at}")
-        super().solve(out)
+def watch_stream_0(monkeypatch, fail_at=None):
+    """Give each chain a ``WatchedStream`` as stream 0; returns the list they join."""
+    watched, streams = [], sampling._streams
+
+    def watched_streams(seed):
+        rng_prop, rng_acc = streams(seed)
+        watched.append(WatchedStream(rng_prop, fail_at))
+        return watched[-1], rng_acc
+
+    monkeypatch.setattr(sampling, "_streams", watched_streams)
+    return watched
+
+
+class WatchedSolve:
+    """The solve of N(0, I) that records the thread of each call and raises
+    ``NumericalError`` on call number ``fails_at`` (1-based), if given."""
+
+    def __init__(self, fails_at=None):
+        self.fails_at, self.threads = fails_at, []
+
+    def __call__(self, out):
+        self.threads.append(threading.current_thread())
+        if len(self.threads) == self.fails_at:
+            raise NumericalError(f"solve {self.fails_at}")
 
 
 def draw_threads():
@@ -620,26 +629,42 @@ def draw_threads():
 
 
 class TestDrawThread:
-    def test_fill_error_surfaces_and_no_thread_is_left(self):
-        """A fill that raises on the third block raises out of pcn_chain,
-        and neither a raise nor a return leaves a thread running."""
+    def test_fill_error_surfaces_and_no_thread_is_left(self, monkeypatch):
+        """A fill of stream 0 that raises on the third chunk raises out of
+        pcn_chain, and neither a raise nor a return leaves a thread running."""
         before = threading.active_count()
         cfg = SamplerConfig(beta=0.5, n_steps=1000, seed=3)
+        watch_stream_0(monkeypatch, fail_at=3)
         with pytest.raises(FillFailed, match="fill 3"):
-            pcn_chain(*quadratic(3), np.zeros(3), WatchedPrior(3, fail_at=3), cfg)
+            pcn_chain(*quadratic(3), np.zeros(3), white, cfg)
         assert threading.active_count() == before
-        pcn_chain(*quadratic(3), np.zeros(3), WatchedPrior(3), cfg)
+        monkeypatch.undo()
+        pcn_chain(*quadratic(3), np.zeros(3), white, cfg)
         assert threading.active_count() == before
 
-
-    def test_main_thread_error_drops_the_queued_draws_and_joins(self):
+    def test_main_thread_error_drops_the_queued_draws_and_joins(self, monkeypatch):
         """A solve that raises on the third block raises out of pcn_chain, no
         draw thread is left, and no more than the ring's three chunks were
         filled past the last chunk the main thread copied."""
         cfg = SamplerConfig(beta=0.5, n_steps=1000, seed=3)
-        prior = WatchedPrior(3, solve_fails_at=3)
+        watched = watch_stream_0(monkeypatch)
+        solve = WatchedSolve(fails_at=3)
         with pytest.raises(NumericalError, match="solve 3"):
-            pcn_chain(*quadratic(3), np.zeros(3), prior, cfg)
+            pcn_chain(*quadratic(3), np.zeros(3), solve, cfg)
         assert not draw_threads()
-        assert prior.placed == 3 * BLOCK_SIZE // sampling._CHUNK
-        assert prior.placed <= prior.fills <= prior.placed + sampling._RING
+        (stream,) = watched
+        copied = len(solve.threads) * BLOCK_SIZE // sampling._CHUNK  # copied before each solve
+        assert copied <= len(stream.threads) <= copied + sampling._RING
+
+    def test_the_draw_thread_calls_no_prior_code(self, monkeypatch):
+        """Every solve runs on the thread that called pcn_chain, and every
+        fill of stream 0 on the draw thread."""
+        cfg = SamplerConfig(beta=0.5, n_steps=1000, seed=3)
+        watched = watch_stream_0(monkeypatch)
+        solve = WatchedSolve()
+        pcn_chain(*quadratic(3), np.zeros(3), solve, cfg)
+        (stream,) = watched
+        assert len(solve.threads) == -(-cfg.n_steps // BLOCK_SIZE)
+        assert set(solve.threads) == {threading.current_thread()}
+        assert len(stream.threads) == -(-cfg.n_steps // sampling._CHUNK)
+        assert all(t.name.startswith("pcn-draw") for t in stream.threads)
