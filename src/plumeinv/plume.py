@@ -25,11 +25,14 @@ Conventions:
       near-field cutoff and the calm speed. ``kernel_profile`` and the
       operators built on it (F in ``observation``, H in ``uqprop``) take it
       as one argument.
-    * ``kernel_profile`` evaluates a whole wind series in one call, a
-      bounded block of steps at a time; a calm step gives zero kernels.
-      It is the one entry point to the kernel. Given ``weights``, it
-      returns the kernels applied to them instead, summed block by block,
-      so an operator that is only ever multiplied (H) is never held.
+    * ``kernel_profile`` is the one entry point to the kernel. It evaluates
+      a whole wind series in one call, a bounded block of steps at a time,
+      each block whole: a miss (upwind, inside the cutoff or calm) is
+      evaluated at 1 m with the hits and zeroed, as evaluating the bundled
+      case's misses (15% of F's entries, 30% of H's) costs less than
+      gathering the hits. Given ``weights``, it returns the kernels applied
+      to them instead, summed block by block, so an operator that is only
+      ever multiplied (H) is never held.
 """
 
 from __future__ import annotations
@@ -183,13 +186,14 @@ class PlumeModel:
             raise ValueError("calm_speed must be positive")
 
 
-def _ermak(x, y, z_rel, z_image, lift, speed, particle, sc):
-    """Ermak kernel on equal-shape arrays of points downwind of the cutoff.
+def _ermak(x, y, z_rel, z_image, lift, speed, miss, particle, sc):
+    """Ermak kernel on a (pairs, steps) block, zero where ``miss`` is true.
 
-    ``x`` and ``speed`` must be positive. ``z_image`` is (z + z_src) /
-    sqrt(2), the receptor's height above the image source over sqrt(2), and
-    ``lift`` is 2 z z_src, or None where it is zero throughout. Raises
-    NumericalError on overflow and clamps roundoff below zero.
+    ``x`` (positive), ``y`` and ``miss`` are (pairs, steps) arrays. The
+    per-pair ``z_rel``, ``z_image`` = (z + z_src) / sqrt(2) and ``lift`` =
+    2 z z_src are (pairs, 1) columns, and ``speed`` is a positive (steps,)
+    row. Misses are zeroed before the overflow check, so only an overflow at
+    a hit raises NumericalError. Roundoff below zero is clamped.
     """
     sy = _briggs_fit(sc, "crosswind", x)
     sz = _briggs_fit(sc, "vertical", x)
@@ -214,20 +218,20 @@ def _ermak(x, y, z_rel, z_image, lift, speed, particle, sc):
     g /= sz
     b = z_image / sz
     b += _SQRT2 * g
-    # Overflow here (W_o < 0 at extreme range) is detected below; keep the
-    # inf/nan quiet until then.
+    # Overflow here (W_o < 0 at extreme range) is detected below, once the
+    # misses are zeroed; keep the inf/nan quiet until then.
     with np.errstate(over="ignore", invalid="ignore"):
         bracket = erfcx(b, out=b)
         bracket *= g
         bracket *= -2.0 * _SQRT_2PI
         bracket += 1.0
-        if lift is not None:
-            bracket *= np.exp(-lift / (sz * sz))
+        bracket *= np.exp(-lift / (sz * sz))
         bracket += 1.0
         bracket *= direct
         sy *= (2.0 * np.pi) * speed
         sy *= sz
         bracket /= sy
+    np.copyto(bracket, 0.0, where=miss)
     if not np.isfinite(bracket).all():
         raise NumericalError(
             "plume kernel overflow (settling far exceeds deposition at extreme range)"
@@ -273,20 +277,18 @@ def kernel_profile(
             "calm wind at %d of %d steps; those steps give zero kernels",
             np.count_nonzero(~live), speed.size,
         )
-    # A calm step's frame is never read: the mask drops it. Dividing by 1
-    # there instead of by its speed keeps the arithmetic finite.
+    # A calm step is a miss. Dividing by 1 there instead of by its speed
+    # keeps its arithmetic finite.
     speed = np.where(live, speed, 1.0)
-    # receptor-source pairs flattened point-major: entry k is (k // S, k % S)
+    # receptor-source pairs as (pairs, 1) columns, point-major: row k is (k // S, k % S)
     sx = np.array([s.x for s in sites])
     sy = np.array([s.y for s in sites])
     heights = np.array([s.height for s in sites], dtype=float)
-    dx = (points[:, 0:1] - sx).ravel()
-    dy = (points[:, 1:2] - sy).ravel()
-    z_rel = (points[:, 2:3] - heights).ravel()
-    z_image = ((points[:, 2:3] + heights) / _SQRT2).ravel()
-    lift = (2.0 * points[:, 2:3] * heights).ravel()
-    if not lift.any():
-        lift = None  # z z_src = 0 for every pair: the image term's ratio to the direct is 1
+    dx = (points[:, 0:1] - sx).reshape(-1, 1)
+    dy = (points[:, 1:2] - sy).reshape(-1, 1)
+    z_rel = (points[:, 2:3] - heights).reshape(-1, 1)
+    z_image = ((points[:, 2:3] + heights) / _SQRT2).reshape(-1, 1)
+    lift = (2.0 * points[:, 2:3] * heights).reshape(-1, 1)
     if weights is None:
         out = np.zeros((dx.size, speed.size))
     else:
@@ -299,35 +301,27 @@ def kernel_profile(
         # (S, T, k): step t of source s is [s, t]
         by_source = weights.reshape(len(sites), speed.size, weights.shape[1])
         out = np.zeros((len(points), weights.shape[1]))
-    # The temporaries of a block are about 12-15 doubles per entry, about 2 MB
+    # The temporaries of a block are about ten (pairs, steps) arrays, 1.3 MB
     # for a full block: small beside the kernels of the whole series however
     # many receptors there are.
     block_steps = max(1, BLOCK_ENTRIES // max(dx.size, 1))
     for start in range(0, speed.size, block_steps):
         steps = slice(start, start + block_steps)
-        downwind = (dx[:, None] * u_x[steps] + dy[:, None] * u_y[steps]) / speed[steps]
-        hit = np.flatnonzero((downwind > model.x_cutoff) & live[steps])
-        pair, t = np.divmod(hit, downwind.shape[1])
-        t += start
-        ux, uy, u = u_x[t], u_y[t], speed[t]
-        block = np.zeros(downwind.size)
-        block[hit] = _ermak(
-            downwind.ravel()[hit],
-            (ux * dy[pair] - uy * dx[pair]) / u,
-            z_rel[pair],
-            z_image[pair],
-            None if lift is None else lift[pair],
-            u,
-            model.particle,
-            model.stability,
-        )
+        ux, uy, u = u_x[steps], u_y[steps], speed[steps]
+        x = (dx * ux + dy * uy) / u
+        # A miss (upwind, inside the cutoff or calm) is evaluated at 1 m with
+        # the hits, and _ermak zeroes it.
+        miss = ~((x > model.x_cutoff) & live[steps])
+        np.copyto(x, 1.0, where=miss)
+        block = _ermak(x, (ux * dy - uy * dx) / u, z_rel, z_image, lift, u, miss,
+                       model.particle, model.stability)
         if weights is None:
-            out[:, steps] = block.reshape(downwind.shape)
+            out[:, steps] = block
         elif out.size:  # BLAS takes no empty product
             # point-major pairs: row p of this (P, S*b) view holds K[t, p, s]
             # at column s*b + (t - start), the row of the block's weights it
             # meets; out += K W is accumulated in place as out^T += W^T K^T
-            n_b = downwind.shape[1]
+            n_b = block.shape[1]
             out = dgemm(
                 1.0,
                 by_source[:, steps].reshape(len(sites) * n_b, out.shape[1]).T,
