@@ -4,10 +4,10 @@ Stage 1 (constant): per-source constant rates by nonnegative least
 squares on the whitened data misfit, solved in the package by Lawson and
 Hanson's active-set method (one unknown per source, so a few iterations).
 Stage 2 (smooth): closed-form Gaussian posterior under a second-order
-smoothness prior centered at the constant fit. It makes no
-(n_meas, n) array: the innovation matrix S comes from a few rows of F C
-at a time, and the mean and std from one source's columns of F C at a
-time, each formed again once S is factored.
+smoothness prior centered at the constant fit, with no (n_meas, n) array:
+the upper triangle of the innovation matrix S, which its Cholesky reads,
+comes from a few rows of F C at a time, and the mean and std from one
+source's columns of F C at a time, each formed again once S is factored.
 Stage 3 (positive): clipped-Gaussian push-forward sampled by pCN, centered
 at the clipped smooth mean; its result is the chain's ``ChainSummary``.
 
@@ -345,39 +345,34 @@ def _whitened_gain(fc: np.ndarray, factor: np.ndarray) -> np.ndarray:
     return w_t.T
 
 
+def _innovation_upper(f: csr_array, noise_var: np.ndarray, prior: SmoothnessPrior) -> np.ndarray:
+    """S = Sigma + F C F^T down to each ``_ROWS``-column block's last row, zero below:
+    S[:stop, rows] = F[:stop] (F_rows C)^T, so no (n_meas, n) array is made."""
+    n_meas = f.shape[0]
+    s = np.zeros((n_meas, n_meas))  # cho_solve checks the whole factor for finiteness
+    for start in range(0, n_meas, _ROWS):
+        stop = min(start + _ROWS, n_meas)
+        s[:stop, start:stop] = f[:stop] @ prior.apply_cov_to_rows(f[start:stop].toarray()).T
+    s[np.diag_indices_from(s)] += noise_var
+    return s
+
+
 def _innovation_factor(f: csr_array, noise_var: np.ndarray, prior: SmoothnessPrior) -> np.ndarray:
     """L_S, the lower Cholesky factor of S = Sigma + F C F^T, made in S's memory.
 
-    S is formed ``_ROWS`` of its columns at a time, from the same rows of
-    F C: S[:, rows] = F (F_rows C)^T, so no (n_meas, n) array is made. It
-    is symmetrised in place, a band of rows and its mirror at a time, and
-    LAPACK ``dpotrf`` factors it where it lies. The result is
-    Fortran-ordered: L_S in its lower triangle, S above it.
+    S's C-ordered upper triangle (``_innovation_upper``) is the lower one of
+    S^T = S in Fortran order, which LAPACK ``dpotrf`` factors where it lies.
 
     Raises:
         NumericalError: S does not factor; the message gives the condition
-            number of S, rebuilt from the triangle the factorization leaves
-            and a copy of the diagonal.
+            number of S, built again and mirrored from its upper triangle.
     """
-    n_meas = f.shape[0]
-    s = np.empty((n_meas, n_meas))
-    for start in range(0, n_meas, _ROWS):
-        fc_rows = prior.apply_cov_to_rows(f[start : start + _ROWS].toarray())
-        s[:, start : start + _ROWS] = f @ fc_rows.T
-    s[np.diag_indices_from(s)] += noise_var
-    # (S + S^T) / 2 entry by entry; a + b == b + a, so mirrored entries agree
-    for start in range(0, n_meas, _ROWS):
-        band = slice(start, start + _ROWS)
-        half_sum = 0.5 * (s[band, start:] + s[start:, band].T)
-        s[band, start:] = half_sum
-        s[start:, band] = half_sum.T
-    diagonal = np.diagonal(s).copy()
-    # S is symmetric, so its transpose is S in Fortran order
+    s = _innovation_upper(f, noise_var, prior)
     factor, info = dpotrf(s.T, lower=1, clean=0, overwrite_a=1)
     if info != 0 or not np.isfinite(np.diagonal(factor)).all():
-        intact = np.triu(factor, 1)
-        intact += intact.T + np.diag(diagonal)
-        cond = float(np.linalg.cond(intact)) if np.isfinite(intact).all() else np.nan
+        s = np.triu(_innovation_upper(f, noise_var, prior))
+        s += np.triu(s, 1).T
+        cond = float(np.linalg.cond(s)) if np.isfinite(s).all() else np.nan
         raise NumericalError(
             f"innovation matrix factorization failed (condition number {cond:.3e})"
         )

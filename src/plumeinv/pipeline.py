@@ -69,7 +69,7 @@ STAGES = ("wind_fit", "synth", "invert", "propagate")
 
 # In every stage key: bumped where a stage's bytes or a state layout move,
 # so a directory an older package wrote reruns instead of reading as fresh.
-OUTPUT_VERSION = 3
+OUTPUT_VERSION = 4
 
 # The config each stage reads, as dotted paths into config_dict(cfg).
 # sampler.seed is the run's one seed: it drives the synthetic noise, the

@@ -333,7 +333,10 @@ class ChainSummary:
     chain's link (the identity without one). ``cov`` sketches the chain's
     second moment of h(v) about ``point``; without a link it is the
     covariance of v. ``phi_trace`` is the potential after each kept step,
-    and ``ess`` and ``r_hat`` are read off it.
+    and ``ess`` and ``r_hat`` are read off it, except for a chain that kept
+    one state: it never moved, so its ESS is 1 and its R-hat is undefined
+    (NaN). A constant trace alone does not say that: under a flat
+    potential every step is accepted.
     """
 
     mean: np.ndarray
@@ -544,6 +547,7 @@ def pcn_chain(
     rows = np.empty((min(BLOCK_SIZE, n_kept), m.size))
     counts = np.zeros(BLOCK_SIZE)
     fill = 0
+    n_distinct = 0  # distinct states kept; 1 when the chain never moved after burn-in
     accepted = 0
     n_nonfinite = 0
     # The draw thread fills chunk j's normals and exponentials into ring
@@ -632,6 +636,7 @@ def pcn_chain(
                     rows[fill] = v
                     counts[fill] = 0.0
                     fill += 1
+                    n_distinct += 1
                 counts[fill - 1] += 1.0
         flush()
     if n_nonfinite:
@@ -643,8 +648,8 @@ def pcn_chain(
         cov=acc.second_moment(point),
         phi_trace=phi_trace,
         acceptance_rate=accepted / cfg.n_steps,
-        ess=effective_sample_size(phi_trace),
-        r_hat=split_r_hat(phi_trace),
+        ess=1.0 if n_distinct == 1 else effective_sample_size(phi_trace),
+        r_hat=math.nan if n_distinct == 1 else split_r_hat(phi_trace),
         n_steps=cfg.n_steps,
         n_kept=n_kept,
         beta=cfg.beta,

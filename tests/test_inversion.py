@@ -271,6 +271,32 @@ class TestGaussianPosterior:
         assert math.isfinite(cond)
         assert cond == pytest.approx(np.linalg.cond(s), rel=1e-3)
 
+    def test_innovation_matrix_built_in_several_blocks(self):
+        """70 rows are three blocks of S's columns, the last one ragged: the
+        factor, the posterior and a failure's condition number all match the
+        dense S = Sigma + F C F^T."""
+        rng = np.random.default_rng(10)
+        prior, f, noise_var, d, m = random_system(rng, 2, 20, 70)
+        assert 2 * inversion._ROWS < len(d) < 3 * inversion._ROWS
+        fcf = f @ prior.dense_cov() @ f.T
+        want = np.linalg.cholesky(fcf + np.diag(noise_var))
+        factor = inversion._innovation_factor(csr_array(f), noise_var, prior)
+        np.testing.assert_allclose(
+            np.tril(factor), want, rtol=1e-12, atol=1e-12 * np.abs(want).max()
+        )
+        got = gaussian_posterior(f, d, noise_var, prior, m)
+        want_mean, want_cov = information_form(prior, f, noise_var, d, m)
+        np.testing.assert_allclose(got.mean, want_mean, rtol=1e-8, atol=1e-10)
+        np.testing.assert_allclose(got.std, np.sqrt(np.diag(want_cov)), rtol=1e-8, atol=1e-10)
+
+        noise_var[-3:] = -10.0 * np.max(fcf)
+        s = fcf + np.diag(noise_var)
+        assert np.linalg.eigvalsh(s).min() < 0 < np.linalg.eigvalsh(s[:67, :67]).min()
+        with pytest.raises(NumericalError, match="innovation matrix factorization failed") as err:
+            gaussian_posterior(f, d, noise_var, prior, m)
+        cond = float(re.search(r"condition number ([^)]+)\)", str(err.value)).group(1))
+        assert cond == pytest.approx(np.linalg.cond(s), rel=1e-3)
+
     def test_std_clips_roundoff_negatives(self):
         # W removes all of the prior variance of slot 1 plus one roundoff
         # step, and half of the variance of slot 2
@@ -719,3 +745,18 @@ class TestPositivePosterior:
             positive_posterior(f, d, tiny_noise, prior, q_s, cfg)
         messages = [r.getMessage() for r in caplog.records]
         assert any("acceptance rate" in m and "sampler.beta or --beta" in m for m in messages)
+
+    def test_chain_that_never_moved_reports_no_convergence(self, caplog):
+        """test_poor_acceptance_warns's case started at the smooth mean: the
+        chain accepts nothing after burn-in, so its one kept state gives an
+        ESS of 1 and no R-hat, and the acceptance warning still fires."""
+        prior, f, _, d, q_s = self.make_case(seed=6)
+        tiny_noise = np.full(len(d), 1e-8)
+        start = gaussian_posterior(f, d, tiny_noise, prior, q_s).mean
+        cfg = SamplerConfig(beta=1.0, n_steps=2000, seed=7)
+        with caplog.at_level(logging.WARNING, logger="plumeinv.inversion"):
+            got = positive_posterior(f, d, tiny_noise, prior, start, cfg)
+        assert np.all(got.phi_trace == got.phi_trace[0]) and got.acceptance_rate > 0.0
+        assert got.ess == 1.0
+        assert math.isnan(got.r_hat)
+        assert any("acceptance rate" in r.getMessage() for r in caplog.records)

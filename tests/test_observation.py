@@ -311,7 +311,7 @@ class TestAssembleF:
         """F is written as CSR from each row's slots, so no dense F, and no
         per-sensor block of it, is made: the peak, which the kernel call's
         own temporaries set, stays below three quarters of one dense F (it
-        read 0.48; a dense F is at least one)."""
+        reads 0.24; a dense F is at least one)."""
         grid = TimeGrid(t0=0.0, dt=60.0, n_steps=1200)
         rng = np.random.default_rng(3)
         wind = WindSeries(
