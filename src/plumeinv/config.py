@@ -179,6 +179,8 @@ def _build_sources(items) -> tuple:
 
 
 def _build_harmonics(items, where: str) -> tuple:
+    if items is not None and not isinstance(items, list):
+        raise ValidationError(f"{where} must be a list, got {items!r}")
     out = []
     for i, item in enumerate(items or []):
         at = f"{where}[{i}]"

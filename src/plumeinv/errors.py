@@ -50,8 +50,11 @@ def _given(section: dict, where: str, **wanted) -> dict:
 
     ``wanted`` maps each field to its key and its type (float or int). A
     key the section leaves out is not passed on, so the defaults on the
-    config dataclasses are the only ones.
+    config dataclasses are the only ones. A section that is not a mapping,
+    a null one included, is refused.
     """
+    if not isinstance(section, dict):
+        raise ValidationError(f"config section {where!r} must be a mapping")
     return {
         name: _number(section, key, where, cast)
         for name, (key, cast) in wanted.items()

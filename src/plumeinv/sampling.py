@@ -19,25 +19,25 @@ streams: stream 0 drives prior draws, stream 1 drives acceptance
 variables. One draw is consumed from each stream per step regardless of
 the outcome, so a block's randomness is known before the block runs. The
 chain therefore works a block of ``BLOCK_SIZE`` steps at a time, with
-the randomness drawn up to a block and a half ahead. The chain draws the
+the randomness drawn up to two blocks ahead. The chain draws the
 standard normals behind each w ~ N(0, C) itself, in the state's order,
 and the caller's solve (``Solve``) turns a block of them into draws in
-place. One draw thread does only the stream work, in chunks of half a
-block, and calls nothing but the two generators: chunk j's normals from
-stream 0 and its acceptance exponentials from stream 1 go into slot
-j mod 3 of a preallocated ring of three chunk slots (drawing c at once
-leaves a stream where c single draws leave it). The main thread takes a
-block's two chunks in order, copies each out of its slot into buffers
-of its own, and only then hands that slot back for chunk j + 3, so no
+place. One draw thread does only the stream work, a block at a time,
+and calls nothing but the two generators: block i's normals from stream
+0 and its acceptance exponentials from stream 1 go into slot i mod 3 of
+a preallocated ring of three block slots (drawing b at once leaves a
+stream where b single draws leave it). The main thread solves, scales
+and reads each block where it lands, in its slot, and hands the slot
+back for block i + 3 only once the block's last step is done, so no
 slot is written while it is read. A block that holds a flush takes
-about twice as long as one that does not; with a block and a half
-queued, the draw thread keeps filling through such a block instead of
-waiting for the main thread. The main thread does the rest: the solve,
-the scaling by beta, one product forming F w for the whole block and one
-more forming F v at its start, the accept loop and the moment updates; a
+about twice as long as one that does not; with two blocks queued, the
+draw thread keeps filling through such a block instead of waiting for
+the main thread. The main thread does the rest: the solve, the scaling
+by beta, one product forming F w for the whole block and one more
+forming F v at its start, the accept loop and the moment updates; a
 flush of kept states writes h(v) over them in the chain's own buffer, so
 no second copy of the block is made. Each stream is read by one thread in
-chunk order, so the draws do not depend on how the two threads are
+block order, so the draws do not depend on how the two threads are
 scheduled. The Philox fills, NumPy's matmul and SciPy's sparse products
 release the GIL; SciPy's BLAS and LAPACK wrappers (``dgemm``, the
 ``dpttrs`` solve) hold it. A Python loop on another thread took 0.071 s
@@ -45,9 +45,10 @@ beside 200 of the chain's sketch products (Omega^T A^T) against 0.068 s
 alone, and 0.135 s beside its ``dgemm`` updates, whose time it then
 shares (2 vCPUs). ``pipeline`` runs every stage with BLAS on one thread
 (``threads.single``), so the draw thread has a core of its own. On a
-10k-step invert of the bundled case (2 vCPUs) the main thread is busy
-1.50-1.72 s and waits 0.01-0.04 s for the draws; the draw thread fills
-for 1.02-1.32 s, about 110 us a step, which is now the chain's floor.
+10k-step invert of the bundled case (2 vCPUs) the main thread waits
+0.01-0.08 s in all for the draws, the first block's included; the draw
+thread fills for 0.91-1.37 s, about 90-140 us a step, which is now the
+chain's floor.
 The accept loop runs in the data space, where
 
     F v~ = F m + sqrt(1 - beta^2) (F v - F m) + beta F w,
@@ -101,9 +102,8 @@ from __future__ import annotations
 import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg.blas import dgemm, dger, dtrsm
@@ -133,8 +133,7 @@ SKETCH_SIZE = 400  # columns of the test matrix the chain's covariance is sketch
 SKETCH_SEED = 0  # seed of the test matrix's own generator
 SKETCH_NONZEROS = 8  # +-1 entries in each row of the sparse sign test matrix
 _CENTRE_COLUMNS = 256  # columns of a block centred at a time in a moment update
-_CHUNK = BLOCK_SIZE // 2  # draws the draw thread fills at a time
-_RING = 3  # chunk slots the draw thread fills ahead of the main thread
+_RING = 3  # block slots the draw thread fills ahead of the main thread
 
 Link = Callable[[np.ndarray], np.ndarray]  # entrywise, the identity on nonnegative entries
 Solve = Callable[[np.ndarray], None]  # standard normals to draws of the prior, in place
@@ -459,16 +458,6 @@ class RowSplit:
         out[self.n_dense :] = self.sparse @ w.T
 
 
-@contextmanager
-def _draw_thread() -> Iterator[ThreadPoolExecutor]:
-    """The chain's draw thread, joined on the way out; a raise drops the draws still queued."""
-    drawer = ThreadPoolExecutor(1, "pcn-draw")
-    try:
-        yield drawer
-    finally:
-        drawer.shutdown(cancel_futures=True)
-
-
 def pcn_chain(
     f_white,
     d_white: np.ndarray,
@@ -480,8 +469,7 @@ def pcn_chain(
     """Run one pCN chain on phi(v) = 1/2 ||F h(v) - d||^2 and return its moments.
 
     The chain runs ``cfg.n_steps`` steps a block at a time (see the module
-    docstring). Its draw thread is joined before this returns or raises,
-    and a raise drops the draws still queued.
+    docstring). Its draw thread is joined before this returns or raises.
 
     Args:
         f_white: whitened forward matrix F (n_meas x dim; dense, sparse
@@ -550,24 +538,22 @@ def pcn_chain(
     n_distinct = 0  # distinct states kept; 1 when the chain never moved after burn-in
     accepted = 0
     n_nonfinite = 0
-    # The draw thread fills chunk j's normals and exponentials into ring
-    # slot j % len(normals); the main thread copies a block's two chunks
-    # into ``w``, the block's draws, and ``log_u``, and hands each slot
-    # back for the chunk a ring ahead only once it has copied it. ``w`` and
-    # the block product ``fw_t`` keep BLOCK_SIZE columns for a shorter last
-    # block too.
-    n_chunks = -(-cfg.n_steps // _CHUNK)
-    normals = np.empty((min(_RING, n_chunks), min(_CHUNK, cfg.n_steps), m.size))
+    # The draw thread fills block i's normals and exponentials into ring
+    # slot i % len(normals); the main thread solves and reads the block in
+    # its slot and hands the slot back for the block a ring ahead once the
+    # block's last step is done. Each slot and the block product ``fw_t``
+    # keep BLOCK_SIZE rows for a shorter last block too, so the GEMM width
+    # never changes; the slots start zeroed, so those rows stay finite.
+    n_blocks = -(-cfg.n_steps // BLOCK_SIZE)
+    normals = np.zeros((min(_RING, n_blocks), BLOCK_SIZE, m.size))
     exponentials = np.empty(normals.shape[:2])
-    w = np.zeros((BLOCK_SIZE, m.size))
     fw_t = np.empty((len(d_white), BLOCK_SIZE))
-    log_u = np.empty(BLOCK_SIZE)
 
-    def draw(j: int) -> None:
-        """On the draw thread: chunk j's normals and exponentials, into its slot."""
-        slot, c = j % len(normals), min(_CHUNK, cfg.n_steps - j * _CHUNK)
-        rng_prop.standard_normal(out=normals[slot, :c])
-        rng_acc.standard_exponential(out=exponentials[slot, :c])
+    def draw(i: int) -> None:
+        """On the draw thread: block i's normals and exponentials, into its slot."""
+        slot, b = i % len(normals), min(BLOCK_SIZE, cfg.n_steps - i * BLOCK_SIZE)
+        rng_prop.standard_normal(out=normals[slot, :b])
+        rng_acc.standard_exponential(out=exponentials[slot, :b])
 
     def flush() -> None:
         nonlocal mean_v
@@ -582,33 +568,28 @@ def pcn_chain(
 
     v = m.copy()
     fm = f @ m
-    with _draw_thread() as drawer, np.errstate(
+    with ThreadPoolExecutor(1, "pcn-draw") as drawer, np.errstate(
         over="ignore", invalid="ignore"  # a non-finite phi rejects
     ):
         phi_v = phi(fm, v if moves(float(m.min())) else None)
         if not math.isfinite(phi_v):
             raise NumericalError(f"potential at the prior mean is non-finite ({phi_v})")
-        pending = [drawer.submit(draw, j) for j in range(len(normals))]
-        for start in range(0, cfg.n_steps, BLOCK_SIZE):
+        pending = [drawer.submit(draw, i) for i in range(len(normals))]
+        for i, start in enumerate(range(0, cfg.n_steps, BLOCK_SIZE)):
             b = min(BLOCK_SIZE, cfg.n_steps - start)
-            for j in range(start // _CHUNK, -(-(start + b) // _CHUNK)):
-                slot, row = j % len(normals), j * _CHUNK - start
-                c = min(_CHUNK, b - row)
-                pending[slot].result()
-                w[row : row + c] = normals[slot, :c]
-                # log U = -Exp(1) exactly, one per step whatever the outcome.
-                np.negative(exponentials[slot, :c], out=log_u[row : row + c])
-                if j + len(normals) < n_chunks:
-                    pending[slot] = drawer.submit(draw, j + len(normals))
-            block = w[:b]
+            slot = i % len(normals)
+            pending[slot].result()
+            block = normals[slot, :b]
             solve(block)
             block *= cfg.beta
             low = block.min(axis=1).tolist()
+            # log U = -Exp(1) exactly, one per step whatever the outcome.
+            log_u = -exponentials[slot, :b]
             # F v is carried from step to step inside a block; forming it
             # afresh at each block start keeps its rounding error from
             # building up over many steps when beta is small.
             fv = f @ v
-            f.block(w, fw_t)
+            f.block(normals[slot], fw_t)
             fw = fw_t.T  # row k is F (beta w_k)
             base, base_f, base_low = rebase(v, fv)
             for k in range(b):
@@ -638,6 +619,8 @@ def pcn_chain(
                     fill += 1
                     n_distinct += 1
                 counts[fill - 1] += 1.0
+            if i + len(normals) < n_blocks:
+                pending[slot] = drawer.submit(draw, i + len(normals))
         flush()
     if n_nonfinite:
         logger.warning("%d proposals rejected for non-finite potential", n_nonfinite)

@@ -1129,6 +1129,12 @@ class TestExitCodes:
         assert cli.main(["run", "--config", str(cfg_path)]) == 2
         assert not list(out.rglob("*"))
 
+    def test_null_sampler_section_is_2(self, tmp_path, caplog):
+        cfg_path, out = write_case(tmp_path, mutate=lambda d: d.update(sampler=None))
+        assert cli.main(["run", "--config", str(cfg_path)]) == 2
+        assert "'sampler'" in caplog.text
+        assert not out.exists()
+
     def test_fractional_integer_key_is_2(self, tmp_path):
         cfg_path, out = write_case(tmp_path, mutate=lambda d: d["sampler"].update(n_steps=2000.9))
         assert cli.main(["run", "--config", str(cfg_path)]) == 2
@@ -1386,12 +1392,13 @@ class TestEntryPoint:
         nor H is held dense.
 
         Each child is started fresh and read with os.wait4, so the difference
-        is what the run adds to the CLI's own import. It read 50.1-50.5 MB
-        over four runs on a 2-vCPU machine (80-83 MB when synth held the
-        generation-grid F and propagate held H); the bound adds about a
-        quarter. The children are started by a small Python process of their
-        own: a child's ru_maxrss counts the high water of the process it was
-        forked from, and pytest's own peak would hide the run's.
+        is what the run adds to the CLI's own import. It read 43.0-43.1 MB
+        over three runs on a 2-vCPU machine (41.9-42.1 MB when the chain's
+        ring held half blocks, 80-83 MB when synth held the generation-grid
+        F and propagate held H); the bound adds about a half. The children
+        are started by a small Python process of their own: a child's
+        ru_maxrss counts the high water of the process it was forked from,
+        and pytest's own peak would hide the run's.
         """
         root = Path(__file__).resolve().parents[1]
         proc = subprocess.run(
@@ -1413,8 +1420,9 @@ class TestEntryPoint:
 
         Each child is started fresh and read with os.wait4, from a small
         Python process of its own, as in the cold run's test above. It read
-        40.1-40.4 MB in three runs on a 2-vCPU machine, and 47.3-47.5 MB
-        when invert made the dense F and the smooth stage held F C whole.
+        41.2-41.4 MB in three runs on a 2-vCPU machine (39.9-40.1 MB when the
+        chain's ring held half blocks), and 47.3-47.5 MB when invert made the
+        dense F and the smooth stage held F C whole.
         """
         root = Path(__file__).resolve().parents[1]
         proc = subprocess.run(

@@ -621,11 +621,11 @@ def sleepy_solve(prior, pauses):
 
 
 class TestDrawThread:
-    @pytest.mark.parametrize("n_steps", [1017, 40, 33])
+    @pytest.mark.parametrize("n_steps", [1017, 65, 40, 33])
     def test_scheduling_does_not_change_the_chain(self, monkeypatch, n_steps):
         """Pauses in either thread change nothing: the potential trace,
         acceptances, mean, diagonal and sketch match bit for bit, over many
-        blocks, below one and at one chunk of draws plus a step. The pauses
+        blocks, below one and at one block plus a step. The pauses
         make the draw thread at times lag the main thread and at times fill
         the whole ring ahead of it."""
         rng = np.random.default_rng(12)

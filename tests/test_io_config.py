@@ -608,6 +608,22 @@ class TestSettingsValidation:
         cfg = load_config(write_config(tmp_path, data))
         assert cfg.sampler.beta == 1.0 and cfg.sampler.n_steps == 1
 
+    @pytest.mark.parametrize("value", [None, 5, [1]], ids=["null", "number", "list"])
+    @pytest.mark.parametrize("section", ["prior", "sampler", "plume"])
+    def test_optional_section_that_is_not_a_mapping_raises(self, tmp_path, section, value):
+        data = base_config(tmp_path)
+        data[section] = value
+        with pytest.raises(ValidationError, match=f"config section '{section}' must be a mapping"):
+            load_config(write_config(tmp_path, data))
+
+    def test_harmonics_that_are_not_a_list_raise(self, tmp_path):
+        data = yaml.safe_load(BUNDLED_CASE.read_text())
+        data["paths"]["out_dir"] = str(tmp_path / "out")
+        data["synthetic"]["wind_model"]["speed_harmonics"] = 5
+        match = r"synthetic\.wind_model\.speed_harmonics must be a list"
+        with pytest.raises(ValidationError, match=match):
+            load_config(write_config(tmp_path, data))
+
     @pytest.mark.parametrize("period", [0.0, -3600.0])
     def test_nonpositive_harmonic_period_raises(self, tmp_path, period):
         data = yaml.safe_load(BUNDLED_CASE.read_text())

@@ -518,10 +518,11 @@ class TestPcnChainMechanics:
 
     def test_peak_memory_above_the_sketch_is_a_few_block_buffers(self):
         """At dim 2 x SKETCH_SIZE the chain's traced peak above its sketch Y
-        is at most 7 (BLOCK_SIZE, dim) buffers: the ring of 1.5, the block's
+        is at most 7 (BLOCK_SIZE, dim) buffers: the ring of three blocks of
         draws, the kept rows and a flush's stacked rows with their sketch
-        product. Measured at 6.27 (5.73 with the draws one block ahead), so
-        one more such buffer would exceed it."""
+        product. Measured at 6.77 (6.27 when the ring held three half blocks
+        and the block's draws were copied out of it), so one more such
+        buffer would exceed it."""
         dim = 2 * SKETCH_SIZE
         f = csr_array(0.1 * np.eye(50, dim))
         cfg = SamplerConfig(beta=0.5, n_steps=1000, burn_in_fraction=0.1, seed=2)
@@ -630,7 +631,7 @@ def draw_threads():
 
 class TestDrawThread:
     def test_fill_error_surfaces_and_no_thread_is_left(self, monkeypatch):
-        """A fill of stream 0 that raises on the third chunk raises out of
+        """A fill of stream 0 that raises on the third block raises out of
         pcn_chain, and neither a raise nor a return leaves a thread running."""
         before = threading.active_count()
         cfg = SamplerConfig(beta=0.5, n_steps=1000, seed=3)
@@ -642,10 +643,10 @@ class TestDrawThread:
         pcn_chain(*quadratic(3), np.zeros(3), white, cfg)
         assert threading.active_count() == before
 
-    def test_main_thread_error_drops_the_queued_draws_and_joins(self, monkeypatch):
+    def test_main_thread_error_joins_after_at_most_two_more_block_fills(self, monkeypatch):
         """A solve that raises on the third block raises out of pcn_chain, no
-        draw thread is left, and no more than the ring's three chunks were
-        filled past the last chunk the main thread copied."""
+        draw thread is left, and no more than the ring's other two slots were
+        filled past the block whose solve failed."""
         cfg = SamplerConfig(beta=0.5, n_steps=1000, seed=3)
         watched = watch_stream_0(monkeypatch)
         solve = WatchedSolve(fails_at=3)
@@ -653,8 +654,8 @@ class TestDrawThread:
             pcn_chain(*quadratic(3), np.zeros(3), solve, cfg)
         assert not draw_threads()
         (stream,) = watched
-        copied = len(solve.threads) * BLOCK_SIZE // sampling._CHUNK  # copied before each solve
-        assert copied <= len(stream.threads) <= copied + sampling._RING
+        solves = len(solve.threads)  # each solve reads a block already filled
+        assert solves <= len(stream.threads) <= solves + sampling._RING - 1
 
     def test_the_draw_thread_calls_no_prior_code(self, monkeypatch):
         """Every solve runs on the thread that called pcn_chain, and every
@@ -666,5 +667,5 @@ class TestDrawThread:
         (stream,) = watched
         assert len(solve.threads) == -(-cfg.n_steps // BLOCK_SIZE)
         assert set(solve.threads) == {threading.current_thread()}
-        assert len(stream.threads) == -(-cfg.n_steps // sampling._CHUNK)
+        assert len(stream.threads) == -(-cfg.n_steps // BLOCK_SIZE)
         assert all(t.name.startswith("pcn-draw") for t in stream.threads)
